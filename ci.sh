@@ -18,9 +18,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # socket and drive the wire protocol end to end from a second-parser
 # client (python speaks the 4-byte-length-prefixed JSON frames from
 # scratch, so the rust Client cannot mask a framing bug): two tenants,
-# load, invoke, hot swap, per-request budgets, admission denial,
-# stats, shutdown. The richer concurrency/chaos coverage lives in
-# crates/units-serve/tests and runs in the cargo test sweeps.
+# load, invoke, hot swap, per-version artifacts, per-request budgets,
+# admission denial, a mistyped field, stats, shutdown. The richer
+# concurrency/chaos coverage lives in crates/units-serve/tests and runs
+# in the cargo test sweeps.
 if command -v python3 >/dev/null 2>&1; then
     ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --fuel 1000000 &
     UNITSD_PID=$!
@@ -71,6 +72,21 @@ assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '216'
 swap = call(a, {'op': 'swap', 'name': 'f', 'source': cube})
 assert swap['ok'] and swap['version'] == 2, swap
 assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 2})['value'] == '8'
+
+# Artifacts are per plug-in version, not per argument: after the first
+# invoke with an argument, more distinct arguments add no cache entry.
+entries = []
+for arg in [3, 4, 5, 6, 7, 8]:
+    assert call(a, {'op': 'invoke', 'name': 'f', 'arg': arg})['value'] == str(arg ** 3)
+    entries.append(call(a, {'op': 'stats'})['engine']['cache']['entries'])
+assert entries[0] == entries[-1], entries
+
+# A mistyped optional field is a typed refusal, not a silently
+# argument-less invoke, and the connection keeps serving.
+bad = call(a, {'op': 'invoke', 'name': 'f', 'arg': '7'})
+assert bad['ok'] is False and bad['kind'] == 'bad-request', bad
+assert 'arg' in bad['message'], bad
+assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 7})['value'] == '343'
 
 # Admission control: over-asking the daemon cap is a typed refusal.
 denied = call(a, {'op': 'invoke', 'name': 'f', 'arg': 2, 'fuel': 10000000})

@@ -689,9 +689,9 @@ fn main() {
 
     header("unit_service (B.10): in-process Service requests/sec");
     // The service path adds tenancy bookkeeping, admission control, and
-    // per-argument term composition on top of a bare `run_on`; this
-    // series prices that stack and how it holds up under tenant
-    // concurrency. In-process on purpose: the socket would only add
+    // the call artifact's application to the argument on top of a bare
+    // `run_on`; this series prices that stack and how it holds up under
+    // tenant concurrency. In-process on purpose: the socket would only add
     // constant framing cost, and B.10 tracks the service core.
     println!(
         "{:>12} {:>8} {:>12} {:>10} {:>10}",
@@ -707,7 +707,7 @@ fn main() {
         for t in 0..tenants {
             let tenant = service.tenant(&format!("tenant-{t}"));
             tenant.load_plugin("f", square, None).unwrap();
-            tenant.invoke("f", Some(1)).unwrap(); // warm the caches
+            tenant.invoke("f", Some(1)).unwrap(); // build the call artifact
         }
         let per_tenant = request_total / tenants;
         let start = Instant::now();

@@ -689,34 +689,8 @@ fn dispatch(
                 let callee = stack.remove(stack.len() - 1 - argc);
                 match callee {
                     Value::Closure(closure) => {
-                        if closure.arity() != argc {
-                            return Err(RuntimeError::Arity {
-                                expected: closure.arity(),
-                                found: argc,
-                            });
-                        }
-                        let Some(code) = &closure.code else {
-                            return Err(RuntimeError::WrongType {
-                                expected: "a bytecode-compiled procedure",
-                                found: String::from("a closure without lowered code"),
-                            });
-                        };
-                        // The arguments move straight into the callee's
-                        // frame — no intermediate vector, and a unary
-                        // frame is stored inline.
-                        let callee_env = if argc == 1 {
-                            let v = pop!();
-                            closure
-                                .env
-                                .extend1(closure.lambda.params[0].name.clone(), Binding::Val(v))
-                        } else {
-                            let mut frame = Vec::with_capacity(argc);
-                            let at = stack.len() - argc;
-                            for (p, v) in closure.lambda.params.iter().zip(stack.drain(at..)) {
-                                frame.push((p.name.clone(), Binding::Val(v)));
-                            }
-                            closure.env.extend(frame)
-                        };
+                        let code = closure_code(&closure, argc)?;
+                        let callee_env = callee_env(&closure, &mut stack, argc);
                         let callee_entry =
                             code.chunk.protos[code.index as usize].entry as usize;
                         display.invalidate();
@@ -927,6 +901,73 @@ fn dispatch(
                 })
             }
         }
+    }
+}
+
+/// Applies a procedure value to arguments from outside any chunk — the
+/// host-side counterpart of [`Op::Call`], for calling a procedure a
+/// program returned. A closure runs its lowered body segment in a fresh
+/// activation, charged to the depth budget like a non-tail call; a
+/// primitive or datatype operation applies in place.
+///
+/// # Errors
+///
+/// The errors [`Op::Call`] raises — arity mismatch, a closure without
+/// lowered code, a non-procedure callee — plus any [`RuntimeError`] the
+/// body signals.
+pub fn apply(
+    func: Value,
+    mut args: Vec<Value>,
+    machine: &mut Machine,
+) -> Result<Value, RuntimeError> {
+    match func {
+        Value::Closure(closure) => {
+            let argc = args.len();
+            let code = closure_code(&closure, argc)?;
+            let entry = code.chunk.protos[code.index as usize].entry;
+            let env = callee_env(&closure, &mut args, argc);
+            run(code.chunk.clone(), entry, env, machine)
+        }
+        Value::Prim(p) => match fast_prim(p, &args) {
+            Some(v) => Ok(v),
+            None => apply_prim(p, &args, machine),
+        },
+        Value::Data(d) => apply_data(&d, args),
+        other => Err(RuntimeError::NotAFunction { found: other.to_string() }),
+    }
+}
+
+/// The checks a call makes before entering a closure: its arity, then
+/// its lowered code (the body segment to enter).
+#[inline]
+fn closure_code(closure: &Closure, argc: usize) -> Result<&VmCode, RuntimeError> {
+    if closure.arity() != argc {
+        return Err(RuntimeError::Arity { expected: closure.arity(), found: argc });
+    }
+    closure.code.as_ref().ok_or_else(|| RuntimeError::WrongType {
+        expected: "a bytecode-compiled procedure",
+        found: String::from("a closure without lowered code"),
+    })
+}
+
+/// The closure's environment extended with its parameters bound to the
+/// top `argc` values of `stack`, which move straight into the frame (no
+/// intermediate vector; a unary frame is stored inline).
+#[inline]
+fn callee_env(closure: &Closure, stack: &mut Vec<Value>, argc: usize) -> Env {
+    if argc == 1 {
+        let v = stack.pop().expect("the caller pushed the argument");
+        closure.env.extend1(closure.lambda.params[0].name.clone(), Binding::Val(v))
+    } else {
+        let at = stack.len() - argc;
+        let frame = closure
+            .lambda
+            .params
+            .iter()
+            .zip(stack.drain(at..))
+            .map(|(p, v)| (p.name.clone(), Binding::Val(v)))
+            .collect();
+        closure.env.extend(frame)
     }
 }
 

@@ -122,11 +122,14 @@ pub enum Request {
 }
 
 impl Request {
-    /// Decodes a request frame.
+    /// Decodes a request frame. An optional field may be absent; when
+    /// present it must have its documented type, so a mistyped field is
+    /// refused rather than read as absent.
     ///
     /// # Errors
     ///
-    /// A human-readable description of what is missing or mistyped.
+    /// A human-readable description of what is missing or mistyped,
+    /// naming the field.
     pub fn from_json(value: &Json) -> Result<Request, String> {
         let op = value.get_str("op").ok_or_else(|| "missing string field `op`".to_string())?;
         let need = |field: &str| {
@@ -135,7 +138,16 @@ impl Request {
                 .map(str::to_string)
                 .ok_or_else(|| format!("op `{op}` needs string field `{field}`"))
         };
-        let opt_sig = || value.get_str("sig").map(str::to_string);
+        let opt_sig = || match value.get("sig") {
+            None => Ok(None),
+            Some(Json::Str(sig)) => Ok(Some(sig.clone())),
+            Some(_) => Err("field `sig` must be a string".to_string()),
+        };
+        let opt_int = |field: &str, expected: &str| match value.get(field) {
+            None => Ok(None),
+            Some(Json::Int(n)) => Ok(Some(*n)),
+            Some(_) => Err(format!("field `{field}` must be {expected}")),
+        };
         let limits = || {
             let mut limits = Limits::none();
             for (field, slot) in [
@@ -143,10 +155,12 @@ impl Request {
                 ("depth", &mut limits.max_depth),
                 ("cells", &mut limits.max_store_cells),
             ] {
-                if let Some(n) = value.get_int(field) {
-                    *slot = Some(u64::try_from(n).map_err(|_| {
-                        format!("field `{field}` must be a non-negative integer")
-                    })?);
+                let expected = "a non-negative integer";
+                if let Some(n) = opt_int(field, expected)? {
+                    *slot = Some(
+                        u64::try_from(n)
+                            .map_err(|_| format!("field `{field}` must be {expected}"))?,
+                    );
                 }
             }
             Ok::<Limits, String>(limits)
@@ -154,14 +168,14 @@ impl Request {
         match op {
             "hello" => Ok(Request::Hello { tenant: need("tenant")? }),
             "load" => {
-                Ok(Request::Load { name: need("name")?, source: need("source")?, sig: opt_sig() })
+                Ok(Request::Load { name: need("name")?, source: need("source")?, sig: opt_sig()? })
             }
             "swap" => {
-                Ok(Request::Swap { name: need("name")?, source: need("source")?, sig: opt_sig() })
+                Ok(Request::Swap { name: need("name")?, source: need("source")?, sig: opt_sig()? })
             }
             "invoke" => Ok(Request::Invoke {
                 name: need("name")?,
-                arg: value.get_int("arg"),
+                arg: opt_int("arg", "an integer")?,
                 limits: limits()?,
             }),
             "run" => Ok(Request::Run { source: need("source")?, limits: limits()? }),
@@ -290,6 +304,18 @@ mod tests {
             (r#"{"op":"teleport"}"#, "unknown op"),
             (r#"{"op":"load","name":"p"}"#, "source"),
             (r#"{"op":"invoke","name":"p","fuel":-1}"#, "non-negative"),
+            // Present but mistyped optional fields are refused, not
+            // silently read as absent.
+            (r#"{"op":"invoke","name":"p","arg":"7"}"#, "field `arg` must be an integer"),
+            (r#"{"op":"invoke","name":"p","arg":7.5}"#, "field `arg`"),
+            (r#"{"op":"invoke","name":"p","arg":null}"#, "field `arg`"),
+            (r#"{"op":"load","name":"p","source":"(unit)","sig":5}"#, "field `sig`"),
+            (r#"{"op":"swap","name":"p","source":"(unit)","sig":["s"]}"#, "field `sig`"),
+            (r#"{"op":"invoke","name":"p","fuel":"10"}"#, "field `fuel`"),
+            (r#"{"op":"invoke","name":"p","fuel":1.5}"#, "field `fuel`"),
+            (r#"{"op":"invoke","name":"p","fuel":true}"#, "field `fuel`"),
+            (r#"{"op":"run","source":"(+ 1 2)","depth":"64"}"#, "field `depth`"),
+            (r#"{"op":"invoke","name":"p","cells":{}}"#, "field `cells`"),
         ];
         for (src, needle) in bad {
             let value = crate::json::parse(src).unwrap();

@@ -19,22 +19,29 @@
 //! linked unit would be; a publish without one still requires a
 //! closed, checkable unit. [`Tenant::swap_plugin`] replaces the
 //! current version atomically behind an `Arc` — in-flight requests
-//! holding a [`PluginVersion`] finish on the artifact they started
-//! with, and the swapped-out artifact is evicted from the engine's
+//! holding a [`PluginVersion`] finish on the artifacts they started
+//! with, and the swapped-out artifacts are evicted from the engine's
 //! caches.
+//!
+//! Each version owns at most two engine artifacts: `(invoke unit)`,
+//! built at publish and run by argument-less invokes, and the *call
+//! artifact* `(lambda (arg) ((invoke unit) arg))`, built on the first
+//! invoke that carries an argument and then applied to every later
+//! argument with [`Loaded::call_with`]. A warm invoke therefore builds,
+//! hashes, and looks up no term, whatever its argument.
 //!
 //! The socket server in [`crate::server`] is a thin wire adapter over
 //! this module; tests and benches call it directly and skip the kernel.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use units::{
     parse_expr, parse_signature, Archive, Backend, CheckOptions, DynlinkError, Engine, Expr,
-    FallbackPolicy, Level, Limits, Loaded, Outcome, Resource, Strictness,
+    FallbackPolicy, Level, Limits, Loaded, Outcome, Param, Resource, Strictness, Ty,
 };
 
 /// Why the service refused or failed a request.
@@ -243,18 +250,22 @@ struct PluginSlot {
     current: Mutex<Arc<PluginVersion>>,
 }
 
-/// One immutable published version of a plug-in.
+/// One published version of a plug-in. Its code never changes; its call
+/// artifact is built on the first invoke with an argument.
 ///
 /// An invoke snapshots the slot's `Arc<PluginVersion>` and runs on it;
 /// a concurrent [`Tenant::swap_plugin`] replaces the slot but cannot
 /// touch versions already snapshotted, so in-flight requests complete
-/// on the artifact they started with.
+/// on the artifacts they started with.
 #[derive(Debug)]
 pub struct PluginVersion {
     name: String,
     version: u64,
-    unit: Expr,
     loaded: Loaded,
+    /// The call artifact, built on the first invoke with an argument.
+    call: OnceLock<Loaded>,
+    /// Set by the swap that replaced this version.
+    retired: AtomicBool,
 }
 
 impl PluginVersion {
@@ -274,6 +285,40 @@ impl PluginVersion {
     pub fn loaded(&self) -> &Loaded {
         &self.loaded
     }
+
+    /// The call artifact `(lambda (arg) ((invoke unit) arg))`, with
+    /// `arg` typed `int` at the typed levels. It is loaded through
+    /// [`Engine::load_expr`] — so checked and resolved — on the first
+    /// invoke that carries an argument, and every later one reuses it.
+    fn call(&self, engine: &Engine) -> Result<&Loaded, units::Error> {
+        if let Some(call) = self.call.get() {
+            return Ok(call);
+        }
+        let arg = match engine.level() {
+            Level::Untyped => Param::untyped("arg"),
+            _ => Param::typed("arg", Ty::Int),
+        };
+        let body = Expr::app(self.loaded.expr().clone(), vec![Expr::var("arg")]);
+        let loaded = engine.load_expr(Expr::lambda(vec![arg], body))?;
+        let call = self.call.get_or_init(|| loaded);
+        // The SeqCst fences here and in `retire` order the flag against
+        // the `OnceLock` store: either the swap sees this artifact and
+        // evicts it, or this sees the swap and does (both is harmless).
+        fence(Ordering::SeqCst);
+        if self.retired.load(Ordering::Relaxed) {
+            engine.evict(call);
+        }
+        Ok(call)
+    }
+
+    /// Marks this version swapped out and evicts both of its artifacts
+    /// from the engine's caches; returns whether anything was evicted.
+    fn retire(&self, engine: &Engine) -> bool {
+        self.retired.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let call = self.call.get().is_some_and(|call| engine.evict(call));
+        engine.evict(&self.loaded) | call
+    }
 }
 
 /// What a successful publish reports back.
@@ -283,7 +328,7 @@ pub struct PublishInfo {
     pub name: String,
     /// The version now current.
     pub version: u64,
-    /// For swaps: whether the replaced version's artifact was still in
+    /// For swaps: whether the replaced version's artifacts were still in
     /// the engine's caches and got evicted. Always `false` for loads.
     pub evicted: bool,
 }
@@ -436,8 +481,9 @@ impl Tenant {
     /// touched; a rejected swap leaves the old version serving. The
     /// replacement itself is one `Arc` store: requests that already
     /// snapshotted the old version finish on it, requests arriving
-    /// after the swap see the new one. The old version's artifact is
-    /// evicted from the engine's caches.
+    /// after the swap see the new one. The old version's artifacts —
+    /// including a call artifact its in-flight requests build later —
+    /// are evicted from the engine's caches.
     ///
     /// # Errors
     ///
@@ -457,7 +503,7 @@ impl Tenant {
         let version = self.publish(name, source, signature, next_version)?;
         let old = std::mem::replace(&mut *current, version);
         drop(current);
-        let evicted = self.service.engine.evict(&old.loaded);
+        let evicted = old.retire(&self.service.engine);
         Ok(PublishInfo { name: name.to_string(), version: next_version, evicted })
     }
 
@@ -480,7 +526,8 @@ impl Tenant {
     }
 
     /// Invokes plug-in `name`: snapshots the current version and runs
-    /// it, applying the invoke result to `arg` when one is given.
+    /// it, applying the invoke result to `arg` when one is given (through
+    /// the version's call artifact).
     ///
     /// # Errors
     ///
@@ -518,19 +565,12 @@ impl Tenant {
         requested: Limits,
     ) -> Result<Outcome, ServeError> {
         self.admitted(requested, |tenant, limits| {
-            let loaded = match arg {
-                None => version.loaded.clone(),
-                Some(n) => {
-                    // A fresh term per argument; the engine's term cache
-                    // makes repeats of one (plug-in, arg) pair warm.
-                    let call = Expr::app(
-                        Expr::invoke_program(version.unit.clone()),
-                        vec![Expr::int(n)],
-                    );
-                    tenant.service.engine.load_expr(call)?
-                }
+            let engine = &tenant.service.engine;
+            let outcome = match arg {
+                None => version.loaded.run_with(engine.backend(), limits),
+                Some(n) => version.call(engine)?.call_with(engine.backend(), limits, n),
             };
-            loaded.run_with(tenant.service.engine.backend(), limits).map_err(ServeError::from)
+            outcome.map_err(ServeError::from)
         })
     }
 
@@ -564,17 +604,11 @@ impl Tenant {
             ServeError::PluginMissing { name: name.to_string() }
         })?;
         self.admitted(Limits::none(), |tenant, _limits| {
-            let loaded = match arg {
-                None => version.loaded.clone(),
-                Some(n) => {
-                    let call = Expr::app(
-                        Expr::invoke_program(version.unit.clone()),
-                        vec![Expr::int(n)],
-                    );
-                    tenant.service.engine.load_expr(call)?
-                }
+            let outcome = match arg {
+                None => version.loaded.run_differential(),
+                Some(n) => version.call(&tenant.service.engine)?.call_differential(n),
             };
-            loaded.run_differential().map_err(ServeError::from)
+            outcome.map_err(ServeError::from)
         })
     }
 
@@ -691,13 +725,21 @@ impl Tenant {
         };
         // Compile the no-argument invocation now: a plug-in that cannot
         // even link is refused at publish, and argument-less invokes
-        // run a prebuilt artifact.
+        // run a prebuilt artifact. The call artifact waits for the
+        // first invoke with an argument, so a plug-in whose init is not
+        // a function still publishes.
         let loaded = self
             .service
             .engine
-            .load_expr(Expr::invoke_program(unit.clone()))
+            .load_expr(Expr::invoke_program(unit))
             .map_err(|e| rejected(format!("unit does not link: {e}")))?;
-        Ok(Arc::new(PluginVersion { name: name.to_string(), version, unit, loaded }))
+        Ok(Arc::new(PluginVersion {
+            name: name.to_string(),
+            version,
+            loaded,
+            call: OnceLock::new(),
+            retired: AtomicBool::new(false),
+        }))
     }
 
     fn slot(&self, name: &str) -> Result<Arc<PluginSlot>, ServeError> {

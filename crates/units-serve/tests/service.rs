@@ -84,12 +84,30 @@ fn hot_swap_pins_inflight_requests_and_evicts_the_old_artifact() {
 #[test]
 fn swapped_out_versions_do_not_linger_in_the_term_cache() {
     let service = untyped();
+    let engine = service.engine();
     let tenant = service.tenant("a");
     tenant.load_plugin("f", SQUARE, None).unwrap();
     let old = tenant.plugin("f").unwrap();
+    assert_eq!(engine.cache_stats().entries, 1, "publish caches the argument-less artifact");
+
+    // Artifacts are per version, not per argument: the first invoke
+    // with an argument adds the call artifact, later arguments add
+    // nothing.
+    assert_eq!(tenant.invoke("f", Some(1)).unwrap().value, Observation::Int(1));
+    let entries = engine.cache_stats().entries;
+    assert_eq!(entries, 2);
+    for arg in 2..=5 {
+        assert_eq!(tenant.invoke("f", Some(arg)).unwrap().value, Observation::Int(arg * arg));
+        assert_eq!(engine.cache_stats().entries, entries, "argument {arg} grew the cache");
+    }
 
     let info = tenant.swap_plugin("f", CUBE, None).unwrap();
     assert!(info.evicted);
+    // Only the live version's artifacts remain: its argument-less one
+    // now, and its call artifact once it is invoked with an argument.
+    assert_eq!(engine.cache_stats().entries, 1, "the swap evicted both old artifacts");
+    assert_eq!(tenant.invoke("f", Some(2)).unwrap().value, Observation::Int(8));
+    assert_eq!(engine.cache_stats().entries, 2);
 
     // The swap already purged the old artifact: a second eviction via
     // the pinned handle finds nothing, while the current version is
@@ -98,11 +116,56 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
     let current = tenant.plugin("f").unwrap();
     assert!(service.engine().evict(current.loaded()), "current version was cached");
 
-    // The pinned version remains invocable after its eviction.
+    // The pinned version remains invocable after its eviction, and
+    // re-admits nothing.
     assert_eq!(
         tenant.invoke_version(&old, Some(5), Limits::none()).unwrap().value,
         Observation::Int(25)
     );
+    assert_eq!(engine.cache_stats().entries, 1);
+}
+
+#[test]
+fn a_call_artifact_built_after_its_swap_leaves_the_cache() {
+    let service = untyped();
+    let engine = service.engine();
+    let tenant = service.tenant("a");
+    tenant.load_plugin("f", SQUARE, None).unwrap();
+    // Pinned before its first invoke with an argument, so the old
+    // version has no call artifact yet when the swap lands.
+    let inflight = tenant.plugin("f").unwrap();
+    tenant.swap_plugin("f", CUBE, None).unwrap();
+    assert_eq!(engine.cache_stats().entries, 1);
+
+    // The in-flight request builds the old call artifact after the
+    // swap; it serves the request but does not stay cached.
+    for arg in [3, 4] {
+        let outcome = tenant.invoke_version(&inflight, Some(arg), Limits::none()).unwrap();
+        assert_eq!(outcome.value, Observation::Int(arg * arg));
+        assert_eq!(engine.cache_stats().entries, 1, "argument {arg}");
+    }
+}
+
+#[test]
+fn warm_invokes_never_probe_the_engine_cache() {
+    let service = untyped();
+    let tenant = service.tenant("a");
+    tenant.load_plugin("f", SQUARE, None).unwrap();
+    // The first invoke with an argument loads the call artifact …
+    assert_eq!(tenant.invoke("f", Some(0)).unwrap().value, Observation::Int(0));
+
+    // … and no later one asks the engine's cache for anything, whatever
+    // its argument: no hit, no miss, no new entry.
+    let before = service.engine().metrics_snapshot();
+    for arg in 1..=64 {
+        assert_eq!(tenant.invoke("f", Some(arg)).unwrap().value, Observation::Int(arg * arg));
+    }
+    let after = service.engine().metrics_snapshot();
+    let probes = |s: &units::MetricsSnapshot| {
+        (s.cache.source_hits, s.cache.term_hits, s.cache.misses, s.cache.entries)
+    };
+    assert_eq!(probes(&after), probes(&before), "a warm invoke probed the cache");
+    assert_eq!(after.runs.total, before.runs.total + 64, "every invoke still ran");
 }
 
 #[test]
@@ -181,9 +244,15 @@ fn four_tenants_run_concurrent_differential_invokes() {
 fn plugin_invokes_report_printed_output() {
     let service = untyped();
     let tenant = service.tenant("a");
-    let outcome = tenant
-        .run("(invoke (unit (import) (export) (init (display \"hi\") 5)))", Limits::none())
-        .unwrap();
-    assert_eq!(outcome.value, Observation::Int(5));
-    assert_eq!(outcome.output, vec!["hi".to_string()]);
+    let printing = "(unit (import) (export)
+        (init (begin (display \"init\")
+                     (lambda (n) (begin (display (int->string n)) (* n n))))))";
+    tenant.load_plugin("p", printing, None).unwrap();
+    // The init prints on every invoke (each one instantiates the unit),
+    // then the returned function prints its argument.
+    for arg in [7, 3] {
+        let outcome = tenant.invoke("p", Some(arg)).unwrap();
+        assert_eq!(outcome.value, Observation::Int(arg * arg));
+        assert_eq!(outcome.output, vec!["init".to_string(), arg.to_string()]);
+    }
 }

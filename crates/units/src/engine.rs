@@ -36,7 +36,10 @@
 //! store-cell budgets all surface as [`Error::ResourceExhausted`] instead
 //! of a panic or a stack overflow. [`Loaded::run_with`] overrides the
 //! session budgets for one run — per-request admission control for a
-//! multi-tenant caller.
+//! multi-tenant caller — and [`Loaded::call_with`] does the same for a
+//! program that evaluates to a procedure, applying it to an argument,
+//! so a server loads a plug-in's call artifact once and calls it per
+//! request.
 //!
 //! # The fault plane
 //!
@@ -83,10 +86,12 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 use units_check::{check_program, CheckOptions, Level, Strictness};
-use units_compile::{evaluate_program, lower_program, resolve_program, Archive, ChunkProfile};
+use units_compile::{
+    apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile,
+};
 use units_kernel::{alpha_eq, alpha_hash, Expr, Ty};
 use units_reduce::Reducer;
-use units_runtime::{execute, Chunk, Limits, Machine, Resource};
+use units_runtime::{execute, vm, Chunk, Limits, Machine, Resource, Value};
 use units_store::{Lookup, Store};
 use units_syntax::parse_file;
 use units_trace::faults::FaultPlane;
@@ -1012,21 +1017,23 @@ impl EngineInner {
     /// One governed run of `artifact`: unwind boundary, recovery policy,
     /// latency accounting. `limits` is the budget for this run — the
     /// session default from [`Loaded::run_on`], or a per-request
-    /// override from [`Loaded::run_with`].
+    /// override from [`Loaded::run_with`]. With `arg`, the program's
+    /// value is then applied to `Int(arg)` ([`Loaded::call_with`]).
     fn run_artifact(
         &self,
         artifact: &Arc<Artifact>,
         backend: Backend,
         limits: Limits,
+        arg: Option<i64>,
     ) -> Result<Outcome, Error> {
         // Trace builds keep a flight-recorder ring rolling on the run
         // path so a failure below can produce a post-mortem.
         recorder::ensure(recorder::DEFAULT_CAPACITY);
         let start = Instant::now();
         *self.recovery.lock().unwrap() = None;
-        let result = match self.run_raw(artifact, backend, limits) {
+        let result = match self.run_raw(artifact, backend, limits, arg) {
             Ok(outcome) => Ok(outcome),
-            Err(err) => self.recover(artifact, backend, limits, err),
+            Err(err) => self.recover(artifact, backend, limits, arg, err),
         };
         // Latency covers the whole journey, recovery included — that is
         // what a caller of `run_on` actually waited.
@@ -1034,12 +1041,16 @@ impl EngineInner {
         result
     }
 
-    /// One un-recovered run: the three backends behind the unwind boundary.
+    /// One un-recovered run: the three backends behind the unwind
+    /// boundary. With `arg`, the program's value is applied to
+    /// `Int(arg)` on the same machine, so fuel, cells, and output cover
+    /// both halves.
     fn run_raw(
         &self,
         artifact: &Arc<Artifact>,
         backend: Backend,
         limits: Limits,
+        arg: Option<i64>,
     ) -> Result<Outcome, Error> {
         guard("run", || match backend {
             Backend::Compiled => {
@@ -1048,7 +1059,10 @@ impl EngineInner {
                 let expr = artifact.resolved.as_ref().unwrap_or(&artifact.expr);
                 // Account fuel and cells before `?` so even failed runs
                 // (e.g. budget exhaustion) land in the metrics plane.
-                let value = evaluate_program(expr, &mut machine);
+                let value = evaluate_program(expr, &mut machine).and_then(|f| match arg {
+                    Some(n) => apply(f, vec![Value::Int(n)], &mut machine),
+                    None => Ok(f),
+                });
                 self.note_machine(&machine);
                 let value = value?;
                 Ok(Outcome { value: observe_value(&value), output: machine.take_output() })
@@ -1057,14 +1071,22 @@ impl EngineInner {
                 let chunk = artifact.chunk();
                 let _timer = units_trace::time("eval");
                 let mut machine = Machine::with_limits(limits);
-                let value = execute(&chunk, &mut machine);
+                let value = execute(&chunk, &mut machine).and_then(|f| match arg {
+                    Some(n) => vm::apply(f, vec![Value::Int(n)], &mut machine),
+                    None => Ok(f),
+                });
                 self.note_machine(&machine);
                 let value = value?;
                 Ok(Outcome { value: observe_value(&value), output: machine.take_output() })
             }
             Backend::Reducer => {
                 let mut reducer = Reducer::with_limits(limits);
-                let value = reducer.reduce_to_value(&artifact.expr);
+                let value = match arg {
+                    Some(n) => {
+                        reducer.reduce_owned(Expr::app(artifact.expr.clone(), vec![Expr::int(n)]))
+                    }
+                    None => reducer.reduce_to_value(&artifact.expr),
+                };
                 self.note_machine(&reducer.machine);
                 let value = value?;
                 Ok(Outcome { value: observe_expr(&value), output: reducer.machine.take_output() })
@@ -1092,6 +1114,7 @@ impl EngineInner {
         artifact: &Arc<Artifact>,
         backend: Backend,
         limits: Limits,
+        arg: Option<i64>,
         mut err: Error,
     ) -> Result<Outcome, Error> {
         if err.as_internal().is_some() {
@@ -1115,7 +1138,7 @@ impl EngineInner {
                     units_trace::count("engine/fuel_retries", 1);
                     let mut escalated = limits;
                     escalated.fuel = Some(fuel);
-                    match self.run_raw(artifact, backend, escalated) {
+                    match self.run_raw(artifact, backend, escalated, arg) {
                         Ok(outcome) => {
                             crate::metrics::bump(&self.metrics.recovered_runs);
                             *self.recovery.lock().unwrap() = Some(recovery);
@@ -1147,12 +1170,12 @@ impl EngineInner {
             // The fault plane stays suspended for the re-run: recovery
             // must not itself be a fault target.
             let fallback = units_trace::faults::pause(|| {
-                self.run_raw(artifact, Backend::Reducer, limits)
+                self.run_raw(artifact, Backend::Reducer, limits, arg)
             });
             if let Ok(outcome) = fallback {
                 crate::metrics::bump(&self.metrics.recovered_runs);
                 recovery.fell_back = true;
-                recovery.divergence = self.diagnose(artifact, &policy, backend, limits);
+                recovery.divergence = self.diagnose(artifact, &policy, backend, limits, arg);
                 *self.recovery.lock().unwrap() = Some(recovery);
                 return Ok(outcome);
             }
@@ -1173,13 +1196,14 @@ impl EngineInner {
         policy: &FallbackPolicy,
         backend: Backend,
         limits: Limits,
+        arg: Option<i64>,
     ) -> Option<String> {
         #[cfg(feature = "trace")]
         if policy.diagnose {
             let report = units_trace::faults::pause(|| {
                 catch_unwind(AssertUnwindSafe(|| {
                     crate::observe::diagnose_divergence_with(backend, |b| {
-                        self.run_raw(artifact, b, limits)
+                        self.run_raw(artifact, b, limits, arg)
                     })
                     .to_string()
                 }))
@@ -1189,7 +1213,7 @@ impl EngineInner {
             }));
         }
         #[cfg(not(feature = "trace"))]
-        let _ = (artifact, policy, backend, limits);
+        let _ = (artifact, policy, backend, limits, arg);
         None
     }
 }
@@ -1276,7 +1300,7 @@ impl Loaded {
         let inner = self.session()?;
         let backend = inner.backend;
         let limits = inner.limits;
-        inner.run_artifact(&self.artifact, backend, limits)
+        inner.run_artifact(&self.artifact, backend, limits, None)
     }
 
     /// Runs on a specific backend under the engine's [`Limits`].
@@ -1298,7 +1322,7 @@ impl Loaded {
     pub fn run_on(&self, backend: Backend) -> Result<Outcome, Error> {
         let inner = self.session()?;
         let limits = inner.limits;
-        inner.run_artifact(&self.artifact, backend, limits)
+        inner.run_artifact(&self.artifact, backend, limits, None)
     }
 
     /// Runs on a specific backend under *these* [`Limits`] instead of
@@ -1312,7 +1336,27 @@ impl Loaded {
     /// As for [`Loaded::run`].
     pub fn run_with(&self, backend: Backend, limits: Limits) -> Result<Outcome, Error> {
         let inner = self.session()?;
-        inner.run_artifact(&self.artifact, backend, limits)
+        inner.run_artifact(&self.artifact, backend, limits, None)
+    }
+
+    /// Runs the program to a value and applies that value to
+    /// `Int(arg)`, as one governed run on `backend` under `limits` — the
+    /// same unwind boundary, metrics, flight dump, and recovery policy
+    /// as [`Loaded::run_with`]. A program that evaluates to a procedure
+    /// is checked, resolved, and cached once, then called with any
+    /// number of arguments without another load: no term to build, hash,
+    /// or look up per call. The compiled backend applies through
+    /// `units_compile::apply`, the bytecode backend through
+    /// `units_runtime::vm::apply`, and the reducer reduces
+    /// `(program arg)`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Loaded::run`]; a value that is not a one-argument
+    /// procedure fails like the application `(program arg)` would.
+    pub fn call_with(&self, backend: Backend, limits: Limits, arg: i64) -> Result<Outcome, Error> {
+        let inner = self.session()?;
+        inner.run_artifact(&self.artifact, backend, limits, Some(arg))
     }
 
     /// Runs on *all three* backends and asserts they agree — the
@@ -1329,24 +1373,45 @@ impl Loaded {
     /// Panics when any backend disagrees with the compiled tree-walker —
     /// that is a bug in this repository, not in the program.
     pub fn run_differential(&self) -> Result<Outcome, Error> {
-        let compiled = self.run_on(Backend::Compiled);
-        for backend in [Backend::Bytecode, Backend::Reducer] {
-            let other = self.run_on(backend);
-            match (&compiled, &other) {
-                (Ok(a), Ok(b)) if a != b => {
-                    panic!("backends disagree: Compiled={a:?} vs {backend:?}={b:?}")
-                }
-                (Ok(a), Err(b)) => {
-                    panic!("Compiled succeeded ({a:?}) but {backend:?} failed ({b})")
-                }
-                (Err(a), Ok(b)) => {
-                    panic!("{backend:?} succeeded ({b:?}) but Compiled failed ({a})")
-                }
-                _ => {}
-            }
-        }
-        compiled
+        differential(|backend| self.run_on(backend))
     }
+
+    /// [`Loaded::call_with`] on *all three* backends under the engine's
+    /// limits, asserting they agree like [`Loaded::run_differential`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Loaded::run_differential`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`Loaded::run_differential`].
+    pub fn call_differential(&self, arg: i64) -> Result<Outcome, Error> {
+        let limits = self.session()?.limits;
+        differential(|backend| self.call_with(backend, limits, arg))
+    }
+}
+
+/// Runs `run` on every backend and returns the compiled tree-walker's
+/// result, panicking when any other backend disagrees with it.
+fn differential(run: impl Fn(Backend) -> Result<Outcome, Error>) -> Result<Outcome, Error> {
+    let compiled = run(Backend::Compiled);
+    for backend in [Backend::Bytecode, Backend::Reducer] {
+        let other = run(backend);
+        match (&compiled, &other) {
+            (Ok(a), Ok(b)) if a != b => {
+                panic!("backends disagree: Compiled={a:?} vs {backend:?}={b:?}")
+            }
+            (Ok(a), Err(b)) => {
+                panic!("Compiled succeeded ({a:?}) but {backend:?} failed ({b})")
+            }
+            (Err(a), Ok(b)) => {
+                panic!("{backend:?} succeeded ({b:?}) but Compiled failed ({a})")
+            }
+            _ => {}
+        }
+    }
+    compiled
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! both backends at all three levels. Cache accounting goes through
 //! metrics counters only, so a hit can never perturb the event stream.
 
-use units::{Archive, Backend, Engine, Error, Level, Limits, Observation, Strictness};
+use units::{
+    parse_expr, Archive, Backend, Engine, Error, Expr, Level, Limits, Loaded, Observation, Param,
+    Strictness, Ty,
+};
 use units_runtime::Resource;
 
 /// A program that parses at every level: annotations only where the
@@ -390,4 +393,113 @@ fn archives_load_in_name_order() {
         loaded[2].1.as_ref().unwrap().run().unwrap().value,
         Observation::Str("hi".into())
     );
+}
+
+const BACKENDS: [Backend; 3] = [Backend::Compiled, Backend::Bytecode, Backend::Reducer];
+
+/// A plug-in's call artifact, `(lambda (arg) ((invoke unit) arg))` with
+/// `arg` typed `int` at typed levels, as a plug-in server builds it.
+fn call_artifact(engine: &Engine, unit: &str) -> Result<Loaded, Error> {
+    let arg = match engine.level() {
+        Level::Untyped => Param::untyped("arg"),
+        _ => Param::typed("arg", Ty::Int),
+    };
+    let unit = parse_expr(unit).unwrap();
+    let body = Expr::app(Expr::invoke_program(unit), vec![Expr::var("arg")]);
+    engine.load_expr(Expr::lambda(vec![arg], body))
+}
+
+/// The oracle a call stands for: the term `((invoke unit) n)`.
+fn invoke_applied(engine: &Engine, unit: &str, n: i64) -> Result<Loaded, Error> {
+    let unit = parse_expr(unit).unwrap();
+    engine.load_expr(Expr::app(Expr::invoke_program(unit), vec![Expr::int(n)]))
+}
+
+/// Fig. 12's even/odd units, typed, linked and invoked inside the
+/// plug-in with the argument as the depth.
+const TYPED_EVEN_ODD: &str = "(unit (import) (export)
+  (init (lambda ((n int))
+    (invoke
+      (compound (import (depth int)) (export)
+        (link ((unit (import (odd (-> int bool))) (export (even (-> int bool)))
+                 (define even (-> int bool)
+                   (lambda ((k int)) (if (= k 0) true (odd (- k 1))))))
+               (with (odd (-> int bool))) (provides (even (-> int bool))))
+              ((unit (import (even (-> int bool)) (depth int)) (export (odd (-> int bool)))
+                 (define odd (-> int bool)
+                   (lambda ((k int)) (if (= k 0) false (even (- k 1)))))
+                 (init (odd depth)))
+               (with (even (-> int bool)) (depth int)) (provides (odd (-> int bool))))))
+      (val depth n)))))";
+
+/// Prints in its init (once per invoke) and in the function it returns.
+const PRINTING: &str = "(unit (import) (export)
+  (init (begin (display \"init\")
+               (lambda (n) (begin (display (int->string n)) (* n 10))))))";
+
+/// `Loaded::call_with` is `((invoke unit) n)` without the per-call
+/// term: on every backend it yields the oracle's value and printed
+/// output, in the oracle's order.
+#[test]
+fn call_with_matches_the_applied_invoke_on_every_backend() {
+    let cases = [
+        (Level::Constructed, TYPED_EVEN_ODD, [0, 1, 64, 129]),
+        (Level::Untyped, PRINTING, [0, 1, 7, -3]),
+    ];
+    for (level, unit, args) in cases {
+        let engine = Engine::builder().level(level).build();
+        let call = call_artifact(&engine, unit).unwrap();
+        for n in args {
+            let oracle = invoke_applied(&engine, unit, n).unwrap();
+            for backend in BACKENDS {
+                let want = oracle.run_on(backend).unwrap();
+                let got = call.call_with(backend, engine.limits(), n).unwrap();
+                assert_eq!(got, want, "{level:?}/{backend:?}, argument {n}");
+            }
+        }
+    }
+    // Spot-check the oracle itself, so agreement is not vacuous.
+    let engine = Engine::builder().level(Level::Constructed).build();
+    let call = call_artifact(&engine, TYPED_EVEN_ODD).unwrap();
+    assert_eq!(call.call_differential(129).unwrap().value, Observation::Bool(true));
+    let engine = Engine::new();
+    let outcome = call_artifact(&engine, PRINTING).unwrap().call_differential(7).unwrap();
+    assert_eq!(outcome.value, Observation::Int(70));
+    assert_eq!(outcome.output, vec!["init".to_string(), "7".to_string()]);
+}
+
+/// A plug-in whose init is not a function fails the call exactly as it
+/// fails the applied invoke: a check error at typed levels, the same
+/// runtime error at UNITd.
+#[test]
+fn calling_a_non_function_init_fails_like_the_applied_invoke() {
+    let typed = Engine::builder().level(Level::Constructed).build();
+    let unit = "(unit (import) (export) (init 5))";
+    let call = call_artifact(&typed, unit).unwrap_err();
+    let oracle = invoke_applied(&typed, unit, 3).unwrap_err();
+    assert!(call.as_check().is_some(), "{call}");
+    assert!(oracle.as_check().is_some(), "{oracle}");
+
+    let untyped = Engine::new();
+    let call = call_artifact(&untyped, unit).unwrap();
+    let oracle = invoke_applied(&untyped, unit, 3).unwrap();
+    for backend in BACKENDS {
+        let got = call.call_with(backend, untyped.limits(), 3).unwrap_err();
+        let want = oracle.run_on(backend).unwrap_err();
+        assert!(got.as_runtime().is_some(), "{backend:?}: {got}");
+        assert_eq!(got.to_string(), want.to_string(), "{backend:?}");
+    }
+}
+
+/// A call's budget covers the invoke and the application together: a
+/// tight fuel cap is the same typed exhaustion on every backend.
+#[test]
+fn a_tight_fuel_cap_exhausts_a_call_typed_on_every_backend() {
+    let engine = Engine::builder().level(Level::Constructed).build();
+    let call = call_artifact(&engine, TYPED_EVEN_ODD).unwrap();
+    for backend in BACKENDS {
+        let err = call.call_with(backend, Limits::none().fuel(50), 10_000).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted { .. }), "{backend:?}: {err:?}");
+        assert_eq!(err.as_resource_exhausted(), Some((Resource::Fuel, 50)), "{backend:?}");
+    }
 }
