@@ -16,91 +16,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Unit service smoke test: boot the release unitsd on a throwaway
 # socket and drive the wire protocol end to end from a second-parser
-# client (python speaks the 4-byte-length-prefixed JSON frames from
-# scratch, so the rust Client cannot mask a framing bug): two tenants,
-# load, invoke, hot swap, per-version artifacts, per-request budgets,
-# admission denial, a mistyped field, stats, shutdown. The richer
-# concurrency/chaos coverage lives in crates/units-serve/tests and runs
-# in the cargo test sweeps.
+# client (scripts/unitsd_client.py speaks the 4-byte-length-prefixed
+# JSON frames with python's own json module, so the rust Client cannot
+# mask a framing bug): two tenants, load, invoke, hot swap, per-version
+# artifacts, per-request budgets, admission denial, mistyped and
+# out-of-range fields, stats, shutdown. The richer concurrency/chaos
+# coverage lives in crates/units-serve/tests and runs in the cargo test
+# sweeps.
 if command -v python3 >/dev/null 2>&1; then
     ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --fuel 1000000 &
     UNITSD_PID=$!
-    python3 - <<'SMOKE'
-import json, os, socket, struct, time
-
-def connect():
-    deadline = time.time() + 30
-    while True:
-        try:
-            s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            s.connect('.ci-unitsd.sock')
-            return s
-        except OSError:
-            assert time.time() < deadline, 'unitsd never came up'
-            time.sleep(0.05)
-
-def call(s, obj):
-    body = json.dumps(obj).encode()
-    s.sendall(struct.pack('>I', len(body)) + body)
-    data = b''
-    while len(data) < 4:
-        chunk = s.recv(4 - len(data))
-        assert chunk, 'server hung up'
-        data += chunk
-    (n,) = struct.unpack('>I', data)
-    data = b''
-    while len(data) < n:
-        chunk = s.recv(n - len(data))
-        assert chunk, 'server hung up mid-frame'
-        data += chunk
-    return json.loads(data)
-
-square = '(unit (import) (export) (init (lambda (n) (* n n))))'
-cube = '(unit (import) (export) (init (lambda (n) (* n (* n n)))))'
-
-a, b = connect(), connect()
-assert call(a, {'op': 'hello', 'tenant': 'a'})['ok']
-assert call(b, {'op': 'hello', 'tenant': 'b'})['ok']
-
-# Private namespaces: both tenants own the name `f`.
-assert call(a, {'op': 'load', 'name': 'f', 'source': square})['version'] == 1
-assert call(b, {'op': 'load', 'name': 'f', 'source': cube})['version'] == 1
-assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '36'
-assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '216'
-
-# Hot swap on tenant a only.
-swap = call(a, {'op': 'swap', 'name': 'f', 'source': cube})
-assert swap['ok'] and swap['version'] == 2, swap
-assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 2})['value'] == '8'
-
-# Artifacts are per plug-in version, not per argument: after the first
-# invoke with an argument, more distinct arguments add no cache entry.
-entries = []
-for arg in [3, 4, 5, 6, 7, 8]:
-    assert call(a, {'op': 'invoke', 'name': 'f', 'arg': arg})['value'] == str(arg ** 3)
-    entries.append(call(a, {'op': 'stats'})['engine']['cache']['entries'])
-assert entries[0] == entries[-1], entries
-
-# A mistyped optional field is a typed refusal, not a silently
-# argument-less invoke, and the connection keeps serving.
-bad = call(a, {'op': 'invoke', 'name': 'f', 'arg': '7'})
-assert bad['ok'] is False and bad['kind'] == 'bad-request', bad
-assert 'arg' in bad['message'], bad
-assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 7})['value'] == '343'
-
-# Admission control: over-asking the daemon cap is a typed refusal.
-denied = call(a, {'op': 'invoke', 'name': 'f', 'arg': 2, 'fuel': 10000000})
-assert denied == dict(denied, ok=False, kind='admission-denied',
-                      requested=10000000, cap=1000000), denied
-# Under the cap the same request is served.
-ok = call(a, {'op': 'invoke', 'name': 'f', 'arg': 2, 'fuel': 1000})
-assert ok['ok'] and ok['value'] == '8', ok
-
-stats = call(b, {'op': 'stats'})['tenants']
-assert stats['a']['rejected'] == 1 and stats['b']['ok'] == 1, stats
-assert call(b, {'op': 'shutdown'})['stopping']
-print('unitsd smoke: 2 tenants, swap, admission, stats, shutdown OK')
-SMOKE
+    python3 scripts/unitsd_client.py smoke .ci-unitsd.sock
     wait "$UNITSD_PID"
     test ! -e .ci-unitsd.sock
 fi
@@ -111,83 +37,26 @@ fi
 # one byte of the on-disk entry; the next process must quarantine it,
 # recompile, and still answer correctly.
 if command -v python3 >/dev/null 2>&1; then
-    cat > .ci-store-gate.py <<'GATECLIENT'
-import glob, json, socket, struct, sys, time
-
-mode = sys.argv[1]
-
-if mode == 'flip':
-    [path] = glob.glob('.ci-store-cache/*.unit')
-    data = bytearray(open(path, 'rb').read())
-    data[len(data) // 2] ^= 0x01
-    open(path, 'wb').write(data)
-    print('store gate: flipped one byte of', path)
-    sys.exit(0)
-
-def connect():
-    deadline = time.time() + 30
-    while True:
-        try:
-            s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            s.connect('.ci-unitsd.sock')
-            return s
-        except OSError:
-            assert time.time() < deadline, 'unitsd never came up'
-            time.sleep(0.05)
-
-def call(s, obj):
-    body = json.dumps(obj).encode()
-    s.sendall(struct.pack('>I', len(body)) + body)
-    data = b''
-    while len(data) < 4:
-        chunk = s.recv(4 - len(data))
-        assert chunk, 'server hung up'
-        data += chunk
-    (n,) = struct.unpack('>I', data)
-    data = b''
-    while len(data) < n:
-        chunk = s.recv(n - len(data))
-        assert chunk, 'server hung up mid-frame'
-        data += chunk
-    return json.loads(data)
-
-program = '(invoke (unit (import) (export) (init (* 21 2))))'
-s = connect()
-assert call(s, {'op': 'hello', 'tenant': 'ci'})['ok']
-reply = call(s, {'op': 'run', 'source': program})
-assert reply['ok'] and reply['value'] == '42', reply
-if mode != 'cold':
-    engine = call(s, {'op': 'stats'})['engine']
-    if mode == 'warm':
-        assert engine['cache']['parses'] == 0, engine
-        assert engine['store']['hits'] == 1, engine
-        print('store gate: cross-process warm start, zero re-parses')
-    else:
-        assert engine['store']['corrupt'] >= 1, engine
-        assert engine['cache']['parses'] == 1, engine
-        print('store gate: corrupt entry quarantined, recompiled correctly')
-assert call(s, {'op': 'shutdown'})['stopping']
-GATECLIENT
     rm -rf .ci-store-cache
     ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --cache-dir .ci-store-cache &
     UNITSD_PID=$!
-    python3 .ci-store-gate.py cold
+    python3 scripts/unitsd_client.py cold .ci-unitsd.sock
     wait "$UNITSD_PID"
     ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --cache-dir .ci-store-cache &
     UNITSD_PID=$!
-    python3 .ci-store-gate.py warm
+    python3 scripts/unitsd_client.py warm .ci-unitsd.sock
     wait "$UNITSD_PID"
-    python3 .ci-store-gate.py flip
+    python3 scripts/unitsd_client.py flip .ci-store-cache
     ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --cache-dir .ci-store-cache &
     UNITSD_PID=$!
-    python3 .ci-store-gate.py corrupt
+    python3 scripts/unitsd_client.py corrupt .ci-unitsd.sock
     wait "$UNITSD_PID"
     test ! -e .ci-unitsd.sock
     # The bad entry was moved aside, not deleted: the quarantine holds
     # evidence and the recompile rewrote a fresh entry next to it.
     test -n "$(ls .ci-store-cache/corrupt)"
     test -n "$(ls .ci-store-cache/*.unit)"
-    rm -rf .ci-store-cache .ci-store-gate.py
+    rm -rf .ci-store-cache
 fi
 
 # With tracing compiled in.

@@ -150,7 +150,7 @@ fn engine_metrics_json() -> String {
     p.run_on(Backend::Bytecode).unwrap();
     // The α-invariant term index answers this one: a recorded hit.
     engine.load_expr(even_odd_program(100)).unwrap();
-    engine.metrics_snapshot().to_json()
+    engine.metrics_snapshot().to_json().render()
 }
 
 /// Runs the even/odd pipeline under a fresh metrics registry and
@@ -751,7 +751,7 @@ fn main() {
 
     if json {
         let doc = rec.to_json(quick);
-        units_trace::json::validate(&doc)
+        units_trace::json::parse(&doc)
             .unwrap_or_else(|e| panic!("BENCH_trace.json would be invalid at {e:?}"));
         std::fs::write("BENCH_trace.json", &doc).expect("write BENCH_trace.json");
         println!(
@@ -762,7 +762,7 @@ fn main() {
     }
     if chrome {
         let doc = chrome_trace_export();
-        units_trace::json::validate(&doc)
+        units_trace::json::parse(&doc)
             .unwrap_or_else(|e| panic!("CHROME_trace.json would be invalid at {e:?}"));
         std::fs::write("CHROME_trace.json", &doc).expect("write CHROME_trace.json");
         println!(

@@ -25,7 +25,6 @@ OPTIONS:
     --fuel N          default per-tenant fuel cap [default: none]
     --depth N         default per-tenant depth cap [default: none]
     --cells N         default per-tenant store-cell cap [default: none]
-    --threads N       checking worker-pool size [default: auto]
     --cache-dir PATH  persistent artifact cache directory; a restarted
                       daemon over the same directory warm-starts without
                       re-parsing [default: in-memory only]
@@ -39,7 +38,6 @@ struct Config {
     level: Level,
     backend: Backend,
     caps: Limits,
-    threads: Option<usize>,
     cache_dir: Option<String>,
     idle_timeout: Option<std::time::Duration>,
 }
@@ -50,7 +48,6 @@ fn parse_args(args: &[String]) -> Result<Option<Config>, String> {
         level: Level::Constructed,
         backend: Backend::Compiled,
         caps: Limits::none(),
-        threads: None,
         cache_dir: None,
         idle_timeout: None,
     };
@@ -87,10 +84,6 @@ fn parse_args(args: &[String]) -> Result<Option<Config>, String> {
                     _ => config.caps.max_store_cells = Some(n),
                 }
             }
-            "--threads" => {
-                config.threads =
-                    Some(value.parse().map_err(|_| "--threads needs an integer".to_string())?);
-            }
             "--cache-dir" => config.cache_dir = Some(value.clone()),
             "--idle-timeout" => {
                 let secs: u64 = value
@@ -124,9 +117,6 @@ fn main() -> ExitCode {
 
     let mut builder =
         Service::builder().level(config.level).backend(config.backend).caps(config.caps);
-    if let Some(threads) = config.threads {
-        builder = builder.threads(threads);
-    }
     if let Some(dir) = &config.cache_dir {
         builder = builder.cache_dir(dir);
     }

@@ -35,7 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+/// The JSON codec the wire protocol speaks: `units_trace::json`,
+/// re-exported so protocol users need not name the tracing crate.
+pub use units_trace::json;
 pub mod proto;
 mod server;
 mod service;

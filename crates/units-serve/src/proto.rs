@@ -309,6 +309,9 @@ mod tests {
             (r#"{"op":"invoke","name":"p","arg":"7"}"#, "field `arg` must be an integer"),
             (r#"{"op":"invoke","name":"p","arg":7.5}"#, "field `arg`"),
             (r#"{"op":"invoke","name":"p","arg":null}"#, "field `arg`"),
+            // An integer too large for i64 parses as a float: refused
+            // as a mistyped field, not dropped as an unreadable frame.
+            (r#"{"op":"invoke","name":"p","arg":100000000000000000000}"#, "field `arg`"),
             (r#"{"op":"load","name":"p","source":"(unit)","sig":5}"#, "field `sig`"),
             (r#"{"op":"swap","name":"p","source":"(unit)","sig":["s"]}"#, "field `sig`"),
             (r#"{"op":"invoke","name":"p","fuel":"10"}"#, "field `fuel`"),

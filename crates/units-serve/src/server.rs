@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use units::{Limits, Outcome};
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::proto::{error_response, ok_response, read_frame, write_frame, Request};
 use crate::service::{Service, Tenant, TenantSnapshot};
 
@@ -137,7 +137,6 @@ impl Connection {
                     // close cleanly, without an error frame the (absent)
                     // client would never read anyway.
                     self.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                    units_trace::count("serve/idle_timeouts", 1);
                     return Ok(());
                 }
                 Err(e) => return Err(e),
@@ -239,26 +238,21 @@ fn stats_response(service: &Service, idle_timeouts: u64) -> Json {
         .into_iter()
         .map(|(name, snap)| (name, snapshot_json(&snap)))
         .collect();
-    // The engine renders its own snapshot (cache, store, recovery, runs)
-    // as JSON; re-parse it into the response tree so `stats` carries one
-    // coherent object. The snapshot JSON is validated by the engine's
-    // own tests, so the fallback arm is for belt and braces.
-    let engine = json::parse(&service.engine().metrics_snapshot().to_json())
-        .unwrap_or(Json::Null);
     ok_response([
         ("tenants", Json::Obj(tenants)),
-        ("engine", engine),
-        ("idle_timeouts", Json::Int(idle_timeouts as i64)),
+        // The engine's own snapshot: cache, store, recovery, runs.
+        ("engine", service.engine().metrics_snapshot().to_json()),
+        ("idle_timeouts", Json::from(idle_timeouts)),
     ])
 }
 
 fn snapshot_json(snap: &TenantSnapshot) -> Json {
     Json::obj([
-        ("requests", Json::Int(snap.requests as i64)),
-        ("ok", Json::Int(snap.ok as i64)),
-        ("failed", Json::Int(snap.failed as i64)),
-        ("rejected", Json::Int(snap.rejected as i64)),
-        ("total_micros", Json::Int(snap.total_micros as i64)),
+        ("requests", Json::from(snap.requests)),
+        ("ok", Json::from(snap.ok)),
+        ("failed", Json::from(snap.failed)),
+        ("rejected", Json::from(snap.rejected)),
+        ("total_micros", Json::from(snap.total_micros)),
     ])
 }
 

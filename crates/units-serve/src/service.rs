@@ -10,8 +10,7 @@
 //!   request asking for more than the cap is refused with a typed
 //!   [`ServeError::AdmissionDenied`] before any evaluation starts, and
 //!   a request asking for nothing still runs under the cap,
-//! * always-on request counters (plus per-tenant labeled counters on
-//!   the tracing plane in `trace` builds).
+//! * always-on request counters.
 //!
 //! Plug-ins follow the paper's §3.4 dynamic-linking story: a publish
 //! with a signature goes through [`Archive::load`], so the unit is
@@ -138,7 +137,6 @@ pub struct ServiceBuilder {
     level: Level,
     backend: Backend,
     caps: Limits,
-    threads: Option<usize>,
     cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -163,12 +161,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the engine's checking worker-pool size.
-    pub fn threads(mut self, threads: usize) -> ServiceBuilder {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Points the engine at a persistent on-disk artifact cache
     /// (`units::EngineBuilder::cache_dir`): a restarted daemon over the
     /// same directory warm-starts without re-parsing. Store failures
@@ -189,9 +181,6 @@ impl ServiceBuilder {
             .level(self.level)
             .backend(self.backend)
             .on_failure(FallbackPolicy::none());
-        if let Some(threads) = self.threads {
-            engine = engine.threads(threads);
-        }
         if let Some(dir) = self.cache_dir {
             engine = engine.cache_dir(dir);
         }
@@ -671,18 +660,15 @@ impl Tenant {
     }
 
     /// Bumps the request counters: total always, plus the bucket the
-    /// outcome lands in. In `trace` builds the same tallies feed the
-    /// tracing plane as per-tenant labeled counters.
+    /// outcome lands in.
     fn count_request(&self, outcome: RequestOutcome) {
         self.state.stats.requests.fetch_add(1, Ordering::Relaxed);
-        units_trace::count_labeled("serve/requests", &self.state.name, 1);
-        let (bucket, label) = match outcome {
-            RequestOutcome::Ok => (&self.state.stats.ok, "serve/ok"),
-            RequestOutcome::Failed => (&self.state.stats.failed, "serve/failed"),
-            RequestOutcome::Rejected => (&self.state.stats.rejected, "serve/rejected"),
+        let bucket = match outcome {
+            RequestOutcome::Ok => &self.state.stats.ok,
+            RequestOutcome::Failed => &self.state.stats.failed,
+            RequestOutcome::Rejected => &self.state.stats.rejected,
         };
         bucket.fetch_add(1, Ordering::Relaxed);
-        units_trace::count_labeled(label, &self.state.name, 1);
     }
 
     /// Parses, checks, and compiles a publish into a [`PluginVersion`].

@@ -7,8 +7,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use units_serve::proto::Request;
-use units_serve::Client;
-use units::Limits;
+use units_serve::{Client, Server, Service};
+use units::{Level, Limits};
 
 const SQUARE: &str = "(unit (import) (export) (init (lambda (n) (* n n))))";
 const CUBE: &str = "(unit (import) (export) (init (lambda (n) (* n (* n n)))))";
@@ -250,6 +250,37 @@ fn warm_started_daemon_serves_runs_without_reparsing() {
     client.call(&Request::Shutdown).unwrap();
     let _ = daemon.child.wait();
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn the_stats_engine_object_is_the_engine_snapshot() {
+    let service = Service::builder().level(Level::Untyped).build();
+    let socket = std::env::temp_dir()
+        .join(format!("unitsd-test-{}-snapshot.sock", std::process::id()));
+    let server = Server::bind(&socket, service.clone()).expect("bind");
+    let serving = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(&socket).expect("connect");
+    client.hello("t").unwrap();
+    client
+        .call(&Request::Load { name: "f".to_string(), source: SQUARE.to_string(), sig: None })
+        .unwrap();
+    assert_eq!(client.invoke("f", 5).unwrap().get_str("value"), Some("25"));
+    let run = Request::Run {
+        source: "(invoke (unit (import) (export) (init (* 21 2))))".to_string(),
+        limits: Limits::none(),
+    };
+    assert_eq!(client.call(&run).unwrap().get_str("value"), Some("42"));
+
+    // A `stats` request runs nothing on the engine, so the snapshot
+    // taken after it is the one the reply carries, key for key.
+    let reply = client.call(&Request::Stats).unwrap();
+    let snapshot = service.engine().metrics_snapshot();
+    assert!(snapshot.runs.total >= 2, "{snapshot:?}");
+    assert_eq!(reply.get("engine"), Some(&snapshot.to_json()), "{reply}");
+
+    client.call(&Request::Shutdown).unwrap();
+    serving.join().unwrap().expect("the accept loop exits cleanly");
 }
 
 #[test]

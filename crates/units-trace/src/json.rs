@@ -1,136 +1,177 @@
-//! A minimal JSON writer/validator so the workspace can emit and
-//! self-check machine-readable output with zero dependencies.
+//! The workspace's one JSON codec: a [`Json`] value, its printer, the
+//! string [`escape`]r, and a depth-capped [`parse`]r — zero
+//! dependencies, so every crate can read and write JSON without serde.
 //!
-//! The writer side is just [`escape`] (every control character is
-//! `\u00XX`-escaped, not only the named ones); producers assemble
-//! objects by hand (see [`crate::Event::to_json`] and `bench`'s
-//! `tables --json`). [`unescape`] is its exact inverse, so tests can
-//! prove round-trip fidelity over adversarial payloads. The validator
-//! is a strict recursive-descent parser over the full JSON grammar —
-//! enough to assert that what we wrote is what a real consumer can
-//! read, without pulling in serde.
+//! Writers either build a [`Json`] tree and render it (the `unitsd`
+//! wire protocol, the engine's metrics snapshot) or assemble text by
+//! hand around [`escape`] (trace events, the bench summary). Readers
+//! and self-checks all go through [`parse`], which follows RFC 8259
+//! exactly: it rejects what a strict consumer would (`01`, `1.`,
+//! `-.5`, lone surrogates, raw control characters), decodes string
+//! escapes in the same pass, and refuses containers nested more than
+//! 64 deep because it reads attacker-controlled socket bytes.
 
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-/// Escapes `s` as a JSON string literal, including the quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A parsed JSON value.
+///
+/// Numbers are split into [`Json::Int`] and [`Json::Float`]: the
+/// protocol itself only uses integers (versions, limits, arguments),
+/// but stats payloads may carry derived averages. An integer literal
+/// outside `i64` parses as a `Float`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer number.
+    Int(i64),
+    /// A non-integer number. NaN and the infinities render as `null`,
+    /// since JSON has no spelling for them.
+    Float(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object. `BTreeMap` keeps rendering deterministic.
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    /// Builds an object from key/value pairs.
+    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Builds a string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// The value at `key`, when this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(map) => map.get(key),
+            _ => None,
         }
     }
-    out.push('"');
+
+    /// The string at `key`, when present.
+    pub fn get_str(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer at `key`, when present.
+    pub fn get_int(&self, key: &str) -> Option<i64> {
+        match self.get(key)? {
+            Json::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean at `key`, when present.
+    pub fn get_bool(&self, key: &str) -> Option<bool> {
+        match self.get(key)? {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Renders this value as compact JSON text.
+    pub fn render(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// A count as a number: an `Int` when it fits `i64`, else the `Float`
+/// that [`parse`] would read its digits back as.
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        i64::try_from(n).map_or(Json::Float(n as f64), Json::Int)
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(n) => write!(f, "{n}"),
+            Json::Float(x) if !x.is_finite() => f.write_str("null"),
+            // `{}` on an integral f64 prints no decimal point, which
+            // would reparse as Int; force one so round-trips hold.
+            Json::Float(x) if x.fract() == 0.0 => write!(f, "{x:.1}"),
+            Json::Float(x) => write!(f, "{x}"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(map) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Escapes `s` as a JSON string literal, including the quotes. Every
+/// control character is escaped (`\u00XX` unless it has a short form).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(&mut out, s).expect("writing to a String cannot fail");
     out
 }
 
-/// Decodes a JSON string literal (including the surrounding quotes)
-/// back into the text it encodes — the inverse of [`escape`], accepting
-/// any escape the JSON grammar allows (`\n`, `\u00XX`, surrogate
-/// pairs, …), so `unescape(&escape(s)) == Ok(s)` for every `s`.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] when `src` is not exactly one well-formed
-/// string literal (bad escape, lone surrogate, unescaped control
-/// character, trailing data).
-pub fn unescape(src: &str) -> Result<String, JsonError> {
-    let bytes = src.as_bytes();
-    let err = |offset: usize, message: &str| JsonError { offset, message: message.to_string() };
-    if bytes.first() != Some(&b'"') {
-        return Err(err(0, "expected `\"`"));
-    }
-    let mut out = String::with_capacity(src.len().saturating_sub(2));
-    let mut chars = src.char_indices();
-    chars.next(); // the opening quote
-    // Reads one `\uXXXX` code unit; `i` is the backslash's offset.
-    let hex4 = |chars: &mut std::str::CharIndices<'_>, i: usize| -> Result<u16, JsonError> {
-        let mut unit = 0u16;
-        for _ in 0..4 {
-            let Some((_, c)) = chars.next() else {
-                return Err(err(i, "truncated \\u escape"));
-            };
-            let digit =
-                c.to_digit(16).ok_or_else(|| err(i, "invalid \\u escape"))? as u16;
-            unit = unit << 4 | digit;
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs escaping is ASCII, so each run between
+    // two of them is whole UTF-8.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if short.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(short)?;
         }
-        Ok(unit)
-    };
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                return if chars.next().is_none() {
-                    Ok(out)
-                } else {
-                    Err(err(i + 1, "trailing characters after the string"))
-                };
-            }
-            '\\' => {
-                let Some((_, esc)) = chars.next() else {
-                    return Err(err(i, "truncated escape"));
-                };
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let unit = hex4(&mut chars, i)?;
-                        if (0xD800..=0xDBFF).contains(&unit) {
-                            // High surrogate: a `\uDC00..DFFF` low half
-                            // must follow immediately.
-                            match (chars.next(), chars.next()) {
-                                (Some((_, '\\')), Some((_, 'u'))) => {
-                                    let low = hex4(&mut chars, i)?;
-                                    if !(0xDC00..=0xDFFF).contains(&low) {
-                                        return Err(err(i, "invalid low surrogate"));
-                                    }
-                                    let scalar = 0x10000
-                                        + ((unit as u32 - 0xD800) << 10)
-                                        + (low as u32 - 0xDC00);
-                                    out.push(
-                                        char::from_u32(scalar)
-                                            .ok_or_else(|| err(i, "invalid surrogate pair"))?,
-                                    );
-                                }
-                                _ => return Err(err(i, "lone high surrogate")),
-                            }
-                        } else if (0xDC00..=0xDFFF).contains(&unit) {
-                            return Err(err(i, "lone low surrogate"));
-                        } else {
-                            out.push(
-                                char::from_u32(unit as u32)
-                                    .ok_or_else(|| err(i, "invalid \\u escape"))?,
-                            );
-                        }
-                    }
-                    _ => return Err(err(i, "invalid escape character")),
-                }
-            }
-            c if (c as u32) < 0x20 => {
-                return Err(err(i, "unescaped control character in string"));
-            }
-            c => out.push(c),
-        }
+        run = i + 1;
     }
-    Err(err(src.len(), "unterminated string"))
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
-/// Where and why a validation failed.
+/// Where and why a parse failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    /// Byte offset of the offending character.
+    /// Byte offset of the failure in the input.
     pub offset: usize,
     /// Human-readable description.
     pub message: String,
@@ -144,35 +185,49 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Checks that `src` is exactly one valid JSON value (with optional
-/// surrounding whitespace).
+/// Arrays and objects nested deeper than this are refused.
+const MAX_DEPTH: usize = 64;
+
+/// Parses exactly one JSON value, with optional surrounding
+/// whitespace.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first violation.
-pub fn validate(src: &str) -> Result<(), JsonError> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+/// Returns a [`JsonError`] locating the first violation of RFC 8259,
+/// or the first container nested more than 64 deep.
+pub fn parse(src: &str) -> Result<Json, JsonError> {
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
-    p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(p.err("trailing characters after the JSON value"));
     }
-    Ok(())
+    Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn err(&self, message: &str) -> JsonError {
-        JsonError { offset: self.pos, message: message.to_string() }
+        self.err_at(self.pos, message)
+    }
+
+    fn err_at(&self, offset: usize, message: &str) -> JsonError {
+        JsonError { offset, message: message.to_string() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn skip_ws(&mut self) {
@@ -181,159 +236,217 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
+    fn skip_digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", byte as char)))
         }
+        self.pos > start
     }
 
-    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), JsonError> {
+    /// `depth` counts the containers already open around this value.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("expected a JSON value")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<(), JsonError> {
-        self.expect(b'{')?;
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+        if self.src[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
+        }
+    }
+
+    /// Opens a container, refusing one nested past `MAX_DEPTH`.
+    fn open(&mut self, depth: usize) -> Result<(), JsonError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.err("value nested too deeply"));
+        }
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<(), JsonError> {
-        self.expect(b'[')?;
+    /// After an element: `true` at the closing `close`, `false` after a
+    /// `,` (with whitespace skipped on both sides).
+    fn next_or_close(&mut self, close: u8) -> Result<bool, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
+        if self.eat(close) {
+            return Ok(true);
+        }
+        if !self.eat(b',') {
+            return Err(self.err(&format!("expected `,` or `{}`", close as char)));
+        }
+        self.skip_ws();
+        Ok(false)
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.open(depth)?;
+        let mut items = Vec::new();
+        if self.eat(b']') {
+            return Ok(Json::Arr(items));
         }
         loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
+            items.push(self.value(depth + 1)?);
+            if self.next_or_close(b']')? {
+                return Ok(Json::Arr(items));
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), JsonError> {
-        self.expect(b'"')?;
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.open(depth)?;
+        let mut map = BTreeMap::new();
+        if self.eat(b'}') {
+            return Ok(Json::Obj(map));
+        }
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !matches!(
-                                    self.peek(),
-                                    Some(b'0'..=b'9' | b'a'..=b'f' | b'A'..=b'F')
-                                ) {
-                                    return Err(self.err("invalid \\u escape"));
-                                }
-                                self.pos += 1;
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(_) => self.pos += 1,
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected a string key"));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if !self.eat(b':') {
+                return Err(self.err("expected `:`"));
+            }
+            self.skip_ws();
+            map.insert(key, self.value(depth + 1)?);
+            if self.next_or_close(b'}')? {
+                return Ok(Json::Obj(map));
             }
         }
     }
 
-    fn number(&mut self) -> Result<(), JsonError> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        self.eat(b'-');
+        if self.eat(b'0') {
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zeros are not allowed"));
             }
-            _ => return Err(self.err("expected a digit")),
+        } else if !self.skip_digits() {
+            return Err(self.err("expected a digit"));
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut integral = true;
+        if self.eat(b'.') {
+            integral = false;
+            if !self.skip_digits() {
                 return Err(self.err("expected a digit after `.`"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integral = false;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
+            if !self.eat(b'+') {
+                self.eat(b'-');
             }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected a digit in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.skip_digits() {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
-        Ok(())
+        let text = &self.src[start..self.pos];
+        if integral {
+            if let Ok(n) = text.parse() {
+                return Ok(Json::Int(n));
+            }
+        }
+        // The grammar above is a subset of what `f64::from_str` reads.
+        Ok(Json::Float(text.parse().expect("RFC 8259 numbers parse as f64")))
+    }
+
+    /// Reads a string literal, decoding its escapes as it goes.
+    fn string(&mut self) -> Result<String, JsonError> {
+        let start = self.pos;
+        self.pos += 1; // the opening quote
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next byte that needs attention;
+            // those are all ASCII, so the run is whole UTF-8.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
+            match self.peek() {
+                None => return Err(self.err_at(start, "unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => out.push(self.escape_sequence()?),
+                Some(_) => return Err(self.err("unescaped control character in string")),
+            }
+        }
+    }
+
+    /// Decodes one escape sequence; `self.pos` is at its backslash.
+    fn escape_sequence(&mut self) -> Result<char, JsonError> {
+        let at = self.pos;
+        self.pos += 2;
+        let decoded = match self.src.as_bytes().get(at + 1) {
+            None => return Err(self.err_at(at, "truncated escape")),
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let unit = self.hex4(at)?;
+                match unit {
+                    0xD800..=0xDBFF => {
+                        // A high surrogate: a `\uDC00`–`\uDFFF` low half
+                        // must follow immediately.
+                        if !self.src[self.pos..].starts_with("\\u") {
+                            return Err(self.err_at(at, "lone high surrogate"));
+                        }
+                        self.pos += 2;
+                        let low = self.hex4(at)?;
+                        if !(0xDC00..=0xDFFF).contains(&low) {
+                            return Err(self.err_at(at, "invalid low surrogate"));
+                        }
+                        let scalar = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                        char::from_u32(scalar).expect("a surrogate pair is a scalar value")
+                    }
+                    0xDC00..=0xDFFF => return Err(self.err_at(at, "lone low surrogate")),
+                    _ => char::from_u32(unit).expect("a non-surrogate BMP unit is a char"),
+                }
+            }
+            Some(_) => return Err(self.err_at(at, "invalid escape character")),
+        };
+        Ok(decoded)
+    }
+
+    /// Reads the four hex digits of a `\u` escape starting at `at`.
+    fn hex4(&mut self, at: usize) -> Result<u32, JsonError> {
+        let digits = self
+            .src
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err_at(at, "truncated \\u escape"))?;
+        let mut unit = 0;
+        for &d in digits {
+            let digit =
+                char::from(d).to_digit(16).ok_or_else(|| self.err_at(at, "invalid \\u escape"))?;
+            unit = unit << 4 | digit;
+        }
+        self.pos += 4;
+        Ok(unit)
     }
 }
 
@@ -341,75 +454,206 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    /// `n` arrays nested inside one another, as text and as a value.
+    fn nested(n: usize) -> (String, Json) {
+        let text = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let value = (1..n).fold(Json::Arr(Vec::new()), |inner, _| Json::Arr(vec![inner]));
+        (text, value)
+    }
+
+    /// The grammar, one row per input: what [`parse`] must make of it,
+    /// or `None` where it must refuse.
+    fn grammar() -> Vec<(String, Option<Json>)> {
+        let arr = Json::Arr;
+        let mut rows: Vec<(String, Option<Json>)> = [
+            ("null", Some(Json::Null)),
+            ("true", Some(Json::Bool(true))),
+            (" false ", Some(Json::Bool(false))),
+            ("0", Some(Json::Int(0))),
+            ("-0", Some(Json::Int(0))),
+            ("-12.5e+3", Some(Json::Float(-12_500.0))),
+            ("1E-3", Some(Json::Float(0.001))),
+            ("9223372036854775807", Some(Json::Int(i64::MAX))),
+            ("-9223372036854775808", Some(Json::Int(i64::MIN))),
+            // Integers outside i64 read as floats, not as errors.
+            ("9223372036854775808", Some(Json::Float(9_223_372_036_854_775_808.0))),
+            ("100000000000000000000", Some(Json::Float(1e20))),
+            ("\"a\\n\\u00e9\"", Some(Json::str("a\n\u{e9}"))),
+            ("[]", Some(arr(vec![]))),
+            (
+                "[1, [2, {\"k\": null}]]",
+                Some(arr(vec![
+                    Json::Int(1),
+                    arr(vec![Json::Int(2), Json::obj([("k", Json::Null)])]),
+                ])),
+            ),
+            (
+                "{\"a\": 1, \"b\": [true, \"x\"]}",
+                Some(Json::obj([
+                    ("a", Json::Int(1)),
+                    ("b", arr(vec![Json::Bool(true), Json::str("x")])),
+                ])),
+            ),
+            ("", None),
+            ("{", None),
+            ("[1,]", None),
+            ("{\"a\":}", None),
+            ("{\"a\" 1}", None),
+            ("{a: 1}", None),
+            ("{'a':1}", None),
+            ("{} {}", None),
+            ("1 2", None),
+            ("tru", None),
+            ("x", None),
+            ("01", None),
+            ("-01", None),
+            ("1.", None),
+            ("-.5", None),
+            ("1e", None),
+            ("+1", None),
+            ("-", None),
+        ]
+        .into_iter()
+        .map(|(src, value)| (src.to_string(), value))
+        .collect();
+        let (deepest, value) = nested(MAX_DEPTH);
+        rows.push((deepest, Some(value)));
+        rows.push((nested(MAX_DEPTH + 1).0, None));
+        rows.push((format!("{}1{}", "[".repeat(100), "]".repeat(100)), None));
+        rows
+    }
+
     #[test]
     fn accepts_the_grammar() {
-        for ok in [
-            "null",
-            "true",
-            " false ",
-            "0",
-            "-12.5e+3",
-            "\"a\\n\\u00e9\"",
-            "[]",
-            "[1, [2, {\"k\": null}]]",
-            "{\"a\": 1, \"b\": [true, \"x\"]}",
-        ] {
-            validate(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        for (src, expected) in grammar() {
+            if let Some(value) = expected {
+                assert_eq!(parse(&src), Ok(value), "{src:?}");
+            }
         }
     }
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in
-            ["", "tru", "01", "1.", "[1,]", "{\"a\" 1}", "{a: 1}", "\"unterminated", "{} {}"]
-        {
-            assert!(validate(bad).is_err(), "accepted: {bad}");
+        for (src, expected) in grammar() {
+            if expected.is_none() {
+                assert!(parse(&src).is_err(), "accepted: {src:?}");
+            }
+        }
+    }
+
+    /// A frame cut anywhere — inside a key, an escape, a surrogate
+    /// pair, a number — is an error, never a panic or a partial value.
+    #[test]
+    fn every_truncation_of_a_document_is_refused() {
+        let doc = r#"{"kéy":[-12.5e+3,0,true,null,"𝄞\n\"x\""],"n":{"m":[]}}"#;
+        assert!(parse(doc).is_ok());
+        for (end, _) in doc.char_indices() {
+            assert!(parse(&doc[..end]).is_err(), "accepted a prefix: {:?}", &doc[..end]);
         }
     }
 
     #[test]
-    fn escape_round_trips_through_validate() {
-        let nasty = "a\"b\\c\nd\te\u{1}f — π";
-        validate(&escape(nasty)).unwrap();
+    fn round_trips_the_protocol_shapes() {
+        let cases = [
+            r#"{"op":"hello","tenant":"a"}"#,
+            r#"{"arg":7,"fuel":1000,"name":"sq","op":"invoke"}"#,
+            r#"{"items":[1,-2,true,null,"x\n\"y\""],"nested":{"k":[{}]}}"#,
+            "[1.5,2.0,-0.25]",
+        ];
+        for src in cases {
+            let value = parse(src).unwrap();
+            assert_eq!(value.render(), src, "canonical text must round-trip");
+            assert_eq!(parse(&value.render()).unwrap(), value);
+        }
+    }
+
+    #[test]
+    fn accessors_pick_typed_fields() {
+        let v = parse(r#"{"op":"invoke","arg":7,"deep":{"x":1},"on":true}"#).unwrap();
+        assert_eq!(v.get_str("op"), Some("invoke"));
+        assert_eq!(v.get_int("arg"), Some(7));
+        assert_eq!(v.get_bool("on"), Some(true));
+        assert_eq!(v.get_str("arg"), None, "wrong type reads as absent");
+        assert_eq!(v.get("deep").and_then(|d| d.get_int("x")), Some(1));
+    }
+
+    #[test]
+    fn integral_floats_stay_floats_across_a_round_trip() {
+        // (value, its rendering, what that rendering parses back to)
+        let rows = [
+            (Json::Float(2.0), "2.0", Json::Float(2.0)),
+            (Json::Float(-0.25), "-0.25", Json::Float(-0.25)),
+            (Json::Float(1e20), "100000000000000000000.0", Json::Float(1e20)),
+            // JSON cannot spell these; they render as the one value
+            // every reader accepts.
+            (Json::Float(f64::NAN), "null", Json::Null),
+            (Json::Float(f64::INFINITY), "null", Json::Null),
+            (Json::Float(f64::NEG_INFINITY), "null", Json::Null),
+            (Json::from(u64::MAX), "18446744073709551616.0", Json::from(u64::MAX)),
+        ];
+        for (value, text, back) in rows {
+            assert_eq!(value.render(), text);
+            assert_eq!(parse(text), Ok(back), "{text}");
+        }
     }
 
     /// Adversarial payloads: every control character, the quoting
     /// characters, DEL, line/paragraph separators, astral-plane text.
-    /// `escape` must produce a literal that both validates and decodes
-    /// back to the original, byte for byte.
+    fn adversarial_payloads() -> Vec<String> {
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        let mut payloads = vec![all_controls];
+        payloads.extend(
+            [
+                "\u{0}embedded\u{0}nuls\u{0}",
+                "quotes \" and \\ backslashes \\\" mixed",
+                "\\u0000 (a literal escape sequence, not a control)",
+                "a\"b\\c\nd\te\u{1}f — π",
+                "\u{7f}\u{80}\u{9f}", // DEL and C1 controls pass through raw
+                "\u{2028}line sep\u{2029}paragraph sep",
+                "π ≠ 𝄞 😀 — astral pairs",
+                "",
+            ]
+            .map(String::from),
+        );
+        payloads
+    }
+
+    /// [`parse`] is the validator: every payload `escape`s to text that
+    /// is a valid document, alone and as a key and a value of a
+    /// rendered tree, and that tree parses back unchanged.
+    #[test]
+    fn escape_round_trips_through_validate() {
+        for payload in adversarial_payloads() {
+            let literal = escape(&payload);
+            parse(&literal).unwrap_or_else(|e| panic!("{payload:?}: {e}"));
+            let tree = Json::Obj(BTreeMap::from([(
+                payload.clone(),
+                Json::Arr(vec![Json::str(&payload)]),
+            )]));
+            assert_eq!(parse(&tree.render()), Ok(tree), "{payload:?}");
+        }
+    }
+
+    /// [`parse`] is the decoder: `escape` must produce a literal that
+    /// decodes back to the original, byte for byte.
     #[test]
     fn escape_unescape_round_trips_adversarial_payloads() {
-        let mut all_controls = String::new();
-        for c in 0u32..0x20 {
-            all_controls.push(char::from_u32(c).unwrap());
-        }
-        let payloads = [
-            all_controls.as_str(),
-            "\u{0}embedded\u{0}nuls\u{0}",
-            "quotes \" and \\ backslashes \\\" mixed",
-            "\\u0000 (a literal escape sequence, not a control)",
-            "\u{7f}\u{80}\u{9f}", // DEL and C1 controls pass through raw
-            "\u{2028}line sep\u{2029}paragraph sep",
-            "π ≠ 𝄞 😀 — astral pairs",
-            "",
-        ];
-        for payload in payloads {
-            let literal = escape(payload);
-            validate(&literal).unwrap_or_else(|e| panic!("{payload:?}: {e}"));
-            assert_eq!(
-                unescape(&literal).as_deref(),
-                Ok(payload),
-                "round trip mangled {payload:?}"
-            );
+        for payload in adversarial_payloads() {
+            assert_eq!(parse(&escape(&payload)), Ok(Json::str(&payload)), "mangled {payload:?}");
         }
     }
 
     #[test]
     fn unescape_decodes_foreign_escapes() {
-        // Escapes `escape` never emits but real JSON producers do.
-        assert_eq!(unescape(r#""\/\b\f""#).unwrap(), "/\u{8}\u{c}");
-        assert_eq!(unescape("\"\\ud834\\udd1e\"").unwrap(), "\u{1d11e}", "surrogate pair");
-        assert_eq!(unescape("\"\\u00e9\\u2028\"").unwrap(), "\u{e9}\u{2028}");
+        // Escapes `escape` never emits but other producers do.
+        let rows = [
+            (r#""\/\b\f""#, "/\u{8}\u{c}"),
+            ("\"\\ud834\\udd1e\"", "\u{1d11e}"), // surrogate pair
+            ("\"\\u00e9\\u2028\"", "\u{e9}\u{2028}"),
+        ];
+        for (literal, text) in rows {
+            assert_eq!(parse(literal), Ok(Json::str(text)), "{literal}");
+        }
     }
 
     #[test]
@@ -422,12 +666,12 @@ mod tests {
             r#""\q""#,
             r#""\u12""#,
             r#""\uZZZZ""#,
-            r#""\ud834""#,        // lone high surrogate
-            r#""\ud834A""#,  // high surrogate followed by a non-surrogate
-            r#""\udd1e""#,        // lone low surrogate
+            r#""\ud834""#,  // lone high surrogate
+            r#""\ud834A""#, // high surrogate followed by a non-surrogate
+            r#""\udd1e""#,  // lone low surrogate
             "\"raw\u{1}control\"",
         ] {
-            assert!(unescape(bad).is_err(), "accepted: {bad:?}");
+            assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
     }
 }

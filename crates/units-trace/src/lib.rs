@@ -167,17 +167,6 @@ mod dispatch {
         });
     }
 
-    /// Adds `delta` to the labeled counter `name{label}` on the
-    /// installed metrics — for label values only known at runtime
-    /// (tenant names, plug-in names).
-    pub fn count_labeled(name: &'static str, label: &str, delta: u64) {
-        SESSION.with(|s| {
-            if let Some(sess) = s.borrow().as_ref() {
-                sess.metrics.add_labeled(name, label, delta);
-            }
-        });
-    }
-
     /// A running timer; records into the duration histogram on drop.
     #[must_use = "a Timer records its duration when dropped"]
     pub struct Timer {
@@ -272,10 +261,6 @@ mod dispatch {
     #[inline(always)]
     pub fn count(_name: &'static str, _delta: u64) {}
 
-    /// No-op without the `trace` feature.
-    #[inline(always)]
-    pub fn count_labeled(_name: &'static str, _label: &str, _delta: u64) {}
-
     /// Inert timer handle without the `trace` feature.
     pub struct Timer;
 
@@ -293,9 +278,7 @@ mod dispatch {
     }
 }
 
-pub use dispatch::{
-    active, capture, count, count_labeled, emit, install, metrics, time, uninstall, Timer,
-};
+pub use dispatch::{active, capture, count, emit, install, metrics, time, uninstall, Timer};
 
 #[cfg(all(test, feature = "trace"))]
 mod tests {
@@ -321,7 +304,6 @@ mod tests {
         install(sink.clone(), registry.clone());
         emit(Phase::Reduce, "step/beta", None, String::new, &[("reduce/steps", 1)]);
         count("reduce/steps", 2);
-        count_labeled("serve/requests", "tenant-a", 4);
         {
             let _t = time("reduce");
         }
@@ -329,7 +311,6 @@ mod tests {
         assert!(!active());
         assert_eq!(sink.borrow().events().len(), 1);
         assert_eq!(registry.counter("reduce/steps"), 3);
-        assert_eq!(registry.labeled_counter("serve/requests", "tenant-a"), 4);
         assert_eq!(registry.durations()["reduce"].count, 1);
     }
 

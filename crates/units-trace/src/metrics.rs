@@ -123,10 +123,6 @@ pub struct Metrics {
     /// When this registry was created — span offsets are relative to it.
     epoch: Instant,
     counters: Mutex<BTreeMap<&'static str, u64>>,
-    /// Counters with a runtime-supplied label dimension (tenant names,
-    /// plug-in names — anything not known at compile time), keyed
-    /// `name{label}`.
-    labeled: Mutex<BTreeMap<String, u64>>,
     durations: Mutex<BTreeMap<&'static str, DurationStats>>,
     spans: Mutex<SpanLog>,
 }
@@ -136,7 +132,6 @@ impl Default for Metrics {
         Metrics {
             epoch: Instant::now(),
             counters: Mutex::default(),
-            labeled: Mutex::default(),
             durations: Mutex::default(),
             spans: Mutex::default(),
         }
@@ -153,31 +148,6 @@ impl Metrics {
     pub fn add(&self, name: &'static str, delta: u64) {
         let mut counters = self.counters.lock().expect("metrics counter lock");
         *counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Adds `delta` to the labeled counter `name{label}` — the
-    /// per-tenant/per-plug-in variant of [`Metrics::add`], for label
-    /// values only known at runtime. Static-name counters stay on the
-    /// allocation-free fast path of [`Metrics::add`]; labeled ones pay
-    /// one string render per update.
-    pub fn add_labeled(&self, name: &'static str, label: &str, delta: u64) {
-        let mut labeled = self.labeled.lock().expect("metrics labeled lock");
-        *labeled.entry(format!("{name}{{{label}}}")).or_insert(0) += delta;
-    }
-
-    /// The current value of one labeled counter (0 if never touched).
-    pub fn labeled_counter(&self, name: &str, label: &str) -> u64 {
-        self.labeled
-            .lock()
-            .expect("metrics labeled lock")
-            .get(&format!("{name}{{{label}}}"))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// A snapshot of every labeled counter, keyed `name{label}`.
-    pub fn labeled_counters(&self) -> BTreeMap<String, u64> {
-        self.labeled.lock().expect("metrics labeled lock").clone()
     }
 
     /// Records one sample of the duration `name`.
@@ -234,7 +204,6 @@ impl Metrics {
     /// Clears all counters, histograms, and spans.
     pub fn reset(&self) {
         self.counters.lock().expect("metrics counter lock").clear();
-        self.labeled.lock().expect("metrics labeled lock").clear();
         self.durations.lock().expect("metrics duration lock").clear();
         let mut log = self.spans.lock().expect("metrics span lock");
         log.records.clear();
@@ -268,20 +237,10 @@ impl Metrics {
     }
 
     /// The whole registry as one JSON object: `{"counters": {...},
-    /// "labeled": {"name{label}": n, ...}, "durations": {name: {count,
-    /// total_ns, ...}}}`.
+    /// "durations": {name: {count, total_ns, ...}}}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, value)) in self.counters().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::json::escape(name));
-            out.push(':');
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"labeled\":{");
-        for (i, (name, value)) in self.labeled_counters().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -349,29 +308,10 @@ mod tests {
     fn reset_clears_everything() {
         let m = Metrics::new();
         m.add("x", 1);
-        m.add_labeled("x", "t", 1);
         m.record_duration("y", Duration::from_nanos(5));
         m.reset();
         assert!(m.counters().is_empty());
-        assert!(m.labeled_counters().is_empty());
         assert!(m.durations().is_empty());
-    }
-
-    #[test]
-    fn labeled_counters_key_by_name_and_label() {
-        let m = Metrics::new();
-        m.add_labeled("serve/requests", "tenant-a", 2);
-        m.add_labeled("serve/requests", "tenant-a", 1);
-        m.add_labeled("serve/requests", "tenant-b", 5);
-        assert_eq!(m.labeled_counter("serve/requests", "tenant-a"), 3);
-        assert_eq!(m.labeled_counter("serve/requests", "tenant-b"), 5);
-        assert_eq!(m.labeled_counter("serve/requests", "tenant-c"), 0);
-        let snap = m.labeled_counters();
-        assert_eq!(snap["serve/requests{tenant-a}"], 3);
-        // Labeled counters land in the JSON export under their own key.
-        let json = m.to_json();
-        crate::json::validate(&json).unwrap();
-        assert!(json.contains("serve/requests{tenant-b}"), "{json}");
     }
 
     #[test]
@@ -380,7 +320,7 @@ mod tests {
         m.add("prim/+", 4);
         m.record_duration("eval", Duration::from_micros(3));
         let json = m.to_json();
-        crate::json::validate(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         assert!(json.contains("\"p50_ns\"") && json.contains("\"p99_ns\""));
     }
 
@@ -417,13 +357,13 @@ mod tests {
         assert_eq!(spans[0].dur_ns, 5_000);
         assert_eq!(m.spans_dropped(), 0);
         let chrome = m.chrome_trace_json();
-        crate::json::validate(&chrome).unwrap();
+        crate::json::parse(&chrome).unwrap();
         assert!(chrome.contains("\"traceEvents\""));
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"name\":\"check\""));
         m.reset();
         assert!(m.spans().is_empty());
-        crate::json::validate(&m.chrome_trace_json()).expect("empty export is still JSON");
+        crate::json::parse(&m.chrome_trace_json()).expect("empty export is still JSON");
     }
 
     #[test]

@@ -125,7 +125,7 @@ mod tests {
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
-            crate::json::validate(line).unwrap();
+            crate::json::parse(line).unwrap();
         }
     }
 }

@@ -694,8 +694,6 @@ impl Engine {
             return sources.iter().map(|s| self.load(s)).collect();
         }
         inner.metrics.note_batch(jobs.len() as u64, workers as u64);
-        units_trace::count("engine/pool_jobs", jobs.len() as u64);
-        units_trace::count("engine/pool_queue_depth", jobs.len() as u64);
         units_trace::count("engine/pool_workers", workers as u64);
         let queue = Mutex::new(jobs);
         let done: Mutex<HashMap<usize, Result<Arc<Artifact>, Error>>> =
@@ -781,7 +779,6 @@ impl EngineInner {
         }
         let Some(dump) = recorder::dump(&err.to_string()) else { return };
         bump(&self.metrics.flight_dumps);
-        units_trace::count("engine/flight_dumps", 1);
         if let Ok(path) = std::env::var("UNITS_FLIGHT_DUMP") {
             if !path.is_empty() {
                 if let Err(e) = std::fs::write(&path, &dump.json_lines) {
@@ -826,12 +823,10 @@ impl EngineInner {
     /// raw-source fast path, else the α-invariant term index.
     fn record_hit(&self, source: bool) {
         bump(if source { &self.metrics.source_hits } else { &self.metrics.term_hits });
-        units_trace::count("engine/cache_hit", 1);
     }
 
     fn record_miss(&self) {
         bump(&self.metrics.misses);
-        units_trace::count("engine/cache_miss", 1);
     }
 
     /// Drops `artifact` from both cache maps. A run that panicked says
@@ -851,7 +846,6 @@ impl EngineInner {
         drop(cache);
         if removed {
             bump(&self.metrics.evictions);
-            units_trace::count("engine/cache_evict", 1);
         }
         removed
     }
@@ -936,7 +930,6 @@ impl EngineInner {
         match store.read(skey, source) {
             Lookup::Hit(entry) => {
                 bump(&self.metrics.store_hits);
-                units_trace::count("engine/store_hit", 1);
                 let entry = *entry;
                 let chunk = OnceLock::new();
                 if let Some(lowered) = entry.chunk {
@@ -949,7 +942,6 @@ impl EngineInner {
             }
             Lookup::Miss => {
                 bump(&self.metrics.store_misses);
-                units_trace::count("engine/store_miss", 1);
                 None
             }
             Lookup::Corrupt => {
@@ -957,7 +949,6 @@ impl EngineInner {
                 // with a cause worth counting separately.
                 bump(&self.metrics.store_corrupt);
                 bump(&self.metrics.store_misses);
-                units_trace::count("engine/store_corrupt", 1);
                 None
             }
         }
@@ -984,7 +975,6 @@ impl EngineInner {
         };
         if store.write(skey, source, &entry) {
             bump(&self.metrics.store_writes);
-            units_trace::count("engine/store_write", 1);
         }
     }
 
@@ -1095,9 +1085,8 @@ impl EngineInner {
     }
 
     /// Folds one finished machine's fuel and store-cell usage into the
-    /// engine metrics (and the legacy trace counter).
+    /// engine metrics.
     fn note_machine(&self, machine: &Machine) {
-        units_trace::count("engine/fuel_used", machine.steps_taken());
         self.metrics.note_machine(machine.steps_taken(), machine.cells_allocated());
     }
 
@@ -1135,7 +1124,6 @@ impl EngineInner {
                     recovery.retries += 1;
                     fuel = fuel.saturating_mul(policy.fuel_factor);
                     crate::metrics::bump(&self.metrics.fuel_retries);
-                    units_trace::count("engine/fuel_retries", 1);
                     let mut escalated = limits;
                     escalated.fuel = Some(fuel);
                     match self.run_raw(artifact, backend, escalated, arg) {
@@ -1166,7 +1154,6 @@ impl EngineInner {
             || err.as_resource_exhausted().is_some();
         if policy.reference_fallback && backend != Backend::Reducer && backend_fault {
             crate::metrics::bump(&self.metrics.fallbacks);
-            units_trace::count("engine/fallbacks", 1);
             // The fault plane stays suspended for the re-run: recovery
             // must not itself be a fault target.
             let fallback = units_trace::faults::pause(|| {
@@ -1233,12 +1220,6 @@ pub struct Loaded {
     engine: Weak<EngineInner>,
     artifact: Arc<Artifact>,
 }
-
-/// The pre-0.3 spelling of [`Loaded`], when the handle borrowed its
-/// engine for `'e`. The handle is owned now; the lifetime parameter is
-/// accepted and ignored.
-#[deprecated(since = "0.3.0", note = "`Loaded` is owned now; drop the lifetime parameter")]
-pub type LoadedRef<'e> = Loaded;
 
 impl Loaded {
     /// The live session behind this handle, or [`Error::SessionClosed`].

@@ -61,8 +61,6 @@ pub mod stdlib;
 pub mod typed_stdlib;
 
 pub use engine::{CacheStats, Engine, EngineBuilder, FallbackPolicy, Loaded, Recovery};
-#[allow(deprecated)]
-pub use engine::LoadedRef;
 pub use error::Error;
 pub use metrics::{
     CacheMetrics, LatencyStats, MetricsSnapshot, PoolMetrics, RecoveryMetrics, RunMetrics,

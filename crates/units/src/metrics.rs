@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use units_trace::json::Json;
 use units_trace::DurationStats;
 
 /// Internal mutable storage, one per [`crate::Engine`]. Worker threads
@@ -262,8 +263,8 @@ pub struct LatencyStats {
 }
 
 /// Everything [`crate::Engine::metrics_snapshot`] reports, as plain
-/// data. Serializes to JSON with [`MetricsSnapshot::to_json`] for the
-/// bench harness and CI gates.
+/// data. [`MetricsSnapshot::to_json`] gives it as a JSON value for
+/// `unitsd stats`, the bench harness and CI gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Cache hits/misses/evictions per key kind.
@@ -281,51 +282,75 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The snapshot as one JSON object (zero-dep, validated in tests).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cache\":{{\"source_hits\":{},\"term_hits\":{},\"misses\":{},\
-             \"evictions\":{},\"parses\":{},\"entries\":{}}},\
-             \"pool\":{{\"batches\":{},\"jobs\":{},\"peak_workers\":{}}},\
-             \"recovery\":{{\"fuel_retries\":{},\"reference_fallbacks\":{},\
-             \"recovered_runs\":{},\"flight_dumps\":{},\
-             \"flight_dump_failures\":{}}},\
-             \"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{},\
-             \"writes\":{}}},\
-             \"runs\":{{\"total\":{},\"failures\":{},\"fuel_total\":{},\
-             \"fuel_max\":{},\"store_cells_peak\":{}}},\
-             \"invoke_latency\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\
-             \"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}}}",
-            self.cache.source_hits,
-            self.cache.term_hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.parses,
-            self.cache.entries,
-            self.pool.batches,
-            self.pool.jobs,
-            self.pool.peak_workers,
-            self.recovery.fuel_retries,
-            self.recovery.reference_fallbacks,
-            self.recovery.recovered_runs,
-            self.recovery.flight_dumps,
-            self.recovery.flight_dump_failures,
-            self.store.hits,
-            self.store.misses,
-            self.store.corrupt,
-            self.store.writes,
-            self.runs.total,
-            self.runs.failures,
-            self.runs.fuel_total,
-            self.runs.fuel_max,
-            self.runs.store_cells_peak,
-            self.invoke_latency.count,
-            self.invoke_latency.min_ns,
-            self.invoke_latency.max_ns,
-            self.invoke_latency.mean_ns,
-            self.invoke_latency.p50_ns,
-            self.invoke_latency.p99_ns,
-        )
+    /// The snapshot as one JSON object, one nested object per field
+    /// above. `unitsd stats` embeds it as its `engine` object.
+    pub fn to_json(&self) -> Json {
+        let section = |fields: &[(&'static str, u64)]| {
+            Json::obj(fields.iter().map(|&(name, n)| (name, Json::from(n))))
+        };
+        let (cache, pool, recovery) = (&self.cache, &self.pool, &self.recovery);
+        let (store, runs, lat) = (&self.store, &self.runs, &self.invoke_latency);
+        Json::obj([
+            (
+                "cache",
+                section(&[
+                    ("source_hits", cache.source_hits),
+                    ("term_hits", cache.term_hits),
+                    ("misses", cache.misses),
+                    ("evictions", cache.evictions),
+                    ("parses", cache.parses),
+                    ("entries", cache.entries as u64),
+                ]),
+            ),
+            (
+                "pool",
+                section(&[
+                    ("batches", pool.batches),
+                    ("jobs", pool.jobs),
+                    ("peak_workers", pool.peak_workers),
+                ]),
+            ),
+            (
+                "recovery",
+                section(&[
+                    ("fuel_retries", recovery.fuel_retries),
+                    ("reference_fallbacks", recovery.reference_fallbacks),
+                    ("recovered_runs", recovery.recovered_runs),
+                    ("flight_dumps", recovery.flight_dumps),
+                    ("flight_dump_failures", recovery.flight_dump_failures),
+                ]),
+            ),
+            (
+                "store",
+                section(&[
+                    ("hits", store.hits),
+                    ("misses", store.misses),
+                    ("corrupt", store.corrupt),
+                    ("writes", store.writes),
+                ]),
+            ),
+            (
+                "runs",
+                section(&[
+                    ("total", runs.total),
+                    ("failures", runs.failures),
+                    ("fuel_total", runs.fuel_total),
+                    ("fuel_max", runs.fuel_max),
+                    ("store_cells_peak", runs.store_cells_peak),
+                ]),
+            ),
+            (
+                "invoke_latency",
+                section(&[
+                    ("count", lat.count),
+                    ("min_ns", lat.min_ns),
+                    ("max_ns", lat.max_ns),
+                    ("mean_ns", lat.mean_ns),
+                    ("p50_ns", lat.p50_ns),
+                    ("p99_ns", lat.p99_ns),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -352,11 +377,15 @@ mod tests {
         assert!(snap.invoke_latency.p50_ns <= snap.invoke_latency.p99_ns);
         assert!(snap.invoke_latency.p99_ns <= snap.invoke_latency.max_ns);
         let json = snap.to_json();
-        units_trace::json::validate(&json).unwrap();
-        assert!(json.contains("\"p50_ns\"") && json.contains("\"p99_ns\""));
-        assert!(json.contains("\"parses\""));
-        assert!(json.contains("\"store\"") && json.contains("\"corrupt\""));
-        assert!(json.contains("\"flight_dump_failures\""));
+        assert_eq!(units_trace::json::parse(&json.render()), Ok(json.clone()));
+        let field = |section: &str, key: &str| json.get(section).and_then(|s| s.get_int(key));
+        assert_eq!(field("invoke_latency", "p50_ns"), Some(snap.invoke_latency.p50_ns as i64));
+        assert_eq!(field("invoke_latency", "p99_ns"), Some(snap.invoke_latency.p99_ns as i64));
+        assert_eq!(field("cache", "entries"), Some(5));
+        assert_eq!(field("cache", "parses"), Some(0));
+        assert_eq!(field("store", "corrupt"), Some(0));
+        assert_eq!(field("recovery", "flight_dump_failures"), Some(0));
+        assert_eq!(field("runs", "fuel_total"), Some(140));
         metrics.reset();
         assert_eq!(metrics.snapshot(0), MetricsSnapshot::default());
     }

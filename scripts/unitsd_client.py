@@ -1,0 +1,146 @@
+"""A second-parser frame client for a running unitsd, used by ci.sh.
+
+It speaks the 4-byte big-endian length-prefixed JSON frames with
+Python's own json module, so the Rust client and codec cannot mask a
+framing or encoding bug on either side of the socket.
+
+    python3 scripts/unitsd_client.py smoke SOCKET
+        Two tenants, load, invoke, hot swap, per-version artifacts,
+        mistyped fields, per-request budgets, admission denial, stats,
+        shutdown. Expects `unitsd --level untyped --fuel 1000000`.
+    python3 scripts/unitsd_client.py cold|warm|corrupt SOCKET
+        One `run`, then the persistent-store checks for that phase of
+        the --cache-dir gate, then shutdown.
+    python3 scripts/unitsd_client.py flip CACHE_DIR
+        Flips one byte in the middle of the cache's only entry.
+"""
+
+import glob
+import json
+import os
+import socket
+import struct
+import sys
+import time
+
+
+def connect(path):
+    deadline = time.time() + 30
+    while True:
+        try:
+            s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            s.connect(path)
+            return s
+        except OSError:
+            assert time.time() < deadline, 'unitsd never came up'
+            time.sleep(0.05)
+
+
+def recv_exact(s, n):
+    data = b''
+    while len(data) < n:
+        chunk = s.recv(n - len(data))
+        assert chunk, 'server hung up'
+        data += chunk
+    return data
+
+
+def call(s, obj):
+    body = json.dumps(obj).encode()
+    s.sendall(struct.pack('>I', len(body)) + body)
+    (n,) = struct.unpack('>I', recv_exact(s, 4))
+    return json.loads(recv_exact(s, n))
+
+
+def smoke(path):
+    square = '(unit (import) (export) (init (lambda (n) (* n n))))'
+    cube = '(unit (import) (export) (init (lambda (n) (* n (* n n)))))'
+
+    a, b = connect(path), connect(path)
+    assert call(a, {'op': 'hello', 'tenant': 'a'})['ok']
+    assert call(b, {'op': 'hello', 'tenant': 'b'})['ok']
+
+    # Private namespaces: both tenants own the name `f`.
+    assert call(a, {'op': 'load', 'name': 'f', 'source': square})['version'] == 1
+    assert call(b, {'op': 'load', 'name': 'f', 'source': cube})['version'] == 1
+    assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '36'
+    assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '216'
+
+    # Hot swap on tenant a only.
+    swap = call(a, {'op': 'swap', 'name': 'f', 'source': cube})
+    assert swap['ok'] and swap['version'] == 2, swap
+    assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 2})['value'] == '8'
+
+    # Artifacts are per plug-in version, not per argument: after the
+    # first invoke with an argument, more distinct arguments add no
+    # cache entry.
+    entries = []
+    for arg in [3, 4, 5, 6, 7, 8]:
+        assert call(a, {'op': 'invoke', 'name': 'f', 'arg': arg})['value'] == str(arg ** 3)
+        entries.append(call(a, {'op': 'stats'})['engine']['cache']['entries'])
+    assert entries[0] == entries[-1], entries
+
+    # A mistyped optional field is a typed refusal, not a silently
+    # argument-less invoke, and the connection keeps serving. An
+    # integer too large for i64 is mistyped the same way.
+    for arg in ['7', 10 ** 20]:
+        bad = call(a, {'op': 'invoke', 'name': 'f', 'arg': arg})
+        assert bad['ok'] is False and bad['kind'] == 'bad-request', bad
+        assert 'arg' in bad['message'], bad
+        assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 7})['value'] == '343'
+
+    # Admission control: over-asking the daemon cap is a typed refusal.
+    denied = call(a, {'op': 'invoke', 'name': 'f', 'arg': 2, 'fuel': 10000000})
+    assert denied == dict(denied, ok=False, kind='admission-denied',
+                          requested=10000000, cap=1000000), denied
+    # Under the cap the same request is served.
+    ok = call(a, {'op': 'invoke', 'name': 'f', 'arg': 2, 'fuel': 1000})
+    assert ok['ok'] and ok['value'] == '8', ok
+
+    stats = call(b, {'op': 'stats'})['tenants']
+    assert stats['a']['rejected'] == 1 and stats['b']['ok'] == 1, stats
+    assert call(b, {'op': 'shutdown'})['stopping']
+    print('unitsd smoke: 2 tenants, swap, admission, stats, shutdown OK')
+
+
+def store_gate(mode, path):
+    program = '(invoke (unit (import) (export) (init (* 21 2))))'
+    s = connect(path)
+    assert call(s, {'op': 'hello', 'tenant': 'ci'})['ok']
+    reply = call(s, {'op': 'run', 'source': program})
+    assert reply['ok'] and reply['value'] == '42', reply
+    if mode != 'cold':
+        engine = call(s, {'op': 'stats'})['engine']
+        if mode == 'warm':
+            assert engine['cache']['parses'] == 0, engine
+            assert engine['store']['hits'] == 1, engine
+            print('store gate: cross-process warm start, zero re-parses')
+        else:
+            assert engine['store']['corrupt'] >= 1, engine
+            assert engine['cache']['parses'] == 1, engine
+            print('store gate: corrupt entry quarantined, recompiled correctly')
+    assert call(s, {'op': 'shutdown'})['stopping']
+
+
+def flip(cache_dir):
+    [path] = glob.glob(os.path.join(cache_dir, '*.unit'))
+    data = bytearray(open(path, 'rb').read())
+    data[len(data) // 2] ^= 0x01
+    open(path, 'wb').write(data)
+    print('store gate: flipped one byte of', path)
+
+
+def main(argv):
+    if len(argv) != 3 or argv[1] not in ('smoke', 'cold', 'warm', 'corrupt', 'flip'):
+        sys.exit(__doc__)
+    mode, path = argv[1], argv[2]
+    if mode == 'smoke':
+        smoke(path)
+    elif mode == 'flip':
+        flip(path)
+    else:
+        store_gate(mode, path)
+
+
+if __name__ == '__main__':
+    main(sys.argv)

@@ -210,7 +210,7 @@ fn divergence_step_is_stable_across_backend_pairs() {
 
 /// Adversarial payloads — control characters, quotes, backslashes,
 /// astral-plane text — survive the real emit → sink → JSON-line path:
-/// every line the zero-dep writer produces validates, and the escaped
+/// every line the zero-dep writer produces parses, and the escaped
 /// payload decodes back to the original bytes.
 #[cfg(feature = "trace")]
 #[test]
@@ -232,9 +232,9 @@ fn adversarial_event_payloads_round_trip_through_the_sink() {
     for (event, payload) in events.iter().zip(&payloads) {
         assert_eq!(&event.payload, payload, "payload survives the session");
         let line = event.to_json();
-        json::validate(&line).unwrap_or_else(|e| panic!("invalid event JSON {e:?}: {line}"));
+        json::parse(&line).unwrap_or_else(|e| panic!("invalid event JSON {e:?}: {line}"));
         let escaped = json::escape(payload);
-        assert_eq!(json::unescape(&escaped).as_deref(), Ok(payload.as_str()));
+        assert_eq!(json::parse(&escaped), Ok(json::Json::str(payload.as_str())));
     }
 }
 
@@ -253,7 +253,7 @@ fn chrome_trace_export_is_valid_and_names_the_eval_span() {
     engine.load(EVEN_ODD).unwrap().run_on(Backend::Compiled).unwrap();
     units::trace::uninstall();
     let doc = metrics.chrome_trace_json();
-    units::trace::json::validate(&doc).expect("chrome trace is valid JSON");
+    units::trace::json::parse(&doc).expect("chrome trace is valid JSON");
     assert!(doc.contains("\"traceEvents\""), "{doc}");
     assert!(doc.contains("\"name\":\"eval\""), "the eval phase span is present: {doc}");
     assert!(!metrics.spans().is_empty());
@@ -288,9 +288,9 @@ fn emitted_json_is_valid() {
     let lines = String::from_utf8(bytes).unwrap();
     assert!(!lines.is_empty(), "no JSON lines written");
     for line in lines.lines() {
-        units::trace::json::validate(line)
+        units::trace::json::parse(line)
             .unwrap_or_else(|e| panic!("bad event JSON {e:?}: {line}"));
     }
-    units::trace::json::validate(&metrics.to_json()).expect("metrics snapshot is JSON");
+    units::trace::json::parse(&metrics.to_json()).expect("metrics snapshot is JSON");
     assert!(metrics.counter("reduce/steps") > 0, "step counter folded into metrics");
 }
