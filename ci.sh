@@ -18,9 +18,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # socket and drive the wire protocol end to end from a second-parser
 # client (scripts/unitsd_client.py speaks the 4-byte-length-prefixed
 # JSON frames with python's own json module, so the rust Client cannot
-# mask a framing bug): two tenants, load, invoke, hot swap, per-version
-# artifacts, per-request budgets, admission denial, mistyped and
-# out-of-range fields, stats, shutdown. The richer concurrency/chaos
+# mask a framing bug): two tenants, load, invoke, a run nested past the
+# reader's cap, hot swap, per-version artifacts, per-request budgets,
+# admission denial, mistyped and out-of-range fields, stats, shutdown. The richer concurrency/chaos
 # coverage lives in crates/units-serve/tests and runs in the cargo test
 # sweeps.
 if command -v python3 >/dev/null 2>&1; then

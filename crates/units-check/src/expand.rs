@@ -141,6 +141,16 @@ pub fn expand_ty(ty: &Ty, eqs: &Equations) -> Result<Ty, CheckError> {
     expand(ty, eqs, &mut visiting)
 }
 
+/// [`expand_ty`] of an owned type, which comes back uncopied when `eqs`
+/// is empty: expansion is then the identity.
+pub(crate) fn expand_owned(ty: Ty, eqs: &Equations) -> Result<Ty, CheckError> {
+    if eqs.is_empty() {
+        Ok(ty)
+    } else {
+        expand_ty(&ty, eqs)
+    }
+}
+
 fn expand(ty: &Ty, eqs: &Equations, visiting: &mut BTreeSet<Symbol>) -> Result<Ty, CheckError> {
     Ok(match ty {
         Ty::Var(t) => match eqs.get(t) {

@@ -16,6 +16,7 @@
 //!    which case the supertype must declare the dependencies the hidden
 //!    body induces.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use units_kernel::{Depend, Kind, Signature, Ty};
@@ -53,8 +54,8 @@ impl SubtypeError {
 }
 
 /// Checks `sub ≤ sup` under the equation set `D` (paper `≤` judgment,
-/// Figs. 14/17). Both types are expanded with `D` first, so abbreviations
-/// compare transparently.
+/// Figs. 14/17). When `D` is not empty both types are expanded with it
+/// first, so abbreviations compare transparently.
 ///
 /// # Errors
 ///
@@ -73,39 +74,20 @@ impl SubtypeError {
 ///                 &Ty::arrow(vec![Ty::Bool], Ty::Int)).is_err());
 /// ```
 pub fn subtype(eqs: &Equations, sub: &Ty, sup: &Ty) -> Result<(), SubtypeError> {
-    let sub = expand_ty(sub, eqs).map_err(|e| SubtypeError::new(e.to_string()))?;
-    let sup = expand_ty(sup, eqs).map_err(|e| SubtypeError::new(e.to_string()))?;
+    let sub = expanded(sub, eqs)?;
+    let sup = expanded(sup, eqs)?;
     units_trace::count("check/fig14/subtype", 1);
-    // Memoize proven judgments. Expansion already folded the equation
-    // set into both sides, so `st` is a pure function of the pair; the
-    // derived `Debug` rendering is a faithful (injective) key for it.
-    // Only successes are cached — failures re-run so error messages
-    // keep their exact shape and context.
-    let key = format!("{sub:?}\u{0}{sup:?}");
-    if PROVEN.with(|cache| cache.borrow().contains(&key)) {
-        units_trace::count("check/subtype/cache_hit", 1);
-        return Ok(());
-    }
-    units_trace::count("check/subtype/cache_miss", 1);
-    st(&sub, &sup)?;
-    PROVEN.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() >= SUBTYPE_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key);
-    });
-    Ok(())
+    st(&sub, &sup)
 }
 
-/// Bound on the per-thread proven-pair memo; the whole cache is dropped
-/// when full (keys can be large for wide signatures, so the cap bounds
-/// memory, not entries kept hot).
-const SUBTYPE_CACHE_CAP: usize = 1024;
-
-thread_local! {
-    static PROVEN: std::cell::RefCell<std::collections::HashSet<String>> =
-        std::cell::RefCell::new(std::collections::HashSet::new());
+/// `⌊ty⌋_D`, borrowed when `D` is empty: expansion is then the identity
+/// and cannot fail, so there is nothing to copy.
+fn expanded<'t>(ty: &'t Ty, eqs: &Equations) -> Result<Cow<'t, Ty>, SubtypeError> {
+    if eqs.is_empty() {
+        Ok(Cow::Borrowed(ty))
+    } else {
+        expand_ty(ty, eqs).map(Cow::Owned).map_err(|e| SubtypeError::new(e.to_string()))
+    }
 }
 
 /// Type equality under `D`: `a ≤ b` and `b ≤ a`.
@@ -184,9 +166,8 @@ fn sig_subtype(sub: &Signature, sup: &Signature) -> Result<(), SubtypeError> {
         }
         if let Some(sub_eq) = sub.equations.iter().find(|e| e.name == eq.name) {
             kind_eq(&eq.name, &sub_eq.kind, &eq.kind)?;
-            let a =
-                expand_ty(&sub_eq.body, &local).map_err(|e| SubtypeError::new(e.to_string()))?;
-            let b = expand_ty(&eq.body, &local).map_err(|e| SubtypeError::new(e.to_string()))?;
+            let a = expanded(&sub_eq.body, &local)?;
+            let b = expanded(&eq.body, &local)?;
             st(&a, &b).and_then(|_| st(&b, &a)).map_err(|_| {
                 SubtypeError::new(format!(
                     "abbreviation `{}` differs: {} vs {}",
@@ -196,10 +177,8 @@ fn sig_subtype(sub: &Signature, sup: &Signature) -> Result<(), SubtypeError> {
         }
     }
 
-    let ex = |ty: &Ty| expand_ty(ty, &local).map_err(|e| SubtypeError::new(e.to_string()));
-
     // 1. Initialization type is covariant.
-    st(&ex(&sub.init_ty)?, &ex(&sup.init_ty)?)
+    st(&*expanded(&sub.init_ty, &local)?, &*expanded(&sup.init_ty, &local)?)
         .map_err(|e| SubtypeError::new(format!("initialization type: {e}")))?;
 
     // 2a. Fewer type imports.
@@ -223,7 +202,7 @@ fn sig_subtype(sub: &Signature, sup: &Signature) -> Result<(), SubtypeError> {
         match (&vp.ty, &sup_vp.ty) {
             (None, None) => {}
             (Some(t_sub), Some(t_sup)) => {
-                st(&ex(t_sup)?, &ex(t_sub)?).map_err(|e| {
+                st(&*expanded(t_sup, &local)?, &*expanded(t_sub, &local)?).map_err(|e| {
                     SubtypeError::new(format!("import `{}` (contravariant): {e}", vp.name))
                 })?;
             }
@@ -276,7 +255,7 @@ fn sig_subtype(sub: &Signature, sup: &Signature) -> Result<(), SubtypeError> {
         match (&sub_vp.ty, &vp.ty) {
             (None, None) => {}
             (Some(t_sub), Some(t_sup)) => {
-                st(&ex(t_sub)?, &ex(t_sup)?).map_err(|e| {
+                st(&*expanded(t_sub, &local)?, &*expanded(t_sup, &local)?).map_err(|e| {
                     SubtypeError::new(format!("export `{}`: {e}", vp.name))
                 })?;
             }

@@ -27,7 +27,7 @@ use units_kernel::{
 
 use crate::diag::CheckError;
 use crate::env::Env;
-use crate::expand::{expand_ty, reachable_tys, Equations};
+use crate::expand::{expand_owned, expand_ty, reachable_tys, Equations};
 use crate::subtype::subtype;
 
 /// Which calculus a program is checked against.
@@ -87,21 +87,23 @@ impl Typer {
         Equations::from_pairs(env.equations().iter().cloned())
     }
 
+    /// `found ≤ expected`, or an error naming the position that required
+    /// it. `context` renders that position only when the check fails.
     fn check_sub(
         &self,
         env: &Env,
         found: &Ty,
         expected: &Ty,
-        context: &str,
+        context: impl FnOnce() -> String,
     ) -> Result<(), CheckError> {
         subtype(&self.eqs(env), found, expected).map_err(|e| {
             if let Ty::Sig(_) = expected {
-                e.into_check_error(context)
+                e.into_check_error(context())
             } else {
                 CheckError::Mismatch {
                     expected: expected.clone(),
                     found: found.clone(),
-                    context: context.to_string(),
+                    context: context(),
                 }
             }
         })
@@ -275,7 +277,9 @@ impl Typer {
                     let ret = match &lam.ret_ty {
                         Some(declared) => {
                             self.wf_ty(env, declared)?;
-                            self.check_sub(env, &body_ty, declared, "declared result type")?;
+                            self.check_sub(env, &body_ty, declared, || {
+                                "declared result type".into()
+                            })?;
                             declared.clone()
                         }
                         None => body_ty,
@@ -287,7 +291,7 @@ impl Typer {
             }
             Expr::App(f, args) => {
                 let f_ty = self.infer(env, f)?;
-                let f_ty = expand_ty(&f_ty, &self.eqs(env))?;
+                let f_ty = expand_owned(f_ty, &self.eqs(env))?;
                 let Ty::Arrow(params, ret) = f_ty else {
                     return Err(CheckError::NotAFunction { found: f_ty });
                 };
@@ -296,13 +300,13 @@ impl Typer {
                 }
                 for (i, (arg, param)) in args.iter().zip(&params).enumerate() {
                     let arg_ty = self.infer(env, arg)?;
-                    self.check_sub(env, &arg_ty, param, &format!("argument {}", i + 1))?;
+                    self.check_sub(env, &arg_ty, param, || format!("argument {}", i + 1))?;
                 }
                 Ok(*ret)
             }
             Expr::If(c, t, e) => {
                 let c_ty = self.infer(env, c)?;
-                self.check_sub(env, &c_ty, &Ty::Bool, "if condition")?;
+                self.check_sub(env, &c_ty, &Ty::Bool, || "if condition".into())?;
                 let t_ty = self.infer(env, t)?;
                 let e_ty = self.infer(env, e)?;
                 let eqs = self.eqs(env);
@@ -359,7 +363,7 @@ impl Typer {
                     return Err(CheckError::Unbound { name: x.clone() });
                 };
                 let val_ty = self.infer(env, value)?;
-                self.check_sub(env, &val_ty, &var_ty, &format!("assignment to `{x}`"))?;
+                self.check_sub(env, &val_ty, &var_ty, || format!("assignment to `{x}`"))?;
                 Ok(Ty::Void)
             }
             Expr::Tuple(items) => Ok(Ty::Tuple(
@@ -367,7 +371,7 @@ impl Typer {
             )),
             Expr::Proj(i, e) => {
                 let ty = self.infer(env, e)?;
-                let ty = expand_ty(&ty, &self.eqs(env))?;
+                let ty = expand_owned(ty, &self.eqs(env))?;
                 let Ty::Tuple(items) = ty else {
                     return Err(CheckError::NotATuple { found: ty });
                 };
@@ -382,7 +386,7 @@ impl Typer {
             Expr::Seal(e, sig) => {
                 self.wf_sig(env, sig)?;
                 let ty = self.infer(env, e)?;
-                self.check_sub(env, &ty, &Ty::Sig(sig.clone()), "seal")?;
+                self.check_sub(env, &ty, &Ty::Sig(sig.clone()), || "seal".into())?;
                 Ok(Ty::Sig(sig.clone()))
             }
             Expr::Loc(_) | Expr::CellRef(_) | Expr::Data(_) | Expr::Variant(_)
@@ -474,7 +478,7 @@ impl Typer {
             for d in vals {
                 if let Some(ty) = &d.ty {
                     let body_ty = self.infer(env, &d.body)?;
-                    self.check_sub(env, &body_ty, ty, &format!("definition of `{}`", d.name))?;
+                    self.check_sub(env, &body_ty, ty, || format!("definition of `{}`", d.name))?;
                 }
             }
             Ok(())
@@ -536,17 +540,14 @@ impl Typer {
                 let ty = match &port.ty {
                     Some(declared) => {
                         self.wf_ty(env, declared)?;
-                        self.check_sub(
-                            env,
-                            &defined_ty,
-                            declared,
-                            &format!("export `{}`", port.name),
-                        )?;
+                        self.check_sub(env, &defined_ty, declared, || {
+                            format!("export `{}`", port.name)
+                        })?;
                         declared.clone()
                     }
                     None => defined_ty,
                 };
-                let ty = expand_ty(&ty, &eqs_visible)?;
+                let ty = expand_owned(ty, &eqs_visible)?;
                 let mut fvs = BTreeSet::new();
                 ty.free_ty_vars(&mut fvs);
                 for fv in &fvs {
@@ -578,7 +579,7 @@ impl Typer {
             // The initialization type expands *all* abbreviations (even
             // exported ones): it cannot depend on exported types, but an
             // abbreviation's body made of imports is fine.
-            let init_ty = expand_ty(&init_ty, &eqs)?;
+            let init_ty = expand_owned(init_ty, &eqs)?;
             let mut fvs = BTreeSet::new();
             init_ty.free_ty_vars(&mut fvs);
             for fv in &fvs {
@@ -611,7 +612,7 @@ impl Typer {
         let mut actual_sigs = Vec::with_capacity(c.links.len());
         for link in &c.links {
             let ty = self.infer(env, &link.expr)?;
-            let ty = expand_ty(&ty, &self.eqs(env))?;
+            let ty = expand_owned(ty, &self.eqs(env))?;
             let Ty::Sig(sig) = ty else {
                 return Err(CheckError::NotAUnit { found: ty });
             };
@@ -736,12 +737,9 @@ impl Typer {
                             None => source, // a compound import: already outer
                         };
                         let wanted = self.to_outer_ty(link, wanted)?;
-                        self.check_sub(
-                            env,
-                            &source,
-                            &wanted,
-                            &format!("link of `{}` into clause {i}", vp.name),
-                        )?;
+                        self.check_sub(env, &source, &wanted, || {
+                            format!("link of `{}` into clause {i}", vp.name)
+                        })?;
                     }
                 }
             }
@@ -773,12 +771,9 @@ impl Typer {
                 let ty = match &port.ty {
                     Some(declared) => {
                         self.wf_ty(env, declared)?;
-                        self.check_sub(
-                            env,
-                            &provided_ty,
-                            declared,
-                            &format!("compound export `{}`", port.name),
-                        )?;
+                        self.check_sub(env, &provided_ty, declared, || {
+                            format!("compound export `{}`", port.name)
+                        })?;
                         declared.clone()
                     }
                     None => provided_ty,
@@ -997,7 +992,7 @@ impl Typer {
         inv: &units_kernel::InvokeExpr,
     ) -> Result<Ty, CheckError> {
         let target_ty = self.infer(env, &inv.target)?;
-        let target_ty = expand_ty(&target_ty, &self.eqs(env))?;
+        let target_ty = expand_owned(target_ty, &self.eqs(env))?;
         let Ty::Sig(sig) = target_ty else {
             return Err(CheckError::NotAUnit { found: target_ty });
         };
@@ -1041,7 +1036,7 @@ impl Typer {
             }
             let expected = units_kernel::subst_ty(&declared, &ty_map)?;
             let supplied_ty = self.infer(env, supplied)?;
-            self.check_sub(env, &supplied_ty, &expected, &format!("invoke link `{}`", vp.name))?;
+            self.check_sub(env, &supplied_ty, &expected, || format!("invoke link `{}`", vp.name))?;
         }
 
         // Extra value links are typed (they may have effects) and ignored.
@@ -1081,6 +1076,57 @@ mod tests {
             Ok(Ty::Sig(sig)) => *sig,
             other => panic!("expected a signature, got {other:?}"),
         }
+    }
+
+    /// Every position `check_sub` guards names itself in the message of
+    /// an ill-typed program, word for word.
+    #[test]
+    fn every_subtype_check_names_its_position() {
+        let link_clash = "(compound (import) (export)
+             (link ((unit (import) (export (v int)) (define v int 1)) (with) (provides (v int)))
+                   ((unit (import (v bool)) (export) (init v)) (with (v bool)) (provides))))";
+        let export_clash = "(compound (import) (export (p bool))
+             (link ((unit (import) (export (p int)) (define p int 1)) (with) (provides (p int)))))";
+        let rows = [
+            ("((lambda ((x int)) x) true)", "type mismatch in argument 1: expected int, found bool"),
+            ("(if 1 2 3)", "type mismatch in if condition: expected bool, found int"),
+            (
+                "(letrec ((define x int 1)) (set! x true))",
+                "type mismatch in assignment to `x`: expected int, found bool",
+            ),
+            (
+                "(seal (unit (import) (export) (init 1)) (sig (import) (export) (init bool)))",
+                "signature mismatch in seal: initialization type: int is not a subtype of bool",
+            ),
+            (
+                "(letrec ((define d int true)) d)",
+                "type mismatch in definition of `d`: expected int, found bool",
+            ),
+            (
+                "(unit (import) (export (p bool)) (define p int 1))",
+                "type mismatch in export `p`: expected bool, found int",
+            ),
+            (link_clash, "type mismatch in link of `v` into clause 1: expected bool, found int"),
+            (export_clash, "type mismatch in compound export `p`: expected bool, found int"),
+            (
+                "(invoke (unit (import (v int)) (export) (init v)) (val v true))",
+                "type mismatch in invoke link `v`: expected int, found bool",
+            ),
+            (
+                "(compound (import) (export)
+                   (link ((unit (import) (export (v int)) (define v int 1)) (with) (provides (v bool)))))",
+                "signature mismatch in link clause 0: export `v`: int is not a subtype of bool",
+            ),
+        ];
+        for (src, message) in rows {
+            assert_eq!(infer_c(src).unwrap_err().to_string(), message, "{src}");
+        }
+        // A declared result type has no surface syntax of its own.
+        let lam = Expr::lambda_ret(vec![], Ty::Int, Expr::bool(true));
+        assert_eq!(
+            type_of(&lam, Level::Constructed).unwrap_err().to_string(),
+            "type mismatch in declared result type: expected int, found bool"
+        );
     }
 
     #[test]

@@ -12,45 +12,61 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{LazyLock, OnceLock, RwLock};
 
-/// The process-wide symbol table: append-only, thread-safe. Interned
-/// strings are leaked (their number is bounded by the program's source
-/// names plus generated fresh names), which lets [`Symbol::as_str`] hand
-/// out `&'static str` without holding any lock on the caller's side.
-struct Interner {
-    /// Text → index, for interning.
-    map: HashMap<&'static str, u32>,
-    /// Index → text, for resolution. Grows only; never reordered.
-    strings: Vec<&'static str>,
-}
+/// Entries in the first chunk of the index → text table. Chunk `c` holds
+/// `FIRST_CHUNK << c` entries, so [`CHUNKS`] chunks cover every `u32`
+/// index and the table never has to grow by copying.
+const FIRST_CHUNK: usize = 64;
+const CHUNKS: usize = 27;
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner { map: HashMap::new(), strings: Vec::new() })
-    })
+/// The process-wide symbol table, append-only and thread-safe.
+///
+/// Interning goes through [`MAP`] (text → index) under a lock.
+/// Resolution reads `TABLE` (index → text) without one: each chunk is
+/// allocated once and never moved, and each entry is set once, by the
+/// interning thread while it holds the write lock, before the index
+/// escapes. Interned strings are leaked (their number is bounded by the
+/// program's source names plus generated fresh names), which lets
+/// [`Symbol::as_str`] hand out `&'static str`.
+static TABLE: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS] =
+    [const { OnceLock::new() }; CHUNKS];
+
+/// Text → index, for interning; its length is the next free index.
+static MAP: LazyLock<RwLock<HashMap<&'static str, u32>>> = LazyLock::new(Default::default);
+
+/// The chunk and offset of `id` in [`TABLE`].
+fn slot(id: u32) -> (usize, usize) {
+    let j = id as usize / FIRST_CHUNK + 1;
+    let chunk = j.ilog2() as usize;
+    (chunk, id as usize - FIRST_CHUNK * ((1 << chunk) - 1))
 }
 
 fn intern(name: &str) -> u32 {
-    let lock = interner();
-    if let Some(&id) = lock.read().expect("interner poisoned").map.get(name) {
+    if let Some(&id) = MAP.read().expect("interner poisoned").get(name) {
         return id;
     }
-    let mut w = lock.write().expect("interner poisoned");
+    let mut w = MAP.write().expect("interner poisoned");
     // Another thread may have interned `name` between our read and write.
-    if let Some(&id) = w.map.get(name) {
+    if let Some(&id) = w.get(name) {
         return id;
     }
+    let id = u32::try_from(w.len()).expect("interner overflow");
+    let (chunk, offset) = slot(id);
+    let entries =
+        TABLE[chunk].get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
     let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    let id = u32::try_from(w.strings.len()).expect("interner overflow");
-    w.strings.push(leaked);
-    w.map.insert(leaked, id);
+    entries[offset].set(leaked).expect("interner slot filled twice");
+    w.insert(leaked, id);
     id
 }
 
 fn resolve(id: u32) -> &'static str {
-    interner().read().expect("interner poisoned").strings[id as usize]
+    let (chunk, offset) = slot(id);
+    TABLE[chunk]
+        .get()
+        .and_then(|entries| entries[offset].get())
+        .expect("a symbol's index is interned before the symbol exists")
 }
 
 /// An identifier in the unit language (value variable, type variable,
@@ -60,8 +76,9 @@ fn resolve(id: u32) -> &'static str {
 /// cloning is a register copy, and equality/hashing are single integer
 /// operations — the hot operations of environment lookup, substitution,
 /// free-variable sets, and signature subtyping never touch string data.
-/// Interning the same text twice yields the same index (and therefore the
-/// same `&'static str` from [`Symbol::as_str`]).
+/// Interning the same text twice yields the same index on every thread
+/// (and therefore the same `&'static str` from [`Symbol::as_str`]), and
+/// [`Symbol::as_str`] takes no lock.
 ///
 /// Ordering remains *lexicographic* on the underlying text (with an
 /// integer fast path for equal symbols), so `BTreeSet<Symbol>` iteration
@@ -283,23 +300,91 @@ mod tests {
 
     #[test]
     fn interning_is_thread_safe() {
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
+        use std::sync::{mpsc, Arc, Barrier};
+
+        const WRITERS: usize = 4;
+        const READERS: usize = 4;
+        const NAMES: usize = 300;
+        // Every reader resolves a symbol before any writer starts, so
+        // each name below is interned after some reader's first lookup.
+        let start = Arc::new(Barrier::new(WRITERS + READERS));
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..READERS).map(|_| mpsc::channel::<(Symbol, String)>()).unzip();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let start = start.clone();
+                let senders = senders.clone();
                 std::thread::spawn(move || {
-                    (0..200)
-                        .map(|i| Symbol::new(format!("threaded-{}", (i + t) % 50)).index())
-                        .collect::<Vec<u32>>()
+                    start.wait();
+                    (0..NAMES)
+                        .map(|i| {
+                            // Half the names are shared by every writer,
+                            // half are this writer's own.
+                            let text = if i % 2 == 0 {
+                                format!("threaded-shared-{}", i / 2)
+                            } else {
+                                format!("threaded-{w}-{i}")
+                            };
+                            let sym = Symbol::new(text.as_str());
+                            for tx in &senders {
+                                tx.send((sym.clone(), text.clone())).unwrap();
+                            }
+                            (sym.index(), text)
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        let all: Vec<Vec<u32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Every thread must agree on the index of every shared name.
-        for i in 0..50 {
-            let name = format!("threaded-{i}");
-            let expected = Symbol::new(name.as_str()).index();
-            for ids in &all {
-                assert!(ids.contains(&expected));
+        drop(senders);
+        let readers: Vec<_> = receivers
+            .into_iter()
+            .map(|rx| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    let probe = Symbol::new("threaded-probe");
+                    assert_eq!(probe.as_str(), "threaded-probe");
+                    start.wait();
+                    rx.into_iter()
+                        .map(|(sym, text)| {
+                            assert_eq!(sym.as_str(), text);
+                            assert_eq!(sym.to_string(), text);
+                            assert_eq!(sym.cmp(&probe), text.as_str().cmp("threaded-probe"));
+                            (sym.index(), text)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        // Every thread resolves every index to the same text, and equal
+        // text interned on different threads got one index.
+        let mut seen: HashMap<u32, String> = HashMap::new();
+        for handle in writers.into_iter().chain(readers) {
+            for (index, text) in handle.join().unwrap() {
+                assert_eq!(seen.entry(index).or_insert_with(|| text.clone()), &text);
             }
+        }
+        assert_eq!(seen.len(), NAMES / 2 + WRITERS * NAMES / 2);
+        for (index, text) in &seen {
+            assert_eq!(Symbol::new(text.as_str()).index(), *index);
+        }
+    }
+
+    #[test]
+    fn slots_tile_the_index_space() {
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!(slot(63), (0, 63));
+        assert_eq!(slot(64), (1, 0));
+        assert_eq!(slot(191), (1, 127));
+        assert_eq!(slot(192), (2, 0));
+        // The last index lands inside the last chunk.
+        let (chunk, offset) = slot(u32::MAX);
+        assert_eq!(chunk, CHUNKS - 1);
+        assert!(offset < FIRST_CHUNK << chunk);
+        // Each chunk starts where the previous one ends.
+        for chunk in 1..CHUNKS {
+            let first = FIRST_CHUNK * ((1 << chunk) - 1);
+            assert_eq!(slot(first as u32 - 1), (chunk - 1, (FIRST_CHUNK << (chunk - 1)) - 1));
+            assert_eq!(slot(first as u32), (chunk, 0));
         }
     }
 }

@@ -176,7 +176,31 @@ impl PrimOp {
 
     /// Looks a primitive up by surface name.
     pub fn from_name(name: &str) -> Option<PrimOp> {
-        ALL_PRIMS.iter().copied().find(|p| p.name() == name)
+        Some(match name {
+            "+" => PrimOp::Add,
+            "-" => PrimOp::Sub,
+            "*" => PrimOp::Mul,
+            "/" => PrimOp::Div,
+            "rem" => PrimOp::Rem,
+            "<" => PrimOp::Lt,
+            "<=" => PrimOp::Le,
+            "=" => PrimOp::NumEq,
+            "not" => PrimOp::Not,
+            "bool=?" => PrimOp::BoolEq,
+            "string-append" => PrimOp::StrAppend,
+            "string=?" => PrimOp::StrEq,
+            "string-length" => PrimOp::StrLen,
+            "int->string" => PrimOp::IntToStr,
+            "display" => PrimOp::Display,
+            "fail" => PrimOp::Fail,
+            "hash-new" => PrimOp::HashNew,
+            "hash-set!" => PrimOp::HashSet,
+            "hash-get" => PrimOp::HashGet,
+            "hash-has?" => PrimOp::HashHas,
+            "hash-remove!" => PrimOp::HashRemove,
+            "hash-count" => PrimOp::HashCount,
+            _ => return None,
+        })
     }
 
     /// Instantiates the primitive's type at the given type arguments,

@@ -92,10 +92,15 @@ impl Server {
             let wake_path = self.path.clone();
             let idle_timeout = self.idle_timeout;
             let idle_timeouts = self.idle_timeouts.clone();
-            std::thread::spawn(move || {
-                let conn = Connection { idle_timeout, idle_timeouts };
-                let _ = conn.serve(stream, &service, &stopping, &wake_path);
-            });
+            // Connection threads run whole programs, so they get the
+            // pipeline's stack. A connection whose thread cannot start
+            // is dropped, which closes it.
+            let _ = std::thread::Builder::new().stack_size(units::PIPELINE_STACK_SIZE).spawn(
+                move || {
+                    let conn = Connection { idle_timeout, idle_timeouts };
+                    let _ = conn.serve(stream, &service, &stopping, &wake_path);
+                },
+            );
         }
         let _ = std::fs::remove_file(&self.path);
         Ok(())

@@ -291,3 +291,32 @@ fn tenant_operations_before_hello_are_refused() {
     assert_eq!(reply.get_bool("ok"), Some(false));
     assert_eq!(reply.get_str("kind"), Some("no-tenant"));
 }
+
+#[test]
+fn runs_nested_past_the_cap_are_refused_and_both_tenants_keep_being_served() {
+    // Default flags, as the daemon is deployed.
+    let daemon = Daemon::start("nesting", &[]);
+    let mut a = daemon.connect();
+    let mut b = daemon.connect();
+    a.hello("a").unwrap();
+    b.hello("b").unwrap();
+    let run = |source: String| Request::Run { source, limits: Limits::none() };
+    let nested = |n: usize| format!("{}1{}", "(begin ".repeat(n), ")".repeat(n));
+
+    // 10,000 levels: an 80 KB frame, far under the frame limit, that
+    // used to overflow the connection thread's stack and abort the
+    // daemon for every tenant.
+    let reply = a.call(&run(nested(10_000))).unwrap();
+    assert_eq!(reply.get_bool("ok"), Some(false), "{reply}");
+    assert_eq!(reply.get_str("kind"), Some("engine"), "{reply}");
+    let limit = format!("forms nest deeper than {} levels", units::MAX_NESTING);
+    assert!(reply.get_str("message").is_some_and(|m| m.contains(&limit)), "{reply}");
+
+    // The same connection still answers, and runs a program nested
+    // exactly at the cap on its own thread's stack.
+    let reply = a.call(&run(nested(units::MAX_NESTING))).unwrap();
+    assert_eq!(reply.get_str("value"), Some("1"), "{reply}");
+    // So does the other tenant.
+    let reply = b.call(&run("(+ 20 22)".to_string())).unwrap();
+    assert_eq!(reply.get_str("value"), Some("42"), "{reply}");
+}

@@ -30,7 +30,7 @@ mod sexpr;
 mod span;
 
 pub use error::ParseError;
-pub use parser::{parse_expr, parse_file, parse_signature, parse_ty, RESERVED};
+pub use parser::{parse_expr, parse_file, parse_signature, parse_ty};
 pub use pretty::{pretty_expr, pretty_expr_indent, pretty_signature, pretty_ty};
-pub use sexpr::{read_all, read_one, SExpr};
+pub use sexpr::{read_all, read_one, SExpr, MAX_NESTING};
 pub use span::Span;

@@ -42,13 +42,18 @@ use crate::error::ParseError;
 use crate::sexpr::{read_all, read_one, SExpr};
 use crate::span::Span;
 
-/// Keywords that cannot be used as variable or port names.
-pub const RESERVED: &[&str] = &[
-    "lambda", "let", "letrec", "if", "begin", "set!", "tuple", "proj", "inst", "unit", "compound",
-    "invoke", "seal", "define", "defun", "datatype", "alias", "import", "export", "link", "with",
-    "provides", "init", "val", "type", "true", "false", "void", "sig", "depends", "where", "->", "as", "as-type",
-    "=>", "*", "hash", "int", "bool", "str",
-];
+/// Whether `word` is a keyword, which cannot be used as a variable or
+/// port name.
+fn is_reserved(word: &str) -> bool {
+    matches!(
+        word,
+        "lambda" | "let" | "letrec" | "if" | "begin" | "set!" | "tuple" | "proj" | "inst"
+            | "unit" | "compound" | "invoke" | "seal" | "define" | "defun" | "datatype"
+            | "alias" | "import" | "export" | "link" | "with" | "provides" | "init" | "val"
+            | "type" | "true" | "false" | "void" | "sig" | "depends" | "where" | "->" | "as"
+            | "as-type" | "=>" | "*" | "hash" | "int" | "bool" | "str"
+    )
+}
 
 /// Parses one expression from source text.
 ///
@@ -142,8 +147,11 @@ pub fn parse_file(src: &str) -> Result<Expr, ParseError> {
 
 /// Emits one Parse-phase event summarizing a successful read: how many
 /// top-level forms, leaf atoms, and source bytes, with the whole-input
-/// span. Compiles to nothing without the `trace` feature.
+/// span. Without the `trace` feature it returns before counting atoms.
 fn trace_forms(kind: &'static str, src: &str, forms: &[SExpr]) {
+    if !units_trace::COMPILED {
+        return;
+    }
     fn atoms(sx: &SExpr) -> u64 {
         match sx.as_list() {
             Some(items) => items.iter().map(atoms).sum(),
@@ -177,7 +185,7 @@ fn err(span: Span, msg: impl Into<String>) -> ParseError {
 fn name(sx: &SExpr, what: &str) -> Result<Symbol, ParseError> {
     match sx {
         SExpr::Atom(a, span) => {
-            if RESERVED.contains(&a.as_str()) {
+            if is_reserved(a) {
                 Err(err(*span, format!("`{a}` is a reserved word and cannot name a {what}")))
             } else if PrimOp::from_name(a).is_some() {
                 Err(err(*span, format!("`{a}` is a primitive and cannot name a {what}")))
@@ -195,7 +203,7 @@ fn name(sx: &SExpr, what: &str) -> Result<Symbol, ParseError> {
 
 fn kind(sx: &SExpr) -> Result<Kind, ParseError> {
     match sx {
-        SExpr::Atom(a, _) if a == "*" => Ok(Kind::Star),
+        SExpr::Atom("*", _) => Ok(Kind::Star),
         SExpr::List(items, span) => {
             let Some(rest) = sx.as_tagged("=>") else {
                 return Err(err(*span, "expected a kind: `*` or `(=> κ… κ)`"));
@@ -219,12 +227,12 @@ fn kind(sx: &SExpr) -> Result<Kind, ParseError> {
 
 fn ty(sx: &SExpr) -> Result<Ty, ParseError> {
     match sx {
-        SExpr::Atom(a, span) => match a.as_str() {
+        SExpr::Atom(a, span) => match *a {
             "int" => Ok(Ty::Int),
             "bool" => Ok(Ty::Bool),
             "str" => Ok(Ty::Str),
             "void" => Ok(Ty::Void),
-            _ if RESERVED.contains(&a.as_str()) => {
+            _ if is_reserved(a) => {
                 Err(err(*span, format!("`{a}` is reserved and cannot be a type name")))
             }
             _ => Ok(Ty::Var(Symbol::new(a))),
@@ -329,25 +337,29 @@ fn signature(clauses: &[SExpr], span: Span) -> Result<Signature, ParseError> {
 fn ports(items: &[SExpr]) -> Result<Ports, ParseError> {
     let mut out = Ports::new();
     for item in items {
-        match item {
-            SExpr::Atom(..) => out.vals.push(ValPort::untyped(name(item, "port")?)),
-            SExpr::List(inner, span) => match inner.first().and_then(SExpr::as_atom) {
-                Some("type") => match &inner[1..] {
-                    [t] => out.types.push(TyPort::star(name(t, "type port")?)),
-                    [t, k] => out
-                        .types
-                        .push(TyPort { name: name(t, "type port")?, kind: kind(k)? }),
-                    _ => return Err(err(*span, "`(type t [κ])` expected")),
-                },
-                _ => match &inner[..] {
-                    [x, t] => out.vals.push(ValPort::typed(name(x, "port")?, ty(t)?)),
-                    _ => return Err(err(*span, "value ports are `x` or `(x τ)`")),
-                },
-            },
-            other => return Err(err(other.span(), "expected a port declaration")),
-        }
+        port(item, &mut out)?;
     }
     Ok(out)
+}
+
+/// Parses one port declaration into `out`.
+fn port(item: &SExpr, out: &mut Ports) -> Result<(), ParseError> {
+    match item {
+        SExpr::Atom(..) => out.vals.push(ValPort::untyped(name(item, "port")?)),
+        SExpr::List(inner, span) => match inner.first().and_then(SExpr::as_atom) {
+            Some("type") => match &inner[1..] {
+                [t] => out.types.push(TyPort::star(name(t, "type port")?)),
+                [t, k] => out.types.push(TyPort { name: name(t, "type port")?, kind: kind(k)? }),
+                _ => return Err(err(*span, "`(type t [κ])` expected")),
+            },
+            _ => match &inner[..] {
+                [x, t] => out.vals.push(ValPort::typed(name(x, "port")?, ty(t)?)),
+                _ => return Err(err(*span, "value ports are `x` or `(x τ)`")),
+            },
+        },
+        other => return Err(err(other.span(), "expected a port declaration")),
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -451,14 +463,14 @@ fn expr(sx: &SExpr) -> Result<Expr, ParseError> {
     match sx {
         SExpr::Int(n, _) => Ok(Expr::int(*n)),
         SExpr::Str(s, _) => Ok(Expr::str(s)),
-        SExpr::Atom(a, span) => match a.as_str() {
+        SExpr::Atom(a, span) => match *a {
             "true" => Ok(Expr::bool(true)),
             "false" => Ok(Expr::bool(false)),
             "void" => Ok(Expr::void()),
             _ => {
                 if let Some(op) = PrimOp::from_name(a) {
                     Ok(Expr::prim(op))
-                } else if RESERVED.contains(&a.as_str()) {
+                } else if is_reserved(a) {
                     Err(err(*span, format!("`{a}` is a reserved word, not an expression")))
                 } else {
                     Ok(Expr::var(Symbol::new(a)))
@@ -585,7 +597,7 @@ fn expr(sx: &SExpr) -> Result<Expr, ParseError> {
                     _ => Err(err(*span, "`seal` is `(seal expr sig-type)`")),
                 },
                 Some(word)
-                    if RESERVED.contains(&word)
+                    if is_reserved(word)
                         && PrimOp::from_name(word).is_none()
                         && !matches!(word, "true" | "false" | "void") =>
                 {
@@ -739,10 +751,13 @@ fn link_ports(
                 }
             }
         } else {
-            plain.push(item.clone());
+            plain.push(item);
         }
     }
-    let plain_ports = ports(&plain)?;
+    let mut plain_ports = Ports::new();
+    for item in plain {
+        port(item, &mut plain_ports)?;
+    }
     out.types.extend(plain_ports.types);
     out.vals.extend(plain_ports.vals);
     Ok((out, val_pairs, ty_pairs))
@@ -956,6 +971,59 @@ mod tests {
     fn seal_requires_signature_type() {
         assert!(parse_expr("(seal u (sig (import) (export)))").is_ok());
         assert!(parse_expr("(seal u int)").is_err());
+    }
+
+    /// `n` copies of `open`, then `leaf`, then `n` copies of `close`.
+    fn nest(open: &str, leaf: &str, close: &str, n: usize) -> String {
+        format!("{}{leaf}{}", open.repeat(n), close.repeat(n))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_every_entry_point() {
+        use crate::sexpr::MAX_NESTING as CAP;
+        // A signature's port sits three lists deep, so its kind's arrows
+        // (one per component after the first) fill the rest.
+        let stars = |n: usize| vec!["*"; n].join(" ");
+        let kinded = |n: usize| format!("(sig (import (type t (=> {}))) (export))", stars(n));
+        type Entry = fn(&str) -> Result<(), ParseError>;
+        let rows: [(&str, Entry, String, String); 5] = [
+            (
+                "parse_file",
+                |s| parse_file(s).map(drop),
+                nest("(begin ", "1", ")", CAP),
+                nest("(begin ", "1", ")", CAP + 1),
+            ),
+            (
+                "parse_expr",
+                |s| parse_expr(s).map(drop),
+                nest("(proj 0 (tuple ", "1", "))", CAP / 2),
+                format!("(begin {})", nest("(proj 0 (tuple ", "1", "))", CAP / 2)),
+            ),
+            (
+                "parse_ty",
+                |s| parse_ty(s).map(drop),
+                nest("(-> ", "int", ")", CAP),
+                nest("(-> ", "int", ")", CAP + 1),
+            ),
+            (
+                "parse_signature",
+                |s| parse_signature(s).map(drop),
+                format!("(sig (import) (export (f {})))", nest("(-> ", "int", ")", CAP - 3)),
+                format!("(sig (import) (export (f {})))", nest("(-> ", "int", ")", CAP - 2)),
+            ),
+            ("parse_signature (kind)", |s| parse_signature(s).map(drop), kinded(CAP - 2), kinded(CAP - 1)),
+        ];
+        // Unoptimized, the parser alone outgrows a 2 MiB test thread
+        // before the cap; pipeline threads get 8 MiB (see
+        // `units::PIPELINE_STACK_SIZE`).
+        let check = move || {
+            for (entry, parse, at_cap, past_cap) in rows {
+                parse(&at_cap).unwrap_or_else(|e| panic!("{entry} at the cap: {e}"));
+                let e = parse(&past_cap).expect_err(entry);
+                assert_eq!(e.message, format!("forms nest deeper than {CAP} levels"), "{entry}");
+            }
+        };
+        std::thread::Builder::new().stack_size(8 << 20).spawn(check).unwrap().join().unwrap();
     }
 
     #[test]

@@ -6,26 +6,38 @@
 //! double quotes with `\n`, `\t`, `\\`, and `\"` escapes. The character
 //! `#` is reserved for machine-generated names and rejected in source
 //! identifiers.
+//!
+//! Atoms borrow their text from the source, as do string literals
+//! without escapes, so reading allocates little beyond the list vectors.
+//! Forms may nest at most [`MAX_NESTING`] lists deep: every later pass
+//! over the tree, and over the terms built from it, recurses once per
+//! level, and a bounded depth keeps them within a thread's stack.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::ParseError;
 use crate::span::Span;
 
-/// A read S-expression.
+/// The deepest nesting of lists the reader accepts. A `(=> κ… κ)` kind
+/// with `n` components counts as `n − 1` nested levels, because the
+/// parser right-nests its components into kind arrows.
+pub const MAX_NESTING: usize = 256;
+
+/// A read S-expression, borrowing from the source text `'src`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SExpr {
+pub enum SExpr<'src> {
     /// An identifier or operator atom.
-    Atom(String, Span),
+    Atom(&'src str, Span),
     /// An integer literal.
     Int(i64, Span),
     /// A string literal (escapes already decoded).
-    Str(String, Span),
+    Str(Cow<'src, str>, Span),
     /// A parenthesized list.
-    List(Vec<SExpr>, Span),
+    List(Vec<SExpr<'src>>, Span),
 }
 
-impl SExpr {
+impl<'src> SExpr<'src> {
     /// The source span of this S-expression.
     pub fn span(&self) -> Span {
         match self {
@@ -34,7 +46,7 @@ impl SExpr {
     }
 
     /// Returns the atom text if this is an atom.
-    pub fn as_atom(&self) -> Option<&str> {
+    pub fn as_atom(&self) -> Option<&'src str> {
         match self {
             SExpr::Atom(a, _) => Some(a),
             _ => None,
@@ -42,7 +54,7 @@ impl SExpr {
     }
 
     /// Returns the elements if this is a list.
-    pub fn as_list(&self) -> Option<&[SExpr]> {
+    pub fn as_list(&self) -> Option<&[SExpr<'src>]> {
         match self {
             SExpr::List(items, _) => Some(items),
             _ => None,
@@ -55,7 +67,7 @@ impl SExpr {
     }
 
     /// Returns the elements of a list whose head is the atom `word`.
-    pub fn as_tagged(&self, word: &str) -> Option<&[SExpr]> {
+    pub fn as_tagged(&self, word: &str) -> Option<&[SExpr<'src>]> {
         let items = self.as_list()?;
         if items.first()?.is_atom(word) {
             Some(&items[1..])
@@ -65,7 +77,7 @@ impl SExpr {
     }
 }
 
-impl fmt::Display for SExpr {
+impl fmt::Display for SExpr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SExpr::Atom(a, _) => f.write_str(a),
@@ -90,7 +102,8 @@ impl fmt::Display for SExpr {
 /// # Errors
 ///
 /// Returns a [`ParseError`] on unbalanced parentheses, unterminated
-/// strings, malformed numbers, or reserved characters.
+/// strings, malformed numbers, reserved characters, or lists nested
+/// deeper than [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -99,7 +112,7 @@ impl fmt::Display for SExpr {
 /// let forms = read_all("(+ 1 2) ; comment\n\"hi\"").unwrap();
 /// assert_eq!(forms.len(), 2);
 /// ```
-pub fn read_all(src: &str) -> Result<Vec<SExpr>, ParseError> {
+pub fn read_all(src: &str) -> Result<Vec<SExpr<'_>>, ParseError> {
     let mut reader = Reader { src, bytes: src.as_bytes(), pos: 0 };
     let mut out = Vec::new();
     loop {
@@ -107,7 +120,7 @@ pub fn read_all(src: &str) -> Result<Vec<SExpr>, ParseError> {
         if reader.at_end() {
             return Ok(out);
         }
-        out.push(reader.read()?);
+        out.push(reader.read(0)?.0);
     }
 }
 
@@ -116,7 +129,7 @@ pub fn read_all(src: &str) -> Result<Vec<SExpr>, ParseError> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed input or trailing forms.
-pub fn read_one(src: &str) -> Result<SExpr, ParseError> {
+pub fn read_one(src: &str) -> Result<SExpr<'_>, ParseError> {
     let forms = read_all(src)?;
     match <[SExpr; 1]>::try_from(forms) {
         Ok([form]) => Ok(form),
@@ -133,7 +146,7 @@ struct Reader<'s> {
     pos: usize,
 }
 
-impl Reader<'_> {
+impl<'s> Reader<'s> {
     fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()
     }
@@ -159,51 +172,84 @@ impl Reader<'_> {
         }
     }
 
-    fn read(&mut self) -> Result<SExpr, ParseError> {
+    /// Reads one form that `depth` lists enclose, and returns it with the
+    /// number of levels it occupies (0 for an atom).
+    fn read(&mut self, depth: usize) -> Result<(SExpr<'s>, usize), ParseError> {
         self.skip_trivia();
         let start = self.pos;
         match self.peek() {
             None => Err(ParseError::new(Span::new(start, start), "unexpected end of input")),
-            Some(b'(') | Some(b'[') => {
-                let close = if self.peek() == Some(b'(') { b')' } else { b']' };
-                self.pos += 1;
-                let mut items = Vec::new();
-                loop {
-                    self.skip_trivia();
-                    match self.peek() {
-                        None => {
-                            return Err(ParseError::new(
-                                Span::new(start, self.pos),
-                                "unterminated list",
-                            ))
-                        }
-                        Some(b) if b == close => {
-                            self.pos += 1;
-                            return Ok(SExpr::List(items, Span::new(start, self.pos)));
-                        }
-                        Some(b')') | Some(b']') => {
-                            return Err(ParseError::new(
-                                Span::new(self.pos, self.pos + 1),
-                                "mismatched closing bracket",
-                            ))
-                        }
-                        Some(_) => items.push(self.read()?),
-                    }
-                }
+            Some(b'(') | Some(b'[') => self.read_list(depth + 1),
+            Some(b')') | Some(b']') => {
+                Err(ParseError::new(Span::new(start, start + 1), "unexpected closing bracket"))
             }
-            Some(b')') | Some(b']') => Err(ParseError::new(
-                Span::new(start, start + 1),
-                "unexpected closing bracket",
-            )),
-            Some(b'"') => self.read_string(),
-            Some(_) => self.read_atom(),
+            Some(b'"') => Ok((self.read_string()?, 0)),
+            Some(_) => Ok((self.read_atom()?, 0)),
         }
     }
 
-    fn read_string(&mut self) -> Result<SExpr, ParseError> {
+    /// Reads a list at nesting level `depth` and returns it with its
+    /// height: one more than its highest element's, except for a kind.
+    /// The parser right-nests the `n` components of `(=> κ1 … κn)` into
+    /// `n − 1` arrows, so there component `κi` sits under `min(i, n − 1)`
+    /// levels.
+    fn read_list(&mut self, depth: usize) -> Result<(SExpr<'s>, usize), ParseError> {
+        let start = self.pos;
+        if depth > MAX_NESTING {
+            return Err(too_deep(Span::new(start, start + 1)));
+        }
+        let close = if self.peek() == Some(b'(') { b')' } else { b']' };
+        self.pos += 1;
+        let mut items = Vec::new();
+        let mut highest = 0;
+        let mut kind_heights = Vec::new();
+        loop {
+            self.skip_trivia();
+            match self.peek() {
+                None => {
+                    return Err(ParseError::new(Span::new(start, self.pos), "unterminated list"))
+                }
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    let span = Span::new(start, self.pos);
+                    let n = kind_heights.len();
+                    let height = if n >= 2 {
+                        kind_heights
+                            .iter()
+                            .enumerate()
+                            .map(|(i, h)| (i + 1).min(n - 1) + h)
+                            .fold(0, usize::max)
+                    } else {
+                        1 + highest
+                    };
+                    if depth - 1 + height > MAX_NESTING {
+                        return Err(too_deep(span));
+                    }
+                    return Ok((SExpr::List(items, span), height));
+                }
+                Some(b')') | Some(b']') => {
+                    return Err(ParseError::new(
+                        Span::new(self.pos, self.pos + 1),
+                        "mismatched closing bracket",
+                    ))
+                }
+                Some(_) => {
+                    let (item, height) = self.read(depth)?;
+                    if items.first().is_some_and(|head| head.is_atom("=>")) {
+                        kind_heights.push(height);
+                    }
+                    highest = highest.max(height);
+                    items.push(item);
+                }
+            }
+        }
+    }
+
+    fn read_string(&mut self) -> Result<SExpr<'s>, ParseError> {
+        // Borrow the literal unless an escape forces a decoded copy.
+        let mut decoded: Option<String> = None;
         let start = self.pos;
         self.pos += 1; // opening quote
-        let mut out = String::new();
         loop {
             match self.peek() {
                 None => {
@@ -213,10 +259,16 @@ impl Reader<'_> {
                     ))
                 }
                 Some(b'"') => {
+                    let text = match decoded {
+                        Some(text) => Cow::Owned(text),
+                        None => Cow::Borrowed(&self.src[start + 1..self.pos]),
+                    };
                     self.pos += 1;
-                    return Ok(SExpr::Str(out, Span::new(start, self.pos)));
+                    return Ok(SExpr::Str(text, Span::new(start, self.pos)));
                 }
                 Some(b'\\') => {
+                    let out =
+                        decoded.get_or_insert_with(|| self.src[start + 1..self.pos].to_string());
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| {
                         ParseError::new(Span::new(start, self.pos), "unterminated escape")
@@ -245,14 +297,16 @@ impl Reader<'_> {
                             "unterminated string literal",
                         ));
                     };
-                    out.push(ch);
+                    if let Some(out) = &mut decoded {
+                        out.push(ch);
+                    }
                     self.pos += ch.len_utf8();
                 }
             }
         }
     }
 
-    fn read_atom(&mut self) -> Result<SExpr, ParseError> {
+    fn read_atom(&mut self) -> Result<SExpr<'s>, ParseError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if matches!(b, b' ' | b'\t' | b'\r' | b'\n' | b'(' | b')' | b'[' | b']' | b'"' | b';')
@@ -280,9 +334,13 @@ impl Reader<'_> {
                 Err(_) => Err(ParseError::new(span, format!("malformed number `{text}`"))),
             }
         } else {
-            Ok(SExpr::Atom(text.to_string(), span))
+            Ok(SExpr::Atom(text, span))
         }
     }
+}
+
+fn too_deep(span: Span) -> ParseError {
+    ParseError::new(span, format!("forms nest deeper than {MAX_NESTING} levels"))
 }
 
 #[cfg(test)]
@@ -316,7 +374,7 @@ mod tests {
         assert!(matches!(read_one("42").unwrap(), SExpr::Int(42, _)));
         assert!(matches!(read_one("-7").unwrap(), SExpr::Int(-7, _)));
         // `-` alone is an operator atom, not a number.
-        assert!(matches!(read_one("-").unwrap(), SExpr::Atom(a, _) if a == "-"));
+        assert!(matches!(read_one("-").unwrap(), SExpr::Atom("-", _)));
     }
 
     #[test]
@@ -351,6 +409,25 @@ mod tests {
     fn read_one_rejects_trailing_forms() {
         assert!(read_one("(a) (b)").is_err());
         assert!(read_one("").is_err());
+    }
+
+    #[test]
+    fn kinds_count_the_arrows_the_parser_builds() {
+        // `(=> κ1 … κn)` right-nests into n − 1 arrows, and κi sits
+        // under min(i, n − 1) of them: each row is accepted when its
+        // arrows just reach the cap and refused one level further in.
+        let rows = [
+            ("(=> * *)", 1),
+            ("(=> * * *)", 2),
+            ("(=> (=> * *) *)", 2),
+            ("(=> * (=> * *))", 2),
+            ("(=> * (=> * *) *)", 3),
+        ];
+        for (kind, height) in rows {
+            let wrapped = |n: usize| format!("{}{kind}{}", "(".repeat(n), ")".repeat(n));
+            assert!(read_one(&wrapped(MAX_NESTING - height)).is_ok(), "{kind}");
+            assert!(read_one(&wrapped(MAX_NESTING - height + 1)).is_err(), "{kind}");
+        }
     }
 
     #[test]

@@ -102,6 +102,16 @@ use crate::metrics::{bump, EngineMetrics, MetricsSnapshot};
 use crate::observe::{observe_expr, observe_value};
 use crate::outcome::{Backend, Outcome};
 
+/// The stack size for a thread that loads and runs programs: 8 MiB, the
+/// main thread's default on Linux. Parsing, checking, resolution,
+/// lowering, evaluation and dropping a term all recurse once per nesting
+/// level, and [`units_syntax::MAX_NESTING`] bounds the levels; this size
+/// runs a program nested at that cap on every backend in debug and
+/// release builds. The batch pool's workers and `unitsd`'s connection
+/// threads get it; a caller loading untrusted source on a thread of its
+/// own should give that thread at least as much.
+pub const PIPELINE_STACK_SIZE: usize = 8 << 20;
+
 /// A checked (and, for the production backend, slot-resolved) program,
 /// shared by every load that produced it.
 #[derive(Debug)]
@@ -701,7 +711,8 @@ impl Engine {
         let worker_faults = &inner.worker_faults;
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
+                let worker = std::thread::Builder::new().stack_size(PIPELINE_STACK_SIZE);
+                let spawned = worker.spawn_scoped(scope, || loop {
                     let Some((idx, src)) = queue.lock().unwrap().pop() else { break };
                     if let Some(plane) = worker_faults {
                         // Reseed per job, not per worker: the schedule
@@ -729,6 +740,7 @@ impl Engine {
                     units_trace::faults::disarm();
                     done.lock().unwrap().insert(idx, result);
                 });
+                spawned.expect("the batch pool spawns its workers");
             }
         });
         let mut done = done.into_inner().unwrap();

@@ -60,7 +60,9 @@ mod outcome;
 pub mod stdlib;
 pub mod typed_stdlib;
 
-pub use engine::{CacheStats, Engine, EngineBuilder, FallbackPolicy, Loaded, Recovery};
+pub use engine::{
+    CacheStats, Engine, EngineBuilder, FallbackPolicy, Loaded, Recovery, PIPELINE_STACK_SIZE,
+};
 pub use error::Error;
 pub use metrics::{
     CacheMetrics, LatencyStats, MetricsSnapshot, PoolMetrics, RecoveryMetrics, RunMetrics,
@@ -97,5 +99,5 @@ pub use units_runtime::{Limits, Machine, Resource, RuntimeError, UnitValue, Valu
 pub use units_syntax::{
     parse_expr, parse_file, parse_signature, parse_ty, pretty_expr, pretty_expr_indent,
     pretty_signature, pretty_ty,
-    ParseError,
+    ParseError, MAX_NESTING,
 };

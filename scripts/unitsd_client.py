@@ -5,9 +5,10 @@ Python's own json module, so the Rust client and codec cannot mask a
 framing or encoding bug on either side of the socket.
 
     python3 scripts/unitsd_client.py smoke SOCKET
-        Two tenants, load, invoke, hot swap, per-version artifacts,
-        mistyped fields, per-request budgets, admission denial, stats,
-        shutdown. Expects `unitsd --level untyped --fuel 1000000`.
+        Two tenants, load, invoke, a run nested past the reader's cap,
+        hot swap, per-version artifacts, mistyped fields, per-request
+        budgets, admission denial, stats, shutdown. Expects
+        `unitsd --level untyped --fuel 1000000`.
     python3 scripts/unitsd_client.py cold|warm|corrupt SOCKET
         One `run`, then the persistent-store checks for that phase of
         the --cache-dir gate, then shutdown.
@@ -66,6 +67,17 @@ def smoke(path):
     assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '36'
     assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '216'
 
+    # A source nested 10,000 lists deep (80 KB, far under the frame
+    # limit) is a typed refusal naming the reader's cap, not a stack
+    # overflow that aborts the daemon: the same connection and the
+    # other tenant still answer.
+    deep = '(begin ' * 10000 + '1' + ')' * 10000
+    refused = call(a, {'op': 'run', 'source': deep})
+    assert refused['ok'] is False and refused['kind'] == 'engine', refused
+    assert 'nest deeper than' in refused['message'], refused
+    assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '36'
+    assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '216'
+
     # Hot swap on tenant a only.
     swap = call(a, {'op': 'swap', 'name': 'f', 'source': cube})
     assert swap['ok'] and swap['version'] == 2, swap
@@ -98,9 +110,10 @@ def smoke(path):
     assert ok['ok'] and ok['value'] == '8', ok
 
     stats = call(b, {'op': 'stats'})['tenants']
-    assert stats['a']['rejected'] == 1 and stats['b']['ok'] == 1, stats
+    assert stats['a']['rejected'] == 1 and stats['a']['failed'] == 1, stats
+    assert stats['b']['ok'] == 2, stats
     assert call(b, {'op': 'shutdown'})['stopping']
-    print('unitsd smoke: 2 tenants, swap, admission, stats, shutdown OK')
+    print('unitsd smoke: 2 tenants, nesting cap, swap, admission, stats, shutdown OK')
 
 
 def store_gate(mode, path):

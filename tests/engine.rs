@@ -503,3 +503,88 @@ fn a_tight_fuel_cap_exhausts_a_call_typed_on_every_backend() {
         assert_eq!(err.as_resource_exhausted(), Some((Resource::Fuel, 50)), "{backend:?}");
     }
 }
+
+/// `n` copies of `open`, then `leaf`, then `n` copies of `close`.
+fn nest(open: &str, leaf: &str, close: &str, n: usize) -> String {
+    format!("{}{leaf}{}", open.repeat(n), close.repeat(n))
+}
+
+/// How many lists deep `source` nests (it holds no string literals).
+fn nesting(source: &str) -> usize {
+    let mut depth = 0usize;
+    let mut deepest = 0;
+    for b in source.bytes() {
+        match b {
+            b'(' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b')' => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// A program nested exactly `MAX_NESTING` lists deep loads, goes through
+/// the on-disk store, and runs on every backend at the untyped and a
+/// typed level, on a thread with the stack `unitsd` gives its
+/// connections. One level deeper is a parse error naming the cap.
+#[test]
+fn programs_nested_at_the_cap_run_on_every_backend() {
+    let cap = units::MAX_NESTING;
+    // `(invoke (unit (import) (export) (init …)))` opens three lists a level.
+    let unit_levels = (cap - 1) / 3;
+    let shapes = [
+        ("begin", nest("(begin ", "1", ")", cap), 1),
+        ("arithmetic", nest("(+ 1 ", "0", ")", cap), cap as i64),
+        ("tuples", nest("(proj 0 (tuple ", "7", "))", cap / 2), 7),
+        (
+            "units",
+            nest(
+                "(invoke (unit (import) (export) (init ",
+                &nest("(begin ", "5", ")", cap - 3 * unit_levels),
+                ")))",
+                unit_levels,
+            ),
+            5,
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("units-nesting-cap-{}", std::process::id()));
+    let check = move || {
+        for (shape, source, value) in &shapes {
+            assert_eq!(nesting(source), cap, "{shape}");
+            for level in [Level::Untyped, Level::Constructed] {
+                for backend in BACKENDS {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let engine = |dir: &std::path::Path| {
+                        Engine::builder().level(level).backend(backend).cache_dir(dir).build()
+                    };
+                    // A cold load writes the store entry; a second engine
+                    // over the same directory decodes it instead of parsing.
+                    for (phase, engine) in [("cold", engine(&dir)), ("warm", engine(&dir))] {
+                        let outcome =
+                            engine.load(source).and_then(|l| l.run()).unwrap_or_else(|e| {
+                                panic!("{shape} {phase} {level:?}/{backend:?}: {e}")
+                            });
+                        assert_eq!(outcome.value, Observation::Int(*value), "{shape} {phase}");
+                        let parses = engine.metrics_snapshot().cache.parses;
+                        assert_eq!(parses, u64::from(phase == "cold"), "{shape} {phase}");
+                    }
+                }
+            }
+            let err = Engine::new().load(&format!("(begin {source})")).unwrap_err();
+            assert!(
+                matches!(&err, Error::Parse(e) if e.message == format!("forms nest deeper than {cap} levels")),
+                "{shape}: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    };
+    std::thread::Builder::new()
+        .stack_size(units::PIPELINE_STACK_SIZE)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap();
+}

@@ -420,3 +420,192 @@ fn backends_agree_on_random_closed_terms() {
         }
     }
 }
+
+/// Equations in scope around a subtype judgment, as `(name, body)` sources.
+type Outer = &'static [(&'static str, &'static str)];
+
+/// One subtype judgment: its name, the outer equations, `sub`, `sup`,
+/// and the verdict — `Err` carries the reason word for word.
+type Judgment = (String, Outer, Ty, Ty, Result<(), String>);
+
+fn judgment(name: &str, outer: Outer, sub: Ty, sup: Ty, expected: Result<(), &str>) -> Judgment {
+    (name.to_string(), outer, sub, sup, expected.map_err(str::to_string))
+}
+
+/// One table of subtype judgments with their verdicts and, for the
+/// failing ones, their reasons word for word: `bench::deep_signature`
+/// and `bench::wide_signature` sizes, signatures with `where` equations
+/// under an outer equation set, expansion failures, and failing pairs
+/// for every rule of Figs. 14/17.
+#[test]
+fn subtype_verdicts_and_reasons_are_pinned() {
+    use bench::{deep_signature, wide_signature};
+
+    let ty = |src: &str| parse_ty(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let exporting = |name: &str, port: Ty| {
+        Ty::sig(Signature::new(
+            Ports::new(),
+            Ports { types: vec![], vals: vec![ValPort::typed(name, port)] },
+            Ty::Void,
+        ))
+    };
+    let with_t = |body: &str| ty(&format!("(sig (import) (export (f t)) (where (t {body})))"));
+    const NONE: Outer = &[];
+    const ENV_FN: Outer = &[("env", "(-> str int)")];
+    const ENV_INT: Outer = &[("env", "int")];
+
+    let mut table = Vec::new();
+    for depth in [2, 4, 8, 16] {
+        let d = deep_signature(depth);
+        table.push(judgment(&format!("deep {depth} ≤ itself"), NONE, d.clone(), d, Ok(())));
+        let missing = format!("supertype exports `level{}` that the subtype does not", depth - 2);
+        table.push(judgment(
+            &format!("deep {depth} ≤ one level shallower"),
+            NONE,
+            deep_signature(depth),
+            deep_signature(depth - 1),
+            Err(&missing),
+        ));
+    }
+    for width in [4, 16, 64] {
+        let wide = Ty::sig(wide_signature(width, 8));
+        let narrow = Ty::sig(wide_signature(width, 0));
+        let missing = format!("supertype exports `p{width}` that the subtype does not");
+        table.push(judgment(
+            &format!("wide {width} ≤ narrower"),
+            NONE,
+            wide.clone(),
+            narrow.clone(),
+            Ok(()),
+        ));
+        table.push(judgment(&format!("narrow {width} ≤ wider"), NONE, narrow, wide, Err(&missing)));
+    }
+    table.extend([
+        judgment(
+            "deep 16 ≤ a port one level too shallow",
+            NONE,
+            deep_signature(16),
+            exporting("level15", deep_signature(14)),
+            Err("export `level15`: supertype exports `level13` that the subtype does not"),
+        ),
+        judgment(
+            "where under outer equations",
+            ENV_FN,
+            with_t("env"),
+            ty("(sig (import) (export (f (-> str int))))"),
+            Ok(()),
+        ),
+        judgment(
+            "where under outer equations, mismatched",
+            ENV_INT,
+            with_t("env"),
+            ty("(sig (import) (export (f bool)))"),
+            Err("export `f`: int is not a subtype of bool"),
+        ),
+        judgment(
+            "both sides abbreviate alike",
+            ENV_FN,
+            with_t("env"),
+            with_t("(-> str int)"),
+            Ok(()),
+        ),
+        judgment(
+            "both sides abbreviate differently",
+            ENV_FN,
+            with_t("env"),
+            with_t("int"),
+            Err("abbreviation `t` differs: str→int vs int"),
+        ),
+        judgment(
+            "supertype abbreviates an opaque export",
+            NONE,
+            ty("(sig (import) (export (type t)))"),
+            ty("(sig (import) (export) (where (t int)))"),
+            Err("supertype claims `t` is an abbreviation, but the subtype exports it opaquely"),
+        ),
+        judgment("an abbreviation is transparent", ENV_FN, ty("env"), ty("(-> str int)"), Ok(())),
+        judgment("…in both directions", ENV_FN, ty("(-> str int)"), ty("env"), Ok(())),
+        judgment(
+            "expansion would capture",
+            &[("u", "t")],
+            ty("(sig (import (type t)) (export (f u)))"),
+            ty("(sig (import (type t)) (export (f u)))"),
+            Err("type substitution would capture interface name `t`"),
+        ),
+        judgment(
+            "cyclic outer equations",
+            &[("a", "b"), ("b", "a")],
+            ty("a"),
+            ty("int"),
+            Err("type equations form a cycle through `a`"),
+        ),
+        judgment("base types", NONE, ty("int"), ty("bool"), Err("int is not a subtype of bool")),
+        judgment(
+            "arrow arity",
+            NONE,
+            ty("(-> int int)"),
+            ty("(-> int int int)"),
+            Err("function arity differs: 1 vs 2"),
+        ),
+        judgment(
+            "contravariant parameter",
+            NONE,
+            ty("(-> int int)"),
+            ty("(-> bool int)"),
+            Err("parameter (contravariant): bool is not a subtype of int"),
+        ),
+        judgment(
+            "tuple width",
+            NONE,
+            ty("(tuple int)"),
+            ty("(tuple int int)"),
+            Err("tuple widths differ"),
+        ),
+        judgment(
+            "hash invariance",
+            NONE,
+            ty("(hash int)"),
+            ty("(hash bool)"),
+            Err("hash element types must be equal: int vs bool"),
+        ),
+        judgment(
+            "more imports",
+            NONE,
+            ty("(sig (import (x int)) (export))"),
+            ty("(sig (import) (export))"),
+            Err("subtype imports `x` that the supertype does not"),
+        ),
+        judgment(
+            "contravariant import",
+            NONE,
+            ty("(sig (import (x int)) (export))"),
+            ty("(sig (import (x bool)) (export))"),
+            Err("import `x` (contravariant): bool is not a subtype of int"),
+        ),
+        judgment(
+            "kinds",
+            NONE,
+            ty("(sig (import (type t)) (export))"),
+            ty("(sig (import (type t (=> * *))) (export))"),
+            Err("kind of `t` differs: Ω vs Ω→Ω"),
+        ),
+        judgment(
+            "undeclared dependency",
+            NONE,
+            ty("(sig (import (type i)) (export (type e)) (depends (e i)))"),
+            ty("(sig (import (type i)) (export (type e)))"),
+            Err("subtype declares dependency `e ↝ i` that the supertype does not"),
+        ),
+        judgment(
+            "initialization type",
+            NONE,
+            ty("(sig (import) (export) (init int))"),
+            ty("(sig (import) (export) (init bool))"),
+            Err("initialization type: int is not a subtype of bool"),
+        ),
+    ]);
+    for (name, outer, sub, sup, expected) in table {
+        let eqs = Equations::from_pairs(outer.iter().map(|(t, body)| (Symbol::new(*t), ty(body))));
+        assert_eq!(subtype(&eqs, &sub, &sup).map_err(|e| e.reason), expected, "{name}");
+    }
+}
