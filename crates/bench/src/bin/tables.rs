@@ -144,12 +144,13 @@ fn host_parallelism() -> usize {
 /// invoke-latency percentiles in particular are present in every build.
 fn engine_metrics_json() -> String {
     let engine = session();
-    let p = engine.load_expr(even_odd_program(100)).unwrap();
+    let src = units::pretty_expr(&even_odd_program(100));
+    let p = engine.load(&src).unwrap();
     p.run_on(Backend::Compiled).unwrap();
     p.run_on(Backend::Reducer).unwrap();
     p.run_on(Backend::Bytecode).unwrap();
-    // The α-invariant term index answers this one: a recorded hit.
-    engine.load_expr(even_odd_program(100)).unwrap();
+    // The same source text again: a recorded hit.
+    engine.load(&src).unwrap();
     engine.metrics_snapshot().to_json().render()
 }
 

@@ -2,12 +2,11 @@
 //!
 //! [`alpha_hash`] computes a hash that is *consistent with*
 //! [`crate::alpha_eq`]: two α-equivalent terms always hash alike, so the
-//! hash can key a content-addressed cache of checked artifacts (the
-//! engine in the `units` facade) with [`crate::alpha_eq`] as the
-//! collision-confirming comparison. The traversal mirrors `alpha.rs`
-//! exactly: bound (renamable) names hash by their position in the
-//! lexical scope stack, while free names and interface names — ports,
-//! signature type variables — hash by symbol.
+//! hash can key a table of terms up to α-renaming, with
+//! [`crate::alpha_eq`] as the collision-confirming comparison. The
+//! traversal mirrors `alpha.rs` exactly: bound (renamable) names hash
+//! by their position in the lexical scope stack, while free names and
+//! interface names — ports, signature type variables — hash by symbol.
 //!
 //! The hash is only stable within one process (it hashes interned
 //! [`Symbol`]s); it is not a serialization format.

@@ -347,9 +347,8 @@ impl Repl {
         }
         let snap = self.engine.metrics_snapshot();
         println!(
-            ";; cache:    {} source hits, {} term hits, {} misses, {} evictions, {} artifacts",
+            ";; cache:    {} source hits, {} misses, {} evictions, {} artifacts",
             snap.cache.source_hits,
-            snap.cache.term_hits,
             snap.cache.misses,
             snap.cache.evictions,
             snap.cache.entries

@@ -8,15 +8,19 @@
 //! [`crate::ServeError::kind`] vocabulary, plus the transport's own
 //! `"bad-request"` and `"no-tenant"`) and a human `"message"`.
 //!
-//! | op         | request fields                              | ok-response fields        |
-//! |------------|---------------------------------------------|---------------------------|
-//! | `hello`    | `tenant`                                    | `tenant`                  |
-//! | `load`     | `name`, `source`, `sig?`                    | `name`, `version`         |
-//! | `swap`     | `name`, `source`, `sig?`                    | `name`, `version`, `evicted` |
-//! | `invoke`   | `name`, `arg?`, `fuel?`, `depth?`, `cells?` | `value`, `output`         |
-//! | `run`      | `source`, `fuel?`, `depth?`, `cells?`       | `value`, `output`         |
-//! | `stats`    | —                                           | `tenants`                 |
-//! | `shutdown` | —                                           | `stopping`                |
+//! | op         | request fields                              | ok-response fields                   |
+//! |------------|---------------------------------------------|--------------------------------------|
+//! | `hello`    | `tenant`                                    | `tenant`                             |
+//! | `load`     | `name`, `source`, `sig?`                    | `name`, `version`                    |
+//! | `swap`     | `name`, `source`, `sig?`                    | `name`, `version`                    |
+//! | `invoke`   | `name`, `arg?`, `fuel?`, `depth?`, `cells?` | `value`, `output`                    |
+//! | `run`      | `source`, `fuel?`, `depth?`, `cells?`       | `value`, `output`                    |
+//! | `stats`    | —                                           | `tenants`, `engine`, `idle_timeouts` |
+//! | `shutdown` | —                                           | `stopping`                           |
+//!
+//! A `stats` reply's `engine` object is the engine's metrics snapshot
+//! (`units::MetricsSnapshot::to_json`), and `idle_timeouts` counts the
+//! connections closed for sitting idle.
 //!
 //! The optional `fuel` / `depth` / `cells` fields form the per-request
 //! [`Limits`]; admission control compares them against the tenant's cap.

@@ -189,7 +189,6 @@ fn dispatch_tenant_op(tenant: &Tenant, request: Request) -> Json {
             Ok(info) => ok_response([
                 ("name", Json::str(info.name)),
                 ("version", Json::Int(info.version as i64)),
-                ("evicted", Json::Bool(info.evicted)),
             ]),
             Err(e) => serve_error_response(&e),
         }

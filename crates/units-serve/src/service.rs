@@ -19,22 +19,24 @@
 //! closed, checkable unit. [`Tenant::swap_plugin`] replaces the
 //! current version atomically behind an `Arc` — in-flight requests
 //! holding a [`PluginVersion`] finish on the artifacts they started
-//! with, and the swapped-out artifacts are evicted from the engine's
-//! caches.
+//! with, and the swapped-out version is freed when the last of them
+//! ends.
 //!
-//! Each version owns at most two engine artifacts: `(invoke unit)`,
-//! built at publish and run by argument-less invokes, and the *call
-//! artifact* `(lambda (arg) ((invoke unit) arg))`, built on the first
-//! invoke that carries an argument and then applied to every later
-//! argument with [`Loaded::call_with`]. A warm invoke therefore builds,
-//! hashes, and looks up no term, whatever its argument.
+//! Each version owns at most two engine artifacts, built with
+//! [`Engine::load_expr`] and so never in the engine's cache:
+//! `(invoke unit)`, built at publish and run by argument-less invokes,
+//! and the *call artifact* `(lambda (arg) ((invoke unit) arg))`, built
+//! on the first invoke that carries an argument and then applied to
+//! every later argument with [`Loaded::call_with`]. A warm invoke
+//! therefore builds, hashes, and looks up no term, whatever its
+//! argument.
 //!
 //! The socket server in [`crate::server`] is a thin wire adapter over
 //! this module; tests and benches call it directly and skip the kernel.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -245,7 +247,8 @@ struct PluginSlot {
 /// An invoke snapshots the slot's `Arc<PluginVersion>` and runs on it;
 /// a concurrent [`Tenant::swap_plugin`] replaces the slot but cannot
 /// touch versions already snapshotted, so in-flight requests complete
-/// on the artifacts they started with.
+/// on the artifacts they started with. The version owns its artifacts,
+/// so they are freed with the last snapshot.
 #[derive(Debug)]
 pub struct PluginVersion {
     name: String,
@@ -253,8 +256,6 @@ pub struct PluginVersion {
     loaded: Loaded,
     /// The call artifact, built on the first invoke with an argument.
     call: OnceLock<Loaded>,
-    /// Set by the swap that replaced this version.
-    retired: AtomicBool,
 }
 
 impl PluginVersion {
@@ -269,8 +270,8 @@ impl PluginVersion {
     }
 
     /// The owned engine handle behind this version — the artifact an
-    /// argument-less invoke runs. It stays runnable after a swap
-    /// evicts it from the engine's caches.
+    /// argument-less invoke runs. It stays runnable after a swap, for as
+    /// long as anything holds it.
     pub fn loaded(&self) -> &Loaded {
         &self.loaded
     }
@@ -289,24 +290,8 @@ impl PluginVersion {
         };
         let body = Expr::app(self.loaded.expr().clone(), vec![Expr::var("arg")]);
         let loaded = engine.load_expr(Expr::lambda(vec![arg], body))?;
-        let call = self.call.get_or_init(|| loaded);
-        // The SeqCst fences here and in `retire` order the flag against
-        // the `OnceLock` store: either the swap sees this artifact and
-        // evicts it, or this sees the swap and does (both is harmless).
-        fence(Ordering::SeqCst);
-        if self.retired.load(Ordering::Relaxed) {
-            engine.evict(call);
-        }
-        Ok(call)
-    }
-
-    /// Marks this version swapped out and evicts both of its artifacts
-    /// from the engine's caches; returns whether anything was evicted.
-    fn retire(&self, engine: &Engine) -> bool {
-        self.retired.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let call = self.call.get().is_some_and(|call| engine.evict(call));
-        engine.evict(&self.loaded) | call
+        // Racing first invokes may each build one; the first stored wins.
+        Ok(self.call.get_or_init(|| loaded))
     }
 }
 
@@ -317,9 +302,6 @@ pub struct PublishInfo {
     pub name: String,
     /// The version now current.
     pub version: u64,
-    /// For swaps: whether the replaced version's artifacts were still in
-    /// the engine's caches and got evicted. Always `false` for loads.
-    pub evicted: bool,
 }
 
 /// A point-in-time view of one tenant's counters.
@@ -461,7 +443,7 @@ impl Tenant {
         }
         plugins
             .insert(name.to_string(), Arc::new(PluginSlot { current: Mutex::new(version) }));
-        Ok(PublishInfo { name: name.to_string(), version: 1, evicted: false })
+        Ok(PublishInfo { name: name.to_string(), version: 1 })
     }
 
     /// Hot-swaps the plug-in `name` to a new version.
@@ -470,9 +452,9 @@ impl Tenant {
     /// touched; a rejected swap leaves the old version serving. The
     /// replacement itself is one `Arc` store: requests that already
     /// snapshotted the old version finish on it, requests arriving
-    /// after the swap see the new one. The old version's artifacts —
-    /// including a call artifact its in-flight requests build later —
-    /// are evicted from the engine's caches.
+    /// after the swap see the new one. The old version — with a call
+    /// artifact its in-flight requests build later — is freed when the
+    /// last of them ends.
     ///
     /// # Errors
     ///
@@ -489,11 +471,8 @@ impl Tenant {
         // across the version read *and* the store.
         let mut current = slot.current.lock().expect("plug-in slot poisoned");
         let next_version = current.version + 1;
-        let version = self.publish(name, source, signature, next_version)?;
-        let old = std::mem::replace(&mut *current, version);
-        drop(current);
-        let evicted = old.retire(&self.service.engine);
-        Ok(PublishInfo { name: name.to_string(), version: next_version, evicted })
+        *current = self.publish(name, source, signature, next_version)?;
+        Ok(PublishInfo { name: name.to_string(), version: next_version })
     }
 
     /// The currently served version of plug-in `name` — the same
@@ -719,13 +698,8 @@ impl Tenant {
             .engine
             .load_expr(Expr::invoke_program(unit))
             .map_err(|e| rejected(format!("unit does not link: {e}")))?;
-        Ok(Arc::new(PluginVersion {
-            name: name.to_string(),
-            version,
-            loaded,
-            call: OnceLock::new(),
-            retired: AtomicBool::new(false),
-        }))
+        let call = OnceLock::new();
+        Ok(Arc::new(PluginVersion { name: name.to_string(), version, loaded, call }))
     }
 
     fn slot(&self, name: &str) -> Result<Arc<PluginSlot>, ServeError> {
@@ -780,7 +754,6 @@ mod tests {
 
         let info = tenant.swap_plugin("f", CUBE, None).unwrap();
         assert_eq!(info.version, 2);
-        assert!(info.evicted, "the swapped-out artifact leaves the caches");
 
         // New requests see the new version; the pinned snapshot still
         // runs the old artifact.

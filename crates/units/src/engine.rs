@@ -1,13 +1,14 @@
 //! Engine sessions: cached artifacts, parallel checking, budgeted runs.
 //!
 //! An [`Engine`] is a long-lived session that owns a cache of checked and
-//! slot-resolved unit artifacts. The cache is keyed by a content hash of
-//! the alpha-normalized kernel term together with the [`CheckOptions`],
-//! so loading the same source twice — or an alpha-renamed copy of it —
-//! skips the Fig. 10/15/19 checks and the §4.1.6 resolution prepass, and
-//! every instantiation shares one compiled copy of the code (the paper's
-//! "one copy of the code regardless of how many times the unit is linked
-//! or invoked").
+//! slot-resolved unit artifacts. The cache is keyed by a hash of the
+//! source text together with the [`CheckOptions`], so loading the same
+//! source twice skips parsing, the Fig. 10/15/19 checks and the §4.1.6
+//! resolution prepass, and every instantiation shares one compiled copy
+//! of the code (the paper's "one copy of the code regardless of how many
+//! times the unit is linked or invoked"). [`Engine::load_expr`] has no
+//! source text to key by: it compiles a fresh artifact owned by the
+//! handle it returns.
 //!
 //! Independent sources (top-level batches, [`Archive`] entries) run the
 //! whole parse → check → resolve → lower pipeline in parallel on a
@@ -64,14 +65,12 @@
 //!     .level(Level::Untyped)
 //!     .limits(Limits::none().fuel(100_000))
 //!     .build();
-//! let outcome = engine.invoke(
-//!     "(define hello (unit (import) (export) (init (* 6 7))))
-//!      (invoke hello)",
-//! )?;
+//! let source = "(define hello (unit (import) (export) (init (* 6 7))))
+//!               (invoke hello)";
+//! let outcome = engine.invoke(source)?;
 //! assert_eq!(outcome.value, Observation::Int(42));
-//! // A second invocation of the same source is a cache hit.
-//! engine.invoke("(define hello (unit (import) (export) (init (* 6 7))))
-//!                (invoke hello)")?;
+//! // A second invocation of the same source text is a cache hit.
+//! engine.invoke(source)?;
 //! assert_eq!(engine.cache_stats().hits, 1);
 //! # Ok::<(), units::Error>(())
 //! ```
@@ -89,7 +88,7 @@ use units_check::{check_program, CheckOptions, Level, Strictness};
 use units_compile::{
     apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile,
 };
-use units_kernel::{alpha_eq, alpha_hash, Expr, Ty};
+use units_kernel::{Expr, Ty};
 use units_reduce::Reducer;
 use units_runtime::{execute, vm, Chunk, Limits, Machine, Resource, Value};
 use units_store::{Lookup, Store};
@@ -113,7 +112,7 @@ use crate::outcome::{Backend, Outcome};
 pub const PIPELINE_STACK_SIZE: usize = 8 << 20;
 
 /// A checked (and, for the production backend, slot-resolved) program,
-/// shared by every load that produced it.
+/// shared by every load of the same source text.
 #[derive(Debug)]
 struct Artifact {
     /// The parsed kernel term, as written.
@@ -124,8 +123,7 @@ struct Artifact {
     resolved: Option<Expr>,
     /// The flat-bytecode chunk the VM backend runs: lowered from the
     /// resolved form on the first bytecode run, then shared by every
-    /// later run. Because the artifact itself is cached under both the
-    /// raw-source and alpha-normalized keys, the chunk is too.
+    /// later run of this artifact, from any load of its source.
     chunk: OnceLock<Arc<Chunk>>,
 }
 
@@ -143,19 +141,14 @@ impl Artifact {
     }
 }
 
-#[derive(Debug, Default)]
-struct Cache {
-    /// Exact-source fast path: hash of the raw text (plus options).
-    by_source: HashMap<u64, Arc<Artifact>>,
-    /// Content path: alpha-normalized term hash (plus options), with the
-    /// bucket confirmed by [`alpha_eq`] to rule out collisions.
-    by_term: HashMap<u64, Vec<Arc<Artifact>>>,
-}
+/// The artifact cache: one entry per source key
+/// ([`EngineInner::source_key`]).
+type Cache = HashMap<u64, Arc<Artifact>>;
 
 /// Cache counters, for tests and dashboards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Loads satisfied from the cache (by source text or by term).
+    /// Loads satisfied from the cache by their source text.
     pub hits: u64,
     /// Loads that had to check and resolve from scratch.
     pub misses: u64,
@@ -533,15 +526,14 @@ impl Engine {
     /// Cache hit/miss counters and current entry count.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.inner.metrics.source_hits.load(Relaxed)
-                + self.inner.metrics.term_hits.load(Relaxed),
+            hits: self.inner.metrics.source_hits.load(Relaxed),
             misses: self.inner.metrics.misses.load(Relaxed),
             entries: self.inner.cache_entries(),
         }
     }
 
     /// A structured snapshot of the engine's always-on metrics plane:
-    /// cache behaviour per key kind, worker-pool activity, recovery
+    /// cache hits, misses and evictions, worker-pool activity, recovery
     /// actions by policy stage, run totals with fuel and store-cell
     /// high-water marks, and invoke latency percentiles (p50/p99 from
     /// log₂-ns histogram buckets). Available in every build — only the
@@ -565,28 +557,14 @@ impl Engine {
         self.inner.flight.lock().unwrap().clone()
     }
 
-    /// Drops a loaded program's artifact from the session cache, so the
-    /// next load of the same source checks and resolves from scratch.
-    /// Returns whether anything was actually removed (a second eviction
-    /// of the same handle, or of one the engine already evicted after a
-    /// panic, is a no-op).
-    ///
-    /// The handle itself — and every clone of it — keeps working: it
-    /// owns the artifact by `Arc`, so in-flight runs finish on the copy
-    /// they captured. This is the primitive a hot-swapping server uses
-    /// to retire a replaced plug-in.
-    pub fn evict(&self, loaded: &Loaded) -> bool {
-        self.inner.evict_artifact(&loaded.artifact)
-    }
-
     /// Wraps an artifact in an owned handle tied (weakly) to this session.
     fn handle(&self, artifact: Arc<Artifact>) -> Loaded {
         Loaded { engine: Arc::downgrade(&self.inner), artifact }
     }
 
     /// Parses, checks, and resolves `source` — or retrieves the cached
-    /// artifact if an identical (or alpha-equal) program was loaded
-    /// before under the same options.
+    /// artifact if the same source text was loaded before under the
+    /// same options.
     ///
     /// # Errors
     ///
@@ -605,8 +583,11 @@ impl Engine {
         }
     }
 
-    /// Wraps an already-built expression (no parsing; still checked,
-    /// resolved, and cached by term).
+    /// Checks and resolves an already-built expression (no parsing)
+    /// into an artifact the returned handle alone owns: there is no
+    /// source text to key the cache by, so nothing is cached and every
+    /// call counts one miss. A caller that runs the expression again
+    /// keeps the handle.
     ///
     /// # Errors
     ///
@@ -615,13 +596,9 @@ impl Engine {
         recorder::ensure(recorder::DEFAULT_CAPACITY);
         let inner = &self.inner;
         let result = guard("load", || {
-            // No source text, so key the source map by the term hash too.
-            let tkey = inner.term_key(&expr);
-            if let Some(artifact) = inner.term_lookup(tkey, tkey, &expr) {
-                inner.record_hit(false);
-                return Ok(artifact);
-            }
-            inner.admit(tkey, tkey, expr, None)
+            let artifact = inner.compile(expr)?;
+            bump(&inner.metrics.misses);
+            Ok(Arc::new(artifact))
         });
         match result {
             Ok(artifact) => Ok(self.handle(artifact)),
@@ -694,7 +671,7 @@ impl Engine {
                 .enumerate()
                 .filter(|(_, s)| {
                     let key = inner.source_key(s);
-                    seen.insert(key) && !cache.by_source.contains_key(&key)
+                    seen.insert(key) && !cache.contains_key(&key)
                 })
                 .map(|(i, s)| (i, *s))
                 .collect()
@@ -812,7 +789,7 @@ impl EngineInner {
     }
 
     fn cache_entries(&self) -> usize {
-        self.cache.lock().unwrap().by_term.values().map(Vec::len).sum()
+        self.cache.lock().unwrap().len()
     }
 
     fn source_key(&self, source: &str) -> u64 {
@@ -823,121 +800,57 @@ impl EngineInner {
         h.finish()
     }
 
-    fn term_key(&self, expr: &Expr) -> u64 {
-        let mut h = DefaultHasher::new();
-        alpha_hash(expr).hash(&mut h);
-        self.opts.hash(&mut h);
-        self.resolve.hash(&mut h);
-        h.finish()
-    }
-
-    /// One cache hit, attributed to its key kind: `source` for the
-    /// raw-source fast path, else the α-invariant term index.
-    fn record_hit(&self, source: bool) {
-        bump(if source { &self.metrics.source_hits } else { &self.metrics.term_hits });
-    }
-
-    fn record_miss(&self) {
-        bump(&self.metrics.misses);
-    }
-
-    /// Drops `artifact` from both cache maps. A run that panicked says
-    /// nothing about how far it got before dying, so the artifact it
-    /// was running is invalidated rather than trusted on the next load;
-    /// a server retiring a swapped-out plug-in uses the same path.
-    /// Returns whether anything was removed.
-    fn evict_artifact(&self, artifact: &Arc<Artifact>) -> bool {
+    /// Drops `artifact` from the cache. A run that panicked says nothing
+    /// about how far it got before dying, so the artifact it was running
+    /// is invalidated rather than trusted on the next load. Handles keep
+    /// the artifact they own.
+    fn evict_artifact(&self, artifact: &Arc<Artifact>) {
         let mut cache = self.cache.lock().unwrap();
-        let before: usize = cache.by_term.values().map(Vec::len).sum();
-        cache.by_source.retain(|_, a| !Arc::ptr_eq(a, artifact));
-        for bucket in cache.by_term.values_mut() {
-            bucket.retain(|a| !Arc::ptr_eq(a, artifact));
-        }
-        cache.by_term.retain(|_, bucket| !bucket.is_empty());
-        let removed = cache.by_term.values().map(Vec::len).sum::<usize>() < before;
-        drop(cache);
-        if removed {
+        let before = cache.len();
+        cache.retain(|_, a| !Arc::ptr_eq(a, artifact));
+        if cache.len() < before {
             bump(&self.metrics.evictions);
         }
-        removed
     }
 
-    /// The cached artifact alpha-equal to `expr`, if any, registering the
-    /// source key as a fast path for next time.
-    fn term_lookup(&self, skey: u64, tkey: u64, expr: &Expr) -> Option<Arc<Artifact>> {
-        let mut cache = self.cache.lock().unwrap();
-        let found = cache
-            .by_term
-            .get(&tkey)?
-            .iter()
-            .find(|a| alpha_eq(&a.expr, expr))
-            .cloned()?;
-        cache.by_source.insert(skey, found.clone());
-        Some(found)
-    }
-
-    /// Checks and resolves `expr` from scratch, caching the artifact
-    /// under both keys.
-    ///
-    /// Checking and resolution run outside the cache lock — they are the
-    /// expensive part and perfectly parallel. Under the lock the term
-    /// bucket is re-checked, so when two threads race on alpha-equal
-    /// programs exactly one artifact is admitted and the loser shares it
-    /// (counted as a term hit, because that is what it observed).
-    fn admit(
-        &self,
-        skey: u64,
-        tkey: u64,
-        expr: Expr,
-        source: Option<&str>,
-    ) -> Result<Arc<Artifact>, Error> {
+    /// Checks and resolves `expr` from scratch, into an artifact nothing
+    /// caches yet.
+    fn compile(&self, expr: Expr) -> Result<Artifact, Error> {
         let ty = check_program(&expr, self.opts)?;
         let resolved = if self.resolve { Some(resolve_program(&expr)) } else { None };
-        let mut cache = self.cache.lock().unwrap();
-        if let Some(found) = cache
-            .by_term
-            .get(&tkey)
-            .and_then(|b| b.iter().find(|a| alpha_eq(&a.expr, &expr)).cloned())
-        {
-            cache.by_source.insert(skey, found.clone());
-            drop(cache);
-            self.record_hit(false);
-            return Ok(found);
-        }
-        let artifact = Arc::new(Artifact { expr, ty, resolved, chunk: OnceLock::new() });
-        cache.by_source.insert(skey, artifact.clone());
-        cache.by_term.entry(tkey).or_default().push(artifact.clone());
-        drop(cache);
-        self.record_miss();
-        self.store_write(skey, source, &artifact);
-        Ok(artifact)
+        Ok(Artifact { expr, ty, resolved, chunk: OnceLock::new() })
     }
 
-    /// Inserts an artifact rebuilt from a verified store entry, racing
-    /// fairly against concurrent in-memory admissions of the same term
-    /// (the loser shares the winner, exactly like [`EngineInner::admit`]).
-    fn admit_prebuilt(&self, skey: u64, tkey: u64, artifact: Artifact) -> Arc<Artifact> {
+    /// Caches `artifact` under `skey`. `compiled_from` is the source a
+    /// fresh compile came from; a store hit passes `None`.
+    ///
+    /// Building an artifact runs outside the cache lock — it is the
+    /// expensive part and perfectly parallel. Under the lock the key is
+    /// checked again, so when threads race on one source exactly one
+    /// artifact is admitted and every loser shares it, counted as a hit
+    /// because that is what it observed. Only a fresh compile that wins
+    /// counts a miss and writes through to the store.
+    fn admit(&self, skey: u64, artifact: Artifact, compiled_from: Option<&str>) -> Arc<Artifact> {
         let mut cache = self.cache.lock().unwrap();
-        if let Some(found) = cache
-            .by_term
-            .get(&tkey)
-            .and_then(|b| b.iter().find(|a| alpha_eq(&a.expr, &artifact.expr)).cloned())
-        {
-            cache.by_source.insert(skey, found.clone());
+        if let Some(found) = cache.get(&skey).cloned() {
             drop(cache);
-            self.record_hit(false);
+            bump(&self.metrics.source_hits);
             return found;
         }
         let artifact = Arc::new(artifact);
-        cache.by_source.insert(skey, artifact.clone());
-        cache.by_term.entry(tkey).or_default().push(artifact.clone());
+        cache.insert(skey, artifact.clone());
+        drop(cache);
+        if let Some(source) = compiled_from {
+            bump(&self.metrics.misses);
+            self.store_write(skey, source, &artifact);
+        }
         artifact
     }
 
-    /// Probes the persistent store for `source`, admitting a verified
-    /// entry into the in-memory cache. `None` on any miss — including
-    /// corruption, which is quarantined and counted but never an error.
-    fn store_probe(&self, skey: u64, source: &str) -> Option<Arc<Artifact>> {
+    /// Probes the persistent store for `source`, rebuilding the artifact
+    /// of a verified entry. `None` on any miss — including corruption,
+    /// which is quarantined and counted but never an error.
+    fn store_probe(&self, skey: u64, source: &str) -> Option<Artifact> {
         let store = self.store.as_ref()?;
         match store.read(skey, source) {
             Lookup::Hit(entry) => {
@@ -947,10 +860,7 @@ impl EngineInner {
                 if let Some(lowered) = entry.chunk {
                     let _ = chunk.set(Arc::new(lowered));
                 }
-                let artifact =
-                    Artifact { expr: entry.expr, ty: entry.ty, resolved: entry.resolved, chunk };
-                let tkey = self.term_key(&artifact.expr);
-                Some(self.admit_prebuilt(skey, tkey, artifact))
+                Some(Artifact { expr: entry.expr, ty: entry.ty, resolved: entry.resolved, chunk })
             }
             Lookup::Miss => {
                 bump(&self.metrics.store_misses);
@@ -967,12 +877,10 @@ impl EngineInner {
     }
 
     /// Writes a freshly admitted artifact through to the persistent
-    /// store, best-effort. Only the source-keyed path writes
-    /// ([`Engine::load_expr`] has no source text to verify against), and
-    /// on the bytecode backend the chunk is lowered first so a
-    /// warm-started process gets run-ready artifacts.
-    fn store_write(&self, skey: u64, source: Option<&str>, artifact: &Arc<Artifact>) {
-        let (Some(store), Some(source)) = (self.store.as_ref(), source) else { return };
+    /// store, best-effort. On the bytecode backend the chunk is lowered
+    /// first so a warm-started process gets run-ready artifacts.
+    fn store_write(&self, skey: u64, source: &str, artifact: &Arc<Artifact>) {
+        let Some(store) = self.store.as_ref() else { return };
         if !store.writable() {
             return;
         }
@@ -990,30 +898,25 @@ impl EngineInner {
         }
     }
 
-    /// The un-guarded load pipeline: cache probes, then
-    /// parse → check → resolve → admit. Shared by [`Engine::load`] and
-    /// the batch workers — both run the *same* code, the only difference
-    /// is which unwind boundary and fault plane wraps it.
+    /// The un-guarded load pipeline: the cache probe, the store probe,
+    /// then parse → check → resolve → admit. Shared by [`Engine::load`]
+    /// and the batch workers — both run the *same* code, the only
+    /// difference is which unwind boundary and fault plane wraps it.
     fn load_uncached(&self, source: &str) -> Result<Arc<Artifact>, Error> {
         let skey = self.source_key(source);
-        if let Some(artifact) = self.cache.lock().unwrap().by_source.get(&skey).cloned() {
-            self.record_hit(true);
+        if let Some(artifact) = self.cache.lock().unwrap().get(&skey).cloned() {
+            bump(&self.metrics.source_hits);
             return Ok(artifact);
         }
         // The persistent store sits between the in-memory probe and the
         // parser: a verified disk entry skips parse, check, resolve, and
         // (when the writer lowered) the bytecode lowering too.
         if let Some(artifact) = self.store_probe(skey, source) {
-            return Ok(artifact);
+            return Ok(self.admit(skey, artifact, None));
         }
         bump(&self.metrics.parses);
-        let expr = parse_file(source)?;
-        let tkey = self.term_key(&expr);
-        if let Some(artifact) = self.term_lookup(skey, tkey, &expr) {
-            self.record_hit(false);
-            return Ok(artifact);
-        }
-        self.admit(skey, tkey, expr, Some(source))
+        let artifact = self.compile(parse_file(source)?)?;
+        Ok(self.admit(skey, artifact, Some(source)))
     }
 
     /// One governed run of `artifact`: unwind boundary, recovery policy,
@@ -1217,14 +1120,15 @@ impl EngineInner {
     }
 }
 
-/// A checked, cached program — an owned, thread-safe handle, ready to
-/// run under the engine's limits.
+/// A checked program — an owned, thread-safe handle, ready to run under
+/// the engine's limits.
 ///
-/// Produced by [`Engine::load`]. The handle owns the artifact
-/// (`Arc`-shared with the session cache and every other load of the
-/// same program) and holds the session by `Weak` reference, so it can
-/// be cloned, stored, and sent across threads freely; it neither keeps
-/// the engine alive nor borrows it. Running a handle whose engine has
+/// Produced by [`Engine::load`] and [`Engine::load_expr`]. The handle
+/// owns the artifact by `Arc` (shared, for a [`Engine::load`], with the
+/// session cache and every other load of the same source text) and
+/// holds the session by `Weak` reference, so it can be cloned, stored,
+/// and sent across threads freely; it neither keeps the engine alive
+/// nor borrows it. Running a handle whose engine has
 /// been dropped fails with [`Error::SessionClosed`]; methods that only
 /// inspect the artifact keep working forever.
 #[derive(Debug, Clone)]
@@ -1336,9 +1240,9 @@ impl Loaded {
     /// `Int(arg)`, as one governed run on `backend` under `limits` — the
     /// same unwind boundary, metrics, flight dump, and recovery policy
     /// as [`Loaded::run_with`]. A program that evaluates to a procedure
-    /// is checked, resolved, and cached once, then called with any
-    /// number of arguments without another load: no term to build, hash,
-    /// or look up per call. The compiled backend applies through
+    /// is checked and resolved once, then called with any number of
+    /// arguments without another load: no term to build, hash, or look
+    /// up per call. The compiled backend applies through
     /// `units_compile::apply`, the bytecode backend through
     /// `units_runtime::vm::apply`, and the reducer reduces
     /// `(program arg)`.
@@ -1426,15 +1330,17 @@ mod tests {
     }
 
     #[test]
-    fn alpha_renamed_sources_share_one_artifact() {
+    fn respelled_sources_are_separate_misses() {
         let engine = Engine::new();
         engine.invoke(SQUARE).unwrap();
+        // The same program up to α-renaming, spelled differently: the
+        // cache keys source text, so this compiles its own artifact.
         let renamed = "(invoke (unit (import) (export)
             (define sq (lambda (m) (* m m)))
             (init (sq 12))))";
         assert_eq!(engine.invoke(renamed).unwrap().value, Observation::Int(144));
         let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
     }
 
     #[test]
@@ -1491,21 +1397,6 @@ mod tests {
         assert_eq!(err.as_resource_exhausted(), Some((Resource::Fuel, 500)));
         // The session default is untouched.
         assert_eq!(engine.limits().fuel, Some(1_000_000));
-    }
-
-    #[test]
-    fn explicit_eviction_keeps_handles_usable() {
-        let engine = Engine::new();
-        let loaded = engine.load(SQUARE).unwrap();
-        assert_eq!(engine.cache_stats().entries, 1);
-        assert!(engine.evict(&loaded), "first eviction removes the artifact");
-        assert!(!engine.evict(&loaded), "second eviction is a no-op");
-        assert_eq!(engine.cache_stats().entries, 0);
-        // The handle still owns the artifact and still runs.
-        assert_eq!(loaded.run().unwrap().value, Observation::Int(144));
-        // A fresh load re-admits (a miss, not a hit).
-        engine.load(SQUARE).unwrap();
-        assert_eq!(engine.cache_stats().misses, 2);
     }
 
     #[test]
@@ -1651,8 +1542,13 @@ mod tests {
             assert_eq!(stage, "run");
             assert!(message.contains("injected panic at runtime/prim"), "{message}");
             assert_eq!(engine.cache_stats().entries, 0, "failed run's artifact evicted");
-            // The session is still usable: a reload re-admits and runs.
+            assert_eq!(engine.metrics_snapshot().cache.evictions, 1);
+            // The evicted handle still owns its artifact and still runs.
+            assert_eq!(loaded.run().unwrap().value, Observation::Int(144));
+            // The session is still usable: a reload re-admits (a miss,
+            // not a hit) and runs.
             assert_eq!(engine.invoke(SQUARE).unwrap().value, Observation::Int(144));
+            assert_eq!(engine.cache_stats().misses, 2);
         }
     }
 
@@ -1687,12 +1583,14 @@ mod tests {
     }
 
     #[test]
-    fn load_expr_caches_by_term() {
+    fn load_expr_caches_nothing() {
         let engine = Engine::new();
         let expr = units_syntax::parse_expr(SQUARE).unwrap();
         engine.load_expr(expr.clone()).unwrap();
-        engine.load_expr(expr).unwrap();
+        let loaded = engine.load_expr(expr).unwrap();
         let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
+        // The handle owns the artifact the cache never saw.
+        assert_eq!(loaded.run().unwrap().value, Observation::Int(144));
     }
 }

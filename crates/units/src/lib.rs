@@ -20,7 +20,7 @@
 //! ## Engine quick start
 //!
 //! An [`Engine`] is a session: it checks programs (in parallel for
-//! batches), caches the checked/resolved artifacts by content hash, and
+//! batches), caches the checked/resolved artifacts by source text, and
 //! runs them under resource budgets.
 //!
 //! ```
@@ -39,8 +39,8 @@
 //!               (with even) (provides odd)))))",
 //! )?;
 //! assert_eq!(outcome.value, Observation::Bool(true));
-//! // Loading the same (or an alpha-renamed) source again skips
-//! // checking and resolution entirely:
+//! // Loading the same source text again skips parsing, checking and
+//! // resolution entirely:
 //! assert_eq!(engine.cache_stats().misses, 1);
 //! # Ok::<(), units::Error>(())
 //! ```

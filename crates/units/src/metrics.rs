@@ -29,7 +29,6 @@ use units_trace::DurationStats;
 #[derive(Debug, Default)]
 pub(crate) struct EngineMetrics {
     pub source_hits: AtomicU64,
-    pub term_hits: AtomicU64,
     pub misses: AtomicU64,
     pub evictions: AtomicU64,
     pub parses: AtomicU64,
@@ -92,7 +91,6 @@ impl EngineMetrics {
         MetricsSnapshot {
             cache: CacheMetrics {
                 source_hits: self.source_hits.load(Relaxed),
-                term_hits: self.term_hits.load(Relaxed),
                 misses: self.misses.load(Relaxed),
                 evictions: self.evictions.load(Relaxed),
                 parses: self.parses.load(Relaxed),
@@ -138,7 +136,6 @@ impl EngineMetrics {
     pub fn reset(&self) {
         for counter in [
             &self.source_hits,
-            &self.term_hits,
             &self.misses,
             &self.evictions,
             &self.parses,
@@ -166,21 +163,19 @@ impl EngineMetrics {
     }
 }
 
-/// Artifact-cache behaviour, split by key kind (raw source hash vs
-/// α-invariant term hash).
+/// Artifact-cache behaviour. The cache is keyed by source text, so
+/// every hit is a source hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheMetrics {
-    /// Loads answered from the raw-source fast path.
+    /// Loads answered from the cache by their source text.
     pub source_hits: u64,
-    /// Loads answered from the α-invariant term index.
-    pub term_hits: u64,
     /// Loads that had to check and resolve from scratch.
     pub misses: u64,
     /// Artifacts evicted after a panic poisoned them.
     pub evictions: u64,
-    /// Source texts the engine actually parsed. Cache hits skip parsing
-    /// on the raw-source fast path, so this stays flat on warm loads —
-    /// the "winners are shared, not re-parsed" invariant, measured.
+    /// Source texts the engine actually parsed. Cache hits skip parsing,
+    /// so this stays flat on warm loads — the "winners are shared, not
+    /// re-parsed" invariant, measured.
     pub parses: u64,
     /// Artifacts currently cached.
     pub entries: usize,
@@ -267,7 +262,7 @@ pub struct LatencyStats {
 /// `unitsd stats`, the bench harness and CI gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
-    /// Cache hits/misses/evictions per key kind.
+    /// Cache hits, misses, evictions, parses, and entries.
     pub cache: CacheMetrics,
     /// Worker-pool batches, jobs, and peak width.
     pub pool: PoolMetrics,
@@ -295,7 +290,6 @@ impl MetricsSnapshot {
                 "cache",
                 section(&[
                     ("source_hits", cache.source_hits),
-                    ("term_hits", cache.term_hits),
                     ("misses", cache.misses),
                     ("evictions", cache.evictions),
                     ("parses", cache.parses),

@@ -6,7 +6,7 @@ framing or encoding bug on either side of the socket.
 
     python3 scripts/unitsd_client.py smoke SOCKET
         Two tenants, load, invoke, a run nested past the reader's cap,
-        hot swap, per-version artifacts, mistyped fields, per-request
+        hot swap, version-owned artifacts, mistyped fields, per-request
         budgets, admission denial, stats, shutdown. Expects
         `unitsd --level untyped --fuel 1000000`.
     python3 scripts/unitsd_client.py cold|warm|corrupt SOCKET
@@ -80,17 +80,18 @@ def smoke(path):
 
     # Hot swap on tenant a only.
     swap = call(a, {'op': 'swap', 'name': 'f', 'source': cube})
+    assert sorted(swap) == ['name', 'ok', 'version'], swap
     assert swap['ok'] and swap['version'] == 2, swap
     assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 2})['value'] == '8'
 
-    # Artifacts are per plug-in version, not per argument: after the
-    # first invoke with an argument, more distinct arguments add no
-    # cache entry.
+    # Plug-in versions own their artifacts: loads, the swap and invokes
+    # with any number of distinct arguments leave the engine's cache
+    # empty.
     entries = []
     for arg in [3, 4, 5, 6, 7, 8]:
         assert call(a, {'op': 'invoke', 'name': 'f', 'arg': arg})['value'] == str(arg ** 3)
         entries.append(call(a, {'op': 'stats'})['engine']['cache']['entries'])
-    assert entries[0] == entries[-1], entries
+    assert entries == [0] * 6, entries
 
     # A mistyped optional field is a typed refusal, not a silently
     # argument-less invoke, and the connection keeps serving. An

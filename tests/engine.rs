@@ -156,30 +156,6 @@ fn store_cell_exhaustion_is_typed_on_both_backends() {
     }
 }
 
-/// An alpha-renamed copy of a loaded program is a cache hit: the content
-/// key hashes the alpha-normalized term, not the spelling.
-#[test]
-fn alpha_renamed_source_is_a_cache_hit() {
-    let engine = Engine::new();
-    engine
-        .load(
-            "(invoke (unit (import) (export)
-                (define double (lambda (n) (+ n n)))
-                (init (double 21))))",
-        )
-        .unwrap();
-    let renamed = engine
-        .load(
-            "(invoke (unit (import) (export)
-                (define twice (lambda (k) (+ k k)))
-                (init (twice 21))))",
-        )
-        .unwrap();
-    assert_eq!(renamed.run().unwrap().value, Observation::Int(42));
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-}
-
 fn batch_sources() -> Vec<String> {
     (0..8)
         .map(|i| {
@@ -328,6 +304,50 @@ fn shared_engine_runs_identically_across_threads() {
         assert_eq!((stats.misses, stats.entries), (1, 1), "{backend:?}");
         assert_eq!(stats.hits, 4, "{backend:?}: every thread load is a hit");
     }
+}
+
+/// Cold loads of one source that race admit exactly one artifact:
+/// threads released together all miss the cache, one wins admission
+/// (the one miss and, with a store, the one write), and every other
+/// thread shares the winner's artifact as a hit — whether it lost the
+/// race under the cache lock or arrived after it.
+#[test]
+fn racing_cold_loads_of_one_source_admit_one_artifact() {
+    const THREADS: usize = 8;
+    let source = "(invoke (unit (import) (export) (init (* 6 7))))";
+    let dir = std::env::temp_dir().join(format!("units-engine-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for with_store in [false, true] {
+        let mut builder = Engine::builder();
+        if with_store {
+            builder = builder.cache_dir(&dir);
+        }
+        let engine = builder.build();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        engine.load(source).unwrap().run().unwrap().value
+                    })
+                })
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.join().unwrap(), Observation::Int(42));
+            }
+        });
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (7, 1, 1),
+            "store: {with_store}"
+        );
+        if with_store {
+            assert_eq!(engine.metrics_snapshot().store.writes, 1);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Winners are shared, not re-parsed: the parse counter moves once per

@@ -72,10 +72,11 @@ fn failed_runs_are_counted() {
     assert_eq!(snap.invoke_latency.count, 1);
 }
 
-/// `load_batch` on a multi-thread pool reports pool activity; the term
-/// index answers a re-load of an α-renamed copy as a term hit.
+/// `load_batch` on a multi-thread pool reports pool activity; a
+/// respelled copy of a batch source is a miss of its own, because the
+/// cache keys source text.
 #[test]
-fn pool_and_term_hits_show_up_in_the_snapshot() {
+fn pool_activity_and_respelled_misses_show_up_in_the_snapshot() {
     let engine = Engine::builder().threads(4).build();
     let a = "(invoke (unit (import) (export) (init (* 6 7))))";
     let b = "(invoke (unit (import) (export) (init (+ 40 2))))";
@@ -84,15 +85,15 @@ fn pool_and_term_hits_show_up_in_the_snapshot() {
         result.unwrap();
     }
     // Same term as `a`, different spelling of the source text.
-    let renamed = "(invoke (unit (import) (export) (init (*   6   7))))";
-    engine.load(renamed).unwrap();
+    let respelled = "(invoke (unit (import) (export) (init (*   6   7))))";
+    engine.load(respelled).unwrap();
 
     let snap = engine.metrics_snapshot();
     assert_eq!(snap.pool.batches, 1);
     assert_eq!(snap.pool.jobs, 3);
     assert!(snap.pool.peak_workers >= 1 && snap.pool.peak_workers <= 4);
-    assert_eq!(snap.cache.misses, 3);
-    assert_eq!(snap.cache.term_hits, 1, "whitespace changes hash to the same term");
+    assert_eq!(snap.cache.misses, 4, "whitespace changes the source key");
+    assert_eq!(snap.cache.source_hits, 0);
 }
 
 /// Concurrent invocation on one shared engine: every run from every
