@@ -18,17 +18,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 # socket and drive the wire protocol end to end from a second-parser
 # client (scripts/unitsd_client.py speaks the 4-byte-length-prefixed
 # JSON frames with python's own json module, so the rust Client cannot
-# mask a framing bug): two tenants, load, invoke, a run nested past the
-# reader's cap, hot swap, per-version artifacts, per-request budgets,
-# admission denial, mistyped and out-of-range fields, stats, shutdown. The richer concurrency/chaos
-# coverage lives in crates/units-serve/tests and runs in the cargo test
-# sweeps.
+# mask a framing bug): two tenants, load, invoke, a linked plug-in (a
+# sealed constituent, a rename pair and hidden cells), a run nested past
+# the reader's cap, hot swap, per-version artifacts, per-request budgets,
+# admission denial, mistyped and out-of-range fields, stats, shutdown.
+# The smoke runs once per compiled backend — the default tree-walker,
+# then `--backend bytecode` — since each wires linked plug-ins from the
+# same link plans. The richer concurrency/chaos coverage lives in
+# crates/units-serve/tests and runs in the cargo test sweeps.
 if command -v python3 >/dev/null 2>&1; then
-    ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --fuel 1000000 &
-    UNITSD_PID=$!
-    python3 scripts/unitsd_client.py smoke .ci-unitsd.sock
-    wait "$UNITSD_PID"
-    test ! -e .ci-unitsd.sock
+    for backend in compiled bytecode; do
+        ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --fuel 1000000 \
+            --backend "$backend" &
+        UNITSD_PID=$!
+        python3 scripts/unitsd_client.py smoke .ci-unitsd.sock
+        wait "$UNITSD_PID"
+        test ! -e .ci-unitsd.sock
+    done
 fi
 
 # Persistent-store gates. (1) Cross-process warm start: a second daemon
@@ -192,8 +198,10 @@ GATE
 fi
 rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace.tmp
 
-# Three-backend agreement: the differential suite runs 600 random link
-# topologies on the reducer, the tree-walker, and the bytecode VM, and
+# Three-backend agreement: the differential suite runs 600 random
+# two-unit link topologies and 400 compounds of 3–5 clauses (rename
+# pairs, shuffled ports, nested, sealed and first-class constituents)
+# on the reducer, the tree-walker, and the bytecode VM, and
 # must hold their observations identical in both feature configurations
 # (it also runs inside the full `cargo test` sweeps above; this names
 # the gate).

@@ -127,11 +127,7 @@ pub fn chain_program(n: usize) -> Expr {
         vec![last],
         vec![],
     ));
-    Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links,
-    }))
+    Expr::invoke_program(Expr::compound(CompoundExpr::new(Ports::new(), Ports::new(), links)))
 }
 
 /// A star: one hub unit exporting `hub`, `n` satellites each importing it
@@ -174,11 +170,7 @@ pub fn star_program(n: usize) -> Expr {
         sat_names,
         vec![],
     ));
-    Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links,
-    }))
+    Expr::invoke_program(Expr::compound(CompoundExpr::new(Ports::new(), Ports::new(), links)))
 }
 
 /// A ring of `n ≥ 2` mutually recursive units: `g{i}(k)` returns `i` at
@@ -214,11 +206,7 @@ pub fn cycle_program(n: usize) -> Expr {
             vec![name],
         ));
     }
-    Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links,
-    }))
+    Expr::invoke_program(Expr::compound(CompoundExpr::new(Ports::new(), Ports::new(), links)))
 }
 
 /// The even/odd counting workload (Fig. 12) for a given depth: two
@@ -250,14 +238,14 @@ pub fn even_odd_program(depth: i64) -> Expr {
         vec![count("odd", "even", false)],
         Expr::app(Expr::var("odd"), vec![Expr::int(depth)]),
     );
-    Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links: vec![
+    Expr::invoke_program(Expr::compound(CompoundExpr::new(
+        Ports::new(),
+        Ports::new(),
+        vec![
             clause(even, vec!["odd".to_string()], vec!["even".to_string()]),
             clause(odd, vec!["even".to_string()], vec!["odd".to_string()]),
         ],
-    }))
+    )))
 }
 
 /// `depth` nested `let`s, each binding `width` variables, whose innermost
@@ -294,9 +282,9 @@ pub fn deep_let_program(depth: usize, width: usize) -> Expr {
 /// additionally defines `extra` inert values, declared after the
 /// counting function. Production units export many definitions, and the
 /// by-name scan pays for every one of them on every reference that
-/// lives in an outer frame — the innermost-first scan must reject all
-/// `extra` pads in the rebound-values and letrec frames before reaching
-/// the import. Slot resolution indexes past them.
+/// lives in an outer frame — the back-to-front scan of the unit's frame
+/// must reject all `extra` pads before reaching the import. Slot
+/// resolution indexes past them.
 pub fn even_odd_wide_program(depth: i64, extra: usize) -> Expr {
     let count = |this: &str, other: &str, base: bool| {
         Expr::lambda(
@@ -326,14 +314,14 @@ pub fn even_odd_wide_program(depth: i64, extra: usize) -> Expr {
         odd_vals,
         Expr::app(Expr::var("odd"), vec![Expr::int(depth)]),
     );
-    Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links: vec![
+    Expr::invoke_program(Expr::compound(CompoundExpr::new(
+        Ports::new(),
+        Ports::new(),
+        vec![
             clause(even, vec!["odd".to_string()], vec!["even".to_string()]),
             clause(odd, vec!["even".to_string()], vec!["odd".to_string()]),
         ],
-    }))
+    )))
 }
 
 /// Tiny pipe helper so the workload builders read top-down.
@@ -619,11 +607,7 @@ pub fn colliding_chain_program(n: usize) -> Expr {
         vec![last],
         vec![],
     ));
-    Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links,
-    }))
+    Expr::invoke_program(Expr::compound(CompoundExpr::new(Ports::new(), Ports::new(), links)))
 }
 
 #[cfg(test)]

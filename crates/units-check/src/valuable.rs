@@ -96,11 +96,11 @@ mod tests {
     #[test]
     fn compound_of_valuables_is_valuable() {
         let mk = |e: Expr| {
-            Expr::compound(CompoundExpr {
-                imports: Ports::new(),
-                exports: Ports::new(),
-                links: vec![units_kernel::LinkClause::by_name(e, Ports::new(), Ports::new())],
-            })
+            Expr::compound(CompoundExpr::new(
+                Ports::new(),
+                Ports::new(),
+                vec![units_kernel::LinkClause::by_name(e, Ports::new(), Ports::new())],
+            ))
         };
         let forbidden = forbid(&["u"]);
         assert!(is_valuable(&mk(Expr::var("outer_unit")), &forbidden));

@@ -9,9 +9,10 @@
 //! unit is linked or invoked."
 //!
 //! Evaluating `unit …` captures the (shared) source and the lexical
-//! environment; `compound` evaluates its constituents and records the
-//! wiring after checking the Fig. 11 side conditions; `invoke` wires
-//! cells through the whole link graph (see [`crate::instantiate`]), runs
+//! environment; `compound` evaluates its constituents and, after checking
+//! the Fig. 11 side conditions, pairs them with the `compound` node, whose
+//! cached link plan says how to wire them; `invoke` wires cells through
+//! the whole link graph (see [`crate::instantiate`]), runs
 //! every definition in order, then every initialization expression, and
 //! returns the last initialization value.
 
@@ -165,25 +166,16 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
             Ok(Value::Unit(Rc::new(UnitValue::Atomic(AtomicUnit::new(u.clone(), env.clone())))))
         }
         Expr::Compound(c) => {
-            let mut links = Vec::with_capacity(c.links.len());
+            let mut units = Vec::with_capacity(c.links.len());
             for link in &c.links {
                 let unit = as_unit(eval(&link.expr, env, machine)?, "compound")?;
                 // Fig. 11 side conditions, checked at link time (shared
                 // with the reducer and the bytecode VM through
                 // `units_runtime::wiring`).
                 check_link(&unit, &link.with, &link.provides)?;
-                links.push(units_runtime::LinkedConstituent {
-                    unit,
-                    with: link.with.clone(),
-                    provides: link.provides.clone(),
-                    renames: link.renames.clone(),
-                });
+                units.push(unit);
             }
-            Ok(Value::Unit(Rc::new(UnitValue::Linked(LinkedUnit {
-                imports: c.imports.clone(),
-                exports: c.exports.clone(),
-                links,
-            }))))
+            Ok(Value::Unit(Rc::new(UnitValue::Linked(LinkedUnit { compound: c.clone(), units }))))
         }
         Expr::Invoke(inv) => {
             let unit = as_unit(eval(&inv.target, env, machine)?, "invoke")?;

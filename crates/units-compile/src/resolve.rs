@@ -24,8 +24,10 @@
 //!   the by-name scan, unchanged;
 //! * every [`Expr::VarAt`] keeps its symbol, and the runtime *verifies*
 //!   the addressed slot holds that name (one interned-id compare),
-//!   degrading to the by-name scan on any mismatch — a stale address can
-//!   cost time, never correctness;
+//!   degrading to the by-name scan on any mismatch — a stale address
+//!   costs time, and can bind wrongly only by landing on a shadowed
+//!   binding of the same name, which [`FRAME_LAYOUT`] keeps persisted
+//!   code from doing;
 //! * the substitution reducer (`units-reduce`) never consumes resolved
 //!   code; its defensive `VarAt` arms treat the form exactly like `Var`.
 //!
@@ -38,9 +40,10 @@
 //!   deconstructor per variant then the predicate, followed by one slot
 //!   per value definition (the order `bind_letrec_frame` builds);
 //! * closure application pushes one frame of the lambda's parameters;
-//! * invoking an atomic unit pushes **three** frames (see `wire`): the
-//!   import cells, the `letrec` frame of internal definitions, and the
-//!   export-rebinding frame holding one slot per value definition.
+//! * invoking an atomic unit pushes one frame (see `wire`): the import
+//!   cells, then the datatype operations and one slot per value
+//!   definition in `letrec` order. An exported definition's slot holds
+//!   the cell its consumers read, so no frame rebinds exports.
 
 use std::sync::Arc;
 
@@ -48,6 +51,13 @@ use units_kernel::{
     Binding, CompoundExpr, Expr, InvokeExpr, Lambda, LetrecExpr, LexAddr, LinkClause, Symbol,
     TypeDefn, UnitExpr, ValDefn,
 };
+
+/// The version of the frame layout that resolved addresses assume. Code
+/// resolved under one layout must not run under another: a stale
+/// address can land on a shadowed binding of the same name, which the
+/// runtime's name check cannot tell apart. Whatever persists resolved
+/// code keys it by this number.
+pub const FRAME_LAYOUT: u32 = 2;
 
 /// The compile-time mirror of the runtime frame stack.
 #[derive(Default)]
@@ -167,15 +177,14 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
         Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| go(e, scope)).collect()),
         Expr::Proj(i, e) => Expr::Proj(*i, Box::new(go(e, scope))),
         Expr::Unit(u) => {
-            // Mirror `wire` on an atomic unit: imports frame, then the
-            // internal letrec frame, then the export-rebinding frame.
-            scope.push(u.imports.vals.iter().map(|p| p.name.clone()).collect());
-            scope.push(letrec_frame_names(&u.types, &u.vals));
-            scope.push(u.vals.iter().map(|d| d.name.clone()).collect());
+            // Mirror `wire` on an atomic unit: one frame of the imports,
+            // then the datatype operations and definitions in `letrec`
+            // order.
+            let mut frame: Vec<Symbol> = u.imports.vals.iter().map(|p| p.name.clone()).collect();
+            frame.extend(letrec_frame_names(&u.types, &u.vals));
+            scope.push(frame);
             let vals = resolve_vals(&u.vals, scope);
             let init = go(&u.init, scope);
-            scope.pop();
-            scope.pop();
             scope.pop();
             Expr::Unit(Arc::new(UnitExpr {
                 imports: u.imports.clone(),
@@ -185,11 +194,10 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
                 init,
             }))
         }
-        Expr::Compound(c) => Expr::Compound(Arc::new(CompoundExpr {
-            imports: c.imports.clone(),
-            exports: c.exports.clone(),
-            links: c
-                .links
+        Expr::Compound(c) => Expr::Compound(Arc::new(CompoundExpr::new(
+            c.imports.clone(),
+            c.exports.clone(),
+            c.links
                 .iter()
                 .map(|l| LinkClause {
                     expr: go(&l.expr, scope),
@@ -198,7 +206,7 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
                     renames: l.renames.clone(),
                 })
                 .collect(),
-        })),
+        ))),
         Expr::Invoke(inv) => Expr::Invoke(Arc::new(InvokeExpr {
             target: go(&inv.target, scope),
             ty_links: inv.ty_links.clone(),
@@ -285,19 +293,19 @@ mod tests {
     }
 
     #[test]
-    fn unit_bodies_resolve_under_three_frames() {
+    fn unit_bodies_resolve_under_one_frame() {
         // unit (import base) (export f) (define f (fn () ⇒ base)) (init f):
-        // from the init's view, frame 0 is the rebound definitions
-        // (holding f), frame 2 is the imports (holding base).
+        // from the init's view, frame 0 holds the import base, then the
+        // definition f.
         let src = "(unit (import base) (export f)
                      (define f (lambda () base))
                      (init f))";
         let e = units_syntax::parse_expr(src).unwrap();
         let Expr::Unit(u) = resolve_program(&e) else { panic!() };
-        assert_eq!(u.init, Expr::VarAt("f".into(), addr(0, 0)));
+        assert_eq!(u.init, Expr::VarAt("f".into(), addr(0, 1)));
         let Expr::Lambda(lam) = &u.vals[0].body else { panic!() };
         // Inside the lambda one more frame is pushed at application time.
-        assert_eq!(lam.body, Expr::VarAt("base".into(), addr(3, 0)));
+        assert_eq!(lam.body, Expr::VarAt("base".into(), addr(1, 0)));
     }
 
     #[test]

@@ -53,6 +53,7 @@ mod alpha;
 mod free;
 mod hash;
 mod kind;
+mod plan;
 mod sig;
 mod subst;
 mod symbol;
@@ -63,6 +64,7 @@ pub use alpha::{alpha_eq, alpha_eq_ty};
 pub use hash::alpha_hash;
 pub use free::{free_ty_vars_expr, free_val_vars};
 pub use kind::Kind;
+pub use plan::{ClausePlan, LinkPlan};
 pub use sig::{Depend, Ports, SigEquation, Signature, TyPort, ValPort};
 pub use subst::{subst_ty, subst_ty_in_sig, subst_vals, CaptureError, ValSubst};
 pub use symbol::{NameGen, Symbol};

@@ -283,11 +283,11 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
                     renames: l.renames.clone(),
                 })
                 .collect();
-            Expr::Compound(Arc::new(crate::term::CompoundExpr {
-                imports: c.imports.clone(),
-                exports: c.exports.clone(),
+            Expr::Compound(Arc::new(crate::term::CompoundExpr::new(
+                c.imports.clone(),
+                c.exports.clone(),
                 links,
-            }))
+            )))
         }
         Expr::Invoke(inv) => Expr::Invoke(Arc::new(crate::term::InvokeExpr {
             target: go(&inv.target, map, gen),

@@ -17,9 +17,10 @@
 //! [`ValPort::ty`]: crate::sig::ValPort
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::kind::Kind;
+use crate::plan::LinkPlan;
 use crate::sig::{Ports, Signature};
 use crate::symbol::Symbol;
 use crate::ty::Ty;
@@ -539,7 +540,12 @@ impl LinkClause {
 /// any number, and so do we — all paper rules are stated for two
 /// constituents and tested in that form, with n-ary linking exercised
 /// separately.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The node caches its [`LinkPlan`], built from the ports and rename
+/// pairs on first use, so those must not change once the node has been
+/// wired; constituent expressions may. Equality and `Debug` ignore the
+/// plan.
+#[derive(Clone)]
 pub struct CompoundExpr {
     /// The compound unit's imports.
     pub imports: Ports,
@@ -548,6 +554,41 @@ pub struct CompoundExpr {
     pub exports: Ports,
     /// The constituents, in initialization order.
     pub links: Vec<LinkClause>,
+    plan: OnceLock<Arc<LinkPlan>>,
+}
+
+impl CompoundExpr {
+    /// A compound whose link plan is built on first use.
+    pub fn new(imports: Ports, exports: Ports, links: Vec<LinkClause>) -> CompoundExpr {
+        CompoundExpr { imports, exports, links, plan: OnceLock::new() }
+    }
+
+    /// The link plan, built on the first call and shared by every later
+    /// call and by clones of the node made after it.
+    pub fn plan(&self) -> &Arc<LinkPlan> {
+        self.plan.get_or_init(|| Arc::new(LinkPlan::build(self)))
+    }
+
+    /// The link plan if some wiring has built it already.
+    pub fn plan_if_built(&self) -> Option<&Arc<LinkPlan>> {
+        self.plan.get()
+    }
+}
+
+impl PartialEq for CompoundExpr {
+    fn eq(&self, other: &CompoundExpr) -> bool {
+        self.imports == other.imports && self.exports == other.exports && self.links == other.links
+    }
+}
+
+impl fmt::Debug for CompoundExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompoundExpr")
+            .field("imports", &self.imports)
+            .field("exports", &self.exports)
+            .field("links", &self.links)
+            .finish()
+    }
 }
 
 /// An `invoke` expression (paper §4.1.3 / §3.4).
@@ -890,11 +931,7 @@ mod tests {
             init: Expr::void(),
         });
         assert!(u.is_value());
-        let c = Expr::compound(CompoundExpr {
-            imports: Ports::new(),
-            exports: Ports::new(),
-            links: vec![],
-        });
+        let c = Expr::compound(CompoundExpr::new(Ports::new(), Ports::new(), vec![]));
         assert!(!c.is_value());
     }
 

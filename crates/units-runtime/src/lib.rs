@@ -37,8 +37,8 @@ pub use error::{Resource, RuntimeError};
 pub use machine::{Limits, Machine};
 pub use prim::{apply_prim, render_prim_call};
 pub use value::{
-    filled_cell, new_cell, AtomicUnit, CellRef, Closure, DataOpValue, LinkedConstituent,
-    LinkedUnit, UnitValue, Value, VariantValue,
+    filled_cell, new_cell, AtomicUnit, CellRef, Closure, DataOpValue, LinkedUnit, UnitValue,
+    Value, VariantValue,
 };
 pub use vm::{disassemble, disassemble_profiled, execute, Chunk, Op, OpProfile, Proto, UnitProto, VmCode};
 pub use wiring::{

@@ -13,7 +13,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use units_kernel::{DataRole, LinkRenames, Ports, PrimOp, Symbol, UnitExpr};
+use units_kernel::{CompoundExpr, DataRole, Ports, PrimOp, Symbol, UnitExpr};
 
 use crate::env::Env;
 
@@ -103,28 +103,16 @@ impl AtomicUnit {
     }
 }
 
-/// One wired constituent of a [`LinkedUnit`].
-#[derive(Debug, Clone)]
-pub struct LinkedConstituent {
-    /// The constituent unit value.
-    pub unit: Rc<UnitValue>,
-    /// Its expected imports (inner names).
-    pub with: Ports,
-    /// Its promised exports (inner names).
-    pub provides: Ports,
-    /// Source/destination pairs into the compound's linking namespace.
-    pub renames: LinkRenames,
-}
-
-/// A compound unit value produced by `compound` linking.
+/// A compound unit value produced by `compound` linking: the shared
+/// `compound` node, whose ports, clauses and cached
+/// [`LinkPlan`](units_kernel::LinkPlan) say how to wire it, plus the
+/// constituent values, which only evaluation can supply.
 #[derive(Debug, Clone)]
 pub struct LinkedUnit {
-    /// The compound's imports (names; types erased at run time).
-    pub imports: Ports,
-    /// The compound's exports.
-    pub exports: Ports,
-    /// The constituents with their wiring, in initialization order.
-    pub links: Vec<LinkedConstituent>,
+    /// The `compound` expression this value was linked from.
+    pub compound: Arc<CompoundExpr>,
+    /// The constituent unit values, in clause (initialization) order.
+    pub units: Vec<Rc<UnitValue>>,
 }
 
 /// A unit value.
@@ -149,7 +137,7 @@ impl UnitValue {
     pub fn imports(&self) -> &Ports {
         match self {
             UnitValue::Atomic(a) => &a.source.imports,
-            UnitValue::Linked(l) => &l.imports,
+            UnitValue::Linked(l) => &l.compound.imports,
             UnitValue::Restricted { inner, .. } => inner.imports(),
         }
     }
@@ -158,7 +146,7 @@ impl UnitValue {
     pub fn exports(&self) -> &Ports {
         match self {
             UnitValue::Atomic(a) => &a.source.exports,
-            UnitValue::Linked(l) => &l.exports,
+            UnitValue::Linked(l) => &l.compound.exports,
             UnitValue::Restricted { exports, .. } => exports,
         }
     }

@@ -52,7 +52,7 @@ use crate::env::{read_binding, Binding, Env};
 use crate::error::RuntimeError;
 use crate::machine::Machine;
 use crate::prim::apply_prim;
-use crate::value::{AtomicUnit, Closure, LinkedConstituent, LinkedUnit, UnitValue, Value};
+use crate::value::{AtomicUnit, Closure, LinkedUnit, UnitValue, Value};
 use crate::wiring::{
     apply_data, as_unit, check_link, emit_invoke_event, import_cells, seal_unit, wire,
 };
@@ -509,7 +509,7 @@ fn vm_invoke(
     units_trace::faults::trip("vm/dispatch")?;
     let cells = import_cells(unit, supplied, machine)?;
     let mut wired = Vec::new();
-    wire(unit, &cells, &HashMap::new(), machine, &mut wired)?;
+    wire(unit, &cells, &[], machine, &mut wired)?;
     emit_invoke_event(unit, wired.len());
     // All definitions in link order, then all inits in link order; the
     // last init value is the result (Fig. 11's merged letrec).
@@ -519,9 +519,9 @@ fn vm_invoke(
             found: String::from("a unit without lowered code"),
         })?;
         let proto = &code.chunk.units[code.index as usize];
-        for (entry, cell) in proto.def_entries.iter().zip(&w.def_cells) {
+        for (i, entry) in proto.def_entries.iter().enumerate() {
             let v = run(code.chunk.clone(), *entry, w.env.clone(), machine)?;
-            *cell.borrow_mut() = Some(v);
+            w.define(i, v);
         }
     }
     let mut result = Value::Void;
@@ -843,29 +843,18 @@ fn dispatch(
                 stack.push(Value::Unit(u));
             }
             Op::MakeCompound(i) => {
-                let c = &chunk.compounds[*i as usize];
-                let vals = stack.split_off(stack.len() - c.links.len());
-                let links = c
-                    .links
-                    .iter()
-                    .zip(vals)
-                    .map(|(l, v)| {
+                let compound = chunk.compounds[*i as usize].clone();
+                let units = stack
+                    .split_off(stack.len() - compound.links.len())
+                    .into_iter()
+                    .map(|v| {
                         let Value::Unit(unit) = v else {
                             unreachable!("CheckLink verified every constituent")
                         };
-                        LinkedConstituent {
-                            unit,
-                            with: l.with.clone(),
-                            provides: l.provides.clone(),
-                            renames: l.renames.clone(),
-                        }
+                        unit
                     })
                     .collect();
-                stack.push(Value::Unit(Rc::new(UnitValue::Linked(LinkedUnit {
-                    imports: c.imports.clone(),
-                    exports: c.exports.clone(),
-                    links,
-                }))));
+                stack.push(Value::Unit(Rc::new(UnitValue::Linked(LinkedUnit { compound, units }))));
             }
             Op::Invoke(i) => {
                 flush!();

@@ -1,39 +1,44 @@
 //! The backend-neutral half of unit instantiation (§4.1.6).
 //!
-//! Wiring — creating one reference cell per interface name and threading
-//! the cells through the link graph — is pure runtime logic: it never
-//! evaluates an expression. Both evaluators that *do* evaluate (the
+//! Wiring — creating the reference cells of an invocation and handing
+//! each constituent the cells its ports name — is pure runtime logic: it
+//! never evaluates an expression. Both evaluators that *do* evaluate (the
 //! tree-walking cells backend in `units-compile` and the bytecode VM in
 //! [`crate::vm`]) share this module, so cell accounting, link-error
 //! ordering, and frame discipline cannot drift between them.
 //!
 //! The shared pieces are:
 //!
-//! * [`bind_letrec_frame`] — the recursive frame for a `letrec` or unit
-//!   body: freshly instantiated datatype operations, then one cell per
-//!   value definition (the slot order the resolver mirrors);
+//! * [`bind_letrec_frame`] — the recursive frame for a `letrec` body:
+//!   freshly instantiated datatype operations, then one cell per value
+//!   definition (the slot order the resolver mirrors);
 //! * [`apply_data`] — first-class datatype operations (§5.3);
 //! * [`check_link`] / [`seal_unit`] — the Fig. 11 side conditions and the
 //!   §5.2 signature-ascription checks, with their exact error strings;
-//! * [`wire`] — the recursive cell-threading walk, producing one
-//!   [`WiredUnit`] per atomic constituent in initialization order.
+//! * [`wire`] — wiring from link plans: a compound fills one slot vector
+//!   laid out by its cached [`LinkPlan`](units_kernel::LinkPlan) and
+//!   hands each constituent the slots its clause names; an atomic
+//!   constituent gets one frame of import cells, datatype operations and
+//!   definition cells. The result is one [`WiredUnit`] per atomic
+//!   constituent, in initialization order.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use units_kernel::{DataRole, Ports, Signature, Symbol, TypeDefn, UnitExpr, ValDefn};
+use units_kernel::{DataRole, Ports, Signature, Symbol, TypeDefn, UnitExpr, ValDefn, ValPort};
 
 use crate::env::{Binding, Env};
 use crate::error::RuntimeError;
 use crate::machine::Machine;
 use crate::value::{
-    filled_cell, new_cell, CellRef, DataOpValue, UnitValue, Value, VariantValue,
+    filled_cell, new_cell, AtomicUnit, CellRef, DataOpValue, LinkedUnit, UnitValue, Value,
+    VariantValue,
 };
 use crate::vm::VmCode;
 
-/// Builds the recursive frame for a `letrec` or unit body: fresh cells for
-/// value definitions and freshly instantiated datatype operations.
+/// Builds the recursive frame for a `letrec` body: freshly instantiated
+/// datatype operations, then fresh cells for value definitions.
 /// Returns the extended environment and the definition cells in order.
 ///
 /// # Errors
@@ -48,37 +53,7 @@ pub fn bind_letrec_frame(
 ) -> Result<(Env, Vec<CellRef>), RuntimeError> {
     machine.alloc_cells(vals.len() as u64)?;
     let mut frame = Vec::new();
-    for td in types {
-        if let TypeDefn::Data(d) = td {
-            let instance = machine.fresh_instance();
-            for (tag, v) in d.variants.iter().enumerate() {
-                frame.push((
-                    v.ctor.clone(),
-                    Binding::Val(Value::Data(Rc::new(DataOpValue {
-                        ty_name: d.name.clone(),
-                        instance,
-                        role: DataRole::Construct(tag),
-                    }))),
-                ));
-                frame.push((
-                    v.dtor.clone(),
-                    Binding::Val(Value::Data(Rc::new(DataOpValue {
-                        ty_name: d.name.clone(),
-                        instance,
-                        role: DataRole::Deconstruct(tag),
-                    }))),
-                ));
-            }
-            frame.push((
-                d.predicate.clone(),
-                Binding::Val(Value::Data(Rc::new(DataOpValue {
-                    ty_name: d.name.clone(),
-                    instance,
-                    role: DataRole::Predicate,
-                }))),
-            ));
-        }
-    }
+    push_data_ops(types, &mut frame, machine);
     let mut cells = Vec::with_capacity(vals.len());
     for defn in vals {
         let cell = new_cell();
@@ -86,6 +61,29 @@ pub fn bind_letrec_frame(
         cells.push(cell);
     }
     Ok((env.extend(frame), cells))
+}
+
+/// Appends a fresh instance of each datatype's operations to `frame`:
+/// per datatype, each variant's constructor then deconstructor, then the
+/// predicate.
+fn push_data_ops(types: &[TypeDefn], frame: &mut Vec<(Symbol, Binding)>, machine: &mut Machine) {
+    for td in types {
+        if let TypeDefn::Data(d) = td {
+            let instance = machine.fresh_instance();
+            let op = |role| {
+                Binding::Val(Value::Data(Rc::new(DataOpValue {
+                    ty_name: d.name.clone(),
+                    instance,
+                    role,
+                })))
+            };
+            for (tag, v) in d.variants.iter().enumerate() {
+                frame.push((v.ctor.clone(), op(DataRole::Construct(tag))));
+                frame.push((v.dtor.clone(), op(DataRole::Deconstruct(tag))));
+            }
+            frame.push((d.predicate.clone(), op(DataRole::Predicate)));
+        }
+    }
 }
 
 /// Applies a first-class datatype operation (§5.3): construct, deconstruct,
@@ -212,23 +210,39 @@ pub fn seal_unit(unit: Rc<UnitValue>, sig: &Signature) -> Result<UnitValue, Runt
 /// One atomic constituent, wired and awaiting its definition/init phases.
 /// The evaluator that triggered the invocation decides *how* the phases
 /// run: the tree-walker evaluates `source.vals[i].body` / `source.init`,
-/// the VM executes the segments behind `code`.
+/// the VM executes the segments behind `code`. Either stores each
+/// definition's value with [`WiredUnit::define`].
 pub struct WiredUnit {
-    /// The constituent's environment: captured env, import cells, the
-    /// internal letrec frame, and the export-rebinding frame — in that
-    /// order (the discipline `resolve_program` mirrors).
+    /// The constituent's environment: the captured environment plus one
+    /// frame holding the import cells, then the datatype operations,
+    /// then one cell per value definition (the layout `resolve_program`
+    /// mirrors). An exported definition's slot holds the cell its
+    /// consumers read.
     pub env: Env,
     /// The shared unit source.
     pub source: Arc<UnitExpr>,
     /// The lowered segments, when the unit value came from the VM.
     pub code: Option<VmCode>,
-    /// One cell per value definition, already redirected to the caller's
-    /// cells for exported definitions.
-    pub def_cells: Vec<CellRef>,
+    /// The frame slot of the first value definition.
+    first_def: usize,
 }
 
-/// Creates the import cells for an invocation, one filled cell per
-/// supplied import.
+impl WiredUnit {
+    /// Stores `value` in the cell of the unit's `i`-th value definition.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not a definition of the unit.
+    pub fn define(&self, i: usize, value: Value) {
+        match self.env.top_binding(self.first_def + i) {
+            Some(Binding::Cell(cell)) => *cell.borrow_mut() = Some(value),
+            _ => panic!("definition {i} has no cell in the unit's frame"),
+        }
+    }
+}
+
+/// Creates the import cells for an invocation: one filled cell per
+/// import, in the unit's import order.
 ///
 /// # Errors
 ///
@@ -238,18 +252,16 @@ pub fn import_cells(
     unit: &UnitValue,
     supplied: &HashMap<Symbol, Value>,
     machine: &mut Machine,
-) -> Result<HashMap<Symbol, CellRef>, RuntimeError> {
-    machine.alloc_cells(unit.imports().vals.len() as u64)?;
-    let mut cells = HashMap::with_capacity(unit.imports().vals.len());
-    for port in &unit.imports().vals {
-        match supplied.get(&port.name) {
-            Some(v) => {
-                cells.insert(port.name.clone(), filled_cell(v.clone()));
-            }
-            None => return Err(RuntimeError::UnsatisfiedImport { name: port.name.clone() }),
-        }
-    }
-    Ok(cells)
+) -> Result<Vec<CellRef>, RuntimeError> {
+    let ports = &unit.imports().vals;
+    machine.alloc_cells(ports.len() as u64)?;
+    ports
+        .iter()
+        .map(|port| match supplied.get(&port.name) {
+            Some(v) => Ok(filled_cell(v.clone())),
+            None => Err(RuntimeError::UnsatisfiedImport { name: port.name.clone() }),
+        })
+        .collect()
 }
 
 /// Emits the per-invocation trace event (sorted export names, invocation
@@ -269,10 +281,11 @@ pub fn emit_invoke_event(unit: &UnitValue, constituents: usize) {
     );
 }
 
-/// Recursively wires a unit: `imports` supplies a cell per import name,
-/// `wanted_exports` lists the cells the caller wants this unit's exports
-/// to fill. Appends the atomic constituents to `out` in initialization
-/// order.
+/// Wires a unit for one invocation. `imports` holds a cell for each of
+/// the unit's value imports, and `exports` the caller's cell for each of
+/// its value exports, both in the unit's own port order; an export
+/// without a cell (or past the end of `exports`) is not wanted. Appends
+/// the atomic constituents to `out` in initialization order.
 ///
 /// # Errors
 ///
@@ -281,119 +294,165 @@ pub fn emit_invoke_event(unit: &UnitValue, constituents: usize) {
 /// [`RuntimeError::ResourceExhausted`] on the cell budget.
 pub fn wire(
     unit: &UnitValue,
-    imports: &HashMap<Symbol, CellRef>,
-    wanted_exports: &HashMap<Symbol, CellRef>,
+    imports: &[CellRef],
+    exports: &[Option<CellRef>],
     machine: &mut Machine,
     out: &mut Vec<WiredUnit>,
 ) -> Result<(), RuntimeError> {
     match unit {
-        UnitValue::Restricted { inner, exports } => {
-            // Only visible exports may be requested.
-            for name in wanted_exports.keys() {
-                if exports.val_port(name).is_none() {
-                    return Err(RuntimeError::MissingProvide { name: name.clone() });
-                }
+        UnitValue::Atomic(atomic) => wire_atomic(atomic, imports, exports, machine, out),
+        UnitValue::Linked(linked) => wire_linked(linked, imports, exports, machine, out),
+        UnitValue::Restricted { inner, exports: visible } => {
+            // The sealed interface orders its exports its own way.
+            let inner_ports = &inner.exports().vals;
+            let mut inner_exports = Vec::new();
+            for (port, cell) in visible.vals.iter().zip(exports) {
+                let Some(cell) = cell else { continue };
+                let Some(i) = inner_ports.iter().position(|p| p.name == port.name) else {
+                    return Err(RuntimeError::MissingProvide { name: port.name.clone() });
+                };
+                inner_exports.resize(inner_ports.len(), None);
+                inner_exports[i] = Some(cell.clone());
             }
-            wire(inner, imports, wanted_exports, machine, out)
-        }
-        UnitValue::Atomic(atomic) => {
-            let source = &atomic.source;
-            // Every import must be supplied.
-            let mut frame = Vec::new();
-            for port in &source.imports.vals {
-                let cell = imports
-                    .get(&port.name)
-                    .cloned()
-                    .ok_or_else(|| RuntimeError::UnsatisfiedImport { name: port.name.clone() })?;
-                frame.push((port.name.clone(), Binding::Cell(cell)));
-            }
-            let pre_env = atomic.env.extend(frame);
-            let (env, mut def_cells) =
-                bind_letrec_frame(&source.types, &source.vals, &pre_env, machine)?;
-            // Exported definitions write directly into the caller's cells.
-            let defined: Vec<&Symbol> = source.vals.iter().map(|d| &d.name).collect();
-            for (name, cell) in wanted_exports {
-                if source.exports.val_port(name).is_none() {
-                    return Err(RuntimeError::MissingProvide { name: name.clone() });
-                }
-                if let Some(pos) = defined.iter().position(|d| *d == name) {
-                    def_cells[pos] = cell.clone();
-                } else {
-                    // A datatype operation export: its value exists now.
-                    match env.lookup(name) {
-                        Some(Binding::Val(v)) => *cell.borrow_mut() = Some(v.clone()),
-                        _ => return Err(RuntimeError::MissingProvide { name: name.clone() }),
-                    }
-                }
-            }
-            // Rebind exported definitions to the caller's cells so that
-            // internal references and external consumers share storage.
-            let rebound: Vec<(Symbol, Binding)> = source
-                .vals
-                .iter()
-                .zip(&def_cells)
-                .map(|(d, c)| (d.name.clone(), Binding::Cell(c.clone())))
-                .collect();
-            let env = env.extend(rebound);
-            out.push(WiredUnit {
-                env,
-                source: source.clone(),
-                code: atomic.code.clone(),
-                def_cells,
-            });
-            Ok(())
-        }
-        UnitValue::Linked(linked) => {
-            // One cell per provided *outer* name; compound exports reuse
-            // the caller's cells (linking identifies a constituent's
-            // inner export name with the outer name its rename pairs
-            // choose — the same name in the paper's by-name core form).
-            let mut cell_of: HashMap<Symbol, CellRef> = HashMap::new();
-            for lc in &linked.links {
-                for port in &lc.provides.vals {
-                    let outer = lc.renames.outer_export_val(&port.name).clone();
-                    let cell = match wanted_exports.get(&outer) {
-                        Some(c) => c.clone(),
-                        None => {
-                            machine.alloc_cells(1)?;
-                            new_cell()
-                        }
-                    };
-                    cell_of.insert(outer, cell);
-                }
-            }
-            for name in wanted_exports.keys() {
-                if !cell_of.contains_key(name) {
-                    return Err(RuntimeError::MissingProvide { name: name.clone() });
-                }
-            }
-            for lc in &linked.links {
-                let mut constituent_imports = HashMap::new();
-                for port in &lc.with.vals {
-                    let outer = lc.renames.outer_import_val(&port.name);
-                    let cell = imports
-                        .get(outer)
-                        .or_else(|| cell_of.get(outer))
-                        .cloned()
-                        .ok_or_else(|| RuntimeError::UnsatisfiedImport {
-                            name: outer.clone(),
-                        })?;
-                    // The constituent sees the cell under its inner name.
-                    constituent_imports.insert(port.name.clone(), cell);
-                }
-                let mut wanted: HashMap<Symbol, CellRef> =
-                    HashMap::with_capacity(lc.provides.vals.len());
-                for p in &lc.provides.vals {
-                    let outer = lc.renames.outer_export_val(&p.name);
-                    let cell = cell_of
-                        .get(outer)
-                        .cloned()
-                        .ok_or_else(|| RuntimeError::MissingProvide { name: outer.clone() })?;
-                    wanted.insert(p.name.clone(), cell);
-                }
-                wire(&lc.unit, &constituent_imports, &wanted, machine, out)?;
-            }
-            Ok(())
+            wire(inner, imports, &inner_exports, machine, out)
         }
     }
+}
+
+/// Fails with [`RuntimeError::UnsatisfiedImport`] naming the first of
+/// `ports` that `imports` holds no cell for.
+fn unsatisfied(ports: &Ports, imports: &[CellRef]) -> Result<(), RuntimeError> {
+    match ports.vals.get(imports.len()) {
+        Some(port) => Err(RuntimeError::UnsatisfiedImport { name: port.name.clone() }),
+        None => Ok(()),
+    }
+}
+
+/// An atomic unit gets one frame: its import cells, fresh datatype
+/// operations, then a cell per value definition — the caller's cell for
+/// a wanted export, else a fresh one.
+fn wire_atomic(
+    atomic: &AtomicUnit,
+    imports: &[CellRef],
+    exports: &[Option<CellRef>],
+    machine: &mut Machine,
+    out: &mut Vec<WiredUnit>,
+) -> Result<(), RuntimeError> {
+    let source = &atomic.source;
+    unsatisfied(&source.imports, imports)?;
+    machine.alloc_cells(source.vals.len() as u64)?;
+    let mut frame = Vec::with_capacity(imports.len() + source.vals.len());
+    for (port, cell) in source.imports.vals.iter().zip(imports) {
+        frame.push((port.name.clone(), Binding::Cell(cell.clone())));
+    }
+    let first_op = frame.len();
+    push_data_ops(&source.types, &mut frame, machine);
+    let first_def = frame.len();
+    let mut shared = 0;
+    for defn in &source.vals {
+        let wanted = source
+            .exports
+            .vals
+            .iter()
+            .position(|p| p.name == defn.name)
+            .and_then(|j| exports.get(j).cloned().flatten());
+        shared += usize::from(wanted.is_some());
+        frame.push((defn.name.clone(), Binding::Cell(wanted.unwrap_or_else(new_cell))));
+    }
+    // Any other wanted export is a datatype operation, whose value
+    // exists already.
+    if shared < exports.iter().flatten().count() {
+        for (port, cell) in source.exports.vals.iter().zip(exports) {
+            let Some(cell) = cell else { continue };
+            if source.vals.iter().any(|d| d.name == port.name) {
+                continue;
+            }
+            match frame[first_op..first_def].iter().rfind(|(n, _)| *n == port.name) {
+                Some((_, Binding::Val(v))) => *cell.borrow_mut() = Some(v.clone()),
+                _ => return Err(RuntimeError::MissingProvide { name: port.name.clone() }),
+            }
+        }
+    }
+    out.push(WiredUnit {
+        env: atomic.env.extend(frame),
+        source: source.clone(),
+        code: atomic.code.clone(),
+        first_def,
+    });
+    Ok(())
+}
+
+/// A compound fills its linking namespace as its plan lays it out — the
+/// imports, then per provided name the caller's cell for a wanted export
+/// or a fresh cell the compound hides — and wires each constituent with
+/// the slots its clause names.
+fn wire_linked(
+    linked: &LinkedUnit,
+    imports: &[CellRef],
+    exports: &[Option<CellRef>],
+    machine: &mut Machine,
+    out: &mut Vec<WiredUnit>,
+) -> Result<(), RuntimeError> {
+    let compound = &linked.compound;
+    unsatisfied(&compound.imports, imports)?;
+    let plan = compound.plan();
+    let mut slots: Vec<Option<CellRef>> = Vec::with_capacity(plan.slots());
+    slots.extend(imports.iter().take(plan.imports()).cloned().map(Some));
+    slots.resize(plan.slots(), None);
+    let mut unprovided = None;
+    for ((port, slot), cell) in compound.exports.vals.iter().zip(plan.exports()).zip(exports) {
+        match (slot, cell) {
+            (Some(slot), Some(cell)) => slots[*slot] = Some(cell.clone()),
+            (None, Some(_)) => unprovided = unprovided.or(Some(port)),
+            (_, None) => {}
+        }
+    }
+    for slot in &mut slots[plan.imports()..] {
+        if slot.is_none() {
+            machine.alloc_cells(1)?;
+            *slot = Some(new_cell());
+        }
+    }
+    if let Some(port) = unprovided {
+        return Err(RuntimeError::MissingProvide { name: port.name.clone() });
+    }
+    let cell = |slot: usize| slots[slot].clone().expect("every slot is filled above");
+    for ((clause, clause_plan), unit) in
+        compound.links.iter().zip(plan.clauses()).zip(&linked.units)
+    {
+        if let Some(name) = clause_plan.unsatisfied() {
+            return Err(RuntimeError::UnsatisfiedImport { name: name.clone() });
+        }
+        let imports = matched(&unit.imports().vals, &clause.with.vals, clause_plan.with())
+            .map(|(port, slot)| {
+                slot.map(cell)
+                    .ok_or_else(|| RuntimeError::UnsatisfiedImport { name: port.name.clone() })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let exports: Vec<Option<CellRef>> =
+            matched(&unit.exports().vals, &clause.provides.vals, clause_plan.provides())
+                .map(|(_, slot)| slot.map(cell))
+                .collect();
+        wire(unit, &imports, &exports, machine, out)?;
+    }
+    Ok(())
+}
+
+/// Pairs each of a constituent's own `ports` with the namespace slot its
+/// clause gives the port of that name: the clause lists `clause_ports`
+/// at `slots`. A constituent is a run-time value (first-class, sealed,
+/// or compound), so its ports need not come in the clause's order: each
+/// matches by position first, then by name.
+fn matched<'a>(
+    ports: &'a [ValPort],
+    clause_ports: &'a [ValPort],
+    slots: &'a [usize],
+) -> impl Iterator<Item = (&'a ValPort, Option<usize>)> + 'a {
+    ports.iter().enumerate().map(move |(i, port)| {
+        let at = match clause_ports.get(i) {
+            Some(p) if p.name == port.name => Some(i),
+            _ => clause_ports.iter().position(|p| p.name == port.name),
+        };
+        (port, at.and_then(|at| slots.get(at).copied()))
+    })
 }

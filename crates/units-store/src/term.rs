@@ -339,23 +339,22 @@ pub fn write_compound(w: &mut Writer, compound: &CompoundExpr) {
 }
 
 pub fn read_compound(r: &mut Reader) -> Result<CompoundExpr, DecodeError> {
-    Ok(CompoundExpr {
-        imports: read_ports(r)?,
-        exports: read_ports(r)?,
-        links: read_seq(r, |r| {
-            Ok(LinkClause {
-                expr: read_expr(r)?,
-                with: read_ports(r)?,
-                provides: read_ports(r)?,
-                renames: LinkRenames {
-                    import_vals: read_pairs(r)?,
-                    import_tys: read_pairs(r)?,
-                    export_vals: read_pairs(r)?,
-                    export_tys: read_pairs(r)?,
-                },
-            })
-        })?,
-    })
+    let imports = read_ports(r)?;
+    let exports = read_ports(r)?;
+    let links = read_seq(r, |r| {
+        Ok(LinkClause {
+            expr: read_expr(r)?,
+            with: read_ports(r)?,
+            provides: read_ports(r)?,
+            renames: LinkRenames {
+                import_vals: read_pairs(r)?,
+                import_tys: read_pairs(r)?,
+                export_vals: read_pairs(r)?,
+                export_tys: read_pairs(r)?,
+            },
+        })
+    })?;
+    Ok(CompoundExpr::new(imports, exports, links))
 }
 
 pub fn write_invoke(w: &mut Writer, invoke: &InvokeExpr) {
@@ -618,15 +617,15 @@ mod tests {
             "(unit (import) (export f) (define f (lambda (n) n)) (init void))",
         )
         .unwrap();
-        let compound = Expr::Compound(Arc::new(CompoundExpr {
-            imports: Ports::new(),
-            exports: Ports::new(),
-            links: vec![LinkClause::by_name(
+        let compound = Expr::Compound(Arc::new(CompoundExpr::new(
+            Ports::new(),
+            Ports::new(),
+            vec![LinkClause::by_name(
                 unit.clone(),
                 Ports::new(),
                 Ports::untyped(Vec::<&str>::new(), vec!["f"]),
             )],
-        }));
+        )));
         assert_eq!(round_trip(&compound), compound);
         let sealed = Expr::Seal(Box::new(unit), Box::new(Signature::empty()));
         assert_eq!(round_trip(&sealed), sealed);

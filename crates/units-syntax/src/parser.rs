@@ -701,7 +701,7 @@ fn compound_expr(clauses: &[SExpr], span: Span) -> Result<Expr, ParseError> {
             Ok(LinkClause { expr: expr(e)?, with, provides, renames })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(Expr::compound(CompoundExpr { imports, exports, links }))
+    Ok(Expr::compound(CompoundExpr::new(imports, exports, links)))
 }
 
 /// Ports in `with`/`provides` clauses, which additionally allow MzScheme's

@@ -86,7 +86,7 @@ use std::time::Instant;
 
 use units_check::{check_program, CheckOptions, Level, Strictness};
 use units_compile::{
-    apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile,
+    apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile, FRAME_LAYOUT,
 };
 use units_kernel::{Expr, Ty};
 use units_reduce::Reducer;
@@ -128,6 +128,11 @@ struct Artifact {
 }
 
 impl Artifact {
+    /// The term the compiled backend runs and the chunk is lowered from.
+    fn resolved(&self) -> &Expr {
+        self.resolved.as_ref().unwrap_or(&self.expr)
+    }
+
     /// The bytecode chunk, lowering (and caching) it on first use.
     /// `OnceLock` makes concurrent first uses race benignly: one lowering
     /// wins, every thread shares the winner.
@@ -135,7 +140,7 @@ impl Artifact {
         self.chunk
             .get_or_init(|| {
                 let _timer = units_trace::time("lower");
-                lower_program(self.resolved.as_ref().unwrap_or(&self.expr))
+                lower_program(self.resolved())
             })
             .clone()
     }
@@ -358,13 +363,15 @@ impl EngineBuilder {
         let store = self.cache_dir.as_ref().and_then(|dir| {
             // The fingerprint binds on-disk entries to this engine
             // configuration — the same ingredients `source_key` folds in,
-            // minus the source itself. (`DefaultHasher::new` is keyless
-            // and deterministic, so fingerprints agree across processes
-            // of the same build; cross-build skew is caught by the
-            // store's version stamp.)
+            // minus the source itself — and to the frame layout the
+            // stored resolved terms address. (`DefaultHasher::new` is
+            // keyless and deterministic, so fingerprints agree across
+            // processes of the same build; cross-build skew is caught by
+            // the store's version stamp.)
             let mut h = DefaultHasher::new();
             opts.hash(&mut h);
             resolve.hash(&mut h);
+            FRAME_LAYOUT.hash(&mut h);
             match Store::open(dir, h.finish()) {
                 Ok(store) => {
                     if !store.writable() {
@@ -961,7 +968,7 @@ impl EngineInner {
             Backend::Compiled => {
                 let _timer = units_trace::time("eval");
                 let mut machine = Machine::with_limits(limits);
-                let expr = artifact.resolved.as_ref().unwrap_or(&artifact.expr);
+                let expr = artifact.resolved();
                 // Account fuel and cells before `?` so even failed runs
                 // (e.g. budget exhaustion) land in the metrics plane.
                 let value = evaluate_program(expr, &mut machine).and_then(|f| match arg {
@@ -1157,6 +1164,14 @@ impl Loaded {
     /// The parsed kernel term.
     pub fn expr(&self) -> &Expr {
         &self.artifact.expr
+    }
+
+    /// The term the compiled backend runs and the bytecode chunk is
+    /// lowered from: the lexical-address-resolved form, or the parsed
+    /// term when resolution is off. Its `compound` nodes carry the link
+    /// plans every run of this artifact shares.
+    pub fn resolved(&self) -> &Expr {
+        self.artifact.resolved()
     }
 
     /// The program's flat-bytecode listing — opcode, operands, and

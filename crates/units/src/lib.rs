@@ -91,8 +91,8 @@ pub use units_compile::{
 };
 pub use units_trace::FlightDump;
 pub use units_kernel::{
-    alpha_eq, free_val_vars, Depend, Expr, InvokeExpr, Kind, Param, Ports, Signature, Symbol,
-    Ty, TyPort, UnitExpr, ValPort,
+    alpha_eq, free_val_vars, CompoundExpr, Depend, Expr, InvokeExpr, Kind, Param, Ports,
+    Signature, Symbol, Ty, TyPort, UnitExpr, ValPort,
 };
 pub use units_reduce::{merge_compound, Reducer, Step};
 pub use units_runtime::{Limits, Machine, Resource, RuntimeError, UnitValue, Value};

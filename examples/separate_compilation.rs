@@ -66,10 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         types: vec![],
         vals: interface.exports.vals.clone(),
     };
-    let program = Expr::invoke_program(Expr::compound(CompoundExpr {
-        imports: Ports::new(),
-        exports: Ports::new(),
-        links: vec![
+    let program = Expr::invoke_program(Expr::compound(CompoundExpr::new(
+        Ports::new(),
+        Ports::new(),
+        vec![
             LinkClause::by_name(provider, Ports::new(), with_ports.clone()),
             LinkClause::by_name(client, with_ports, Ports {
                 types: vec![],
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Ports::new(),
             ),
         ],
-    }));
+    )));
     let outcome = Engine::builder()
         .level(Level::Constructed)
         .build()

@@ -5,10 +5,10 @@ Python's own json module, so the Rust client and codec cannot mask a
 framing or encoding bug on either side of the socket.
 
     python3 scripts/unitsd_client.py smoke SOCKET
-        Two tenants, load, invoke, a run nested past the reader's cap,
-        hot swap, version-owned artifacts, mistyped fields, per-request
-        budgets, admission denial, stats, shutdown. Expects
-        `unitsd --level untyped --fuel 1000000`.
+        Two tenants, load, invoke, a linked plug-in, a run nested past
+        the reader's cap, hot swap, version-owned artifacts, mistyped
+        fields, per-request budgets, admission denial, stats, shutdown.
+        Expects `unitsd --level untyped --fuel 1000000`, on any backend.
     python3 scripts/unitsd_client.py cold|warm|corrupt SOCKET
         One `run`, then the persistent-store checks for that phase of
         the --cache-dir gate, then shutdown.
@@ -53,6 +53,30 @@ def call(s, obj):
     return json.loads(recv_exact(s, n))
 
 
+# A compound of four clauses: a sealed constituent hides `secret` and
+# provides `scale` under the outer name `times` (a rename pair); the
+# next imports it under the inner name `f`; `bonus` and `result` are
+# provided but not exported, so their cells are hidden. Calling it with
+# n gives n*n + 100.
+LINKED = """(unit (import) (export)
+  (init (lambda (n)
+    (invoke
+      (compound (import base) (export)
+        (link ((seal (unit (import base) (export scale secret)
+                       (define scale (lambda (x) (* x base)))
+                       (define secret 7))
+                     (sig (import base) (export scale) (init void)))
+               (with base) (provides (as scale times)))
+              ((unit (import) (export bonus) (define bonus 100))
+               (with) (provides bonus))
+              ((unit (import f bonus) (export result)
+                 (define result (lambda (x) (+ (f x) bonus))))
+               (with (as f times) bonus) (provides result))
+              ((unit (import result base) (export) (init (result base)))
+               (with result base) (provides))))
+      (val base n)))))"""
+
+
 def smoke(path):
     square = '(unit (import) (export) (init (lambda (n) (* n n))))'
     cube = '(unit (import) (export) (init (lambda (n) (* n (* n n)))))'
@@ -66,6 +90,12 @@ def smoke(path):
     assert call(b, {'op': 'load', 'name': 'f', 'source': cube})['version'] == 1
     assert call(a, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '36'
     assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '216'
+
+    # A linked plug-in: each invoke wires the compound from its link plan.
+    assert call(b, {'op': 'load', 'name': 'linked', 'source': LINKED})['version'] == 1
+    for arg in [0, 6, -9]:
+        reply = call(b, {'op': 'invoke', 'name': 'linked', 'arg': arg})
+        assert reply['ok'] and reply['value'] == str(arg * arg + 100), reply
 
     # A source nested 10,000 lists deep (80 KB, far under the frame
     # limit) is a typed refusal naming the reader's cap, not a stack
@@ -112,9 +142,10 @@ def smoke(path):
 
     stats = call(b, {'op': 'stats'})['tenants']
     assert stats['a']['rejected'] == 1 and stats['a']['failed'] == 1, stats
-    assert stats['b']['ok'] == 2, stats
+    assert stats['b']['ok'] == 5, stats
     assert call(b, {'op': 'shutdown'})['stopping']
-    print('unitsd smoke: 2 tenants, nesting cap, swap, admission, stats, shutdown OK')
+    print('unitsd smoke: 2 tenants, linked plug-in, nesting cap, swap, admission, '
+          'stats, shutdown OK')
 
 
 def store_gate(mode, path):

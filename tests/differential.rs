@@ -19,7 +19,8 @@ use bench::rng::SplitMix64;
 
 use units::{Backend, Engine, Error, Limits, Outcome, Strictness};
 use units_kernel::{
-    Binding, CompoundExpr, Expr, InvokeExpr, LinkClause, Param, Ports, PrimOp, UnitExpr, ValDefn,
+    Binding, CompoundExpr, Expr, InvokeExpr, LinkClause, LinkRenames, Param, Ports, PrimOp,
+    Signature, Symbol, UnitExpr, ValDefn,
 };
 
 /// A generator of closed, well-scoped programs.
@@ -203,65 +204,202 @@ impl Gen {
         let pool: Vec<String> = (0..self.rng.gen_range(0, 3))
             .map(|_| self.name("imp"))
             .collect();
-        let (target, needed): (Expr, Vec<String>) = if self.rng.gen_bool(0.5) {
+        let (target, needed) = if self.rng.gen_bool(0.5) {
             let (e, u) = self.unit(depth, vars, &pool);
-            let needed = u.imports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
-            (e, needed)
+            (e, names(&u.imports))
         } else {
-            // A two-unit compound: the second may import what the first
-            // provides, plus names from the pool.
-            let (e1, u1) = self.unit(depth, vars, &pool);
-            let provides1: Vec<String> =
-                u1.exports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
-            let mut pool2 = pool.clone();
-            pool2.extend(provides1.iter().cloned());
-            let (e2, u2) = self.unit(depth, vars, &pool2);
-            let imports1: Vec<String> =
-                u1.imports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
-            let imports2: Vec<String> =
-                u2.imports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
-            let provides2: Vec<String> =
-                u2.exports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
-            // The compound imports whatever is not internally provided.
-            let mut compound_imports: Vec<String> = Vec::new();
-            for name in imports1.iter().chain(&imports2) {
-                if !provides1.contains(name)
-                    && !provides2.contains(name)
-                    && !compound_imports.contains(name)
-                {
-                    compound_imports.push(name.clone());
-                }
-            }
-            let links = vec![
-                LinkClause::by_name(
-                    e1,
-                    Ports::untyped(Vec::<&str>::new(), imports1.iter().map(String::as_str)),
-                    Ports::untyped(Vec::<&str>::new(), provides1.iter().map(String::as_str)),
-                ),
-                LinkClause::by_name(
-                    e2,
-                    Ports::untyped(Vec::<&str>::new(), imports2.iter().map(String::as_str)),
-                    Ports::untyped(Vec::<&str>::new(), provides2.iter().map(String::as_str)),
-                ),
-            ];
-            let compound = CompoundExpr {
-                imports: Ports::untyped(
-                    Vec::<&str>::new(),
-                    compound_imports.iter().map(String::as_str),
-                ),
-                exports: Ports::new(),
-                links,
-            };
-            (Expr::Compound(std::sync::Arc::new(compound)), compound_imports)
+            let (e, imports, _) = self.pair(depth, vars, &pool, false);
+            (e, imports)
         };
+        self.supply(target, &needed, vars)
+    }
+
+    /// `invoke` of `target`, supplying each `needed` import with a thunk
+    /// over an in-scope expression.
+    fn supply(&mut self, target: Expr, needed: &[String], vars: &[String]) -> Expr {
         let val_links = needed
             .iter()
-            .map(|name| {
-                (name.as_str().into(), Expr::thunk(self.expr(1, vars)))
-            })
+            .map(|name| (name.as_str().into(), Expr::thunk(self.expr(1, vars))))
             .collect();
         Expr::Invoke(std::sync::Arc::new(InvokeExpr { target, ty_links: vec![], val_links }))
     }
+
+    /// A two-unit compound linked by name: the second unit may import
+    /// what the first provides, plus names from `pool`. Returns the
+    /// compound, its imports, and its exports — a random subset of what
+    /// it provides when `exported`, else none.
+    fn pair(
+        &mut self,
+        depth: u32,
+        vars: &[String],
+        pool: &[String],
+        exported: bool,
+    ) -> (Expr, Vec<String>, Vec<String>) {
+        let (e1, u1) = self.unit(depth, vars, pool);
+        let provides1 = names(&u1.exports);
+        let mut pool2 = pool.to_vec();
+        pool2.extend(provides1.iter().cloned());
+        let (e2, u2) = self.unit(depth, vars, &pool2);
+        let imports1 = names(&u1.imports);
+        let imports2 = names(&u2.imports);
+        let provides2 = names(&u2.exports);
+        // The compound imports whatever is not internally provided.
+        let mut compound_imports: Vec<String> = Vec::new();
+        for name in imports1.iter().chain(&imports2) {
+            if !provides1.contains(name)
+                && !provides2.contains(name)
+                && !compound_imports.contains(name)
+            {
+                compound_imports.push(name.clone());
+            }
+        }
+        let exports: Vec<String> = if exported {
+            provides1.iter().chain(&provides2).filter(|_| self.rng.gen_bool(0.6)).cloned().collect()
+        } else {
+            Vec::new()
+        };
+        let links = vec![
+            LinkClause::by_name(e1, ports(&imports1), ports(&provides1)),
+            LinkClause::by_name(e2, ports(&imports2), ports(&provides2)),
+        ];
+        let compound = CompoundExpr::new(ports(&compound_imports), ports(&exports), links);
+        (Expr::Compound(std::sync::Arc::new(compound)), compound_imports, exports)
+    }
+
+    /// `invoke` of a compound of 3–5 clauses over a random link graph.
+    /// A constituent is a unit, a nested compound with exports, a
+    /// `seal`ed unit, or a `let`-bound first-class unit. Clauses link
+    /// across each other (cycles included) or to compound imports, often
+    /// through rename pairs; they list their `with` and `provides` ports
+    /// in a shuffled order; and the compound exports some of what it
+    /// provides.
+    fn linked(&mut self, depth: u32, vars: &[String]) -> Expr {
+        let n = self.rng.gen_range(3, 6);
+        let mut bound: Vec<Binding> = Vec::new();
+        // Per clause: the constituent and its own imports and exports.
+        let mut parts: Vec<(Expr, Vec<String>, Vec<String>)> = Vec::new();
+        for _ in 0..n {
+            let pool: Vec<String> =
+                (0..self.rng.gen_range(0, 3)).map(|_| self.name("in")).collect();
+            let part = match self.rng.gen_range(0, 4) {
+                0 => self.pair(depth, vars, &pool, true),
+                1 => {
+                    let (e, u) = self.unit(depth, vars, &pool);
+                    let mut visible = names(&u.exports);
+                    visible.retain(|_| self.rng.gen_bool(0.7));
+                    self.shuffle(&mut visible);
+                    let mut sig = Signature::empty();
+                    sig.imports = u.imports.clone();
+                    sig.exports = ports(&visible);
+                    (Expr::seal(e, sig), names(&u.imports), visible)
+                }
+                2 => {
+                    let (e, u) = self.unit(depth, vars, &pool);
+                    let name = self.name("u");
+                    bound.push(Binding { name: name.as_str().into(), expr: e });
+                    (Expr::var(name.as_str()), names(&u.imports), names(&u.exports))
+                }
+                _ => {
+                    let (e, u) = self.unit(depth, vars, &pool);
+                    (e, names(&u.imports), names(&u.exports))
+                }
+            };
+            parts.push(part);
+        }
+        // What each clause provides, as (inner, outer) names.
+        let mut provided: Vec<Vec<(String, String)>> = Vec::with_capacity(n);
+        for (_, _, exports) in &parts {
+            let mut ps = Vec::new();
+            for inner in exports {
+                if self.rng.gen_bool(0.8) {
+                    let outer = if self.rng.gen_bool(0.4) { self.name("o") } else { inner.clone() };
+                    ps.push((inner.clone(), outer));
+                }
+            }
+            provided.push(ps);
+        }
+        let mut compound_imports: Vec<String> = Vec::new();
+        let mut links = Vec::with_capacity(n);
+        for (i, (expr, imports, _)) in parts.into_iter().enumerate() {
+            let elsewhere: Vec<&String> = provided
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .flat_map(|(_, ps)| ps.iter().map(|(_, outer)| outer))
+                .collect();
+            // Each import is fed by another clause or by a compound import;
+            // now and then the clause grants one extra, unused port.
+            let mut with: Vec<(String, String)> = Vec::new();
+            for inner in imports {
+                let outer = if !elsewhere.is_empty() && self.rng.gen_bool(0.6) {
+                    elsewhere[self.rng.gen_range(0, elsewhere.len())].clone()
+                } else {
+                    let outer =
+                        if self.rng.gen_bool(0.5) { inner.clone() } else { self.name("imp") };
+                    if !compound_imports.contains(&outer) {
+                        compound_imports.push(outer.clone());
+                    }
+                    outer
+                };
+                with.push((inner, outer));
+            }
+            if !elsewhere.is_empty() && self.rng.gen_bool(0.2) {
+                let outer = elsewhere[self.rng.gen_range(0, elsewhere.len())].clone();
+                with.push((self.name("spare"), outer));
+            }
+            let mut provides = provided[i].clone();
+            self.shuffle(&mut with);
+            self.shuffle(&mut provides);
+            let renamed = |pairs: &[(String, String)]| -> Vec<(Symbol, Symbol)> {
+                pairs
+                    .iter()
+                    .filter(|(inner, outer)| inner != outer)
+                    .map(|(inner, outer)| (inner.as_str().into(), outer.as_str().into()))
+                    .collect()
+            };
+            let inner = |pairs: &[(String, String)]| -> Vec<String> {
+                pairs.iter().map(|(inner, _)| inner.clone()).collect()
+            };
+            links.push(LinkClause {
+                expr,
+                with: ports(&inner(&with)),
+                provides: ports(&inner(&provides)),
+                renames: LinkRenames {
+                    import_vals: renamed(&with),
+                    export_vals: renamed(&provides),
+                    ..LinkRenames::default()
+                },
+            });
+        }
+        let mut exports: Vec<String> =
+            provided.iter().flatten().map(|(_, outer)| outer.clone()).collect();
+        exports.retain(|_| self.rng.gen_bool(0.3));
+        let compound = Expr::Compound(std::sync::Arc::new(CompoundExpr::new(
+            ports(&compound_imports),
+            ports(&exports),
+            links,
+        )));
+        let target = if bound.is_empty() { compound } else { Expr::Let(bound, Box::new(compound)) };
+        self.supply(target, &compound_imports, vars)
+    }
+
+    /// A uniform random permutation (Fisher–Yates).
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.rng.gen_range(0, i + 1);
+            items.swap(i, j);
+        }
+    }
+}
+
+/// The value-port names of `ports`, in order.
+fn names(ports: &Ports) -> Vec<String> {
+    ports.vals.iter().map(|p| p.name.as_str().to_string()).collect()
+}
+
+/// Untyped value ports with the given names.
+fn ports(names: &[String]) -> Ports {
+    Ports::untyped(Vec::<&str>::new(), names.iter().map(String::as_str))
 }
 
 /// One differential session: MzScheme strictness, a fuel budget, no
@@ -378,6 +516,32 @@ fn backends_agree_on_random_unit_programs() {
         }
     }
     assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
+}
+
+#[test]
+fn backends_agree_on_random_link_topologies() {
+    // Compounds of 3–5 clauses: rename pairs, shuffled ports, nested,
+    // sealed and first-class constituents — the link plan's slow paths.
+    let mut failures = Vec::new();
+    for seed in 0..400 {
+        let mut gen = Gen::new(0x5107 ^ seed);
+        if let Err(msg) = check_three_way(seed, gen.linked(2, &[])) {
+            failures.push(msg);
+        }
+    }
+    assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
+}
+
+#[test]
+fn resolution_is_invisible_on_random_link_topologies() {
+    let mut failures = Vec::new();
+    for seed in 0..200 {
+        let mut gen = Gen::new(0x7091 ^ seed);
+        if let Err(msg) = check_resolution_invariance(seed, &gen.linked(2, &[])) {
+            failures.push(msg);
+        }
+    }
+    assert!(failures.is_empty(), "{} divergences:\n{}", failures.len(), failures.join("\n\n"));
 }
 
 #[test]
