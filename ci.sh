@@ -37,6 +37,26 @@ if command -v python3 >/dev/null 2>&1; then
     done
 fi
 
+# Reclaim smoke: every run's store (its cells and hash tables) is
+# emptied when the run ends, and values drop in bounded stack. Against a
+# daemon with no fuel cap — the deep programs need far more than the
+# smoke's 1,000,000 steps — on each compiled backend: 2,000 invokes of
+# a 32-unit chain plug-in must grow the daemon's VmRSS by under 4 MiB
+# (a leaking store grows it by about 64 MiB); five programs that each
+# build a structure 1,000,000 deep (a datatype list, tuples, closures,
+# recursive closures in cells, hash tables) and drop it must return 42
+# while a second tenant's invokes keep being answered; and `stats` must
+# report no retained cells.
+if command -v python3 >/dev/null 2>&1; then
+    for backend in compiled bytecode; do
+        ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --backend "$backend" &
+        UNITSD_PID=$!
+        python3 scripts/unitsd_client.py reclaim .ci-unitsd.sock "$UNITSD_PID"
+        wait "$UNITSD_PID"
+        test ! -e .ci-unitsd.sock
+    done
+fi
+
 # Persistent-store gates. (1) Cross-process warm start: a second daemon
 # process over the same --cache-dir must answer the same `run` from
 # disk — the engine reports zero parses. (2) Corrupt-cache smoke: flip

@@ -151,7 +151,7 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
             for i in items {
                 vs.push(eval(i, env, machine)?);
             }
-            Ok(Value::Tuple(Rc::new(vs)))
+            Ok(Value::tuple(vs))
         }
         Expr::Proj(i, e) => match eval(e, env, machine)? {
             Value::Tuple(items) => items

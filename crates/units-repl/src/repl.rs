@@ -365,12 +365,14 @@ impl Repl {
             snap.recovery.flight_dumps
         );
         println!(
-            ";; runs:     {} total, {} failures, fuel {} total / {} max, {} store cells peak",
+            ";; runs:     {} total, {} failures, fuel {} total / {} max, {} store cells peak, \
+             {} cells retained",
             snap.runs.total,
             snap.runs.failures,
             snap.runs.fuel_total,
             snap.runs.fuel_max,
-            snap.runs.store_cells_peak
+            snap.runs.store_cells_peak,
+            snap.runs.cells_retained
         );
         let lat = snap.invoke_latency;
         if lat.count == 0 {

@@ -6,13 +6,18 @@
 //! [`CellRef`]s (`letrec`/unit definitions and unit imports — the paper's
 //! "first-class reference cells that are externally created and passed to
 //! the function when the unit is invoked").
+//!
+//! A frame that is the last owner of its parent or of a binding's node
+//! hands them to the [`Garbage`] worklist when it drops, so a long chain
+//! of frames and closures frees in bounded stack.
 
+use std::mem;
 use std::rc::Rc;
 
 use units_kernel::{LexAddr, Symbol};
 
 use crate::error::RuntimeError;
-use crate::value::{CellRef, Value};
+use crate::value::{CellRef, Garbage, Value};
 
 /// Reads a variable's value out of a binding lookup result: direct
 /// bindings clone, cells dereference (an empty cell is the
@@ -37,6 +42,17 @@ pub enum Binding {
     Val(Value),
     /// A mutable definition/import cell.
     Cell(CellRef),
+}
+
+impl Binding {
+    /// Whether dropping the binding would free a node: a value's, or the
+    /// cell itself.
+    fn owns_node(&self) -> bool {
+        match self {
+            Binding::Val(v) => v.owns_node(),
+            Binding::Cell(c) => Rc::strong_count(c) == 1,
+        }
+    }
 }
 
 /// Frame storage. Most frames bind exactly one name — λ-parameters in
@@ -64,6 +80,32 @@ impl std::ops::Deref for Bindings {
 struct Frame {
     bindings: Bindings,
     parent: Env,
+}
+
+impl Frame {
+    /// Moves the bindings and the parent into `garbage`, leaving the
+    /// frame empty.
+    fn give_up(&mut self, garbage: &mut Garbage) {
+        match mem::replace(&mut self.bindings, Bindings::Many(Vec::new())) {
+            Bindings::One([(_, binding)]) => garbage.binding(binding),
+            Bindings::Many(bindings) => {
+                for (_, binding) in bindings {
+                    garbage.binding(binding);
+                }
+            }
+        }
+        garbage.env(mem::take(&mut self.parent));
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        // The common case — a call frame over a shared parent binding
+        // scalars — frees no node below it, so it takes no worklist.
+        if self.parent.owns_frame() || self.bindings.iter().any(|(_, b)| b.owns_node()) {
+            Garbage::free(|garbage| self.give_up(garbage));
+        }
+    }
 }
 
 /// A persistent run-time environment.
@@ -172,6 +214,20 @@ impl Env {
         self.0.as_deref().and_then(|f| f.bindings.get(slot)).map(|(_, b)| b)
     }
 
+    /// Whether this environment holds the last reference to its
+    /// innermost frame, so dropping it would free the frame.
+    pub(crate) fn owns_frame(&self) -> bool {
+        matches!(&self.0, Some(frame) if Rc::strong_count(frame) == 1)
+    }
+
+    /// Frees the innermost frame if this was its last reference, moving
+    /// its bindings and parent into `garbage` first.
+    pub(crate) fn release(self, garbage: &mut Garbage) {
+        if let Some(Ok(mut frame)) = self.0.map(Rc::try_unwrap) {
+            frame.give_up(garbage);
+        }
+    }
+
     /// Number of frames (for diagnostics and tests).
     pub fn depth(&self) -> usize {
         let mut n = 0;
@@ -187,7 +243,7 @@ impl Env {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::filled_cell;
+    use crate::Machine;
 
     fn val(env: &Env, name: &str) -> Option<Value> {
         match env.lookup(&Symbol::new(name))? {
@@ -216,7 +272,8 @@ mod tests {
 
     #[test]
     fn cells_are_shared_between_environments() {
-        let cell = filled_cell(Value::Int(10));
+        let mut machine = Machine::new();
+        let cell = machine.cell(Some(Value::Int(10)));
         let a = Env::new().extend(vec![("c".into(), Binding::Cell(cell.clone()))]);
         let b = a.extend(vec![("unrelated".into(), Binding::Val(Value::Void))]);
         *cell.borrow_mut() = Some(Value::Int(99));

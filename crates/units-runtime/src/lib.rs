@@ -5,7 +5,9 @@
 //! (§4.1.6): unit values carry *unevaluated, shared* code; definitions and
 //! imports live in externally created reference cells. The evaluators —
 //! the cells-based backend in `units-compile` and the substitution
-//! reducer in `units-reduce` — both build on these types.
+//! reducer in `units-reduce` — both build on these types. A [`Machine`]
+//! owns the cells and hash tables its run makes and empties them when the
+//! run ends ([`Machine::reclaim`]), and values drop in bounded stack.
 //!
 //! # Example
 //!
@@ -37,7 +39,7 @@ pub use error::{Resource, RuntimeError};
 pub use machine::{Limits, Machine};
 pub use prim::{apply_prim, render_prim_call};
 pub use value::{
-    filled_cell, new_cell, AtomicUnit, CellRef, Closure, DataOpValue, LinkedUnit, UnitValue,
+    AtomicUnit, CellRef, Closure, DataOpValue, HashTable, LinkedUnit, TupleValue, UnitValue,
     Value, VariantValue,
 };
 pub use vm::{disassemble, disassemble_profiled, execute, Chunk, Op, OpProfile, Proto, UnitProto, VmCode};

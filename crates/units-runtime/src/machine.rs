@@ -1,5 +1,5 @@
-//! Shared machine state: instance nonces, the output buffer, and
-//! resource budgets.
+//! Shared machine state: instance nonces, the output buffer, resource
+//! budgets, and the run's store.
 //!
 //! Both evaluators (the cells backend and the substitution reducer) thread
 //! a [`Machine`] through evaluation. It is deliberately small: datatype
@@ -7,8 +7,20 @@
 //! write, and callers want [`Limits`] so a hostile or merely deep program
 //! fails with a typed [`RuntimeError::ResourceExhausted`] instead of
 //! hanging or overflowing the stack.
+//!
+//! The store is the set of cells and hash tables the run allocated. A
+//! recursive definition's closure lives in a cell of the frame it
+//! captures, and a table can hold a closure over itself, so reference
+//! counting alone never frees them. The machine registers each one as it
+//! is made and empties them all when the run ends
+//! ([`Machine::reclaim`]), which breaks every such cycle.
+
+use std::cell::RefCell;
+use std::mem;
+use std::rc::{Rc, Weak};
 
 use crate::error::{Resource, RuntimeError};
+use crate::value::{CellRef, Garbage, HashTable, Value};
 
 /// Resource budgets for one evaluation.
 ///
@@ -50,7 +62,45 @@ impl Limits {
     }
 }
 
+/// Weak references to the cells or tables of one run. Entries whose
+/// referent has died are dropped whenever the vector would grow, so a
+/// run that makes many short-lived cells holds only the live ones.
+#[derive(Debug)]
+struct Registry<T>(Vec<Weak<RefCell<T>>>);
+
+impl<T> Default for Registry<T> {
+    fn default() -> Self {
+        Registry(Vec::new())
+    }
+}
+
+impl<T> Registry<T> {
+    fn register(&mut self, node: &Rc<RefCell<T>>) {
+        if self.0.len() == self.0.capacity() {
+            self.0.retain(|w| w.strong_count() > 0);
+            // Room for at least as many again as survive, so a sweep
+            // costs O(1) per registration however many stay alive.
+            self.0.reserve(self.0.len().max(16));
+        }
+        self.0.push(Rc::downgrade(node));
+    }
+
+    /// The registered nodes still alive.
+    fn live(&self) -> impl Iterator<Item = Rc<RefCell<T>>> + '_ {
+        self.0.iter().filter_map(Weak::upgrade)
+    }
+}
+
 /// Mutable machine-wide state.
+///
+/// The machine owns its run's store: every cell the evaluators allocate
+/// and every table `hash-new` makes. [`Machine::reclaim`] empties them,
+/// and dropping the machine reclaims. A caller of an evaluator may keep
+/// using the returned value while its machine lives; afterwards a closure
+/// whose definition cells were emptied fails with
+/// [`RuntimeError::UndefinedRead`] when called, and a run-made table
+/// reads as empty. Tables made with [`Value::new_hash`] belong to the
+/// host and outlive every machine.
 #[derive(Debug)]
 pub struct Machine {
     next_instance: u64,
@@ -61,6 +111,8 @@ pub struct Machine {
     steps_taken: u64,
     depth: u64,
     cells_allocated: u64,
+    cells: Registry<Option<Value>>,
+    tables: Registry<HashTable>,
 }
 
 impl Machine {
@@ -85,6 +137,8 @@ impl Machine {
             steps_taken: 0,
             depth: 0,
             cells_allocated: 0,
+            cells: Registry::default(),
+            tables: Registry::default(),
         }
     }
 
@@ -150,10 +204,59 @@ impl Machine {
         self.steps_taken
     }
 
-    /// Store cells allocated so far. Cells are never freed within a
-    /// run, so at completion this is the run's high-water mark.
+    /// Store cells allocated so far, counted by [`Machine::alloc_cells`].
+    /// This counts allocations: a cell freed during the run, or emptied
+    /// by [`Machine::reclaim`], still counts.
     pub fn cells_allocated(&self) -> u64 {
         self.cells_allocated
+    }
+
+    /// Makes a cell holding `value` (`None`: not yet initialized) and
+    /// registers it in the run's store. Every cell an evaluator uses is
+    /// made here; the budget is charged separately, by
+    /// [`Machine::alloc_cells`], before a group of cells is made.
+    pub(crate) fn cell(&mut self, value: Option<Value>) -> CellRef {
+        units_trace::count("runtime/cells", 1);
+        let cell = Rc::new(RefCell::new(value));
+        self.cells.register(&cell);
+        cell
+    }
+
+    /// Makes an empty hash table (the `hash-new` primitive) registered in
+    /// the run's store.
+    pub(crate) fn hash_table(&mut self) -> Value {
+        let table = Rc::default();
+        self.tables.register(&table);
+        Value::Hash(table)
+    }
+
+    /// Empties every live cell and table this machine made, then frees
+    /// whatever that leaves unreferenced. Emptying breaks every cycle
+    /// between a closure and a cell, or between a table and a closure.
+    /// A cell that is borrowed at the time is skipped, so reclaiming
+    /// never panics, even while a caught panic unwinds.
+    ///
+    /// Returns how many of the registered cells are still referenced
+    /// from outside the store afterwards: zero once the run's values are
+    /// gone. The store is empty after the call, so reclaiming twice is
+    /// harmless.
+    pub fn reclaim(&mut self) -> u64 {
+        let mut garbage = Garbage::default();
+        for cell in self.cells.live() {
+            if let Ok(mut content) = cell.try_borrow_mut() {
+                if let Some(value) = content.take() {
+                    garbage.value(value);
+                }
+            }
+        }
+        for table in self.tables.live() {
+            if let Ok(mut entries) = table.try_borrow_mut() {
+                garbage.values(mem::take(&mut **entries).into_values());
+            }
+        }
+        garbage.run();
+        self.tables.0.clear();
+        self.cells.0.drain(..).filter(|cell| cell.strong_count() > 0).count() as u64
     }
 
     /// Enters one level of term nesting; pair with [`Machine::exit`].
@@ -226,6 +329,12 @@ impl Machine {
 impl Default for Machine {
     fn default() -> Self {
         Machine::new()
+    }
+}
+
+impl Drop for Machine {
+    fn drop(&mut self) {
+        self.reclaim();
     }
 }
 
@@ -303,6 +412,45 @@ mod tests {
             m.alloc_cells(1),
             Err(RuntimeError::ResourceExhausted { resource: Resource::StoreCells, limit: 3 })
         );
+    }
+
+    #[test]
+    fn dead_cells_leave_the_store_before_it_grows() {
+        let mut m = Machine::new();
+        for _ in 0..1_000_000 {
+            m.cell(None);
+        }
+        assert!(m.cells.0.len() <= 16, "{} entries for no live cell", m.cells.0.len());
+        // Live cells stay registered among the dead.
+        let live: Vec<CellRef> = (0..1_000).map(|_| m.cell(None)).collect();
+        for _ in 0..1_000_000 {
+            m.cell(None);
+        }
+        assert!(m.cells.0.len() <= 4 * live.len(), "{} entries", m.cells.0.len());
+        assert_eq!(m.cells.live().count(), live.len());
+    }
+
+    #[test]
+    fn reclaim_empties_the_store_and_counts_cells_still_referenced() {
+        let mut m = Machine::new();
+        let kept = m.cell(Some(Value::Int(1)));
+        m.cell(Some(Value::Int(2)));
+        let borrowed = m.cell(Some(Value::Int(3)));
+        let table = m.hash_table();
+        let Value::Hash(entries) = &table else { unreachable!() };
+        entries.borrow_mut().insert("self".to_string(), table.clone());
+        let weak_table = Rc::downgrade(entries);
+        drop(table);
+        {
+            let _reading = borrowed.borrow();
+            // The borrowed cell is skipped, and it and `kept` are still
+            // referenced from here.
+            assert_eq!(m.reclaim(), 2);
+        }
+        assert!(kept.borrow().is_none());
+        assert!(matches!(*borrowed.borrow(), Some(Value::Int(3))));
+        assert!(weak_table.upgrade().is_none(), "the table's cycle was broken");
+        assert_eq!(m.reclaim(), 0, "the store is empty after a reclaim");
     }
 
     #[test]

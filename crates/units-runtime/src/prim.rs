@@ -4,11 +4,14 @@
 //! untyped calculus UNITd safe; in well-typed UNITc/UNITe programs the
 //! shape checks never fire (types are erased before evaluation).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use units_kernel::PrimOp;
 
 use crate::error::RuntimeError;
 use crate::machine::Machine;
-use crate::value::Value;
+use crate::value::{HashTable, Value};
 
 fn int(v: &Value) -> Result<i64, RuntimeError> {
     match v {
@@ -31,7 +34,7 @@ fn string(v: &Value) -> Result<&str, RuntimeError> {
     }
 }
 
-fn hash(v: &Value) -> Result<&std::rc::Rc<std::cell::RefCell<std::collections::HashMap<String, Value>>>, RuntimeError> {
+fn hash(v: &Value) -> Result<&Rc<RefCell<HashTable>>, RuntimeError> {
     match v {
         Value::Hash(h) => Ok(h),
         other => {
@@ -182,7 +185,7 @@ fn prim_result(
         PrimOp::Fail => {
             return Err(RuntimeError::User { message: string(&args[0])?.to_string() })
         }
-        PrimOp::HashNew => Value::new_hash(),
+        PrimOp::HashNew => machine.hash_table(),
         PrimOp::HashSet => {
             let table = hash(&args[0])?;
             let key = string(&args[1])?.to_string();

@@ -6,31 +6,30 @@
 //! initialization code regardless of how many times the unit is linked or
 //! invoked" — instances share the [`AtomicUnit::source`] `Arc`; only the
 //! import/export *cells* created at invocation differ.
+//!
+//! Values form deep structures — lists, closure chains, nested tables —
+//! so no value drops its children recursively: the last owner of a node
+//! moves every child it solely owns onto a [`Garbage`] worklist, and one
+//! loop frees them. Freeing a million-deep list takes a loop, not a
+//! million stack frames.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::mem;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use units_kernel::{CompoundExpr, DataRole, Ports, PrimOp, Symbol, UnitExpr};
 
-use crate::env::Env;
+use crate::env::{Binding, Env};
 
 /// A mutable definition cell. `None` means "not yet initialized" — reading
-/// it is the MzScheme-strictness run-time error of §4.1.1.
+/// it is the MzScheme-strictness run-time error of §4.1.1. Only the
+/// [`Machine`](crate::Machine) makes cells, and it registers each one in
+/// its run's store.
 pub type CellRef = Rc<RefCell<Option<Value>>>;
-
-/// Creates a fresh, uninitialized cell.
-pub fn new_cell() -> CellRef {
-    units_trace::count("runtime/cells", 1);
-    Rc::new(RefCell::new(None))
-}
-
-/// Creates a cell already holding a value.
-pub fn filled_cell(value: Value) -> CellRef {
-    Rc::new(RefCell::new(Some(value)))
-}
 
 /// A closure: the shared λ-node plus its captured environment.
 #[derive(Debug, Clone)]
@@ -58,6 +57,14 @@ impl Closure {
     }
 }
 
+impl Drop for Closure {
+    fn drop(&mut self) {
+        if self.env.owns_frame() {
+            Garbage::free(|garbage| garbage.env(mem::take(&mut self.env)));
+        }
+    }
+}
+
 /// A first-class datatype operation (constructor/deconstructor/predicate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataOpValue {
@@ -81,6 +88,60 @@ pub struct VariantValue {
     pub tag: usize,
     /// The payload.
     pub payload: Value,
+}
+
+impl Drop for VariantValue {
+    fn drop(&mut self) {
+        if self.payload.owns_node() {
+            Garbage::free(|garbage| garbage.value(mem::replace(&mut self.payload, Value::Void)));
+        }
+    }
+}
+
+/// A tuple's components, in order.
+#[derive(Debug, Default)]
+pub struct TupleValue(Vec<Value>);
+
+impl Deref for TupleValue {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+impl Drop for TupleValue {
+    fn drop(&mut self) {
+        if self.0.iter().any(Value::owns_node) {
+            Garbage::free(|garbage| garbage.values(mem::take(&mut self.0)));
+        }
+    }
+}
+
+/// A mutable string-keyed hash table's entries.
+#[derive(Debug, Default)]
+pub struct HashTable(HashMap<String, Value>);
+
+impl Deref for HashTable {
+    type Target = HashMap<String, Value>;
+
+    fn deref(&self) -> &HashMap<String, Value> {
+        &self.0
+    }
+}
+
+impl DerefMut for HashTable {
+    fn deref_mut(&mut self) -> &mut HashMap<String, Value> {
+        &mut self.0
+    }
+}
+
+impl Drop for HashTable {
+    fn drop(&mut self) {
+        if self.0.values().any(Value::owns_node) {
+            Garbage::free(|garbage| garbage.values(mem::take(&mut self.0).into_values()));
+        }
+    }
 }
 
 /// An atomic unit value: shared, compiled-once code plus its captured
@@ -113,6 +174,16 @@ pub struct LinkedUnit {
     pub compound: Arc<CompoundExpr>,
     /// The constituent unit values, in clause (initialization) order.
     pub units: Vec<Rc<UnitValue>>,
+}
+
+impl Drop for LinkedUnit {
+    fn drop(&mut self) {
+        if self.units.iter().any(|u| Rc::strong_count(u) == 1) {
+            Garbage::free(|garbage| {
+                garbage.values(mem::take(&mut self.units).into_iter().map(Value::Unit));
+            });
+        }
+    }
 }
 
 /// A unit value.
@@ -179,13 +250,13 @@ pub enum Value {
     /// The void value.
     Void,
     /// A tuple.
-    Tuple(Rc<Vec<Value>>),
+    Tuple(Rc<TupleValue>),
     /// A closure.
     Closure(Rc<Closure>),
     /// A primitive operation value.
     Prim(PrimOp),
     /// A mutable string-keyed hash table.
-    Hash(Rc<RefCell<HashMap<String, Value>>>),
+    Hash(Rc<RefCell<HashTable>>),
     /// A datatype operation.
     Data(Rc<DataOpValue>),
     /// A constructed datatype value.
@@ -200,9 +271,37 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    /// A fresh empty hash table (the `makeStringHashTable()` of Fig. 1).
+    /// A tuple of `items`.
+    pub fn tuple(items: Vec<Value>) -> Value {
+        Value::Tuple(Rc::new(TupleValue(items)))
+    }
+
+    /// A fresh empty hash table (the `makeStringHashTable()` of Fig. 1)
+    /// owned by the host, not by any run: no machine empties it. A
+    /// program's `hash-new` table is registered in its machine's store
+    /// instead.
     pub fn new_hash() -> Value {
-        Value::Hash(Rc::new(RefCell::new(HashMap::new())))
+        Value::Hash(Rc::default())
+    }
+
+    /// Whether dropping this value would free a node that has children:
+    /// it holds the last reference to a tuple, closure, table, variant
+    /// or unit. Scalars, strings, primitives and datatype operations own
+    /// nothing that could recurse.
+    pub(crate) fn owns_node(&self) -> bool {
+        match self {
+            Value::Tuple(t) => Rc::strong_count(t) == 1,
+            Value::Closure(c) => Rc::strong_count(c) == 1,
+            Value::Hash(h) => Rc::strong_count(h) == 1,
+            Value::Variant(v) => Rc::strong_count(v) == 1,
+            Value::Unit(u) => Rc::strong_count(u) == 1,
+            Value::Int(_)
+            | Value::Bool(_)
+            | Value::Str(_)
+            | Value::Void
+            | Value::Prim(_)
+            | Value::Data(_) => false,
+        }
     }
 
     /// A short description of the value's shape, for error messages.
@@ -279,14 +378,133 @@ impl fmt::Display for Value {
     }
 }
 
+/// A node is released once, by its last owner, and only after its
+/// children have moved out, so releasing never recurses.
+enum Node {
+    Value(Value),
+    Env(Env),
+}
+
+/// The worklist of bounded-stack drops: nodes whose last reference is
+/// going away, waiting to hand over their children. Only nodes that would
+/// actually be freed are kept; a shared child is just let go, which
+/// decrements its count.
+#[derive(Default)]
+pub(crate) struct Garbage(Vec<Node>);
+
+impl Garbage {
+    /// The slow path of every `Drop` that would free a node with
+    /// children: `take` moves the dropping node's children here, and one
+    /// loop frees them. Each `Drop` first checks that it solely owns some
+    /// child, so the common drop, which frees nothing below it, skips
+    /// this.
+    pub(crate) fn free(take: impl FnOnce(&mut Garbage)) {
+        let mut garbage = Garbage::default();
+        take(&mut garbage);
+        garbage.run();
+    }
+
+    /// Takes `value`, keeping it for release if this was its last owner.
+    pub(crate) fn value(&mut self, value: Value) {
+        if value.owns_node() {
+            self.0.push(Node::Value(value));
+        }
+    }
+
+    /// Takes every value of `values`.
+    pub(crate) fn values(&mut self, values: impl IntoIterator<Item = Value>) {
+        for value in values {
+            self.value(value);
+        }
+    }
+
+    /// Takes `env`, keeping its innermost frame for release if this was
+    /// the frame's last owner.
+    pub(crate) fn env(&mut self, env: Env) {
+        if env.owns_frame() {
+            self.0.push(Node::Env(env));
+        }
+    }
+
+    /// Takes a binding: a direct value, or a cell whose content is taken
+    /// when this was the cell's last owner.
+    pub(crate) fn binding(&mut self, binding: Binding) {
+        match binding {
+            Binding::Val(value) => self.value(value),
+            Binding::Cell(cell) => {
+                if let Ok(cell) = Rc::try_unwrap(cell) {
+                    if let Some(value) = cell.into_inner() {
+                        self.value(value);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Releases every kept node, and the nodes that releasing frees in
+    /// turn, in one loop.
+    pub(crate) fn run(mut self) {
+        while let Some(node) = self.0.pop() {
+            match node {
+                Node::Env(env) => env.release(&mut self),
+                Node::Value(value) => self.release(value),
+            }
+        }
+    }
+
+    /// Moves the children of a value's node here if this was its last
+    /// reference; the emptied node then drops without recursing.
+    fn release(&mut self, value: Value) {
+        match value {
+            Value::Tuple(t) => {
+                if let Ok(mut t) = Rc::try_unwrap(t) {
+                    self.values(mem::take(&mut t.0));
+                }
+            }
+            Value::Closure(c) => {
+                if let Ok(mut c) = Rc::try_unwrap(c) {
+                    self.env(mem::take(&mut c.env));
+                }
+            }
+            Value::Hash(h) => {
+                if let Ok(h) = Rc::try_unwrap(h) {
+                    self.values(mem::take(&mut h.into_inner().0).into_values());
+                }
+            }
+            Value::Variant(v) => {
+                if let Ok(mut v) = Rc::try_unwrap(v) {
+                    self.value(mem::replace(&mut v.payload, Value::Void));
+                }
+            }
+            Value::Unit(u) => {
+                if let Ok(u) = Rc::try_unwrap(u) {
+                    match u {
+                        UnitValue::Atomic(atomic) => self.env(atomic.env),
+                        UnitValue::Linked(mut linked) => {
+                            self.values(mem::take(&mut linked.units).into_iter().map(Value::Unit));
+                        }
+                        UnitValue::Restricted { inner, .. } => self.value(Value::Unit(inner)),
+                    }
+                }
+            }
+            Value::Int(_)
+            | Value::Bool(_)
+            | Value::Str(_)
+            | Value::Void
+            | Value::Prim(_)
+            | Value::Data(_) => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn observable_equality_is_structural_for_data() {
-        let a = Value::Tuple(Rc::new(vec![Value::Int(1), Value::str("x")]));
-        let b = Value::Tuple(Rc::new(vec![Value::Int(1), Value::str("x")]));
+        let a = Value::tuple(vec![Value::Int(1), Value::str("x")]);
+        let b = Value::tuple(vec![Value::Int(1), Value::str("x")]);
         assert!(a.observably_eq(&b));
         assert!(!a.observably_eq(&Value::Int(1)));
     }
@@ -306,7 +524,7 @@ mod tests {
             Value::Bool(false),
             Value::str(""),
             Value::Void,
-            Value::Tuple(Rc::new(vec![])),
+            Value::tuple(vec![]),
             Value::Prim(PrimOp::Add),
             Value::new_hash(),
         ] {
@@ -316,7 +534,7 @@ mod tests {
 
     #[test]
     fn cells_start_empty() {
-        let c = new_cell();
+        let c = crate::Machine::new().cell(None);
         assert!(c.borrow().is_none());
         *c.borrow_mut() = Some(Value::Int(3));
         assert!(c.borrow().is_some());

@@ -802,7 +802,7 @@ fn dispatch(
             }
             Op::MakeTuple(n) => {
                 let vals = stack.split_off(stack.len() - *n as usize);
-                stack.push(Value::Tuple(Rc::new(vals)));
+                stack.push(Value::tuple(vals));
             }
             Op::Proj(i) => {
                 let i = *i as usize;

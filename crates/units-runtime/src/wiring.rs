@@ -32,8 +32,7 @@ use crate::env::{Binding, Env};
 use crate::error::RuntimeError;
 use crate::machine::Machine;
 use crate::value::{
-    filled_cell, new_cell, AtomicUnit, CellRef, DataOpValue, LinkedUnit, UnitValue, Value,
-    VariantValue,
+    AtomicUnit, CellRef, DataOpValue, LinkedUnit, UnitValue, Value, VariantValue,
 };
 use crate::vm::VmCode;
 
@@ -56,7 +55,7 @@ pub fn bind_letrec_frame(
     push_data_ops(types, &mut frame, machine);
     let mut cells = Vec::with_capacity(vals.len());
     for defn in vals {
-        let cell = new_cell();
+        let cell = machine.cell(None);
         frame.push((defn.name.clone(), Binding::Cell(cell.clone())));
         cells.push(cell);
     }
@@ -258,7 +257,7 @@ pub fn import_cells(
     ports
         .iter()
         .map(|port| match supplied.get(&port.name) {
-            Some(v) => Ok(filled_cell(v.clone())),
+            Some(v) => Ok(machine.cell(Some(v.clone()))),
             None => Err(RuntimeError::UnsatisfiedImport { name: port.name.clone() }),
         })
         .collect()
@@ -357,7 +356,8 @@ fn wire_atomic(
             .position(|p| p.name == defn.name)
             .and_then(|j| exports.get(j).cloned().flatten());
         shared += usize::from(wanted.is_some());
-        frame.push((defn.name.clone(), Binding::Cell(wanted.unwrap_or_else(new_cell))));
+        let cell = wanted.unwrap_or_else(|| machine.cell(None));
+        frame.push((defn.name.clone(), Binding::Cell(cell)));
     }
     // Any other wanted export is a datatype operation, whose value
     // exists already.
@@ -410,7 +410,7 @@ fn wire_linked(
     for slot in &mut slots[plan.imports()..] {
         if slot.is_none() {
             machine.alloc_cells(1)?;
-            *slot = Some(new_cell());
+            *slot = Some(machine.cell(None));
         }
     }
     if let Some(port) = unprovided {

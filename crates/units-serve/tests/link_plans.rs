@@ -154,6 +154,34 @@ fn link_plans_leave_fuel_and_cells_unchanged() {
     }
 }
 
+/// Every invoke's store is reclaimed: after a thousand invokes of each
+/// plug-in no cell is still referenced, and each invoke still allocates
+/// the pinned cells and burns the pinned fuel.
+#[test]
+fn a_thousand_invokes_retain_no_cells() {
+    const INVOKES: u64 = 1_000;
+    for (b, backend) in [Backend::Compiled, Backend::Bytecode].into_iter().enumerate() {
+        let service = Service::builder().level(Level::Untyped).backend(backend).build();
+        let tenant = service.tenant("t");
+        for Case { name, source, arg, reply, pins } in cases() {
+            tenant.load_plugin(name, &source, None).unwrap();
+            service.engine().metrics_reset();
+            for _ in 0..INVOKES {
+                let outcome = tenant.invoke_with(name, Some(arg), Limits::none()).unwrap();
+                assert_eq!(outcome.value.to_string(), reply, "{name} on {backend:?}");
+            }
+            let runs = service.engine().metrics_snapshot().runs;
+            assert_eq!(runs.cells_retained, 0, "{name} on {backend:?}");
+            let (cells, fuel) = pins[b];
+            assert_eq!(
+                (runs.store_cells_peak, runs.fuel_total),
+                (cells, INVOKES * fuel),
+                "{name} on {backend:?}: (store_cells_peak, fuel_total)"
+            );
+        }
+    }
+}
+
 /// The first `compound` node reached through `invoke` targets and unit
 /// initializations.
 fn first_compound(expr: &Expr) -> &CompoundExpr {

@@ -90,7 +90,7 @@ use units_compile::{
 };
 use units_kernel::{Expr, Ty};
 use units_reduce::Reducer;
-use units_runtime::{execute, vm, Chunk, Limits, Machine, Resource, Value};
+use units_runtime::{execute, vm, Chunk, Limits, Machine, Resource, RuntimeError, Value};
 use units_store::{Lookup, Store};
 use units_syntax::parse_file;
 use units_trace::faults::FaultPlane;
@@ -956,7 +956,9 @@ impl EngineInner {
     /// One un-recovered run: the three backends behind the unwind
     /// boundary. With `arg`, the program's value is applied to
     /// `Int(arg)` on the same machine, so fuel, cells, and output cover
-    /// both halves.
+    /// both halves. A compiled run's store is reclaimed once its value
+    /// has been observed and dropped; a panicking run's machine reclaims
+    /// as the unwind drops it.
     fn run_raw(
         &self,
         artifact: &Arc<Artifact>,
@@ -976,8 +978,7 @@ impl EngineInner {
                     None => Ok(f),
                 });
                 self.note_machine(&machine);
-                let value = value?;
-                Ok(Outcome { value: observe_value(&value), output: machine.take_output() })
+                self.observed(value, machine)
             }
             Backend::Bytecode => {
                 let chunk = artifact.chunk();
@@ -988,8 +989,7 @@ impl EngineInner {
                     None => Ok(f),
                 });
                 self.note_machine(&machine);
-                let value = value?;
-                Ok(Outcome { value: observe_value(&value), output: machine.take_output() })
+                self.observed(value, machine)
             }
             Backend::Reducer => {
                 let mut reducer = Reducer::with_limits(limits);
@@ -1010,6 +1010,21 @@ impl EngineInner {
     /// engine metrics.
     fn note_machine(&self, machine: &Machine) {
         self.metrics.note_machine(machine.steps_taken(), machine.cells_allocated());
+    }
+
+    /// A compiled run's outcome: its value observed, then dropped, then
+    /// the run's store reclaimed, counting any cell still referenced.
+    fn observed(
+        &self,
+        value: Result<Value, RuntimeError>,
+        mut machine: Machine,
+    ) -> Result<Outcome, Error> {
+        let outcome = value.map(|value| Outcome {
+            value: observe_value(&value),
+            output: machine.take_output(),
+        });
+        self.metrics.note_retained(machine.reclaim());
+        Ok(outcome?)
     }
 
     /// The failure path of [`run_artifact`](EngineInner::run_artifact):

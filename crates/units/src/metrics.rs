@@ -4,9 +4,9 @@
 //! these are plain per-engine counters — a handful of relaxed atomic
 //! bumps and one `Instant` read per invoke — cheap enough to keep in
 //! every build, so `Engine::metrics_snapshot` reports cache behaviour,
-//! recoveries, worker-pool usage, fuel, store-cell high-water marks, and
-//! invoke latency percentiles whether or not the `trace` feature is
-//! compiled.
+//! recoveries, worker-pool usage, fuel, store-cell high-water marks,
+//! cells a reclaimed run store still found referenced, and invoke
+//! latency percentiles whether or not the `trace` feature is compiled.
 //!
 //! Engines are `Send + Sync` session handles shared across threads, so
 //! the counters are `AtomicU64` (relaxed ordering: they are statistics,
@@ -40,6 +40,7 @@ pub(crate) struct EngineMetrics {
     pub fuel_total: AtomicU64,
     pub fuel_max: AtomicU64,
     pub cells_peak: AtomicU64,
+    pub cells_retained: AtomicU64,
     pub fuel_retries: AtomicU64,
     pub fallbacks: AtomicU64,
     pub recovered_runs: AtomicU64,
@@ -74,6 +75,11 @@ impl EngineMetrics {
         self.fuel_total.fetch_add(fuel, Relaxed);
         self.fuel_max.fetch_max(fuel, Relaxed);
         self.cells_peak.fetch_max(cells, Relaxed);
+    }
+
+    /// Adds the cells a reclaimed run store found still referenced.
+    pub fn note_retained(&self, cells: u64) {
+        self.cells_retained.fetch_add(cells, Relaxed);
     }
 
     /// Records one worker-pool batch of `jobs` jobs on `workers`
@@ -120,6 +126,7 @@ impl EngineMetrics {
                 fuel_total: self.fuel_total.load(Relaxed),
                 fuel_max: self.fuel_max.load(Relaxed),
                 store_cells_peak: self.cells_peak.load(Relaxed),
+                cells_retained: self.cells_retained.load(Relaxed),
             },
             invoke_latency: LatencyStats {
                 count: lat.count,
@@ -147,6 +154,7 @@ impl EngineMetrics {
             &self.fuel_total,
             &self.fuel_max,
             &self.cells_peak,
+            &self.cells_retained,
             &self.fuel_retries,
             &self.fallbacks,
             &self.recovered_runs,
@@ -237,6 +245,10 @@ pub struct RunMetrics {
     pub fuel_max: u64,
     /// Most store cells any single run allocated.
     pub store_cells_peak: u64,
+    /// Store cells still referenced from outside their run's store after
+    /// it was reclaimed, summed over runs. A run returns an observation,
+    /// not a value, so anything but zero is a leak.
+    pub cells_retained: u64,
 }
 
 /// Invoke latency derived from a log₂-ns histogram. Percentiles are
@@ -331,6 +343,7 @@ impl MetricsSnapshot {
                     ("fuel_total", runs.fuel_total),
                     ("fuel_max", runs.fuel_max),
                     ("store_cells_peak", runs.store_cells_peak),
+                    ("cells_retained", runs.cells_retained),
                 ]),
             ),
             (
@@ -359,6 +372,8 @@ mod tests {
         metrics.note_run(Duration::from_micros(20), false);
         metrics.note_machine(100, 7);
         metrics.note_machine(40, 9);
+        metrics.note_retained(0);
+        metrics.note_retained(2);
         metrics.note_batch(3, 2);
         let snap = metrics.snapshot(5);
         assert_eq!(snap.runs.total, 2);
@@ -366,6 +381,7 @@ mod tests {
         assert_eq!(snap.runs.fuel_total, 140);
         assert_eq!(snap.runs.fuel_max, 100);
         assert_eq!(snap.runs.store_cells_peak, 9);
+        assert_eq!(snap.runs.cells_retained, 2);
         assert_eq!(snap.pool.jobs, 3);
         assert_eq!(snap.invoke_latency.count, 2);
         assert!(snap.invoke_latency.p50_ns <= snap.invoke_latency.p99_ns);
@@ -380,6 +396,7 @@ mod tests {
         assert_eq!(field("store", "corrupt"), Some(0));
         assert_eq!(field("recovery", "flight_dump_failures"), Some(0));
         assert_eq!(field("runs", "fuel_total"), Some(140));
+        assert_eq!(field("runs", "cells_retained"), Some(2));
         metrics.reset();
         assert_eq!(metrics.snapshot(0), MetricsSnapshot::default());
     }

@@ -351,7 +351,6 @@ pub use divergence::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     #[test]
     fn both_projections_agree_on_ground_values() {
@@ -359,7 +358,7 @@ mod tests {
         assert_eq!(observe_value(&Value::str("x")), observe_expr(&Expr::str("x")));
         assert_eq!(observe_value(&Value::Void), observe_expr(&Expr::void()));
         assert_eq!(
-            observe_value(&Value::Tuple(Rc::new(vec![Value::Bool(true)]))),
+            observe_value(&Value::tuple(vec![Value::Bool(true)])),
             observe_expr(&Expr::Tuple(vec![Expr::bool(true)]))
         );
     }

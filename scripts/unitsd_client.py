@@ -9,6 +9,13 @@ framing or encoding bug on either side of the socket.
         the reader's cap, hot swap, version-owned artifacts, mistyped
         fields, per-request budgets, admission denial, stats, shutdown.
         Expects `unitsd --level untyped --fuel 1000000`, on any backend.
+    python3 scripts/unitsd_client.py reclaim SOCKET PID
+        Every run's store is reclaimed: 2,000 invokes of a 32-unit chain
+        plug-in grow the daemon's (PID's) resident set by under 4 MiB,
+        five programs that each build and drop a structure 1,000,000
+        deep return while another tenant keeps being served, and stats
+        report no retained cells. Expects `unitsd --level untyped` with
+        no fuel cap, on either compiled backend.
     python3 scripts/unitsd_client.py cold|warm|corrupt SOCKET
         One `run`, then the persistent-store checks for that phase of
         the --cache-dir gate, then shutdown.
@@ -148,6 +155,86 @@ def smoke(path):
           'stats, shutdown OK')
 
 
+def chain(length, pads):
+    """A chain of `length` units, each adding 3 and exporting `pads`
+    integer pads the next unit imports: calling it with n gives
+    n + 3 * (length - 1)."""
+    links, prev = [], ''
+    for i in range(length):
+        ports = f' f{i}' + ''.join(f' p{i}_{k}' for k in range(pads))
+        defs = ''.join(f' (define p{i}_{k} {i * pads + k})' for k in range(pads))
+        body = 'x' if i == 0 else f'(f{i - 1} (+ x 3))'
+        links.append(f'((unit (import{prev}) (export{ports}) '
+                     f'(define f{i} (lambda (x) {body})){defs}) '
+                     f'(with{prev}) (provides{ports}))')
+        prev = ports
+    last = length - 1
+    return (f'(unit (import) (export) (init (lambda (n) (invoke '
+            f'(compound (import x0) (export) (link {" ".join(links)} '
+            f'((unit (import f{last} x0) (export) (init (f{last} x0))) '
+            f'(with f{last} x0) (provides)))) (val x0 n)))))')
+
+
+# Each builds a structure N deep, drops it, and returns 42: a datatype
+# list, a tuple chain, a closure chain, a chain of recursive closures
+# (each in its own letrec cell) and a chain of hash tables.
+def deep_programs(n):
+    build = ('(define build (lambda (n acc) (if (= n 0) acc (build (- n 1) {}))))'
+             .format)
+    program = '(letrec ({}) (begin (build {} {}) 42))'.format
+    return {
+        'list': program('(datatype lst (cons uncons void) (nil unnil void) cons?) '
+                        + build('(cons (tuple n acc))'), n, '(nil void)'),
+        'tuples': program(build('(tuple n acc)'), n, '0'),
+        'closures': program(build('(lambda () (acc))'), n, '(lambda () 0)'),
+        'cells': program(build('(letrec ((define g (lambda () (acc)))) g)'), n,
+                         '(lambda () 0)'),
+        'hashes': program(build('(let ((h (hash-new))) (begin (hash-set! h "next" acc) h))'),
+                          n, '0'),
+    }
+
+
+def rss_kib(pid):
+    with open(f'/proc/{pid}/status') as status:
+        for line in status:
+            if line.startswith('VmRSS:'):
+                return int(line.split()[1])
+    raise AssertionError('no VmRSS for pid ' + pid)
+
+
+def reclaim(path, pid):
+    a, b = connect(path), connect(path)
+    assert call(a, {'op': 'hello', 'tenant': 'a'})['ok']
+    assert call(b, {'op': 'hello', 'tenant': 'b'})['ok']
+    assert call(a, {'op': 'load', 'name': 'chain', 'source': chain(32, 6)})['ok']
+    square = '(unit (import) (export) (init (lambda (n) (* n n))))'
+    assert call(b, {'op': 'load', 'name': 'f', 'source': square})['ok']
+
+    # The leak this gate guards against held about 33 KiB per invoke.
+    def invoke_chain(times):
+        for arg in range(times):
+            reply = call(a, {'op': 'invoke', 'name': 'chain', 'arg': arg})
+            assert reply['ok'] and reply['value'] == str(arg + 93), reply
+    invoke_chain(100)
+    before = rss_kib(pid)
+    invoke_chain(2000)
+    grown = rss_kib(pid) - before
+    assert grown < 4 * 1024, f'2,000 chain invokes grew VmRSS by {grown} KiB'
+
+    # Dropping a deep structure does not overflow the connection's stack,
+    # which would abort the daemon for every tenant.
+    for name, source in deep_programs(1_000_000).items():
+        reply = call(a, {'op': 'run', 'source': source})
+        assert reply['ok'] and reply['value'] == '42', (name, reply)
+        assert call(b, {'op': 'invoke', 'name': 'f', 'arg': 6})['value'] == '36', name
+
+    runs = call(b, {'op': 'stats'})['engine']['runs']
+    assert runs['cells_retained'] == 0 and runs['failures'] == 0, runs
+    assert call(b, {'op': 'shutdown'})['stopping']
+    print(f'unitsd reclaim: 2,000 chain invokes grew VmRSS by {grown} KiB; '
+          f'five 1,000,000-deep structures dropped; no cells retained')
+
+
 def store_gate(mode, path):
     program = '(invoke (unit (import) (export) (init (* 21 2))))'
     s = connect(path)
@@ -176,11 +263,14 @@ def flip(cache_dir):
 
 
 def main(argv):
-    if len(argv) != 3 or argv[1] not in ('smoke', 'cold', 'warm', 'corrupt', 'flip'):
+    modes = ('smoke', 'reclaim', 'cold', 'warm', 'corrupt', 'flip')
+    if len(argv) != 3 + (argv[1:2] == ['reclaim']) or argv[1] not in modes:
         sys.exit(__doc__)
     mode, path = argv[1], argv[2]
     if mode == 'smoke':
         smoke(path)
+    elif mode == 'reclaim':
+        reclaim(path, argv[3])
     elif mode == 'flip':
         flip(path)
     else:

@@ -608,3 +608,164 @@ fn programs_nested_at_the_cap_run_on_every_backend() {
         .join()
         .unwrap();
 }
+
+/// A program that builds a structure `n` deep, discards it, and returns
+/// 42: `defs` defines `build`, which counts down from `n` and wraps its
+/// accumulator, starting from `init`, at each step.
+fn deep_program(defs: &str, init: &str, n: usize) -> String {
+    format!("(letrec ({defs}) (begin (build {n} {init}) 42))")
+}
+
+/// The five deep structures: a datatype list, a tuple chain, a closure
+/// chain, a chain of recursive closures (each in its own `letrec` cell),
+/// and a chain of hash tables.
+fn deep_programs(n: usize) -> [(&'static str, String); 5] {
+    let build = |wrap: &str| {
+        format!("(define build (lambda (n acc) (if (= n 0) acc (build (- n 1) {wrap}))))")
+    };
+    [
+        (
+            "list",
+            deep_program(
+                &format!(
+                    "(datatype lst (cons uncons void) (nil unnil void) cons?) {}",
+                    build("(cons (tuple n acc))")
+                ),
+                "(nil void)",
+                n,
+            ),
+        ),
+        ("tuples", deep_program(&build("(tuple n acc)"), "0", n)),
+        ("closures", deep_program(&build("(lambda () (acc))"), "(lambda () 0)", n)),
+        (
+            "cells",
+            deep_program(
+                &build("(letrec ((define g (lambda () (acc)))) g)"),
+                "(lambda () 0)",
+                n,
+            ),
+        ),
+        (
+            "hashes",
+            deep_program(
+                &build("(let ((h (hash-new))) (begin (hash-set! h \"next\" acc) h))"),
+                "0",
+                n,
+            ),
+        ),
+    ]
+}
+
+/// The stack a deep-drop program runs on: recursive drops of 200,000
+/// nodes overflow it on both compiled backends.
+const DEEP_DROP_STACK: usize = 1 << 20;
+
+/// Runs the deep-structure program `name` at 200,000 elements on both
+/// compiled backends, on a thread with a 1 MiB stack, and checks that it
+/// returns 42 and that its reclaimed store retains no cell.
+fn drops_in_bounded_stack(name: &'static str) {
+    let check = move || {
+        let (_, source) = deep_programs(200_000).into_iter().find(|(n, _)| *n == name).unwrap();
+        for backend in [Backend::Compiled, Backend::Bytecode] {
+            let engine = Engine::builder().level(Level::Untyped).backend(backend).build();
+            let outcome = engine
+                .load(&source)
+                .and_then(|l| l.run())
+                .unwrap_or_else(|e| panic!("{name} on {backend:?}: {e}"));
+            assert_eq!(outcome.value, Observation::Int(42), "{name} on {backend:?}");
+            assert_eq!(engine.metrics_snapshot().runs.cells_retained, 0, "{name} on {backend:?}");
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(DEEP_DROP_STACK)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+#[test]
+fn a_deep_datatype_list_drops_in_bounded_stack() {
+    drops_in_bounded_stack("list");
+}
+
+#[test]
+fn a_deep_tuple_chain_drops_in_bounded_stack() {
+    drops_in_bounded_stack("tuples");
+}
+
+#[test]
+fn a_deep_closure_chain_drops_in_bounded_stack() {
+    drops_in_bounded_stack("closures");
+}
+
+#[test]
+fn a_deep_chain_of_recursive_closures_is_reclaimed_in_bounded_stack() {
+    drops_in_bounded_stack("cells");
+}
+
+#[test]
+fn a_deep_hash_table_chain_drops_in_bounded_stack() {
+    drops_in_bounded_stack("hashes");
+}
+
+/// Evaluates `source` on a compiled backend with `machine`.
+fn evaluate_on(backend: Backend, source: &str, machine: &mut units::Machine) -> units::Value {
+    let resolved = units_compile::resolve_program(&parse_expr(source).unwrap());
+    let value = match backend {
+        Backend::Compiled => units::evaluate_program(&resolved, machine),
+        _ => units_runtime::execute(&units_compile::lower_program(&resolved), machine),
+    };
+    value.unwrap_or_else(|e| panic!("{source} on {backend:?}: {e}"))
+}
+
+/// A recursive closure lives in a cell of the frame it captures, a cycle
+/// reference counting never frees. Dropping the run's machine empties
+/// the cell, so the closure goes with it. A closure used after its
+/// machine reclaimed fails with a typed error instead.
+#[test]
+fn a_dropped_machine_frees_its_recursive_closures() {
+    let source = "(letrec ((define f (lambda (n) (f n)))) f)";
+    for backend in [Backend::Compiled, Backend::Bytecode] {
+        let mut machine = units::Machine::new();
+        let units::Value::Closure(f) = evaluate_on(backend, source, &mut machine) else {
+            panic!("{backend:?}: not a closure");
+        };
+        let weak = std::rc::Rc::downgrade(&f);
+        drop(f);
+        assert!(weak.upgrade().is_some(), "{backend:?}: the cycle holds the closure");
+        drop(machine);
+        assert!(weak.upgrade().is_none(), "{backend:?}: the closure outlived its machine");
+
+        let mut machine = units::Machine::new();
+        let f = evaluate_on(backend, source, &mut machine);
+        assert_eq!(machine.reclaim(), 1, "{backend:?}: `f`'s cell is still referenced");
+        let apply = match backend {
+            Backend::Compiled => units_compile::apply,
+            _ => units_runtime::vm::apply,
+        };
+        let err = apply(f, vec![units::Value::Int(1)], &mut units::Machine::new()).unwrap_err();
+        assert!(
+            matches!(&err, units::RuntimeError::UndefinedRead { name } if name.as_str() == "f"),
+            "{backend:?}: {err}"
+        );
+    }
+}
+
+/// A table that stores a closure over itself is a cycle through the
+/// table; dropping the machine empties the table and frees both.
+#[test]
+fn a_dropped_machine_frees_a_table_that_holds_a_closure_over_itself() {
+    let source = "(let ((h (hash-new))) (begin (hash-set! h \"self\" (lambda () h)) h))";
+    for backend in [Backend::Compiled, Backend::Bytecode] {
+        let mut machine = units::Machine::new();
+        let units::Value::Hash(h) = evaluate_on(backend, source, &mut machine) else {
+            panic!("{backend:?}: not a table");
+        };
+        let weak = std::rc::Rc::downgrade(&h);
+        drop(h);
+        assert!(weak.upgrade().is_some(), "{backend:?}: the cycle holds the table");
+        drop(machine);
+        assert!(weak.upgrade().is_none(), "{backend:?}: the table outlived its machine");
+    }
+}
