@@ -42,11 +42,13 @@ fi
 # daemon with no fuel cap — the deep programs need far more than the
 # smoke's 1,000,000 steps — on each compiled backend: 2,000 invokes of
 # a 32-unit chain plug-in must grow the daemon's VmRSS by under 4 MiB
-# (a leaking store grows it by about 64 MiB); five programs that each
-# build a structure 1,000,000 deep (a datatype list, tuples, closures,
-# recursive closures in cells, hash tables) and drop it must return 42
-# while a second tenant's invokes keep being answered; and `stats` must
-# report no retained cells.
+# (a leaking store grows it by about 64 MiB) and peak at 225 store
+# cells, which shows the daemon runs the chain's compound flattened into
+# one unit at resolution (wired from a link plan it takes 449); five
+# programs that each build a structure 1,000,000 deep (a datatype list,
+# tuples, closures, recursive closures in cells, hash tables) and drop
+# it must return 42 while a second tenant's invokes keep being answered;
+# and `stats` must report no retained cells.
 if command -v python3 >/dev/null 2>&1; then
     for backend in compiled bytecode; do
         ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --backend "$backend" &
@@ -224,7 +226,10 @@ rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace.tmp
 # on the reducer, the tree-walker, and the bytecode VM, and
 # must hold their observations identical in both feature configurations
 # (it also runs inside the full `cargo test` sweeps above; this names
-# the gate).
+# the gate). The flattening oracle runs 600 compounds of unit literals
+# four ways — the reducer on the program and on its resolved, flattened
+# form, the tree-walker and the VM — and requires that at least a third
+# of them flatten completely.
 cargo test -q --test differential
 cargo test -q --features trace --test differential
 

@@ -38,4 +38,4 @@ pub use eval::{apply, eval, evaluate_program};
 pub use instantiate::invoke_unit;
 pub use lower::lower_program;
 pub use profile::ChunkProfile;
-pub use resolve::{resolve_program, FRAME_LAYOUT};
+pub use resolve::{resolve_program, RESOLVED_FORM};

@@ -536,6 +536,33 @@ mod tests {
                      (define odd (lambda (n) (if (= n 0) false (even (- n 1)))))
                      (init (odd 13)))
                    (with even) (provides odd)))))";
+        // Both constituents are closed unit literals: resolution merged
+        // the compound, so the chunk invokes one unit.
+        assert!(chunk_for(src).compounds.is_empty());
+        match run(src) {
+            Ok(Value::Bool(true)) => {}
+            other => panic!("odd(13) should be true, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn let_bound_compound_linking_round_trips() {
+        // `let`-bound constituents are not literals, so the compound
+        // stays: a `CheckLink` after each constituent, then the
+        // compound.
+        let src = "(invoke (let ((e (unit (import odd) (export even)
+                                    (define even (lambda (n) (if (= n 0) true (odd (- n 1)))))
+                                    (init void)))
+                                 (o (unit (import even) (export odd)
+                                    (define odd (lambda (n) (if (= n 0) false (even (- n 1)))))
+                                    (init (odd 13)))))
+                     (compound (import) (export)
+                       (link (e (with odd) (provides even))
+                             (o (with even) (provides odd))))))";
+        let chunk = chunk_for(src);
+        let checks = chunk.code.iter().filter(|op| matches!(op, Op::CheckLink { .. })).count();
+        assert_eq!(checks, 2);
+        assert!(chunk.code.iter().any(|op| matches!(op, Op::MakeCompound(_))));
         match run(src) {
             Ok(Value::Bool(true)) => {}
             other => panic!("odd(13) should be true, got {other:?}"),

@@ -26,7 +26,7 @@
 //!   the addressed slot holds that name (one interned-id compare),
 //!   degrading to the by-name scan on any mismatch — a stale address
 //!   costs time, and can bind wrongly only by landing on a shadowed
-//!   binding of the same name, which [`FRAME_LAYOUT`] keeps persisted
+//!   binding of the same name, which [`RESOLVED_FORM`] keeps persisted
 //!   code from doing;
 //! * the substitution reducer (`units-reduce`) never consumes resolved
 //!   code; its defensive `VarAt` arms treat the form exactly like `Var`.
@@ -44,25 +44,39 @@
 //!   cells, then the datatype operations and one slot per value
 //!   definition in `letrec` order. An exported definition's slot holds
 //!   the cell its consumers read, so no frame rebinds exports.
+//!
+//! **Compile-time flattening.** The same walk runs Fig. 11's `compound`
+//! rule ([`units_kernel::merge_compound`]) once per artifact: a compound
+//! whose constituents are all closed unit literals becomes the one merged
+//! unit before its addresses are assigned, so every run wires one frame
+//! instead of a link plan's slots and a frame per constituent. A nested
+//! compound counts as a literal once it has merged. Every other compound
+//! — a sealed, `let`-bound or first-class constituent, a constituent with
+//! free variables, a link graph the checkers would reject, a failed side
+//! condition, a rename pair that would be captured — stays as written and
+//! wires from its link plan, with its run-time errors unchanged.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use units_kernel::{
-    Binding, CompoundExpr, Expr, InvokeExpr, Lambda, LetrecExpr, LexAddr, LinkClause, Symbol,
-    TypeDefn, UnitExpr, ValDefn,
+    is_closed, merge_compound, Binding, CompoundExpr, Expr, InvokeExpr, Lambda, LetrecExpr,
+    LexAddr, LinkClause, NameGen, Symbol, SymbolHash, TypeDefn, UnitExpr, ValDefn,
 };
 
-/// The version of the frame layout that resolved addresses assume. Code
+/// The version of the resolved form: the frame layout its addresses
+/// assume and the rewrites (compound flattening) that produced it. Code
 /// resolved under one layout must not run under another: a stale
 /// address can land on a shadowed binding of the same name, which the
 /// runtime's name check cannot tell apart. Whatever persists resolved
 /// code keys it by this number.
-pub const FRAME_LAYOUT: u32 = 2;
+pub const RESOLVED_FORM: u32 = 3;
 
-/// The compile-time mirror of the runtime frame stack.
-#[derive(Default)]
+/// The compile-time mirror of the runtime frame stack, and the fresh
+/// names of the compounds the walk merges.
 struct Scope {
     frames: Vec<Vec<Symbol>>,
+    gen: NameGen,
 }
 
 impl Scope {
@@ -105,12 +119,13 @@ fn letrec_frame_names(types: &[TypeDefn], vals: &[ValDefn]) -> Vec<Symbol> {
     names
 }
 
-/// Resolves every statically addressable variable in a closed program.
-/// Idempotent; free variables and machine-internal forms pass through
-/// unchanged.
+/// Flattens every compound of closed unit literals and resolves every
+/// statically addressable variable in a closed program. Idempotent; free
+/// variables and machine-internal forms pass through unchanged.
 pub fn resolve_program(expr: &Expr) -> Expr {
     let _timer = units_trace::time("resolve");
-    go(expr, &mut Scope::default())
+    // Tagged, so the merged names never meet the reducer's own.
+    go(expr, &mut Scope { frames: Vec::new(), gen: NameGen::tagged("m") })
 }
 
 fn go(expr: &Expr, scope: &mut Scope) -> Expr {
@@ -176,37 +191,14 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
         ),
         Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| go(e, scope)).collect()),
         Expr::Proj(i, e) => Expr::Proj(*i, Box::new(go(e, scope))),
-        Expr::Unit(u) => {
-            // Mirror `wire` on an atomic unit: one frame of the imports,
-            // then the datatype operations and definitions in `letrec`
-            // order.
-            let mut frame: Vec<Symbol> = u.imports.vals.iter().map(|p| p.name.clone()).collect();
-            frame.extend(letrec_frame_names(&u.types, &u.vals));
-            scope.push(frame);
-            let vals = resolve_vals(&u.vals, scope);
-            let init = go(&u.init, scope);
-            scope.pop();
-            Expr::Unit(Arc::new(UnitExpr {
-                imports: u.imports.clone(),
-                exports: u.exports.clone(),
-                types: u.types.clone(),
-                vals,
-                init,
-            }))
-        }
-        Expr::Compound(c) => Expr::Compound(Arc::new(CompoundExpr::new(
-            c.imports.clone(),
-            c.exports.clone(),
-            c.links
-                .iter()
-                .map(|l| LinkClause {
-                    expr: go(&l.expr, scope),
-                    with: l.with.clone(),
-                    provides: l.provides.clone(),
-                    renames: l.renames.clone(),
-                })
-                .collect(),
-        ))),
+        Expr::Unit(u) => resolve_unit(u, scope),
+        Expr::Compound(c) => match flatten(c, &mut scope.gen) {
+            Ok(merged) => {
+                units_trace::count("resolve/flattened", 1);
+                resolve_unit(&merged, scope)
+            }
+            Err(kept) => resolve_compound(&kept, scope),
+        },
         Expr::Invoke(inv) => Expr::Invoke(Arc::new(InvokeExpr {
             target: go(&inv.target, scope),
             ty_links: inv.ty_links.clone(),
@@ -218,6 +210,108 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
         })),
         Expr::Seal(e, sig) => Expr::Seal(Box::new(go(e, scope)), sig.clone()),
     }
+}
+
+/// Mirrors `wire` on an atomic unit: one frame of the imports, then the
+/// datatype operations and definitions in `letrec` order.
+fn resolve_unit(u: &UnitExpr, scope: &mut Scope) -> Expr {
+    let mut frame: Vec<Symbol> = u.imports.vals.iter().map(|p| p.name.clone()).collect();
+    frame.extend(letrec_frame_names(&u.types, &u.vals));
+    scope.push(frame);
+    let vals = resolve_vals(&u.vals, scope);
+    let init = go(&u.init, scope);
+    scope.pop();
+    Expr::Unit(Arc::new(UnitExpr {
+        imports: u.imports.clone(),
+        exports: u.exports.clone(),
+        types: u.types.clone(),
+        vals,
+        init,
+    }))
+}
+
+/// Resolves a compound [`flatten`] kept. Its nested compounds are
+/// flattened already, so they are resolved as they stand.
+fn resolve_compound(c: &CompoundExpr, scope: &mut Scope) -> Expr {
+    let links = c
+        .links
+        .iter()
+        .map(|l| LinkClause {
+            expr: match &l.expr {
+                Expr::Compound(inner) => resolve_compound(inner, scope),
+                other => go(other, scope),
+            },
+            with: l.with.clone(),
+            provides: l.provides.clone(),
+            renames: l.renames.clone(),
+        })
+        .collect();
+    Expr::Compound(Arc::new(CompoundExpr::new(c.imports.clone(), c.exports.clone(), links)))
+}
+
+/// Fig. 11's `compound` rule at compile time. Nested compounds first: one
+/// that merges counts as a literal. Then the compound merges when every
+/// constituent is a closed unit literal, its link graph is one the
+/// checkers accept (the merge assumes one, and `resolve_program` also
+/// meets unchecked terms) and [`merge_compound`] does not refuse.
+/// Otherwise it is kept, with its nested compounds flattened.
+fn flatten(c: &Arc<CompoundExpr>, gen: &mut NameGen) -> Result<UnitExpr, Arc<CompoundExpr>> {
+    let mut links: Option<Vec<LinkClause>> = None;
+    for (i, link) in c.links.iter().enumerate() {
+        if let Expr::Compound(inner) = &link.expr {
+            let flat = match flatten(inner, gen) {
+                Ok(merged) => Expr::Unit(Arc::new(merged)),
+                Err(kept) if Arc::ptr_eq(&kept, inner) => continue,
+                Err(kept) => Expr::Compound(kept),
+            };
+            links.get_or_insert_with(|| c.links.clone())[i].expr = flat;
+        }
+    }
+    let flat = match links {
+        Some(links) => Arc::new(CompoundExpr::new(c.imports.clone(), c.exports.clone(), links)),
+        None => c.clone(),
+    };
+    let units: Option<Vec<Arc<UnitExpr>>> = flat
+        .links
+        .iter()
+        .map(|l| match &l.expr {
+            Expr::Unit(u) => Some(u.clone()),
+            _ => None,
+        })
+        .collect();
+    let Some(units) = units else { return Err(flat) };
+    // A merged nested compound is closed: its constituents were.
+    let closed = c
+        .links
+        .iter()
+        .all(|l| matches!(l.expr, Expr::Compound(_)) || is_closed(&l.expr));
+    if !closed || !well_linked(&flat) {
+        return Err(flat);
+    }
+    merge_compound(&flat, &units, gen).map_err(|_| flat)
+}
+
+/// Whether `c`'s link graph is one the checkers accept: the compound's
+/// imports and provided outer names distinct, every `with` port supplied
+/// by one of them, and every export provided.
+fn well_linked(c: &CompoundExpr) -> bool {
+    let mut names: HashSet<&Symbol, SymbolHash> = HashSet::default();
+    let provided = c
+        .links
+        .iter()
+        .flat_map(|l| l.provides.vals.iter().map(|p| l.renames.outer_export_val(&p.name)));
+    if !c.imports.vals.iter().map(|p| &p.name).chain(provided).all(|name| names.insert(name)) {
+        return false;
+    }
+    let supplied = c.links.iter().all(|l| {
+        l.with.vals.iter().all(|p| names.contains(l.renames.outer_import_val(&p.name)))
+    });
+    supplied
+        && c.exports.vals.iter().enumerate().all(|(i, p)| {
+            names.contains(&p.name)
+                && c.imports.val_port(&p.name).is_none()
+                && c.exports.vals[..i].iter().all(|q| q.name != p.name)
+        })
 }
 
 /// Resolves definition bodies in the scope already pushed by the caller.
@@ -306,6 +400,143 @@ mod tests {
         let Expr::Lambda(lam) = &u.vals[0].body else { panic!() };
         // Inside the lambda one more frame is pushed at application time.
         assert_eq!(lam.body, Expr::VarAt("base".into(), addr(1, 0)));
+    }
+
+    /// Counts the `compound` nodes left in `e`.
+    fn compounds(e: &Expr) -> usize {
+        let mut n = 0;
+        let mut stack = vec![e];
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::Compound(c) => {
+                    n += 1;
+                    stack.extend(c.links.iter().map(|l| &l.expr));
+                }
+                Expr::Unit(u) => {
+                    stack.extend(u.vals.iter().map(|d| &d.body));
+                    stack.push(&u.init);
+                }
+                Expr::Lambda(lam) => stack.push(&lam.body),
+                Expr::Let(bindings, body) => {
+                    stack.extend(bindings.iter().map(|b| &b.expr));
+                    stack.push(body);
+                }
+                Expr::Invoke(inv) => {
+                    stack.push(&inv.target);
+                    stack.extend(inv.val_links.iter().map(|(_, e)| e));
+                }
+                Expr::Seal(e, _) => stack.push(e),
+                Expr::App(f, args) => {
+                    stack.push(f);
+                    stack.extend(args);
+                }
+                _ => {}
+            }
+        }
+        n
+    }
+
+    fn resolved(src: &str) -> Expr {
+        resolve_program(&units_syntax::parse_expr(src).unwrap())
+    }
+
+    #[test]
+    fn compounds_of_closed_literals_flatten_bottom_up() {
+        // The inner compound merges first, then counts as a literal.
+        let e = resolved(
+            "(invoke (compound (import) (export)
+               (link ((compound (import) (export a)
+                        (link ((unit (import) (export a) (define a 1)) (with) (provides a))))
+                      (with) (provides a))
+                     ((unit (import a) (export) (init a)) (with a) (provides)))))",
+        );
+        let Expr::Invoke(inv) = &e else { panic!() };
+        let Expr::Unit(u) = &inv.target else { panic!("not flattened: {e:?}") };
+        assert_eq!(u.vals.len(), 1);
+        // One frame: the definition `a`, which the second init reads.
+        assert_eq!(u.init, Expr::Seq(vec![Expr::void(), Expr::VarAt("a".into(), addr(0, 0))]));
+    }
+
+    #[test]
+    fn compounds_that_cannot_merge_keep_their_link_plans() {
+        for src in [
+            // A constituent reads the enclosing lambda's parameter.
+            "(lambda (n) (compound (import) (export)
+               (link ((unit (import) (export) (init n)) (with) (provides)))))",
+            // A sealed constituent.
+            "(compound (import) (export)
+               (link ((seal (unit (import) (export a) (define a 1))
+                            (sig (import) (export a) (init void)))
+                      (with) (provides a))))",
+            // A `with` port nothing supplies (the checkers reject this).
+            "(compound (import) (export)
+               (link ((unit (import x) (export) (init x)) (with x) (provides))))",
+            // A failed Fig. 11 side condition: an excess import.
+            "(compound (import g) (export)
+               (link ((unit (import g) (export) (init g)) (with) (provides))))",
+            // A rename pair to the compound's import `times`, which a
+            // nested unit binds.
+            "(compound (import times) (export)
+               (link ((unit (import f) (export)
+                        (init (invoke (unit (import times) (export) (init (+ (f) times)))
+                                      (val times 5))))
+                      (with (as f times)) (provides))))",
+        ] {
+            assert_eq!(compounds(&resolved(src)), 1, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_kept_compound_still_flattens_its_nested_compounds() {
+        let e = resolved(
+            "(lambda (n) (compound (import) (export)
+               (link ((compound (import) (export a)
+                        (link ((unit (import) (export a) (define a 1)) (with) (provides a))))
+                      (with) (provides a))
+                     ((unit (import a) (export) (init (+ a n))) (with a) (provides)))))",
+        );
+        assert_eq!(compounds(&e), 1);
+        let Expr::Lambda(lam) = &e else { panic!() };
+        let Expr::Compound(c) = &lam.body else { panic!() };
+        assert!(matches!(c.links[0].expr, Expr::Unit(_)));
+    }
+
+    #[test]
+    fn a_hidden_link_name_is_freshened_against_nested_binders() {
+        // `times` is hidden, so the link gets a fresh name that the
+        // nested unit's `times` cannot capture.
+        let e = resolved(
+            "(compound (import) (export)
+               (link ((unit (import) (export a) (define a (lambda () 1)))
+                      (with) (provides (as a times)))
+                     ((unit (import f) (export)
+                        (init (invoke (unit (import) (export)
+                                        (define times (lambda () 5))
+                                        (init (+ (f) (times)))))))
+                      (with (as f times)) (provides))))",
+        );
+        let Expr::Unit(u) = &e else { panic!("not flattened: {e:?}") };
+        assert!(u.vals[0].name.is_generated());
+        assert_eq!(u.vals[0].name.base(), "times");
+    }
+
+    #[test]
+    fn resolution_is_idempotent_on_compounds() {
+        for src in [
+            "(invoke (compound (import) (export)
+               (link ((unit (import) (export a) (define a 1) (define h 2))
+                      (with) (provides a))
+                     ((unit (import a) (export) (define h 3) (init (+ a h)))
+                      (with a) (provides)))))",
+            "(lambda (n) (compound (import) (export)
+               (link ((compound (import) (export a)
+                        (link ((unit (import) (export a) (define a 1)) (with) (provides a))))
+                      (with) (provides a))
+                     ((unit (import a) (export) (init (+ a n))) (with a) (provides)))))",
+        ] {
+            let once = resolved(src);
+            assert_eq!(resolve_program(&once), once, "{src}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use crate::symbol::Symbol;
-use crate::term::{Expr, TypeDefn, UnitExpr};
+use crate::term::{Expr, TypeDefn, UnitExpr, ValDefn};
 use crate::ty::Ty;
 
 /// Returns the free *value* variables of an expression.
@@ -131,6 +131,80 @@ where
     for n in added {
         bound.remove(&n);
     }
+}
+
+/// Returns `true` when `expr` has no free value variables, i.e. when
+/// [`free_val_vars`] would be empty. One walk that stops at the first
+/// free variable and builds no set: the names in scope are a stack.
+///
+/// ```
+/// use units_kernel::{is_closed, Expr, Param};
+/// let id = Expr::lambda(vec![Param::untyped("x")], Expr::var("x"));
+/// assert!(is_closed(&id));
+/// assert!(!is_closed(&Expr::lambda(vec![], Expr::var("x"))));
+/// ```
+pub fn is_closed(expr: &Expr) -> bool {
+    closed(expr, &mut Vec::new())
+}
+
+fn closed(expr: &Expr, bound: &mut Vec<Symbol>) -> bool {
+    match expr {
+        Expr::Var(x) | Expr::VarAt(x, _) => bound.contains(x),
+        Expr::Lit(_) | Expr::Prim(..) | Expr::Loc(_) | Expr::CellRef(_) | Expr::Data(_) => true,
+        Expr::Lambda(lam) => scoped(bound, |bound| {
+            bound.extend(lam.params.iter().map(|p| p.name.clone()));
+            closed(&lam.body, bound)
+        }),
+        Expr::App(func, args) => closed(func, bound) && args.iter().all(|a| closed(a, bound)),
+        Expr::If(c, t, e) => closed(c, bound) && closed(t, bound) && closed(e, bound),
+        Expr::Seq(es) | Expr::Tuple(es) => es.iter().all(|e| closed(e, bound)),
+        Expr::Let(bindings, body) => {
+            bindings.iter().all(|b| closed(&b.expr, bound))
+                && scoped(bound, |bound| {
+                    bound.extend(bindings.iter().map(|b| b.name.clone()));
+                    closed(body, bound)
+                })
+        }
+        Expr::Letrec(lr) => scoped(bound, |bound| {
+            push_defined(bound, &lr.types, &lr.vals);
+            lr.vals.iter().all(|d| closed(&d.body, bound)) && closed(&lr.body, bound)
+        }),
+        Expr::Set(target, value) => closed(target, bound) && closed(value, bound),
+        Expr::Proj(_, e) | Expr::Seal(e, _) => closed(e, bound),
+        Expr::Unit(u) => scoped(bound, |bound| {
+            bound.extend(u.imports.vals.iter().map(|p| p.name.clone()));
+            push_defined(bound, &u.types, &u.vals);
+            u.vals.iter().all(|d| closed(&d.body, bound)) && closed(&u.init, bound)
+        }),
+        Expr::Compound(c) => c.links.iter().all(|link| closed(&link.expr, bound)),
+        Expr::Invoke(inv) => {
+            closed(&inv.target, bound) && inv.val_links.iter().all(|(_, e)| closed(e, bound))
+        }
+        Expr::Variant(v) => closed(&v.payload, bound),
+    }
+}
+
+/// Runs `f` on `bound`, then drops whatever `f` pushed.
+fn scoped(bound: &mut Vec<Symbol>, f: impl FnOnce(&mut Vec<Symbol>) -> bool) -> bool {
+    let depth = bound.len();
+    let closed = f(bound);
+    bound.truncate(depth);
+    closed
+}
+
+/// Pushes the value names a block of definitions binds: datatype
+/// operations and value definitions.
+fn push_defined(bound: &mut Vec<Symbol>, types: &[TypeDefn], vals: &[ValDefn]) {
+    for td in types {
+        if let TypeDefn::Data(d) = td {
+            for v in &d.variants {
+                bound.push(v.ctor.clone());
+                bound.push(v.dtor.clone());
+            }
+            bound.push(d.predicate.clone());
+        }
+    }
+    bound.extend(vals.iter().map(|d| d.name.clone()));
 }
 
 /// Returns the free *type* variables of an expression: type variables

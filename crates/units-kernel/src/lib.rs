@@ -12,7 +12,9 @@
 //!   including the machine-internal value forms used by the substitution
 //!   reducer;
 //! * [`free_val_vars`], [`subst_vals`], [`subst_ty`], [`alpha_eq`] — the
-//!   binding-aware operations the semantics is built from.
+//!   binding-aware operations the semantics is built from;
+//! * [`merge_compound`] — Fig. 11's `compound` rule, which the reducer
+//!   fires at run time and the compiler once per artifact.
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@ mod alpha;
 mod free;
 mod hash;
 mod kind;
+mod merge;
 mod plan;
 mod sig;
 mod subst;
@@ -62,12 +65,13 @@ mod ty;
 
 pub use alpha::{alpha_eq, alpha_eq_ty};
 pub use hash::alpha_hash;
-pub use free::{free_ty_vars_expr, free_val_vars};
+pub use free::{free_ty_vars_expr, free_val_vars, is_closed};
 pub use kind::Kind;
+pub use merge::{merge_compound, MergeError};
 pub use plan::{ClausePlan, LinkPlan};
 pub use sig::{Depend, Ports, SigEquation, Signature, TyPort, ValPort};
 pub use subst::{subst_ty, subst_ty_in_sig, subst_vals, CaptureError, ValSubst};
-pub use symbol::{NameGen, Symbol};
+pub use symbol::{NameGen, Symbol, SymbolHash, SymbolHasher};
 pub use term::{
     AliasDefn, Binding, CompoundExpr, DataDefn, DataOp, DataRole, DataVariant, Expr, InvokeExpr,
     Lambda, LetrecExpr, LexAddr, LinkClause, LinkRenames, Lit, Loc, Param, PrimOp, TypeDefn,

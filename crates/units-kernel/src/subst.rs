@@ -7,7 +7,10 @@
 //! interface* and cannot be renamed ("UNITd does not allow α-renaming for a
 //! unit's imported and exported variables"), so attempted capture there is
 //! an invariant violation — the reducer only ever substitutes closed
-//! values, which makes capture impossible for well-formed programs.
+//! values, which makes capture impossible for well-formed programs. The
+//! `compound` merge substitutes link names, which are not closed, so it
+//! uses [`ValSubst::try_apply`], which reports the capture as a
+//! [`CaptureError`].
 //!
 //! Type substitution implements `[τ̄/t̄]` as used by the UNITc/UNITe typing
 //! rules and the Fig. 18 expansion operator. Because signature port names
@@ -84,8 +87,20 @@ impl ValSubst {
     ///
     /// Panics if capture would occur under a unit's interface binder; this
     /// cannot happen when every replacement is closed (the reducer's
-    /// invariant).
+    /// invariant). [`ValSubst::try_apply`] reports it instead.
     pub fn apply(&self, expr: &Expr, gen: &mut NameGen) -> Expr {
+        self.try_apply(expr, gen).unwrap_or_else(|capture| {
+            panic!("{capture} (reducer invariant: replacements must be closed)")
+        })
+    }
+
+    /// Applies the substitution, renaming renamable binders as needed.
+    ///
+    /// # Errors
+    ///
+    /// [`CaptureError`] naming the unit binder that would capture a
+    /// replacement's free variable.
+    pub fn try_apply(&self, expr: &Expr, gen: &mut NameGen) -> Result<Expr, CaptureError> {
         go(expr, &self.entries, gen)
     }
 }
@@ -97,29 +112,31 @@ pub fn subst_vals(expr: &Expr, map: &HashMap<Symbol, Expr>, gen: &mut NameGen) -
     ValSubst::new(map).apply(expr, gen)
 }
 
+/// What is left of a substitution past a binder: the live entries and
+/// the binders renamed to avoid capture.
+type Live = (HashMap<Symbol, SubstVal>, HashMap<Symbol, Symbol>);
+
 /// Splits `map` at a binder: removes shadowed entries and determines which
 /// binder names must be renamed to avoid capturing a replacement's free
-/// variable. Returns `None` when nothing is left to substitute.
+/// variable. `None` when nothing is left to substitute; a
+/// [`CaptureError`] when a binder that is not `renamable` would capture.
 fn at_binder(
     map: &HashMap<Symbol, SubstVal>,
     binders: &[Symbol],
     renamable: bool,
     gen: &mut NameGen,
-) -> Option<(HashMap<Symbol, SubstVal>, HashMap<Symbol, Symbol>)> {
+) -> Result<Option<Live>, CaptureError> {
     let mut live: HashMap<Symbol, SubstVal> =
         map.iter().filter(|(k, _)| !binders.contains(k)).map(|(k, v)| (k.clone(), v.clone())).collect();
     if live.is_empty() {
-        return None;
+        return Ok(None);
     }
     let mut renames = HashMap::new();
     for b in binders {
         let captured = live.values().any(|v| v.fvs.contains(b));
         if captured {
             if !renamable {
-                panic!(
-                    "substitution would capture non-renamable interface name `{b}` \
-                     (reducer invariant: replacements must be closed)"
-                );
+                return Err(CaptureError { binder: b.clone() });
             }
             let fresh = gen.fresh(b);
             renames.insert(b.clone(), fresh.clone());
@@ -132,18 +149,25 @@ fn at_binder(
             );
         }
     }
-    Some((live, renames))
+    Ok(Some((live, renames)))
 }
 
 fn rename(renames: &HashMap<Symbol, Symbol>, name: &Symbol) -> Symbol {
     renames.get(name).cloned().unwrap_or_else(|| name.clone())
 }
 
-fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
+fn go(
+    expr: &Expr,
+    map: &HashMap<Symbol, SubstVal>,
+    gen: &mut NameGen,
+) -> Result<Expr, CaptureError> {
     if map.is_empty() {
-        return expr.clone();
+        return Ok(expr.clone());
     }
-    match expr {
+    let all = |es: &[Expr], gen: &mut NameGen| -> Result<Vec<Expr>, CaptureError> {
+        es.iter().map(|e| go(e, map, gen)).collect()
+    };
+    Ok(match expr {
         Expr::Var(x) => match map.get(x) {
             Some(v) => v.expr.clone(),
             None => expr.clone(),
@@ -159,7 +183,7 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
         }
         Expr::Lambda(lam) => {
             let binders: Vec<Symbol> = lam.params.iter().map(|p| p.name.clone()).collect();
-            match at_binder(map, &binders, true, gen) {
+            match at_binder(map, &binders, true, gen)? {
                 None => expr.clone(),
                 Some((live, renames)) => {
                     let params = lam
@@ -173,26 +197,24 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
                     Expr::Lambda(Arc::new(Lambda {
                         params,
                         ret_ty: lam.ret_ty.clone(),
-                        body: go(&lam.body, &live, gen),
+                        body: go(&lam.body, &live, gen)?,
                     }))
                 }
             }
         }
-        Expr::App(f, args) => Expr::App(
-            Box::new(go(f, map, gen)),
-            args.iter().map(|a| go(a, map, gen)).collect(),
-        ),
+        Expr::App(f, args) => Expr::App(Box::new(go(f, map, gen)?), all(args, gen)?),
         Expr::If(c, t, e) => Expr::If(
-            Box::new(go(c, map, gen)),
-            Box::new(go(t, map, gen)),
-            Box::new(go(e, map, gen)),
+            Box::new(go(c, map, gen)?),
+            Box::new(go(t, map, gen)?),
+            Box::new(go(e, map, gen)?),
         ),
-        Expr::Seq(es) => Expr::Seq(es.iter().map(|e| go(e, map, gen)).collect()),
-        Expr::Tuple(es) => Expr::Tuple(es.iter().map(|e| go(e, map, gen)).collect()),
+        Expr::Seq(es) => Expr::Seq(all(es, gen)?),
+        Expr::Tuple(es) => Expr::Tuple(all(es, gen)?),
         Expr::Let(bindings, body) => {
-            let new_rhs: Vec<Expr> = bindings.iter().map(|b| go(&b.expr, map, gen)).collect();
+            let new_rhs: Vec<Expr> =
+                bindings.iter().map(|b| go(&b.expr, map, gen)).collect::<Result<_, _>>()?;
             let binders: Vec<Symbol> = bindings.iter().map(|b| b.name.clone()).collect();
-            match at_binder(map, &binders, true, gen) {
+            match at_binder(map, &binders, true, gen)? {
                 None => Expr::Let(
                     bindings
                         .iter()
@@ -207,7 +229,7 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
                         .zip(new_rhs)
                         .map(|(b, expr)| Binding { name: rename(&renames, &b.name), expr })
                         .collect(),
-                    Box::new(go(body, &live, gen)),
+                    Box::new(go(body, &live, gen)?),
                 ),
             }
         }
@@ -218,7 +240,7 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
                     binders.extend(d.bound_val_names());
                 }
             }
-            match at_binder(map, &binders, true, gen) {
+            match at_binder(map, &binders, true, gen)? {
                 None => expr.clone(),
                 Some((live, renames)) => {
                     let types = lr
@@ -229,21 +251,23 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
                     let vals = lr
                         .vals
                         .iter()
-                        .map(|d| ValDefn {
-                            name: rename(&renames, &d.name),
-                            ty: d.ty.clone(),
-                            body: go(&d.body, &live, gen),
+                        .map(|d| {
+                            Ok(ValDefn {
+                                name: rename(&renames, &d.name),
+                                ty: d.ty.clone(),
+                                body: go(&d.body, &live, gen)?,
+                            })
                         })
-                        .collect();
-                    Expr::Letrec(Arc::new(LetrecExpr { types, vals, body: go(&lr.body, &live, gen) }))
+                        .collect::<Result<_, _>>()?;
+                    let body = go(&lr.body, &live, gen)?;
+                    Expr::Letrec(Arc::new(LetrecExpr { types, vals, body }))
                 }
             }
         }
-        Expr::Set(target, value) => Expr::Set(
-            Box::new(go(target, map, gen)),
-            Box::new(go(value, map, gen)),
-        ),
-        Expr::Proj(i, e) => Expr::Proj(*i, Box::new(go(e, map, gen))),
+        Expr::Set(target, value) => {
+            Expr::Set(Box::new(go(target, map, gen)?), Box::new(go(value, map, gen)?))
+        }
+        Expr::Proj(i, e) => Expr::Proj(*i, Box::new(go(e, map, gen)?)),
         Expr::Unit(u) => {
             let mut binders: Vec<Symbol> =
                 u.imports.vals.iter().map(|p| p.name.clone()).collect();
@@ -253,7 +277,7 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
             // have to preserve exports, so we conservatively treat the whole
             // unit as non-renamable. Capture is impossible for closed
             // replacements.
-            match at_binder(map, &binders, false, gen) {
+            match at_binder(map, &binders, false, gen)? {
                 None => expr.clone(),
                 Some((live, _)) => Expr::Unit(Arc::new(UnitExpr {
                     imports: u.imports.clone(),
@@ -262,13 +286,15 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
                     vals: u
                         .vals
                         .iter()
-                        .map(|d| ValDefn {
-                            name: d.name.clone(),
-                            ty: d.ty.clone(),
-                            body: go(&d.body, &live, gen),
+                        .map(|d| {
+                            Ok(ValDefn {
+                                name: d.name.clone(),
+                                ty: d.ty.clone(),
+                                body: go(&d.body, &live, gen)?,
+                            })
                         })
-                        .collect(),
-                    init: go(&u.init, &live, gen),
+                        .collect::<Result<_, _>>()?,
+                    init: go(&u.init, &live, gen)?,
                 })),
             }
         }
@@ -276,13 +302,15 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
             let links = c
                 .links
                 .iter()
-                .map(|l| crate::term::LinkClause {
-                    expr: go(&l.expr, map, gen),
-                    with: l.with.clone(),
-                    provides: l.provides.clone(),
-                    renames: l.renames.clone(),
+                .map(|l| {
+                    Ok(crate::term::LinkClause {
+                        expr: go(&l.expr, map, gen)?,
+                        with: l.with.clone(),
+                        provides: l.provides.clone(),
+                        renames: l.renames.clone(),
+                    })
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             Expr::Compound(Arc::new(crate::term::CompoundExpr::new(
                 c.imports.clone(),
                 c.exports.clone(),
@@ -290,22 +318,22 @@ fn go(expr: &Expr, map: &HashMap<Symbol, SubstVal>, gen: &mut NameGen) -> Expr {
             )))
         }
         Expr::Invoke(inv) => Expr::Invoke(Arc::new(crate::term::InvokeExpr {
-            target: go(&inv.target, map, gen),
+            target: go(&inv.target, map, gen)?,
             ty_links: inv.ty_links.clone(),
             val_links: inv
                 .val_links
                 .iter()
-                .map(|(n, e)| (n.clone(), go(e, map, gen)))
-                .collect(),
+                .map(|(n, e)| Ok((n.clone(), go(e, map, gen)?)))
+                .collect::<Result<_, _>>()?,
         })),
-        Expr::Seal(e, sig) => Expr::Seal(Box::new(go(e, map, gen)), sig.clone()),
+        Expr::Seal(e, sig) => Expr::Seal(Box::new(go(e, map, gen)?), sig.clone()),
         Expr::Variant(v) => Expr::Variant(Arc::new(VariantVal {
             ty_name: v.ty_name.clone(),
             instance: v.instance,
             tag: v.tag,
-            payload: go(&v.payload, map, gen),
+            payload: go(&v.payload, map, gen)?,
         })),
-    }
+    })
 }
 
 fn rename_typedefn_ops(td: &TypeDefn, renames: &HashMap<Symbol, Symbol>) -> TypeDefn {

@@ -28,7 +28,7 @@ mod merge;
 mod step;
 mod store;
 
-pub use merge::{constituent_units, merge_compound};
+pub use merge::constituent_units;
 pub use step::{Reducer, Step};
 pub use store::{Store, StoreEntry};
 

@@ -1,21 +1,9 @@
-//! The `compound` reduction: merging constituent units into one
-//! (paper Fig. 11, illustrated graphically in Fig. 8).
-//!
-//! "The second rule defines how a compound expression combines two units:
-//! their definitions are merged and their initialization expressions are
-//! sequenced. … all bindings introduced by definitions in the two units
-//! must be appropriately α-renamed to avoid collisions."
-//!
-//! Linking is by name: a constituent's import either carries the name of a
-//! compound import or the name of another constituent's provided export,
-//! so linked names are simply *kept*, and only non-provided internal
-//! definitions are freshened.
+//! The `compound` reduction (paper Fig. 11, illustrated graphically in
+//! Fig. 8): once every constituent is a unit value, the units merge into
+//! one. The merge itself is [`units_kernel::merge_compound`], which the
+//! compiler shares; its refusals convert to [`RuntimeError`]s.
 
-use std::collections::{BTreeSet, HashMap};
-
-use units_kernel::{
-    subst_vals, DataDefn, DataVariant, Expr, NameGen, Symbol, TypeDefn, UnitExpr, ValDefn,
-};
+use units_kernel::{Expr, UnitExpr};
 use units_runtime::RuntimeError;
 
 /// Extracts the constituent unit values a `compound` is about to merge.
@@ -44,178 +32,12 @@ pub fn constituent_units(
         .collect()
 }
 
-/// Merges fully evaluated constituents into a single atomic unit.
-///
-/// Each element of `links` is `(unit, with, provides)` where `unit` must
-/// be an atomic [`Expr::Unit`] value (the step function reduces inner
-/// compounds first).
-///
-/// # Errors
-///
-/// * [`RuntimeError::ExcessImport`] — a constituent imports a name its
-///   `with` clause does not grant;
-/// * [`RuntimeError::MissingProvide`] — a constituent does not export a
-///   promised name.
-pub fn merge_compound(
-    compound: &units_kernel::CompoundExpr,
-    units: &[std::sync::Arc<UnitExpr>],
-    gen: &mut NameGen,
-) -> Result<UnitExpr, RuntimeError> {
-    debug_assert_eq!(units.len(), compound.links.len());
-    // Side conditions first (Fig. 11's ⊆ requirements).
-    for (link, unit) in compound.links.iter().zip(units) {
-        for port in &unit.imports.vals {
-            if link.with.val_port(&port.name).is_none() {
-                return Err(RuntimeError::ExcessImport { name: port.name.clone() });
-            }
-        }
-        for port in &link.provides.vals {
-            if unit.exports.val_port(&port.name).is_none() {
-                return Err(RuntimeError::MissingProvide { name: port.name.clone() });
-            }
-        }
-        for port in &link.provides.types {
-            if unit.exports.ty_port(&port.name).is_none() {
-                return Err(RuntimeError::MissingProvide { name: port.name.clone() });
-            }
-        }
-    }
-
-    // Names that must be preserved: compound imports and all provides,
-    // under their *outer* names (linking by name in the paper's core form;
-    // a rename pair substitutes the outer name for the inner one).
-    let mut preserved: BTreeSet<Symbol> =
-        compound.imports.vals.iter().map(|p| p.name.clone()).collect();
-    let mut preserved_tys: BTreeSet<Symbol> =
-        compound.imports.types.iter().map(|p| p.name.clone()).collect();
-    for link in &compound.links {
-        preserved
-            .extend(link.provides.vals.iter().map(|p| link.renames.outer_export_val(&p.name).clone()));
-        preserved_tys
-            .extend(link.provides.types.iter().map(|p| link.renames.outer_export_ty(&p.name).clone()));
-    }
-
-    let mut merged_types = Vec::new();
-    let mut merged_vals = Vec::new();
-    let mut inits = Vec::new();
-    // Names already used in the merged unit, to freshen against.
-    let mut used: BTreeSet<Symbol> = preserved.clone();
-
-    for (link, unit) in compound.links.iter().zip(units) {
-        // Rename every internal definition that is not provided.
-        let mut renames: HashMap<Symbol, Symbol> = HashMap::new();
-        let rename_of = |name: &Symbol,
-                             provided_as: Option<Symbol>,
-                             used: &mut BTreeSet<Symbol>,
-                             gen: &mut NameGen|
-         -> Symbol {
-            if let Some(outer) = provided_as {
-                used.insert(outer.clone());
-                return outer;
-            }
-            // Freshen when the name collides with anything preserved or
-            // already merged; otherwise keep it for readability.
-            if used.insert(name.clone()) {
-                name.clone()
-            } else {
-                let mut fresh = gen.fresh(name);
-                while !used.insert(fresh.clone()) {
-                    fresh = gen.fresh(name);
-                }
-                fresh
-            }
-        };
-        let provided_as = |name: &Symbol| {
-            link.provides
-                .val_port(name)
-                .map(|p| link.renames.outer_export_val(&p.name).clone())
-        };
-        for defn in &unit.vals {
-            let new = rename_of(&defn.name, provided_as(&defn.name), &mut used, gen);
-            if new != defn.name {
-                renames.insert(defn.name.clone(), new);
-            }
-        }
-        for td in &unit.types {
-            if let TypeDefn::Data(d) = td {
-                for name in d.bound_val_names() {
-                    let new = rename_of(&name, provided_as(&name), &mut used, gen);
-                    if new != name {
-                        renames.insert(name.clone(), new);
-                    }
-                }
-            }
-        }
-        // Imports link by outer name: a renamed import is substituted to
-        // its outer source name in this constituent's bodies.
-        for port in &unit.imports.vals {
-            let outer = link.renames.outer_import_val(&port.name);
-            if outer != &port.name {
-                renames.insert(port.name.clone(), outer.clone());
-            }
-        }
-
-        // Build the substitution for this constituent's bodies: renamed
-        // internal definitions map to their fresh names. Imports keep
-        // their names (they are linked by name to a compound import or a
-        // sibling's provide, both preserved).
-        let subst: HashMap<Symbol, Expr> =
-            renames.iter().map(|(old, new)| (old.clone(), Expr::Var(new.clone()))).collect();
-        let apply = |e: &Expr, gen: &mut NameGen| {
-            if subst.is_empty() {
-                e.clone()
-            } else {
-                subst_vals(e, &subst, gen)
-            }
-        };
-
-        let renamed = |name: &Symbol| renames.get(name).cloned().unwrap_or_else(|| name.clone());
-
-        for td in &unit.types {
-            merged_types.push(match td {
-                TypeDefn::Data(d) => TypeDefn::Data(DataDefn {
-                    name: d.name.clone(),
-                    variants: d
-                        .variants
-                        .iter()
-                        .map(|v| DataVariant {
-                            ctor: renamed(&v.ctor),
-                            dtor: renamed(&v.dtor),
-                            payload: v.payload.clone(),
-                        })
-                        .collect(),
-                    predicate: renamed(&d.predicate),
-                }),
-                TypeDefn::Alias(a) => TypeDefn::Alias(a.clone()),
-            });
-        }
-        for defn in &unit.vals {
-            merged_vals.push(ValDefn {
-                name: renamed(&defn.name),
-                ty: defn.ty.clone(),
-                body: apply(&defn.body, gen),
-            });
-        }
-        inits.push(apply(&unit.init, gen));
-        let _ = &preserved_tys;
-    }
-
-    if inits.is_empty() {
-        inits.push(Expr::void());
-    }
-    Ok(UnitExpr {
-        imports: compound.imports.clone(),
-        exports: compound.exports.clone(),
-        types: merged_types,
-        vals: merged_vals,
-        init: Expr::seq(inits),
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use units_kernel::alpha_eq;
+    use units_kernel::{alpha_eq, merge_compound, MergeError, NameGen, TypeDefn};
     use units_syntax::parse_expr;
 
     fn compound_parts(src: &str) -> (units_kernel::CompoundExpr, Vec<std::sync::Arc<UnitExpr>>) {
@@ -312,7 +134,7 @@ mod tests {
         let mut gen = NameGen::new();
         assert!(matches!(
             merge_compound(&c, &units, &mut gen),
-            Err(RuntimeError::MissingProvide { name }) if name.as_str() == "ghost"
+            Err(MergeError::MissingProvide { name }) if name.as_str() == "ghost"
         ));
 
         let (c, units) = compound_parts(
@@ -321,7 +143,7 @@ mod tests {
         );
         assert!(matches!(
             merge_compound(&c, &units, &mut gen),
-            Err(RuntimeError::ExcessImport { name }) if name.as_str() == "x"
+            Err(MergeError::ExcessImport { name }) if name.as_str() == "x"
         ));
     }
 

@@ -17,11 +17,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use units_kernel::{
-    subst_vals, DataOp, DataRole, Expr, Lit, NameGen, PrimOp, Symbol, TypeDefn, VariantVal,
+    merge_compound, subst_vals, DataOp, DataRole, Expr, Lit, NameGen, PrimOp, Symbol, TypeDefn,
+    VariantVal,
 };
 use units_runtime::{Limits, Machine, RuntimeError};
 
-use crate::merge::merge_compound;
 use crate::store::Store;
 
 /// The result of one reduction attempt.

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use units_kernel::Symbol;
+use units_kernel::{MergeError, Symbol};
 
 /// A bounded resource an evaluator can run out of.
 ///
@@ -117,6 +117,14 @@ pub enum RuntimeError {
         /// The undeclared import.
         name: Symbol,
     },
+    /// The reducer could not merge a compound into one unit: a rename
+    /// pair links a constituent to the compound's interface name `name`,
+    /// which a unit nested in the constituent binds
+    /// ([`units_kernel::MergeError::Capture`]).
+    LinkCapture {
+        /// The interface name the nested unit binds.
+        name: Symbol,
+    },
     /// `seal` (or a signature check at a dynamic-linking boundary) failed.
     SealFailure {
         /// Why.
@@ -193,6 +201,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::ExcessImport { name } => {
                 write!(f, "constituent imports `{name}`, which its link clause does not declare")
             }
+            RuntimeError::LinkCapture { name } => {
+                MergeError::Capture { name: name.clone() }.fmt(f)
+            }
             RuntimeError::SealFailure { reason } => write!(f, "signature check failed: {reason}"),
             RuntimeError::BadProjection { index, width } => {
                 write!(f, "projection {index} out of range for width-{width} tuple")
@@ -211,6 +222,16 @@ impl fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+impl From<MergeError> for RuntimeError {
+    fn from(refusal: MergeError) -> RuntimeError {
+        match refusal {
+            MergeError::ExcessImport { name } => RuntimeError::ExcessImport { name },
+            MergeError::MissingProvide { name } => RuntimeError::MissingProvide { name },
+            MergeError::Capture { name } => RuntimeError::LinkCapture { name },
+        }
+    }
+}
 
 impl From<units_trace::faults::Injected> for RuntimeError {
     fn from(fault: units_trace::faults::Injected) -> RuntimeError {

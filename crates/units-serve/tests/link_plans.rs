@@ -6,6 +6,10 @@
 //! compiled backend. Every invoke of a published plug-in version runs
 //! the version's one artifact, so every invoke, on either backend,
 //! wires from the artifact's one plan.
+//!
+//! A compound of closed unit literals has no plan: resolution merges it
+//! into one unit. Each such plug-in here has a `let`-bound twin whose
+//! compound keeps its plan.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -13,12 +17,37 @@ use std::sync::Arc;
 use units::{Backend, CompoundExpr, Expr, Level, Limits};
 use units_serve::Service;
 
+/// A compound with imports `imports` and no exports, over `clauses`:
+/// each a constituent unit and its `with` and `provides` ports. Written
+/// inline the constituents are closed unit literals, so resolution
+/// flattens the compound into one unit. `let`-bound, each clause names a
+/// variable instead, so the compound stays and wires from its link plan.
+fn compound(imports: &str, clauses: &[(String, String)], let_bound: bool) -> String {
+    let mut bindings = String::new();
+    let mut links = String::new();
+    for (i, (unit, ports)) in clauses.iter().enumerate() {
+        let constituent = if let_bound {
+            let _ = write!(bindings, "\n (c{i} {unit})");
+            format!("c{i}")
+        } else {
+            unit.clone()
+        };
+        let _ = write!(links, "\n ({constituent}\n  {ports})");
+    }
+    let compound = format!("(compound (import {imports}) (export)\n (link{links}))");
+    if let_bound {
+        format!("(let ({bindings})\n {compound})")
+    } else {
+        compound
+    }
+}
+
 /// A chain of `len` units: unit 0 exports `f0 = λx.x`, unit `i` exports
 /// `fi = λx. f(i−1)(x + 3)` plus `pads` integer pads that unit `i + 1`
 /// imports, and a last unit applies `f(len−1)` to the compound's import
 /// `x0`. Calling the plug-in with `n` gives `n + 3·(len − 1)`.
-fn chain(len: usize, pads: usize) -> String {
-    let mut links = String::new();
+fn chain(len: usize, pads: usize, let_bound: bool) -> String {
+    let mut clauses = Vec::new();
     let mut prev = String::new();
     for i in 0..len {
         let mut ports = format!(" f{i}");
@@ -28,40 +57,48 @@ fn chain(len: usize, pads: usize) -> String {
             let _ = write!(defs, " (define p{i}_{k} {})", i * pads + k);
         }
         let body = if i == 0 { "x".to_string() } else { format!("(f{} (+ x 3))", i - 1) };
-        let _ = write!(
-            links,
-            "\n ((unit (import{prev}) (export{ports}) (define f{i} (lambda (x) {body})){defs})
-   (with{prev}) (provides{ports}))"
-        );
+        clauses.push((
+            format!("(unit (import{prev}) (export{ports}) (define f{i} (lambda (x) {body})){defs})"),
+            format!("(with{prev}) (provides{ports})"),
+        ));
         prev = ports;
     }
     let last = len - 1;
+    clauses.push((
+        format!("(unit (import f{last} x0) (export) (init (f{last} x0)))"),
+        format!("(with f{last} x0) (provides)"),
+    ));
     format!(
         "(unit (import) (export)
-  (init (lambda (n)
-    (invoke
-      (compound (import x0) (export)
-        (link{links}
-         ((unit (import f{last} x0) (export) (init (f{last} x0)))
-          (with f{last} x0) (provides))))
-      (val x0 n)))))"
+  (init (lambda (n) (invoke {} (val x0 n)))))",
+        compound("x0", &clauses, let_bound)
     )
 }
 
 /// Fig. 12's even/odd, linked and invoked inside the plug-in at depth
 /// `n`: calling it with `n` gives whether `n` is odd.
-const EVEN_ODD: &str = "(unit (import) (export)
-  (init (lambda (n)
-    (invoke
-      (compound (import depth) (export)
-        (link ((unit (import odd) (export even)
-                 (define even (lambda (k) (if (= k 0) true (odd (- k 1))))))
-               (with odd) (provides even))
-              ((unit (import even depth) (export odd)
-                 (define odd (lambda (k) (if (= k 0) false (even (- k 1)))))
-                 (init (odd depth)))
-               (with even depth) (provides odd))))
-      (val depth n)))))";
+fn even_odd(let_bound: bool) -> String {
+    let clauses = [
+        (
+            "(unit (import odd) (export even)
+   (define even (lambda (k) (if (= k 0) true (odd (- k 1))))))"
+                .to_string(),
+            "(with odd) (provides even)".to_string(),
+        ),
+        (
+            "(unit (import even depth) (export odd)
+   (define odd (lambda (k) (if (= k 0) false (even (- k 1)))))
+   (init (odd depth)))"
+                .to_string(),
+            "(with even depth) (provides odd)".to_string(),
+        ),
+    ];
+    format!(
+        "(unit (import) (export)
+  (init (lambda (n) (invoke {} (val depth n)))))",
+        compound("depth", &clauses, let_bound)
+    )
+}
 
 /// A phone book of `entries` entries `k{i} ↦ 5550000 + 7i`: calling it
 /// with `n` gives the number stored under `k{n}`.
@@ -121,8 +158,14 @@ struct Case {
 fn cases() -> Vec<Case> {
     let case = |name, source, arg, reply, pins| Case { name, source, arg, reply, pins };
     vec![
-        case("chain", chain(32, 6), 5, "98", [(449, 490), (449, 719)]),
-        case("even_odd", EVEN_ODD.to_string(), 64, "false", [(5, 729), (5, 479)]),
+        // Flattened at resolution: one frame per invoke, and a cell per
+        // definition and import.
+        case("chain", chain(32, 6, false), 5, "98", [(225, 458), (225, 653)]),
+        case("even_odd", even_odd(false), 64, "false", [(3, 728), (3, 475)]),
+        // The same compounds over `let`-bound constituents wire from link
+        // plans, which also give each provided but hidden name a cell.
+        case("chain_let", chain(32, 6, true), 5, "98", [(449, 524), (449, 754)]),
+        case("even_odd_let", even_odd(true), 64, "false", [(5, 732), (5, 483)]),
         case("book", phone_book(128), 17, "5550119", [(4, 1327), (4, 1456)]),
         case(
             "linked",

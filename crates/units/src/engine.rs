@@ -86,7 +86,7 @@ use std::time::Instant;
 
 use units_check::{check_program, CheckOptions, Level, Strictness};
 use units_compile::{
-    apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile, FRAME_LAYOUT,
+    apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile, RESOLVED_FORM,
 };
 use units_kernel::{Expr, Ty};
 use units_reduce::Reducer;
@@ -363,15 +363,15 @@ impl EngineBuilder {
         let store = self.cache_dir.as_ref().and_then(|dir| {
             // The fingerprint binds on-disk entries to this engine
             // configuration — the same ingredients `source_key` folds in,
-            // minus the source itself — and to the frame layout the
-            // stored resolved terms address. (`DefaultHasher::new` is
+            // minus the source itself — and to the version of the
+            // stored resolved form. (`DefaultHasher::new` is
             // keyless and deterministic, so fingerprints agree across
             // processes of the same build; cross-build skew is caught by
             // the store's version stamp.)
             let mut h = DefaultHasher::new();
             opts.hash(&mut h);
             resolve.hash(&mut h);
-            FRAME_LAYOUT.hash(&mut h);
+            RESOLVED_FORM.hash(&mut h);
             match Store::open(dir, h.finish()) {
                 Ok(store) => {
                     if !store.writable() {

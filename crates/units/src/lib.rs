@@ -91,10 +91,10 @@ pub use units_compile::{
 };
 pub use units_trace::FlightDump;
 pub use units_kernel::{
-    alpha_eq, free_val_vars, CompoundExpr, Depend, Expr, InvokeExpr, Kind, Param, Ports,
-    Signature, Symbol, Ty, TyPort, UnitExpr, ValPort,
+    alpha_eq, free_val_vars, merge_compound, CompoundExpr, Depend, Expr, InvokeExpr, Kind,
+    MergeError, Param, Ports, Signature, Symbol, Ty, TyPort, UnitExpr, ValPort,
 };
-pub use units_reduce::{merge_compound, Reducer, Step};
+pub use units_reduce::{Reducer, Step};
 pub use units_runtime::{Limits, Machine, Resource, RuntimeError, UnitValue, Value};
 pub use units_syntax::{
     parse_expr, parse_file, parse_signature, parse_ty, pretty_expr, pretty_expr_indent,

@@ -11,8 +11,9 @@ framing or encoding bug on either side of the socket.
         Expects `unitsd --level untyped --fuel 1000000`, on any backend.
     python3 scripts/unitsd_client.py reclaim SOCKET PID
         Every run's store is reclaimed: 2,000 invokes of a 32-unit chain
-        plug-in grow the daemon's (PID's) resident set by under 4 MiB,
-        five programs that each build and drop a structure 1,000,000
+        plug-in grow the daemon's (PID's) resident set by under 4 MiB
+        and peak at the 225 store cells of the flattened chain, five
+        programs that each build and drop a structure 1,000,000
         deep return while another tenant keeps being served, and stats
         report no retained cells. Expects `unitsd --level untyped` with
         no fuel cap, on either compiled backend.
@@ -221,6 +222,12 @@ def reclaim(path, pid):
     grown = rss_kib(pid) - before
     assert grown < 4 * 1024, f'2,000 chain invokes grew VmRSS by {grown} KiB'
 
+    # The chain is a compound of closed unit literals, so the daemon runs
+    # it flattened into one unit: a cell per definition and one for the
+    # import. Wired from a link plan it would take 449.
+    runs = call(b, {'op': 'stats'})['engine']['runs']
+    assert runs['store_cells_peak'] == 225, runs
+
     # Dropping a deep structure does not overflow the connection's stack,
     # which would abort the daemon for every tenant.
     for name, source in deep_programs(1_000_000).items():
@@ -231,7 +238,7 @@ def reclaim(path, pid):
     runs = call(b, {'op': 'stats'})['engine']['runs']
     assert runs['cells_retained'] == 0 and runs['failures'] == 0, runs
     assert call(b, {'op': 'shutdown'})['stopping']
-    print(f'unitsd reclaim: 2,000 chain invokes grew VmRSS by {grown} KiB; '
+    print(f'unitsd reclaim: 2,000 flattened chain invokes grew VmRSS by {grown} KiB; '
           f'five 1,000,000-deep structures dropped; no cells retained')
 
 

@@ -274,6 +274,26 @@ impl Gen {
     /// in a shuffled order; and the compound exports some of what it
     /// provides.
     fn linked(&mut self, depth: u32, vars: &[String]) -> Expr {
+        self.linked_from(depth, vars, false)
+    }
+
+    /// [`Gen::linked`] with every constituent a unit literal or a nested
+    /// compound of literals, so resolution can flatten the compound.
+    /// Three programs in ten wrap it in an applied `lambda` whose
+    /// parameter the constituents may read, and such a constituent is
+    /// not closed, so the compound is kept.
+    fn literal_linked(&mut self, depth: u32) -> Expr {
+        if self.rng.gen_bool(0.3) {
+            let param = self.name("p");
+            let body = self.linked_from(depth, std::slice::from_ref(&param), true);
+            let arg = Expr::int(self.rng.gen_range_i64(-20, 20));
+            Expr::app(Expr::lambda(vec![Param::untyped(param.as_str())], body), vec![arg])
+        } else {
+            self.linked_from(depth, &[], true)
+        }
+    }
+
+    fn linked_from(&mut self, depth: u32, vars: &[String], literal_only: bool) -> Expr {
         let n = self.rng.gen_range(3, 6);
         let mut bound: Vec<Binding> = Vec::new();
         // Per clause: the constituent and its own imports and exports.
@@ -281,7 +301,13 @@ impl Gen {
         for _ in 0..n {
             let pool: Vec<String> =
                 (0..self.rng.gen_range(0, 3)).map(|_| self.name("in")).collect();
-            let part = match self.rng.gen_range(0, 4) {
+            let kind = if literal_only {
+                // A nested compound of literals or a unit literal.
+                [0, 3][self.rng.gen_range(0, 2)]
+            } else {
+                self.rng.gen_range(0, 4)
+            };
+            let part = match kind {
                 0 => self.pair(depth, vars, &pool, true),
                 1 => {
                     let (e, u) = self.unit(depth, vars, &pool);
@@ -491,6 +517,149 @@ fn check_resolution_invariance(seed: u64, expr: &Expr) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Whether `expr` still holds a `compound` node.
+fn has_compound(expr: &Expr) -> bool {
+    match expr {
+        Expr::Compound(_) => true,
+        Expr::Var(_) | Expr::VarAt(..) | Expr::Lit(_) | Expr::Prim(..) | Expr::Loc(_)
+        | Expr::CellRef(_) | Expr::Data(_) => false,
+        Expr::Lambda(lam) => has_compound(&lam.body),
+        Expr::App(f, args) => has_compound(f) || args.iter().any(has_compound),
+        Expr::If(c, t, e) => has_compound(c) || has_compound(t) || has_compound(e),
+        Expr::Seq(es) | Expr::Tuple(es) => es.iter().any(has_compound),
+        Expr::Let(bindings, body) => {
+            bindings.iter().any(|b| has_compound(&b.expr)) || has_compound(body)
+        }
+        Expr::Letrec(lr) => lr.vals.iter().any(|d| has_compound(&d.body)) || has_compound(&lr.body),
+        Expr::Set(t, v) => has_compound(t) || has_compound(v),
+        Expr::Proj(_, e) | Expr::Seal(e, _) => has_compound(e),
+        Expr::Unit(u) => u.vals.iter().any(|d| has_compound(&d.body)) || has_compound(&u.init),
+        Expr::Invoke(inv) => {
+            has_compound(&inv.target) || inv.val_links.iter().any(|(_, e)| has_compound(e))
+        }
+        Expr::Variant(v) => has_compound(&v.payload),
+    }
+}
+
+/// The oracle for compile-time flattening, after Bowman's IL tower: the
+/// flattened term is still a kernel term, so the Fig. 11 reducer can run
+/// it. Four runs must agree: the reducer on `expr`, the reducer on
+/// `resolve_program(expr)` (it reads a `VarAt` as its `Var`), and the
+/// tree-walker and the VM, which run the resolved term. Fuel exhaustion
+/// on any run excuses the comparison, and joint rejection tolerates
+/// differing error classes, as in [`check_three_way`]. Returns whether
+/// resolution flattened every compound.
+fn check_flattening(seed: u64, expr: Expr) -> Result<bool, String> {
+    const FUEL: u64 = 200_000;
+    let source = units::pretty_expr_indent(&expr, 78);
+    let flat = units_compile::resolve_program(&expr);
+    let flattened = !has_compound(&flat);
+    let engine = engine(FUEL);
+    let loaded = engine
+        .load_expr(expr)
+        .map_err(|e| format!("seed {seed}: load failed: {e}\n program: {source}"))?;
+    let mut reducer = units::Reducer::with_limits(Limits::none().fuel(FUEL));
+    let reduced_flat = reducer.reduce_to_value(&flat).map_err(Error::from).map(|v| Outcome {
+        value: units::observe_expr(&v),
+        output: reducer.machine.take_output(),
+    });
+    let runs: Vec<(&str, Result<Outcome, Error>)> = vec![
+        ("reducer", loaded.run_on(Backend::Reducer)),
+        ("reducer on the flattened term", reduced_flat),
+        ("tree-walker", loaded.run_on(Backend::Compiled)),
+        ("VM", loaded.run_on(Backend::Bytecode)),
+    ];
+    if runs.iter().any(|(_, r)| matches!(r, Err(Error::ResourceExhausted { .. }))) {
+        return Ok(flattened);
+    }
+    let (first_name, first) = &runs[0];
+    for (name, other) in &runs[1..] {
+        match (first, other) {
+            (Ok(x), Ok(y)) if x == y => {}
+            (Err(_), Err(_)) => {}
+            (x, y) => {
+                return Err(format!(
+                    "seed {seed}: {first_name} gave {x:?} but {name} gave {y:?}\n program: {source}"
+                ));
+            }
+        }
+    }
+    Ok(flattened)
+}
+
+#[test]
+fn flattening_agrees_with_the_reducer_on_random_literal_topologies() {
+    const PROGRAMS: u64 = 600;
+    let mut failures = Vec::new();
+    let mut flattened = 0;
+    for seed in 0..PROGRAMS {
+        let mut gen = Gen::new(0xF1A7 ^ seed);
+        // Depth 2 puts more invokes of nested units and compounds into
+        // the constituents' bodies, where they read their enclosing
+        // unit's names, so they are not closed and stay compounds.
+        let depth = 1 + (seed % 2) as u32;
+        match check_flattening(seed, gen.literal_linked(depth)) {
+            Ok(flat) => flattened += u64::from(flat),
+            Err(msg) => failures.push(msg),
+        }
+    }
+    assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
+    println!("flattened {flattened} of {PROGRAMS} literal link topologies");
+    // Besides those, about 3 programs in 10 wrap the compound in a
+    // lambda whose parameter a constituent may read.
+    assert!(flattened * 3 >= PROGRAMS, "only {flattened} of {PROGRAMS} programs flattened");
+    assert!(flattened < PROGRAMS, "no program exercised a kept compound");
+}
+
+/// Rename pairs that link a constituent to a name a unit nested in it
+/// binds. P1 and P2 link through the hidden name `times`, which the merge
+/// freshens; in P3 `times` is the compound's own import, so the compound
+/// cannot become one unit.
+const P1: &str = "(invoke (compound (import) (export)
+  (link ((unit (import) (export a) (define a (lambda () 1))) (with) (provides (as a times)))
+        ((unit (import f) (export)
+           (init (invoke (unit (import) (export) (define times (lambda () 5)) (init (+ (f) (times)))))))
+         (with (as f times)) (provides)))))";
+const P2: &str = "(invoke (compound (import) (export)
+  (link ((unit (import) (export a) (define a (lambda () 1))) (with) (provides (as a times)))
+        ((unit (import f) (export)
+           (init (invoke (unit (import times) (export) (init (+ (f) times))) (val times 5))))
+         (with (as f times)) (provides)))))";
+const P3: &str = "(invoke (compound (import times) (export)
+  (link ((unit (import f) (export)
+           (init (invoke (unit (import times) (export) (init (+ (f) times))) (val times 5))))
+         (with (as f times)) (provides))))
+  (val times (lambda () 1)))";
+
+#[test]
+fn rename_pairs_into_nested_binders_link_or_refuse() {
+    let engine = Engine::builder().strictness(Strictness::MzScheme).build();
+    for (name, src) in [("P1", P1), ("P2", P2)] {
+        let loaded = engine.load(src).unwrap();
+        assert!(!has_compound(loaded.resolved()), "{name} is flattened");
+        for backend in [Backend::Compiled, Backend::Reducer, Backend::Bytecode] {
+            let outcome = loaded.run_on(backend).unwrap();
+            assert_eq!(outcome.value.to_string(), "6", "{name} on {backend:?}");
+        }
+    }
+    let loaded = engine.load(P3).unwrap();
+    assert!(has_compound(loaded.resolved()), "P3 keeps its compound");
+    for backend in [Backend::Compiled, Backend::Bytecode] {
+        assert_eq!(loaded.run_on(backend).unwrap().value.to_string(), "6", "P3 on {backend:?}");
+    }
+    let err = loaded.run_on(Backend::Reducer).unwrap_err();
+    let capture = matches!(
+        err.as_runtime(),
+        Some(units::RuntimeError::LinkCapture { name }) if name.as_str() == "times"
+    );
+    assert!(capture, "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "runtime error: compound cannot be merged into one unit: a unit nested in a \
+         constituent binds the link name `times`"
+    );
 }
 
 #[test]
