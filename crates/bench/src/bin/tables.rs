@@ -130,10 +130,9 @@ impl Recorder {
 }
 
 /// What the machine can actually run in parallel. Recorded in the JSON
-/// header so the ci.sh scaling gate can tell "the pipeline failed to
-/// scale" apart from "the host has one core" — on a 1-core runner a
-/// wall-clock speedup is physically impossible and the gate must say so
-/// rather than fail or silently pass.
+/// header so the thread-count series (B.9, B.10) can be read against
+/// the host's cores: on a 1-core runner a wall-clock speedup is
+/// physically impossible.
 fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -610,7 +609,7 @@ fn main() {
         );
     }
 
-    header("parallel_scaling (B.9): threads vs. batch load / concurrent invoke");
+    header("parallel_scaling (B.9): threads vs. concurrent invoke");
     println!(
         "{:>17} {:>8} {:>14} {:>8}  (host parallelism: {})",
         "series",
@@ -619,38 +618,6 @@ fn main() {
         "speedup",
         host_parallelism()
     );
-    // Batch load: a fresh engine per repetition pays the full cold
-    // parse→check→resolve pipeline for every distinct source, spread
-    // over the worker pool. Sources are distinct (different depths), so
-    // nothing is answered from cache — this measures pipeline
-    // parallelism, not cache throughput.
-    let batch_sources: Vec<String> = (0..if quick { 6 } else { 16 })
-        .map(|i| units::pretty_expr(&even_odd_program(60 + i)))
-        .collect();
-    let batch_refs: Vec<&str> = batch_sources.iter().map(String::as_str).collect();
-    let mut batch_base = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let t = time_us(runs, || {
-            let engine = Engine::builder()
-                .strictness(Strictness::MzScheme)
-                .threads(threads)
-                .build();
-            for loaded in engine.load_batch(&batch_refs) {
-                loaded.unwrap();
-            }
-        });
-        if threads == 1 {
-            batch_base = t;
-        }
-        let speedup = batch_base / t;
-        println!("{:>17} {threads:>8} {t:>14.1} {speedup:>7.2}x", "batch_load");
-        rec.push(
-            "parallel_scaling",
-            "batch_load",
-            threads,
-            vec![("us", t), ("speedup", speedup)],
-        );
-    }
     // Concurrent invoke: one shared engine, one cached artifact, a fixed
     // total of invocations split across t threads. Invocation is
     // read-only against the shared artifact, so this measures how much

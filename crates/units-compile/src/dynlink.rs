@@ -139,11 +139,6 @@ impl Archive {
         Ok(archive)
     }
 
-    /// The raw source published under `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries.get(name).map(String::as_str)
-    }
-
     /// Published names, sorted.
     pub fn names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.entries.keys().map(String::as_str).collect();

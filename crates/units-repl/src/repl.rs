@@ -75,7 +75,7 @@ const HELP: &str = ";; commands:
 ;;   :trace on|off|json    stream events per evaluation (text or JSON lines)
 ;;   :stats                print accumulated counters and phase timings
 ;;   :metrics [reset]      print (or zero) the engine's always-on metrics
-;;                         plane: cache, pool, recovery, fuel, latency p50/p99
+;;                         plane: cache, recovery, fuel, latency p50/p99
 ;;   :flight               print the last flight-recorder dump, if any
 ;;   :profile <expr>       run <expr> on all three backends; report per-phase
 ;;                         durations and the Fig. 11 step count
@@ -352,10 +352,6 @@ impl Repl {
             snap.cache.misses,
             snap.cache.evictions,
             snap.cache.entries
-        );
-        println!(
-            ";; pool:     {} batches, {} jobs, peak {} workers",
-            snap.pool.batches, snap.pool.jobs, snap.pool.peak_workers
         );
         println!(
             ";; recovery: {} fuel retries, {} reference fallbacks, {} recovered, {} flight dumps",

@@ -24,12 +24,16 @@ use crate::value::{CellRef, Garbage, Value};
 /// MzScheme-strictness [`RuntimeError::UndefinedRead`]), and a missing
 /// binding is [`RuntimeError::Unbound`]. Shared by the tree-walker and
 /// the bytecode VM so both report the same error classes.
+///
+/// An empty cell is reported under the name's [`Symbol::base`]: a
+/// flattened compound reads a hidden link name through a generated
+/// `x#mN`, and source syntax cannot spell `#`.
 pub fn read_binding(binding: Option<&Binding>, name: &Symbol) -> Result<Value, RuntimeError> {
     match binding {
         Some(Binding::Val(v)) => Ok(v.clone()),
         Some(Binding::Cell(c)) => match &*c.borrow() {
             Some(v) => Ok(v.clone()),
-            None => Err(RuntimeError::UndefinedRead { name: name.clone() }),
+            None => Err(RuntimeError::UndefinedRead { name: Symbol::new(name.base()) }),
         },
         None => Err(RuntimeError::Unbound { name: name.clone() }),
     }

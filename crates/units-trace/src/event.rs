@@ -51,7 +51,8 @@ pub enum Phase {
     Reduce,
     /// Value-level evaluation and primitives (`units-runtime`).
     Eval,
-    /// Artifact caching and worker-pool scheduling (`units::engine`).
+    /// Artifact caching, the persistent store and fault handling
+    /// (`units::engine`).
     Engine,
 }
 

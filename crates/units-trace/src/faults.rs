@@ -72,7 +72,7 @@ pub enum FaultKind {
     #[default]
     Error,
     /// [`trip`] panics — exercises the `catch_unwind` isolation
-    /// boundaries around the Engine and its worker pool.
+    /// boundaries around the Engine's loads and runs.
     Panic,
 }
 
@@ -118,7 +118,6 @@ pub struct Fired {
 /// Both are fully deterministic in the seed and the trip sequence.
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
-    seed: u64,
     rate_per_mille: u32,
     kind: FaultKind,
     budget: u64,
@@ -134,7 +133,6 @@ impl FaultPlane {
     /// a budget of one fault. Equal seeds replay identically.
     pub fn seeded(seed: u64) -> FaultPlane {
         FaultPlane {
-            seed,
             rate_per_mille: 20,
             kind: FaultKind::Error,
             budget: 1,
@@ -177,24 +175,6 @@ impl FaultPlane {
     pub fn trigger(mut self, site: impl Into<String>, nth: u64) -> FaultPlane {
         self.explicit = Some((site.into(), nth.max(1)));
         self
-    }
-
-    /// A fresh plane with the same schedule configuration (rate, kind,
-    /// budget, filters) but a new seed, empty hit counters, and an empty
-    /// fired log. The Engine's worker pool uses this to arm each batch
-    /// job with `seed ^ job-index`, so every job's schedule is
-    /// deterministic in the job alone, independent of thread scheduling.
-    pub fn reseeded(mut self, seed: u64) -> FaultPlane {
-        self.seed = seed;
-        self.state = seed;
-        self.site_hits.clear();
-        self.fired.clear();
-        self
-    }
-
-    /// The seed this plane was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Every fault this plane has fired so far, in order.

@@ -1,4 +1,4 @@
-//! Engine sessions: cached artifacts, parallel checking, budgeted runs.
+//! Engine sessions: cached artifacts, budgeted runs.
 //!
 //! An [`Engine`] is a long-lived session that owns a cache of checked and
 //! slot-resolved unit artifacts. The cache is keyed by a hash of the
@@ -10,14 +10,10 @@
 //! source text to key by: it compiles a fresh artifact owned by the
 //! handle it returns.
 //!
-//! Independent sources (top-level batches, [`Archive`] entries) run the
-//! whole parse → check → resolve → lower pipeline in parallel on a
-//! `std::thread` worker pool: the `Arc`-backed kernel terms are `Send`,
-//! so workers admit finished artifacts directly into the shared cache —
-//! exactly once per program — and the engine itself is `Send + Sync`,
-//! so cached artifacts can also be *invoked* from many threads at once.
-//! The `UNITS_ENGINE_THREADS` environment variable pins the pool size
-//! (1 forces fully sequential, deterministic loading).
+//! The `Arc`-backed kernel terms are `Send`, and the engine itself is
+//! `Send + Sync`: threads that share one engine (`unitsd`'s connection
+//! threads) load into one cache — a source racing on several threads is
+//! admitted exactly once — and invoke cached artifacts concurrently.
 //!
 //! # Owned handles
 //!
@@ -44,10 +40,10 @@
 //!
 //! # The fault plane
 //!
-//! Every entry point — [`Engine::load`], [`Loaded::run_on`], and the
-//! batch workers — sits behind an unwind boundary: a panic anywhere in
-//! the pipeline (including one deliberately fired by an armed
-//! [`units_trace::faults::FaultPlane`]) is caught and surfaced as
+//! Every entry point — [`Engine::load`], [`Engine::load_expr`] and
+//! [`Loaded::run_on`] — sits behind an unwind boundary: a panic
+//! anywhere in the pipeline (including one deliberately fired by an
+//! armed [`units_trace::faults::FaultPlane`]) is caught and surfaced as
 //! [`Error::Internal`] naming the stage, and the artifact a panicking
 //! run was using is evicted from the cache. The session itself stays
 //! usable. On top of that, [`FallbackPolicy`] adds graceful
@@ -76,7 +72,7 @@
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -86,14 +82,13 @@ use std::time::Instant;
 
 use units_check::{check_program, CheckOptions, Level, Strictness};
 use units_compile::{
-    apply, evaluate_program, lower_program, resolve_program, Archive, ChunkProfile, RESOLVED_FORM,
+    apply, evaluate_program, lower_program, resolve_program, ChunkProfile, RESOLVED_FORM,
 };
 use units_kernel::{Expr, Ty};
 use units_reduce::Reducer;
 use units_runtime::{execute, vm, Chunk, Limits, Machine, Resource, RuntimeError, Value};
 use units_store::{Lookup, Store};
 use units_syntax::parse_file;
-use units_trace::faults::FaultPlane;
 use units_trace::{recorder, FlightDump};
 
 use crate::error::Error;
@@ -106,9 +101,9 @@ use crate::outcome::{Backend, Outcome};
 /// lowering, evaluation and dropping a term all recurse once per nesting
 /// level, and [`units_syntax::MAX_NESTING`] bounds the levels; this size
 /// runs a program nested at that cap on every backend in debug and
-/// release builds. The batch pool's workers and `unitsd`'s connection
-/// threads get it; a caller loading untrusted source on a thread of its
-/// own should give that thread at least as much.
+/// release builds. `unitsd`'s connection threads get it; a caller
+/// loading untrusted source on a thread of its own should give that
+/// thread at least as much.
 pub const PIPELINE_STACK_SIZE: usize = 8 << 20;
 
 /// A checked (and, for the production backend, slot-resolved) program,
@@ -252,9 +247,7 @@ pub struct EngineBuilder {
     backend: Backend,
     limits: Limits,
     resolve: Option<bool>,
-    threads: Option<usize>,
     policy: FallbackPolicy,
-    worker_faults: Option<FaultPlane>,
     cache_dir: Option<PathBuf>,
 }
 
@@ -268,9 +261,7 @@ impl Default for EngineBuilder {
             backend: Backend::default(),
             limits: Limits::default(),
             resolve: None,
-            threads: None,
             policy: FallbackPolicy::none(),
-            worker_faults: None,
             cache_dir: None,
         }
     }
@@ -308,31 +299,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the checking worker-pool size. Defaults to the available
-    /// parallelism (capped at 8); the `UNITS_ENGINE_THREADS` environment
-    /// variable overrides both.
-    pub fn threads(mut self, threads: usize) -> EngineBuilder {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Sets what runs do about failure — retries and reference-reducer
     /// fallback (default: [`FallbackPolicy::none`], report as-is).
     pub fn on_failure(mut self, policy: FallbackPolicy) -> EngineBuilder {
         self.policy = policy;
-        self
-    }
-
-    /// Arms a copy of `plane` inside every batch worker job — covering
-    /// the job's whole parse → check → resolve → lower pipeline —
-    /// reseeded with `plane.seed() ^ job-index` so each job's fault
-    /// schedule is deterministic regardless of which worker thread runs
-    /// it. (The thread-local plane armed by
-    /// [`units_trace::faults::arm`] only covers the calling thread;
-    /// this is how a chaos harness reaches the pool.) A no-op schedule
-    /// in builds without the `faults` feature.
-    pub fn worker_faults(mut self, plane: FaultPlane) -> EngineBuilder {
-        self.worker_faults = Some(plane);
         self
     }
 
@@ -351,13 +321,6 @@ impl EngineBuilder {
 
     /// Builds the engine.
     pub fn build(self) -> Engine {
-        let threads = match std::env::var("UNITS_ENGINE_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n >= 1 => n,
-            _ => self.threads.unwrap_or_else(default_threads),
-        };
         let opts = CheckOptions { level: self.level, strictness: self.strictness };
         let resolve = self.resolve.unwrap_or(true);
         let store = self.cache_dir.as_ref().and_then(|dir| {
@@ -404,9 +367,7 @@ impl EngineBuilder {
                 backend: self.backend,
                 limits: self.limits,
                 resolve,
-                threads,
                 policy: self.policy,
-                worker_faults: self.worker_faults,
                 store,
                 cache: Mutex::new(Cache::default()),
                 metrics: EngineMetrics::default(),
@@ -415,10 +376,6 @@ impl EngineBuilder {
             }),
         }
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
 }
 
 /// A session that checks, caches, and runs programs.
@@ -444,9 +401,7 @@ struct EngineInner {
     backend: Backend,
     limits: Limits,
     resolve: bool,
-    threads: usize,
     policy: FallbackPolicy,
-    worker_faults: Option<FaultPlane>,
     /// The persistent artifact store, when the builder was given a
     /// `cache_dir` and the directory was usable.
     store: Option<Store>,
@@ -513,11 +468,6 @@ impl Engine {
         self.inner.limits
     }
 
-    /// The checking worker-pool size.
-    pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
-
     /// The failure-handling policy every run is governed by.
     pub fn fallback_policy(&self) -> FallbackPolicy {
         self.inner.policy
@@ -540,8 +490,8 @@ impl Engine {
     }
 
     /// A structured snapshot of the engine's always-on metrics plane:
-    /// cache hits, misses and evictions, worker-pool activity, recovery
-    /// actions by policy stage, run totals with fuel and store-cell
+    /// cache hits, misses and evictions, recovery actions by policy
+    /// stage, store probes, run totals with fuel and store-cell
     /// high-water marks, and invoke latency percentiles (p50/p99 from
     /// log₂-ns histogram buckets). Available in every build — only the
     /// flight-dump count needs the `trace` feature to be nonzero.
@@ -624,140 +574,6 @@ impl Engine {
     /// Any load or runtime error.
     pub fn invoke(&self, source: &str) -> Result<Outcome, Error> {
         self.load(source)?.run()
-    }
-
-    /// Loads many independent sources, running the full
-    /// parse → check → resolve (→ lower, on the bytecode backend)
-    /// pipeline for cache misses in parallel on the engine's worker
-    /// pool. Accepts anything iterable over string-like items — a
-    /// `&[&str]`, a `Vec<String>`, an iterator of `String`s — and
-    /// returns one `Result<Loaded, Error>` per source, in input order;
-    /// workers admit `Arc`-shared artifacts into the same cache as
-    /// [`Engine::load`], exactly once per distinct program — nothing is
-    /// parsed twice.
-    ///
-    /// With one thread (or one job) this degenerates to sequential
-    /// [`Engine::load`] calls — the `UNITS_ENGINE_THREADS=1` determinism
-    /// mode.
-    ///
-    /// ```
-    /// use units::{Engine, Observation};
-    ///
-    /// let engine = Engine::new();
-    /// let sources: Vec<String> = (1..=3)
-    ///     .map(|n| format!("(invoke (unit (import) (export) (init {n})))"))
-    ///     .collect();
-    /// // One result per source, in input order.
-    /// let results: Vec<Result<units::Loaded, units::Error>> =
-    ///     engine.load_batch(&sources);
-    /// assert_eq!(results.len(), 3);
-    /// assert_eq!(results[2].as_ref().unwrap().run()?.value, Observation::Int(3));
-    /// # Ok::<(), units::Error>(())
-    /// ```
-    pub fn load_batch<I>(&self, sources: I) -> Vec<Result<Loaded, Error>>
-    where
-        I: IntoIterator,
-        I::Item: AsRef<str>,
-    {
-        let owned: Vec<I::Item> = sources.into_iter().collect();
-        let refs: Vec<&str> = owned.iter().map(AsRef::as_ref).collect();
-        self.load_batch_refs(&refs)
-    }
-
-    /// The monomorphic batch pipeline behind [`Engine::load_batch`].
-    fn load_batch_refs(&self, sources: &[&str]) -> Vec<Result<Loaded, Error>> {
-        recorder::ensure(recorder::DEFAULT_CAPACITY);
-        let inner = &self.inner;
-        // One job per distinct uncached source; repeats and warm entries
-        // resolve as plain cache hits in the collection pass below.
-        let mut seen = HashSet::new();
-        let jobs: Vec<(usize, &str)> = {
-            let cache = inner.cache.lock().unwrap();
-            sources
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| {
-                    let key = inner.source_key(s);
-                    seen.insert(key) && !cache.contains_key(&key)
-                })
-                .map(|(i, s)| (i, *s))
-                .collect()
-        };
-        let workers = inner.threads.min(jobs.len());
-        if workers <= 1 {
-            return sources.iter().map(|s| self.load(s)).collect();
-        }
-        inner.metrics.note_batch(jobs.len() as u64, workers as u64);
-        units_trace::count("engine/pool_workers", workers as u64);
-        let queue = Mutex::new(jobs);
-        let done: Mutex<HashMap<usize, Result<Arc<Artifact>, Error>>> =
-            Mutex::new(HashMap::new());
-        let worker_faults = &inner.worker_faults;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let worker = std::thread::Builder::new().stack_size(PIPELINE_STACK_SIZE);
-                let spawned = worker.spawn_scoped(scope, || loop {
-                    let Some((idx, src)) = queue.lock().unwrap().pop() else { break };
-                    if let Some(plane) = worker_faults {
-                        // Reseed per job, not per worker: the schedule
-                        // each source sees is then a function of the
-                        // job alone, not of thread scheduling.
-                        units_trace::faults::arm(
-                            plane.clone().reseeded(plane.seed() ^ (idx as u64 + 1)),
-                        );
-                    }
-                    // The unwind boundary lives *inside* the worker
-                    // loop: a panicking pipeline fails one job, not the
-                    // pool (and never poisons the queue/result locks,
-                    // which are released while the pipeline runs).
-                    let result = guard("batch-load", || {
-                        let artifact = inner.load_uncached(src)?;
-                        if inner.backend == Backend::Bytecode {
-                            // Lower eagerly on the worker so the batch
-                            // hands back run-ready artifacts; the
-                            // `OnceLock` dedupes against any concurrent
-                            // run lowering the same chunk.
-                            let _ = artifact.chunk();
-                        }
-                        Ok(artifact)
-                    });
-                    units_trace::faults::disarm();
-                    done.lock().unwrap().insert(idx, result);
-                });
-                spawned.expect("the batch pool spawns its workers");
-            }
-        });
-        let mut done = done.into_inner().unwrap();
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, source)| match done.remove(&i) {
-                Some(Ok(artifact)) => Ok(self.handle(artifact)),
-                Some(Err(err)) => {
-                    inner.flight_on_fault(&err);
-                    Err(err)
-                }
-                // A duplicate of some job, or cached before the batch
-                // started: a plain (hitting) load.
-                None => self.load(source),
-            })
-            .collect()
-    }
-
-    /// Loads every entry of an [`Archive`] (in name order) through
-    /// [`Engine::load_batch`]. Returns `(name, result)` pairs — one per
-    /// archive entry, in the archive's name order.
-    pub fn load_archive(&self, archive: &Archive) -> Vec<(String, Result<Loaded, Error>)> {
-        // `names()` comes from the archive's own key set, so every
-        // lookup succeeds; `filter_map` keeps the name/source pairing
-        // aligned without an `expect` on that invariant.
-        let (names, sources): (Vec<&str>, Vec<&str>) = archive
-            .names()
-            .into_iter()
-            .filter_map(|n| archive.get(n).map(|s| (n, s)))
-            .unzip();
-        let loaded = self.load_batch_refs(&sources);
-        names.into_iter().map(String::from).zip(loaded).collect()
     }
 }
 
@@ -905,10 +721,8 @@ impl EngineInner {
         }
     }
 
-    /// The un-guarded load pipeline: the cache probe, the store probe,
-    /// then parse → check → resolve → admit. Shared by [`Engine::load`]
-    /// and the batch workers — both run the *same* code, the only
-    /// difference is which unwind boundary and fault plane wraps it.
+    /// The un-guarded load pipeline behind [`Engine::load`]: the cache
+    /// probe, the store probe, then parse → check → resolve → admit.
     fn load_uncached(&self, source: &str) -> Result<Arc<Artifact>, Error> {
         let skey = self.source_key(source);
         if let Some(artifact) = self.cache.lock().unwrap().get(&skey).cloned() {
@@ -1579,36 +1393,6 @@ mod tests {
             // not a hit) and runs.
             assert_eq!(engine.invoke(SQUARE).unwrap().value, Observation::Int(144));
             assert_eq!(engine.cache_stats().misses, 2);
-        }
-    }
-
-    #[test]
-    fn load_batch_preserves_input_order() {
-        let engine = Engine::builder().threads(4).build();
-        let sources = [
-            "(invoke (unit (import) (export) (init 1)))",
-            "(+ nope 1)",
-            "(invoke (unit (import) (export) (init 3)))",
-        ];
-        let results = engine.load_batch(&sources);
-        assert_eq!(results[0].as_ref().unwrap().run().unwrap().value, Observation::Int(1));
-        assert!(results[1].as_ref().err().and_then(|e| e.as_check()).is_some());
-        assert_eq!(results[2].as_ref().unwrap().run().unwrap().value, Observation::Int(3));
-    }
-
-    #[test]
-    fn load_batch_accepts_owned_strings() {
-        let engine = Engine::builder().threads(2).build();
-        let sources: Vec<String> = (1..=4)
-            .map(|n| format!("(invoke (unit (import) (export) (init {n})))"))
-            .collect();
-        // By reference and by value: both iterator shapes work.
-        let by_ref = engine.load_batch(&sources);
-        assert_eq!(by_ref.len(), 4);
-        let by_val = engine.load_batch(sources);
-        for (n, result) in by_val.iter().enumerate() {
-            let outcome = result.as_ref().unwrap().run().unwrap();
-            assert_eq!(outcome.value, Observation::Int(n as i64 + 1));
         }
     }
 

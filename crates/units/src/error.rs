@@ -48,8 +48,7 @@ pub enum Error {
     /// A panic escaped a pipeline stage and was caught at the engine's
     /// isolation boundary — the session stays usable, the run does not.
     Internal {
-        /// The pipeline stage that panicked (`"load"`, `"run"`,
-        /// `"batch-load"`, …).
+        /// The pipeline stage that panicked: `"load"` or `"run"`.
         stage: &'static str,
         /// The panic payload, rendered.
         message: String,

@@ -19,9 +19,9 @@
 //!
 //! ## Engine quick start
 //!
-//! An [`Engine`] is a session: it checks programs (in parallel for
-//! batches), caches the checked/resolved artifacts by source text, and
-//! runs them under resource budgets.
+//! An [`Engine`] is a session: it checks programs, caches the
+//! checked/resolved artifacts by source text, and runs them under
+//! resource budgets.
 //!
 //! ```
 //! use units::{Engine, Observation};
@@ -65,8 +65,7 @@ pub use engine::{
 };
 pub use error::Error;
 pub use metrics::{
-    CacheMetrics, LatencyStats, MetricsSnapshot, PoolMetrics, RecoveryMetrics, RunMetrics,
-    StoreMetrics,
+    CacheMetrics, LatencyStats, MetricsSnapshot, RecoveryMetrics, RunMetrics, StoreMetrics,
 };
 pub use observe::{observe_expr, observe_value, Observation};
 #[cfg(feature = "trace")]

@@ -4,7 +4,7 @@
 //! these are plain per-engine counters — a handful of relaxed atomic
 //! bumps and one `Instant` read per invoke — cheap enough to keep in
 //! every build, so `Engine::metrics_snapshot` reports cache behaviour,
-//! recoveries, worker-pool usage, fuel, store-cell high-water marks,
+//! recoveries, store probes, fuel, store-cell high-water marks,
 //! cells a reclaimed run store still found referenced, and invoke
 //! latency percentiles whether or not the `trace` feature is compiled.
 //!
@@ -24,17 +24,14 @@ use std::time::Duration;
 use units_trace::json::Json;
 use units_trace::DurationStats;
 
-/// Internal mutable storage, one per [`crate::Engine`]. Worker threads
-/// and concurrent invokers bump these directly — no joining required.
+/// Internal mutable storage, one per [`crate::Engine`]. Concurrent
+/// loaders and invokers bump these directly — no joining required.
 #[derive(Debug, Default)]
 pub(crate) struct EngineMetrics {
     pub source_hits: AtomicU64,
     pub misses: AtomicU64,
     pub evictions: AtomicU64,
     pub parses: AtomicU64,
-    pub pool_batches: AtomicU64,
-    pub pool_jobs: AtomicU64,
-    pub pool_peak_workers: AtomicU64,
     pub runs: AtomicU64,
     pub run_failures: AtomicU64,
     pub fuel_total: AtomicU64,
@@ -82,14 +79,6 @@ impl EngineMetrics {
         self.cells_retained.fetch_add(cells, Relaxed);
     }
 
-    /// Records one worker-pool batch of `jobs` jobs on `workers`
-    /// threads.
-    pub fn note_batch(&self, jobs: u64, workers: u64) {
-        bump(&self.pool_batches);
-        self.pool_jobs.fetch_add(jobs, Relaxed);
-        self.pool_peak_workers.fetch_max(workers, Relaxed);
-    }
-
     /// A structured copy of everything, with `entries` supplied by the
     /// cache (it owns the map).
     pub fn snapshot(&self, entries: usize) -> MetricsSnapshot {
@@ -101,11 +90,6 @@ impl EngineMetrics {
                 evictions: self.evictions.load(Relaxed),
                 parses: self.parses.load(Relaxed),
                 entries,
-            },
-            pool: PoolMetrics {
-                batches: self.pool_batches.load(Relaxed),
-                jobs: self.pool_jobs.load(Relaxed),
-                peak_workers: self.pool_peak_workers.load(Relaxed),
             },
             recovery: RecoveryMetrics {
                 fuel_retries: self.fuel_retries.load(Relaxed),
@@ -146,9 +130,6 @@ impl EngineMetrics {
             &self.misses,
             &self.evictions,
             &self.parses,
-            &self.pool_batches,
-            &self.pool_jobs,
-            &self.pool_peak_workers,
             &self.runs,
             &self.run_failures,
             &self.fuel_total,
@@ -187,18 +168,6 @@ pub struct CacheMetrics {
     pub parses: u64,
     /// Artifacts currently cached.
     pub entries: usize,
-}
-
-/// Worker-pool activity for `load_batch` / `load_archive`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolMetrics {
-    /// Parallel batches dispatched (sequential fallbacks not counted).
-    pub batches: u64,
-    /// Jobs pushed through those batches (deduplicated uncached
-    /// sources — each job runs the full parse→check→resolve pipeline).
-    pub jobs: u64,
-    /// Widest worker count used by any batch.
-    pub peak_workers: u64,
 }
 
 /// What the failure-recovery policy did, by stage.
@@ -276,8 +245,6 @@ pub struct LatencyStats {
 pub struct MetricsSnapshot {
     /// Cache hits, misses, evictions, parses, and entries.
     pub cache: CacheMetrics,
-    /// Worker-pool batches, jobs, and peak width.
-    pub pool: PoolMetrics,
     /// Recovery actions by policy stage.
     pub recovery: RecoveryMetrics,
     /// Persistent artifact-store hits, misses, corruption, and writes.
@@ -295,7 +262,7 @@ impl MetricsSnapshot {
         let section = |fields: &[(&'static str, u64)]| {
             Json::obj(fields.iter().map(|&(name, n)| (name, Json::from(n))))
         };
-        let (cache, pool, recovery) = (&self.cache, &self.pool, &self.recovery);
+        let (cache, recovery) = (&self.cache, &self.recovery);
         let (store, runs, lat) = (&self.store, &self.runs, &self.invoke_latency);
         Json::obj([
             (
@@ -306,14 +273,6 @@ impl MetricsSnapshot {
                     ("evictions", cache.evictions),
                     ("parses", cache.parses),
                     ("entries", cache.entries as u64),
-                ]),
-            ),
-            (
-                "pool",
-                section(&[
-                    ("batches", pool.batches),
-                    ("jobs", pool.jobs),
-                    ("peak_workers", pool.peak_workers),
                 ]),
             ),
             (
@@ -374,7 +333,6 @@ mod tests {
         metrics.note_machine(40, 9);
         metrics.note_retained(0);
         metrics.note_retained(2);
-        metrics.note_batch(3, 2);
         let snap = metrics.snapshot(5);
         assert_eq!(snap.runs.total, 2);
         assert_eq!(snap.runs.failures, 1);
@@ -382,12 +340,17 @@ mod tests {
         assert_eq!(snap.runs.fuel_max, 100);
         assert_eq!(snap.runs.store_cells_peak, 9);
         assert_eq!(snap.runs.cells_retained, 2);
-        assert_eq!(snap.pool.jobs, 3);
         assert_eq!(snap.invoke_latency.count, 2);
         assert!(snap.invoke_latency.p50_ns <= snap.invoke_latency.p99_ns);
         assert!(snap.invoke_latency.p99_ns <= snap.invoke_latency.max_ns);
         let json = snap.to_json();
         assert_eq!(units_trace::json::parse(&json.render()), Ok(json.clone()));
+        // The one schema `unitsd stats`, the REPL and the bench share.
+        let Json::Obj(sections) = &json else { panic!("not an object: {json}") };
+        assert_eq!(
+            sections.keys().map(String::as_str).collect::<Vec<_>>(),
+            ["cache", "invoke_latency", "recovery", "runs", "store"]
+        );
         let field = |section: &str, key: &str| json.get(section).and_then(|s| s.get_int(key));
         assert_eq!(field("invoke_latency", "p50_ns"), Some(snap.invoke_latency.p50_ns as i64));
         assert_eq!(field("invoke_latency", "p99_ns"), Some(snap.invoke_latency.p99_ns as i64));

@@ -148,9 +148,14 @@ def smoke(path):
     ok = call(a, {'op': 'invoke', 'name': 'f', 'arg': 2, 'fuel': 1000})
     assert ok['ok'] and ok['value'] == '8', ok
 
-    stats = call(b, {'op': 'stats'})['tenants']
-    assert stats['a']['rejected'] == 1 and stats['a']['failed'] == 1, stats
-    assert stats['b']['ok'] == 5, stats
+    stats = call(b, {'op': 'stats'})
+    # The engine object is MetricsSnapshot::to_json, the schema the
+    # REPL and the bench share.
+    assert sorted(stats['engine']) == ['cache', 'invoke_latency', 'recovery', 'runs',
+                                       'store'], stats['engine']
+    tenants = stats['tenants']
+    assert tenants['a']['rejected'] == 1 and tenants['a']['failed'] == 1, tenants
+    assert tenants['b']['ok'] == 5, tenants
     assert call(b, {'op': 'shutdown'})['stopping']
     print('unitsd smoke: 2 tenants, linked plug-in, nesting cap, swap, admission, '
           'stats, shutdown OK')

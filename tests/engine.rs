@@ -8,7 +8,7 @@
 //! metrics counters only, so a hit can never perturb the event stream.
 
 use units::{
-    parse_expr, Archive, Backend, Engine, Error, Expr, Level, Limits, Loaded, Observation, Param,
+    parse_expr, Backend, Engine, Error, Expr, Level, Limits, Loaded, Observation, Param,
     Strictness, Ty,
 };
 use units_runtime::Resource;
@@ -156,11 +156,11 @@ fn store_cell_exhaustion_is_typed_on_both_backends() {
     }
 }
 
-fn batch_sources() -> Vec<String> {
+fn sources_with_one_check_error() -> Vec<String> {
     (0..8)
         .map(|i| {
             if i == 5 {
-                // One deliberate check error in the middle of the batch.
+                // One deliberate check error in the middle of the list.
                 "(+ nope 1)".to_string()
             } else {
                 format!(
@@ -173,46 +173,8 @@ fn batch_sources() -> Vec<String> {
         .collect()
 }
 
-/// A parallel batch load returns, per source and in input order, exactly
-/// what sequential loading returns.
-#[test]
-fn parallel_batch_agrees_with_sequential_loading() {
-    let sources = batch_sources();
-    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-
-    let parallel = Engine::builder().threads(4).build();
-    let sequential = Engine::builder().threads(1).build();
-    let par_results = parallel.load_batch(&refs);
-    let seq_results = sequential.load_batch(&refs);
-    assert_eq!(par_results.len(), refs.len());
-
-    for (i, (par, seq)) in par_results.iter().zip(&seq_results).enumerate() {
-        match (par, seq) {
-            (Ok(p), Ok(s)) => {
-                let (po, so) = (p.run().unwrap(), s.run().unwrap());
-                assert_eq!(po, so, "source {i}");
-                assert_eq!(po.value, Observation::Int(10 * i as i64), "source {i}");
-            }
-            // Errors carry no PartialEq; their stable renderings must agree.
-            (Err(p), Err(s)) => assert_eq!(p.to_string(), s.to_string(), "source {i}"),
-            (p, s) => panic!("source {i}: parallel {p:?} vs sequential {s:?}"),
-        }
-    }
-    // The batch populated the parallel engine's cache: reloading every
-    // good source is now pure hits.
-    let before = parallel.cache_stats();
-    for (i, source) in refs.iter().enumerate() {
-        if i != 5 {
-            parallel.load(source).unwrap();
-        }
-    }
-    let after = parallel.cache_stats();
-    assert_eq!(after.misses, before.misses, "reloads must not re-check");
-    assert_eq!(after.hits, before.hits + 7);
-}
-
-/// The compile-time guarantee behind the whole parallel pipeline: the
-/// engine, its loaded handles, cached-artifact errors, and lowered
+/// The compile-time guarantee behind one engine shared by many threads:
+/// the engine, its loaded handles, cached-artifact errors, and lowered
 /// chunks are all `Send + Sync`. This test "runs" at type-check time —
 /// remove an `Arc` anywhere on the artifact spine and it stops
 /// compiling.
@@ -351,68 +313,37 @@ fn racing_cold_loads_of_one_source_admit_one_artifact() {
 }
 
 /// Winners are shared, not re-parsed: the parse counter moves once per
-/// distinct source and stays flat across every warm path — sequential
-/// reload, parallel batch, and archive load alike.
+/// distinct source and stays flat across every warm load.
 #[test]
 fn cache_hits_never_reparse() {
-    let engine = Engine::builder().threads(4).build();
+    let engine = Engine::new();
     let source = square_program(Level::Untyped);
 
     engine.load(source).unwrap();
     assert_eq!(engine.metrics_snapshot().cache.parses, 1);
 
-    // Sequential warm load: source-hash hit, no parse.
-    engine.load(source).unwrap();
-    // Parallel warm batch of duplicates: all answered from cache.
-    for result in engine.load_batch(&[source, source, source]) {
-        result.unwrap();
+    // Warm loads: source-hash hits, no parse.
+    for _ in 0..4 {
+        engine.load(source).unwrap();
     }
     let snap = engine.metrics_snapshot();
     assert_eq!(snap.cache.parses, 1, "warm loads must never re-parse");
     assert_eq!(snap.cache.misses, 1);
     assert_eq!(snap.cache.source_hits, 4);
 
-    // A cold batch parses each distinct source exactly once, even with
-    // the same source repeated in the job list.
-    let sources = batch_sources();
-    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let mut doubled = refs.clone();
-    doubled.extend(refs.iter().copied());
-    for (i, result) in engine.load_batch(&doubled).into_iter().enumerate() {
-        if i % refs.len() != 5 {
+    // Loading a list of sources twice over parses each distinct source
+    // exactly once.
+    let sources = sources_with_one_check_error();
+    for (i, source) in sources.iter().chain(&sources).enumerate() {
+        let result = engine.load(source);
+        if i % sources.len() != 5 {
             result.unwrap();
         }
     }
     let snap = engine.metrics_snapshot();
-    // 1 original + 8 batch sources parsed once each; the failing source
+    // 1 original + 8 listed sources parsed once each; the failing source
     // (index 5) parses on each attempt because failures are not cached.
     assert_eq!(snap.cache.parses, 1 + 8 + 1, "each winner parsed exactly once");
-}
-
-/// Archive entries load through the same batch path, keyed by name.
-#[test]
-fn archives_load_in_name_order() {
-    let mut archive = Archive::new();
-    archive.publish(
-        "answer",
-        "(invoke (unit (import) (export) (init (* 6 7))))",
-    );
-    archive.publish("broken", "(+ nope 1)");
-    archive.publish("greeting", r#"(invoke (unit (import) (export) (init "hi")))"#);
-
-    let engine = Engine::builder().threads(4).build();
-    let loaded = engine.load_archive(&archive);
-    let names: Vec<&str> = loaded.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, ["answer", "broken", "greeting"]);
-    assert_eq!(
-        loaded[0].1.as_ref().unwrap().run().unwrap().value,
-        Observation::Int(42)
-    );
-    assert!(loaded[1].1.as_ref().err().and_then(Error::as_check).is_some());
-    assert_eq!(
-        loaded[2].1.as_ref().unwrap().run().unwrap().value,
-        Observation::Str("hi".into())
-    );
 }
 
 const BACKENDS: [Backend; 3] = [Backend::Compiled, Backend::Bytecode, Backend::Reducer];

@@ -206,59 +206,23 @@ fn fuel_exhaustion_retries_then_falls_back_under_one_policy() {
     assert!(!recovery.fell_back, "escalated fuel cures this one before any fallback");
 }
 
+/// A panic inside loading crosses the load's unwind boundary as a typed
+/// internal error naming the stage; nothing half-built is admitted, and
+/// the session loads and runs the same source once the plane is gone.
 #[test]
-fn batch_worker_faults_are_isolated_and_deterministic() {
+fn a_panic_inside_load_is_a_typed_internal_error() {
     faults::install_quiet_hook();
-    let sources: Vec<String> = (0..24)
-        .map(|i| format!("(invoke (unit (import) (export) (init (+ {i} 1))))"))
-        .collect();
-    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let run_pool = || {
-        let engine = Engine::builder()
-            .threads(4)
-            .worker_faults(
-                FaultPlane::seeded(31).rate_per_mille(400).kind(FaultKind::Panic),
-            )
-            .build();
-        let verdicts: Vec<Result<Observation, String>> = engine
-            .load_batch(&refs)
-            .into_iter()
-            .map(|r| {
-                r.and_then(|loaded| loaded.run())
-                    .map(|outcome| outcome.value)
-                    .map_err(|e| e.to_string())
-            })
-            .collect();
-        verdicts
-    };
-    let verdicts = run_pool();
-    let mut survived = 0;
-    let mut faulted = 0;
-    for (i, verdict) in verdicts.iter().enumerate() {
-        match verdict {
-            Ok(value) => {
-                assert_eq!(*value, Observation::Int(i as i64 + 1));
-                survived += 1;
-            }
-            Err(message) => {
-                // A worker panic crosses the pool boundary as a typed
-                // internal error naming the batch stage — never as a
-                // dead thread or a poisoned lock.
-                assert!(
-                    message.contains("internal error in batch-load")
-                        && message.contains("injected panic at"),
-                    "job {i}: {message}"
-                );
-                faulted += 1;
-            }
-        }
-    }
-    assert!(faulted > 0, "a 400\u{2030} panic schedule must hit some of 24 jobs");
-    assert!(survived > 0, "and must miss some");
-    // Per-job reseeding makes the verdict pattern a function of the
-    // jobs alone: a second pool (fresh engine, same plane) agrees
-    // everywhere, whatever order its threads popped the queue.
-    assert_eq!(verdicts, run_pool(), "schedules are scheduling-independent");
+    let (source, expected) = program_for(Level::Untyped);
+    let engine = Engine::new();
+    faults::arm(FaultPlane::seeded(1).kind(FaultKind::Panic).trigger("check/program", 1));
+    let err = engine.load(source).expect_err("the injected panic must surface");
+    faults::disarm();
+    let (stage, _) = err.as_internal().expect("a caught panic is Error::Internal");
+    assert_eq!(stage, "load");
+    assert_eq!(err.to_string(), "internal error in load: injected panic at check/program (hit 1)");
+    assert_eq!(engine.cache_stats().entries, 0, "a panicked load admits nothing");
+    let outcome = engine.load(source).and_then(|loaded| loaded.run()).unwrap();
+    assert_eq!(outcome.value, expected);
 }
 
 /// A seeded schedule that trips inside evaluation leaves a flight-

@@ -169,9 +169,25 @@ fn premature_definition_reads_agree() {
         (define a (b))
         (define b (lambda () 1))
         (init a)))";
-    let (a, b) = both_err(src);
-    assert!(matches!(a, RuntimeError::UndefinedRead { .. }), "{a}");
-    assert!(matches!(b, RuntimeError::UndefinedRead { .. }), "{b}");
+    // The same read through a renamed link: flattening the compound
+    // gives the hidden link name a generated spelling (`g#mN`), which
+    // the compiled backends' error must not leak.
+    let linked = "(invoke (compound (import) (export)
+        (link ((unit (import f) (export a) (define a (lambda () 1)) (define early (f)))
+               (with (as f g)) (provides a))
+              ((unit (import a) (export g) (define g (lambda () (a))))
+               (with a) (provides g)))))";
+    for source in [src, linked] {
+        let (a, b) = both_err(source);
+        assert!(matches!(a, RuntimeError::UndefinedRead { .. }), "{a}");
+        assert!(matches!(b, RuntimeError::UndefinedRead { .. }), "{b}");
+    }
+    let engine = mz();
+    let loaded = engine.load(linked).unwrap();
+    for backend in [Backend::Compiled, Backend::Bytecode] {
+        let text = loaded.run_on(backend).unwrap_err().to_string();
+        assert!(text.contains("definition `g` read") && !text.contains('#'), "{backend:?}: {text}");
+    }
 }
 
 #[test]
