@@ -14,6 +14,18 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a workspace of its own that calls the pipeline's
+# public entry points (resolve, lower, evaluate, execute, the store
+# codec), so a change to one of their signatures must fail here.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+# `cargo test` builds the examples but never runs them; run each one.
+for example in quickstart starter even_odd phonebook typed_phonebook \
+    separate_compilation dynamic_plugins drscheme_shell; do
+    cargo run -q --release -p units --example "$example" >/dev/null
+done
+
 # Unit service smoke test: boot the release unitsd on a throwaway
 # socket and drive the wire protocol end to end from a second-parser
 # client (scripts/unitsd_client.py speaks the 4-byte-length-prefixed
@@ -193,8 +205,8 @@ GATE
 fi
 rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace.tmp
 
-# Three-backend agreement: the differential suite runs 600 random
-# two-unit link topologies and 400 compounds of 3–5 clauses (rename
+# Three-backend agreement: the differential suite runs 1,000 random
+# two-unit link topologies and 600 compounds of 3–5 clauses (rename
 # pairs, shuffled ports, nested, sealed and first-class constituents)
 # on the reducer, the tree-walker, and the bytecode VM, and
 # must hold their observations identical in both feature configurations

@@ -2,9 +2,9 @@
 //! initialization code regardless of how many times the unit is linked or
 //! invoked": per-instance cost stays flat as instances accumulate.
 //!
-//! Series printed: total time vs. instance count (compiled backend, with
-//! lexical-address resolution on and off); a flat per-instance figure
-//! demonstrates O(1) instantiation over shared code.
+//! Series printed: total time vs. instance count (compiled backend); a
+//! flat per-instance figure demonstrates O(1) instantiation over shared
+//! code.
 
 use std::hint::black_box;
 
@@ -14,18 +14,11 @@ use units::{Backend, Engine, Strictness};
 
 fn main() {
     let engine = Engine::builder().strictness(Strictness::MzScheme).build();
-    let by_name_engine =
-        Engine::builder().strictness(Strictness::MzScheme).resolution(false).build();
     for count in [1usize, 10, 100, 1000] {
-        let resolved = engine.load_expr(repeated_invoke(one_unit(), count)).unwrap();
-        let by_name = by_name_engine.load_expr(repeated_invoke(one_unit(), count)).unwrap();
+        let program = engine.load_expr(repeated_invoke(one_unit(), count)).unwrap();
         let us = median_us(20, || {
-            black_box(resolved.run_on(Backend::Compiled).unwrap());
+            black_box(program.run_on(Backend::Compiled).unwrap());
         });
         report("instantiation/compiled", count, us);
-        let us = median_us(20, || {
-            black_box(by_name.run_on(Backend::Compiled).unwrap());
-        });
-        report("instantiation/by_name", count, us);
     }
 }

@@ -2,12 +2,12 @@
 //! substitution reducer on the even/odd counting workload (Fig. 12).
 //!
 //! Series printed: time vs. counting depth for both backends, plus the
-//! compiled backend with lexical-address resolution disabled (the by-name
-//! environment-scan baseline this repository's resolver replaces).
-//! Expected shape: the compiled backend wins by a widening factor as
-//! depth grows — substitution copies the λ body at every β-step, while
-//! the cells backend reads one cell per call — and slot-resolved lookup
-//! beats the by-name scan on every call into the unit's frames.
+//! compiled backend on the same trampoline inside wide units (extra
+//! inert definitions in each unit's frame). Expected shape: the compiled
+//! backend wins by a widening factor as depth grows — substitution
+//! copies the λ body at every β-step, while the cells backend reads one
+//! cell per call — and the wide units cost the compiled backend no more
+//! per call, since a slot-addressed read indexes past the pads.
 
 use std::hint::black_box;
 
@@ -17,36 +17,22 @@ use units::{Backend, Engine, Strictness};
 
 fn main() {
     let engine = Engine::builder().strictness(Strictness::MzScheme).build();
-    let by_name_engine =
-        Engine::builder().strictness(Strictness::MzScheme).resolution(false).build();
     for depth in [25i64, 100, 400] {
         let program = engine.load_expr(even_odd_program(depth)).unwrap();
-        let by_name = by_name_engine.load_expr(even_odd_program(depth)).unwrap();
         let us = median_us(20, || {
             black_box(program.run_on(Backend::Compiled).unwrap());
         });
         report("invoke_backends/compiled", depth, us);
         let us = median_us(20, || {
-            black_box(by_name.run_on(Backend::Compiled).unwrap());
-        });
-        report("invoke_backends/compiled_by_name", depth, us);
-        let us = median_us(20, || {
             black_box(program.run_on(Backend::Reducer).unwrap());
         });
         report("invoke_backends/reducer", depth, us);
     }
-    // The trampoline inside wide units (extra inert definitions): the
-    // production shape where the by-name frame scan costs real time.
     for extra in [16usize, 64] {
         let program = engine.load_expr(even_odd_wide_program(400, extra)).unwrap();
-        let by_name = by_name_engine.load_expr(even_odd_wide_program(400, extra)).unwrap();
         let us = median_us(20, || {
             black_box(program.run_on(Backend::Compiled).unwrap());
         });
         report("invoke_backends/wide_compiled", extra, us);
-        let us = median_us(20, || {
-            black_box(by_name.run_on(Backend::Compiled).unwrap());
-        });
-        report("invoke_backends/wide_compiled_by_name", extra, us);
     }
 }

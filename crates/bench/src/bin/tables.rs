@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use bench::{
     alias_chain, alias_chain_unit, chain_program, cycle_program, deep_let_program,
-    deep_signature, even_odd_program, even_odd_wide_program, one_unit, plugin_signature,
-    plugin_source, repeated_invoke, star_program, wide_signature, wide_typed_unit,
+    deep_signature, even_odd_program, one_unit, plugin_signature, plugin_source,
+    repeated_invoke, star_program, wide_signature, wide_typed_unit,
 };
 use units::{
     check_program, expand_ty, subtype, type_of, Archive, Backend, CheckOptions, Engine,
@@ -264,9 +264,9 @@ fn main() {
         "{:>14} {:>8} {:>13} {:>13} {:>8}",
         "series", "size", "compiled µs", "bytecode µs", "speedup"
     );
-    // Minimum over many runs, like the resolution A/B: the workloads are
-    // warm single-artifact evaluations, so scheduling noise dominates a
-    // median at these run times.
+    // Minimum over many runs: the workloads are warm single-artifact
+    // evaluations, so scheduling noise dominates a median at these run
+    // times.
     let vm_runs = if quick { 10 } else { 40 };
     let vm_point = |rec: &mut Recorder,
                         series: &'static str,
@@ -303,96 +303,6 @@ fn main() {
             "repeat_invoke",
             count.to_string(),
             repeated_invoke(one_unit(), *count),
-        );
-    }
-
-    header("resolution: slot-resolved vs. by-name variable lookup");
-    println!(
-        "{:>10} {:>8} {:>14} {:>14} {:>8}",
-        "series", "size", "resolved µs", "by-name µs", "speedup"
-    );
-    // Minimum over many runs: the A/B delta on even/odd is a few percent
-    // of a ~100 µs run, well under median-of-9 scheduling noise.
-    let ab_runs = if quick { 10 } else { 60 };
-    let by_name_session =
-        || Engine::builder().strictness(Strictness::MzScheme).resolution(false).build();
-    for depth in if quick { &[25i64, 100][..] } else { &[25i64, 100, 400, 1600][..] } {
-        let on_engine = session();
-        let p = on_engine.load_expr(even_odd_program(*depth)).unwrap();
-        let off_engine = by_name_session();
-        let off = off_engine.load_expr(even_odd_program(*depth)).unwrap();
-        p.run_on(Backend::Compiled).unwrap();
-        off.run_on(Backend::Compiled).unwrap();
-        let on_us = bench::harness::min_us(ab_runs, || {
-            p.run_on(Backend::Compiled).unwrap();
-        });
-        let off_us = bench::harness::min_us(ab_runs, || {
-            off.run_on(Backend::Compiled).unwrap();
-        });
-        println!("{:>10} {depth:>8} {on_us:>14.1} {off_us:>14.1} {:>7.2}x", "even_odd", off_us / on_us);
-        rec.push(
-            "resolution",
-            "even_odd",
-            depth,
-            vec![("resolved_us", on_us), ("by_name_us", off_us), ("speedup", off_us / on_us)],
-        );
-    }
-    // The same trampoline inside units that carry extra definitions — the
-    // production shape whose frame scans the resolver eliminates.
-    for extra in if quick { &[4usize][..] } else { &[4usize, 16, 64][..] } {
-        let on_engine = session();
-        let p = on_engine.load_expr(even_odd_wide_program(400, *extra)).unwrap();
-        let off_engine = by_name_session();
-        let off = off_engine.load_expr(even_odd_wide_program(400, *extra)).unwrap();
-        p.run_on(Backend::Compiled).unwrap();
-        off.run_on(Backend::Compiled).unwrap();
-        let on_us = bench::harness::min_us(ab_runs, || {
-            p.run_on(Backend::Compiled).unwrap();
-        });
-        let off_us = bench::harness::min_us(ab_runs, || {
-            off.run_on(Backend::Compiled).unwrap();
-        });
-        println!(
-            "{:>10} {:>8} {on_us:>14.1} {off_us:>14.1} {:>7.2}x",
-            "even_odd_w",
-            format!("400+{extra}"),
-            off_us / on_us
-        );
-        rec.push(
-            "resolution",
-            "even_odd_wide",
-            format!("400+{extra}"),
-            vec![("resolved_us", on_us), ("by_name_us", off_us), ("speedup", off_us / on_us)],
-        );
-    }
-    for (d, w) in if quick {
-        &[(64usize, 8usize)][..]
-    } else {
-        &[(64usize, 8usize), (128, 8), (256, 8), (256, 16)][..]
-    } {
-        let on_engine = session();
-        let p = on_engine.load_expr(deep_let_program(*d, *w)).unwrap();
-        let off_engine = by_name_session();
-        let off = off_engine.load_expr(deep_let_program(*d, *w)).unwrap();
-        p.run_on(Backend::Compiled).unwrap();
-        off.run_on(Backend::Compiled).unwrap();
-        let on_us = bench::harness::min_us(ab_runs, || {
-            p.run_on(Backend::Compiled).unwrap();
-        });
-        let off_us = bench::harness::min_us(ab_runs, || {
-            off.run_on(Backend::Compiled).unwrap();
-        });
-        println!(
-            "{:>10} {:>8} {on_us:>14.1} {off_us:>14.1} {:>7.2}x",
-            "deep_let",
-            format!("{d}x{w}"),
-            off_us / on_us
-        );
-        rec.push(
-            "resolution",
-            "deep_let",
-            format!("{d}x{w}"),
-            vec![("resolved_us", on_us), ("by_name_us", off_us), ("speedup", off_us / on_us)],
         );
     }
 

@@ -280,11 +280,8 @@ pub fn deep_let_program(depth: usize, width: usize) -> Expr {
 
 /// The even/odd trampoline (Fig. 12) inside *wide* units: each unit
 /// additionally defines `extra` inert values, declared after the
-/// counting function. Production units export many definitions, and the
-/// by-name scan pays for every one of them on every reference that
-/// lives in an outer frame — the back-to-front scan of the unit's frame
-/// must reject all `extra` pads before reaching the import. Slot
-/// resolution indexes past them.
+/// counting function — the shape of production units, which export many
+/// definitions. A slot-addressed read indexes past the pads.
 pub fn even_odd_wide_program(depth: i64, extra: usize) -> Expr {
     let count = |this: &str, other: &str, base: bool| {
         Expr::lambda(
@@ -515,10 +512,6 @@ mod tests {
     fn deep_let_sums_first_and_last_of_every_level() {
         assert_eq!(run(deep_let_program(1, 1)), Observation::Int(0));
         assert_eq!(run(deep_let_program(3, 4)), Observation::Int(9));
-        // And the by-name fallback computes the same thing.
-        let engine = Engine::builder().resolution(false).build();
-        let p = engine.load_expr(deep_let_program(5, 3)).unwrap();
-        assert_eq!(p.run_on(Backend::Compiled).unwrap().value, Observation::Int(10));
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! definition and initialization code regardless of how many times the
 //! unit is linked or invoked."
 //!
+//! The input is [`crate::resolve_program`]'s output: every bound variable
+//! is a `VarAt` read by walking `depth` frames and indexing `slot`, and a
+//! `Var` the resolver left unaddressed is free, so reading or assigning
+//! it fails with [`RuntimeError::Unbound`] without touching the
+//! environment.
+//!
 //! Evaluating `unit …` captures the (shared) source and the lexical
 //! environment; `compound` evaluates its constituents and, after checking
 //! the Fig. 11 side conditions, pairs them with the `compound` node, whose
@@ -27,7 +33,9 @@ use units_runtime::{
 
 use crate::instantiate::invoke_unit;
 
-/// Evaluates a closed program in the empty environment.
+/// Evaluates a closed program in the empty environment. `expr` is
+/// [`crate::resolve_program`]'s output; a variable it left unaddressed is
+/// free and fails with [`RuntimeError::Unbound`].
 ///
 /// # Errors
 ///
@@ -36,12 +44,12 @@ use crate::instantiate::invoke_unit;
 /// # Examples
 ///
 /// ```
-/// use units_compile::evaluate_program;
+/// use units_compile::{evaluate_program, resolve_program};
 /// use units_runtime::{Machine, Value};
 /// use units_syntax::parse_expr;
 ///
 /// let program = parse_expr("(invoke (unit (import) (export) (init (* 6 7))))").unwrap();
-/// let v = evaluate_program(&program, &mut Machine::new()).unwrap();
+/// let v = evaluate_program(&resolve_program(&program), &mut Machine::new()).unwrap();
 /// assert!(v.observably_eq(&Value::Int(42)));
 /// ```
 pub fn evaluate_program(expr: &Expr, machine: &mut Machine) -> Result<Value, RuntimeError> {
@@ -49,7 +57,8 @@ pub fn evaluate_program(expr: &Expr, machine: &mut Machine) -> Result<Value, Run
     eval(expr, &Env::new(), machine)
 }
 
-/// Evaluates an expression in an environment.
+/// Evaluates a resolved expression in the environment its addresses
+/// were computed against.
 ///
 /// # Errors
 ///
@@ -70,10 +79,8 @@ pub fn eval(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Runt
 fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, RuntimeError> {
     machine.step()?;
     match expr {
-        Expr::Var(x) => read_binding(env.lookup(x), x),
-        // The resolver's fast path: direct frame/slot access, verified
-        // against the name and degrading to the by-name scan on mismatch.
-        Expr::VarAt(x, addr) => read_binding(env.lookup_at(x, *addr), x),
+        Expr::Var(x) => Err(RuntimeError::Unbound { name: x.clone() }),
+        Expr::VarAt(x, addr) => read_binding(env.lookup_at(*addr), x),
         Expr::Lit(lit) => Ok(match lit {
             units_kernel::Lit::Int(n) => Value::Int(*n),
             units_kernel::Lit::Bool(b) => Value::Bool(*b),
@@ -107,13 +114,7 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
             }
             Ok(last)
         }
-        Expr::Let(bindings, body) => {
-            let mut frame = Vec::with_capacity(bindings.len());
-            for b in bindings {
-                frame.push((b.name.clone(), Binding::Val(eval(&b.expr, env, machine)?)));
-            }
-            eval(body, &env.extend(frame), machine)
-        }
+        Expr::Let(bindings, body) => eval(body, &let_frame(bindings, env, machine)?, machine),
         Expr::Letrec(lr) => {
             let (inner, cells) = bind_letrec_frame(&lr.types, &lr.vals, env, machine)?;
             for (defn, cell) in lr.vals.iter().zip(&cells) {
@@ -124,8 +125,8 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
         }
         Expr::Set(target, value) => {
             let (x, binding) = match &**target {
-                Expr::Var(x) => (x, env.lookup(x)),
-                Expr::VarAt(x, addr) => (x, env.lookup_at(x, *addr)),
+                Expr::Var(x) => (x, None),
+                Expr::VarAt(x, addr) => (x, env.lookup_at(*addr)),
                 _ => {
                     return Err(RuntimeError::WrongType {
                         expected: "an assignable variable",
@@ -245,13 +246,7 @@ fn eval_tail_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Tail
                 eval_tail(last, env, machine)
             }
         },
-        Expr::Let(bindings, body) => {
-            let mut frame = Vec::with_capacity(bindings.len());
-            for b in bindings {
-                frame.push((b.name.clone(), Binding::Val(eval(&b.expr, env, machine)?)));
-            }
-            eval_tail(body, &env.extend(frame), machine)
-        }
+        Expr::Let(bindings, body) => eval_tail(body, &let_frame(bindings, env, machine)?, machine),
         Expr::Letrec(lr) => {
             let (inner, cells) = bind_letrec_frame(&lr.types, &lr.vals, env, machine)?;
             for (defn, cell) in lr.vals.iter().zip(&cells) {
@@ -262,6 +257,20 @@ fn eval_tail_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Tail
         }
         other => Ok(Tail::Done(eval(other, env, machine)?)),
     }
+}
+
+/// Evaluates a `let`'s right-hand sides in `env`, in order, and extends
+/// `env` with one frame of their values.
+fn let_frame(
+    bindings: &[units_kernel::Binding],
+    env: &Env,
+    machine: &mut Machine,
+) -> Result<Env, RuntimeError> {
+    let mut frame = Vec::with_capacity(bindings.len());
+    for b in bindings {
+        frame.push(Binding::Val(eval(&b.expr, env, machine)?));
+    }
+    Ok(env.extend(frame))
 }
 
 /// Applies a value to arguments (shared by `App` evaluation and the
@@ -289,18 +298,9 @@ pub fn apply(
                 }
                 let env = if args.len() == 1 {
                     let v = args.pop().expect("arity checked above");
-                    closure
-                        .env
-                        .extend1(closure.lambda.params[0].name.clone(), Binding::Val(v))
+                    closure.env.extend1(Binding::Val(v))
                 } else {
-                    let frame = closure
-                        .lambda
-                        .params
-                        .iter()
-                        .zip(args)
-                        .map(|(p, v)| (p.name.clone(), Binding::Val(v)))
-                        .collect();
-                    closure.env.extend(frame)
+                    closure.env.extend(args.into_iter().map(Binding::Val).collect())
                 };
                 match eval_tail(&closure.lambda.body, &env, machine)? {
                     Tail::Done(v) => return Ok(v),

@@ -68,12 +68,19 @@ pub fn invoke_unit(
 mod tests {
     use super::*;
     use crate::eval::evaluate_program;
+    use crate::resolve_program;
     use std::sync::Arc;
-    use units_syntax::parse_expr;
+    use units_kernel::Expr;
+    use units_syntax::parse_file;
+
+    /// Parses and resolves `src`: the form the evaluator runs.
+    fn resolved(src: &str) -> Expr {
+        let e = parse_file(src).unwrap_or_else(|err| panic!("parse: {err}"));
+        resolve_program(&e)
+    }
 
     fn run(src: &str) -> Result<Value, RuntimeError> {
-        let e = parse_expr(src).unwrap_or_else(|err| panic!("parse: {err}"));
-        evaluate_program(&e, &mut Machine::new())
+        evaluate_program(&resolved(src), &mut Machine::new())
     }
 
     fn run_int(src: &str) -> i64 {
@@ -147,8 +154,7 @@ mod tests {
                      (init (display \"second\")))
                    (with) (provides later)))))";
         let mut machine = Machine::new();
-        let e = parse_expr(src).unwrap();
-        evaluate_program(&e, &mut machine).unwrap();
+        evaluate_program(&resolved(src), &mut machine).unwrap();
         // Unit 1's init runs before unit 2's, and can already call unit
         // 2's definition (all definitions precede all initializations).
         assert_eq!(machine.output(), ["first", "from-later", "second"]);
@@ -226,8 +232,7 @@ mod tests {
                       (define counter 0)
                       (init (set! counter (+ counter 1)) counter)))
                    (tuple (invoke u) (invoke u))";
-        let e = units_syntax::parse_file(src).unwrap();
-        let v = evaluate_program(&e, &mut Machine::new()).unwrap();
+        let v = run(src).unwrap();
         match v {
             Value::Tuple(items) => {
                 assert!(items[0].observably_eq(&Value::Int(1)));
@@ -240,11 +245,9 @@ mod tests {
     #[test]
     fn code_is_shared_across_instances() {
         // §4.1.6: one copy of the code regardless of how many times the
-        // unit is linked or invoked.
-        let e = units_syntax::parse_expr(
-            "(unit (import) (export) (define f (lambda () 1)) (init (f)))",
-        )
-        .unwrap();
+        // unit is linked or invoked. Resolved once, so both instances
+        // share one `Arc`.
+        let e = resolved("(unit (import) (export) (define f (lambda () 1)) (init (f)))");
         let mut machine = Machine::new();
         let v1 = evaluate_program(&e, &mut machine).unwrap();
         let v2 = evaluate_program(&e, &mut machine).unwrap();
@@ -267,8 +270,7 @@ mod tests {
                       (init (tuple mk unmk))))
                    (let ((a (invoke symbol)) (b (invoke symbol)))
                      ((proj 1 b) ((proj 0 a) \"x\")))";
-        let e = units_syntax::parse_file(src).unwrap();
-        let err = evaluate_program(&e, &mut Machine::new()).unwrap_err();
+        let err = run(src).unwrap_err();
         assert!(matches!(err, RuntimeError::ForeignInstance { ty_name } if ty_name.as_str() == "sym"));
     }
 

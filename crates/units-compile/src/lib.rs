@@ -4,12 +4,13 @@
 //! Units evaluate to values carrying *shared, unevaluated* code;
 //! `compound` records wiring after checking the Fig. 11 side conditions;
 //! `invoke` threads reference cells through the link graph, runs all
-//! definitions, then all initialization expressions.
+//! definitions, then all initialization expressions. Both compiled
+//! backends run [`resolve_program`]'s output.
 //!
 //! # Example
 //!
 //! ```
-//! use units_compile::evaluate_program;
+//! use units_compile::{evaluate_program, resolve_program};
 //! use units_runtime::{Machine, Value};
 //! use units_syntax::parse_file;
 //!
@@ -17,7 +18,7 @@
 //!     "(define u (unit (import base) (export) (init (* base 2))))
 //!      (invoke u (val base 21))",
 //! ).unwrap();
-//! let v = evaluate_program(&program, &mut Machine::new()).unwrap();
+//! let v = evaluate_program(&resolve_program(&program), &mut Machine::new()).unwrap();
 //! assert!(v.observably_eq(&Value::Int(42)));
 //! ```
 

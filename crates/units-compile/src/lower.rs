@@ -1,16 +1,16 @@
 //! Lowering resolved terms to flat bytecode (the third backend).
 //!
-//! The input is the output of [`crate::resolve_program`]: every variable
-//! occurrence a `VarAt` carrying its `(depth, slot)` lexical address
-//! under the frame discipline both compiled backends share. Lowering
-//! flattens that term into one [`Chunk`]: a single `Op` array holding
-//! the top-level segment, every λ-body segment, and every unit
+//! The input is the output of [`crate::resolve_program`]: every bound
+//! variable occurrence a `VarAt` carrying its `(depth, slot)` lexical
+//! address under the frame discipline both compiled backends share.
+//! Lowering flattens that term into one [`Chunk`]: a single `Op` array
+//! holding the top-level segment, every λ-body segment, and every unit
 //! definition/init segment, plus pooled constants and shared side
-//! tables (frames, letrec descriptors, compound/invoke/signature
-//! nodes). The VM in `units-runtime` executes the chunk with a dispatch
-//! loop; values created there carry a [`VmCode`](units_runtime::VmCode)
-//! handle back into the chunk, preserving §4.1.6's single-copy-of-code
-//! invariant in flat form.
+//! tables (letrec descriptors, compound/invoke/signature nodes). The VM
+//! in `units-runtime` executes the chunk with a dispatch loop; values
+//! created there carry a [`VmCode`](units_runtime::VmCode) handle back
+//! into the chunk, preserving §4.1.6's single-copy-of-code invariant in
+//! flat form.
 //!
 //! Lowering invariants (checked by the three-way differential suite):
 //!
@@ -24,9 +24,9 @@
 //!   expression, `let`/`letrec` bodies — replaces the running activation,
 //!   so tail loops run in constant space like the tree-walker's
 //!   trampoline.
-//! * **Unresolved programs still run.** A plain `Var` lowers to
-//!   `LoadName` (the by-name scan); an address too wide for the compact
-//!   `u16` operands degrades the same way.
+//! * **Free variables fail.** A `Var` the resolver left unaddressed is
+//!   free; reading it lowers to `Unbound`, and so does assigning it,
+//!   after the assigned value, which is the tree-walker's order.
 //! * **Machine-internal forms** (`Loc`, `CellRef`, instantiated
 //!   `Data`/`Variant` nodes) lower to `Unsupported`, failing at run time
 //!   with the tree-walker's exact error class.
@@ -34,10 +34,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use units_kernel::{Expr, Lit, Symbol, TypeDefn};
+use units_kernel::{Expr, Lit, TypeDefn};
 use units_runtime::vm::{Chunk, Op, Proto, UnitProto};
 
-/// Compiles a (preferably resolved) expression to a chunk ready for
+/// Compiles [`crate::resolve_program`]'s output to a chunk ready for
 /// [`units_runtime::execute`].
 ///
 /// # Examples
@@ -169,17 +169,9 @@ impl Lowerer {
 
     fn lower(&mut self, expr: &Expr, tail: bool) {
         match expr {
-            Expr::Var(x) => self.emit(Op::LoadName(x.clone())),
+            Expr::Var(x) => self.emit(Op::Unbound(x.clone())),
             Expr::VarAt(x, addr) => {
-                match (u16::try_from(addr.depth), u16::try_from(addr.slot)) {
-                    (Ok(depth), Ok(slot)) => {
-                        self.emit(Op::Load { depth, slot, name: x.clone() });
-                    }
-                    // An address too wide for the compact operands
-                    // degrades to the by-name scan, like a stale address
-                    // at run time.
-                    _ => self.emit(Op::LoadName(x.clone())),
-                }
+                self.emit(Op::Load { depth: addr.depth, slot: addr.slot, name: x.clone() });
             }
             Expr::Lit(lit) => match lit {
                 Lit::Int(n) => self.emit(Op::Int(*n)),
@@ -254,9 +246,7 @@ impl Lowerer {
                 for b in bindings {
                     self.lower(&b.expr, false);
                 }
-                let names: Arc<[Symbol]> = bindings.iter().map(|b| b.name.clone()).collect();
-                self.chunk.frames.push(names);
-                self.emit(Op::Bind((self.chunk.frames.len() - 1) as u32));
+                self.emit(Op::Bind(bindings.len() as u32));
                 self.lower(body, tail);
                 if !tail {
                     self.emit(Op::PopFrame);
@@ -280,15 +270,7 @@ impl Lowerer {
                     .sum();
                 for (i, defn) in lr.vals.iter().enumerate() {
                     self.lower(&defn.body, false);
-                    match u16::try_from(data_ops + i) {
-                        Ok(slot) => self.emit(Op::InitCell(slot)),
-                        Err(_) => {
-                            // A frame too wide for the compact operand:
-                            // write through the cell by name instead.
-                            self.emit(Op::StoreName(defn.name.clone()));
-                            self.emit(Op::Pop);
-                        }
-                    }
+                    self.emit(Op::InitCell((data_ops + i) as u32));
                 }
                 self.lower(&lr.body, tail);
                 if !tail {
@@ -298,16 +280,11 @@ impl Lowerer {
             Expr::Set(target, value) => match &**target {
                 Expr::Var(x) => {
                     self.lower(value, false);
-                    self.emit(Op::StoreName(x.clone()));
+                    self.emit(Op::Unbound(x.clone()));
                 }
                 Expr::VarAt(x, addr) => {
                     self.lower(value, false);
-                    match (u16::try_from(addr.depth), u16::try_from(addr.slot)) {
-                        (Ok(depth), Ok(slot)) => {
-                            self.emit(Op::Store { depth, slot, name: x.clone() });
-                        }
-                        _ => self.emit(Op::StoreName(x.clone())),
-                    }
+                    self.emit(Op::Store { depth: addr.depth, slot: addr.slot, name: x.clone() });
                 }
                 // The tree-walker rejects a non-variable target before
                 // evaluating the value; so does the lowered form.
@@ -567,16 +544,5 @@ mod tests {
             Ok(Value::Bool(true)) => {}
             other => panic!("odd(13) should be true, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unresolved_programs_fall_back_to_by_name_lookups() {
-        // Lower the raw (unresolved) term: every variable is a plain
-        // `Var`, so the chunk uses `LoadName` throughout and still runs.
-        let e = parse_expr("(let ((x 21)) (* x 2))").unwrap();
-        let chunk = lower_program(&e);
-        assert!(chunk.code.iter().any(|op| matches!(op, Op::LoadName(_))));
-        let v = execute(&chunk, &mut Machine::new()).unwrap();
-        assert!(v.observably_eq(&Value::Int(42)));
     }
 }

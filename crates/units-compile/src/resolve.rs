@@ -12,22 +12,18 @@
 //! of the runtime frame stack and rewrites every [`Expr::Var`] whose
 //! binder it can see into an [`Expr::VarAt`] carrying a [`LexAddr`]
 //! `(depth, slot)`. The evaluator then reads the binding with
-//! [`units_runtime::Env::lookup_at`] — a pointer walk plus one index —
-//! instead of a scan.
+//! [`units_runtime::Env::lookup_at`] — a pointer walk plus one index.
 //!
-//! **The by-name fallback contract.** Resolution is an optimization, never
-//! a semantic requirement:
+//! **Resolution is total.** Both compiled backends run only this pass's
+//! output, and their frames hold no names:
 //!
-//! * variables whose binder is not statically visible (free variables of
-//!   dynamically linked plug-in bodies, archive-loaded code that never
-//!   went through this pass) stay plain [`Expr::Var`] and evaluate through
-//!   the by-name scan, unchanged;
-//! * every [`Expr::VarAt`] keeps its symbol, and the runtime *verifies*
-//!   the addressed slot holds that name (one interned-id compare),
-//!   degrading to the by-name scan on any mismatch — a stale address
-//!   costs time, and can bind wrongly only by landing on a shadowed
-//!   binding of the same name, which [`RESOLVED_FORM`] keeps persisted
-//!   code from doing;
+//! * every bound variable becomes a [`Expr::VarAt`], which keeps its
+//!   symbol for error messages only; within a frame a later binding of a
+//!   name shadows an earlier one, so the address is its last slot;
+//! * a variable the pass leaves as [`Expr::Var`] has no binder in scope:
+//!   it is free, and reading or assigning it fails with `Unbound`;
+//! * persisted addresses are guarded by [`RESOLVED_FORM`] and the store's
+//!   checksum, and an address past the environment reads as `Unbound`;
 //! * the substitution reducer (`units-reduce`) never consumes resolved
 //!   code; its defensive `VarAt` arms treat the form exactly like `Var`.
 //!
@@ -66,10 +62,9 @@ use units_kernel::{
 
 /// The version of the resolved form: the frame layout its addresses
 /// assume and the rewrites (compound flattening) that produced it. Code
-/// resolved under one layout must not run under another: a stale
-/// address can land on a shadowed binding of the same name, which the
-/// runtime's name check cannot tell apart. Whatever persists resolved
-/// code keys it by this number.
+/// resolved under one layout must not run under another: frames hold no
+/// names, so a stale address reads whatever binding its slot now holds.
+/// Whatever persists resolved code keys it by this number.
 pub const RESOLVED_FORM: u32 = 3;
 
 /// The compile-time mirror of the runtime frame stack, and the fresh
@@ -89,8 +84,7 @@ impl Scope {
     }
 
     /// The address of `name`'s binding, innermost frame first. Within a
-    /// frame later bindings shadow earlier ones (the runtime scans each
-    /// frame back-to-front), hence `rposition`.
+    /// frame later bindings shadow earlier ones, hence `rposition`.
     fn resolve(&self, name: &Symbol) -> Option<LexAddr> {
         for (depth, frame) in self.frames.iter().rev().enumerate() {
             if let Some(slot) = frame.iter().rposition(|n| n == name) {
@@ -120,8 +114,9 @@ fn letrec_frame_names(types: &[TypeDefn], vals: &[ValDefn]) -> Vec<Symbol> {
 }
 
 /// Flattens every compound of closed unit literals and resolves every
-/// statically addressable variable in a closed program. Idempotent; free
-/// variables and machine-internal forms pass through unchanged.
+/// bound variable in a program: the form both compiled backends run.
+/// Idempotent; free variables and machine-internal forms pass through
+/// unchanged.
 pub fn resolve_program(expr: &Expr) -> Expr {
     let _timer = units_trace::time("resolve");
     // Tagged, so the merged names never meet the reducer's own.

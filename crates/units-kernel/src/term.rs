@@ -746,11 +746,10 @@ pub enum Expr {
     Variant(Arc<VariantVal>),
     /// Machine-internal: a variable occurrence annotated with the lexical
     /// address computed by the production backend's resolution pass
-    /// (`units-compile`). It evaluates exactly like [`Expr::Var`] — the
-    /// symbol is kept for verification and fallback — but the cells
-    /// evaluator reads the binding by direct frame/slot indexing instead
-    /// of a by-name environment scan. The parser never builds it, and
-    /// forms the resolver cannot address stay plain [`Expr::Var`].
+    /// (`units-compile`). Both compiled backends read the binding by
+    /// direct frame/slot indexing; the symbol is kept for error
+    /// messages. The parser never builds it, and a variable the resolver
+    /// finds no binder for stays a plain, free [`Expr::Var`].
     VarAt(Symbol, LexAddr),
 }
 

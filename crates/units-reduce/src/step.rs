@@ -386,7 +386,7 @@ impl Reducer {
         self.machine.alloc_cells(lr.vals.len() as u64)?;
         let mut cells = Vec::with_capacity(lr.vals.len());
         for defn in &lr.vals {
-            let loc = self.store.alloc_cell();
+            let loc = self.store.alloc_cell(defn.name.clone());
             cells.push(loc);
             map.insert(defn.name.clone(), Expr::CellRef(loc));
         }

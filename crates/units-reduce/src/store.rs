@@ -8,14 +8,14 @@
 
 use std::collections::HashMap;
 
-use units_kernel::{Expr, Loc};
+use units_kernel::{Expr, Loc, Symbol};
 use units_runtime::RuntimeError;
 
 /// What a location holds.
 #[derive(Debug, Clone)]
 pub enum StoreEntry {
-    /// A definition cell; `None` until initialized.
-    Cell(Option<Expr>),
+    /// The cell of the named definition; `None` until initialized.
+    Cell(Symbol, Option<Expr>),
     /// A mutable string-keyed table of values.
     Hash(HashMap<String, Expr>),
 }
@@ -32,9 +32,9 @@ impl Store {
         Store::default()
     }
 
-    /// Allocates an uninitialized definition cell.
-    pub fn alloc_cell(&mut self) -> Loc {
-        self.entries.push(StoreEntry::Cell(None));
+    /// Allocates an uninitialized cell for the definition `name`.
+    pub fn alloc_cell(&mut self, name: Symbol) -> Loc {
+        self.entries.push(StoreEntry::Cell(name, None));
         Loc(self.entries.len() - 1)
     }
 
@@ -48,12 +48,14 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UndefinedRead`] if the cell is uninitialized.
+    /// [`RuntimeError::UndefinedRead`] if the cell is uninitialized,
+    /// naming the definition by its [`Symbol::base`] as the compiled
+    /// backends do, so a merged name like `g#m1` reads as `g`.
     pub fn read_cell(&self, loc: Loc) -> Result<&Expr, RuntimeError> {
         match self.entries.get(loc.0) {
-            Some(StoreEntry::Cell(Some(v))) => Ok(v),
-            Some(StoreEntry::Cell(None)) => {
-                Err(RuntimeError::UndefinedRead { name: format!("{loc}").into() })
+            Some(StoreEntry::Cell(_, Some(v))) => Ok(v),
+            Some(StoreEntry::Cell(name, None)) => {
+                Err(RuntimeError::UndefinedRead { name: Symbol::new(name.base()) })
             }
             _ => Err(RuntimeError::Unbound { name: format!("{loc}").into() }),
         }
@@ -66,7 +68,7 @@ impl Store {
     /// Returns an error if the location is not a cell.
     pub fn write_cell(&mut self, loc: Loc, value: Expr) -> Result<(), RuntimeError> {
         match self.entries.get_mut(loc.0) {
-            Some(StoreEntry::Cell(slot)) => {
+            Some(StoreEntry::Cell(_, slot)) => {
                 *slot = Some(value);
                 Ok(())
             }
@@ -122,8 +124,9 @@ mod tests {
     #[test]
     fn cells_error_until_written() {
         let mut s = Store::new();
-        let l = s.alloc_cell();
-        assert!(matches!(s.read_cell(l), Err(RuntimeError::UndefinedRead { .. })));
+        let l = s.alloc_cell(Symbol::new("g#m1"));
+        let err = s.read_cell(l).unwrap_err();
+        assert_eq!(err.to_string(), RuntimeError::UndefinedRead { name: "g".into() }.to_string());
         s.write_cell(l, Expr::int(5)).unwrap();
         assert_eq!(s.read_cell(l).unwrap(), &Expr::int(5));
     }
@@ -132,7 +135,7 @@ mod tests {
     fn hash_entries_are_distinct_from_cells() {
         let mut s = Store::new();
         let h = s.alloc_hash();
-        let c = s.alloc_cell();
+        let c = s.alloc_cell(Symbol::new("c"));
         assert!(s.hash(h).is_ok());
         assert!(s.hash(c).is_err());
         assert!(s.read_cell(h).is_err());

@@ -7,6 +7,12 @@
 //! "first-class reference cells that are externally created and passed to
 //! the function when the unit is invoked").
 //!
+//! Frames hold no names. `units-compile`'s resolver fixes every bound
+//! variable's `(depth, slot)` from the binder structure before either
+//! compiled backend runs, and each frame stores its bindings in the
+//! resolver's slot order, so a variable is read by walking `depth` frames
+//! and indexing `slot` ([`Env::lookup_at`]).
+//!
 //! A frame that is the last owner of its parent or of a binding's node
 //! hands them to the [`Garbage`] worklist when it drops, so a long chain
 //! of frames and closures frees in bounded stack.
@@ -22,8 +28,9 @@ use crate::value::{CellRef, Garbage, Value};
 /// Reads a variable's value out of a binding lookup result: direct
 /// bindings clone, cells dereference (an empty cell is the
 /// MzScheme-strictness [`RuntimeError::UndefinedRead`]), and a missing
-/// binding is [`RuntimeError::Unbound`]. Shared by the tree-walker and
-/// the bytecode VM so both report the same error classes.
+/// binding — an address past the environment — is
+/// [`RuntimeError::Unbound`]. Shared by the tree-walker and the bytecode
+/// VM so both report the same error classes.
 ///
 /// An empty cell is reported under the name's [`Symbol::base`]: a
 /// flattened compound reads a hidden link name through a generated
@@ -59,18 +66,18 @@ impl Binding {
     }
 }
 
-/// Frame storage. Most frames bind exactly one name — λ-parameters in
-/// curried and accumulator-style code — so that case lives inline in the
-/// frame and skips the vector's heap block; both backends' call paths
-/// build it through [`Env::extend1`].
+/// Frame storage, in the resolver's slot order. Most frames bind exactly
+/// one variable — λ-parameters in curried and accumulator-style code — so
+/// that case lives inline in the frame and skips the vector's heap block;
+/// both backends' call paths build it through [`Env::extend1`].
 #[derive(Debug)]
 enum Bindings {
-    One([(Symbol, Binding); 1]),
-    Many(Vec<(Symbol, Binding)>),
+    One([Binding; 1]),
+    Many(Vec<Binding>),
 }
 
 impl std::ops::Deref for Bindings {
-    type Target = [(Symbol, Binding)];
+    type Target = [Binding];
 
     fn deref(&self) -> &Self::Target {
         match self {
@@ -91,9 +98,9 @@ impl Frame {
     /// frame empty.
     fn give_up(&mut self, garbage: &mut Garbage) {
         match mem::replace(&mut self.bindings, Bindings::Many(Vec::new())) {
-            Bindings::One([(_, binding)]) => garbage.binding(binding),
+            Bindings::One([binding]) => garbage.binding(binding),
             Bindings::Many(bindings) => {
-                for (_, binding) in bindings {
+                for binding in bindings {
                     garbage.binding(binding);
                 }
             }
@@ -106,7 +113,7 @@ impl Drop for Frame {
     fn drop(&mut self) {
         // The common case — a call frame over a shared parent binding
         // scalars — frees no node below it, so it takes no worklist.
-        if self.parent.owns_frame() || self.bindings.iter().any(|(_, b)| b.owns_node()) {
+        if self.parent.owns_frame() || self.bindings.iter().any(Binding::owns_node) {
             Garbage::free(|garbage| self.give_up(garbage));
         }
     }
@@ -122,63 +129,28 @@ impl Env {
         Env(None)
     }
 
-    /// A new environment with one extra frame of bindings.
-    pub fn extend(&self, bindings: Vec<(Symbol, Binding)>) -> Env {
+    /// A new environment with one extra frame of bindings, in slot order.
+    pub fn extend(&self, bindings: Vec<Binding>) -> Env {
         units_trace::count("runtime/frames", 1);
         Env(Some(Rc::new(Frame { bindings: Bindings::Many(bindings), parent: self.clone() })))
     }
 
     /// A new environment with a single-binding frame, stored inline — the
     /// unary λ application case, with no vector allocation.
-    pub fn extend1(&self, name: Symbol, binding: Binding) -> Env {
+    pub fn extend1(&self, binding: Binding) -> Env {
         units_trace::count("runtime/frames", 1);
-        Env(Some(Rc::new(Frame {
-            bindings: Bindings::One([(name, binding)]),
-            parent: self.clone(),
-        })))
+        Env(Some(Rc::new(Frame { bindings: Bindings::One([binding]), parent: self.clone() })))
     }
 
-    /// Looks a name up, innermost frame first.
-    pub fn lookup(&self, name: &Symbol) -> Option<&Binding> {
-        let mut frame = self.0.as_deref();
-        while let Some(f) = frame {
-            // Within a frame, later bindings shadow earlier ones.
-            if let Some((_, b)) = f.bindings.iter().rev().find(|(n, _)| n == name) {
-                return Some(b);
-            }
-            frame = f.parent.0.as_deref();
-        }
-        None
-    }
-
-    /// Looks a resolved variable up by its lexical address: walk
-    /// `addr.depth` frames outward, index `addr.slot` directly — no
-    /// per-frame scanning. The slot's recorded name is verified with a
-    /// single interned-symbol compare; on any mismatch (an address
-    /// computed against a different frame discipline than the one that
-    /// built this environment) the lookup degrades to the by-name scan,
-    /// so a stale address can cost time but never return a wrong binding.
-    pub fn lookup_at(&self, name: &Symbol, addr: LexAddr) -> Option<&Binding> {
-        let mut frame = self.0.as_deref();
+    /// The binding at a lexical address: walk `addr.depth` frames
+    /// outward, then index `addr.slot`. `None` when the address points
+    /// past the last slot of its frame or past the outermost frame.
+    pub fn lookup_at(&self, addr: LexAddr) -> Option<&Binding> {
+        let mut frame = self.0.as_deref()?;
         for _ in 0..addr.depth {
-            match frame {
-                Some(f) => frame = f.parent.0.as_deref(),
-                None => {
-                    units_trace::count("runtime/lookup_at/miss", 1);
-                    return self.lookup(name);
-                }
-            }
+            frame = frame.parent.0.as_deref()?;
         }
-        match frame.and_then(|f| f.bindings.get(addr.slot as usize)) {
-            Some((n, b)) if n == name => {
-                units_trace::count("runtime/lookup_at/hit", 1);
-                Some(b)
-            }
-            _ => {
-                units_trace::count("runtime/lookup_at/miss", 1);
-                self.lookup(name)
-            }
-        }
+        frame.bindings.get(addr.slot as usize)
     }
 
     /// The environment one frame out (the empty environment when there is
@@ -196,26 +168,11 @@ impl Env {
         self.0.is_none()
     }
 
-    /// The verified binding at `slot` of the innermost frame: the slot's
-    /// recorded name must match, mirroring the verify half of
-    /// [`Env::lookup_at`]. The VM's frame display resolves deep addresses
-    /// through this; on `None` the caller degrades to the by-name scan,
-    /// preserving the stale-address contract.
-    pub(crate) fn slot_binding(&self, slot: usize, name: &Symbol) -> Option<&Binding> {
-        match self.0.as_deref()?.bindings.get(slot) {
-            Some((n, b)) if n == name => {
-                units_trace::count("runtime/lookup_at/hit", 1);
-                Some(b)
-            }
-            _ => None,
-        }
-    }
-
     /// The binding at `slot` of the innermost frame, if any — the VM's
-    /// `InitCell` writes `letrec` definition results through this without
-    /// re-scanning by name.
+    /// frame display reads deep addresses through this, and `InitCell`
+    /// writes `letrec` definition results.
     pub(crate) fn top_binding(&self, slot: usize) -> Option<&Binding> {
-        self.0.as_deref().and_then(|f| f.bindings.get(slot)).map(|(_, b)| b)
+        self.0.as_deref()?.bindings.get(slot)
     }
 
     /// Whether this environment holds the last reference to its
@@ -249,73 +206,43 @@ mod tests {
     use super::*;
     use crate::Machine;
 
-    fn val(env: &Env, name: &str) -> Option<Value> {
-        match env.lookup(&Symbol::new(name))? {
+    fn at(depth: u32, slot: u32) -> LexAddr {
+        LexAddr { depth, slot }
+    }
+
+    fn val(env: &Env, addr: LexAddr) -> Option<Value> {
+        match env.lookup_at(addr)? {
             Binding::Val(v) => Some(v.clone()),
             Binding::Cell(c) => c.borrow().clone(),
         }
     }
 
     #[test]
-    fn extension_shadows_lexically() {
-        let base = Env::new().extend(vec![("x".into(), Binding::Val(Value::Int(1)))]);
-        let inner = base.extend(vec![("x".into(), Binding::Val(Value::Int(2)))]);
-        assert!(matches!(val(&inner, "x"), Some(Value::Int(2))));
-        assert!(matches!(val(&base, "x"), Some(Value::Int(1))));
-        assert!(val(&base, "y").is_none());
-    }
-
-    #[test]
-    fn same_frame_shadowing_prefers_later_bindings() {
-        let env = Env::new().extend(vec![
-            ("x".into(), Binding::Val(Value::Int(1))),
-            ("x".into(), Binding::Val(Value::Int(2))),
-        ]);
-        assert!(matches!(val(&env, "x"), Some(Value::Int(2))));
-    }
-
-    #[test]
     fn cells_are_shared_between_environments() {
         let mut machine = Machine::new();
         let cell = machine.cell(Some(Value::Int(10)));
-        let a = Env::new().extend(vec![("c".into(), Binding::Cell(cell.clone()))]);
-        let b = a.extend(vec![("unrelated".into(), Binding::Val(Value::Void))]);
+        let a = Env::new().extend(vec![Binding::Cell(cell.clone())]);
+        let b = a.extend1(Binding::Val(Value::Void));
         *cell.borrow_mut() = Some(Value::Int(99));
-        assert!(matches!(val(&a, "c"), Some(Value::Int(99))));
-        assert!(matches!(val(&b, "c"), Some(Value::Int(99))));
+        assert!(matches!(val(&a, at(0, 0)), Some(Value::Int(99))));
+        assert!(matches!(val(&b, at(1, 0)), Some(Value::Int(99))));
     }
 
+    /// Direct indexing; an address past the environment falls back to
+    /// `None`, which readers report as unbound.
     #[test]
     fn lookup_at_indexes_directly_and_falls_back() {
-        let base = Env::new().extend(vec![
-            ("x".into(), Binding::Val(Value::Int(1))),
-            ("y".into(), Binding::Val(Value::Int(2))),
-        ]);
-        let inner = base.extend(vec![("z".into(), Binding::Val(Value::Int(3)))]);
-        let at = |d, s| LexAddr { depth: d, slot: s };
-        assert!(matches!(
-            inner.lookup_at(&"z".into(), at(0, 0)),
-            Some(Binding::Val(Value::Int(3)))
-        ));
-        assert!(matches!(
-            inner.lookup_at(&"y".into(), at(1, 1)),
-            Some(Binding::Val(Value::Int(2)))
-        ));
-        // Out-of-range slot, wrong name at the slot, or excessive depth
-        // all degrade to the by-name scan.
-        assert!(matches!(
-            inner.lookup_at(&"y".into(), at(0, 5)),
-            Some(Binding::Val(Value::Int(2)))
-        ));
-        assert!(matches!(
-            inner.lookup_at(&"x".into(), at(1, 1)),
-            Some(Binding::Val(Value::Int(1)))
-        ));
-        assert!(matches!(
-            inner.lookup_at(&"x".into(), at(7, 0)),
-            Some(Binding::Val(Value::Int(1)))
-        ));
-        assert!(inner.lookup_at(&"w".into(), at(9, 9)).is_none());
+        let base =
+            Env::new().extend(vec![Binding::Val(Value::Int(1)), Binding::Val(Value::Int(2))]);
+        let inner = base.extend1(Binding::Val(Value::Int(3)));
+        assert!(matches!(val(&inner, at(0, 0)), Some(Value::Int(3))));
+        assert!(matches!(val(&inner, at(1, 0)), Some(Value::Int(1))));
+        assert!(matches!(val(&inner, at(1, 1)), Some(Value::Int(2))));
+        // Past the last slot of a frame, and past the outermost frame.
+        assert!(inner.lookup_at(at(0, 1)).is_none());
+        assert!(inner.lookup_at(at(1, 2)).is_none());
+        assert!(inner.lookup_at(at(2, 0)).is_none());
+        assert!(Env::new().lookup_at(at(0, 0)).is_none());
     }
 
     #[test]

@@ -59,12 +59,13 @@ use crate::wiring::{
 
 /// One instruction of the flat bytecode ISA.
 ///
-/// The machine is stack-based; variables resolve against the environment
-/// register, which holds the same persistent frames the tree-walker
-/// builds. Symbols are the interned `u32` handles of `units-kernel`, so
-/// operands stay compact. `CallPrim` and `InvokeUnit` are
-/// superinstructions fusing the hot Fig. 11 sequences (primitive
-/// application, and `(invoke (unit …))` with no links).
+/// The machine is stack-based; variables are read through their resolved
+/// addresses in the environment register, which holds the same
+/// persistent frames the tree-walker builds. Symbols are the interned
+/// `u32` handles of `units-kernel`, so operands stay compact. `CallPrim`
+/// and `InvokeUnit` are superinstructions fusing the hot Fig. 11
+/// sequences (primitive application, and `(invoke (unit …))` with no
+/// links).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Push an integer immediate.
@@ -77,30 +78,28 @@ pub enum Op {
     Const(u32),
     /// Push a first-class primitive.
     PrimVal(PrimOp),
-    /// Push a variable through its resolved lexical address (name kept
-    /// for the verify-and-degrade contract of [`Env::lookup_at`]).
+    /// Push a variable through its resolved lexical address.
     Load {
         /// Frames to walk outward.
-        depth: u16,
+        depth: u32,
         /// Slot within the frame.
-        slot: u16,
-        /// The variable (for verification and error messages).
+        slot: u32,
+        /// The variable (for error messages).
         name: Symbol,
     },
-    /// Push a variable through the by-name scan (unresolved code).
-    LoadName(Symbol),
     /// `set!` through a resolved address; pushes void.
     Store {
         /// Frames to walk outward.
-        depth: u16,
+        depth: u32,
         /// Slot within the frame.
-        slot: u16,
+        slot: u32,
         /// The variable being assigned.
         name: Symbol,
     },
-    /// `set!` through the by-name scan; pushes void.
-    StoreName(Symbol),
-    /// Pop `frames[i].len()` values into a new `let` frame.
+    /// A free variable, read or assigned: fails with
+    /// [`RuntimeError::Unbound`].
+    Unbound(Symbol),
+    /// Pop this many values into a new `let` frame.
     Bind(u32),
     /// Push the recursive frame of `recs[i]` (datatype operations, then
     /// one empty cell per definition) — the shared
@@ -108,7 +107,7 @@ pub enum Op {
     BindRec(u32),
     /// Pop a value into the cell at `slot` of the innermost frame (a
     /// `letrec` definition result).
-    InitCell(u16),
+    InitCell(u32),
     /// Rewind the environment register one frame.
     PopFrame,
     /// Relative jump (offset from the next instruction).
@@ -189,9 +188,8 @@ impl Op {
             Op::Const(_) => "vm/op/const",
             Op::PrimVal(_) => "vm/op/primval",
             Op::Load { .. } => "vm/op/load",
-            Op::LoadName(_) => "vm/op/load-name",
             Op::Store { .. } => "vm/op/store",
-            Op::StoreName(_) => "vm/op/store-name",
+            Op::Unbound(_) => "vm/op/unbound",
             Op::Bind(_) => "vm/op/bind",
             Op::BindRec(_) => "vm/op/bind-rec",
             Op::InitCell(_) => "vm/op/init-cell",
@@ -251,8 +249,6 @@ pub struct Chunk {
     pub code: Vec<Op>,
     /// Pooled literal constants (deduplicated strings).
     pub consts: Vec<Arc<str>>,
-    /// Binder-name lists for [`Op::Bind`] frames.
-    pub frames: Vec<Arc<[Symbol]>>,
     /// λ prototypes for [`Op::MakeClosure`].
     pub protos: Vec<Proto>,
     /// Unit prototypes for [`Op::MakeUnit`] / [`Op::InvokeUnit`].
@@ -379,7 +375,7 @@ struct Activation {
 /// walking parent links. Shallow walks (the common case: parameters and
 /// the enclosing unit frame) are one or two pointer hops and never pay
 /// the display's build cost.
-const DEEP_LOAD: u16 = 4;
+const DEEP_LOAD: u32 = 4;
 
 /// A cache of the running activation's static chain, innermost
 /// environment last, so a resolved `(depth, slot)` address indexes its
@@ -432,9 +428,9 @@ impl Display {
         }
     }
 
-    fn get(&self, depth: u16, slot: u16, name: &Symbol) -> Option<&Binding> {
+    fn get(&self, depth: u32, slot: u32) -> Option<&Binding> {
         let i = self.chain.len().checked_sub(1 + depth as usize)?;
-        self.chain[i].slot_binding(slot as usize, name)
+        self.chain[i].top_binding(slot as usize)
     }
 }
 
@@ -466,27 +462,23 @@ fn fast_prim(op: PrimOp, args: &[Value]) -> Option<Value> {
 
 /// Finds a resolved variable's binding: shallow addresses walk the
 /// environment directly ([`Env::lookup_at`]), deep addresses index the
-/// frame display. Either way a verify failure degrades to the by-name
-/// scan, so a stale address can cost time but never a wrong binding.
+/// frame display. `None` when the address points past the environment.
 fn addressed<'a>(
     display: &'a mut Display,
     env: &'a Env,
-    depth: u16,
-    slot: u16,
-    name: &Symbol,
+    depth: u32,
+    slot: u32,
 ) -> Option<&'a Binding> {
     if depth >= DEEP_LOAD {
         display.ensure(env);
-        if let Some(b) = display.get(depth, slot, name) {
-            return Some(b);
-        }
-        units_trace::count("runtime/lookup_at/miss", 1);
-        return env.lookup(name);
+        return display.get(depth, slot);
     }
-    env.lookup_at(name, LexAddr { depth: depth.into(), slot: slot.into() })
+    env.lookup_at(LexAddr { depth, slot })
 }
 
-/// Executes a chunk's top-level segment in the empty environment.
+/// Executes a chunk's top-level segment in the empty environment. The
+/// chunk is `units_compile::lower_program`'s output for a term
+/// `units_compile::resolve_program` produced.
 ///
 /// # Errors
 ///
@@ -598,31 +590,18 @@ fn dispatch(
             Op::Const(i) => stack.push(Value::Str(chunk.consts[*i as usize].clone())),
             Op::PrimVal(p) => stack.push(Value::Prim(*p)),
             Op::Load { depth, slot, name } => {
-                let v =
-                    read_binding(addressed(&mut display, &env, *depth, *slot, name), name)?;
+                let v = read_binding(addressed(&mut display, &env, *depth, *slot), name)?;
                 stack.push(v);
-            }
-            Op::LoadName(name) => {
-                stack.push(read_binding(env.lookup(name), name)?);
             }
             Op::Store { depth, slot, name } => {
                 let v = pop!();
-                store(addressed(&mut display, &env, *depth, *slot, name), name, v)?;
+                store(addressed(&mut display, &env, *depth, *slot), name, v)?;
                 stack.push(Value::Void);
             }
-            Op::StoreName(name) => {
-                let v = pop!();
-                store(env.lookup(name), name, v)?;
-                stack.push(Value::Void);
-            }
-            Op::Bind(i) => {
-                let names = &chunk.frames[*i as usize];
-                let mut frame = Vec::with_capacity(names.len());
-                let at = stack.len() - names.len();
-                for (name, v) in names.iter().zip(stack.drain(at..)) {
-                    frame.push((name.clone(), Binding::Val(v)));
-                }
-                env = env.extend(frame);
+            Op::Unbound(name) => return Err(RuntimeError::Unbound { name: name.clone() }),
+            Op::Bind(n) => {
+                let at = stack.len() - *n as usize;
+                env = env.extend(stack.drain(at..).map(Binding::Val).collect());
                 display.pushed(&env);
             }
             Op::BindRec(i) => {
@@ -634,7 +613,7 @@ fn dispatch(
             }
             Op::InitCell(slot) => {
                 let v = pop!();
-                match env.top_binding((*slot).into()) {
+                match env.top_binding(*slot as usize) {
                     Some(Binding::Cell(c)) => *c.borrow_mut() = Some(v),
                     _ => {
                         return Err(RuntimeError::WrongType {
@@ -946,21 +925,15 @@ fn closure_code(closure: &Closure, argc: usize) -> Result<&VmCode, RuntimeError>
 fn callee_env(closure: &Closure, stack: &mut Vec<Value>, argc: usize) -> Env {
     if argc == 1 {
         let v = stack.pop().expect("the caller pushed the argument");
-        closure.env.extend1(closure.lambda.params[0].name.clone(), Binding::Val(v))
+        closure.env.extend1(Binding::Val(v))
     } else {
         let at = stack.len() - argc;
-        let frame = closure
-            .lambda
-            .params
-            .iter()
-            .zip(stack.drain(at..))
-            .map(|(p, v)| (p.name.clone(), Binding::Val(v)))
-            .collect();
-        closure.env.extend(frame)
+        closure.env.extend(stack.drain(at..).map(Binding::Val).collect())
     }
 }
 
-/// The `set!` store half, shared by both addressing modes.
+/// The `set!` store half: `binding` is the addressed slot, `None` past
+/// the environment.
 fn store(
     binding: Option<&Binding>,
     name: &Symbol,
@@ -1034,12 +1007,7 @@ fn render(chunk: &Chunk, profiled: bool) -> String {
             Op::Load { depth, slot, name } | Op::Store { depth, slot, name } => {
                 format!("{name} @({depth},{slot})")
             }
-            Op::LoadName(n) | Op::StoreName(n) => format!("{n}"),
-            Op::Bind(f) => {
-                let names: Vec<&str> =
-                    chunk.frames[*f as usize].iter().map(Symbol::as_str).collect();
-                format!("[{}]", names.join(" "))
-            }
+            Op::Unbound(n) => format!("{n}"),
             Op::BindRec(r) => {
                 let lr = &chunk.recs[*r as usize];
                 format!("{} defs", lr.vals.len())
@@ -1053,7 +1021,7 @@ fn render(chunk: &Chunk, profiled: bool) -> String {
                 format!("proto {p} (arity {}) @{}", proto.lambda.params.len(), proto.entry)
             }
             Op::Call(argc) | Op::TailCall(argc) | Op::MakeTuple(argc) => format!("{argc}"),
-            Op::Proj(idx) => format!("{idx}"),
+            Op::Proj(n) | Op::Bind(n) => format!("{n}"),
             Op::MakeUnit(u) | Op::InvokeUnit(u) => {
                 let proto = &chunk.units[*u as usize];
                 let entries: Vec<String> =
@@ -1094,4 +1062,14 @@ fn render(chunk: &Chunk, profiled: bool) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ops_stay_three_words() {
+        assert!(std::mem::size_of::<Op>() <= 24, "{}", std::mem::size_of::<Op>());
+    }
 }

@@ -54,9 +54,9 @@ pub fn bind_letrec_frame(
     let mut frame = Vec::new();
     push_data_ops(types, &mut frame, machine);
     let mut cells = Vec::with_capacity(vals.len());
-    for defn in vals {
+    for _ in vals {
         let cell = machine.cell(None);
-        frame.push((defn.name.clone(), Binding::Cell(cell.clone())));
+        frame.push(Binding::Cell(cell.clone()));
         cells.push(cell);
     }
     Ok((env.extend(frame), cells))
@@ -64,8 +64,8 @@ pub fn bind_letrec_frame(
 
 /// Appends a fresh instance of each datatype's operations to `frame`:
 /// per datatype, each variant's constructor then deconstructor, then the
-/// predicate.
-fn push_data_ops(types: &[TypeDefn], frame: &mut Vec<(Symbol, Binding)>, machine: &mut Machine) {
+/// predicate ([`units_kernel::DataDefn::bound_val_names`]'s order).
+fn push_data_ops(types: &[TypeDefn], frame: &mut Vec<Binding>, machine: &mut Machine) {
     for td in types {
         if let TypeDefn::Data(d) = td {
             let instance = machine.fresh_instance();
@@ -76,11 +76,11 @@ fn push_data_ops(types: &[TypeDefn], frame: &mut Vec<(Symbol, Binding)>, machine
                     role,
                 })))
             };
-            for (tag, v) in d.variants.iter().enumerate() {
-                frame.push((v.ctor.clone(), op(DataRole::Construct(tag))));
-                frame.push((v.dtor.clone(), op(DataRole::Deconstruct(tag))));
+            for tag in 0..d.variants.len() {
+                frame.push(op(DataRole::Construct(tag)));
+                frame.push(op(DataRole::Deconstruct(tag)));
             }
-            frame.push((d.predicate.clone(), op(DataRole::Predicate)));
+            frame.push(op(DataRole::Predicate));
         }
     }
 }
@@ -341,9 +341,7 @@ fn wire_atomic(
     unsatisfied(&source.imports, imports)?;
     machine.alloc_cells(source.vals.len() as u64)?;
     let mut frame = Vec::with_capacity(imports.len() + source.vals.len());
-    for (port, cell) in source.imports.vals.iter().zip(imports) {
-        frame.push((port.name.clone(), Binding::Cell(cell.clone())));
-    }
+    frame.extend(imports.iter().take(source.imports.vals.len()).cloned().map(Binding::Cell));
     let first_op = frame.len();
     push_data_ops(&source.types, &mut frame, machine);
     let first_def = frame.len();
@@ -357,18 +355,27 @@ fn wire_atomic(
             .and_then(|j| exports.get(j).cloned().flatten());
         shared += usize::from(wanted.is_some());
         let cell = wanted.unwrap_or_else(|| machine.cell(None));
-        frame.push((defn.name.clone(), Binding::Cell(cell)));
+        frame.push(Binding::Cell(cell));
     }
     // Any other wanted export is a datatype operation, whose value
-    // exists already.
+    // exists already: the last operation of that name, as the resolver
+    // scopes it.
     if shared < exports.iter().flatten().count() {
         for (port, cell) in source.exports.vals.iter().zip(exports) {
             let Some(cell) = cell else { continue };
             if source.vals.iter().any(|d| d.name == port.name) {
                 continue;
             }
-            match frame[first_op..first_def].iter().rfind(|(n, _)| *n == port.name) {
-                Some((_, Binding::Val(v))) => *cell.borrow_mut() = Some(v.clone()),
+            let ops: Vec<Symbol> = source
+                .types
+                .iter()
+                .flat_map(|td| match td {
+                    TypeDefn::Data(d) => d.bound_val_names(),
+                    TypeDefn::Alias(_) => Vec::new(),
+                })
+                .collect();
+            match ops.iter().rposition(|name| *name == port.name).map(|i| &frame[first_op + i]) {
+                Some(Binding::Val(v)) => *cell.borrow_mut() = Some(v.clone()),
                 _ => return Err(RuntimeError::MissingProvide { name: port.name.clone() }),
             }
         }

@@ -2,6 +2,7 @@
 //! pooled side tables.
 //!
 //! Ops are one tag byte plus fixed-width operands in declaration order.
+//! Tag 8 is unassigned.
 //! The two ops carrying `&'static str` operands ([`Op::AsUnit`],
 //! [`Op::Unsupported`]) write the string and re-intern it through the
 //! kernel's leaked symbol table on decode — the lowerer only ever emits
@@ -51,22 +52,18 @@ fn write_op(w: &mut Writer, op: &Op) {
         }
         Op::Load { depth, slot, name } => {
             w.u8(5);
-            w.u16(*depth);
-            w.u16(*slot);
+            w.u32(*depth);
+            w.u32(*slot);
             write_symbol(w, name);
         }
-        Op::LoadName(name) => {
+        Op::Unbound(name) => {
             w.u8(6);
             write_symbol(w, name);
         }
         Op::Store { depth, slot, name } => {
             w.u8(7);
-            w.u16(*depth);
-            w.u16(*slot);
-            write_symbol(w, name);
-        }
-        Op::StoreName(name) => {
-            w.u8(8);
+            w.u32(*depth);
+            w.u32(*slot);
             write_symbol(w, name);
         }
         Op::Bind(i) => {
@@ -79,7 +76,7 @@ fn write_op(w: &mut Writer, op: &Op) {
         }
         Op::InitCell(slot) => {
             w.u8(11);
-            w.u16(*slot);
+            w.u32(*slot);
         }
         Op::PopFrame => w.u8(12),
         Op::Jump(offset) => {
@@ -166,13 +163,12 @@ fn read_op(r: &mut Reader) -> Result<Op, DecodeError> {
         2 => Op::Void,
         3 => Op::Const(r.u32()?),
         4 => Op::PrimVal(read_prim(r)?),
-        5 => Op::Load { depth: r.u16()?, slot: r.u16()?, name: read_symbol(r)? },
-        6 => Op::LoadName(read_symbol(r)?),
-        7 => Op::Store { depth: r.u16()?, slot: r.u16()?, name: read_symbol(r)? },
-        8 => Op::StoreName(read_symbol(r)?),
+        5 => Op::Load { depth: r.u32()?, slot: r.u32()?, name: read_symbol(r)? },
+        6 => Op::Unbound(read_symbol(r)?),
+        7 => Op::Store { depth: r.u32()?, slot: r.u32()?, name: read_symbol(r)? },
         9 => Op::Bind(r.u32()?),
         10 => Op::BindRec(r.u32()?),
-        11 => Op::InitCell(r.u16()?),
+        11 => Op::InitCell(r.u32()?),
         12 => Op::PopFrame,
         13 => Op::Jump(r.i32()?),
         14 => Op::JumpIfFalse(r.i32()?),
@@ -206,13 +202,6 @@ pub fn write_chunk(w: &mut Writer, chunk: &Chunk) {
     w.len_of(chunk.consts.len());
     for s in &chunk.consts {
         w.str(s);
-    }
-    w.len_of(chunk.frames.len());
-    for frame in &chunk.frames {
-        w.len_of(frame.len());
-        for sym in frame.iter() {
-            write_symbol(w, sym);
-        }
     }
     w.len_of(chunk.protos.len());
     for proto in &chunk.protos {
@@ -265,19 +254,6 @@ pub fn read_chunk(r: &mut Reader) -> Result<Chunk, DecodeError> {
             consts.push(Arc::from(r.str()?));
         }
         consts
-    };
-    let frames = {
-        let len = r.len_of()?;
-        let mut frames: Vec<Arc<[Symbol]>> = Vec::with_capacity(len);
-        for _ in 0..len {
-            let flen = r.len_of()?;
-            let mut frame = Vec::with_capacity(flen);
-            for _ in 0..flen {
-                frame.push(read_symbol(r)?);
-            }
-            frames.push(Arc::from(frame));
-        }
-        frames
     };
     let protos = {
         let len = r.len_of()?;
@@ -336,19 +312,7 @@ pub fn read_chunk(r: &mut Reader) -> Result<Chunk, DecodeError> {
     let entry = r.u32()?;
     let profile =
         if units_trace::COMPILED { OpProfile::sized(code.len()) } else { OpProfile::default() };
-    Ok(Chunk {
-        code,
-        consts,
-        frames,
-        protos,
-        units,
-        recs,
-        compounds,
-        invokes,
-        sigs,
-        entry,
-        profile,
-    })
+    Ok(Chunk { code, consts, protos, units, recs, compounds, invokes, sigs, entry, profile })
 }
 
 #[cfg(test)]
@@ -384,7 +348,6 @@ mod tests {
     fn assert_chunks_equal(a: &Chunk, b: &Chunk) {
         assert_eq!(a.code, b.code);
         assert_eq!(a.consts, b.consts);
-        assert_eq!(a.frames, b.frames);
         assert_eq!(a.entry, b.entry);
         assert_eq!(a.protos.len(), b.protos.len());
         for (x, y) in a.protos.iter().zip(&b.protos) {

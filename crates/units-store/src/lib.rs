@@ -30,7 +30,7 @@
 //! magic        8 bytes   b"UNITCACH"
 //! version      u32       FORMAT_VERSION
 //! stamp        str       env!("CARGO_PKG_VERSION") of the writer
-//! fingerprint  u64       engine CheckOptions/resolve fingerprint
+//! fingerprint  u64       engine CheckOptions/resolved-form fingerprint
 //! source_fnv   u64       FNV-1a of the raw source text
 //! payload      u64+bytes length-prefixed sections (terms, chunk)
 //! checksum     u64       FNV-1a over everything above
@@ -57,7 +57,10 @@ pub use wire::{fnv1a_64, DecodeError, Reader, Writer};
 pub const MAGIC: &[u8; 8] = b"UNITCACH";
 
 /// The serialization format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 widened the address operands of lowered ops to `u32`,
+/// dropped the by-name ops and the `let` frames' binder names, so a
+/// version-1 entry reads as a miss.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The build stamp written into every entry: artifacts do not cross
 /// crate versions (hash functions, term shapes, and opcode sets may
@@ -72,7 +75,8 @@ pub struct Entry {
     pub expr: Expr,
     /// Its type, for typed levels.
     pub ty: Option<Ty>,
-    /// The lexical-address-resolved form, when resolution ran.
+    /// The lexical-address-resolved form. A writer that did not resolve
+    /// leaves it `None`, and the engine resolves such an entry at load.
     pub resolved: Option<Expr>,
     /// The lowered bytecode, when the writer had lowered it.
     pub chunk: Option<Chunk>,

@@ -106,16 +106,16 @@ use crate::outcome::{Backend, Outcome};
 /// thread at least as much.
 pub const PIPELINE_STACK_SIZE: usize = 8 << 20;
 
-/// A checked (and, for the production backend, slot-resolved) program,
-/// shared by every load of the same source text.
+/// A checked and slot-resolved program, shared by every load of the
+/// same source text.
 #[derive(Debug)]
 struct Artifact {
     /// The parsed kernel term, as written.
     expr: Expr,
     /// The program's type at typed levels.
     ty: Option<Ty>,
-    /// The lexical-address-resolved form the compiled backend runs.
-    resolved: Option<Expr>,
+    /// The lexical-address-resolved form both compiled backends run.
+    resolved: Expr,
     /// The flat-bytecode chunk the VM backend runs: lowered from the
     /// resolved form on the first bytecode run, then shared by every
     /// later run of this artifact, from any load of its source.
@@ -123,11 +123,6 @@ struct Artifact {
 }
 
 impl Artifact {
-    /// The term the compiled backend runs and the chunk is lowered from.
-    fn resolved(&self) -> &Expr {
-        self.resolved.as_ref().unwrap_or(&self.expr)
-    }
-
     /// The bytecode chunk, lowering (and caching) it on first use.
     /// `OnceLock` makes concurrent first uses race benignly: one lowering
     /// wins, every thread shares the winner.
@@ -135,7 +130,7 @@ impl Artifact {
         self.chunk
             .get_or_init(|| {
                 let _timer = units_trace::time("lower");
-                lower_program(self.resolved())
+                lower_program(&self.resolved)
             })
             .clone()
     }
@@ -246,7 +241,6 @@ pub struct EngineBuilder {
     strictness: Strictness,
     backend: Backend,
     limits: Limits,
-    resolve: Option<bool>,
     policy: FallbackPolicy,
     cache_dir: Option<PathBuf>,
 }
@@ -260,7 +254,6 @@ impl Default for EngineBuilder {
             strictness: Strictness::default(),
             backend: Backend::default(),
             limits: Limits::default(),
-            resolve: None,
             policy: FallbackPolicy::none(),
             cache_dir: None,
         }
@@ -292,13 +285,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables the lexical-address resolution prepass
-    /// (`units_compile::resolve_program`). On by default.
-    pub fn resolution(mut self, on: bool) -> EngineBuilder {
-        self.resolve = Some(on);
-        self
-    }
-
     /// Sets what runs do about failure — retries and reference-reducer
     /// fallback (default: [`FallbackPolicy::none`], report as-is).
     pub fn on_failure(mut self, policy: FallbackPolicy) -> EngineBuilder {
@@ -322,7 +308,6 @@ impl EngineBuilder {
     /// Builds the engine.
     pub fn build(self) -> Engine {
         let opts = CheckOptions { level: self.level, strictness: self.strictness };
-        let resolve = self.resolve.unwrap_or(true);
         let store = self.cache_dir.as_ref().and_then(|dir| {
             // The fingerprint binds on-disk entries to this engine
             // configuration — the same ingredients `source_key` folds in,
@@ -333,7 +318,6 @@ impl EngineBuilder {
             // the store's version stamp.)
             let mut h = DefaultHasher::new();
             opts.hash(&mut h);
-            resolve.hash(&mut h);
             RESOLVED_FORM.hash(&mut h);
             match Store::open(dir, h.finish()) {
                 Ok(store) => {
@@ -366,7 +350,6 @@ impl EngineBuilder {
                 opts,
                 backend: self.backend,
                 limits: self.limits,
-                resolve,
                 policy: self.policy,
                 store,
                 cache: Mutex::new(Cache::default()),
@@ -400,7 +383,6 @@ struct EngineInner {
     opts: CheckOptions,
     backend: Backend,
     limits: Limits,
-    resolve: bool,
     policy: FallbackPolicy,
     /// The persistent artifact store, when the builder was given a
     /// `cache_dir` and the directory was usable.
@@ -619,7 +601,6 @@ impl EngineInner {
         let mut h = DefaultHasher::new();
         source.hash(&mut h);
         self.opts.hash(&mut h);
-        self.resolve.hash(&mut h);
         h.finish()
     }
 
@@ -640,7 +621,7 @@ impl EngineInner {
     /// caches yet.
     fn compile(&self, expr: Expr) -> Result<Artifact, Error> {
         let ty = check_program(&expr, self.opts)?;
-        let resolved = if self.resolve { Some(resolve_program(&expr)) } else { None };
+        let resolved = resolve_program(&expr);
         Ok(Artifact { expr, ty, resolved, chunk: OnceLock::new() })
     }
 
@@ -680,10 +661,19 @@ impl EngineInner {
                 bump(&self.metrics.store_hits);
                 let entry = *entry;
                 let chunk = OnceLock::new();
-                if let Some(lowered) = entry.chunk {
-                    let _ = chunk.set(Arc::new(lowered));
-                }
-                Some(Artifact { expr: entry.expr, ty: entry.ty, resolved: entry.resolved, chunk })
+                // An entry written without its resolved form is resolved
+                // here; its chunk, if any, was not lowered from that form,
+                // so it is lowered again on first use.
+                let resolved = match entry.resolved {
+                    Some(resolved) => {
+                        if let Some(lowered) = entry.chunk {
+                            let _ = chunk.set(Arc::new(lowered));
+                        }
+                        resolved
+                    }
+                    None => resolve_program(&entry.expr),
+                };
+                Some(Artifact { expr: entry.expr, ty: entry.ty, resolved, chunk })
             }
             Lookup::Miss => {
                 bump(&self.metrics.store_misses);
@@ -713,7 +703,7 @@ impl EngineInner {
         let entry = units_store::Entry {
             expr: artifact.expr.clone(),
             ty: artifact.ty.clone(),
-            resolved: artifact.resolved.clone(),
+            resolved: Some(artifact.resolved.clone()),
             chunk: artifact.chunk.get().map(|c| (**c).clone()),
         };
         if store.write(skey, source, &entry) {
@@ -784,7 +774,7 @@ impl EngineInner {
             Backend::Compiled => {
                 let _timer = units_trace::time("eval");
                 let mut machine = Machine::with_limits(limits);
-                let expr = artifact.resolved();
+                let expr = &artifact.resolved;
                 // Account fuel and cells before `?` so even failed runs
                 // (e.g. budget exhaustion) land in the metrics plane.
                 let value = evaluate_program(expr, &mut machine).and_then(|f| match arg {
@@ -996,11 +986,10 @@ impl Loaded {
     }
 
     /// The term the compiled backend runs and the bytecode chunk is
-    /// lowered from: the lexical-address-resolved form, or the parsed
-    /// term when resolution is off. Its `compound` nodes carry the link
-    /// plans every run of this artifact shares.
+    /// lowered from: the lexical-address-resolved form. Its `compound`
+    /// nodes carry the link plans every run of this artifact shares.
     pub fn resolved(&self) -> &Expr {
-        self.artifact.resolved()
+        &self.artifact.resolved
     }
 
     /// The program's flat-bytecode listing — opcode, operands, and

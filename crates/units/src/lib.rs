@@ -85,8 +85,8 @@ pub use units_check::{
     CheckOptions, Equations, Level, Strictness,
 };
 pub use units_compile::{
-    evaluate_program, invoke_unit, load_interface, load_unit, publish_unit, Archive,
-    ArtifactError, ChunkProfile, DynlinkError, Published,
+    evaluate_program, invoke_unit, load_interface, load_unit, publish_unit, resolve_program,
+    Archive, ArtifactError, ChunkProfile, DynlinkError, Published,
 };
 pub use units_trace::FlightDump;
 pub use units_kernel::{

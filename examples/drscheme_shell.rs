@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use units::{invoke_unit, Archive, CheckOptions, Level, Machine, RuntimeError, Value};
 use units_runtime::apply_prim;
-use units_compile::evaluate_program;
+use units_compile::{evaluate_program, resolve_program};
 use units_kernel::{Expr, PrimOp};
 use units_syntax::parse_signature;
 
@@ -77,9 +77,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     continue;
                 }
             };
-        // Each launch gets a bounded machine — the client boundary.
+        // Each launch gets a bounded machine — the client boundary. The
+        // evaluator runs resolved terms.
         let mut machine = Machine::with_fuel(2_000_000);
-        let unit_value = match evaluate_program(&unit_expr, &mut machine)? {
+        let unit_value = match evaluate_program(&resolve_program(&unit_expr), &mut machine)? {
             Value::Unit(u) => u,
             other => {
                 println!("  not a unit: {other}\n");
@@ -132,7 +133,7 @@ fn system_imports(
     let Expr::Invoke(inv) = &kernel else { unreachable!() };
     let mut inv = (**inv).clone();
     inv.val_links.clear();
-    let unit_value = match evaluate_program(&inv.target, machine)? {
+    let unit_value = match evaluate_program(&resolve_program(&inv.target), machine)? {
         Value::Unit(u) => u,
         _ => unreachable!(),
     };

@@ -9,11 +9,10 @@
 //! strong evidence that both compilations implement the rewriting
 //! semantics.
 //!
-//! A second axis of the same idea guards the lexical-address resolver:
-//! every program in the random corpus and every stdlib figure must
-//! produce identical outcomes with slot resolution on and off, since
-//! resolution is a pure lookup-strategy change (the lowerer falls back
-//! to by-name `LoadName` ops on unresolved input).
+//! The same agreement guards the lexical-address resolver: both compiled
+//! backends read every variable through the address it computed, with no
+//! name check, so an address that misses the runtime's frame layout shows
+//! up as a disagreement with the reducer, which never reads addresses.
 
 use bench::rng::SplitMix64;
 
@@ -488,37 +487,6 @@ fn check_three_way(seed: u64, expr: Expr) -> Result<(), String> {
     Ok(())
 }
 
-/// Compares a backend with lexical-address resolution on (default) and
-/// off (pure by-name environment scans — the lowerer emits `LoadName`
-/// instead of slot-addressed `Load`). The two must be observationally
-/// identical on every program; any divergence means the resolver
-/// computed an address the runtime frames (or the VM) don't honour.
-fn check_resolution_invariance(seed: u64, expr: &Expr) -> Result<(), String> {
-    let with = engine(200_000);
-    let without = Engine::builder()
-        .strictness(Strictness::MzScheme)
-        .limits(Limits::none().fuel(200_000))
-        .resolution(false)
-        .build();
-    for backend in [Backend::Compiled, Backend::Bytecode] {
-        let resolved =
-            with.load_expr(expr.clone()).and_then(|p| p.run_on(backend));
-        let by_name =
-            without.load_expr(expr.clone()).and_then(|p| p.run_on(backend));
-        match (resolved, by_name) {
-            (Ok(x), Ok(y)) if x == y => {}
-            (Err(_), Err(_)) => {}
-            (x, y) => {
-                return Err(format!(
-                    "seed {seed}: resolution changed the {backend:?} outcome\n resolved: {x:?}\n by-name:  {y:?}\n program: {}",
-                    units::pretty_expr_indent(expr, 78)
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Whether `expr` still holds a `compound` node.
 fn has_compound(expr: &Expr) -> bool {
     match expr {
@@ -684,6 +652,12 @@ fn backends_agree_on_random_unit_programs() {
             failures.push(msg);
         }
     }
+    for seed in 0..400 {
+        let mut gen = Gen::new(0xBEEF ^ seed);
+        if let Err(msg) = check_three_way(0xBEEF ^ seed, gen.invoke(3, &[])) {
+            failures.push(msg);
+        }
+    }
     assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
 }
 
@@ -698,66 +672,13 @@ fn backends_agree_on_random_link_topologies() {
             failures.push(msg);
         }
     }
-    assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
-}
-
-#[test]
-fn resolution_is_invisible_on_random_link_topologies() {
-    let mut failures = Vec::new();
     for seed in 0..200 {
         let mut gen = Gen::new(0x7091 ^ seed);
-        if let Err(msg) = check_resolution_invariance(seed, &gen.linked(2, &[])) {
+        if let Err(msg) = check_three_way(0x7091 ^ seed, gen.linked(2, &[])) {
             failures.push(msg);
         }
     }
-    assert!(failures.is_empty(), "{} divergences:\n{}", failures.len(), failures.join("\n\n"));
-}
-
-#[test]
-fn resolution_is_invisible_on_random_programs() {
-    let mut failures = Vec::new();
-    for seed in 0..400 {
-        let mut gen = Gen::new(seed);
-        if let Err(msg) = check_resolution_invariance(seed, &gen.expr(4, &[])) {
-            failures.push(msg);
-        }
-        let mut gen = Gen::new(0xBEEF ^ seed);
-        if let Err(msg) = check_resolution_invariance(seed, &gen.invoke(3, &[])) {
-            failures.push(msg);
-        }
-    }
-    assert!(failures.is_empty(), "{} divergences:\n{}", failures.len(), failures.join("\n\n"));
-}
-
-#[test]
-fn resolution_is_invisible_on_stdlib_figures() {
-    use units::stdlib;
-    let sources: Vec<(&str, String)> = vec![
-        ("ipb_program", stdlib::ipb_program()),
-        ("ipb_expert", stdlib::make_ipb_program(true)),
-        ("ipb_novice", stdlib::make_ipb_program(false)),
-        ("plugin_program", stdlib::plugin_program(&stdlib::sample_loader_plugin())),
-        ("compiler_pipeline", stdlib::compiler_pipeline()),
-    ];
-    let with = Engine::builder().strictness(Strictness::MzScheme).build();
-    let without =
-        Engine::builder().strictness(Strictness::MzScheme).resolution(false).build();
-    for (name, src) in sources {
-        for backend in [Backend::Compiled, Backend::Bytecode] {
-            let resolved = with
-                .load(&src)
-                .and_then(|p| p.run_on(backend))
-                .unwrap_or_else(|e| panic!("{name}: resolved {backend:?} run failed: {e}"));
-            let by_name = without
-                .load(&src)
-                .and_then(|p| p.run_on(backend))
-                .unwrap_or_else(|e| panic!("{name}: by-name {backend:?} run failed: {e}"));
-            assert_eq!(
-                resolved, by_name,
-                "{name}: resolution changed the {backend:?} outcome"
-            );
-        }
-    }
+    assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
 }
 
 #[test]

@@ -380,3 +380,83 @@ fn display_output_interleaves_identically_across_backends() {
     assert_eq!(outcome.value, Observation::Int(3));
     assert_eq!(outcome.output, vec!["init", "early-called", "later-called"]);
 }
+
+// ---------------------------------------------------------------------
+// Addresses: every read goes through the resolver's (depth, slot)
+// ---------------------------------------------------------------------
+
+/// Runs a term on the tree-walker and on the VM exactly as given, with
+/// no resolution pass in between.
+fn compiled_errors(expr: &units::Expr) -> [String; 2] {
+    let walked = units::evaluate_program(expr, &mut units::Machine::new());
+    let chunk = units_compile::lower_program(expr);
+    let vm = units_runtime::execute(&chunk, &mut units::Machine::new());
+    [walked, vm].map(|r| r.expect_err("the term must fail").to_string())
+}
+
+#[test]
+fn an_address_past_the_environment_is_unbound_on_both_compiled_backends() {
+    use units::{Expr, Param};
+    use units_kernel::LexAddr;
+    let ghost = |depth, slot| Expr::VarAt("ghost".into(), LexAddr { depth, slot });
+    // Inside a unary call: one frame of one slot. Depth 7 takes the VM's
+    // frame display, depth 2 its direct walk.
+    let in_call =
+        |body| Expr::app(Expr::lambda(vec![Param::untyped("x")], body), vec![Expr::int(1)]);
+    for (depth, slot) in [(0, 1), (0, 70_000), (2, 0), (7, 0), (u32::MAX, u32::MAX)] {
+        let read = in_call(ghost(depth, slot));
+        let set = in_call(Expr::Set(Box::new(ghost(depth, slot)), Box::new(Expr::int(2))));
+        for expr in [ghost(depth, slot), read, set] {
+            for text in compiled_errors(&expr) {
+                assert_eq!(text, "unbound variable `ghost`", "({depth}, {slot})");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_free_variable_is_unbound_on_every_backend() {
+    use units::{Expr, Reducer};
+    // The checker rejects both terms, so each backend runs them directly.
+    for expr in [Expr::var("nope"), Expr::set("nope", Expr::int(1))] {
+        let mut texts = compiled_errors(&units::resolve_program(&expr)).to_vec();
+        texts.push(Reducer::new().reduce_to_value(&expr).unwrap_err().to_string());
+        for text in texts {
+            assert_eq!(text, "unbound variable `nope`");
+        }
+    }
+    // The compiled backends evaluate a `set!`'s value before they fail on
+    // its free target.
+    let failing_value = Expr::set("nope", units::parse_expr("(proj 5 (tuple 1))").unwrap());
+    for text in compiled_errors(&units::resolve_program(&failing_value)) {
+        assert!(text.starts_with("projection 5 out of range"), "{text}");
+    }
+}
+
+#[test]
+fn frames_wider_than_sixteen_bits_read_their_last_slot() {
+    use std::sync::Arc;
+    use units::Expr;
+    use units_kernel::{Binding, LetrecExpr, PrimOp, ValDefn};
+    const WIDTH: i64 = 70_000;
+    let name = |i: i64| units::Symbol::new(format!("x{i}"));
+    let first_and_last = Expr::prim2(PrimOp::Add, Expr::Var(name(1)), Expr::Var(name(WIDTH - 1)));
+    let wide_let = Expr::Let(
+        (0..WIDTH).map(|i| Binding { name: name(i), expr: Expr::int(i) }).collect(),
+        Box::new(first_and_last.clone()),
+    );
+    let wide_letrec = Expr::Letrec(Arc::new(LetrecExpr {
+        types: Vec::new(),
+        vals: (0..WIDTH).map(|i| ValDefn { name: name(i), ty: None, body: Expr::int(i) }).collect(),
+        body: first_and_last,
+    }));
+    for expr in [wide_let, wide_letrec] {
+        let resolved = units::resolve_program(&expr);
+        let walked = units::evaluate_program(&resolved, &mut units::Machine::new()).unwrap();
+        let chunk = units_compile::lower_program(&resolved);
+        let vm = units_runtime::execute(&chunk, &mut units::Machine::new()).unwrap();
+        for v in [walked, vm] {
+            assert!(v.observably_eq(&units::Value::Int(WIDTH)), "{v}");
+        }
+    }
+}

@@ -481,11 +481,11 @@ fn sec53_sharing_limitation_two_symbol_instances() {
 #[test]
 fn compiled_code_shared_across_instances() {
     use std::sync::Arc;
-    use units::{evaluate_program, Machine, Value};
-    let unit_expr = parse_expr(
-        "(unit (import) (export) (define f (lambda (n) (* n n))) (init (f 4)))",
-    )
-    .unwrap();
+    use units::{evaluate_program, resolve_program, Machine, Value};
+    let unit_expr = resolve_program(
+        &parse_expr("(unit (import) (export) (define f (lambda (n) (* n n))) (init (f 4)))")
+            .unwrap(),
+    );
     let mut machine = Machine::new();
     let instances: Vec<Value> =
         (0..10).map(|_| evaluate_program(&unit_expr, &mut machine).unwrap()).collect();

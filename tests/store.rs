@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use units::{Backend, Engine, Observation};
+use units::{Backend, Engine, Observation, Strictness};
 use units_store::fnv1a_64;
 
 const PROGRAM: &str = "\
@@ -231,17 +231,44 @@ fn an_unusable_cache_directory_degrades_to_in_memory() {
 fn cache_entries_do_not_cross_engine_configurations() {
     let dir = temp_dir("configs");
     {
-        let unresolved = Engine::builder().resolution(false).cache_dir(&dir).build();
-        unresolved.invoke(PROGRAM).unwrap();
+        let mzscheme = Engine::builder().strictness(Strictness::MzScheme).cache_dir(&dir).build();
+        mzscheme.invoke(PROGRAM).unwrap();
     }
     // A different configuration hashes to a different source key *and*
-    // a different store fingerprint, so the default-resolution engine
+    // a different store fingerprint, so the default-strictness engine
     // cannot pick up the other configuration's artifact.
-    let resolved = Engine::builder().cache_dir(&dir).build();
-    assert_eq!(resolved.invoke(PROGRAM).unwrap().value, Observation::Int(97));
-    let snap = resolved.metrics_snapshot();
+    let paper = Engine::builder().cache_dir(&dir).build();
+    assert_eq!(paper.invoke(PROGRAM).unwrap().value, Observation::Int(97));
+    let snap = paper.metrics_snapshot();
     assert_eq!(snap.store.hits, 0, "configurations must not share artifacts");
     assert_eq!(snap.cache.parses, 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_entry_without_its_resolved_form_is_resolved_at_load() {
+    let dir = temp_dir("unresolved");
+    warm_engine(&dir, Backend::Bytecode).invoke(PROGRAM).unwrap();
+    // Rewrite the engine's entry as a writer that did not resolve would:
+    // no resolved form, and a chunk lowered from the checked term, whose
+    // free-variable ops fail if run.
+    let path = entry_file(&dir);
+    let key = u64::from_str_radix(path.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+    let image = fs::read(&path).unwrap();
+    let mut header = units_store::Reader::new(&image);
+    header.take(units_store::MAGIC.len()).unwrap();
+    header.u32().unwrap();
+    header.str().unwrap();
+    let fingerprint = header.u64().unwrap();
+    let expr = units::parse_file(PROGRAM).unwrap();
+    let chunk = (*units_compile::lower_program(&expr)).clone();
+    let entry = units_store::Entry { expr, ty: None, resolved: None, chunk: Some(chunk) };
+    assert!(units_store::Store::open(&dir, fingerprint).unwrap().write(key, PROGRAM, &entry));
+
+    let warm = warm_engine(&dir, Backend::Bytecode);
+    assert_eq!(warm.invoke(PROGRAM).unwrap().value, Observation::Int(97));
+    let snap = warm.metrics_snapshot();
+    assert_eq!((snap.store.hits, snap.cache.parses), (1, 0));
     let _ = fs::remove_dir_all(&dir);
 }
 
