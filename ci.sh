@@ -13,6 +13,9 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Only rustdoc reports a doc link to a deleted or private item, so the
+# docs build with warnings denied (again below with every feature on).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The benchmark is a workspace of its own that calls the pipeline's
 # public entry points (resolve, lower, evaluate, execute, the store
@@ -218,10 +221,10 @@ rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace.tmp
 cargo test -q --test differential
 cargo test -q --features trace --test differential
 
-# Fault plane: the fixed-seed chaos harness (tests/faults.rs sweeps 240
-# seeded schedules, including the bytecode VM's vm/dispatch site and
-# its fallback path) must pass with injection compiled in, both with
-# and without the tracing layer, and stay clippy-clean. The service
+# Fault plane: the fixed-seed chaos harness (tests/faults.rs sweeps 360
+# seeded schedules, including the bytecode VM's vm/dispatch site) must
+# pass with injection compiled in, both with and without the tracing
+# layer, and stay clippy-clean and rustdoc-clean. The service
 # chaos pass (one tenant under an armed plane, bystanders unaffected)
 # rides in the same sweep; name it as its own gate.
 cargo test -q --features faults
@@ -229,6 +232,7 @@ cargo test -q --features "trace faults"
 cargo test -q -p units-serve --features faults --test chaos
 cargo clippy --workspace --all-targets --features faults -- -D warnings
 cargo clippy --workspace --all-targets --features "trace faults" -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --features "trace faults"
 
 # Faults-off byte-identity: the default build's trip() sites are
 # inline no-ops, so a fixed REPL session must be reproducible

@@ -188,7 +188,7 @@ impl Lowerer {
                 self.emit(Op::MakeClosure(i));
             }
             Expr::App(f, args) => {
-                let argc = args.len() as u16;
+                let argc = args.len() as u32;
                 // Fuse `prim(args…)` — the hot Fig. 11 shape — into one
                 // opcode; a `prim` expression has no effects, so skipping
                 // its push preserves evaluation order.
@@ -294,11 +294,11 @@ impl Lowerer {
                 for i in items {
                     self.lower(i, false);
                 }
-                self.emit(Op::MakeTuple(items.len() as u16));
+                self.emit(Op::MakeTuple(items.len() as u32));
             }
             Expr::Proj(i, e) => {
                 self.lower(e, false);
-                self.emit(Op::Proj(*i as u32));
+                self.emit(Op::Proj(*i));
             }
             Expr::Unit(u) => {
                 let i = self.add_unit(u);

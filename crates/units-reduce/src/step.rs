@@ -664,13 +664,10 @@ fn search_child(expr: &Expr) -> Option<usize> {
             _ => None,
         },
         Expr::Let(bindings, _) => bindings.iter().position(|b| !b.expr.is_value()),
-        // Assignment evaluates its right-hand side only once the target
-        // has become a cell; any other target is an error the
-        // contraction reports.
-        Expr::Set(target, value) => match (&**target, value.is_value()) {
-            (Expr::CellRef(_), false) => Some(1),
-            _ => None,
-        },
+        // Assignment evaluates its right-hand side first, as both
+        // compiled backends do; a target that is not a cell is an error
+        // the contraction then reports.
+        Expr::Set(_, value) => (!value.is_value()).then_some(1),
         Expr::Tuple(items) => items.iter().position(|e| !e.is_value()),
         Expr::Proj(_, e) => (!e.is_value()).then_some(0),
         // A non-value Variant's payload is still reducing (transient).

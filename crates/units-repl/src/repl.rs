@@ -75,7 +75,7 @@ const HELP: &str = ";; commands:
 ;;   :trace on|off|json    stream events per evaluation (text or JSON lines)
 ;;   :stats                print accumulated counters and phase timings
 ;;   :metrics [reset]      print (or zero) the engine's always-on metrics
-;;                         plane: cache, recovery, fuel, latency p50/p99
+;;                         plane: cache, flight dumps, fuel, latency p50/p99
 ;;   :flight               print the last flight-recorder dump, if any
 ;;   :profile <expr>       run <expr> on all three backends; report per-phase
 ;;                         durations and the Fig. 11 step count
@@ -354,11 +354,8 @@ impl Repl {
             snap.cache.entries
         );
         println!(
-            ";; recovery: {} fuel retries, {} reference fallbacks, {} recovered, {} flight dumps",
-            snap.recovery.fuel_retries,
-            snap.recovery.reference_fallbacks,
-            snap.recovery.recovered_runs,
-            snap.recovery.flight_dumps
+            ";; flight:   {} dumps, {} dump failures",
+            snap.flight.dumps, snap.flight.dump_failures
         );
         println!(
             ";; runs:     {} total, {} failures, fuel {} total / {} max, {} store cells peak, \
@@ -493,7 +490,6 @@ impl Repl {
             }
             Err(e) => eprintln!("{e}"),
         }
-        self.report_recovery();
         self.report_flight();
     }
 
@@ -501,32 +497,10 @@ impl Repl {
     /// faulting evaluation points at `:flight` without spamming later
     /// prompts.
     fn report_flight(&mut self) {
-        let dumps = self.engine.metrics_snapshot().recovery.flight_dumps;
+        let dumps = self.engine.metrics_snapshot().flight.dumps;
         if dumps > self.flight_seen {
             self.flight_seen = dumps;
             println!(";; flight recorder captured a post-mortem — :flight to inspect");
-        }
-    }
-
-    /// Prints how the engine coped when a run needed retries or a
-    /// backend fallback. Silent under the default report-as-is policy,
-    /// so plain sessions print exactly what they always did.
-    fn report_recovery(&self) {
-        let Some(recovery) = self.engine.last_recovery() else { return };
-        if !recovery.fell_back && recovery.retries == 0 {
-            return;
-        }
-        println!(";; recovered from: {}", recovery.failure);
-        if recovery.retries > 0 {
-            println!(";;   fuel-escalation retries: {}", recovery.retries);
-        }
-        if recovery.fell_back {
-            println!(";;   the reference reducer produced this result");
-        }
-        if let Some(divergence) = &recovery.divergence {
-            for line in divergence.lines() {
-                println!(";;   {line}");
-            }
         }
     }
 

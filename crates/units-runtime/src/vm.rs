@@ -118,17 +118,17 @@ pub enum Op {
     MakeClosure(u32),
     /// Pop `argc` arguments and a callee; push an activation and enter
     /// the callee (or apply a primitive/datatype operation in place).
-    Call(u16),
+    Call(u32),
     /// Like [`Op::Call`] but replaces the running activation — constant
     /// space for tail recursion.
-    TailCall(u16),
+    TailCall(u32),
     /// Superinstruction: apply a known primitive to the top `argc`
     /// values without materializing the callee.
     CallPrim {
         /// The primitive.
         op: PrimOp,
         /// Argument count.
-        argc: u16,
+        argc: u32,
     },
     /// Superinstruction: apply a binary primitive to the top of the
     /// stack and a small integer immediate in place — the fused
@@ -145,9 +145,9 @@ pub enum Op {
     /// Leave the current segment, restoring the caller's activation.
     Return,
     /// Pop `n` values into a tuple.
-    MakeTuple(u16),
+    MakeTuple(u32),
     /// Project field `i` of a tuple.
-    Proj(u32),
+    Proj(usize),
     /// Discard the top of stack (non-final `begin` expressions).
     Pop,
     /// Push an atomic unit value over `units[i]` and the current
@@ -784,11 +784,10 @@ fn dispatch(
                 stack.push(Value::tuple(vals));
             }
             Op::Proj(i) => {
-                let i = *i as usize;
                 match pop!() {
                     Value::Tuple(items) => {
-                        stack.push(items.get(i).cloned().ok_or(
-                            RuntimeError::BadProjection { index: i, width: items.len() },
+                        stack.push(items.get(*i).cloned().ok_or(
+                            RuntimeError::BadProjection { index: *i, width: items.len() },
                         )?);
                     }
                     other => {
@@ -1020,8 +1019,8 @@ fn render(chunk: &Chunk, profiled: bool) -> String {
                 let proto = &chunk.protos[*p as usize];
                 format!("proto {p} (arity {}) @{}", proto.lambda.params.len(), proto.entry)
             }
-            Op::Call(argc) | Op::TailCall(argc) | Op::MakeTuple(argc) => format!("{argc}"),
-            Op::Proj(n) | Op::Bind(n) => format!("{n}"),
+            Op::Call(n) | Op::TailCall(n) | Op::MakeTuple(n) | Op::Bind(n) => format!("{n}"),
+            Op::Proj(i) => format!("{i}"),
             Op::MakeUnit(u) | Op::InvokeUnit(u) => {
                 let proto = &chunk.units[*u as usize];
                 let entries: Vec<String> =

@@ -244,7 +244,7 @@ fn stats_response(service: &Service, idle_timeouts: u64) -> Json {
         .collect();
     ok_response([
         ("tenants", Json::Obj(tenants)),
-        // The engine's own snapshot: cache, store, recovery, runs.
+        // The engine's own snapshot: cache, flight, store, runs, latency.
         ("engine", service.engine().metrics_snapshot().to_json()),
         ("idle_timeouts", Json::from(idle_timeouts)),
     ])

@@ -41,8 +41,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use units::{
-    parse_expr, parse_signature, Archive, Backend, CheckOptions, DynlinkError, Engine, Expr,
-    FallbackPolicy, Level, Limits, Loaded, Outcome, Param, Resource, Strictness, Ty,
+    parse_expr, parse_signature, Archive, Backend, CheckOptions, DynlinkError, Engine, Expr, Level,
+    Limits, Loaded, Outcome, Param, Resource, Strictness, Ty,
 };
 
 /// Why the service refused or failed a request.
@@ -173,16 +173,8 @@ impl ServiceBuilder {
     }
 
     /// Builds the service and its engine session.
-    ///
-    /// The engine runs with [`FallbackPolicy::none`]: the default
-    /// policy escalates fuel after exhaustion, which would quietly run
-    /// a capped tenant past the budget admission control just granted.
-    /// In a multi-tenant server the caps are authoritative.
     pub fn build(self) -> Service {
-        let mut engine = Engine::builder()
-            .level(self.level)
-            .backend(self.backend)
-            .on_failure(FallbackPolicy::none());
+        let mut engine = Engine::builder().level(self.level).backend(self.backend);
         if let Some(dir) = self.cache_dir {
             engine = engine.cache_dir(dir);
         }

@@ -93,16 +93,16 @@ fn write_op(w: &mut Writer, op: &Op) {
         }
         Op::Call(argc) => {
             w.u8(16);
-            w.u16(*argc);
+            w.u32(*argc);
         }
         Op::TailCall(argc) => {
             w.u8(17);
-            w.u16(*argc);
+            w.u32(*argc);
         }
         Op::CallPrim { op, argc } => {
             w.u8(18);
             write_prim(w, *op);
-            w.u16(*argc);
+            w.u32(*argc);
         }
         Op::CallPrimImm { op, imm, rev } => {
             w.u8(19);
@@ -113,11 +113,11 @@ fn write_op(w: &mut Writer, op: &Op) {
         Op::Return => w.u8(20),
         Op::MakeTuple(n) => {
             w.u8(21);
-            w.u16(*n);
+            w.u32(*n);
         }
         Op::Proj(i) => {
             w.u8(22);
-            w.u32(*i);
+            w.usize(*i);
         }
         Op::Pop => w.u8(23),
         Op::MakeUnit(i) => {
@@ -173,13 +173,13 @@ fn read_op(r: &mut Reader) -> Result<Op, DecodeError> {
         13 => Op::Jump(r.i32()?),
         14 => Op::JumpIfFalse(r.i32()?),
         15 => Op::MakeClosure(r.u32()?),
-        16 => Op::Call(r.u16()?),
-        17 => Op::TailCall(r.u16()?),
-        18 => Op::CallPrim { op: read_prim(r)?, argc: r.u16()? },
+        16 => Op::Call(r.u32()?),
+        17 => Op::TailCall(r.u32()?),
+        18 => Op::CallPrim { op: read_prim(r)?, argc: r.u32()? },
         19 => Op::CallPrimImm { op: read_prim(r)?, imm: r.i32()?, rev: r.bool()? },
         20 => Op::Return,
-        21 => Op::MakeTuple(r.u16()?),
-        22 => Op::Proj(r.u32()?),
+        21 => Op::MakeTuple(r.u32()?),
+        22 => Op::Proj(r.usize()?),
         23 => Op::Pop,
         24 => Op::MakeUnit(r.u32()?),
         25 => Op::AsUnit(static_str(r.str()?)),

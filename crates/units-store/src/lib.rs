@@ -59,8 +59,10 @@ pub const MAGIC: &[u8; 8] = b"UNITCACH";
 /// The serialization format version this build reads and writes.
 /// Version 2 widened the address operands of lowered ops to `u32`,
 /// dropped the by-name ops and the `let` frames' binder names, so a
-/// version-1 entry reads as a miss.
-pub const FORMAT_VERSION: u32 = 2;
+/// version-1 entry reads as a miss. Version 3 widened the argument
+/// counts of calls and the widths of tuples to `u32`, and projection
+/// indices to the term's own `usize`.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The build stamp written into every entry: artifacts do not cross
 /// crate versions (hash functions, term shapes, and opcode sets may

@@ -111,11 +111,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// A little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// A little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -196,11 +191,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// A little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("take(2)")))
-    }
-
     /// A little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("take(4)")))
@@ -272,7 +262,6 @@ mod tests {
     fn round_trips_every_primitive() {
         let mut w = Writer::new();
         w.u8(7);
-        w.u16(65_535);
         w.u32(123_456_789);
         w.u64(u64::MAX);
         w.i32(-42);
@@ -282,7 +271,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 65_535);
         assert_eq!(r.u32().unwrap(), 123_456_789);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i32().unwrap(), -42);

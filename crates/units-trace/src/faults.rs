@@ -273,7 +273,7 @@ mod dispatch {
             Some(f) => {
                 // In trace builds, leave the trip site in the flight
                 // recorder so a post-mortem dump names it even after
-                // the error has been wrapped by recovery layers.
+                // the error has been wrapped by the layers above.
                 #[cfg(feature = "trace")]
                 crate::recorder::record(&crate::Event {
                     phase: crate::Phase::Engine,
@@ -309,23 +309,6 @@ mod dispatch {
             }));
         });
     }
-
-    /// Runs `f` with the current thread's plane suspended, restoring it
-    /// afterwards (also on panic). Recovery paths — fallback runs,
-    /// divergence diagnosis — use this so their re-execution is clean.
-    pub fn pause<R>(f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<FaultPlane>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let prev = self.0.take();
-                PLANE.with(|p| *p.borrow_mut() = prev);
-            }
-        }
-
-        let previous = PLANE.with(|p| p.borrow_mut().take());
-        let _restore = Restore(previous);
-        f()
-    }
 }
 
 #[cfg(not(feature = "faults"))]
@@ -359,15 +342,9 @@ mod dispatch {
     /// No-op without the `faults` feature.
     #[inline(always)]
     pub fn install_quiet_hook() {}
-
-    /// Runs `f` directly without the `faults` feature.
-    #[inline(always)]
-    pub fn pause<R>(f: impl FnOnce() -> R) -> R {
-        f()
-    }
 }
 
-pub use dispatch::{active, arm, disarm, install_quiet_hook, pause, trip};
+pub use dispatch::{active, arm, disarm, install_quiet_hook, trip};
 
 #[cfg(all(test, feature = "faults"))]
 mod tests {
@@ -419,13 +396,8 @@ mod tests {
     }
 
     #[test]
-    fn panic_kind_panics_and_pause_suspends() {
+    fn panic_kind_panics() {
         arm(FaultPlane::seeded(3).kind(FaultKind::Panic).trigger("p/q", 1));
-        pause(|| {
-            assert!(!active(), "plane suspended inside pause");
-            assert!(trip("p/q").is_ok());
-        });
-        assert!(active(), "plane restored after pause");
         let caught = std::panic::catch_unwind(|| {
             let _ = trip("p/q");
         });

@@ -4,8 +4,8 @@
 //! Unlike a sink session (installed via [`crate::install`]), the
 //! recorder never renders or writes anything while recording — it just
 //! keeps the last `capacity` [`Event`]s on the current thread. When
-//! something goes wrong (the engine surfaces an internal error, a
-//! fault-plane recovery, or resource exhaustion), [`dump`] snapshots
+//! something goes wrong (the engine surfaces an internal error, an
+//! injected fault, or resource exhaustion), [`dump`] snapshots
 //! the ring as a JSON-lines post-mortem ([`FlightDump`]) whose first
 //! line is a metadata record naming the dump reason.
 //!

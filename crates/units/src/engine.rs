@@ -46,11 +46,9 @@
 //! armed [`units_trace::faults::FaultPlane`]) is caught and surfaced as
 //! [`Error::Internal`] naming the stage, and the artifact a panicking
 //! run was using is evicted from the cache. The session itself stays
-//! usable. On top of that, [`FallbackPolicy`] adds graceful
-//! degradation: bounded retries with escalated fuel when a budget runs
-//! out, and — for compiled-backend faults — a clean re-run on the
-//! Fig. 11 reference reducer, optionally diagnosed differentially.
-//! [`Engine::last_recovery`] reports what the most recent run needed.
+//! usable. A failed run's typed error is its answer: nothing re-runs it
+//! on another backend or under a larger budget. A failure of the
+//! machinery leaves a post-mortem in [`Engine::last_flight_dump`].
 //!
 //! # Example
 //!
@@ -86,7 +84,7 @@ use units_compile::{
 };
 use units_kernel::{Expr, Ty};
 use units_reduce::Reducer;
-use units_runtime::{execute, vm, Chunk, Limits, Machine, Resource, RuntimeError, Value};
+use units_runtime::{execute, vm, Chunk, Limits, Machine, RuntimeError, Value};
 use units_store::{Lookup, Store};
 use units_syntax::parse_file;
 use units_trace::{recorder, FlightDump};
@@ -151,87 +149,19 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// What the engine does about a failed run before giving up.
-///
-/// The default ([`FallbackPolicy::none`]) surfaces every failure as-is —
-/// existing behavior, nothing re-runs. [`FallbackPolicy::reference`]
-/// turns on graceful degradation: when a production backend — the
-/// compiled tree-walker or the bytecode VM — faults
-/// (caught panic, injected fault, exhausted budget), the engine re-runs
-/// the program on the Fig. 11 reference reducer — with any armed fault
-/// plane suspended, so the recovery itself is clean — and reports that
-/// outcome instead. [`FallbackPolicy::fuel_retries`] independently adds
-/// bounded re-runs with an escalated fuel budget when fuel runs out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FallbackPolicy {
-    reference_fallback: bool,
-    fuel_retries: u32,
-    fuel_factor: u64,
-    diagnose: bool,
-}
-
-impl Default for FallbackPolicy {
-    fn default() -> FallbackPolicy {
-        FallbackPolicy::none()
-    }
-}
+/// A policy that holds and sets nothing, kept with
+/// `EngineBuilder::on_failure` for the one call the benchmark client
+/// (`perfbench/src/replay.rs`) still makes with `none()`. A failed run's
+/// typed error is its answer on every path.
+#[doc(hidden)]
+#[non_exhaustive]
+pub struct FallbackPolicy;
 
 impl FallbackPolicy {
-    /// Report failures as-is: no fallback, no retries (the default).
+    /// The only policy there is: every failure is reported as-is.
     pub fn none() -> FallbackPolicy {
-        FallbackPolicy {
-            reference_fallback: false,
-            fuel_retries: 0,
-            fuel_factor: 2,
-            diagnose: false,
-        }
+        FallbackPolicy
     }
-
-    /// Fall back to the reference reducer on production-backend faults
-    /// (compiled tree-walker or bytecode VM), with differential
-    /// diagnosis of the divergence (in `trace` builds).
-    pub fn reference() -> FallbackPolicy {
-        FallbackPolicy { reference_fallback: true, fuel_retries: 0, fuel_factor: 2, diagnose: true }
-    }
-
-    /// Re-run up to `retries` times with the fuel budget multiplied by
-    /// the escalation factor each time, when fuel is what ran out.
-    pub fn fuel_retries(mut self, retries: u32) -> FallbackPolicy {
-        self.fuel_retries = retries;
-        self
-    }
-
-    /// Sets the fuel escalation factor (default 2, clamped to ≥ 2).
-    pub fn fuel_factor(mut self, factor: u64) -> FallbackPolicy {
-        self.fuel_factor = factor.max(2);
-        self
-    }
-
-    /// Enables or disables the differential diagnosis re-run after a
-    /// successful fallback. Only `trace` builds can honor it.
-    pub fn diagnose(mut self, on: bool) -> FallbackPolicy {
-        self.diagnose = on;
-        self
-    }
-}
-
-/// The engine's record of the most recent [`Loaded::run`] whose primary
-/// attempt failed: what the failure was and what the
-/// [`FallbackPolicy`] did about it. A run that succeeds outright
-/// clears it ([`Engine::last_recovery`] returns `None`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovery {
-    /// The primary failure, rendered. When retries changed the error
-    /// (or exhausted without curing it), this is the final one.
-    pub failure: String,
-    /// Fuel-escalation re-runs performed.
-    pub retries: u32,
-    /// Whether the reference reducer produced the final outcome.
-    pub fell_back: bool,
-    /// The rendered differential-diagnosis report of the fallback,
-    /// when the policy asked for one and the build carries the `trace`
-    /// feature.
-    pub divergence: Option<String>,
 }
 
 /// Configures and constructs an [`Engine`].
@@ -241,7 +171,6 @@ pub struct EngineBuilder {
     strictness: Strictness,
     backend: Backend,
     limits: Limits,
-    policy: FallbackPolicy,
     cache_dir: Option<PathBuf>,
 }
 
@@ -254,7 +183,6 @@ impl Default for EngineBuilder {
             strictness: Strictness::default(),
             backend: Backend::default(),
             limits: Limits::default(),
-            policy: FallbackPolicy::none(),
             cache_dir: None,
         }
     }
@@ -285,10 +213,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets what runs do about failure — retries and reference-reducer
-    /// fallback (default: [`FallbackPolicy::none`], report as-is).
-    pub fn on_failure(mut self, policy: FallbackPolicy) -> EngineBuilder {
-        self.policy = policy;
+    /// Does nothing: kept, with the field-less policy it takes, for the
+    /// benchmark client's one call.
+    #[doc(hidden)]
+    pub fn on_failure(self, _policy: FallbackPolicy) -> EngineBuilder {
         self
     }
 
@@ -350,11 +278,9 @@ impl EngineBuilder {
                 opts,
                 backend: self.backend,
                 limits: self.limits,
-                policy: self.policy,
                 store,
                 cache: Mutex::new(Cache::default()),
                 metrics: EngineMetrics::default(),
-                recovery: Mutex::new(None),
                 flight: Mutex::new(None),
             }),
         }
@@ -365,12 +291,11 @@ impl EngineBuilder {
 ///
 /// An `Engine` is a cheap handle onto shared session state: cloning it
 /// clones an `Arc`, and every clone sees the same artifact cache,
-/// metrics plane, recovery record, and policy. Engines are
-/// `Send + Sync`: the cache, metrics, and recovery records all sit
-/// behind locks or atomics, and the `Arc`-backed kernel terms let one
-/// cached artifact serve loads and runs from any number of threads
-/// simultaneously (the §4.1.6 "one copy of the code", process-wide).
-/// See the [module documentation](self) for the full story.
+/// metrics plane, and flight dump. Engines are `Send + Sync`: the
+/// cache, metrics, and flight dump all sit behind locks or atomics, and
+/// the `Arc`-backed kernel terms let one cached artifact serve loads
+/// and runs from any number of threads simultaneously (the §4.1.6 "one
+/// copy of the code", process-wide).
 #[derive(Debug, Clone)]
 pub struct Engine {
     inner: Arc<EngineInner>,
@@ -383,13 +308,11 @@ struct EngineInner {
     opts: CheckOptions,
     backend: Backend,
     limits: Limits,
-    policy: FallbackPolicy,
     /// The persistent artifact store, when the builder was given a
     /// `cache_dir` and the directory was usable.
     store: Option<Store>,
     cache: Mutex<Cache>,
     metrics: EngineMetrics,
-    recovery: Mutex<Option<Recovery>>,
     flight: Mutex<Option<FlightDump>>,
 }
 
@@ -450,18 +373,6 @@ impl Engine {
         self.inner.limits
     }
 
-    /// The failure-handling policy every run is governed by.
-    pub fn fallback_policy(&self) -> FallbackPolicy {
-        self.inner.policy
-    }
-
-    /// The [`Recovery`] record of the most recent run whose primary
-    /// attempt failed — `None` when the most recent run succeeded
-    /// outright (or nothing has run yet).
-    pub fn last_recovery(&self) -> Option<Recovery> {
-        self.inner.recovery.lock().unwrap().clone()
-    }
-
     /// Cache hit/miss counters and current entry count.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -472,18 +383,16 @@ impl Engine {
     }
 
     /// A structured snapshot of the engine's always-on metrics plane:
-    /// cache hits, misses and evictions, recovery actions by policy
-    /// stage, store probes, run totals with fuel and store-cell
-    /// high-water marks, and invoke latency percentiles (p50/p99 from
-    /// log₂-ns histogram buckets). Available in every build — only the
+    /// cache hits, misses and evictions, flight dumps, store probes, run
+    /// totals with fuel and store-cell high-water marks, and invoke
+    /// latency percentiles (p50/p99 from log₂-ns histogram buckets). Available in every build — only the
     /// flight-dump count needs the `trace` feature to be nonzero.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.metrics.snapshot(self.inner.cache_entries())
     }
 
-    /// Zeroes the metrics plane. Cache contents, recovery records, and
-    /// flight dumps are untouched — this resets the counters, not the
-    /// session.
+    /// Zeroes the metrics plane. Cache contents and the last flight dump
+    /// are untouched — this resets the counters, not the session.
     pub fn metrics_reset(&self) {
         self.inner.metrics.reset();
     }
@@ -561,9 +470,9 @@ impl Engine {
 
 impl EngineInner {
     /// Captures a flight dump when `err` indicts the machinery rather
-    /// than the program (the same classification recovery uses), naming
-    /// the failure in the dump's reason line. Set `UNITS_FLIGHT_DUMP=
-    /// <path>` to also write the JSON lines to a file, best-effort.
+    /// than the program, naming the failure in the dump's reason line.
+    /// Set `UNITS_FLIGHT_DUMP=<path>` to also write the JSON lines to a
+    /// file, best-effort.
     fn flight_on_fault(&self, err: &Error) {
         let machinery = err.as_internal().is_some()
             || err.is_injected()
@@ -730,11 +639,16 @@ impl EngineInner {
         Ok(self.admit(skey, artifact, Some(source)))
     }
 
-    /// One governed run of `artifact`: unwind boundary, recovery policy,
+    /// One governed run of `artifact`: unwind boundary, failure path,
     /// latency accounting. `limits` is the budget for this run — the
     /// session default from [`Loaded::run_on`], or a per-request
     /// override from [`Loaded::run_with`]. With `arg`, the program's
     /// value is then applied to `Int(arg)` ([`Loaded::call_with`]).
+    ///
+    /// A failed run's typed error is its answer: nothing re-runs it. A
+    /// run that panicked says nothing about how far it got, so its
+    /// artifact is evicted; a failure of the machinery leaves a flight
+    /// dump.
     fn run_artifact(
         &self,
         artifact: &Arc<Artifact>,
@@ -746,23 +660,22 @@ impl EngineInner {
         // path so a failure below can produce a post-mortem.
         recorder::ensure(recorder::DEFAULT_CAPACITY);
         let start = Instant::now();
-        *self.recovery.lock().unwrap() = None;
-        let result = match self.run_raw(artifact, backend, limits, arg) {
-            Ok(outcome) => Ok(outcome),
-            Err(err) => self.recover(artifact, backend, limits, arg, err),
-        };
-        // Latency covers the whole journey, recovery included — that is
-        // what a caller of `run_on` actually waited.
+        let result = self.run_raw(artifact, backend, limits, arg);
+        if let Err(err) = &result {
+            if err.as_internal().is_some() {
+                self.evict_artifact(artifact);
+            }
+            self.flight_on_fault(err);
+        }
         self.metrics.note_run(start.elapsed(), result.is_ok());
         result
     }
 
-    /// One un-recovered run: the three backends behind the unwind
-    /// boundary. With `arg`, the program's value is applied to
-    /// `Int(arg)` on the same machine, so fuel, cells, and output cover
-    /// both halves. A compiled run's store is reclaimed once its value
-    /// has been observed and dropped; a panicking run's machine reclaims
-    /// as the unwind drops it.
+    /// The three backends behind the unwind boundary. With `arg`, the
+    /// program's value is applied to `Int(arg)` on the same machine, so
+    /// fuel, cells, and output cover both halves. A compiled run's store
+    /// is reclaimed once its value has been observed and dropped; a
+    /// panicking run's machine reclaims as the unwind drops it.
     fn run_raw(
         &self,
         artifact: &Arc<Artifact>,
@@ -829,120 +742,6 @@ impl EngineInner {
         });
         self.metrics.note_retained(machine.reclaim());
         Ok(outcome?)
-    }
-
-    /// The failure path of [`run_artifact`](EngineInner::run_artifact):
-    /// evict the artifact after a panic, then apply the engine's
-    /// [`FallbackPolicy`] — bounded fuel-escalation re-runs when fuel
-    /// ran out, then a clean reference-reducer re-run for
-    /// compiled-backend faults — recording the journey for
-    /// [`Engine::last_recovery`]. `limits` is the budget the failed run
-    /// was governed by; retries and fallbacks stay within it (except
-    /// for the deliberate fuel escalation).
-    fn recover(
-        &self,
-        artifact: &Arc<Artifact>,
-        backend: Backend,
-        limits: Limits,
-        arg: Option<i64>,
-        mut err: Error,
-    ) -> Result<Outcome, Error> {
-        if err.as_internal().is_some() {
-            self.evict_artifact(artifact);
-        }
-        // Post-mortem first, while the ring still ends at the failure:
-        // the retries below will append their own (re-run) events.
-        self.flight_on_fault(&err);
-        let policy = self.policy;
-        let mut recovery =
-            Recovery { failure: err.to_string(), retries: 0, fell_back: false, divergence: None };
-        // Escalating fuel cures a program that merely outgrew its
-        // budget; a genuinely diverging one fails again, still typed.
-        if policy.fuel_retries > 0 {
-            if let Some((Resource::Fuel, limit)) = err.as_resource_exhausted() {
-                let mut fuel = limit;
-                while recovery.retries < policy.fuel_retries {
-                    recovery.retries += 1;
-                    fuel = fuel.saturating_mul(policy.fuel_factor);
-                    crate::metrics::bump(&self.metrics.fuel_retries);
-                    let mut escalated = limits;
-                    escalated.fuel = Some(fuel);
-                    match self.run_raw(artifact, backend, escalated, arg) {
-                        Ok(outcome) => {
-                            crate::metrics::bump(&self.metrics.recovered_runs);
-                            *self.recovery.lock().unwrap() = Some(recovery);
-                            return Ok(outcome);
-                        }
-                        Err(e) => {
-                            let still_fuel =
-                                matches!(e.as_resource_exhausted(), Some((Resource::Fuel, _)));
-                            err = e;
-                            recovery.failure = err.to_string();
-                            if !still_fuel {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Graceful degradation, only for failures that indict the
-        // backend (caught panic, injected fault, exhausted budget) —
-        // a program's own deterministic error is its answer, and
-        // re-running could not change it.
-        let backend_fault = err.as_internal().is_some()
-            || err.is_injected()
-            || err.as_resource_exhausted().is_some();
-        if policy.reference_fallback && backend != Backend::Reducer && backend_fault {
-            crate::metrics::bump(&self.metrics.fallbacks);
-            // The fault plane stays suspended for the re-run: recovery
-            // must not itself be a fault target.
-            let fallback = units_trace::faults::pause(|| {
-                self.run_raw(artifact, Backend::Reducer, limits, arg)
-            });
-            if let Ok(outcome) = fallback {
-                crate::metrics::bump(&self.metrics.recovered_runs);
-                recovery.fell_back = true;
-                recovery.divergence = self.diagnose(artifact, &policy, backend, limits, arg);
-                *self.recovery.lock().unwrap() = Some(recovery);
-                return Ok(outcome);
-            }
-        }
-        *self.recovery.lock().unwrap() = Some(recovery);
-        Err(err)
-    }
-
-    /// Re-runs the program differentially and renders where the
-    /// backends part ways — the "report both verdicts" half of a
-    /// fallback. `None` when the policy does not ask for it or the
-    /// build lacks the `trace` feature (event capture is how the
-    /// backends are compared).
-    #[cfg_attr(not(feature = "trace"), allow(clippy::unused_self))]
-    fn diagnose(
-        &self,
-        artifact: &Arc<Artifact>,
-        policy: &FallbackPolicy,
-        backend: Backend,
-        limits: Limits,
-        arg: Option<i64>,
-    ) -> Option<String> {
-        #[cfg(feature = "trace")]
-        if policy.diagnose {
-            let report = units_trace::faults::pause(|| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    crate::observe::diagnose_divergence_with(backend, |b| {
-                        self.run_raw(artifact, b, limits, arg)
-                    })
-                    .to_string()
-                }))
-            });
-            return Some(report.unwrap_or_else(|payload| {
-                format!("diagnosis itself panicked: {}", panic_message(payload))
-            }));
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (artifact, policy, backend, limits, arg);
-        None
     }
 }
 
@@ -1041,10 +840,7 @@ impl Loaded {
     ///
     /// A panic anywhere in evaluation is caught here and surfaces as
     /// [`Error::Internal`] (the artifact is also dropped from the
-    /// cache). When the engine's [`FallbackPolicy`] allows it, a failed
-    /// run is retried with escalated fuel and/or re-run on the
-    /// reference reducer before the error is reported;
-    /// [`Engine::last_recovery`] tells what happened.
+    /// cache). A failed run is never re-run: its error is the answer.
     ///
     /// # Errors
     ///
@@ -1057,9 +853,7 @@ impl Loaded {
 
     /// Runs on a specific backend under *these* [`Limits`] instead of
     /// the session defaults — the per-request budget override a
-    /// multi-tenant server applies after admission control. The full
-    /// recovery machinery (fuel retries, reference fallback) operates
-    /// relative to the given limits.
+    /// multi-tenant server applies after admission control.
     ///
     /// # Errors
     ///
@@ -1071,8 +865,8 @@ impl Loaded {
 
     /// Runs the program to a value and applies that value to
     /// `Int(arg)`, as one governed run on `backend` under `limits` — the
-    /// same unwind boundary, metrics, flight dump, and recovery policy
-    /// as [`Loaded::run_with`]. A program that evaluates to a procedure
+    /// same unwind boundary, metrics, and flight dump as
+    /// [`Loaded::run_with`]. A program that evaluates to a procedure
     /// is checked and resolved once, then called with any number of
     /// arguments without another load: no term to build, hash, or look
     /// up per call. The compiled backend applies through
@@ -1227,7 +1021,7 @@ mod tests {
             .load("(letrec ((define loop (lambda () (loop)))) (loop))")
             .unwrap();
         let err = loaded.run_with(Backend::Compiled, Limits::none().fuel(500)).unwrap_err();
-        assert_eq!(err.as_resource_exhausted(), Some((Resource::Fuel, 500)));
+        assert_eq!(err.as_resource_exhausted(), Some((units_runtime::Resource::Fuel, 500)));
         // The session default is untouched.
         assert_eq!(engine.limits().fuel, Some(1_000_000));
     }
@@ -1268,95 +1062,10 @@ mod tests {
         assert_eq!(loaded.run_differential().unwrap().value, Observation::Int(144));
     }
 
-    // Terminates, but only well past 5_000 steps on either backend.
-    const SLOW_COUNTDOWN: &str =
-        "(letrec ((define loop (lambda (n) (if (= n 0) 99 (loop (- n 1)))))) (loop 2000))";
-
-    #[test]
-    fn fuel_retries_escalate_until_the_run_fits() {
-        let engine = Engine::builder()
-            .strictness(Strictness::MzScheme)
-            .limits(Limits::none().fuel(5_000))
-            .on_failure(FallbackPolicy::none().fuel_retries(4))
-            .build();
-        let outcome = engine.invoke(SLOW_COUNTDOWN).unwrap();
-        assert_eq!(outcome.value, Observation::Int(99));
-        let recovery = engine.last_recovery().expect("the first attempt ran out of fuel");
-        assert!(recovery.retries >= 1, "{recovery:?}");
-        assert!(!recovery.fell_back);
-        // A clean run afterwards clears the record.
-        engine.invoke("(invoke (unit (import) (export) (init 1)))").unwrap();
-        assert!(engine.last_recovery().is_none());
-    }
-
-    #[test]
-    fn exhausted_retries_still_surface_a_typed_error() {
-        let engine = Engine::builder()
-            .strictness(Strictness::MzScheme)
-            .limits(Limits::none().fuel(50))
-            .on_failure(FallbackPolicy::none().fuel_retries(2))
-            .build();
-        let err = engine
-            .load("(letrec ((define loop (lambda () (loop)))) (loop))")
-            .unwrap()
-            .run()
-            .unwrap_err();
-        // Two retries at factor 2: the final budget was 50 * 4.
-        assert_eq!(err.as_resource_exhausted(), Some((Resource::Fuel, 200)));
-        let recovery = engine.last_recovery().unwrap();
-        assert_eq!(recovery.retries, 2);
-        assert!(!recovery.fell_back);
-    }
-
-    #[test]
-    fn program_errors_are_not_masked_by_the_fallback_policy() {
-        let engine = Engine::builder()
-            .on_failure(FallbackPolicy::reference().fuel_retries(2))
-            .build();
-        let err = engine
-            .invoke("(invoke (unit (import) (export) (init (/ 1 0))))")
-            .unwrap_err();
-        assert!(matches!(
-            err.as_runtime(),
-            Some(units_runtime::RuntimeError::DivisionByZero)
-        ));
-        let recovery = engine.last_recovery().unwrap();
-        assert!(!recovery.fell_back, "deterministic program errors must not re-run");
-        assert_eq!(recovery.retries, 0);
-    }
-
     #[cfg(feature = "faults")]
     mod faulted {
         use super::*;
         use units_trace::faults::{self, FaultKind};
-
-        #[test]
-        fn injected_compiled_fault_falls_back_to_the_reducer() {
-            let engine =
-                Engine::builder().on_failure(FallbackPolicy::reference().diagnose(false)).build();
-            let loaded = engine.load(SQUARE).unwrap();
-            faults::arm(faults::FaultPlane::seeded(11).trigger("compile/eval", 1));
-            let outcome = loaded.run_on(Backend::Compiled);
-            faults::disarm();
-            assert_eq!(outcome.unwrap().value, Observation::Int(144));
-            let recovery = engine.last_recovery().unwrap();
-            assert!(recovery.fell_back, "{recovery:?}");
-            assert!(recovery.failure.contains("injected fault at compile/eval"));
-        }
-
-        #[test]
-        fn injected_vm_fault_falls_back_to_the_reducer() {
-            let engine =
-                Engine::builder().on_failure(FallbackPolicy::reference().diagnose(false)).build();
-            let loaded = engine.load(SQUARE).unwrap();
-            faults::arm(faults::FaultPlane::seeded(11).trigger("vm/dispatch", 1));
-            let outcome = loaded.run_on(Backend::Bytecode);
-            faults::disarm();
-            assert_eq!(outcome.unwrap().value, Observation::Int(144));
-            let recovery = engine.last_recovery().unwrap();
-            assert!(recovery.fell_back, "{recovery:?}");
-            assert!(recovery.failure.contains("injected fault at vm/dispatch"));
-        }
 
         #[test]
         fn injected_panic_is_caught_and_evicts_the_artifact() {

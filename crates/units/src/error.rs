@@ -42,8 +42,8 @@ pub enum Error {
     },
     /// A [`Loaded`](crate::Loaded) handle outlived its
     /// [`Engine`](crate::Engine): the handle owns the artifact, but the
-    /// session that holds the cache, limits, and fallback policy is
-    /// gone, so there is nothing to run on.
+    /// session that holds the cache and limits is gone, so there is
+    /// nothing to run on.
     SessionClosed,
     /// A panic escaped a pipeline stage and was caught at the engine's
     /// isolation boundary — the session stays usable, the run does not.

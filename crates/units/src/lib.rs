@@ -60,12 +60,10 @@ mod outcome;
 pub mod stdlib;
 pub mod typed_stdlib;
 
-pub use engine::{
-    CacheStats, Engine, EngineBuilder, FallbackPolicy, Loaded, Recovery, PIPELINE_STACK_SIZE,
-};
+pub use engine::{CacheStats, Engine, EngineBuilder, FallbackPolicy, Loaded, PIPELINE_STACK_SIZE};
 pub use error::Error;
 pub use metrics::{
-    CacheMetrics, LatencyStats, MetricsSnapshot, RecoveryMetrics, RunMetrics, StoreMetrics,
+    CacheMetrics, FlightMetrics, LatencyStats, MetricsSnapshot, RunMetrics, StoreMetrics,
 };
 pub use observe::{observe_expr, observe_value, Observation};
 #[cfg(feature = "trace")]

@@ -4,7 +4,7 @@
 //! these are plain per-engine counters — a handful of relaxed atomic
 //! bumps and one `Instant` read per invoke — cheap enough to keep in
 //! every build, so `Engine::metrics_snapshot` reports cache behaviour,
-//! recoveries, store probes, fuel, store-cell high-water marks,
+//! flight dumps, store probes, fuel, store-cell high-water marks,
 //! cells a reclaimed run store still found referenced, and invoke
 //! latency percentiles whether or not the `trace` feature is compiled.
 //!
@@ -38,9 +38,6 @@ pub(crate) struct EngineMetrics {
     pub fuel_max: AtomicU64,
     pub cells_peak: AtomicU64,
     pub cells_retained: AtomicU64,
-    pub fuel_retries: AtomicU64,
-    pub fallbacks: AtomicU64,
-    pub recovered_runs: AtomicU64,
     pub flight_dumps: AtomicU64,
     pub flight_dump_failures: AtomicU64,
     pub store_hits: AtomicU64,
@@ -57,7 +54,7 @@ pub(crate) fn bump(counter: &AtomicU64) {
 }
 
 impl EngineMetrics {
-    /// Records one completed run (including any recovery work).
+    /// Records one completed run.
     pub fn note_run(&self, latency: Duration, ok: bool) {
         bump(&self.runs);
         if !ok {
@@ -91,12 +88,9 @@ impl EngineMetrics {
                 parses: self.parses.load(Relaxed),
                 entries,
             },
-            recovery: RecoveryMetrics {
-                fuel_retries: self.fuel_retries.load(Relaxed),
-                reference_fallbacks: self.fallbacks.load(Relaxed),
-                recovered_runs: self.recovered_runs.load(Relaxed),
-                flight_dumps: self.flight_dumps.load(Relaxed),
-                flight_dump_failures: self.flight_dump_failures.load(Relaxed),
+            flight: FlightMetrics {
+                dumps: self.flight_dumps.load(Relaxed),
+                dump_failures: self.flight_dump_failures.load(Relaxed),
             },
             store: StoreMetrics {
                 hits: self.store_hits.load(Relaxed),
@@ -136,9 +130,6 @@ impl EngineMetrics {
             &self.fuel_max,
             &self.cells_peak,
             &self.cells_retained,
-            &self.fuel_retries,
-            &self.fallbacks,
-            &self.recovered_runs,
             &self.flight_dumps,
             &self.flight_dump_failures,
             &self.store_hits,
@@ -170,20 +161,14 @@ pub struct CacheMetrics {
     pub entries: usize,
 }
 
-/// What the failure-recovery policy did, by stage.
+/// Flight-recorder post-mortems of failed loads and runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryMetrics {
-    /// Fuel-escalation retry runs.
-    pub fuel_retries: u64,
-    /// Runs re-executed on the reference reducer.
-    pub reference_fallbacks: u64,
-    /// Runs that ultimately succeeded only thanks to recovery.
-    pub recovered_runs: u64,
-    /// Flight-recorder post-mortems captured (trace builds only).
-    pub flight_dumps: u64,
+pub struct FlightMetrics {
+    /// Post-mortems captured (trace builds only).
+    pub dumps: u64,
     /// `UNITS_FLIGHT_DUMP` file writes that failed (the in-memory dump
     /// still survives; the failure is counted instead of swallowed).
-    pub flight_dump_failures: u64,
+    pub dump_failures: u64,
 }
 
 /// Persistent artifact-store behaviour. All zero for an engine built
@@ -206,7 +191,7 @@ pub struct StoreMetrics {
 pub struct RunMetrics {
     /// Runs requested through the engine (`run`, `run_on`, `invoke`).
     pub total: u64,
-    /// Runs that returned an error after recovery (if any) was spent.
+    /// Runs that returned an error.
     pub failures: u64,
     /// Fuel (machine steps) consumed across all runs.
     pub fuel_total: u64,
@@ -245,8 +230,8 @@ pub struct LatencyStats {
 pub struct MetricsSnapshot {
     /// Cache hits, misses, evictions, parses, and entries.
     pub cache: CacheMetrics,
-    /// Recovery actions by policy stage.
-    pub recovery: RecoveryMetrics,
+    /// Flight-recorder post-mortems captured and failed to write.
+    pub flight: FlightMetrics,
     /// Persistent artifact-store hits, misses, corruption, and writes.
     pub store: StoreMetrics,
     /// Run totals, fuel, and store-cell high-water marks.
@@ -262,7 +247,7 @@ impl MetricsSnapshot {
         let section = |fields: &[(&'static str, u64)]| {
             Json::obj(fields.iter().map(|&(name, n)| (name, Json::from(n))))
         };
-        let (cache, recovery) = (&self.cache, &self.recovery);
+        let (cache, flight) = (&self.cache, &self.flight);
         let (store, runs, lat) = (&self.store, &self.runs, &self.invoke_latency);
         Json::obj([
             (
@@ -276,14 +261,8 @@ impl MetricsSnapshot {
                 ]),
             ),
             (
-                "recovery",
-                section(&[
-                    ("fuel_retries", recovery.fuel_retries),
-                    ("reference_fallbacks", recovery.reference_fallbacks),
-                    ("recovered_runs", recovery.recovered_runs),
-                    ("flight_dumps", recovery.flight_dumps),
-                    ("flight_dump_failures", recovery.flight_dump_failures),
-                ]),
+                "flight",
+                section(&[("dumps", flight.dumps), ("dump_failures", flight.dump_failures)]),
             ),
             (
                 "store",
@@ -349,7 +328,7 @@ mod tests {
         let Json::Obj(sections) = &json else { panic!("not an object: {json}") };
         assert_eq!(
             sections.keys().map(String::as_str).collect::<Vec<_>>(),
-            ["cache", "invoke_latency", "recovery", "runs", "store"]
+            ["cache", "flight", "invoke_latency", "runs", "store"]
         );
         let field = |section: &str, key: &str| json.get(section).and_then(|s| s.get_int(key));
         assert_eq!(field("invoke_latency", "p50_ns"), Some(snap.invoke_latency.p50_ns as i64));
@@ -357,7 +336,7 @@ mod tests {
         assert_eq!(field("cache", "entries"), Some(5));
         assert_eq!(field("cache", "parses"), Some(0));
         assert_eq!(field("store", "corrupt"), Some(0));
-        assert_eq!(field("recovery", "flight_dump_failures"), Some(0));
+        assert_eq!(field("flight", "dump_failures"), Some(0));
         assert_eq!(field("runs", "fuel_total"), Some(140));
         assert_eq!(field("runs", "cells_retained"), Some(2));
         metrics.reset();

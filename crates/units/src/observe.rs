@@ -335,7 +335,7 @@ mod divergence {
 
     /// [`diagnose_divergence_with`] over a loaded artifact: compares
     /// the compiled tree-walker against the Fig. 11 reference reducer
-    /// under the handle's session limits and recovery policy.
+    /// under the handle's session limits.
     ///
     /// [`Loaded`]: crate::Loaded
     pub fn diagnose_divergence(loaded: &crate::Loaded) -> DivergenceReport {

@@ -151,8 +151,9 @@ def smoke(path):
     stats = call(b, {'op': 'stats'})
     # The engine object is MetricsSnapshot::to_json, the schema the
     # REPL and the bench share.
-    assert sorted(stats['engine']) == ['cache', 'invoke_latency', 'recovery', 'runs',
+    assert sorted(stats['engine']) == ['cache', 'flight', 'invoke_latency', 'runs',
                                        'store'], stats['engine']
+    assert sorted(stats['engine']['flight']) == ['dump_failures', 'dumps'], stats['engine']
     tenants = stats['tenants']
     assert tenants['a']['rejected'] == 1 and tenants['a']['failed'] == 1, tenants
     assert tenants['b']['ok'] == 5, tenants

@@ -427,8 +427,7 @@ fn ports(names: &[String]) -> Ports {
     Ports::untyped(Vec::<&str>::new(), names.iter().map(String::as_str))
 }
 
-/// One differential session: MzScheme strictness, a fuel budget, no
-/// fallback policy (a backend fault must surface, not be papered over).
+/// One differential session: MzScheme strictness and a fuel budget.
 fn engine(fuel: u64) -> Engine {
     Engine::builder()
         .strictness(Strictness::MzScheme)

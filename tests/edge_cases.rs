@@ -425,11 +425,42 @@ fn a_free_variable_is_unbound_on_every_backend() {
             assert_eq!(text, "unbound variable `nope`");
         }
     }
-    // The compiled backends evaluate a `set!`'s value before they fail on
-    // its free target.
+    // Every backend evaluates a `set!`'s value before it fails on its
+    // free target.
     let failing_value = Expr::set("nope", units::parse_expr("(proj 5 (tuple 1))").unwrap());
-    for text in compiled_errors(&units::resolve_program(&failing_value)) {
+    let mut texts = compiled_errors(&units::resolve_program(&failing_value)).to_vec();
+    texts.push(Reducer::new().reduce_to_value(&failing_value).unwrap_err().to_string());
+    for text in texts {
         assert!(text.starts_with("projection 5 out of range"), "{text}");
+    }
+}
+
+#[test]
+fn tuples_and_calls_wider_than_sixteen_bits_agree_on_every_backend() {
+    const WIDTH: usize = 70_000;
+    let last = WIDTH - 1;
+    let numbers = (0..WIDTH).map(|i| i.to_string()).collect::<Vec<_>>().join(" ");
+    let params = (0..WIDTH).map(|i| format!("x{i}")).collect::<Vec<_>>().join(" ");
+    let cases = [
+        (format!("(proj {last} (tuple {numbers}))"), Ok(Observation::Int(last as i64))),
+        (format!("((lambda ({params}) x{last}) {numbers})"), Ok(Observation::Int(last as i64))),
+        (
+            format!("(+ {})", vec!["1"; WIDTH].join(" ")),
+            Err(format!("runtime error: arity mismatch: expected 2 argument(s), got {WIDTH}")),
+        ),
+        // An index wider than 32 bits, on a narrow tuple.
+        (
+            "(proj 4294967296 (tuple 7 8))".to_string(),
+            Err("runtime error: projection 4294967296 out of range for width-2 tuple".to_string()),
+        ),
+    ];
+    let engine = Engine::new();
+    for (source, expected) in cases {
+        let loaded = engine.load(&source).unwrap();
+        for backend in [Backend::Compiled, Backend::Bytecode, Backend::Reducer] {
+            let outcome = loaded.run_on(backend).map(|o| o.value).map_err(|e| e.to_string());
+            assert_eq!(outcome, expected, "{backend:?} on {source:.40}");
+        }
     }
 }
 

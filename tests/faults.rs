@@ -13,7 +13,7 @@
 //! nothing).
 
 use units::trace::faults::{self, FaultKind, FaultPlane};
-use units::{Backend, Engine, FallbackPolicy, Level, Limits, Observation};
+use units::{Backend, Engine, Level, Limits, Observation};
 
 /// A known-good program per level, with the value it must produce
 /// whenever a run manages to complete.
@@ -111,99 +111,26 @@ fn replaying_a_seed_reproduces_its_verdict() {
     assert_eq!(verdicts[0], verdicts[1], "equal seeds, equal schedules, equal outcomes");
 }
 
+/// A fault injected into either compiled backend is the run's answer: a
+/// typed error, with no re-run on another backend. A typed fault says
+/// nothing against the artifact, so it stays cached, and the next run on
+/// the same backend is correct.
 #[test]
-fn injected_compiled_fault_falls_back_byte_identically() {
-    faults::install_quiet_hook();
-    let (source, _) = program_for(Level::Untyped);
-    // The uninjected reference verdict: same program, reducer backend.
-    let expected = Engine::builder().backend(Backend::Reducer).build().invoke(source).unwrap();
-
-    let engine =
-        Engine::builder().on_failure(FallbackPolicy::reference().diagnose(false)).build();
-    let loaded = engine.load(source).unwrap();
-    faults::arm(FaultPlane::seeded(77).trigger("compile/eval", 1));
-    let outcome = loaded.run_on(Backend::Compiled).unwrap();
-    faults::disarm();
-    assert_eq!(outcome, expected, "the fallback observation equals the reference run");
-    let recovery = engine.last_recovery().expect("the fallback is recorded");
-    assert!(recovery.fell_back, "{recovery:?}");
-    assert_eq!(recovery.retries, 0);
-    assert!(recovery.failure.contains("injected fault at compile/eval"), "{recovery:?}");
-}
-
-#[test]
-fn injected_vm_fault_falls_back_byte_identically() {
-    faults::install_quiet_hook();
-    let (source, _) = program_for(Level::Untyped);
-    // The uninjected reference verdict: same program, reducer backend.
-    let expected = Engine::builder().backend(Backend::Reducer).build().invoke(source).unwrap();
-
-    let engine =
-        Engine::builder().on_failure(FallbackPolicy::reference().diagnose(false)).build();
-    let loaded = engine.load(source).unwrap();
-    faults::arm(FaultPlane::seeded(78).trigger("vm/dispatch", 1));
-    let outcome = loaded.run_on(Backend::Bytecode).unwrap();
-    faults::disarm();
-    assert_eq!(outcome, expected, "the fallback observation equals the reference run");
-    let recovery = engine.last_recovery().expect("the fallback is recorded");
-    assert!(recovery.fell_back, "{recovery:?}");
-    assert_eq!(recovery.retries, 0);
-    assert!(recovery.failure.contains("injected fault at vm/dispatch"), "{recovery:?}");
-}
-
-#[test]
-fn injected_panic_also_falls_back() {
+fn injected_backend_faults_surface_typed_and_the_next_run_is_correct() {
     faults::install_quiet_hook();
     let (source, expected) = program_for(Level::Untyped);
-    let engine =
-        Engine::builder().on_failure(FallbackPolicy::reference().diagnose(false)).build();
-    let loaded = engine.load(source).unwrap();
-    faults::arm(FaultPlane::seeded(5).kind(FaultKind::Panic).trigger("runtime/prim", 2));
-    let outcome = loaded.run_on(Backend::Compiled).unwrap();
-    faults::disarm();
-    assert_eq!(outcome.value, expected);
-    let recovery = engine.last_recovery().unwrap();
-    assert!(recovery.fell_back);
-    assert!(recovery.failure.contains("internal error in run"), "{recovery:?}");
-}
-
-#[cfg(feature = "trace")]
-#[test]
-fn fallback_diagnosis_reports_both_verdicts() {
-    faults::install_quiet_hook();
-    let (source, _) = program_for(Level::Untyped);
-    let engine = Engine::builder().on_failure(FallbackPolicy::reference()).build();
-    let loaded = engine.load(source).unwrap();
-    faults::arm(FaultPlane::seeded(9).trigger("compile/eval", 1));
-    loaded.run_on(Backend::Compiled).unwrap();
-    faults::disarm();
-    let recovery = engine.last_recovery().unwrap();
-    let divergence = recovery.divergence.expect("trace builds diagnose the divergence");
-    assert!(divergence.contains("divergence report:"), "{divergence}");
-    assert!(divergence.contains("outcome"), "{divergence}");
-}
-
-#[test]
-fn fuel_exhaustion_retries_then_falls_back_under_one_policy() {
-    faults::install_quiet_hook();
-    // Terminates on both backends, but needs far more than 100 steps.
-    let source = "(invoke (compound (import) (export)
-       (link ((unit (import odd) (export even)
-                (define even (lambda (n) (if (= n 0) true (odd (- n 1))))))
-              (with odd) (provides even))
-             ((unit (import even) (export odd)
-                (define odd (lambda (n) (if (= n 0) false (even (- n 1)))))
-                (init (odd 25)))
-              (with even) (provides odd)))))";
-    let engine = Engine::builder()
-        .limits(Limits::none().fuel(100))
-        .on_failure(FallbackPolicy::reference().diagnose(false).fuel_retries(8))
-        .build();
-    let outcome = engine.invoke(source).unwrap();
-    assert_eq!(outcome.value, Observation::Bool(true));
-    let recovery = engine.last_recovery().unwrap();
-    assert!(recovery.retries >= 1, "escalation had to happen: {recovery:?}");
-    assert!(!recovery.fell_back, "escalated fuel cures this one before any fallback");
+    for (backend, site) in [(Backend::Compiled, "compile/eval"), (Backend::Bytecode, "vm/dispatch")]
+    {
+        let engine = Engine::new();
+        let loaded = engine.load(source).unwrap();
+        faults::arm(FaultPlane::seeded(77).trigger(site, 1));
+        let err = loaded.run_on(backend).expect_err("the injected fault must surface");
+        faults::disarm();
+        assert!(err.is_injected(), "{backend:?}: {err}");
+        assert_eq!(err.to_string(), format!("runtime error: injected fault at {site} (hit 1)"));
+        assert_eq!(engine.cache_stats().entries, 1, "{backend:?}: the artifact stays cached");
+        assert_eq!(loaded.run_on(backend).unwrap().value, expected, "{backend:?}");
+    }
 }
 
 /// A panic inside loading crosses the load's unwind boundary as a typed
@@ -263,5 +190,5 @@ fn injected_fault_produces_a_flight_dump_naming_the_trip_site() {
     // the last dump stays until the next machinery fault.
     loaded.run_on(Backend::Compiled).unwrap();
     assert!(engine.last_flight_dump().is_some());
-    assert_eq!(engine.metrics_snapshot().recovery.flight_dumps, 1);
+    assert_eq!(engine.metrics_snapshot().flight.dumps, 1);
 }
