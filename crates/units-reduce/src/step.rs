@@ -47,10 +47,6 @@ pub struct Reducer {
     /// Which redex the in-flight step contracted — the Reduce-phase
     /// event kind, set at each contraction site.
     last_redex: &'static str,
-    /// Fault injection for divergence-diagnosis tests: after this many
-    /// steps, every integer δ-result is off by one.
-    #[cfg(feature = "trace")]
-    diverge_after: Option<u64>,
 }
 
 impl Reducer {
@@ -78,8 +74,6 @@ impl Reducer {
             machine,
             steps: 0,
             last_redex: "step/context",
-            #[cfg(feature = "trace")]
-            diverge_after: None,
         }
     }
 
@@ -88,15 +82,6 @@ impl Reducer {
     /// the Reduce-phase event stream in `tests/tracing.rs`.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Deliberately breaks the reducer for testing the divergence
-    /// report: once `steps` reductions have happened, every integer
-    /// result a δ-rule produces is off by one, so the backends' prim
-    /// event streams disagree at the first post-threshold primitive.
-    #[cfg(feature = "trace")]
-    pub fn inject_divergence_after(&mut self, steps: u64) {
-        self.diverge_after = Some(steps);
     }
 
     /// Reduces an expression all the way to a value.
@@ -510,14 +495,7 @@ impl Reducer {
     fn delta(&mut self, op: PrimOp, args: &[Expr]) -> Result<Expr, RuntimeError> {
         self.last_redex = "step/delta";
         units_trace::faults::trip("reduce/prim")?;
-        #[allow(unused_mut)]
-        let mut result = self.delta_result(op, args)?;
-        #[cfg(feature = "trace")]
-        if self.diverge_after.is_some_and(|after| self.steps >= after) {
-            if let Expr::Lit(Lit::Int(n)) = &result {
-                result = Expr::int(n.wrapping_add(1));
-            }
-        }
+        let result = self.delta_result(op, args)?;
         units_trace::emit(
             units_trace::Phase::Reduce,
             "prim",

@@ -66,10 +66,6 @@ pub use metrics::{
     CacheMetrics, FlightMetrics, LatencyStats, MetricsSnapshot, RunMetrics, StoreMetrics,
 };
 pub use observe::{observe_expr, observe_value, Observation};
-#[cfg(feature = "trace")]
-pub use observe::{
-    diagnose_divergence, diagnose_divergence_between, diagnose_divergence_with, DivergenceReport,
-};
 pub use outcome::{Backend, Outcome};
 
 /// The tracing substrate, re-exported so downstream users can install

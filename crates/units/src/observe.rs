@@ -7,10 +7,6 @@
 //! can assert that the two semantics agree — the executable version of
 //! the paper's claim that the Fig. 12 compilation implements the Fig. 11
 //! rules.
-//!
-//! With the `trace` feature, [`diagnose_divergence`] replays a program on
-//! both backends with event capture on and names the exact reduction step
-//! at which their primitive-call streams part ways.
 
 use std::fmt;
 
@@ -166,187 +162,6 @@ pub fn observe_expr(expr: &Expr) -> Observation {
         _ => unreachable!("is_value covers all value forms"),
     }
 }
-
-/// Divergence diagnosis: replay a program on both semantics with event
-/// capture on and pinpoint the first primitive call where they disagree.
-#[cfg(feature = "trace")]
-mod divergence {
-    use std::fmt;
-
-    use units_trace::Event;
-
-    use crate::outcome::Backend;
-
-    /// Where (and whether) the two backends' primitive-call streams
-    /// diverge, as reported by [`diagnose_divergence`].
-    #[derive(Debug, Clone)]
-    pub struct DivergenceReport {
-        /// The compiled backend's outcome, rendered.
-        pub compiled_outcome: String,
-        /// The reducer's outcome, rendered.
-        pub reduced_outcome: String,
-        /// Total primitive calls each backend made.
-        pub prim_calls: (usize, usize),
-        /// Index of the first differing primitive call, if any.
-        pub diverging_call: Option<usize>,
-        /// The Fig. 11 step during which the diverging primitive fired
-        /// (1-based, from the reducer's event stream).
-        pub diverging_step: Option<u64>,
-        /// The compiled backend's rendering of the diverging call.
-        pub compiled_call: Option<String>,
-        /// The reducer's rendering of the diverging call.
-        pub reduced_call: Option<String>,
-    }
-
-    impl fmt::Display for DivergenceReport {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            writeln!(f, "divergence report:")?;
-            writeln!(f, "  compiled outcome: {}", self.compiled_outcome)?;
-            writeln!(f, "  reduced  outcome: {}", self.reduced_outcome)?;
-            match self.diverging_call {
-                Some(i) => {
-                    write!(f, "  first diverging prim call: #{}", i + 1)?;
-                    if let Some(step) = self.diverging_step {
-                        write!(f, " (during Fig. 11 step {step})")?;
-                    }
-                    writeln!(f)?;
-                    writeln!(
-                        f,
-                        "    compiled: {}",
-                        self.compiled_call.as_deref().unwrap_or("⟨stream ended⟩")
-                    )?;
-                    write!(
-                        f,
-                        "    reduced:  {}",
-                        self.reduced_call.as_deref().unwrap_or("⟨stream ended⟩")
-                    )
-                }
-                None => write!(
-                    f,
-                    "  prim call streams agree ({} calls each); \
-                     divergence is outside the primitives",
-                    self.prim_calls.0
-                ),
-            }
-        }
-    }
-
-    fn render_outcome(result: &Result<crate::Outcome, crate::Error>) -> String {
-        match result {
-            Ok(o) => format!("{} (output: {:?})", o.value, o.output),
-            Err(e) => format!("error: {e}"),
-        }
-    }
-
-    /// Payloads of the `"prim"` events, in order. Both backends emit them
-    /// through [`units_runtime::render_prim_call`], so the strings are
-    /// directly comparable.
-    fn prim_payloads(events: &[Event]) -> Vec<&str> {
-        events
-            .iter()
-            .filter(|e| e.kind == "prim")
-            .map(|e| e.payload.as_str())
-            .collect()
-    }
-
-    /// The 1-based Fig. 11 step during which the `idx`-th prim call (0-based)
-    /// fired. Prim events are emitted while a step is being contracted,
-    /// *before* that step's own `step/…` event, so the enclosing step is
-    /// one past the number of step events already seen.
-    fn step_of_prim(events: &[Event], idx: usize) -> Option<u64> {
-        let mut prims = 0usize;
-        let mut steps = 0u64;
-        for e in events {
-            if e.kind.starts_with("step/") {
-                steps += 1;
-            } else if e.kind == "prim" {
-                if prims == idx {
-                    return Some(steps + 1);
-                }
-                prims += 1;
-            }
-        }
-        // The stream ended early: the missing call would have been in the
-        // step after the last one recorded.
-        Some(steps + 1)
-    }
-
-    /// Runs a program on both semantics — production (`against`, the
-    /// compiled tree-walker or the bytecode VM) vs the Fig. 11
-    /// reference reducer — with event capture on and reports where
-    /// their primitive-call streams first disagree. `run` is whatever
-    /// executes the program on a given backend — typically
-    /// [`Loaded::run_on`] closed over a loaded artifact.
-    ///
-    /// The streams are comparable because the backends render every
-    /// primitive application with the same
-    /// [`units_runtime::render_prim_call`] ground formatter. When the
-    /// streams agree but the outcomes differ, the divergence is outside
-    /// the primitives (e.g. in a final higher-order value) and the report
-    /// says so.
-    ///
-    /// [`Loaded::run_on`]: crate::Loaded::run_on
-    pub fn diagnose_divergence_with<F>(against: Backend, run: F) -> DivergenceReport
-    where
-        F: Fn(Backend) -> Result<crate::Outcome, crate::Error>,
-    {
-        diagnose_divergence_between(against, Backend::Reducer, run)
-    }
-
-    /// [`diagnose_divergence_with`] generalized to any backend pair:
-    /// `left` plays the "compiled" role of the report, `right` the
-    /// "reduced" role (the field names keep their historical spelling —
-    /// read them as left/right). Pass `right = Backend::Reducer` to get
-    /// exactly [`diagnose_divergence_with`]; pass
-    /// `(Compiled, Bytecode)` to compare the two production backends
-    /// against each other. The Fig. 11 step attribution comes from the
-    /// right-hand stream, so it names reducer steps only when the right
-    /// backend is the reducer — for other pairs `diverging_step` is the
-    /// step count of whatever `step/…` events the right backend emitted
-    /// (none for the compiled backends, making it step 1).
-    pub fn diagnose_divergence_between<F>(
-        left: Backend,
-        right: Backend,
-        run: F,
-    ) -> DivergenceReport
-    where
-        F: Fn(Backend) -> Result<crate::Outcome, crate::Error>,
-    {
-        let (compiled, compiled_events) = units_trace::capture(|| run(left));
-        let (reduced, reduced_events) = units_trace::capture(|| run(right));
-        let cp = prim_payloads(&compiled_events);
-        let rp = prim_payloads(&reduced_events);
-        let diverging_call = cp
-            .iter()
-            .zip(rp.iter())
-            .position(|(a, b)| a != b)
-            .or_else(|| (cp.len() != rp.len()).then(|| cp.len().min(rp.len())));
-        DivergenceReport {
-            compiled_outcome: render_outcome(&compiled),
-            reduced_outcome: render_outcome(&reduced),
-            prim_calls: (cp.len(), rp.len()),
-            diverging_call,
-            diverging_step: diverging_call
-                .and_then(|i| step_of_prim(&reduced_events, i)),
-            compiled_call: diverging_call.and_then(|i| cp.get(i).map(|s| s.to_string())),
-            reduced_call: diverging_call.and_then(|i| rp.get(i).map(|s| s.to_string())),
-        }
-    }
-
-    /// [`diagnose_divergence_with`] over a loaded artifact: compares
-    /// the compiled tree-walker against the Fig. 11 reference reducer
-    /// under the handle's session limits.
-    ///
-    /// [`Loaded`]: crate::Loaded
-    pub fn diagnose_divergence(loaded: &crate::Loaded) -> DivergenceReport {
-        diagnose_divergence_with(Backend::Compiled, |backend| loaded.run_on(backend))
-    }
-}
-
-#[cfg(feature = "trace")]
-pub use divergence::{
-    diagnose_divergence, diagnose_divergence_between, diagnose_divergence_with, DivergenceReport,
-};
 
 #[cfg(test)]
 mod tests {

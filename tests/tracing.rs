@@ -104,107 +104,26 @@ fn step_events_match_the_reducers_step_count() {
     }
 }
 
-/// Runs `src` with a reducer whose δ-rules are deliberately broken after
-/// `diverge_after` steps (trace-only [`units::Reducer`] fault injection),
-/// while the production backends stay clean — the modern
-/// [`units::diagnose_divergence_with`] closure shape.
+/// Every backend renders a primitive application with the shared
+/// `units_runtime::render_prim_call` formatter, so on programs all three
+/// run cleanly the reducer, the tree-walker and the VM emit the same
+/// stream of `prim` payloads.
 #[cfg(feature = "trace")]
-fn diverging_run(
-    src: &str,
-    fuel: u64,
-    diverge_after: Option<u64>,
-) -> impl Fn(Backend) -> Result<units::Outcome, units::Error> + '_ {
-    move |backend| {
-        let engine =
-            Engine::builder().limits(units::Limits::none().fuel(fuel)).build();
-        let program = engine.load(src)?;
-        match backend {
-            Backend::Reducer => {
-                let mut reducer = units::Reducer::with_fuel(fuel);
-                if let Some(after) = diverge_after {
-                    reducer.inject_divergence_after(after);
-                }
-                let value = reducer.reduce_to_value(program.expr())?;
-                Ok(units::Outcome {
-                    value: units::observe_expr(&value),
-                    output: reducer.machine.take_output(),
-                })
-            }
-            other => program.run_on(other),
+#[test]
+fn prim_streams_agree_across_backends() {
+    let engine = Engine::new();
+    for (name, src) in stdlib_programs() {
+        let program = engine.load(&src).unwrap();
+        let prims = |backend| {
+            let (outcome, events) = units::trace::capture(|| program.run_on(backend));
+            outcome.unwrap();
+            events.into_iter().filter(|e| e.kind == "prim").map(|e| e.payload).collect::<Vec<_>>()
+        };
+        let reduced = prims(Backend::Reducer);
+        assert!(!reduced.is_empty(), "{name}: no prim calls");
+        for backend in [Backend::Compiled, Backend::Bytecode] {
+            assert_eq!(prims(backend), reduced, "{name}: {backend:?} vs the reducer");
         }
-    }
-}
-
-/// An injected reducer fault makes the backends disagree, and the
-/// divergence report names the exact primitive call and Fig. 11 step
-/// where their streams part ways.
-#[cfg(feature = "trace")]
-#[test]
-fn divergence_report_names_the_first_diverging_step() {
-    // The fault makes `(- n 1)` come back as `n`, so even/odd would loop
-    // forever — fuel bounds the broken reducer run; the streams diverge
-    // long before it runs out.
-    let report = units::diagnose_divergence_with(
-        Backend::Compiled,
-        diverging_run(EVEN_ODD, 10_000, Some(0)),
-    );
-    let call = report.diverging_call.expect("fault injection must diverge the streams");
-    let step = report.diverging_step.expect("a diverging call happens during some step");
-    assert!(step >= 1, "steps are 1-based");
-    assert_ne!(report.compiled_call, report.reduced_call, "renderings must differ");
-    let text = report.to_string();
-    assert!(
-        text.contains(&format!("#{}", call + 1)) && text.contains(&format!("step {step}")),
-        "report names call and step: {text}"
-    );
-
-    // Sanity: without injection the same program's streams agree.
-    let clean = units::diagnose_divergence_with(
-        Backend::Compiled,
-        diverging_run(EVEN_ODD, 10_000, None),
-    );
-    assert_eq!(clean.diverging_call, None, "{clean}");
-    assert_eq!(clean.prim_calls.0, clean.prim_calls.1);
-}
-
-/// The same injected fault diagnosed across every backend pair: both
-/// production backends diverge from the broken reducer at the same
-/// Fig. 11 step, the step is stable under repeated diagnosis, and the
-/// two production backends agree with *each other*.
-#[cfg(feature = "trace")]
-#[test]
-fn divergence_step_is_stable_across_backend_pairs() {
-    let run = diverging_run(EVEN_ODD, 10_000, Some(0));
-
-    // Compiled vs broken reducer, and bytecode vs broken reducer: both
-    // lefts are clean, so both must part ways from the same broken
-    // right-hand stream at the same call and step.
-    let cr = units::diagnose_divergence_between(Backend::Compiled, Backend::Reducer, &run);
-    let br = units::diagnose_divergence_between(Backend::Bytecode, Backend::Reducer, &run);
-    let call = cr.diverging_call.expect("compiled/reducer diverge");
-    let step = cr.diverging_step.expect("the call lands in some step");
-    assert_eq!(br.diverging_call, Some(call), "bytecode sees the same diverging call");
-    assert_eq!(br.diverging_step, Some(step), "…at the same Fig. 11 step");
-
-    // Diagnosis is a pure replay: running it again names the same step.
-    let again = units::diagnose_divergence_between(Backend::Compiled, Backend::Reducer, &run);
-    assert_eq!(again.diverging_call, Some(call));
-    assert_eq!(again.diverging_step, Some(step));
-
-    // The production pair is untouched by the reducer-side fault.
-    let cb = units::diagnose_divergence_between(Backend::Compiled, Backend::Bytecode, &run);
-    assert_eq!(cb.diverging_call, None, "{cb}");
-    assert_eq!(cb.prim_calls.0, cb.prim_calls.1);
-
-    // And with no injection at all, every pair agrees.
-    let clean = diverging_run(EVEN_ODD, 10_000, None);
-    for (left, right) in [
-        (Backend::Compiled, Backend::Reducer),
-        (Backend::Bytecode, Backend::Reducer),
-        (Backend::Compiled, Backend::Bytecode),
-    ] {
-        let report = units::diagnose_divergence_between(left, right, &clean);
-        assert_eq!(report.diverging_call, None, "{left:?} vs {right:?}: {report}");
     }
 }
 
@@ -257,21 +176,6 @@ fn chrome_trace_export_is_valid_and_names_the_eval_span() {
     assert!(doc.contains("\"traceEvents\""), "{doc}");
     assert!(doc.contains("\"name\":\"eval\""), "the eval phase span is present: {doc}");
     assert!(!metrics.spans().is_empty());
-}
-
-/// `diagnose_divergence` over an owned handle compares the compiled
-/// backend against the reference reducer and reports agreement when the
-/// backends agree (the divergence-finding half is covered by the
-/// injected-divergence tests elsewhere in this file).
-#[cfg(feature = "trace")]
-#[test]
-fn diagnose_divergence_works_on_loaded_handles() {
-    let engine = units::Engine::new();
-    let loaded =
-        engine.load("(invoke (unit (import) (export) (init (+ 20 22))))").unwrap();
-    let report = units::diagnose_divergence(&loaded);
-    assert!(report.diverging_call.is_none(), "backends agree: {report}");
-    assert_eq!(report.prim_calls.0, report.prim_calls.1);
 }
 
 /// Every JSON line the `JsonLinesSink` writes parses, and the metrics
