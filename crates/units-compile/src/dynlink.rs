@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 
 use units_check::{check_program, subtype, CheckError, CheckOptions, Equations};
 #[allow(unused_imports)]
@@ -118,25 +117,6 @@ impl Archive {
     /// Publishes (or replaces) a unit source under a name.
     pub fn publish(&mut self, name: impl Into<String>, source: impl Into<String>) {
         self.entries.insert(name.into(), source.into());
-    }
-
-    /// Loads every `*.unit` file of a directory, keyed by file stem.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from reading the directory.
-    pub fn from_dir(path: impl AsRef<Path>) -> std::io::Result<Archive> {
-        let mut archive = Archive::new();
-        for entry in std::fs::read_dir(path)? {
-            let entry = entry?;
-            let p = entry.path();
-            if p.extension().and_then(|e| e.to_str()) == Some("unit") {
-                if let Some(stem) = p.file_stem().and_then(|s| s.to_str()) {
-                    archive.publish(stem.to_string(), std::fs::read_to_string(&p)?);
-                }
-            }
-        }
-        Ok(archive)
     }
 
     /// Published names, sorted.
@@ -280,16 +260,5 @@ mod tests {
         a.publish("greedy", "(unit (import log net) (export) (init void))");
         let err = a.load("greedy", &plugin_sig(), opts).unwrap_err();
         assert!(matches!(err, DynlinkError::Signature { .. }));
-    }
-
-    #[test]
-    fn archives_round_trip_through_directories() {
-        let dir = std::env::temp_dir().join(format!("units-archive-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("p1.unit"), "(unit (import) (export) (init 1))").unwrap();
-        std::fs::write(dir.join("ignored.txt"), "junk").unwrap();
-        let a = Archive::from_dir(&dir).unwrap();
-        assert_eq!(a.names(), vec!["p1"]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -521,10 +521,10 @@ impl Repl {
                 }
             }
         }
-        let cache = self.engine.cache_stats();
+        let cache = self.engine.metrics_snapshot().cache;
         println!(
-            ";; engine cache: {} hits, {} misses, {} artifacts",
-            cache.hits, cache.misses, cache.entries
+            ";; engine cache: {} source hits, {} misses, {} artifacts",
+            cache.source_hits, cache.misses, cache.entries
         );
         print_durations(&self.metrics);
     }

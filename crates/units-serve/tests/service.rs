@@ -90,23 +90,23 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
     let tenant = service.tenant("a");
     tenant.load_plugin("f", SQUARE, None).unwrap();
     let old = tenant.plugin("f").unwrap();
-    assert_eq!(engine.cache_stats().entries, 0, "publish caches nothing");
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0, "publish caches nothing");
 
     // Artifacts are per version, not per argument: the first invoke
     // with an argument builds the call artifact, later arguments build
     // nothing, and none of it is cached.
     assert_eq!(tenant.invoke("f", Some(1)).unwrap().value, Observation::Int(1));
-    let misses = engine.cache_stats().misses;
+    let misses = engine.metrics_snapshot().cache.misses;
     for arg in 2..=5 {
         assert_eq!(tenant.invoke("f", Some(arg)).unwrap().value, Observation::Int(arg * arg));
-        let stats = engine.cache_stats();
+        let stats = engine.metrics_snapshot().cache;
         assert_eq!((stats.misses, stats.entries), (misses, 0), "argument {arg}");
     }
 
     tenant.swap_plugin("f", CUBE, None).unwrap();
-    assert_eq!(engine.cache_stats().entries, 0);
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0);
     assert_eq!(tenant.invoke("f", Some(2)).unwrap().value, Observation::Int(8));
-    assert_eq!(engine.cache_stats().entries, 0);
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0);
 
     // The pinned version still runs, and nothing but it holds the old
     // version, so dropping it frees both old artifacts.
@@ -114,7 +114,7 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
         tenant.invoke_version(&old, Some(5), Limits::none()).unwrap().value,
         Observation::Int(25)
     );
-    assert_eq!(engine.cache_stats().entries, 0);
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0);
     let weak = Arc::downgrade(&old);
     assert!(weak.upgrade().is_some());
     drop(old);
@@ -135,17 +135,17 @@ fn a_call_artifact_built_after_its_swap_leaves_the_cache() {
         assert!(matches!(outcome.value, Observation::Opaque { shape: "procedure", .. }));
     }
     tenant.swap_plugin("f", CUBE, None).unwrap();
-    assert_eq!(engine.cache_stats().entries, 0);
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0);
 
     // The in-flight request builds the old call artifact after the
     // swap; it serves the request and stays out of the cache.
     for arg in [3, 4] {
         let outcome = tenant.invoke_version(&inflight, Some(arg), Limits::none()).unwrap();
         assert_eq!(outcome.value, Observation::Int(arg * arg));
-        assert_eq!(engine.cache_stats().entries, 0, "argument {arg}");
+        assert_eq!(engine.metrics_snapshot().cache.entries, 0, "argument {arg}");
     }
     assert_eq!(tenant.invoke("f", Some(2)).unwrap().value, Observation::Int(8));
-    assert_eq!(engine.cache_stats().entries, 0);
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0);
 
     // The version holds that artifact, so it leaves with the request.
     let old = Arc::downgrade(&inflight);

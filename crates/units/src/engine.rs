@@ -65,7 +65,7 @@
 //! assert_eq!(outcome.value, Observation::Int(42));
 //! // A second invocation of the same source text is a cache hit.
 //! engine.invoke(source)?;
-//! assert_eq!(engine.cache_stats().hits, 1);
+//! assert_eq!(engine.metrics_snapshot().cache.source_hits, 1);
 //! # Ok::<(), units::Error>(())
 //! ```
 
@@ -74,7 +74,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
@@ -137,17 +136,6 @@ impl Artifact {
 /// The artifact cache: one entry per source key
 /// ([`EngineInner::source_key`]).
 type Cache = HashMap<u64, Arc<Artifact>>;
-
-/// Cache counters, for tests and dashboards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Loads satisfied from the cache by their source text.
-    pub hits: u64,
-    /// Loads that had to check and resolve from scratch.
-    pub misses: u64,
-    /// Distinct artifacts currently cached.
-    pub entries: usize,
-}
 
 /// A policy that holds and sets nothing, kept with
 /// `EngineBuilder::on_failure` for the one call the benchmark client
@@ -373,15 +361,6 @@ impl Engine {
         self.inner.limits
     }
 
-    /// Cache hit/miss counters and current entry count.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.inner.metrics.source_hits.load(Relaxed),
-            misses: self.inner.metrics.misses.load(Relaxed),
-            entries: self.inner.cache_entries(),
-        }
-    }
-
     /// A structured snapshot of the engine's always-on metrics plane:
     /// cache hits, misses and evictions, flight dumps, store probes, run
     /// totals with fuel and store-cell high-water marks, and invoke
@@ -494,7 +473,7 @@ impl EngineInner {
                         "engine/flight_dump_failed",
                         None,
                         || format!("{path}: {e}"),
-                        &[("engine/flight_dump_failures", 1)],
+                        &[],
                     );
                 }
             }
@@ -952,8 +931,8 @@ mod tests {
         let engine = Engine::new();
         assert_eq!(engine.invoke(SQUARE).unwrap().value, Observation::Int(144));
         assert_eq!(engine.invoke(SQUARE).unwrap().value, Observation::Int(144));
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        let stats = engine.metrics_snapshot().cache;
+        assert_eq!((stats.source_hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
@@ -966,8 +945,8 @@ mod tests {
             (define sq (lambda (m) (* m m)))
             (init (sq 12))))";
         assert_eq!(engine.invoke(renamed).unwrap().value, Observation::Int(144));
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        let stats = engine.metrics_snapshot().cache;
+        assert_eq!((stats.source_hits, stats.misses, stats.entries), (0, 2, 2));
     }
 
     #[test]
@@ -977,8 +956,8 @@ mod tests {
         let typed = Engine::builder().level(Level::Constructed).build();
         let loaded = typed.load("(invoke (unit (import) (export) (init 5)))").unwrap();
         assert_eq!(loaded.ty(), Some(&Ty::Int));
-        assert_eq!(typed.cache_stats().misses, 1);
-        assert_eq!(typed.cache_stats().hits, 0);
+        assert_eq!(typed.metrics_snapshot().cache.misses, 1);
+        assert_eq!(typed.metrics_snapshot().cache.source_hits, 0);
     }
 
     #[test]
@@ -994,8 +973,8 @@ mod tests {
         engine.invoke(SQUARE).unwrap();
         clone.invoke(SQUARE).unwrap();
         // The second invoke hit the cache the first one populated.
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        let stats = engine.metrics_snapshot().cache;
+        assert_eq!((stats.source_hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
@@ -1071,7 +1050,7 @@ mod tests {
         fn injected_panic_is_caught_and_evicts_the_artifact() {
             let engine = Engine::new();
             let loaded = engine.load(SQUARE).unwrap();
-            assert_eq!(engine.cache_stats().entries, 1);
+            assert_eq!(engine.metrics_snapshot().cache.entries, 1);
             faults::install_quiet_hook();
             faults::arm(
                 faults::FaultPlane::seeded(5)
@@ -1083,14 +1062,14 @@ mod tests {
             let (stage, message) = err.as_internal().expect("panic surfaces as Internal");
             assert_eq!(stage, "run");
             assert!(message.contains("injected panic at runtime/prim"), "{message}");
-            assert_eq!(engine.cache_stats().entries, 0, "failed run's artifact evicted");
+            assert_eq!(engine.metrics_snapshot().cache.entries, 0, "failed run's artifact evicted");
             assert_eq!(engine.metrics_snapshot().cache.evictions, 1);
             // The evicted handle still owns its artifact and still runs.
             assert_eq!(loaded.run().unwrap().value, Observation::Int(144));
             // The session is still usable: a reload re-admits (a miss,
             // not a hit) and runs.
             assert_eq!(engine.invoke(SQUARE).unwrap().value, Observation::Int(144));
-            assert_eq!(engine.cache_stats().misses, 2);
+            assert_eq!(engine.metrics_snapshot().cache.misses, 2);
         }
     }
 
@@ -1100,8 +1079,8 @@ mod tests {
         let expr = units_syntax::parse_expr(SQUARE).unwrap();
         engine.load_expr(expr.clone()).unwrap();
         let loaded = engine.load_expr(expr).unwrap();
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
+        let stats = engine.metrics_snapshot().cache;
+        assert_eq!((stats.source_hits, stats.misses, stats.entries), (0, 2, 0));
         // The handle owns the artifact the cache never saw.
         assert_eq!(loaded.run().unwrap().value, Observation::Int(144));
     }

@@ -41,7 +41,7 @@
 //! assert_eq!(outcome.value, Observation::Bool(true));
 //! // Loading the same source text again skips parsing, checking and
 //! // resolution entirely:
-//! assert_eq!(engine.cache_stats().misses, 1);
+//! assert_eq!(engine.metrics_snapshot().cache.misses, 1);
 //! # Ok::<(), units::Error>(())
 //! ```
 //!
@@ -60,7 +60,7 @@ mod outcome;
 pub mod stdlib;
 pub mod typed_stdlib;
 
-pub use engine::{CacheStats, Engine, EngineBuilder, FallbackPolicy, Loaded, PIPELINE_STACK_SIZE};
+pub use engine::{Engine, EngineBuilder, FallbackPolicy, Loaded, PIPELINE_STACK_SIZE};
 pub use error::Error;
 pub use metrics::{
     CacheMetrics, FlightMetrics, LatencyStats, MetricsSnapshot, RunMetrics, StoreMetrics,

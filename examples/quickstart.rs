@@ -50,6 +50,6 @@ fn main() -> Result<(), units::Error> {
     let steps = engine.load(source)?.run_on(Backend::Reducer)?;
     assert_eq!(steps.value, outcome.value);
     println!("reference reducer agrees: {}", steps.value);
-    assert_eq!(engine.cache_stats().hits, 1);
+    assert_eq!(engine.metrics_snapshot().cache.source_hits, 1);
     Ok(())
 }

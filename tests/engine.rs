@@ -47,9 +47,9 @@ fn warm_runs_match_cold_runs_exactly() {
             let (warm_outcome, warm_events) =
                 units::trace::capture(|| warm.run().unwrap());
 
-            let stats = engine.cache_stats();
+            let stats = engine.metrics_snapshot().cache;
             assert_eq!(
-                (stats.hits, stats.misses, stats.entries),
+                (stats.source_hits, stats.misses, stats.entries),
                 (1, 1, 1),
                 "{level:?}/{backend:?}: second load must hit"
             );
@@ -262,9 +262,9 @@ fn shared_engine_runs_identically_across_threads() {
                 assert_eq!(events, cold_events, "{backend:?}: trace drifted");
             }
         });
-        let stats = shared.cache_stats();
+        let stats = shared.metrics_snapshot().cache;
         assert_eq!((stats.misses, stats.entries), (1, 1), "{backend:?}");
-        assert_eq!(stats.hits, 4, "{backend:?}: every thread load is a hit");
+        assert_eq!(stats.source_hits, 4, "{backend:?}: every thread load is a hit");
     }
 }
 
@@ -299,9 +299,9 @@ fn racing_cold_loads_of_one_source_admit_one_artifact() {
                 assert_eq!(handle.join().unwrap(), Observation::Int(42));
             }
         });
-        let stats = engine.cache_stats();
+        let stats = engine.metrics_snapshot().cache;
         assert_eq!(
-            (stats.hits, stats.misses, stats.entries),
+            (stats.source_hits, stats.misses, stats.entries),
             (7, 1, 1),
             "store: {with_store}"
         );

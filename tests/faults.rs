@@ -128,7 +128,7 @@ fn injected_backend_faults_surface_typed_and_the_next_run_is_correct() {
         faults::disarm();
         assert!(err.is_injected(), "{backend:?}: {err}");
         assert_eq!(err.to_string(), format!("runtime error: injected fault at {site} (hit 1)"));
-        assert_eq!(engine.cache_stats().entries, 1, "{backend:?}: the artifact stays cached");
+        assert_eq!(engine.metrics_snapshot().cache.entries, 1, "{backend:?}: the artifact stays cached");
         assert_eq!(loaded.run_on(backend).unwrap().value, expected, "{backend:?}");
     }
 }
@@ -147,7 +147,7 @@ fn a_panic_inside_load_is_a_typed_internal_error() {
     let (stage, _) = err.as_internal().expect("a caught panic is Error::Internal");
     assert_eq!(stage, "load");
     assert_eq!(err.to_string(), "internal error in load: injected panic at check/program (hit 1)");
-    assert_eq!(engine.cache_stats().entries, 0, "a panicked load admits nothing");
+    assert_eq!(engine.metrics_snapshot().cache.entries, 0, "a panicked load admits nothing");
     let outcome = engine.load(source).and_then(|loaded| loaded.run()).unwrap();
     assert_eq!(outcome.value, expected);
 }
