@@ -28,10 +28,7 @@ fn main() {
             black_box(
                 check_program(
                     &program,
-                    CheckOptions {
-                        level: Level::Untyped,
-                        strictness: units::Strictness::MzScheme,
-                    },
+                    CheckOptions { level: Level::Untyped, strictness: units::Strictness::MzScheme },
                 )
                 .unwrap(),
             );
@@ -41,10 +38,9 @@ fn main() {
     // Ablation: valuability analysis on versus off.
     for n in [16usize, 64] {
         let program = chain_program(n);
-        for (label, strictness) in [
-            ("paper", units::Strictness::Paper),
-            ("mzscheme", units::Strictness::MzScheme),
-        ] {
+        for (label, strictness) in
+            [("paper", units::Strictness::Paper), ("mzscheme", units::Strictness::MzScheme)]
+        {
             let us = median_us(20, || {
                 black_box(
                     check_program(&program, CheckOptions { level: Level::Untyped, strictness })

@@ -22,13 +22,13 @@
 use std::time::Instant;
 
 use bench::{
-    alias_chain, alias_chain_unit, chain_program, cycle_program, deep_let_program,
-    deep_signature, even_odd_program, one_unit, plugin_signature, plugin_source,
-    repeated_invoke, star_program, wide_signature, wide_typed_unit,
+    alias_chain, alias_chain_unit, chain_program, cycle_program, deep_let_program, deep_signature,
+    even_odd_program, one_unit, plugin_signature, plugin_source, repeated_invoke, star_program,
+    wide_signature, wide_typed_unit,
 };
 use units::{
-    check_program, expand_ty, subtype, type_of, Archive, Backend, CheckOptions, Engine,
-    Equations, Level, Strictness, Ty,
+    check_program, expand_ty, subtype, type_of, Archive, Backend, CheckOptions, Engine, Equations,
+    Level, Strictness, Ty,
 };
 
 /// Median wall time of `runs` executions, in microseconds.
@@ -212,7 +212,10 @@ fn main() {
     let runs = if quick { 3 } else { 9 };
 
     header("link_reduction (Figs. 8/11): linking time vs. graph size");
-    println!("{:>6} {:>8} {:>14} {:>14} {:>8}", "shape", "units", "compiled µs", "reducer µs", "ratio");
+    println!(
+        "{:>6} {:>8} {:>14} {:>14} {:>8}",
+        "shape", "units", "compiled µs", "reducer µs", "ratio"
+    );
     for (shape, make) in [
         ("chain", chain_program as fn(usize) -> units::Expr),
         ("star", star_program as fn(usize) -> units::Expr),
@@ -268,10 +271,7 @@ fn main() {
     // evaluations, so scheduling noise dominates a median at these run
     // times.
     let vm_runs = if quick { 10 } else { 40 };
-    let vm_point = |rec: &mut Recorder,
-                        series: &'static str,
-                        size: String,
-                        expr: units::Expr| {
+    let vm_point = |rec: &mut Recorder, series: &'static str, size: String, expr: units::Expr| {
         let engine = session();
         let p = engine.load_expr(expr).unwrap();
         p.run_on(Backend::Compiled).unwrap();
@@ -293,17 +293,13 @@ fn main() {
     for depth in if quick { &[100i64][..] } else { &[100i64, 400, 1600][..] } {
         vm_point(&mut rec, "even_odd", depth.to_string(), even_odd_program(*depth));
     }
-    for (d, w) in if quick { &[(64usize, 8usize)][..] } else { &[(128usize, 8usize), (256, 16)][..] }
+    for (d, w) in
+        if quick { &[(64usize, 8usize)][..] } else { &[(128usize, 8usize), (256, 16)][..] }
     {
         vm_point(&mut rec, "deep_let", format!("{d}x{w}"), deep_let_program(*d, *w));
     }
     for count in if quick { &[100usize][..] } else { &[100usize, 1000][..] } {
-        vm_point(
-            &mut rec,
-            "repeat_invoke",
-            count.to_string(),
-            repeated_invoke(one_unit(), *count),
-        );
+        vm_point(&mut rec, "repeat_invoke", count.to_string(), repeated_invoke(one_unit(), *count));
     }
 
     header("instantiation (§4.1.6): per-instance cost stays flat");
@@ -351,14 +347,13 @@ fn main() {
     println!("{:>8} {:>14} {:>14} {:>8}", "depth", "cold µs", "disk µs", "speedup");
     for depth in if quick { &[25i64, 100][..] } else { &[25i64, 100, 400][..] } {
         let src = units::pretty_expr(&even_odd_program(*depth));
-        let dir = std::env::temp_dir()
-            .join(format!("units-bench-store-{}-{depth}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("units-bench-store-{}-{depth}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Pre-warm the directory, then drop the writer so each timed
         // engine takes the write lock cleanly.
         {
-            let writer =
-                Engine::builder().strictness(Strictness::MzScheme).cache_dir(&dir).build();
+            let writer = Engine::builder().strictness(Strictness::MzScheme).cache_dir(&dir).build();
             writer.invoke(&src).unwrap();
         }
         // Cold: a fresh engine per run pays the whole pipeline.
@@ -370,8 +365,7 @@ fn main() {
         // shape — answers from the verified on-disk artifact instead of
         // parsing, checking, and resolving.
         let disk = time_us(runs, || {
-            let engine =
-                Engine::builder().strictness(Strictness::MzScheme).cache_dir(&dir).build();
+            let engine = Engine::builder().strictness(Strictness::MzScheme).cache_dir(&dir).build();
             engine.invoke(&src).unwrap();
         });
         println!("{depth:>8} {cold:>14.1} {disk:>14.1} {:>7.2}x", cold / disk);
@@ -419,12 +413,7 @@ fn main() {
                     .unwrap();
             });
             println!("{:>22} {n:>8} {t:>12.1}", format!("valuability/{label}"));
-            rec.push(
-                "ablation",
-                format!("valuability/{label}"),
-                n,
-                vec![("us", t)],
-            );
+            rec.push("ablation", format!("valuability/{label}"), n, vec![("us", t)]);
         }
     }
     for n in if quick { &[4usize, 8][..] } else { &[4usize, 8, 16][..] } {
@@ -494,9 +483,8 @@ fn main() {
         });
         let run_engine = session();
         let t_run = time_us(runs, || {
-            let unit = archive
-                .load("p0", &expected, CheckOptions::typed(Level::Constructed))
-                .unwrap();
+            let unit =
+                archive.load("p0", &expected, CheckOptions::typed(Level::Constructed)).unwrap();
             let expr = units::Expr::app(
                 units::Expr::invoke(units_kernel::InvokeExpr {
                     target: unit,
@@ -571,10 +559,7 @@ fn main() {
     // `run_on`; this series prices that stack and how it holds up under
     // tenant concurrency. In-process on purpose: the socket would only add
     // constant framing cost, and B.10 tracks the service core.
-    println!(
-        "{:>12} {:>8} {:>12} {:>10} {:>10}",
-        "series", "tenants", "req/s", "p50 µs", "p99 µs"
-    );
+    println!("{:>12} {:>8} {:>12} {:>10} {:>10}", "series", "tenants", "req/s", "p50 µs", "p99 µs");
     let request_total = if quick { 64usize } else { 512 };
     for tenants in [1usize, 2, 4] {
         let service = units_serve::Service::builder()

@@ -201,7 +201,12 @@ pub fn cycle_program(n: usize) -> Expr {
             Expr::void()
         };
         links.push(clause(
-            untyped_unit(vec![next.as_str()], vec![name.as_str()], vec![(name.clone(), body)], init),
+            untyped_unit(
+                vec![next.as_str()],
+                vec![name.as_str()],
+                vec![(name.clone(), body)],
+                init,
+            ),
             vec![next],
             vec![name],
         ));
@@ -226,12 +231,8 @@ pub fn even_odd_program(depth: i64) -> Expr {
         )
         .pipe(|body| (this.to_string(), body))
     };
-    let even = untyped_unit(
-        vec!["odd"],
-        vec!["even"],
-        vec![count("even", "odd", true)],
-        Expr::void(),
-    );
+    let even =
+        untyped_unit(vec!["odd"], vec!["even"], vec![count("even", "odd", true)], Expr::void());
     let odd = untyped_unit(
         vec!["even"],
         vec!["odd"],
@@ -259,11 +260,7 @@ pub fn deep_let_program(depth: usize, width: usize) -> Expr {
     let mut sum = Expr::int(0);
     for level in 0..depth {
         sum = Expr::prim2(PrimOp::Add, sum, Expr::var(format!("v{level}_0").as_str()));
-        sum = Expr::prim2(
-            PrimOp::Add,
-            sum,
-            Expr::var(format!("v{level}_{}", width - 1).as_str()),
-        );
+        sum = Expr::prim2(PrimOp::Add, sum, Expr::var(format!("v{level}_{}", width - 1).as_str()));
     }
     let mut body = sum;
     for level in (0..depth).rev() {
@@ -372,10 +369,7 @@ pub fn deep_signature(depth: usize) -> Ty {
     for i in 0..depth {
         let sig = Signature::new(
             Ports::new(),
-            Ports {
-                types: vec![],
-                vals: vec![ValPort::typed(format!("level{i}").as_str(), ty)],
-            },
+            Ports { types: vec![], vals: vec![ValPort::typed(format!("level{i}").as_str(), ty)] },
             Ty::Void,
         );
         ty = Ty::sig(sig);
@@ -399,11 +393,8 @@ pub fn alias_chain(n: usize) -> units::Equations {
 /// away when deriving its signature.
 pub fn alias_chain_unit(n: usize) -> Expr {
     assert!(n >= 1);
-    let mut types = vec![TypeDefn::Alias(AliasDefn {
-        name: "a0".into(),
-        kind: Kind::Star,
-        body: Ty::Int,
-    })];
+    let mut types =
+        vec![TypeDefn::Alias(AliasDefn { name: "a0".into(), kind: Kind::Star, body: Ty::Int })];
     for i in 1..n {
         types.push(TypeDefn::Alias(AliasDefn {
             name: format!("a{i}").into(),
@@ -433,11 +424,7 @@ pub fn alias_chain_unit(n: usize) -> Expr {
 pub fn repeated_invoke(unit: Expr, count: usize) -> Expr {
     let uses: Vec<Expr> = (0..count)
         .map(|_| {
-            Expr::invoke(InvokeExpr {
-                target: Expr::var("u"),
-                ty_links: vec![],
-                val_links: vec![],
-            })
+            Expr::invoke(InvokeExpr { target: Expr::var("u"), ty_links: vec![], val_links: vec![] })
         })
         .collect();
     let sum = uses.into_iter().fold(Expr::int(0), |acc, e| Expr::prim2(PrimOp::Add, acc, e));

@@ -282,27 +282,19 @@ mod tests {
 
     #[test]
     fn expansion_chases_chains() {
-        let eqs = Equations::from([
-            (Symbol::new("a"), Ty::var("b")),
-            (Symbol::new("b"), Ty::Int),
-        ]);
+        let eqs = Equations::from([(Symbol::new("a"), Ty::var("b")), (Symbol::new("b"), Ty::Int)]);
         assert_eq!(expand_ty(&Ty::var("a"), &eqs).unwrap(), Ty::Int);
     }
 
     #[test]
     fn cycles_are_detected_not_looped() {
-        let eqs = Equations::from([
-            (Symbol::new("a"), Ty::var("b")),
-            (Symbol::new("b"), Ty::var("a")),
-        ]);
+        let eqs =
+            Equations::from([(Symbol::new("a"), Ty::var("b")), (Symbol::new("b"), Ty::var("a"))]);
         assert!(matches!(
             expand_ty(&Ty::var("a"), &eqs),
             Err(CheckError::CyclicTypeEquation { .. })
         ));
-        assert!(matches!(
-            eqs.check_acyclic(),
-            Err(CheckError::CyclicTypeEquation { .. })
-        ));
+        assert!(matches!(eqs.check_acyclic(), Err(CheckError::CyclicTypeEquation { .. })));
         // Self-cycle too.
         let selfy = Equations::from([(Symbol::new("t"), Ty::arrow(vec![Ty::var("t")], Ty::Int))]);
         assert!(selfy.check_acyclic().is_err());

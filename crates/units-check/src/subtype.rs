@@ -111,9 +111,8 @@ fn st(sub: &Ty, sup: &Ty) -> Result<(), SubtypeError> {
                 )));
             }
             for (a, b) in p1.iter().zip(p2) {
-                st(b, a).map_err(|e| {
-                    SubtypeError::new(format!("parameter (contravariant): {e}"))
-                })?;
+                st(b, a)
+                    .map_err(|e| SubtypeError::new(format!("parameter (contravariant): {e}")))?;
             }
             st(r1, r2)
         }
@@ -255,9 +254,8 @@ fn sig_subtype(sub: &Signature, sup: &Signature) -> Result<(), SubtypeError> {
         match (&sub_vp.ty, &vp.ty) {
             (None, None) => {}
             (Some(t_sub), Some(t_sup)) => {
-                st(&*expanded(t_sub, &local)?, &*expanded(t_sup, &local)?).map_err(|e| {
-                    SubtypeError::new(format!("export `{}`: {e}", vp.name))
-                })?;
+                st(&*expanded(t_sub, &local)?, &*expanded(t_sup, &local)?)
+                    .map_err(|e| SubtypeError::new(format!("export `{}`: {e}", vp.name)))?;
             }
             _ => {
                 return Err(SubtypeError::new(format!(
@@ -274,8 +272,8 @@ fn sig_subtype(sub: &Signature, sup: &Signature) -> Result<(), SubtypeError> {
     for d in &sub.depends {
         // A dependency only matters while both ends are part of the
         // supertype's interface.
-        let relevant = sup.exports.ty_port(&d.export).is_some()
-            && sup.imports.ty_port(&d.import).is_some();
+        let relevant =
+            sup.exports.ty_port(&d.export).is_some() && sup.imports.ty_port(&d.import).is_some();
         if relevant && !sup_deps.contains(d) {
             return Err(SubtypeError::new(format!(
                 "subtype declares dependency `{d}` that the supertype does not"
@@ -305,12 +303,8 @@ mod tests {
         subtype(&e, &Ty::Int, &Ty::Int).unwrap();
         assert!(subtype(&e, &Ty::Int, &Ty::Bool).is_err());
         // Covariant result, contravariant parameter via sig nesting below.
-        subtype(
-            &e,
-            &Ty::arrow(vec![Ty::Str], Ty::Int),
-            &Ty::arrow(vec![Ty::Str], Ty::Int),
-        )
-        .unwrap();
+        subtype(&e, &Ty::arrow(vec![Ty::Str], Ty::Int), &Ty::arrow(vec![Ty::Str], Ty::Int))
+            .unwrap();
     }
 
     #[test]
@@ -332,7 +326,10 @@ mod tests {
     #[test]
     fn fewer_imports_and_more_exports_is_a_subtype() {
         let small_needs = Ty::sig(sig(
-            Ports { types: vec![], vals: vec![ValPort::typed("error", Ty::arrow(vec![Ty::Str], Ty::Void))] },
+            Ports {
+                types: vec![],
+                vals: vec![ValPort::typed("error", Ty::arrow(vec![Ty::Str], Ty::Void))],
+            },
             Ports {
                 types: vec![],
                 vals: vec![
@@ -387,8 +384,7 @@ mod tests {
         // A unit with no real dependencies may be assumed to have some…
         subtype(&no_eqs(), &Ty::sig(without_dep.clone()), &Ty::sig(with_dep.clone())).unwrap();
         // …but a unit *with* a dependency cannot hide it.
-        let err =
-            subtype(&no_eqs(), &Ty::sig(with_dep), &Ty::sig(without_dep)).unwrap_err();
+        let err = subtype(&no_eqs(), &Ty::sig(with_dep), &Ty::sig(without_dep)).unwrap_err();
         assert!(err.reason.contains("dependency"));
     }
 
@@ -403,10 +399,8 @@ mod tests {
     fn hiding_an_abbreviation_requires_declared_dependencies() {
         // Fig. 21: RecEnv exposes `env = name→value` translucent; sealing to
         // an opaque `env` must declare env ↝ name, env ↝ value.
-        let imports = Ports {
-            types: vec![TyPort::star("name"), TyPort::star("value")],
-            vals: vec![],
-        };
+        let imports =
+            Ports { types: vec![TyPort::star("name"), TyPort::star("value")], vals: vec![] };
         let translucent = Signature {
             imports: imports.clone(),
             exports: Ports {
@@ -431,10 +425,7 @@ mod tests {
             types: vec![TyPort::star("env")],
             vals: vec![ValPort::typed(
                 "extend",
-                Ty::arrow(
-                    vec![Ty::var("env"), Ty::var("name"), Ty::var("value")],
-                    Ty::var("env"),
-                ),
+                Ty::arrow(vec![Ty::var("env"), Ty::var("name"), Ty::var("value")], Ty::var("env")),
             )],
         };
         // Without depends: rejected.

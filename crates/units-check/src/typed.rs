@@ -137,8 +137,7 @@ impl Typer {
     /// Well-formedness of a signature (Fig. 15's first rule, extended with
     /// equations and depends for UNITe).
     fn wf_sig(&mut self, env: &mut Env, sig: &Signature) -> Result<(), CheckError> {
-        if (!sig.depends.is_empty() || !sig.equations.is_empty())
-            && self.level != Level::Equations
+        if (!sig.depends.is_empty() || !sig.equations.is_empty()) && self.level != Level::Equations
         {
             return Err(CheckError::UnsupportedAtLevel {
                 form: "a signature with `depends` or `where` clauses".into(),
@@ -178,8 +177,9 @@ impl Typer {
                 env.bind_ty(tp.name.clone(), tp.kind.clone());
             }
             // Equation names are bound and transparent within the signature.
-            let local =
-                Equations::from_pairs(sig.equations.iter().map(|e| (e.name.clone(), e.body.clone())));
+            let local = Equations::from_pairs(
+                sig.equations.iter().map(|e| (e.name.clone(), e.body.clone())),
+            );
             local.check_acyclic()?;
             for eq in &sig.equations {
                 env.bind_ty(eq.name.clone(), eq.kind.clone());
@@ -330,10 +330,8 @@ impl Typer {
                 Ok(last)
             }
             Expr::Let(bindings, body) => {
-                let tys: Vec<Ty> = bindings
-                    .iter()
-                    .map(|b| self.infer(env, &b.expr))
-                    .collect::<Result<_, _>>()?;
+                let tys: Vec<Ty> =
+                    bindings.iter().map(|b| self.infer(env, &b.expr)).collect::<Result<_, _>>()?;
                 let mark = env.mark();
                 for (b, ty) in bindings.iter().zip(tys) {
                     env.bind_val(b.name.clone(), ty);
@@ -366,19 +364,16 @@ impl Typer {
                 self.check_sub(env, &val_ty, &var_ty, || format!("assignment to `{x}`"))?;
                 Ok(Ty::Void)
             }
-            Expr::Tuple(items) => Ok(Ty::Tuple(
-                items.iter().map(|i| self.infer(env, i)).collect::<Result<_, _>>()?,
-            )),
+            Expr::Tuple(items) => {
+                Ok(Ty::Tuple(items.iter().map(|i| self.infer(env, i)).collect::<Result<_, _>>()?))
+            }
             Expr::Proj(i, e) => {
                 let ty = self.infer(env, e)?;
                 let ty = expand_owned(ty, &self.eqs(env))?;
                 let Ty::Tuple(items) = ty else {
                     return Err(CheckError::NotATuple { found: ty });
                 };
-                items
-                    .get(*i)
-                    .cloned()
-                    .ok_or(CheckError::Arity { expected: items.len(), found: *i })
+                items.get(*i).cloned().ok_or(CheckError::Arity { expected: items.len(), found: *i })
             }
             Expr::Unit(u) => self.infer_unit(env, u),
             Expr::Compound(c) => self.infer_compound(env, c),
@@ -389,13 +384,14 @@ impl Typer {
                 self.check_sub(env, &ty, &Ty::Sig(sig.clone()), || "seal".into())?;
                 Ok(Ty::Sig(sig.clone()))
             }
-            Expr::Loc(_) | Expr::CellRef(_) | Expr::Data(_) | Expr::Variant(_)
-            | Expr::VarAt(..) => {
-                Err(CheckError::UnsupportedAtLevel {
-                    form: "a machine-internal form".into(),
-                    level: self.level.name().into(),
-                })
-            }
+            Expr::Loc(_)
+            | Expr::CellRef(_)
+            | Expr::Data(_)
+            | Expr::Variant(_)
+            | Expr::VarAt(..) => Err(CheckError::UnsupportedAtLevel {
+                form: "a machine-internal form".into(),
+                level: self.level.name().into(),
+            }),
         }
     }
 
@@ -434,14 +430,8 @@ impl Typer {
                     let t = Ty::Var(d.name.clone());
                     for v in &d.variants {
                         self.wf_ty(env, &v.payload)?;
-                        env.bind_val(
-                            v.ctor.clone(),
-                            Ty::arrow(vec![v.payload.clone()], t.clone()),
-                        );
-                        env.bind_val(
-                            v.dtor.clone(),
-                            Ty::arrow(vec![t.clone()], v.payload.clone()),
-                        );
+                        env.bind_val(v.ctor.clone(), Ty::arrow(vec![v.payload.clone()], t.clone()));
+                        env.bind_val(v.dtor.clone(), Ty::arrow(vec![t.clone()], v.payload.clone()));
                     }
                     env.bind_val(d.predicate.clone(), Ty::arrow(vec![t.clone()], Ty::Bool));
                 }
@@ -465,8 +455,7 @@ impl Typer {
             }
         }
         let pending_base = self.pending.len();
-        self.pending
-            .extend(vals.iter().filter(|d| d.ty.is_none()).map(|d| d.name.clone()));
+        self.pending.extend(vals.iter().filter(|d| d.ty.is_none()).map(|d| d.name.clone()));
         let result = (|| {
             for d in vals {
                 if d.ty.is_none() {
@@ -523,9 +512,8 @@ impl Typer {
                 })
                 .collect();
 
-            let surviving = |name: &Symbol| {
-                import_ty_names.contains(name) || exported_ty_names.contains(name)
-            };
+            let surviving =
+                |name: &Symbol| import_ty_names.contains(name) || exported_ty_names.contains(name);
 
             // An alias that is itself exported stays opaque in the derived
             // interface; only non-exported abbreviations are expanded away.
@@ -653,12 +641,8 @@ impl Typer {
                 let result = (|| {
                     let expected = self.clause_signature(env, link, actual, i)?;
                     let eqs = self.eqs(env);
-                    subtype(
-                        &eqs,
-                        &Ty::Sig(Box::new(actual.clone())),
-                        &Ty::Sig(Box::new(expected)),
-                    )
-                    .map_err(|e| e.into_check_error(format!("link clause {i}")))
+                    subtype(&eqs, &Ty::Sig(Box::new(actual.clone())), &Ty::Sig(Box::new(expected)))
+                        .map_err(|e| e.into_check_error(format!("link clause {i}")))
                 })();
                 env.restore(clause_mark);
                 result?;
@@ -761,12 +745,11 @@ impl Typer {
                             .map(|p| (l, p))
                     })
                     .ok_or_else(|| CheckError::ExportNotProvided { name: port.name.clone() })?;
-                let provided_ty = provided.ty.clone().ok_or_else(|| {
-                    CheckError::MissingAnnotation {
+                let provided_ty =
+                    provided.ty.clone().ok_or_else(|| CheckError::MissingAnnotation {
                         what: "link clause `provides` port".into(),
                         name: port.name.clone(),
-                    }
-                })?;
+                    })?;
                 let provided_ty = self.to_outer_ty(provider, &provided_ty)?;
                 let ty = match &port.ty {
                     Some(declared) => {
@@ -803,10 +786,7 @@ impl Typer {
                 }
                 for fv in fvs {
                     if !visible.contains(&fv) {
-                        return Err(CheckError::TypeEscape {
-                            name: fv,
-                            export: port.name.clone(),
-                        });
+                        return Err(CheckError::TypeEscape { name: fv, export: port.name.clone() });
                     }
                 }
             }
@@ -843,11 +823,7 @@ impl Typer {
     /// Translates a clause-annotation type from the constituent's inner
     /// type namespace into the compound's outer linking namespace, using
     /// the clause's rename pairs.
-    fn to_outer_ty(
-        &self,
-        link: &units_kernel::LinkClause,
-        ty: &Ty,
-    ) -> Result<Ty, CheckError> {
+    fn to_outer_ty(&self, link: &units_kernel::LinkClause, ty: &Ty) -> Result<Ty, CheckError> {
         if link.renames.is_empty() {
             return Ok(ty.clone());
         }
@@ -943,9 +919,7 @@ impl Typer {
         ) -> Result<(), CheckError> {
             match states.get(node) {
                 Some(State::Done) => return Ok(()),
-                Some(State::Visiting) => {
-                    return Err(CheckError::CyclicLink { name: node.clone() })
-                }
+                Some(State::Visiting) => return Err(CheckError::CyclicLink { name: node.clone() }),
                 None => {}
             }
             states.insert(node.clone(), State::Visiting);
@@ -1005,10 +979,7 @@ impl Typer {
         }
         for tp in &sig.imports.types {
             if !ty_map.contains_key(&tp.name) {
-                return Err(CheckError::MissingInvokeLink {
-                    name: tp.name.clone(),
-                    is_type: true,
-                });
+                return Err(CheckError::MissingInvokeLink { name: tp.name.clone(), is_type: true });
             }
         }
 
@@ -1145,10 +1116,7 @@ mod tests {
             infer_c("(lambda ((n int)) (+ n 1))").unwrap(),
             Ty::arrow(vec![Ty::Int], Ty::Int)
         );
-        assert!(matches!(
-            infer_c("(lambda (n) n)"),
-            Err(CheckError::MissingAnnotation { .. })
-        ));
+        assert!(matches!(infer_c("(lambda (n) n)"), Err(CheckError::MissingAnnotation { .. })));
     }
 
     #[test]
@@ -1160,10 +1128,7 @@ mod tests {
 
     #[test]
     fn tuples_and_projections() {
-        assert_eq!(
-            infer_c("(proj 1 (tuple 1 \"a\"))").unwrap(),
-            Ty::Str
-        );
+        assert_eq!(infer_c("(proj 1 (tuple 1 \"a\"))").unwrap(), Ty::Str);
         assert!(matches!(infer_c("(proj 5 (tuple 1))"), Err(CheckError::Arity { .. })));
         assert!(matches!(infer_c("(proj 0 1)"), Err(CheckError::NotATuple { .. })));
     }
@@ -1311,10 +1276,7 @@ mod tests {
 
     #[test]
     fn invoke_complete_program_yields_init_type() {
-        assert_eq!(
-            infer_c("(invoke (unit (import) (export) (init 42)))").unwrap(),
-            Ty::Int
-        );
+        assert_eq!(infer_c("(invoke (unit (import) (export) (init 42)))").unwrap(), Ty::Int);
     }
 
     #[test]
@@ -1331,24 +1293,18 @@ mod tests {
 
     #[test]
     fn invoke_missing_links_are_rejected() {
-        let err = infer_c(
-            "(invoke (unit (import (x int)) (export) (init x)))",
-        )
-        .unwrap_err();
-        assert!(matches!(err, CheckError::MissingInvokeLink { name, is_type: false } if name.as_str() == "x"));
-        let err = infer_c(
-            "(invoke (unit (import (type t)) (export) (init void)))",
-        )
-        .unwrap_err();
+        let err = infer_c("(invoke (unit (import (x int)) (export) (init x)))").unwrap_err();
+        assert!(
+            matches!(err, CheckError::MissingInvokeLink { name, is_type: false } if name.as_str() == "x")
+        );
+        let err = infer_c("(invoke (unit (import (type t)) (export) (init void)))").unwrap_err();
         assert!(matches!(err, CheckError::MissingInvokeLink { is_type: true, .. }));
     }
 
     #[test]
     fn invoke_link_type_mismatch_is_rejected() {
-        let err = infer_c(
-            "(invoke (unit (import (x int)) (export) (init x)) (val x true))",
-        )
-        .unwrap_err();
+        let err =
+            infer_c("(invoke (unit (import (x int)) (export) (init x)) (val x true))").unwrap_err();
         assert!(matches!(err, CheckError::Mismatch { .. }));
     }
 
@@ -1358,10 +1314,7 @@ mod tests {
                      (alias env (-> str int))
                      (define f env (lambda ((s str)) 0))
                      (init void))";
-        assert!(matches!(
-            infer_c(src),
-            Err(CheckError::UnsupportedAtLevel { .. })
-        ));
+        assert!(matches!(infer_c(src), Err(CheckError::UnsupportedAtLevel { .. })));
         // UNITe: ok, and the alias is expanded away in the interface.
         let sig = sig_of(src, Level::Equations);
         assert_eq!(
@@ -1384,18 +1337,12 @@ mod tests {
         assert!(deps.contains(&Depend::new("env", "name")), "deps: {deps:?}");
         assert!(deps.contains(&Depend::new("env", "value")), "deps: {deps:?}");
         // The exported alias stays opaque in export value types.
-        assert_eq!(
-            sig.exports.val_port(&"empty".into()).unwrap().ty,
-            Some(Ty::var("env"))
-        );
+        assert_eq!(sig.exports.val_port(&"empty".into()).unwrap().ty, Some(Ty::var("env")));
     }
 
     #[test]
     fn cyclic_aliases_are_rejected() {
-        let err = infer_e(
-            "(letrec ((alias a b) (alias b a)) void)",
-        )
-        .unwrap_err();
+        let err = infer_e("(letrec ((alias a b) (alias b a)) void)").unwrap_err();
         assert!(matches!(err, CheckError::CyclicTypeEquation { .. }));
     }
 
@@ -1488,25 +1435,16 @@ mod tests {
 
     #[test]
     fn recursive_unannotated_definitions_need_annotations() {
-        let err = infer_c(
-            "(letrec ((define f (lambda ((n int)) (f n)))) (f 1))",
-        )
-        .unwrap_err();
+        let err = infer_c("(letrec ((define f (lambda ((n int)) (f n)))) (f 1))").unwrap_err();
         assert!(matches!(err, CheckError::MissingAnnotation { .. }));
         // With an annotation the recursion checks.
-        infer_c(
-            "(letrec ((define f (-> int int) (lambda ((n int)) (f n)))) (f 1))",
-        )
-        .unwrap();
+        infer_c("(letrec ((define f (-> int int) (lambda ((n int)) (f n)))) (f 1))").unwrap();
     }
 
     #[test]
     fn hash_prims_are_typed_via_instantiation() {
         assert_eq!(infer_c("((inst hash-new int))").unwrap(), Ty::hash(Ty::Int));
-        assert_eq!(
-            infer_c("((inst hash-get int) ((inst hash-new int)) \"k\")").unwrap(),
-            Ty::Int
-        );
+        assert_eq!(infer_c("((inst hash-get int) ((inst hash-new int)) \"k\")").unwrap(), Ty::Int);
         assert!(matches!(
             infer_c("((inst hash-set! int) ((inst hash-new int)) \"k\" true)"),
             Err(CheckError::Mismatch { .. })

@@ -90,11 +90,7 @@ struct Checker {
 }
 
 impl Checker {
-    fn duplicate_check<'a>(
-        &mut self,
-        names: impl IntoIterator<Item = &'a Symbol>,
-        context: &str,
-    ) {
+    fn duplicate_check<'a>(&mut self, names: impl IntoIterator<Item = &'a Symbol>, context: &str) {
         let mut seen = BTreeSet::new();
         for name in names {
             if !seen.insert(name.clone()) {
@@ -157,10 +153,7 @@ impl Checker {
                     }
                 }
                 self.duplicate_check(all_names.iter(), "letrec definitions");
-                self.duplicate_check(
-                    lr.types.iter().map(|t| t.name()),
-                    "letrec type definitions",
-                );
+                self.duplicate_check(lr.types.iter().map(|t| t.name()), "letrec type definitions");
                 scope.with(&all_names, &val_names, |scope| {
                     for (i, d) in lr.vals.iter().enumerate() {
                         // Undetermined at this point: this definition and
@@ -168,8 +161,7 @@ impl Checker {
                         // earlier definitions are already determined.)
                         let forbidden: BTreeSet<Symbol> =
                             lr.vals[i..].iter().map(|d| d.name.clone()).collect();
-                        if self.strictness == Strictness::Paper
-                            && !is_valuable(&d.body, &forbidden)
+                        if self.strictness == Strictness::Paper && !is_valuable(&d.body, &forbidden)
                         {
                             self.errors.push(CheckError::NotValuable { name: d.name.clone() });
                         }
@@ -202,14 +194,8 @@ impl Checker {
             Expr::Compound(c) => self.compound(c, scope),
             Expr::Invoke(inv) => {
                 self.expr(&inv.target, scope);
-                self.duplicate_check(
-                    inv.ty_links.iter().map(|(n, _)| n),
-                    "invoke type links",
-                );
-                self.duplicate_check(
-                    inv.val_links.iter().map(|(n, _)| n),
-                    "invoke value links",
-                );
+                self.duplicate_check(inv.ty_links.iter().map(|(n, _)| n), "invoke type links");
+                self.duplicate_check(inv.val_links.iter().map(|(n, _)| n), "invoke value links");
                 for (_, e) in &inv.val_links {
                     self.expr(e, scope);
                 }
@@ -445,7 +431,9 @@ mod tests {
                (link ((unit (import) (export)) (with) (provides))))",
         )
         .unwrap_err();
-        assert!(matches!(&errs[0], CheckError::ExportNotProvided { name } if name.as_str() == "missing"));
+        assert!(
+            matches!(&errs[0], CheckError::ExportNotProvided { name } if name.as_str() == "missing")
+        );
     }
 
     #[test]

@@ -44,7 +44,11 @@ pub fn is_valuable(expr: &Expr, forbidden: &BTreeSet<Symbol>) -> bool {
     // referring to them is valuable — a faithful-to-intent refinement of
     // the paper's blanket rule (documented in DESIGN.md §1).
     match expr {
-        Expr::Lit(_) | Expr::Lambda(_) | Expr::Prim(..) | Expr::Unit(_) | Expr::Data(_)
+        Expr::Lit(_)
+        | Expr::Lambda(_)
+        | Expr::Prim(..)
+        | Expr::Unit(_)
+        | Expr::Data(_)
         | Expr::Loc(_) => true,
         Expr::Var(x) | Expr::VarAt(x, _) => !forbidden.contains(x),
         Expr::Tuple(items) => items.iter().all(|e| is_valuable(e, forbidden)),

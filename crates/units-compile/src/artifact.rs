@@ -174,12 +174,8 @@ pub fn load_unit(published: &Published, opts: CheckOptions) -> Result<Expr, Arti
     let expr = parse_expr(&source)?;
     let actual = signature_of(&expr, opts)?;
     let declared = load_interface(&published.interface_path)?;
-    subtype(
-        &Equations::new(),
-        &Ty::Sig(Box::new(actual)),
-        &Ty::Sig(Box::new(declared)),
-    )
-    .map_err(|e| ArtifactError::InterfaceViolation { reason: e.to_string() })?;
+    subtype(&Equations::new(), &Ty::Sig(Box::new(actual)), &Ty::Sig(Box::new(declared)))
+        .map_err(|e| ArtifactError::InterfaceViolation { reason: e.to_string() })?;
     Ok(expr)
 }
 
@@ -211,8 +207,7 @@ mod tests {
     use super::*;
 
     fn tmp(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("units-artifact-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("units-artifact-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -224,8 +219,7 @@ mod tests {
     fn publish_then_load_round_trips() {
         let dir = tmp("round");
         let published =
-            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed))
-                .unwrap();
+            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed)).unwrap();
         let interface = load_interface(&published.interface_path).unwrap();
         assert_eq!(
             interface.exports.val_port(&"add".into()).unwrap().ty,
@@ -240,8 +234,7 @@ mod tests {
     fn clients_check_against_the_interface_alone() {
         let dir = tmp("client");
         let published =
-            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed))
-                .unwrap();
+            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed)).unwrap();
         // Delete the provider source: the interface survives.
         std::fs::remove_file(&published.unit_path).unwrap();
         let interface = load_interface(&published.interface_path).unwrap();
@@ -252,11 +245,8 @@ mod tests {
                (define double (-> int int) (lambda ((n int)) (add n n))))",
             ty = units_syntax::pretty_ty(&add_ty)
         );
-        check_program(
-            &parse_expr(&client).unwrap(),
-            CheckOptions::typed(Level::Constructed),
-        )
-        .unwrap();
+        check_program(&parse_expr(&client).unwrap(), CheckOptions::typed(Level::Constructed))
+            .unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -264,8 +254,7 @@ mod tests {
     fn swapped_providers_are_reverified_at_link_time() {
         let dir = tmp("swap");
         let published =
-            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed))
-                .unwrap();
+            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed)).unwrap();
         // A compatible replacement (exports more): accepted.
         std::fs::write(
             &published.unit_path,
@@ -312,12 +301,7 @@ mod tests {
             Err(ArtifactError::Parse(_))
         ));
         assert!(matches!(
-            publish_unit(
-                &dir,
-                "x",
-                "(unit (import) (export ghost))",
-                CheckOptions::untyped()
-            ),
+            publish_unit(&dir, "x", "(unit (import) (export ghost))", CheckOptions::untyped()),
             Err(ArtifactError::Check(_))
         ));
         assert!(matches!(

@@ -17,9 +17,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use units_check::{check_program, subtype, CheckError, CheckOptions, Equations};
 #[allow(unused_imports)]
 use units_check::Level;
+use units_check::{check_program, subtype, CheckError, CheckOptions, Equations};
 use units_kernel::{Expr, Signature, Ty};
 use units_syntax::{parse_expr, ParseError};
 
@@ -192,10 +192,7 @@ mod tests {
     use units_syntax::parse_signature;
 
     fn plugin_sig() -> Signature {
-        parse_signature(
-            "(sig (import (log (-> str void))) (export) (init (-> int int)))",
-        )
-        .unwrap()
+        parse_signature("(sig (import (log (-> str void))) (export) (init (-> int int)))").unwrap()
     }
 
     fn archive() -> Archive {

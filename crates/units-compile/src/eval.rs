@@ -88,9 +88,7 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
             units_kernel::Lit::Void => Value::Void,
         }),
         Expr::Prim(op, _tys) => Ok(Value::Prim(*op)),
-        Expr::Lambda(lam) => {
-            Ok(Value::Closure(Rc::new(Closure::new(lam.clone(), env.clone()))))
-        }
+        Expr::Lambda(lam) => Ok(Value::Closure(Rc::new(Closure::new(lam.clone(), env.clone())))),
         Expr::App(f, args) => {
             let func = eval(f, env, machine)?;
             let mut arg_vals = Vec::with_capacity(args.len());
@@ -102,10 +100,9 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
         Expr::If(c, t, e) => match eval(c, env, machine)? {
             Value::Bool(true) => eval(t, env, machine),
             Value::Bool(false) => eval(e, env, machine),
-            other => Err(RuntimeError::WrongType {
-                expected: "a boolean",
-                found: other.to_string(),
-            }),
+            other => {
+                Err(RuntimeError::WrongType { expected: "a boolean", found: other.to_string() })
+            }
         },
         Expr::Seq(es) => {
             let mut last = Value::Void;
@@ -159,9 +156,7 @@ fn eval_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Value, Ru
                 .get(*i)
                 .cloned()
                 .ok_or(RuntimeError::BadProjection { index: *i, width: items.len() }),
-            other => {
-                Err(RuntimeError::WrongType { expected: "a tuple", found: other.to_string() })
-            }
+            other => Err(RuntimeError::WrongType { expected: "a tuple", found: other.to_string() }),
         },
         Expr::Unit(u) => {
             Ok(Value::Unit(Rc::new(UnitValue::Atomic(AtomicUnit::new(u.clone(), env.clone())))))
@@ -232,10 +227,9 @@ fn eval_tail_inner(expr: &Expr, env: &Env, machine: &mut Machine) -> Result<Tail
         Expr::If(c, t, e) => match eval(c, env, machine)? {
             Value::Bool(true) => eval_tail(t, env, machine),
             Value::Bool(false) => eval_tail(e, env, machine),
-            other => Err(RuntimeError::WrongType {
-                expected: "a boolean",
-                found: other.to_string(),
-            }),
+            other => {
+                Err(RuntimeError::WrongType { expected: "a boolean", found: other.to_string() })
+            }
         },
         Expr::Seq(es) => match es.split_last() {
             None => Ok(Tail::Done(Value::Void)),

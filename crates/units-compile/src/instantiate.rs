@@ -199,8 +199,7 @@ mod tests {
 
     #[test]
     fn linking_against_a_hidden_export_fails() {
-        let err = run(
-            "(invoke (compound (import) (export)
+        let err = run("(invoke (compound (import) (export)
                (link ((compound (import) (export get)
                         (link ((unit (import) (export get delete)
                                  (define get (lambda () 10))
@@ -208,19 +207,16 @@ mod tests {
                                (with) (provides get delete))))
                       (with) (provides get delete))
                      ((unit (import delete) (export) (init (delete)))
-                      (with delete) (provides)))))",
-        )
+                      (with delete) (provides)))))")
         .unwrap_err();
         assert!(matches!(err, RuntimeError::MissingProvide { name } if name.as_str() == "delete"));
     }
 
     #[test]
     fn excess_imports_are_rejected_at_link_time() {
-        let err = run(
-            "(compound (import) (export)
+        let err = run("(compound (import) (export)
                (link ((unit (import ghost) (export) (init void))
-                      (with) (provides))))",
-        )
+                      (with) (provides))))")
         .unwrap_err();
         assert!(matches!(err, RuntimeError::ExcessImport { name } if name.as_str() == "ghost"));
     }
@@ -253,10 +249,7 @@ mod tests {
         let v2 = evaluate_program(&e, &mut machine).unwrap();
         match (v1, v2) {
             (Value::Unit(u1), Value::Unit(u2)) => {
-                assert!(Arc::ptr_eq(
-                    u1.atomic_source().unwrap(),
-                    u2.atomic_source().unwrap()
-                ));
+                assert!(Arc::ptr_eq(u1.atomic_source().unwrap(), u2.atomic_source().unwrap()));
             }
             other => panic!("expected units, got {other:?}"),
         }
@@ -271,18 +264,18 @@ mod tests {
                    (let ((a (invoke symbol)) (b (invoke symbol)))
                      ((proj 1 b) ((proj 0 a) \"x\")))";
         let err = run(src).unwrap_err();
-        assert!(matches!(err, RuntimeError::ForeignInstance { ty_name } if ty_name.as_str() == "sym"));
+        assert!(
+            matches!(err, RuntimeError::ForeignInstance { ty_name } if ty_name.as_str() == "sym")
+        );
     }
 
     #[test]
     fn seal_hides_exports_at_runtime() {
-        let err = run(
-            "(invoke (compound (import) (export)
+        let err = run("(invoke (compound (import) (export)
                (link ((seal (unit (import) (export a b)
                               (define a 1) (define b 2))
                             (sig (import) (export b) (init void)))
-                      (with) (provides a)))))",
-        )
+                      (with) (provides a)))))")
         .unwrap_err();
         assert!(matches!(err, RuntimeError::MissingProvide { name } if name.as_str() == "a"));
     }

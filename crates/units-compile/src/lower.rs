@@ -395,9 +395,7 @@ mod tests {
         );
         assert_eq!(run_int("(invoke (unit (import) (export) (init (* 6 7))))"), 42);
         assert_eq!(
-            run_int(
-                "(invoke (unit (import base) (export) (init (+ base 2))) (val base 40))"
-            ),
+            run_int("(invoke (unit (import base) (export) (init (+ base 2))) (val base 40))"),
             42
         );
     }
@@ -452,10 +450,7 @@ mod tests {
         assert_eq!(run_int("(- 1 10)"), -9);
         assert_eq!(run_int("(* 3 (+ 1 2))"), 9);
         let chunk = chunk_for("(< 1 x)");
-        assert!(chunk
-            .code
-            .iter()
-            .any(|op| matches!(op, Op::CallPrimImm { rev: true, .. })));
+        assert!(chunk.code.iter().any(|op| matches!(op, Op::CallPrimImm { rev: true, .. })));
         let wide = chunk_for("(+ x 5000000000)");
         assert!(wide.code.iter().any(|op| matches!(op, Op::CallPrim { .. })));
         // The fused comparison agrees with the unfused semantics.

@@ -69,10 +69,9 @@ mod tests {
     use units_runtime::{execute, Machine};
 
     fn compiled_run() -> std::sync::Arc<Chunk> {
-        let program = units_syntax::parse_expr(
-            "(invoke (unit (import) (export) (init (+ (* 6 7) 0))))",
-        )
-        .unwrap();
+        let program =
+            units_syntax::parse_expr("(invoke (unit (import) (export) (init (+ (* 6 7) 0))))")
+                .unwrap();
         let chunk = lower_program(&resolve_program(&program));
         execute(&chunk, &mut Machine::new()).unwrap();
         chunk

@@ -141,7 +141,11 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
             Some(addr) => Expr::VarAt(x.clone(), addr),
             None => Expr::Var(x.clone()),
         },
-        Expr::Lit(_) | Expr::Prim(..) | Expr::Loc(_) | Expr::CellRef(_) | Expr::Data(_)
+        Expr::Lit(_)
+        | Expr::Prim(..)
+        | Expr::Loc(_)
+        | Expr::CellRef(_)
+        | Expr::Data(_)
         | Expr::Variant(_) => expr.clone(),
         Expr::Lambda(lam) => {
             scope.push(lam.params.iter().map(|p| p.name.clone()).collect());
@@ -153,15 +157,12 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
                 body,
             }))
         }
-        Expr::App(f, args) => Expr::App(
-            Box::new(go(f, scope)),
-            args.iter().map(|a| go(a, scope)).collect(),
-        ),
-        Expr::If(c, t, e) => Expr::If(
-            Box::new(go(c, scope)),
-            Box::new(go(t, scope)),
-            Box::new(go(e, scope)),
-        ),
+        Expr::App(f, args) => {
+            Expr::App(Box::new(go(f, scope)), args.iter().map(|a| go(a, scope)).collect())
+        }
+        Expr::If(c, t, e) => {
+            Expr::If(Box::new(go(c, scope)), Box::new(go(t, scope)), Box::new(go(e, scope)))
+        }
         Expr::Seq(es) => Expr::Seq(es.iter().map(|e| go(e, scope)).collect()),
         Expr::Let(bindings, body) => {
             let new_bindings: Vec<Binding> = bindings
@@ -180,10 +181,9 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
             scope.pop();
             Expr::Letrec(Arc::new(LetrecExpr { types: lr.types.clone(), vals, body }))
         }
-        Expr::Set(target, value) => Expr::Set(
-            Box::new(go(target, scope)),
-            Box::new(go(value, scope)),
-        ),
+        Expr::Set(target, value) => {
+            Expr::Set(Box::new(go(target, scope)), Box::new(go(value, scope)))
+        }
         Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| go(e, scope)).collect()),
         Expr::Proj(i, e) => Expr::Proj(*i, Box::new(go(e, scope))),
         Expr::Unit(u) => resolve_unit(u, scope),
@@ -197,11 +197,7 @@ fn go(expr: &Expr, scope: &mut Scope) -> Expr {
         Expr::Invoke(inv) => Expr::Invoke(Arc::new(InvokeExpr {
             target: go(&inv.target, scope),
             ty_links: inv.ty_links.clone(),
-            val_links: inv
-                .val_links
-                .iter()
-                .map(|(n, e)| (n.clone(), go(e, scope)))
-                .collect(),
+            val_links: inv.val_links.iter().map(|(n, e)| (n.clone(), go(e, scope))).collect(),
         })),
         Expr::Seal(e, sig) => Expr::Seal(Box::new(go(e, scope)), sig.clone()),
     }
@@ -276,10 +272,7 @@ fn flatten(c: &Arc<CompoundExpr>, gen: &mut NameGen) -> Result<UnitExpr, Arc<Com
         .collect();
     let Some(units) = units else { return Err(flat) };
     // A merged nested compound is closed: its constituents were.
-    let closed = c
-        .links
-        .iter()
-        .all(|l| matches!(l.expr, Expr::Compound(_)) || is_closed(&l.expr));
+    let closed = c.links.iter().all(|l| matches!(l.expr, Expr::Compound(_)) || is_closed(&l.expr));
     if !closed || !well_linked(&flat) {
         return Err(flat);
     }
@@ -298,9 +291,10 @@ fn well_linked(c: &CompoundExpr) -> bool {
     if !c.imports.vals.iter().map(|p| &p.name).chain(provided).all(|name| names.insert(name)) {
         return false;
     }
-    let supplied = c.links.iter().all(|l| {
-        l.with.vals.iter().all(|p| names.contains(l.renames.outer_import_val(&p.name)))
-    });
+    let supplied = c
+        .links
+        .iter()
+        .all(|l| l.with.vals.iter().all(|p| names.contains(l.renames.outer_import_val(&p.name))));
     supplied
         && c.exports.vals.iter().enumerate().all(|(i, p)| {
             names.contains(&p.name)

@@ -112,16 +112,16 @@ fn eq_sig(a: &Signature, b: &Signature, env: &mut AlphaEnv) -> bool {
     if bound_a != bound_b {
         return false;
     }
-    let identity: Vec<(Symbol, Symbol)> =
-        bound_a.iter().map(|t| (t.clone(), t.clone())).collect();
+    let identity: Vec<(Symbol, Symbol)> = bound_a.iter().map(|t| (t.clone(), t.clone())).collect();
     env.with_tys(identity, |env| {
         eq_ports(&a.imports, &b.imports, env)
             && eq_ports(&a.exports, &b.exports, env)
             && a.depend_set() == b.depend_set()
             && a.equations.len() == b.equations.len()
-            && a.equations.iter().zip(&b.equations).all(|(x, y)| {
-                x.name == y.name && x.kind == y.kind && eq_ty(&x.body, &y.body, env)
-            })
+            && a.equations
+                .iter()
+                .zip(&b.equations)
+                .all(|(x, y)| x.name == y.name && x.kind == y.kind && eq_ty(&x.body, &y.body, env))
             && eq_ty(&a.init_ty, &b.init_ty, env)
     })
 }
@@ -130,10 +130,7 @@ fn eq_ports(a: &Ports, b: &Ports, env: &mut AlphaEnv) -> bool {
     a.types.len() == b.types.len()
         && a.vals.len() == b.vals.len()
         && a.types.iter().zip(&b.types).all(|(x, y)| x.name == y.name && x.kind == y.kind)
-        && a.vals
-            .iter()
-            .zip(&b.vals)
-            .all(|(x, y)| x.name == y.name && eq_opt_ty(&x.ty, &y.ty, env))
+        && a.vals.iter().zip(&b.vals).all(|(x, y)| x.name == y.name && eq_opt_ty(&x.ty, &y.ty, env))
 }
 
 /// Pairs of corresponding bound names on the two sides.
@@ -195,11 +192,7 @@ fn eq_expr(a: &Expr, b: &Expr, env: &mut AlphaEnv) -> bool {
         }
         (Expr::Lambda(la), Expr::Lambda(lb)) => {
             la.params.len() == lb.params.len()
-                && la
-                    .params
-                    .iter()
-                    .zip(&lb.params)
-                    .all(|(x, y)| eq_opt_ty(&x.ty, &y.ty, env))
+                && la.params.iter().zip(&lb.params).all(|(x, y)| eq_opt_ty(&x.ty, &y.ty, env))
                 && eq_opt_ty(&la.ret_ty, &lb.ret_ty, env)
                 && {
                     let pairs = la
@@ -238,8 +231,9 @@ fn eq_expr(a: &Expr, b: &Expr, env: &mut AlphaEnv) -> bool {
             let Some((ty_pairs, mut val_pairs)) = typedefn_pairs(&l1.types, &l2.types) else {
                 return false;
             };
-            val_pairs
-                .extend(l1.vals.iter().zip(&l2.vals).map(|(x, y)| (x.name.clone(), y.name.clone())));
+            val_pairs.extend(
+                l1.vals.iter().zip(&l2.vals).map(|(x, y)| (x.name.clone(), y.name.clone())),
+            );
             env.with_tys(ty_pairs, |env| {
                 env.with_vals(val_pairs, |env| {
                     eq_typedefn_bodies(&l1.types, &l2.types, env)
@@ -257,8 +251,7 @@ fn eq_expr(a: &Expr, b: &Expr, env: &mut AlphaEnv) -> bool {
                 return false;
             }
             // Interface names must match literally.
-            if !eq_ports(&u1.imports, &u2.imports, env)
-                || !eq_ports(&u1.exports, &u2.exports, env)
+            if !eq_ports(&u1.imports, &u2.imports, env) || !eq_ports(&u1.exports, &u2.exports, env)
             {
                 return false;
             }
@@ -266,14 +259,11 @@ fn eq_expr(a: &Expr, b: &Expr, env: &mut AlphaEnv) -> bool {
                 return false;
             };
             // Imported names are part of the interface: identity pairs.
-            let mut pairs: Vec<(Symbol, Symbol)> = u1
-                .imports
-                .vals
-                .iter()
-                .map(|p| (p.name.clone(), p.name.clone()))
-                .collect();
-            val_pairs
-                .extend(u1.vals.iter().zip(&u2.vals).map(|(x, y)| (x.name.clone(), y.name.clone())));
+            let mut pairs: Vec<(Symbol, Symbol)> =
+                u1.imports.vals.iter().map(|p| (p.name.clone(), p.name.clone())).collect();
+            val_pairs.extend(
+                u1.vals.iter().zip(&u2.vals).map(|(x, y)| (x.name.clone(), y.name.clone())),
+            );
             // Exported definitions keep their interface names: a pair
             // (a, b) with a ≠ b where either is exported is a mismatch.
             let exported = u1.exports.val_names();
@@ -283,12 +273,8 @@ fn eq_expr(a: &Expr, b: &Expr, env: &mut AlphaEnv) -> bool {
                 }
             }
             pairs.extend(val_pairs);
-            let mut ty_pairs_all: Vec<(Symbol, Symbol)> = u1
-                .imports
-                .types
-                .iter()
-                .map(|p| (p.name.clone(), p.name.clone()))
-                .collect();
+            let mut ty_pairs_all: Vec<(Symbol, Symbol)> =
+                u1.imports.types.iter().map(|p| (p.name.clone(), p.name.clone())).collect();
             let exported_tys = u1.exports.ty_names();
             for (x, y) in &ty_pairs {
                 if (exported_tys.contains(x) || exported_tys.contains(y)) && x != y {

@@ -231,7 +231,11 @@ fn add_opt_ty(ty: &Option<Ty>, bound: &BTreeSet<Symbol>, out: &mut BTreeSet<Symb
 
 fn collect_ty(expr: &Expr, bound: &mut BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
     match expr {
-        Expr::Var(_) | Expr::VarAt(..) | Expr::Lit(_) | Expr::Loc(_) | Expr::CellRef(_)
+        Expr::Var(_)
+        | Expr::VarAt(..)
+        | Expr::Lit(_)
+        | Expr::Loc(_)
+        | Expr::CellRef(_)
         | Expr::Data(_) => {}
         Expr::Prim(_, tys) => {
             for t in tys {

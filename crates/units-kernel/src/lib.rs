@@ -64,8 +64,8 @@ mod term;
 mod ty;
 
 pub use alpha::{alpha_eq, alpha_eq_ty};
-pub use hash::alpha_hash;
 pub use free::{free_ty_vars_expr, free_val_vars, is_closed};
+pub use hash::alpha_hash;
 pub use kind::Kind;
 pub use merge::{merge_compound, MergeError};
 pub use plan::{ClausePlan, LinkPlan};

@@ -121,7 +121,9 @@ pub fn merge_compound(
     let mut used: HashSet<Symbol, SymbolHash> =
         compound.imports.vals.iter().map(|p| p.name.clone()).collect();
     for link in &compound.links {
-        used.extend(link.provides.vals.iter().map(|p| link.renames.outer_export_val(&p.name).clone()));
+        used.extend(
+            link.provides.vals.iter().map(|p| link.renames.outer_export_val(&p.name).clone()),
+        );
     }
     // A provided outer name the compound hides gets a fresh name when a
     // rename pair targets it.

@@ -39,7 +39,11 @@ pub struct CaptureError {
 
 impl std::fmt::Display for CaptureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "substitution would capture interface name `{}`, which cannot be renamed", self.binder)
+        write!(
+            f,
+            "substitution would capture interface name `{}`, which cannot be renamed",
+            self.binder
+        )
     }
 }
 
@@ -126,8 +130,11 @@ fn at_binder(
     renamable: bool,
     gen: &mut NameGen,
 ) -> Result<Option<Live>, CaptureError> {
-    let mut live: HashMap<Symbol, SubstVal> =
-        map.iter().filter(|(k, _)| !binders.contains(k)).map(|(k, v)| (k.clone(), v.clone())).collect();
+    let mut live: HashMap<Symbol, SubstVal> = map
+        .iter()
+        .filter(|(k, _)| !binders.contains(k))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
     if live.is_empty() {
         return Ok(None);
     }
@@ -142,10 +149,7 @@ fn at_binder(
             renames.insert(b.clone(), fresh.clone());
             live.insert(
                 b.clone(),
-                SubstVal {
-                    expr: Expr::Var(fresh.clone()),
-                    fvs: Arc::new(BTreeSet::from([fresh])),
-                },
+                SubstVal { expr: Expr::Var(fresh.clone()), fvs: Arc::new(BTreeSet::from([fresh])) },
             );
         }
     }
@@ -243,11 +247,8 @@ fn go(
             match at_binder(map, &binders, true, gen)? {
                 None => expr.clone(),
                 Some((live, renames)) => {
-                    let types = lr
-                        .types
-                        .iter()
-                        .map(|td| rename_typedefn_ops(td, &renames))
-                        .collect();
+                    let types =
+                        lr.types.iter().map(|td| rename_typedefn_ops(td, &renames)).collect();
                     let vals = lr
                         .vals
                         .iter()
@@ -269,8 +270,7 @@ fn go(
         }
         Expr::Proj(i, e) => Expr::Proj(*i, Box::new(go(e, map, gen)?)),
         Expr::Unit(u) => {
-            let mut binders: Vec<Symbol> =
-                u.imports.vals.iter().map(|p| p.name.clone()).collect();
+            let mut binders: Vec<Symbol> = u.imports.vals.iter().map(|p| p.name.clone()).collect();
             binders.extend(u.defined_val_names());
             // Unit interface names (imports and exports) are not renamable;
             // internal definition names are, but renaming them would also
@@ -409,8 +409,11 @@ pub fn subst_ty_in_sig(
     map: &HashMap<Symbol, Ty>,
 ) -> Result<Signature, CaptureError> {
     let bound = sig.bound_ty_vars();
-    let live: HashMap<Symbol, Ty> =
-        map.iter().filter(|(k, _)| !bound.contains(*k)).map(|(k, v)| (k.clone(), v.clone())).collect();
+    let live: HashMap<Symbol, Ty> = map
+        .iter()
+        .filter(|(k, _)| !bound.contains(*k))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
     if live.is_empty() {
         return Ok(sig.clone());
     }
@@ -535,10 +538,7 @@ mod tests {
     fn ty_subst_respects_sig_binders() {
         let sig = Signature {
             imports: Ports { types: vec![TyPort::star("t")], vals: vec![] },
-            exports: Ports {
-                types: vec![],
-                vals: vec![ValPort::typed("x", Ty::var("t"))],
-            },
+            exports: Ports { types: vec![], vals: vec![ValPort::typed("x", Ty::var("t"))] },
             depends: vec![],
             equations: vec![],
             init_ty: Ty::Void,
@@ -553,10 +553,7 @@ mod tests {
     fn ty_subst_reports_interface_capture() {
         let sig = Signature {
             imports: Ports { types: vec![TyPort::star("t")], vals: vec![] },
-            exports: Ports {
-                types: vec![],
-                vals: vec![ValPort::typed("x", Ty::var("u"))],
-            },
+            exports: Ports { types: vec![], vals: vec![ValPort::typed("x", Ty::var("u"))] },
             depends: vec![],
             equations: vec![],
             init_ty: Ty::Void,

@@ -24,10 +24,7 @@ pub fn constituent_units(
         .iter()
         .map(|l| match &l.expr {
             Expr::Unit(u) => Ok(u.clone()),
-            other => Err(RuntimeError::NotAUnit {
-                rule: "compound",
-                found: crate::render(other),
-            }),
+            other => Err(RuntimeError::NotAUnit { rule: "compound", found: crate::render(other) }),
         })
         .collect()
 }
@@ -43,7 +40,9 @@ mod tests {
     fn compound_parts(src: &str) -> (units_kernel::CompoundExpr, Vec<std::sync::Arc<UnitExpr>>) {
         let compound = match parse_expr(src).unwrap() {
             Expr::Compound(c) => (*c).clone(),
-            ref other => panic!("test source must parse to a compound, got {}", crate::render(other)),
+            ref other => {
+                panic!("test source must parse to a compound, got {}", crate::render(other))
+            }
         };
         let units = constituent_units(&compound).unwrap();
         (compound, units)

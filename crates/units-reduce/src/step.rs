@@ -147,10 +147,7 @@ impl Reducer {
                     self.last_redex,
                     None,
                     || self.steps.to_string(),
-                    &[
-                        ("reduce/steps", 1),
-                        ("reduce/store_size", self.store.len() as u64),
-                    ],
+                    &[("reduce/steps", 1), ("reduce/store_size", self.store.len() as u64)],
                 );
             }
         }
@@ -308,10 +305,9 @@ impl Reducer {
                         narrowed.exports = sig.exports.clone();
                         Ok(Expr::Unit(Arc::new(narrowed)))
                     }
-                    ref other => Err(RuntimeError::NotAUnit {
-                        rule: "seal",
-                        found: crate::render(other),
-                    }),
+                    ref other => {
+                        Err(RuntimeError::NotAUnit { rule: "seal", found: crate::render(other) })
+                    }
                 }
             }
             Expr::Var(x) | Expr::VarAt(x, _) => Err(RuntimeError::Unbound { name: x }),
@@ -401,9 +397,7 @@ impl Reducer {
                 Some((_, v)) => {
                     map.insert(port.name.clone(), v.clone());
                 }
-                None => {
-                    return Err(RuntimeError::UnsatisfiedImport { name: port.name.clone() })
-                }
+                None => return Err(RuntimeError::UnsatisfiedImport { name: port.name.clone() }),
             }
         }
         // [v̄/x̄](letrec defns in init)
@@ -426,19 +420,13 @@ impl Reducer {
                     });
                 }
                 self.last_redex = "step/beta";
-                let map: HashMap<Symbol, Expr> = lam
-                    .params
-                    .iter()
-                    .zip(args)
-                    .map(|(p, a)| (p.name.clone(), a))
-                    .collect();
+                let map: HashMap<Symbol, Expr> =
+                    lam.params.iter().zip(args).map(|(p, a)| (p.name.clone(), a)).collect();
                 Ok(subst_vals(&lam.body, &map, &mut self.gen))
             }
             Expr::Prim(op, _) => self.delta(op, &args),
             Expr::Data(ref op) => self.apply_data(op, &args),
-            ref other => {
-                Err(RuntimeError::NotAFunction { found: crate::render(other) })
-            }
+            ref other => Err(RuntimeError::NotAFunction { found: crate::render(other) }),
         }
     }
 
@@ -520,24 +508,21 @@ impl Reducer {
         }
         let int = |e: &Expr| match e {
             L(Lit::Int(n)) => Ok(*n),
-            other => Err(RuntimeError::WrongType {
-                expected: "an integer",
-                found: crate::render(other),
-            }),
+            other => {
+                Err(RuntimeError::WrongType { expected: "an integer", found: crate::render(other) })
+            }
         };
         let boolean = |e: &Expr| match e {
             L(Lit::Bool(b)) => Ok(*b),
-            other => Err(RuntimeError::WrongType {
-                expected: "a boolean",
-                found: crate::render(other),
-            }),
+            other => {
+                Err(RuntimeError::WrongType { expected: "a boolean", found: crate::render(other) })
+            }
         };
         let string = |e: &Expr| match e {
             L(Lit::Str(s)) => Ok(s.clone()),
-            other => Err(RuntimeError::WrongType {
-                expected: "a string",
-                found: crate::render(other),
-            }),
+            other => {
+                Err(RuntimeError::WrongType { expected: "a string", found: crate::render(other) })
+            }
         };
         let loc = |e: &Expr| match e {
             Expr::Loc(l) => Ok(*l),
@@ -569,9 +554,7 @@ impl Reducer {
             PrimOp::NumEq => Expr::bool(int(&args[0])? == int(&args[1])?),
             PrimOp::Not => Expr::bool(!boolean(&args[0])?),
             PrimOp::BoolEq => Expr::bool(boolean(&args[0])? == boolean(&args[1])?),
-            PrimOp::StrAppend => {
-                Expr::str(format!("{}{}", string(&args[0])?, string(&args[1])?))
-            }
+            PrimOp::StrAppend => Expr::str(format!("{}{}", string(&args[0])?, string(&args[1])?)),
             PrimOp::StrEq => Expr::bool(string(&args[0])? == string(&args[1])?),
             PrimOp::StrLen => Expr::int(string(&args[0])?.chars().count() as i64),
             PrimOp::IntToStr => Expr::str(int(&args[0])?.to_string()),
@@ -847,10 +830,7 @@ mod tests {
         assert!(matches!(run(src).unwrap_err(), RuntimeError::WrongVariant { .. }));
         let src = "(letrec ((datatype t (mk unmk int) (no unno void) t?))
                      (tuple (t? (mk 7)) (t? (no void))))";
-        assert_eq!(
-            run_ok(src),
-            Expr::Tuple(vec![Expr::bool(true), Expr::bool(false)])
-        );
+        assert_eq!(run_ok(src), Expr::Tuple(vec![Expr::bool(true), Expr::bool(false)]));
     }
 
     #[test]
@@ -869,12 +849,10 @@ mod tests {
 
     #[test]
     fn seal_narrows_exports() {
-        let err = run(
-            "(invoke (compound (import) (export)
+        let err = run("(invoke (compound (import) (export)
                (link ((seal (unit (import) (export a) (define a 1))
                             (sig (import) (export) (init void)))
-                      (with) (provides a)))))",
-        )
+                      (with) (provides a)))))")
         .unwrap_err();
         assert!(matches!(err, RuntimeError::MissingProvide { name } if name.as_str() == "a"));
     }
@@ -886,7 +864,10 @@ mod tests {
         let err = Reducer::with_fuel(10_000).reduce_to_value(&e).unwrap_err();
         assert!(matches!(
             err,
-            RuntimeError::ResourceExhausted { resource: units_runtime::Resource::Fuel, limit: 10_000 }
+            RuntimeError::ResourceExhausted {
+                resource: units_runtime::Resource::Fuel,
+                limit: 10_000
+            }
         ));
     }
 

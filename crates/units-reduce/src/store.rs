@@ -84,10 +84,7 @@ impl Store {
     pub fn hash(&self, loc: Loc) -> Result<&HashMap<String, Expr>, RuntimeError> {
         match self.entries.get(loc.0) {
             Some(StoreEntry::Hash(h)) => Ok(h),
-            _ => Err(RuntimeError::WrongType {
-                expected: "a hash table",
-                found: format!("{loc}"),
-            }),
+            _ => Err(RuntimeError::WrongType { expected: "a hash table", found: format!("{loc}") }),
         }
     }
 
@@ -99,10 +96,7 @@ impl Store {
     pub fn hash_mut(&mut self, loc: Loc) -> Result<&mut HashMap<String, Expr>, RuntimeError> {
         match self.entries.get_mut(loc.0) {
             Some(StoreEntry::Hash(h)) => Ok(h),
-            _ => Err(RuntimeError::WrongType {
-                expected: "a hash table",
-                found: format!("{loc}"),
-            }),
+            _ => Err(RuntimeError::WrongType { expected: "a hash table", found: format!("{loc}") }),
         }
     }
 

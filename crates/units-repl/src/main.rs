@@ -42,10 +42,8 @@ struct Options {
 
 /// One engine per process: the session that checks, caches, and runs.
 fn engine_for(opts: &Options) -> Engine {
-    let mut builder = Engine::builder()
-        .level(opts.level)
-        .strictness(opts.strictness)
-        .backend(opts.backend);
+    let mut builder =
+        Engine::builder().level(opts.level).strictness(opts.strictness).backend(opts.backend);
     if let Some(fuel) = opts.fuel {
         builder = builder.limits(Limits::none().fuel(fuel));
     }

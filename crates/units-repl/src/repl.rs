@@ -241,10 +241,7 @@ impl Repl {
             Some("off") => self.mode = TraceMode::Off,
             Some("json") => self.mode = TraceMode::Json,
             other => {
-                println!(
-                    ";; usage: :trace on|off|json (got {})",
-                    other.unwrap_or("nothing")
-                );
+                println!(";; usage: :trace on|off|json (got {})", other.unwrap_or("nothing"));
                 return;
             }
         }
@@ -304,9 +301,7 @@ impl Repl {
             }
         };
         if !units::trace::COMPILED {
-            println!(
-                ";; per-op counters need a build with --features trace; plain listing:"
-            );
+            println!(";; per-op counters need a build with --features trace; plain listing:");
             println!("{}", loaded.disassemble());
             return;
         }
@@ -348,10 +343,7 @@ impl Repl {
         let snap = self.engine.metrics_snapshot();
         println!(
             ";; cache:    {} source hits, {} misses, {} evictions, {} artifacts",
-            snap.cache.source_hits,
-            snap.cache.misses,
-            snap.cache.evictions,
-            snap.cache.entries
+            snap.cache.source_hits, snap.cache.misses, snap.cache.evictions, snap.cache.entries
         );
         println!(
             ";; flight:   {} dumps, {} dump failures",
@@ -537,16 +529,9 @@ impl Repl {
             return;
         }
         let metrics = Arc::new(Metrics::new());
-        units::trace::install(
-            Rc::new(RefCell::new(units::trace::NullSink)),
-            Arc::clone(&metrics),
-        );
+        units::trace::install(Rc::new(RefCell::new(units::trace::NullSink)), Arc::clone(&metrics));
         let runs = self.load(source).map(|p| {
-            (
-                p.run_on(Backend::Compiled),
-                p.run_on(Backend::Reducer),
-                p.run_on(Backend::Bytecode),
-            )
+            (p.run_on(Backend::Compiled), p.run_on(Backend::Reducer), p.run_on(Backend::Bytecode))
         });
         units::trace::uninstall();
         let (compiled, reduced, bytecode) = match runs {
@@ -571,9 +556,11 @@ impl Repl {
             (_, _, Err(e)) => eprintln!("bytecode backend: {e}"),
         }
         println!(";; Fig. 11 steps: {}", metrics.counter("reduce/steps"));
-        println!(";; prim calls: compiled {}, reducer {}",
+        println!(
+            ";; prim calls: compiled {}, reducer {}",
             metrics.counter("prim/calls"),
-            metrics.counter("reduce/prim_calls"));
+            metrics.counter("reduce/prim_calls")
+        );
         print_durations(&metrics);
         // Fold the profile into the session totals so `:stats` sees it.
         for (name, value) in metrics.counters() {

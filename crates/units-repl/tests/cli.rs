@@ -8,12 +8,7 @@ fn repl() -> Command {
 }
 
 fn run_expr(args: &[&str], expr: &str) -> (String, String, bool) {
-    let output = repl()
-        .args(args)
-        .arg("-e")
-        .arg(expr)
-        .output()
-        .expect("binary runs");
+    let output = repl().args(args).arg("-e").arg(expr).output().expect("binary runs");
     (
         String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
@@ -30,10 +25,8 @@ fn evaluates_an_expression() {
 
 #[test]
 fn prints_display_output_before_the_result() {
-    let (stdout, _, ok) = run_expr(
-        &[],
-        "(invoke (unit (import) (export) (init (display \"hello\") 1)))",
-    );
+    let (stdout, _, ok) =
+        run_expr(&[], "(invoke (unit (import) (export) (init (display \"hello\") 1)))");
     assert!(ok);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines, vec!["hello", "1"]);
@@ -41,8 +34,7 @@ fn prints_display_output_before_the_result() {
 
 #[test]
 fn typed_levels_print_the_type() {
-    let (stdout, _, ok) =
-        run_expr(&["-l", "c"], "(invoke (unit (import) (export) (init 5)))");
+    let (stdout, _, ok) = run_expr(&["-l", "c"], "(invoke (unit (import) (export) (init 5)))");
     assert!(ok);
     assert!(stdout.contains(";; type: int"), "{stdout}");
 }
@@ -74,10 +66,7 @@ fn runtime_errors_fail_with_a_message() {
 
 #[test]
 fn reducer_backend_and_trace() {
-    let (stdout, _, ok) = run_expr(
-        &["-b", "reducer", "--trace", "2"],
-        "(+ 1 (+ 2 3))",
-    );
+    let (stdout, _, ok) = run_expr(&["-b", "reducer", "--trace", "2"], "(+ 1 (+ 2 3))");
     assert!(ok);
     assert!(stdout.contains(";; step   1:"), "{stdout}");
     assert!(stdout.trim_end().ends_with('6'), "{stdout}");
@@ -164,10 +153,7 @@ fn repl_survives_injected_faults_and_panics() {
 #[test]
 fn faults_command_explains_the_missing_feature() {
     let (stdout, _) = run_session(":faults 1\n:quit\n");
-    assert!(
-        stdout.contains("fault injection not compiled in"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("fault injection not compiled in"), "{stdout}");
 }
 
 #[test]
@@ -201,7 +187,12 @@ fn disasm_prints_the_chunk_listing() {
     );
     assert!(stderr.is_empty(), "{stderr}");
     assert!(stdout.contains("chunk:"), "{stdout}");
-    assert!(stdout.contains("consts:") || stdout.contains("invoke-unit") || stdout.contains("make-unit"), "{stdout}");
+    assert!(
+        stdout.contains("consts:")
+            || stdout.contains("invoke-unit")
+            || stdout.contains("make-unit"),
+        "{stdout}"
+    );
     // The usage line appears when no program is given.
     let (stdout, _) = run_session(":disasm\n:quit\n");
     assert!(stdout.contains("usage: :disasm"), "{stdout}");
@@ -255,13 +246,9 @@ fn disasm_profile_annotates_execution_counts() {
 #[cfg(not(feature = "trace"))]
 #[test]
 fn disasm_profile_explains_the_missing_feature() {
-    let (stdout, _) = run_session(
-        ":disasm --profile (invoke (unit (import) (export) (init 1)))\n:quit\n",
-    );
-    assert!(
-        stdout.contains("per-op counters need a build with --features trace"),
-        "{stdout}"
-    );
+    let (stdout, _) =
+        run_session(":disasm --profile (invoke (unit (import) (export) (init 1)))\n:quit\n");
+    assert!(stdout.contains("per-op counters need a build with --features trace"), "{stdout}");
     assert!(stdout.contains("chunk:"), "the plain listing still prints: {stdout}");
 }
 
@@ -271,10 +258,7 @@ fn flight_command_reports_absence() {
     #[cfg(feature = "trace")]
     assert!(stdout.contains(";; no flight-recorder dump"), "{stdout}");
     #[cfg(not(feature = "trace"))]
-    assert!(
-        stdout.contains("flight recorder needs a build with --features trace"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("flight recorder needs a build with --features trace"), "{stdout}");
 }
 
 #[cfg(all(feature = "trace", feature = "faults"))]
@@ -288,10 +272,7 @@ fn injected_fault_surfaces_a_flight_dump() {
          :quit\n",
     );
     assert!(stderr.contains("injected fault at"), "{stderr}");
-    assert!(
-        stdout.contains("flight recorder captured a post-mortem"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("flight recorder captured a post-mortem"), "{stdout}");
     assert!(stdout.contains(";; flight dump — "), "{stdout}");
     assert!(stdout.contains("\"flight\":\"dump\""), "{stdout}");
     assert!(stdout.contains("fault/fired"), "the dump names the trip: {stdout}");

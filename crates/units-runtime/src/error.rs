@@ -182,10 +182,9 @@ impl fmt::Display for RuntimeError {
                 f,
                 "deconstructor for variant {expected} of `{ty_name}` applied to variant {found}"
             ),
-            RuntimeError::ForeignInstance { ty_name } => write!(
-                f,
-                "`{ty_name}` value belongs to a different instance of its defining unit"
-            ),
+            RuntimeError::ForeignInstance { ty_name } => {
+                write!(f, "`{ty_name}` value belongs to a different instance of its defining unit")
+            }
             RuntimeError::DivisionByZero => f.write_str("division by zero"),
             RuntimeError::MissingKey { key } => write!(f, "hash table has no key {key:?}"),
             RuntimeError::User { message } => write!(f, "error: {message}"),
@@ -201,9 +200,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::ExcessImport { name } => {
                 write!(f, "constituent imports `{name}`, which its link clause does not declare")
             }
-            RuntimeError::LinkCapture { name } => {
-                MergeError::Capture { name: name.clone() }.fmt(f)
-            }
+            RuntimeError::LinkCapture { name } => MergeError::Capture { name: name.clone() }.fmt(f),
             RuntimeError::SealFailure { reason } => write!(f, "signature check failed: {reason}"),
             RuntimeError::BadProjection { index, width } => {
                 write!(f, "projection {index} out of range for width-{width} tuple")

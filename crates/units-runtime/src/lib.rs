@@ -39,11 +39,13 @@ pub use error::{Resource, RuntimeError};
 pub use machine::{Limits, Machine};
 pub use prim::{apply_prim, render_prim_call};
 pub use value::{
-    AtomicUnit, CellRef, Closure, DataOpValue, HashTable, LinkedUnit, TupleValue, UnitValue,
-    Value, VariantValue,
+    AtomicUnit, CellRef, Closure, DataOpValue, HashTable, LinkedUnit, TupleValue, UnitValue, Value,
+    VariantValue,
 };
-pub use vm::{disassemble, disassemble_profiled, execute, Chunk, Op, OpProfile, Proto, UnitProto, VmCode};
+pub use vm::{
+    disassemble, disassemble_profiled, execute, Chunk, Op, OpProfile, Proto, UnitProto, VmCode,
+};
 pub use wiring::{
-    apply_data, as_unit, bind_letrec_frame, check_link, emit_invoke_event, import_cells,
-    seal_unit, wire, WiredUnit,
+    apply_data, as_unit, bind_letrec_frame, check_link, emit_invoke_event, import_cells, seal_unit,
+    wire, WiredUnit,
 };

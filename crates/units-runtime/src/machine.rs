@@ -285,10 +285,9 @@ impl Machine {
     /// the budget.
     pub fn check_depth(&self, depth: u64) -> Result<(), RuntimeError> {
         match self.limits.max_depth {
-            Some(max) if depth > max => Err(RuntimeError::ResourceExhausted {
-                resource: Resource::Depth,
-                limit: max,
-            }),
+            Some(max) if depth > max => {
+                Err(RuntimeError::ResourceExhausted { resource: Resource::Depth, limit: max })
+            }
             _ => Ok(()),
         }
     }
@@ -302,10 +301,9 @@ impl Machine {
     pub fn alloc_cells(&mut self, n: u64) -> Result<(), RuntimeError> {
         self.cells_allocated += n;
         match self.limits.max_store_cells {
-            Some(max) if self.cells_allocated > max => Err(RuntimeError::ResourceExhausted {
-                resource: Resource::StoreCells,
-                limit: max,
-            }),
+            Some(max) if self.cells_allocated > max => {
+                Err(RuntimeError::ResourceExhausted { resource: Resource::StoreCells, limit: max })
+            }
             _ => Ok(()),
         }
     }

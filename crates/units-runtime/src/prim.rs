@@ -82,11 +82,7 @@ pub fn apply_prim(
 /// backends' `"prim"` event streams are directly comparable — that
 /// alignment is what lets divergence diagnosis name the first
 /// disagreeing step.
-pub fn render_prim_call(
-    op: PrimOp,
-    args: impl Iterator<Item = String>,
-    result: &str,
-) -> String {
+pub fn render_prim_call(op: PrimOp, args: impl Iterator<Item = String>, result: &str) -> String {
     let mut out = String::from("(");
     out.push_str(op.name());
     for arg in args {
@@ -139,11 +135,7 @@ fn prim_counter(op: PrimOp) -> &'static str {
     }
 }
 
-fn prim_result(
-    op: PrimOp,
-    args: &[Value],
-    machine: &mut Machine,
-) -> Result<Value, RuntimeError> {
+fn prim_result(op: PrimOp, args: &[Value], machine: &mut Machine) -> Result<Value, RuntimeError> {
     if args.len() != op.arity() {
         return Err(RuntimeError::Arity { expected: op.arity(), found: args.len() });
     }
@@ -182,9 +174,7 @@ fn prim_result(
             machine.write(string(&args[0])?);
             Value::Void
         }
-        PrimOp::Fail => {
-            return Err(RuntimeError::User { message: string(&args[0])?.to_string() })
-        }
+        PrimOp::Fail => return Err(RuntimeError::User { message: string(&args[0])?.to_string() }),
         PrimOp::HashNew => machine.hash_table(),
         PrimOp::HashSet => {
             let table = hash(&args[0])?;
@@ -254,24 +244,16 @@ mod tests {
     fn strings() {
         let v = run(PrimOp::StrAppend, &[Value::str("ph"), Value::str("one")]).unwrap();
         assert!(v.observably_eq(&Value::str("phone")));
-        assert!(run(PrimOp::StrLen, &[Value::str("abc")])
-            .unwrap()
-            .observably_eq(&Value::Int(3)));
-        assert!(run(PrimOp::IntToStr, &[Value::Int(-4)])
-            .unwrap()
-            .observably_eq(&Value::str("-4")));
+        assert!(run(PrimOp::StrLen, &[Value::str("abc")]).unwrap().observably_eq(&Value::Int(3)));
+        assert!(run(PrimOp::IntToStr, &[Value::Int(-4)]).unwrap().observably_eq(&Value::str("-4")));
     }
 
     #[test]
     fn hash_tables_store_and_miss() {
         let mut m = Machine::new();
         let table = apply_prim(PrimOp::HashNew, &[], &mut m).unwrap();
-        apply_prim(
-            PrimOp::HashSet,
-            &[table.clone(), Value::str("alice"), Value::Int(41)],
-            &mut m,
-        )
-        .unwrap();
+        apply_prim(PrimOp::HashSet, &[table.clone(), Value::str("alice"), Value::Int(41)], &mut m)
+            .unwrap();
         let got =
             apply_prim(PrimOp::HashGet, &[table.clone(), Value::str("alice")], &mut m).unwrap();
         assert!(got.observably_eq(&Value::Int(41)));

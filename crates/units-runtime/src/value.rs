@@ -368,12 +368,9 @@ impl fmt::Display for Value {
             Value::Hash(h) => write!(f, "#⟨hash·{}⟩", h.borrow().len()),
             Value::Data(d) => write!(f, "#⟨{:?} of {}⟩", d.role, d.ty_name),
             Value::Variant(v) => write!(f, "({}·{} {})", v.ty_name, v.tag, v.payload),
-            Value::Unit(u) => write!(
-                f,
-                "#⟨unit imports:{} exports:{}⟩",
-                u.imports().len(),
-                u.exports().len()
-            ),
+            Value::Unit(u) => {
+                write!(f, "#⟨unit imports:{} exports:{}⟩", u.imports().len(), u.exports().len())
+            }
         }
     }
 }

@@ -297,10 +297,7 @@ impl Clone for OpProfile {
 impl OpProfile {
     /// A profile with one counter per op of a `len`-op chunk.
     pub fn sized(len: usize) -> OpProfile {
-        OpProfile {
-            counts: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            fuel: AtomicU64::new(0),
-        }
+        OpProfile { counts: (0..len).map(|_| AtomicU64::new(0)).collect(), fuel: AtomicU64::new(0) }
     }
 
     /// Whether this profile has counter storage.
@@ -670,8 +667,7 @@ fn dispatch(
                     Value::Closure(closure) => {
                         let code = closure_code(&closure, argc)?;
                         let callee_env = callee_env(&closure, &mut stack, argc);
-                        let callee_entry =
-                            code.chunk.protos[code.index as usize].entry as usize;
+                        let callee_entry = code.chunk.protos[code.index as usize].entry as usize;
                         display.invalidate();
                         if tail {
                             // Replace the running activation: constant
@@ -704,9 +700,7 @@ fn dispatch(
                         let args = stack.split_off(stack.len() - argc);
                         stack.push(apply_data(&d, args)?);
                     }
-                    other => {
-                        return Err(RuntimeError::NotAFunction { found: other.to_string() })
-                    }
+                    other => return Err(RuntimeError::NotAFunction { found: other.to_string() }),
                 }
             }
             Op::CallPrim { op: p, argc } => {
@@ -786,9 +780,10 @@ fn dispatch(
             Op::Proj(i) => {
                 match pop!() {
                     Value::Tuple(items) => {
-                        stack.push(items.get(*i).cloned().ok_or(
-                            RuntimeError::BadProjection { index: *i, width: items.len() },
-                        )?);
+                        stack.push(items.get(*i).cloned().ok_or(RuntimeError::BadProjection {
+                            index: *i,
+                            width: items.len(),
+                        })?);
                     }
                     other => {
                         return Err(RuntimeError::WrongType {
@@ -933,11 +928,7 @@ fn callee_env(closure: &Closure, stack: &mut Vec<Value>, argc: usize) -> Env {
 
 /// The `set!` store half: `binding` is the addressed slot, `None` past
 /// the environment.
-fn store(
-    binding: Option<&Binding>,
-    name: &Symbol,
-    v: Value,
-) -> Result<(), RuntimeError> {
+fn store(binding: Option<&Binding>, name: &Symbol, v: Value) -> Result<(), RuntimeError> {
     match binding {
         Some(Binding::Cell(c)) => {
             *c.borrow_mut() = Some(v);
@@ -1025,11 +1016,7 @@ fn render(chunk: &Chunk, profiled: bool) -> String {
                 let proto = &chunk.units[*u as usize];
                 let entries: Vec<String> =
                     proto.def_entries.iter().map(|e| format!("@{e}")).collect();
-                format!(
-                    "unit {u} defs[{}] init @{}",
-                    entries.join(" "),
-                    proto.init_entry
-                )
+                format!("unit {u} defs[{}] init @{}", entries.join(" "), proto.init_entry)
             }
             Op::AsUnit(rule) | Op::Unsupported(rule) => format!("{rule:?}"),
             Op::CheckLink { compound, link } => format!("compound {compound} link {link}"),

@@ -31,9 +31,7 @@ use units_kernel::{DataRole, Ports, Signature, Symbol, TypeDefn, UnitExpr, ValDe
 use crate::env::{Binding, Env};
 use crate::error::RuntimeError;
 use crate::machine::Machine;
-use crate::value::{
-    AtomicUnit, CellRef, DataOpValue, LinkedUnit, UnitValue, Value, VariantValue,
-};
+use crate::value::{AtomicUnit, CellRef, DataOpValue, LinkedUnit, UnitValue, Value, VariantValue};
 use crate::vm::VmCode;
 
 /// Builds the recursive frame for a `letrec` body: freshly instantiated
@@ -125,10 +123,7 @@ pub fn apply_data(op: &DataOpValue, mut args: Vec<Value>) -> Result<Value, Runti
     }
 }
 
-fn expect_own_variant(
-    op: &DataOpValue,
-    arg: Value,
-) -> Result<Rc<VariantValue>, RuntimeError> {
+fn expect_own_variant(op: &DataOpValue, arg: Value) -> Result<Rc<VariantValue>, RuntimeError> {
     match arg {
         Value::Variant(v) if v.ty_name == op.ty_name && v.instance == op.instance => Ok(v),
         Value::Variant(v) if v.ty_name == op.ty_name => {
@@ -163,11 +158,7 @@ pub fn as_unit(v: Value, rule: &'static str) -> Result<Rc<UnitValue>, RuntimeErr
 ///
 /// [`RuntimeError::ExcessImport`] / [`RuntimeError::MissingProvide`],
 /// imports checked first — the order both backends must agree on.
-pub fn check_link(
-    unit: &UnitValue,
-    with: &Ports,
-    provides: &Ports,
-) -> Result<(), RuntimeError> {
+pub fn check_link(unit: &UnitValue, with: &Ports, provides: &Ports) -> Result<(), RuntimeError> {
     for name in unit.imports().vals.iter().map(|p| &p.name) {
         if with.val_port(name).is_none() {
             return Err(RuntimeError::ExcessImport { name: name.clone() });

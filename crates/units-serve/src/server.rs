@@ -133,10 +133,7 @@ impl Connection {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return Ok(()), // clean EOF
                 Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
                 {
                     // The client sat idle past the deadline: count it and
                     // close cleanly, without an error frame the (absent)
@@ -171,9 +168,7 @@ impl Connection {
                     return Ok(());
                 }
                 tenant_op => match &tenant {
-                    None => {
-                        error_response("no-tenant", "send `hello` before tenant operations")
-                    }
+                    None => error_response("no-tenant", "send `hello` before tenant operations"),
                     Some(tenant) => dispatch_tenant_op(tenant, tenant_op),
                 },
             };
@@ -184,15 +179,14 @@ impl Connection {
 
 /// Executes one tenant-scoped request and renders the response.
 fn dispatch_tenant_op(tenant: &Tenant, request: Request) -> Json {
-    let published = |result: Result<crate::service::PublishInfo, crate::service::ServeError>| {
-        match result {
+    let published =
+        |result: Result<crate::service::PublishInfo, crate::service::ServeError>| match result {
             Ok(info) => ok_response([
                 ("name", Json::str(info.name)),
                 ("version", Json::Int(info.version as i64)),
             ]),
             Err(e) => serve_error_response(&e),
-        }
-    };
+        };
     match request {
         Request::Load { name, source, sig } => {
             published(tenant.load_plugin(&name, &source, sig.as_deref()))
@@ -237,11 +231,8 @@ fn serve_error_response(e: &crate::service::ServeError) -> Json {
 }
 
 fn stats_response(service: &Service, idle_timeouts: u64) -> Json {
-    let tenants: std::collections::BTreeMap<String, Json> = service
-        .stats()
-        .into_iter()
-        .map(|(name, snap)| (name, snapshot_json(&snap)))
-        .collect();
+    let tenants: std::collections::BTreeMap<String, Json> =
+        service.stats().into_iter().map(|(name, snap)| (name, snapshot_json(&snap))).collect();
     ok_response([
         ("tenants", Json::Obj(tenants)),
         // The engine's own snapshot: cache, flight, store, runs, latency.

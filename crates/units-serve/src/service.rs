@@ -433,8 +433,7 @@ impl Tenant {
         if plugins.contains_key(name) {
             return Err(ServeError::PluginExists { name: name.to_string() });
         }
-        plugins
-            .insert(name.to_string(), Arc::new(PluginSlot { current: Mutex::new(version) }));
+        plugins.insert(name.to_string(), Arc::new(PluginSlot { current: Mutex::new(version) }));
         Ok(PublishInfo { name: name.to_string(), version: 1 })
     }
 
@@ -548,11 +547,7 @@ impl Tenant {
     /// # Errors
     ///
     /// Same as [`Tenant::invoke_with`].
-    pub fn invoke_differential(
-        &self,
-        name: &str,
-        arg: Option<i64>,
-    ) -> Result<Outcome, ServeError> {
+    pub fn invoke_differential(&self, name: &str, arg: Option<i64>) -> Result<Outcome, ServeError> {
         let version = self.plugin(name).ok_or_else(|| {
             self.count_request(RequestOutcome::Failed);
             ServeError::PluginMissing { name: name.to_string() }
@@ -788,8 +783,7 @@ mod tests {
         let tenant = service.tenant_with_caps("capped", Limits::none().fuel(10_000));
         tenant.load_plugin("sq", SQUARE, None).unwrap();
 
-        let err =
-            tenant.invoke_with("sq", Some(5), Limits::none().fuel(1_000_000)).unwrap_err();
+        let err = tenant.invoke_with("sq", Some(5), Limits::none().fuel(1_000_000)).unwrap_err();
         let ServeError::AdmissionDenied { tenant: t, resource, requested, cap } = &err else {
             panic!("expected AdmissionDenied, got {err}");
         };

@@ -58,7 +58,9 @@ fn chain(len: usize, pads: usize, let_bound: bool) -> String {
         }
         let body = if i == 0 { "x".to_string() } else { format!("(f{} (+ x 3))", i - 1) };
         clauses.push((
-            format!("(unit (import{prev}) (export{ports}) (define f{i} (lambda (x) {body})){defs})"),
+            format!(
+                "(unit (import{prev}) (export{ports}) (define f{i} (lambda (x) {body})){defs})"
+            ),
             format!("(with{prev}) (provides{ports})"),
         ));
         prev = ports;

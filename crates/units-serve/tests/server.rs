@@ -6,9 +6,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use units::{Level, Limits};
 use units_serve::proto::Request;
 use units_serve::{Client, Server, Service};
-use units::{Level, Limits};
 
 const SQUARE: &str = "(unit (import) (export) (init (lambda (n) (* n n))))";
 const CUBE: &str = "(unit (import) (export) (init (lambda (n) (* n (* n n)))))";
@@ -22,8 +22,8 @@ struct Daemon {
 
 impl Daemon {
     fn start(tag: &str, extra_args: &[&str]) -> Daemon {
-        let socket = std::env::temp_dir()
-            .join(format!("unitsd-test-{}-{tag}.sock", std::process::id()));
+        let socket =
+            std::env::temp_dir().join(format!("unitsd-test-{}-{tag}.sock", std::process::id()));
         let _ = std::fs::remove_file(&socket);
         let child = Command::new(env!("CARGO_BIN_EXE_unitsd"))
             .arg("--socket")
@@ -153,11 +153,7 @@ fn per_tenant_caps_reach_the_wire_as_admission_denials() {
     let mut client = daemon.connect();
     client.hello("tight").unwrap();
     client
-        .call(&Request::Load {
-            name: "f".to_string(),
-            source: SQUARE.to_string(),
-            sig: None,
-        })
+        .call(&Request::Load { name: "f".to_string(), source: SQUARE.to_string(), sig: None })
         .unwrap();
 
     // Over-asking the daemon-wide cap is refused with the structured
@@ -212,20 +208,15 @@ fn idle_connections_are_closed_cleanly_and_counted() {
 
 #[test]
 fn warm_started_daemon_serves_runs_without_reparsing() {
-    let cache_dir = std::env::temp_dir()
-        .join(format!("unitsd-test-{}-cache", std::process::id()));
+    let cache_dir = std::env::temp_dir().join(format!("unitsd-test-{}-cache", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let dir_arg = cache_dir.to_str().unwrap().to_string();
-    let run = |source: &str| Request::Run {
-        source: source.to_string(),
-        limits: Limits::none(),
-    };
+    let run = |source: &str| Request::Run { source: source.to_string(), limits: Limits::none() };
     let program = "(invoke (unit (import) (export) (init (* 21 2))))";
 
     // First daemon process: a cold run populates the store.
     {
-        let mut daemon =
-            Daemon::start("warm1", &["--level", "untyped", "--cache-dir", &dir_arg]);
+        let mut daemon = Daemon::start("warm1", &["--level", "untyped", "--cache-dir", &dir_arg]);
         let mut client = daemon.connect();
         client.hello("t").unwrap();
         let reply = client.call(&run(program)).unwrap();
@@ -255,8 +246,8 @@ fn warm_started_daemon_serves_runs_without_reparsing() {
 #[test]
 fn the_stats_engine_object_is_the_engine_snapshot() {
     let service = Service::builder().level(Level::Untyped).build();
-    let socket = std::env::temp_dir()
-        .join(format!("unitsd-test-{}-snapshot.sock", std::process::id()));
+    let socket =
+        std::env::temp_dir().join(format!("unitsd-test-{}-snapshot.sock", std::process::id()));
     let server = Server::bind(&socket, service.clone()).expect("bind");
     let serving = std::thread::spawn(move || server.run());
 

@@ -181,11 +181,7 @@ fn signature_checked_swaps_reject_interface_breaks() {
     let tenant = service.tenant("a");
     let sig = "(sig (import) (export) (init (-> int int)))";
     tenant
-        .load_plugin(
-            "f",
-            "(unit (import) (export) (init (lambda ((n int)) (* n n))))",
-            Some(sig),
-        )
+        .load_plugin("f", "(unit (import) (export) (init (lambda ((n int)) (* n n))))", Some(sig))
         .unwrap();
 
     // A replacement that breaks the published interface is refused and

@@ -19,9 +19,9 @@ use units_kernel::Symbol;
 use units_runtime::{Chunk, Op, OpProfile, Proto, UnitProto};
 
 use crate::term::{
-    read_compound, read_invoke, read_lambda, read_letrec, read_prim, read_signature,
-    read_symbol, read_unit, write_compound, write_invoke, write_lambda, write_letrec,
-    write_prim, write_signature, write_symbol, write_unit,
+    read_compound, read_invoke, read_lambda, read_letrec, read_prim, read_signature, read_symbol,
+    read_unit, write_compound, write_invoke, write_lambda, write_letrec, write_prim,
+    write_signature, write_symbol, write_unit,
 };
 use crate::wire::{DecodeError, Reader, Writer};
 

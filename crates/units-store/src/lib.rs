@@ -143,11 +143,7 @@ pub fn encode_entry(entry: &Entry, source_fnv: u64, fingerprint: u64) -> Vec<u8>
 /// A typed [`DecodeError`]; [`DecodeError::indicts_file`] says whether
 /// the file itself is bad (quarantine) or merely not the entry the
 /// caller wanted (plain miss).
-pub fn decode_entry(
-    bytes: &[u8],
-    source_fnv: u64,
-    fingerprint: u64,
-) -> Result<Entry, DecodeError> {
+pub fn decode_entry(bytes: &[u8], source_fnv: u64, fingerprint: u64) -> Result<Entry, DecodeError> {
     let mut r = Reader::new(bytes);
     if r.take(MAGIC.len())? != MAGIC {
         return Err(DecodeError::BadMagic);
@@ -210,12 +206,7 @@ mod tests {
         let expr = units_syntax::parse_expr(src).unwrap();
         let resolved = units_compile::resolve_program(&expr);
         let chunk = units_compile::lower_program(&resolved);
-        Entry {
-            expr,
-            ty: Some(Ty::Int),
-            resolved: Some(resolved),
-            chunk: Some((*chunk).clone()),
-        }
+        Entry { expr, ty: Some(Ty::Int), resolved: Some(resolved), chunk: Some((*chunk).clone()) }
     }
 
     #[test]

@@ -82,16 +82,14 @@ impl Store {
         fs::create_dir_all(&dir)?;
         fs::create_dir_all(dir.join("corrupt"))?;
         sweep_temp_files(&dir);
-        let lock_file =
-            fs::OpenOptions::new().create(true).truncate(false).write(true).open(dir.join(".lock"))?;
+        let lock_file = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(".lock"))?;
         let writable = lock_file.try_lock().is_ok();
         units_trace::count("store/open", 1);
-        Ok(Store {
-            dir,
-            fingerprint,
-            writable,
-            _lock: writable.then_some(lock_file),
-        })
+        Ok(Store { dir, fingerprint, writable, _lock: writable.then_some(lock_file) })
     }
 
     /// The directory this store lives in.
@@ -210,8 +208,8 @@ mod tests {
     use units_kernel::Expr;
 
     fn temp_store_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("units-store-unit-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("units-store-unit-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -16,9 +16,9 @@ use std::sync::Arc;
 
 use units_kernel::{
     AliasDefn, Binding, CompoundExpr, DataDefn, DataOp, DataRole, DataVariant, Depend, Expr,
-    InvokeExpr, Kind, LetrecExpr, LexAddr, LinkClause, LinkRenames, Lit, Loc, Param, Ports,
-    PrimOp, SigEquation, Signature, Symbol, Ty, TyPort, TypeDefn, UnitExpr, ValDefn, ValPort,
-    VariantVal, ALL_PRIMS,
+    InvokeExpr, Kind, LetrecExpr, LexAddr, LinkClause, LinkRenames, Lit, Loc, Param, Ports, PrimOp,
+    SigEquation, Signature, Symbol, Ty, TyPort, TypeDefn, UnitExpr, ValDefn, ValPort, VariantVal,
+    ALL_PRIMS,
 };
 
 use crate::wire::{DecodeError, Reader, Writer};
@@ -218,9 +218,7 @@ pub fn read_signature(r: &mut Reader) -> Result<Signature, DecodeError> {
     Ok(Signature {
         imports: read_ports(r)?,
         exports: read_ports(r)?,
-        depends: read_seq(r, |r| {
-            Ok(Depend { export: read_symbol(r)?, import: read_symbol(r)? })
-        })?,
+        depends: read_seq(r, |r| Ok(Depend { export: read_symbol(r)?, import: read_symbol(r)? }))?,
         equations: read_seq(r, |r| {
             Ok(SigEquation { name: read_symbol(r)?, kind: read_kind(r)?, body: read_ty(r)? })
         })?,
@@ -537,11 +535,9 @@ pub fn read_expr(r: &mut Reader) -> Result<Expr, DecodeError> {
         2 => Ok(Expr::Prim(read_prim(r)?, read_seq(r, read_ty)?)),
         3 => Ok(Expr::Lambda(Arc::new(read_lambda(r)?))),
         4 => Ok(Expr::App(Box::new(read_expr(r)?), read_seq(r, read_expr)?)),
-        5 => Ok(Expr::If(
-            Box::new(read_expr(r)?),
-            Box::new(read_expr(r)?),
-            Box::new(read_expr(r)?),
-        )),
+        5 => {
+            Ok(Expr::If(Box::new(read_expr(r)?), Box::new(read_expr(r)?), Box::new(read_expr(r)?)))
+        }
         6 => Ok(Expr::Seq(read_seq(r, read_expr)?)),
         7 => Ok(Expr::Let(
             read_seq(r, |r| Ok(Binding { name: read_symbol(r)?, expr: read_expr(r)? }))?,

@@ -34,8 +34,8 @@
 
 use units_kernel::{
     AliasDefn, Binding, CompoundExpr, DataDefn, DataVariant, Depend, Expr, InvokeExpr, Kind,
-    LetrecExpr, LinkClause, LinkRenames, Param, Ports, PrimOp, SigEquation, Signature, Symbol, TyPort,
-    TypeDefn, Ty, UnitExpr, ValDefn, ValPort,
+    LetrecExpr, LinkClause, LinkRenames, Param, Ports, PrimOp, SigEquation, Signature, Symbol, Ty,
+    TyPort, TypeDefn, UnitExpr, ValDefn, ValPort,
 };
 
 use crate::error::ParseError;
@@ -47,11 +47,46 @@ use crate::span::Span;
 fn is_reserved(word: &str) -> bool {
     matches!(
         word,
-        "lambda" | "let" | "letrec" | "if" | "begin" | "set!" | "tuple" | "proj" | "inst"
-            | "unit" | "compound" | "invoke" | "seal" | "define" | "defun" | "datatype"
-            | "alias" | "import" | "export" | "link" | "with" | "provides" | "init" | "val"
-            | "type" | "true" | "false" | "void" | "sig" | "depends" | "where" | "->" | "as"
-            | "as-type" | "=>" | "*" | "hash" | "int" | "bool" | "str"
+        "lambda"
+            | "let"
+            | "letrec"
+            | "if"
+            | "begin"
+            | "set!"
+            | "tuple"
+            | "proj"
+            | "inst"
+            | "unit"
+            | "compound"
+            | "invoke"
+            | "seal"
+            | "define"
+            | "defun"
+            | "datatype"
+            | "alias"
+            | "import"
+            | "export"
+            | "link"
+            | "with"
+            | "provides"
+            | "init"
+            | "val"
+            | "type"
+            | "true"
+            | "false"
+            | "void"
+            | "sig"
+            | "depends"
+            | "where"
+            | "->"
+            | "as"
+            | "as-type"
+            | "=>"
+            | "*"
+            | "hash"
+            | "int"
+            | "bool"
+            | "str"
     )
 }
 
@@ -212,9 +247,8 @@ fn kind(sx: &SExpr) -> Result<Kind, ParseError> {
                 return Err(err(*span, "`=>` kind needs at least two components"));
             }
             let mut parts: Vec<Kind> = rest.iter().map(kind).collect::<Result<_, _>>()?;
-            let mut out = parts
-                .pop()
-                .ok_or_else(|| err(*span, "`=>` kind needs at least two components"))?;
+            let mut out =
+                parts.pop().ok_or_else(|| err(*span, "`=>` kind needs at least two components"))?;
             while let Some(k) = parts.pop() {
                 out = Kind::arrow(k, out);
             }
@@ -238,19 +272,15 @@ fn ty(sx: &SExpr) -> Result<Ty, ParseError> {
             _ => Ok(Ty::Var(Symbol::new(a))),
         },
         SExpr::List(items, span) => {
-            let head = items
-                .first()
-                .ok_or_else(|| err(*span, "empty list is not a type"))?;
+            let head = items.first().ok_or_else(|| err(*span, "empty list is not a type"))?;
             match head.as_atom() {
                 Some("->") => {
                     if items.len() < 2 {
                         return Err(err(*span, "`->` type needs a result type"));
                     }
-                    let mut parts: Vec<Ty> =
-                        items[1..].iter().map(ty).collect::<Result<_, _>>()?;
-                    let ret = parts
-                        .pop()
-                        .ok_or_else(|| err(*span, "`->` type needs a result type"))?;
+                    let mut parts: Vec<Ty> = items[1..].iter().map(ty).collect::<Result<_, _>>()?;
+                    let ret =
+                        parts.pop().ok_or_else(|| err(*span, "`->` type needs a result type"))?;
                     Ok(Ty::arrow(parts, ret))
                 }
                 Some("tuple") => {
@@ -298,10 +328,9 @@ fn signature(clauses: &[SExpr], span: Span) -> Result<Signature, ParseError> {
         } else if let Some(rest) = clause.as_tagged("depends") {
             for pair in rest {
                 match pair.as_list() {
-                    Some([e, i]) => depends.push(Depend {
-                        export: name(e, "type")?,
-                        import: name(i, "type")?,
-                    }),
+                    Some([e, i]) => {
+                        depends.push(Depend { export: name(e, "type")?, import: name(i, "type")? })
+                    }
                     _ => return Err(err(pair.span(), "`depends` entries are `(t_e t_i)` pairs")),
                 }
             }
@@ -375,7 +404,9 @@ fn defn(sx: &SExpr) -> Result<Defn, ParseError> {
     let span = sx.span();
     if let Some(rest) = sx.as_tagged("define") {
         return match rest {
-            [x, e] => Ok(Defn::Val(ValDefn { name: name(x, "definition")?, ty: None, body: expr(e)? })),
+            [x, e] => {
+                Ok(Defn::Val(ValDefn { name: name(x, "definition")?, ty: None, body: expr(e)? }))
+            }
             [x, t, e] => Ok(Defn::Val(ValDefn {
                 name: name(x, "definition")?,
                 ty: Some(ty(t)?),
@@ -490,8 +521,7 @@ fn expr(sx: &SExpr) -> Result<Expr, ParseError> {
                     if body.is_empty() {
                         return Err(err(*span, "`lambda` needs a body"));
                     }
-                    let params =
-                        params_list.iter().map(param).collect::<Result<Vec<_>, _>>()?;
+                    let params = params_list.iter().map(param).collect::<Result<Vec<_>, _>>()?;
                     let body = Expr::seq(body.iter().map(expr).collect::<Result<Vec<_>, _>>()?);
                     Ok(Expr::lambda(params, body))
                 }
@@ -605,8 +635,7 @@ fn expr(sx: &SExpr) -> Result<Expr, ParseError> {
                 }
                 _ => {
                     let func = expr(head)?;
-                    let args =
-                        items[1..].iter().map(expr).collect::<Result<Vec<_>, _>>()?;
+                    let args = items[1..].iter().map(expr).collect::<Result<Vec<_>, _>>()?;
                     Ok(Expr::App(Box::new(func), args))
                 }
             }
@@ -639,8 +668,7 @@ fn unit_expr(clauses: &[SExpr], span: Span) -> Result<Expr, ParseError> {
             if init_body.is_empty() {
                 return Err(err(form.span(), "`init` needs at least one expression"));
             }
-            init =
-                Some(Expr::seq(init_body.iter().map(expr).collect::<Result<Vec<_>, _>>()?));
+            init = Some(Expr::seq(init_body.iter().map(expr).collect::<Result<Vec<_>, _>>()?));
         } else {
             match defn(form)? {
                 Defn::Ty(t) => types.push(t),
@@ -678,7 +706,10 @@ fn compound_expr(clauses: &[SExpr], span: Span) -> Result<Expr, ParseError> {
         .iter()
         .map(|clause| {
             let Some([e, opts @ ..]) = clause.as_list() else {
-                return Err(err(clause.span(), "link clauses are `(expr [(with …)] [(provides …)])`"));
+                return Err(err(
+                    clause.span(),
+                    "link clauses are `(expr [(with …)] [(provides …)])`",
+                ));
             };
             let mut with = Ports::new();
             let mut provides = Ports::new();
@@ -744,10 +775,7 @@ fn link_ports(
                     out.types.push(TyPort { name: inner, kind: kind(k)? });
                 }
                 _ => {
-                    return Err(err(
-                        item.span(),
-                        "`as-type` links are `(as-type inner outer [κ])`",
-                    ))
+                    return Err(err(item.span(), "`as-type` links are `(as-type inner outer [κ])`"))
                 }
             }
         } else {
@@ -898,10 +926,7 @@ mod tests {
         assert_eq!(parse_ty("(-> int bool)").unwrap(), Ty::arrow(vec![Ty::Int], Ty::Bool));
         assert_eq!(parse_ty("(-> str)").unwrap(), Ty::thunk(Ty::Str));
         assert_eq!(parse_ty("(hash info)").unwrap(), Ty::hash(Ty::var("info")));
-        assert_eq!(
-            parse_ty("(tuple int str)").unwrap(),
-            Ty::Tuple(vec![Ty::Int, Ty::Str])
-        );
+        assert_eq!(parse_ty("(tuple int str)").unwrap(), Ty::Tuple(vec![Ty::Int, Ty::Str]));
     }
 
     #[test]
@@ -1011,7 +1036,12 @@ mod tests {
                 format!("(sig (import) (export (f {})))", nest("(-> ", "int", ")", CAP - 3)),
                 format!("(sig (import) (export (f {})))", nest("(-> ", "int", ")", CAP - 2)),
             ),
-            ("parse_signature (kind)", |s| parse_signature(s).map(drop), kinded(CAP - 2), kinded(CAP - 1)),
+            (
+                "parse_signature (kind)",
+                |s| parse_signature(s).map(drop),
+                kinded(CAP - 2),
+                kinded(CAP - 1),
+            ),
         ];
         // Unoptimized, the parser alone outgrows a 2 MiB test thread
         // before the cap; pipeline threads get 8 MiB (see

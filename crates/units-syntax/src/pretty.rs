@@ -8,9 +8,7 @@
 
 use std::fmt::Write as _;
 
-use units_kernel::{
-    Expr, Kind, Lit, Ports, Signature, TypeDefn, Ty, UnitExpr, ValDefn,
-};
+use units_kernel::{Expr, Kind, Lit, Ports, Signature, Ty, TypeDefn, UnitExpr, ValDefn};
 
 /// Renders an expression as parseable surface syntax.
 ///
@@ -517,8 +515,12 @@ mod tests {
 
     #[test]
     fn pretty_ty_round_trips() {
-        for src in ["int", "(-> int bool)", "(hash (tuple int str))",
-                    "(sig (import (type t) (x t)) (export (y (-> t t))) (init int))"] {
+        for src in [
+            "int",
+            "(-> int bool)",
+            "(hash (tuple int str))",
+            "(sig (import (type t) (x t)) (export (y (-> t t))) (init int))",
+        ] {
             let t = parse_ty(src).unwrap();
             assert_eq!(parse_ty(&pretty_ty(&t)).unwrap(), t, "src: {src}");
         }
@@ -565,12 +567,7 @@ fn sexpr_flat_len(sx: &crate::sexpr::SExpr) -> usize {
     sx.to_string().chars().count()
 }
 
-fn write_sexpr_indent(
-    out: &mut String,
-    sx: &crate::sexpr::SExpr,
-    indent: usize,
-    width: usize,
-) {
+fn write_sexpr_indent(out: &mut String, sx: &crate::sexpr::SExpr, indent: usize, width: usize) {
     use crate::sexpr::SExpr;
     let budget = width.saturating_sub(indent);
     if sexpr_flat_len(sx) <= budget {
@@ -640,10 +637,7 @@ mod indent_tests {
 
     #[test]
     fn long_lines_are_broken_within_width_mostly() {
-        let e = parse_expr(
-            "(lambda (a b c) (begin (display \"x\") (+ a (+ b (+ c 1)))))",
-        )
-        .unwrap();
+        let e = parse_expr("(lambda (a b c) (begin (display \"x\") (+ a (+ b (+ c 1)))))").unwrap();
         let text = pretty_expr_indent(&e, 30);
         assert!(text.lines().count() >= 3, "{text}");
     }

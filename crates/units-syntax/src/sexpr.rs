@@ -309,8 +309,7 @@ impl<'s> Reader<'s> {
     fn read_atom(&mut self) -> Result<SExpr<'s>, ParseError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
-            if matches!(b, b' ' | b'\t' | b'\r' | b'\n' | b'(' | b')' | b'[' | b']' | b'"' | b';')
-            {
+            if matches!(b, b' ' | b'\t' | b'\r' | b'\n' | b'(' | b')' | b'[' | b']' | b'"' | b';') {
                 break;
             }
             self.pos += 1;
@@ -325,9 +324,7 @@ impl<'s> Reader<'s> {
             ));
         }
         let numeric = text.bytes().next().is_some_and(|b| b.is_ascii_digit())
-            || (text.len() > 1
-                && text.starts_with('-')
-                && text.as_bytes()[1].is_ascii_digit());
+            || (text.len() > 1 && text.starts_with('-') && text.as_bytes()[1].is_ascii_digit());
         if numeric {
             match text.parse::<i64>() {
                 Ok(n) => Ok(SExpr::Int(n, span)),

@@ -222,8 +222,7 @@ impl FaultPlane {
         let fires = match &self.explicit {
             Some((target, nth)) => site == target && hit == *nth,
             None => {
-                self.rate_per_mille > 0
-                    && self.next_u64() % 1000 < u64::from(self.rate_per_mille)
+                self.rate_per_mille > 0 && self.next_u64() % 1000 < u64::from(self.rate_per_mille)
             }
         };
         if !fires {
@@ -266,8 +265,7 @@ mod dispatch {
     /// [`FaultKind::Error`] schedule fires here, panics when a
     /// [`FaultKind::Panic`] schedule fires, and is `Ok(())` otherwise.
     pub fn trip(site: &'static str) -> Result<(), Injected> {
-        let fired =
-            PLANE.with(|p| p.borrow_mut().as_mut().and_then(|plane| plane.roll(site)));
+        let fired = PLANE.with(|p| p.borrow_mut().as_mut().and_then(|plane| plane.roll(site)));
         match fired {
             None => Ok(()),
             Some(f) => {
@@ -381,12 +379,7 @@ mod tests {
 
     #[test]
     fn site_filter_and_budget_bound_the_blast_radius() {
-        arm(
-            FaultPlane::seeded(9)
-                .rate_per_mille(1000)
-                .budget(2)
-                .at_site("reduce/"),
-        );
+        arm(FaultPlane::seeded(9).rate_per_mille(1000).budget(2).at_site("reduce/"));
         assert!(trip("parse/read").is_ok(), "filtered site never fires");
         assert!(trip("reduce/step").is_err());
         assert!(trip("reduce/prim").is_err());

@@ -318,9 +318,13 @@ mod tests {
     fn null_sink_skips_payload_rendering_but_keeps_counters() {
         let registry = Arc::new(Metrics::new());
         install(Rc::new(RefCell::new(NullSink)), registry.clone());
-        emit(Phase::Eval, "prim", None, || unreachable!("NullSink must not render"), &[
-            ("prim/calls", 1),
-        ]);
+        emit(
+            Phase::Eval,
+            "prim",
+            None,
+            || unreachable!("NullSink must not render"),
+            &[("prim/calls", 1)],
+        );
         uninstall();
         assert_eq!(registry.counter("prim/calls"), 1);
     }

@@ -110,9 +110,7 @@ fn unit_lines(u: &UnitExpr) -> Vec<Section> {
                     .collect::<Vec<_>>()
                     .join(" | ")
             )),
-            TypeDefn::Alias(a) => {
-                middle.push(format!("type {} = {}", a.name, &a.body))
-            }
+            TypeDefn::Alias(a) => middle.push(format!("type {} = {}", a.name, &a.body)),
         }
     }
     for d in &u.vals {
@@ -141,13 +139,7 @@ type Section = Vec<String>;
 
 /// Draws the three sections as a single box with separators.
 fn render_lines(sections: &[Section]) -> Vec<String> {
-    let width = sections
-        .iter()
-        .flatten()
-        .map(|l| l.chars().count())
-        .max()
-        .unwrap_or(0)
-        .max(8);
+    let width = sections.iter().flatten().map(|l| l.chars().count()).max().unwrap_or(0).max(8);
     let horiz = |l: char, m: char, r: char| {
         let mut s = String::new();
         s.push(l);
@@ -198,8 +190,7 @@ mod tests {
         assert!(picture.contains("new:"));
         assert!(picture.contains("initialization"));
         // All lines align.
-        let widths: Vec<usize> =
-            picture.lines().map(|l| l.chars().count()).collect();
+        let widths: Vec<usize> = picture.lines().map(|l| l.chars().count()).collect();
         assert!(widths.windows(2).all(|w| w[0] == w[1]), "{picture}");
     }
 

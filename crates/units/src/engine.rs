@@ -715,10 +715,8 @@ impl EngineInner {
         value: Result<Value, RuntimeError>,
         mut machine: Machine,
     ) -> Result<Outcome, Error> {
-        let outcome = value.map(|value| Outcome {
-            value: observe_value(&value),
-            output: machine.take_output(),
-        });
+        let outcome = value
+            .map(|value| Outcome { value: observe_value(&value), output: machine.take_output() });
         self.metrics.note_retained(machine.reclaim());
         Ok(outcome?)
     }
@@ -996,9 +994,7 @@ mod tests {
             .strictness(Strictness::MzScheme)
             .limits(Limits::none().fuel(1_000_000))
             .build();
-        let loaded = engine
-            .load("(letrec ((define loop (lambda () (loop)))) (loop))")
-            .unwrap();
+        let loaded = engine.load("(letrec ((define loop (lambda () (loop)))) (loop))").unwrap();
         let err = loaded.run_with(Backend::Compiled, Limits::none().fuel(500)).unwrap_err();
         assert_eq!(err.as_resource_exhausted(), Some((units_runtime::Resource::Fuel, 500)));
         // The session default is untouched.
@@ -1011,9 +1007,7 @@ mod tests {
             .strictness(Strictness::MzScheme)
             .limits(Limits::none().fuel(5_000))
             .build();
-        let loaded = engine
-            .load("(letrec ((define loop (lambda () (loop)))) (loop))")
-            .unwrap();
+        let loaded = engine.load("(letrec ((define loop (lambda () (loop)))) (loop))").unwrap();
         for backend in [Backend::Compiled, Backend::Reducer, Backend::Bytecode] {
             let err = loaded.run_on(backend).unwrap_err();
             assert_eq!(
@@ -1053,9 +1047,7 @@ mod tests {
             assert_eq!(engine.metrics_snapshot().cache.entries, 1);
             faults::install_quiet_hook();
             faults::arm(
-                faults::FaultPlane::seeded(5)
-                    .kind(FaultKind::Panic)
-                    .trigger("runtime/prim", 1),
+                faults::FaultPlane::seeded(5).kind(FaultKind::Panic).trigger("runtime/prim", 1),
             );
             let err = loaded.run().unwrap_err();
             faults::disarm();

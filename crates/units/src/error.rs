@@ -90,9 +90,7 @@ impl std::error::Error for Error {
             Error::Runtime(e) => Some(e),
             Error::Artifact(e) => Some(e),
             Error::Dynlink(e) => Some(e),
-            Error::ResourceExhausted { .. } | Error::SessionClosed | Error::Internal { .. } => {
-                None
-            }
+            Error::ResourceExhausted { .. } | Error::SessionClosed | Error::Internal { .. } => None,
         }
     }
 }
@@ -180,9 +178,7 @@ impl Error {
             Error::Runtime(RuntimeError::Injected { .. }) => true,
             Error::Artifact(ArtifactError::Injected { .. }) => true,
             Error::Dynlink(DynlinkError::Injected { .. }) => true,
-            Error::Check(errs) => {
-                errs.iter().any(|e| matches!(e, CheckError::Injected { .. }))
-            }
+            Error::Check(errs) => errs.iter().any(|e| matches!(e, CheckError::Injected { .. })),
             Error::Parse(e) => e.to_string().contains("injected fault at "),
             Error::Internal { message, .. } => message.starts_with("injected panic at "),
             _ => false,

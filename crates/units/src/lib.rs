@@ -82,7 +82,6 @@ pub use units_compile::{
     evaluate_program, invoke_unit, load_interface, load_unit, publish_unit, resolve_program,
     Archive, ArtifactError, ChunkProfile, DynlinkError, Published,
 };
-pub use units_trace::FlightDump;
 pub use units_kernel::{
     alpha_eq, free_val_vars, merge_compound, CompoundExpr, Depend, Expr, InvokeExpr, Kind,
     MergeError, Param, Ports, Signature, Symbol, Ty, TyPort, UnitExpr, ValPort,
@@ -91,6 +90,6 @@ pub use units_reduce::{Reducer, Step};
 pub use units_runtime::{Limits, Machine, Resource, RuntimeError, UnitValue, Value};
 pub use units_syntax::{
     parse_expr, parse_file, parse_signature, parse_ty, pretty_expr, pretty_expr_indent,
-    pretty_signature, pretty_ty,
-    ParseError, MAX_NESTING,
+    pretty_signature, pretty_ty, ParseError, MAX_NESTING,
 };
+pub use units_trace::FlightDump;

@@ -63,10 +63,7 @@ impl PartialEq for Observation {
                 ta == tb && ia == ib && pa == pb
             }
             // Shape-only: export details are informational.
-            (
-                Observation::Opaque { shape: a, .. },
-                Observation::Opaque { shape: b, .. },
-            ) => a == b,
+            (Observation::Opaque { shape: a, .. }, Observation::Opaque { shape: b, .. }) => a == b,
             _ => false,
         }
     }
@@ -105,8 +102,7 @@ impl fmt::Display for Observation {
 
 /// The sorted value-export names of a unit interface.
 fn export_names(exports: &Ports) -> Vec<String> {
-    let mut names: Vec<String> =
-        exports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
+    let mut names: Vec<String> = exports.vals.iter().map(|p| p.name.as_str().to_string()).collect();
     names.sort_unstable();
     names
 }
@@ -128,9 +124,7 @@ pub fn observe_value(value: &Value) -> Observation {
         Value::Prim(_) => Observation::opaque("procedure"),
         Value::Data(_) => Observation::opaque("procedure"),
         Value::Hash(_) => Observation::opaque("hash"),
-        Value::Unit(u) => {
-            Observation::Opaque { shape: "unit", exports: export_names(u.exports()) }
-        }
+        Value::Unit(u) => Observation::Opaque { shape: "unit", exports: export_names(u.exports()) },
     }
 }
 
@@ -156,9 +150,7 @@ pub fn observe_expr(expr: &Expr) -> Observation {
         ),
         Expr::Lambda(_) | Expr::Prim(..) | Expr::Data(_) => Observation::opaque("procedure"),
         Expr::Loc(_) => Observation::opaque("hash"),
-        Expr::Unit(u) => {
-            Observation::Opaque { shape: "unit", exports: export_names(&u.exports) }
-        }
+        Expr::Unit(u) => Observation::Opaque { shape: "unit", exports: export_names(&u.exports) },
         _ => unreachable!("is_value covers all value forms"),
     }
 }

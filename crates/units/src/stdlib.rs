@@ -258,17 +258,11 @@ mod tests {
 
     #[test]
     fn fig3_ipb_runs_and_reports_both_entries() {
-        let outcome =
-            Engine::new().load(&ipb_program()).unwrap().run_differential().unwrap();
+        let outcome = Engine::new().load(&ipb_program()).unwrap().run_differential().unwrap();
         assert_eq!(outcome.value, Observation::Bool(true));
         assert_eq!(
             outcome.output,
-            vec![
-                "database ready",
-                "gui ready",
-                "pat -> 5551234",
-                "chris -> 5559876",
-            ]
+            vec!["database ready", "gui ready", "pat -> 5551234", "chris -> 5559876",]
         );
     }
 
@@ -321,8 +315,7 @@ mod tests {
 
     #[test]
     fn sec53_diamond_shares_one_symbol_instance() {
-        let outcome =
-            Engine::new().load(&compiler_pipeline()).unwrap().run_differential().unwrap();
+        let outcome = Engine::new().load(&compiler_pipeline()).unwrap().run_differential().unwrap();
         assert_eq!(
             outcome.value,
             Observation::Tuple(vec![

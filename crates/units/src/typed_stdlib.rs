@@ -137,10 +137,7 @@ mod tests {
         assert_eq!(p.ty(), Some(&Ty::Bool));
         let outcome = p.run_differential().unwrap();
         assert_eq!(outcome.value, Observation::Bool(true));
-        assert_eq!(
-            outcome.output,
-            vec!["database ready", "typed gui ready", "pat -> 5551234"]
-        );
+        assert_eq!(outcome.output, vec!["database ready", "typed gui ready", "pat -> 5551234"]);
     }
 
     #[test]

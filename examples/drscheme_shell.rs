@@ -15,9 +15,9 @@
 use std::collections::HashMap;
 
 use units::{invoke_unit, Archive, CheckOptions, Level, Machine, RuntimeError, Value};
-use units_runtime::apply_prim;
 use units_compile::{evaluate_program, resolve_program};
 use units_kernel::{Expr, PrimOp};
+use units_runtime::apply_prim;
 use units_syntax::parse_signature;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -138,9 +138,7 @@ fn system_imports(
         _ => unreachable!(),
     };
     let supplied = HashMap::from([(units::Symbol::new("table"), store.clone())]);
-    let Value::Tuple(calls) = invoke_unit(&unit_value, &supplied, machine)? else {
-        unreachable!()
-    };
+    let Value::Tuple(calls) = invoke_unit(&unit_value, &supplied, machine)? else { unreachable!() };
     Ok(HashMap::from([
         (units::Symbol::new("println"), calls[0].clone()),
         (units::Symbol::new("store-put"), calls[1].clone()),

@@ -50,8 +50,7 @@ fn main() -> Result<(), units::Error> {
         let mut hi = 1_000_000u64;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let engine =
-                Engine::builder().limits(Limits::none().fuel(mid)).build();
+            let engine = Engine::builder().limits(Limits::none().fuel(mid)).build();
             let ok = engine.load(source)?.run_on(backend).is_ok();
             if ok {
                 hi = mid;

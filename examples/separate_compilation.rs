@@ -15,8 +15,7 @@
 //!    newer build in the meantime).
 
 use units::{
-    load_interface, load_unit, parse_expr, publish_unit, CheckOptions, Engine, Level,
-    Observation,
+    load_interface, load_unit, parse_expr, publish_unit, CheckOptions, Engine, Level, Observation,
 };
 use units_kernel::{CompoundExpr, Expr, LinkClause, Ports, ValPort};
 
@@ -37,10 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("provider published:");
     println!("  {}", published.unit_path.display());
     println!("  {}", published.interface_path.display());
-    println!(
-        "  interface: {}\n",
-        std::fs::read_to_string(&published.interface_path)?
-    );
+    println!("  interface: {}\n", std::fs::read_to_string(&published.interface_path)?);
 
     // -- 2. client team -------------------------------------------------
     // They have only the .usig. Their unit imports the published ports.
@@ -62,22 +58,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- 3. integrator ---------------------------------------------------
     // Re-verify the provider against its published interface, then link.
     let provider = load_unit(&published, opts)?;
-    let with_ports = Ports {
-        types: vec![],
-        vals: interface.exports.vals.clone(),
-    };
+    let with_ports = Ports { types: vec![], vals: interface.exports.vals.clone() };
     let program = Expr::invoke_program(Expr::compound(CompoundExpr::new(
         Ports::new(),
         Ports::new(),
         vec![
             LinkClause::by_name(provider, Ports::new(), with_ports.clone()),
-            LinkClause::by_name(client, with_ports, Ports {
-                types: vec![],
-                vals: vec![ValPort::typed(
-                    "sum-of-squares",
-                    units::Ty::arrow(vec![units::Ty::Int, units::Ty::Int], units::Ty::Int),
-                )],
-            }),
+            LinkClause::by_name(
+                client,
+                with_ports,
+                Ports {
+                    types: vec![],
+                    vals: vec![ValPort::typed(
+                        "sum-of-squares",
+                        units::Ty::arrow(vec![units::Ty::Int, units::Ty::Int], units::Ty::Int),
+                    )],
+                },
+            ),
             LinkClause::by_name(
                 parse_expr(
                     "(unit (import (sum-of-squares (-> int int int))) (export)
@@ -94,11 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ],
     )));
-    let outcome = Engine::builder()
-        .level(Level::Constructed)
-        .build()
-        .load_expr(program)?
-        .run()?;
+    let outcome = Engine::builder().level(Level::Constructed).build().load_expr(program)?.run()?;
     println!("integrated program: sum-of-squares(3, 4) = {}", outcome.value);
     assert_eq!(outcome.value, Observation::Int(25));
 

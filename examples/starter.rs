@@ -17,9 +17,7 @@ fn main() -> Result<(), units::Error> {
     for expert_mode in [true, false] {
         let source = stdlib::make_ipb_program(expert_mode);
         let outcome = engine.invoke(&source)?;
-        println!(
-            "expertMode() = {expert_mode:<5} → GUI chosen at run time:"
-        );
+        println!("expertMode() = {expert_mode:<5} → GUI chosen at run time:");
         for line in &outcome.output {
             println!("  | {line}");
         }

@@ -52,11 +52,7 @@ impl Gen {
                 Expr::prim2(op, self.expr(depth - 1, vars), self.expr(depth - 1, vars))
             }
             2 => Expr::if_(
-                Expr::prim2(
-                    PrimOp::Lt,
-                    self.expr(depth - 1, vars),
-                    self.expr(depth - 1, vars),
-                ),
+                Expr::prim2(PrimOp::Lt, self.expr(depth - 1, vars), self.expr(depth - 1, vars)),
                 self.expr(depth - 1, vars),
                 self.expr(depth - 1, vars),
             ),
@@ -81,10 +77,8 @@ impl Gen {
                 let mut inner: Vec<String> = vars.to_vec();
                 inner.extend(params.iter().cloned());
                 let body = self.expr(depth - 1, &inner);
-                let lam = Expr::lambda(
-                    params.iter().map(|p| Param::untyped(p.as_str())).collect(),
-                    body,
-                );
+                let lam =
+                    Expr::lambda(params.iter().map(|p| Param::untyped(p.as_str())).collect(), body);
                 let args = (0..n).map(|_| self.expr(depth - 1, vars)).collect();
                 Expr::app(lam, args)
             }
@@ -148,13 +142,11 @@ impl Gen {
         if let Some((t, (mk, un, is))) = &datatype {
             types.push(units_kernel::TypeDefn::Data(units_kernel::DataDefn {
                 name: t.as_str().into(),
-                variants: vec![
-                    units_kernel::DataVariant {
-                        ctor: mk.as_str().into(),
-                        dtor: un.as_str().into(),
-                        payload: units_kernel::Ty::Int,
-                    },
-                ],
+                variants: vec![units_kernel::DataVariant {
+                    ctor: mk.as_str().into(),
+                    dtor: un.as_str().into(),
+                    payload: units_kernel::Ty::Int,
+                }],
                 predicate: is.as_str().into(),
             }));
             // Exercise construct/deconstruct/discriminate in scope.
@@ -167,11 +159,8 @@ impl Gen {
                 ValDefn { name: name.as_str().into(), ty: None, body: Expr::thunk(body) }
             })
             .collect();
-        let exports: Vec<String> = def_names
-            .iter()
-            .filter(|_| self.rng.gen_bool(0.7))
-            .cloned()
-            .collect();
+        let exports: Vec<String> =
+            def_names.iter().filter(|_| self.rng.gen_bool(0.7)).cloned().collect();
         // The init expression may call any definition or import.
         let init_scope = def_scope;
         let init = match self.rng.gen_range(0, 3) {
@@ -200,9 +189,7 @@ impl Gen {
     /// `invoke` of either one unit or a two-unit compound, with all
     /// imports satisfied by thunks over in-scope expressions.
     fn invoke(&mut self, depth: u32, vars: &[String]) -> Expr {
-        let pool: Vec<String> = (0..self.rng.gen_range(0, 3))
-            .map(|_| self.name("imp"))
-            .collect();
+        let pool: Vec<String> = (0..self.rng.gen_range(0, 3)).map(|_| self.name("imp")).collect();
         let (target, needed) = if self.rng.gen_bool(0.5) {
             let (e, u) = self.unit(depth, vars, &pool);
             (e, names(&u.imports))
@@ -429,10 +416,7 @@ fn ports(names: &[String]) -> Ports {
 
 /// One differential session: MzScheme strictness and a fuel budget.
 fn engine(fuel: u64) -> Engine {
-    Engine::builder()
-        .strictness(Strictness::MzScheme)
-        .limits(Limits::none().fuel(fuel))
-        .build()
+    Engine::builder().strictness(Strictness::MzScheme).limits(Limits::none().fuel(fuel)).build()
 }
 
 fn agree(seed: u64) -> Result<(), String> {
@@ -456,8 +440,7 @@ fn check_three_way(seed: u64, expr: Expr) -> Result<(), String> {
             .into_iter()
             .map(|b| (b, loaded.run_on(b)))
             .collect();
-    let fuel =
-        |r: &Result<Outcome, Error>| matches!(r, Err(Error::ResourceExhausted { .. }));
+    let fuel = |r: &Result<Outcome, Error>| matches!(r, Err(Error::ResourceExhausted { .. }));
     if runs.iter().any(|(_, r)| fuel(r)) {
         return Ok(()); // step budgets differ between the semantics
     }
@@ -490,8 +473,13 @@ fn check_three_way(seed: u64, expr: Expr) -> Result<(), String> {
 fn has_compound(expr: &Expr) -> bool {
     match expr {
         Expr::Compound(_) => true,
-        Expr::Var(_) | Expr::VarAt(..) | Expr::Lit(_) | Expr::Prim(..) | Expr::Loc(_)
-        | Expr::CellRef(_) | Expr::Data(_) => false,
+        Expr::Var(_)
+        | Expr::VarAt(..)
+        | Expr::Lit(_)
+        | Expr::Prim(..)
+        | Expr::Loc(_)
+        | Expr::CellRef(_)
+        | Expr::Data(_) => false,
         Expr::Lambda(lam) => has_compound(&lam.body),
         Expr::App(f, args) => has_compound(f) || args.iter().any(has_compound),
         Expr::If(c, t, e) => has_compound(c) || has_compound(t) || has_compound(e),
@@ -528,10 +516,10 @@ fn check_flattening(seed: u64, expr: Expr) -> Result<bool, String> {
         .load_expr(expr)
         .map_err(|e| format!("seed {seed}: load failed: {e}\n program: {source}"))?;
     let mut reducer = units::Reducer::with_limits(Limits::none().fuel(FUEL));
-    let reduced_flat = reducer.reduce_to_value(&flat).map_err(Error::from).map(|v| Outcome {
-        value: units::observe_expr(&v),
-        output: reducer.machine.take_output(),
-    });
+    let reduced_flat = reducer
+        .reduce_to_value(&flat)
+        .map_err(Error::from)
+        .map(|v| Outcome { value: units::observe_expr(&v), output: reducer.machine.take_output() });
     let runs: Vec<(&str, Result<Outcome, Error>)> = vec![
         ("reducer", loaded.run_on(Backend::Reducer)),
         ("reducer on the flattened term", reduced_flat),
@@ -690,10 +678,7 @@ fn backends_agree_on_error_classes_for_key_failures() {
         ("(1 2)", "NotAFunction"),
         ("(/ 1 0)", "DivisionByZero"),
         ("((inst fail void) \"boom\")", "User"),
-        (
-            "(letrec ((datatype t (mk unmk int) (no unno void) t?)) (unno (mk 1)))",
-            "WrongVariant",
-        ),
+        ("(letrec ((datatype t (mk unmk int) (no unno void) t?)) (unno (mk 1)))", "WrongVariant"),
         (
             "(compound (import) (export)
                (link ((unit (import g) (export) (init void)) (with) (provides))))",
@@ -740,7 +725,8 @@ fn resource_exhaustion_reports_identical_text_on_all_three_backends() {
 
     // Depth exhaustion carries the same guarantee: the VM checks
     // `max_depth` at the same call-site boundaries the tree-walkers do.
-    let deep = "(letrec ((define down (lambda (n) (if (< 0 n) (+ 1 (down (- n 1))) 0)))) (down 500))";
+    let deep =
+        "(letrec ((define down (lambda (n) (if (< 0 n) (+ 1 (down (- n 1))) 0)))) (down 500))";
     let engine = Engine::builder().limits(Limits::none().max_depth(40)).build();
     let loaded = engine.load(deep).unwrap();
     let texts: Vec<String> = [Backend::Compiled, Backend::Reducer, Backend::Bytecode]

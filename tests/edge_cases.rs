@@ -1,8 +1,6 @@
 //! Corner cases and failure injection across the whole pipeline.
 
-use units::{
-    Backend, CheckError, Engine, Level, Observation, RuntimeError, Strictness, Ty,
-};
+use units::{Backend, CheckError, Engine, Level, Observation, RuntimeError, Strictness, Ty};
 
 fn mz() -> Engine {
     Engine::builder().strictness(Strictness::MzScheme).build()
@@ -30,10 +28,7 @@ fn the_empty_unit_invokes_to_void() {
 
 #[test]
 fn the_empty_compound_invokes_to_void() {
-    assert_eq!(
-        both("(invoke (compound (import) (export) (link)))").value,
-        Observation::Void
-    );
+    assert_eq!(both("(invoke (compound (import) (export) (link)))").value, Observation::Void);
 }
 
 #[test]
@@ -104,8 +99,11 @@ fn seal_chains_narrow_monotonically() {
                (with a) (provides)))))";
     assert_eq!(both(src).value, Observation::Int(1));
     // b was stripped by the outer seal even though the inner kept it.
-    let bad = src.replace("(provides a)", "(provides b)").replace("import a", "import b")
-        .replace("(with a)", "(with b)").replace("(init a)", "(init b)");
+    let bad = src
+        .replace("(provides a)", "(provides b)")
+        .replace("import a", "import b")
+        .replace("(with a)", "(with b)")
+        .replace("(init a)", "(init b)");
     let err = mz().load(&bad).unwrap().run().unwrap_err();
     assert!(
         matches!(err.as_runtime(), Some(RuntimeError::MissingProvide { name }) if name.as_str() == "b")
@@ -116,9 +114,7 @@ fn seal_chains_narrow_monotonically() {
 fn eight_levels_of_nested_compounds() {
     let mut inner = "(unit (import) (export v) (define v (lambda () 1)))".to_string();
     for _ in 0..8 {
-        inner = format!(
-            "(compound (import) (export v) (link ({inner} (with) (provides v))))"
-        );
+        inner = format!("(compound (import) (export v) (link ({inner} (with) (provides v))))");
     }
     let src = format!(
         "(invoke (compound (import) (export)
@@ -189,7 +185,8 @@ fn duplicate_signature_ports_are_rejected() {
         .unwrap_err();
     let errs = err.as_check().unwrap();
     assert!(
-        errs.iter().any(|e| matches!(e, CheckError::Duplicate { name, .. } if name.as_str() == "x")),
+        errs.iter()
+            .any(|e| matches!(e, CheckError::Duplicate { name, .. } if name.as_str() == "x")),
         "{errs:?}"
     );
 }
@@ -232,10 +229,7 @@ fn unite_forms_are_rejected_at_unitc() {
         )
         .unwrap_err();
     let errs = err.as_check().unwrap();
-    assert!(
-        errs.iter().any(|e| matches!(e, CheckError::UnsupportedAtLevel { .. })),
-        "{errs:?}"
-    );
+    assert!(errs.iter().any(|e| matches!(e, CheckError::UnsupportedAtLevel { .. })), "{errs:?}");
 }
 
 #[test]
@@ -319,10 +313,7 @@ fn invoke_of_a_failing_link_expression_propagates() {
     let p = engine.load(src).unwrap();
     for backend in [Backend::Compiled, Backend::Reducer, Backend::Bytecode] {
         let err = p.run_on(backend).unwrap_err();
-        assert!(
-            matches!(err.as_runtime(), Some(RuntimeError::User { .. })),
-            "{backend:?}: {err}"
-        );
+        assert!(matches!(err.as_runtime(), Some(RuntimeError::User { .. })), "{backend:?}: {err}");
     }
 }
 

@@ -40,12 +40,10 @@ fn warm_runs_match_cold_runs_exactly() {
             let source = square_program(level);
 
             let cold = engine.load(source).unwrap();
-            let (cold_outcome, cold_events) =
-                units::trace::capture(|| cold.run().unwrap());
+            let (cold_outcome, cold_events) = units::trace::capture(|| cold.run().unwrap());
 
             let warm = engine.load(source).unwrap();
-            let (warm_outcome, warm_events) =
-                units::trace::capture(|| warm.run().unwrap());
+            let (warm_outcome, warm_events) = units::trace::capture(|| warm.run().unwrap());
 
             let stats = engine.metrics_snapshot().cache;
             assert_eq!(
@@ -96,14 +94,10 @@ fn fuel_exhaustion_is_typed_on_both_backends() {
         .strictness(Strictness::MzScheme)
         .limits(Limits::none().fuel(2_000))
         .build();
-    let loaded =
-        engine.load("(letrec ((define loop (lambda () (loop)))) (loop))").unwrap();
+    let loaded = engine.load("(letrec ((define loop (lambda () (loop)))) (loop))").unwrap();
     for backend in [Backend::Compiled, Backend::Reducer] {
         let err = loaded.run_on(backend).unwrap_err();
-        assert!(
-            matches!(err, Error::ResourceExhausted { .. }),
-            "{backend:?}: {err:?}"
-        );
+        assert!(matches!(err, Error::ResourceExhausted { .. }), "{backend:?}: {err:?}");
         assert_eq!(err.as_resource_exhausted(), Some((Resource::Fuel, 2_000)));
     }
 }
@@ -242,8 +236,7 @@ fn shared_engine_runs_identically_across_threads() {
 
         let cold_engine = Engine::new();
         let cold = cold_engine.load(source).unwrap();
-        let (cold_outcome, cold_events) =
-            units::trace::capture(|| cold.run_on(backend).unwrap());
+        let (cold_outcome, cold_events) = units::trace::capture(|| cold.run_on(backend).unwrap());
 
         let shared = Engine::new();
         shared.load(source).unwrap(); // warm the cache once, deterministically
@@ -570,11 +563,7 @@ fn deep_programs(n: usize) -> [(&'static str, String); 5] {
         ("closures", deep_program(&build("(lambda () (acc))"), "(lambda () 0)", n)),
         (
             "cells",
-            deep_program(
-                &build("(letrec ((define g (lambda () (acc)))) g)"),
-                "(lambda () 0)",
-                n,
-            ),
+            deep_program(&build("(letrec ((define g (lambda () (acc)))) g)"), "(lambda () 0)", n),
         ),
         (
             "hashes",
@@ -607,12 +596,7 @@ fn drops_in_bounded_stack(name: &'static str) {
             assert_eq!(engine.metrics_snapshot().runs.cells_retained, 0, "{name} on {backend:?}");
         }
     };
-    std::thread::Builder::new()
-        .stack_size(DEEP_DROP_STACK)
-        .spawn(check)
-        .unwrap()
-        .join()
-        .unwrap();
+    std::thread::Builder::new().stack_size(DEEP_DROP_STACK).spawn(check).unwrap().join().unwrap();
 }
 
 #[test]

@@ -33,10 +33,9 @@ fn program_for(level: Level) -> (&'static str, Observation) {
                       (with even) (provides odd)))))",
             Observation::Bool(true),
         ),
-        _ => (
-            "(invoke (unit (import) (export) (init (+ (* 6 6) (* 50 2)))))",
-            Observation::Int(136),
-        ),
+        _ => {
+            ("(invoke (unit (import) (export) (init (+ (* 6 6) (* 50 2)))))", Observation::Int(136))
+        }
     }
 }
 
@@ -58,10 +57,9 @@ fn chaos_case(seed: u64, level: Level, backend: Backend) -> usize {
     let context = format!("seed {seed} {level:?} {backend:?} {kind:?}");
     match result {
         Ok(outcome) => assert_eq!(outcome.value, expected, "{context}"),
-        Err(err) => assert!(
-            !plane.fired().is_empty(),
-            "{context}: failed with no fault fired: {err}"
-        ),
+        Err(err) => {
+            assert!(!plane.fired().is_empty(), "{context}: failed with no fault fired: {err}")
+        }
     }
     // The session must survive any schedule: with the plane disarmed,
     // the very same engine loads and runs the program correctly.
@@ -128,7 +126,11 @@ fn injected_backend_faults_surface_typed_and_the_next_run_is_correct() {
         faults::disarm();
         assert!(err.is_injected(), "{backend:?}: {err}");
         assert_eq!(err.to_string(), format!("runtime error: injected fault at {site} (hit 1)"));
-        assert_eq!(engine.metrics_snapshot().cache.entries, 1, "{backend:?}: the artifact stays cached");
+        assert_eq!(
+            engine.metrics_snapshot().cache.entries,
+            1,
+            "{backend:?}: the artifact stays cached"
+        );
         assert_eq!(loaded.run_on(backend).unwrap().value, expected, "{backend:?}");
     }
 }
@@ -177,8 +179,7 @@ fn injected_fault_produces_a_flight_dump_naming_the_trip_site() {
     let meta = lines.next().expect("a meta line leads the dump");
     assert!(meta.contains("\"flight\":\"dump\""), "{meta}");
     for line in dump.json_lines.lines() {
-        units::trace::json::parse(line)
-            .unwrap_or_else(|e| panic!("bad dump line {e:?}: {line}"));
+        units::trace::json::parse(line).unwrap_or_else(|e| panic!("bad dump line {e:?}: {line}"));
     }
     assert!(
         dump.json_lines.contains("fault/fired") && dump.json_lines.contains("compile/eval"),

@@ -7,8 +7,8 @@
 //! run as full programs at the UNITe level.
 
 use units::{
-    alpha_eq, parse_expr, stdlib, Backend, CheckOptions, Depend, Engine, Level,
-    Observation, Reducer, Strictness, Ty,
+    alpha_eq, parse_expr, stdlib, Backend, CheckOptions, Depend, Engine, Level, Observation,
+    Reducer, Strictness, Ty,
 };
 
 fn at(level: Level) -> Engine {
@@ -407,8 +407,7 @@ fn fig21_opaque_env_hiding() {
                 (init (-> (-> name value) name value (-> name value)))
                 (depends (env name) (env value)))";
     let base = environment_unit();
-    let chain =
-        |outer: &str| format!("(seal (seal {base} {translucent_sig}) {outer})");
+    let chain = |outer: &str| format!("(seal (seal {base} {translucent_sig}) {outer})");
 
     // Without the induced dependencies: rejected.
     let err = ty_of(&chain(opaque_sig_missing), Level::Equations).unwrap_err();
@@ -436,10 +435,7 @@ fn fig20_21_sealed_environment_still_runs() {
              (tuple (e2 "answer") (e2 "missing"))))"#
     );
     let outcome = at(Level::Equations).invoke(&source).unwrap();
-    assert_eq!(
-        outcome.value,
-        Observation::Tuple(vec![Observation::Int(42), Observation::Int(0)])
-    );
+    assert_eq!(outcome.value, Observation::Tuple(vec![Observation::Int(42), Observation::Int(0)]));
 }
 
 #[test]

@@ -55,8 +55,7 @@ fn fresh_names_never_collide_with_interned_source_names() {
     let mut gen = NameGen::new();
     let mut generated = std::collections::BTreeSet::new();
     for i in 0..1000 {
-        let f =
-            if i % 2 == 0 { gen.fresh(&Symbol::new("tmp")) } else { gen.fresh_named("x") };
+        let f = if i % 2 == 0 { gen.fresh(&Symbol::new("tmp")) } else { gen.fresh_named("x") };
         assert!(f.is_generated(), "{f} must be marked generated");
         assert!(!source.contains(&f), "fresh name {f} collides with a source name");
         assert!(generated.insert(f.clone()), "fresh name {f} repeated");

@@ -33,10 +33,7 @@ fn metrics_snapshot_counts_cache_runs_fuel_and_latency() {
     assert_eq!(snap.runs.failures, 0);
     assert!(snap.runs.fuel_total > 0, "machine steps count in every build");
     assert!(snap.runs.fuel_max <= snap.runs.fuel_total);
-    assert!(
-        snap.runs.store_cells_peak > 0,
-        "invoking a unit with defines allocates store cells"
-    );
+    assert!(snap.runs.store_cells_peak > 0, "invoking a unit with defines allocates store cells");
 
     let lat = snap.invoke_latency;
     assert_eq!(lat.count, 3);

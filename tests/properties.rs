@@ -92,9 +92,8 @@ fn arb_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
             1 => Expr::bool(rng.gen_bool(0.5)),
             2 => {
                 let n = rng.gen_range(0, 7);
-                let s: String = (0..n)
-                    .map(|_| pick(rng, &[' ', 'a', 'b', 'k', 'q', 'z']))
-                    .collect();
+                let s: String =
+                    (0..n).map(|_| pick(rng, &[' ', 'a', 'b', 'k', 'q', 'z'])).collect();
                 Expr::str(s)
             }
             3 => Expr::void(),
@@ -116,11 +115,9 @@ fn arb_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
             let args = (0..rng.gen_range(0, 3)).map(|_| arb_expr(rng, depth - 1)).collect();
             Expr::app(f, args)
         }
-        2 => Expr::if_(
-            arb_expr(rng, depth - 1),
-            arb_expr(rng, depth - 1),
-            arb_expr(rng, depth - 1),
-        ),
+        2 => {
+            Expr::if_(arb_expr(rng, depth - 1), arb_expr(rng, depth - 1), arb_expr(rng, depth - 1))
+        }
         3 => Expr::seq((0..rng.gen_range(1, 3)).map(|_| arb_expr(rng, depth - 1)).collect()),
         4 => {
             let bs: std::collections::BTreeMap<&str, Expr> = (0..rng.gen_range(1, 3))
@@ -237,10 +234,7 @@ fn expansion_is_idempotent() {
             let mut body = arb_ty(&mut rng, 3);
             // Erase references to names ≤ i to keep the set acyclic.
             for earlier in &TY_NAMES[..=i] {
-                let map = std::collections::HashMap::from([(
-                    Symbol::new(*earlier),
-                    Ty::Int,
-                )]);
+                let map = std::collections::HashMap::from([(Symbol::new(*earlier), Ty::Int)]);
                 body = units_kernel::subst_ty(&body, &map).unwrap();
             }
             eqs.insert(Symbol::new(TY_NAMES[i]), body);
@@ -354,10 +348,7 @@ fn subtype_chains_compose() {
 fn expansion_is_identity_off_the_domain() {
     let mut rng = SplitMix64::seed_from_u64(0x51B5);
     // Equations over names disjoint from TY_NAMES.
-    let eqs = Equations::from([
-        ("zq1".into(), Ty::Int),
-        ("zq2".into(), Ty::Bool),
-    ]);
+    let eqs = Equations::from([("zq1".into(), Ty::Int), ("zq2".into(), Ty::Bool)]);
     for case in 0..128 {
         let t = arb_ty(&mut rng, 3);
         let mut free = std::collections::BTreeSet::new();

@@ -148,10 +148,7 @@ fn typed_mismatch_through_renames_is_still_caught() {
                (with (as step bump (-> str str))) (provides))))";
     let err = Engine::builder().level(Level::Constructed).build().load(src).unwrap_err();
     let errs = err.as_check().unwrap();
-    assert!(
-        errs.iter().any(|e| matches!(e, units::CheckError::Mismatch { .. })),
-        "{errs:?}"
-    );
+    assert!(errs.iter().any(|e| matches!(e, units::CheckError::Mismatch { .. })), "{errs:?}");
 }
 
 #[test]
@@ -207,10 +204,6 @@ fn same_unit_linked_twice_under_different_outer_names() {
     // Two instances: independent state.
     assert_eq!(
         both(src).value,
-        Observation::Tuple(vec![
-            Observation::Int(1),
-            Observation::Int(2),
-            Observation::Int(1)
-        ])
+        Observation::Tuple(vec![Observation::Int(1), Observation::Int(2), Observation::Int(1)])
     );
 }

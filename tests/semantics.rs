@@ -287,11 +287,7 @@ fn invocation_is_repeatable_with_fresh_state() {
         (tuple (invoke u) (invoke u) (invoke u))";
     assert_eq!(
         both(src).value,
-        Observation::Tuple(vec![
-            Observation::Int(1),
-            Observation::Int(1),
-            Observation::Int(1)
-        ])
+        Observation::Tuple(vec![Observation::Int(1), Observation::Int(1), Observation::Int(1)])
     );
 }
 
@@ -376,9 +372,6 @@ fn reduction_and_evaluation_step_counts_scale_together() {
         let s10 = steps(&program(10), backend);
         let s100 = steps(&program(100), backend);
         let ratio = s100 as f64 / s10 as f64;
-        assert!(
-            (5.0..20.0).contains(&ratio),
-            "{backend:?}: steps {s10} → {s100} (ratio {ratio})"
-        );
+        assert!((5.0..20.0).contains(&ratio), "{backend:?}: steps {s10} → {s100} (ratio {ratio})");
     }
 }

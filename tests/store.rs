@@ -100,8 +100,10 @@ fn truncation_is_a_typed_miss_and_an_identical_recompile() {
     // A spread of cut points across the whole image (the store crate
     // fuzzes every single length; here the engine-level contract is
     // what matters).
-    let cuts: Vec<usize> =
-        (0..pristine.len()).step_by((pristine.len() / 24).max(1)).chain([pristine.len() - 1]).collect();
+    let cuts: Vec<usize> = (0..pristine.len())
+        .step_by((pristine.len() / 24).max(1))
+        .chain([pristine.len() - 1])
+        .collect();
     for cut in cuts {
         fs::write(&path, &pristine[..cut]).unwrap();
         let engine = warm_engine(&dir, Backend::Compiled);
@@ -130,8 +132,7 @@ fn bit_flips_never_change_the_answer() {
     let path = entry_file(&dir);
     let pristine = fs::read(&path).unwrap();
     // Sample positions across header, payload, and checksum.
-    let positions: Vec<usize> =
-        (0..pristine.len()).step_by((pristine.len() / 16).max(1)).collect();
+    let positions: Vec<usize> = (0..pristine.len()).step_by((pristine.len() / 16).max(1)).collect();
     for at in positions {
         for mask in [0x01u8, 0x80] {
             let mut mutated = pristine.clone();
@@ -215,8 +216,8 @@ fn two_engines_share_one_directory_without_interference() {
 
 #[test]
 fn an_unusable_cache_directory_degrades_to_in_memory() {
-    let blocker = std::env::temp_dir()
-        .join(format!("units-store-test-{}-blocker", std::process::id()));
+    let blocker =
+        std::env::temp_dir().join(format!("units-store-test-{}-blocker", std::process::id()));
     fs::write(&blocker, b"a file where a directory should be").unwrap();
     // `cache_dir` pointing at a plain file cannot be opened as a store;
     // the engine must build and answer as if no cache was configured.

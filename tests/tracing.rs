@@ -85,11 +85,9 @@ fn step_events_match_the_reducers_step_count() {
     for (name, src) in stdlib_programs() {
         let program = engine.load(&src).unwrap();
         let mut reducer = units::Reducer::new();
-        let (value, events) =
-            units::trace::capture(|| reducer.reduce_to_value(program.expr()));
+        let (value, events) = units::trace::capture(|| reducer.reduce_to_value(program.expr()));
         value.unwrap();
-        let step_events: Vec<_> =
-            events.iter().filter(|e| e.kind.starts_with("step/")).collect();
+        let step_events: Vec<_> = events.iter().filter(|e| e.kind.starts_with("step/")).collect();
         assert!(reducer.steps() > 0, "{name}: no reductions happened");
         assert_eq!(
             step_events.len() as u64,
@@ -164,10 +162,7 @@ fn adversarial_event_payloads_round_trip_through_the_sink() {
 #[test]
 fn chrome_trace_export_is_valid_and_names_the_eval_span() {
     let metrics = Arc::new(units::trace::Metrics::new());
-    units::trace::install(
-        Rc::new(RefCell::new(units::trace::NullSink)),
-        Arc::clone(&metrics),
-    );
+    units::trace::install(Rc::new(RefCell::new(units::trace::NullSink)), Arc::clone(&metrics));
     let engine = Engine::new();
     engine.load(EVEN_ODD).unwrap().run_on(Backend::Compiled).unwrap();
     units::trace::uninstall();
@@ -192,8 +187,7 @@ fn emitted_json_is_valid() {
     let lines = String::from_utf8(bytes).unwrap();
     assert!(!lines.is_empty(), "no JSON lines written");
     for line in lines.lines() {
-        units::trace::json::parse(line)
-            .unwrap_or_else(|e| panic!("bad event JSON {e:?}: {line}"));
+        units::trace::json::parse(line).unwrap_or_else(|e| panic!("bad event JSON {e:?}: {line}"));
     }
     units::trace::json::parse(&metrics.to_json()).expect("metrics snapshot is JSON");
     assert!(metrics.counter("reduce/steps") > 0, "step counter folded into metrics");
