@@ -13,6 +13,8 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Layout is pinned by rustfmt.toml; run `cargo fmt --all` to fix.
+cargo fmt --all --check
 # Only rustdoc reports a doc link to a deleted or private item, so the
 # docs build with warnings denied (again below with every feature on).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -78,10 +78,9 @@ pub fn apply_prim(
 }
 
 /// Renders a prim call as `(op arg…) -> result` from already-ground
-/// pieces. The reducer's delta events use the same renderer, so the two
-/// backends' `"prim"` event streams are directly comparable — that
-/// alignment is what lets divergence diagnosis name the first
-/// disagreeing step.
+/// pieces. The reducer's delta events and both compiled backends use
+/// the same renderer, so their `"prim"` event streams are directly
+/// comparable.
 pub fn render_prim_call(op: PrimOp, args: impl Iterator<Item = String>, result: &str) -> String {
     let mut out = String::from("(");
     out.push_str(op.name());

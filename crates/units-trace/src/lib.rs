@@ -1,6 +1,6 @@
 //! Structured tracing and metrics for the Units pipeline — the
-//! observability layer behind `:trace`/`:stats`/`:profile`, divergence
-//! diagnosis, and `BENCH_trace.json`.
+//! observability layer behind `:trace`/`:stats`/`:profile` and
+//! `BENCH_trace.json`.
 //!
 //! # Architecture
 //!
