@@ -1,6 +1,7 @@
 //! Observability invariants: event streams are deterministic, the
-//! no-event path changes nothing observable, and the reducer's event
-//! stream is an exact account of its Fig. 11 step count.
+//! no-event path changes nothing observable, the reducer's event
+//! stream is an exact account of its Fig. 11 step count, and the three
+//! backends' `prim` streams agree.
 //!
 //! Everything here needs the `trace` cargo feature except the
 //! NullSink-identity test, which also pins the no-op build's behavior.
