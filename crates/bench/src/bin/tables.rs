@@ -1,8 +1,6 @@
 //! Prints every experiment's series as aligned text tables — the
-//! numbers recorded in EXPERIMENTS.md. The per-experiment binaries under
-//! `benches/` print the same series one experiment at a time; this binary
-//! gives the at-a-glance shape: who wins, by what factor, and how each
-//! system scales.
+//! numbers recorded in EXPERIMENTS.md: who wins, by what factor, and how
+//! each system scales.
 //!
 //! Run with: `cargo run --release -p bench --bin tables`
 //!
@@ -42,6 +40,19 @@ fn time_us(runs: u32, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Minimum wall time of `runs` executions, in microseconds — the
+/// statistic for an A/B point, since noise from scheduling and caches
+/// is strictly additive.
+fn min_us(runs: u32, mut f: impl FnMut()) -> f64 {
+    (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// A warm evaluation session: checks and resolution are paid once at
@@ -96,9 +107,10 @@ impl Recorder {
         });
     }
 
-    /// The whole run as one JSON document. Floats are rendered with
-    /// three decimals (µs resolution is noise beyond that).
-    fn to_json(&self, quick: bool) -> String {
+    /// The whole run as one JSON document, with `pipeline_metrics` the
+    /// traced registry's snapshot. Floats are rendered with three
+    /// decimals (µs resolution is noise beyond that).
+    fn to_json(&self, quick: bool, pipeline_metrics: &str) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"bench\":\"tables\",\"quick\":{quick},\"host_parallelism\":{},\"trace_compiled\":{},",
@@ -123,7 +135,7 @@ impl Recorder {
         }
         out.push_str("],");
         out.push_str(&format!("\"engine_metrics\":{},", engine_metrics_json()));
-        out.push_str(&format!("\"pipeline_metrics\":{}", pipeline_metrics_json()));
+        out.push_str(&format!("\"pipeline_metrics\":{pipeline_metrics}"));
         out.push('}');
         out
     }
@@ -153,11 +165,13 @@ fn engine_metrics_json() -> String {
     engine.metrics_snapshot().to_json().render()
 }
 
-/// Runs the even/odd pipeline under a fresh metrics registry and
-/// exports its phase spans in Chrome `traceEvents` format. Without the
-/// `trace` feature no spans are recorded and the document is an empty
-/// (but valid) trace.
-fn chrome_trace_export() -> String {
+/// Runs the even/odd example once on each backend under a fresh
+/// metrics registry and returns it: its counters and durations go into
+/// `BENCH_trace.json` (the bytecode run contributes its per-opcode
+/// `vm/op/…` counters) and its phase spans into `CHROME_trace.json`.
+/// Without the `trace` feature the hooks are no-ops and the registry
+/// stays empty, so both views are empty but valid.
+fn traced_even_odd() -> std::sync::Arc<units_trace::Metrics> {
     let metrics = std::sync::Arc::new(units_trace::Metrics::new());
     units_trace::install(
         std::rc::Rc::new(std::cell::RefCell::new(units_trace::NullSink)),
@@ -169,26 +183,7 @@ fn chrome_trace_export() -> String {
     p.run_on(Backend::Reducer).unwrap();
     p.run_on(Backend::Bytecode).unwrap();
     units_trace::uninstall();
-    metrics.chrome_trace_json()
-}
-
-/// With the `trace` feature: run the even/odd example once on each
-/// backend under a metrics session and return the counters/durations
-/// snapshot (the bytecode run contributes its per-opcode `vm/op/…`
-/// counters). Without it: an empty object (the hooks are no-ops).
-fn pipeline_metrics_json() -> String {
-    let metrics = std::sync::Arc::new(units_trace::Metrics::new());
-    units_trace::install(
-        std::rc::Rc::new(std::cell::RefCell::new(units_trace::NullSink)),
-        std::sync::Arc::clone(&metrics),
-    );
-    let engine = session();
-    let p = engine.load_expr(even_odd_program(100)).unwrap();
-    p.run_on(Backend::Compiled).unwrap();
-    p.run_on(Backend::Reducer).unwrap();
-    p.run_on(Backend::Bytecode).unwrap();
-    units_trace::uninstall();
-    metrics.to_json()
+    metrics
 }
 
 fn main() {
@@ -276,10 +271,10 @@ fn main() {
         let p = engine.load_expr(expr).unwrap();
         p.run_on(Backend::Compiled).unwrap();
         p.run_on(Backend::Bytecode).unwrap();
-        let c = bench::harness::min_us(vm_runs, || {
+        let c = min_us(vm_runs, || {
             p.run_on(Backend::Compiled).unwrap();
         });
-        let b = bench::harness::min_us(vm_runs, || {
+        let b = min_us(vm_runs, || {
             p.run_on(Backend::Bytecode).unwrap();
         });
         println!("{series:>14} {size:>8} {c:>13.1} {b:>13.1} {:>7.2}x", c / b);
@@ -612,30 +607,33 @@ fn main() {
         );
     }
 
-    if json {
-        let doc = rec.to_json(quick);
-        units_trace::json::parse(&doc)
-            .unwrap_or_else(|e| panic!("BENCH_trace.json would be invalid at {e:?}"));
-        std::fs::write("BENCH_trace.json", &doc).expect("write BENCH_trace.json");
-        println!(
-            "\nWrote BENCH_trace.json ({} records, pipeline metrics {}).",
-            rec.records.len(),
-            if units_trace::COMPILED { "included" } else { "empty — built without trace" }
-        );
-    }
-    if chrome {
-        let doc = chrome_trace_export();
-        units_trace::json::parse(&doc)
-            .unwrap_or_else(|e| panic!("CHROME_trace.json would be invalid at {e:?}"));
-        std::fs::write("CHROME_trace.json", &doc).expect("write CHROME_trace.json");
-        println!(
-            "Wrote CHROME_trace.json ({}).",
-            if units_trace::COMPILED {
-                "open in chrome://tracing or Perfetto"
-            } else {
-                "empty — built without trace"
-            }
-        );
+    if json || chrome {
+        let metrics = traced_even_odd();
+        if json {
+            let doc = rec.to_json(quick, &metrics.to_json());
+            units_trace::json::parse(&doc)
+                .unwrap_or_else(|e| panic!("BENCH_trace.json would be invalid at {e:?}"));
+            std::fs::write("BENCH_trace.json", &doc).expect("write BENCH_trace.json");
+            println!(
+                "\nWrote BENCH_trace.json ({} records, pipeline metrics {}).",
+                rec.records.len(),
+                if units_trace::COMPILED { "included" } else { "empty — built without trace" }
+            );
+        }
+        if chrome {
+            let doc = metrics.chrome_trace_json();
+            units_trace::json::parse(&doc)
+                .unwrap_or_else(|e| panic!("CHROME_trace.json would be invalid at {e:?}"));
+            std::fs::write("CHROME_trace.json", &doc).expect("write CHROME_trace.json");
+            println!(
+                "Wrote CHROME_trace.json ({}).",
+                if units_trace::COMPILED {
+                    "open in chrome://tracing or Perfetto"
+                } else {
+                    "empty — built without trace"
+                }
+            );
+        }
     }
     println!("\nDone. Record these series in EXPERIMENTS.md.");
 }

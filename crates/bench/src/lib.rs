@@ -1,7 +1,7 @@
-//! Workload generators for the benchmark harness (see DESIGN.md §5).
+//! Workload generators for the `tables` binary (see DESIGN.md §5).
 //!
 //! Each generator builds a family of programs parameterized by size so
-//! the benches can sweep and print the series EXPERIMENTS.md records:
+//! `tables` can sweep and print the series EXPERIMENTS.md records:
 //! link graphs of three shapes (chain, star, cycle), counting workloads
 //! for the backend comparison, wide/deep signatures for the checker, and
 //! alias chains for the UNITe machinery.
@@ -12,46 +12,6 @@ use units_kernel::{
 };
 
 pub mod rng;
-
-pub mod harness {
-    //! A tiny std-only timing harness: the workspace builds with no
-    //! registry access, so the bench binaries print their own series
-    //! instead of linking criterion.
-
-    use std::time::Instant;
-
-    /// Median wall-clock microseconds of `runs` executions of `f`.
-    pub fn median_us(runs: usize, mut f: impl FnMut()) -> f64 {
-        assert!(runs > 0);
-        let mut samples = Vec::with_capacity(runs);
-        for _ in 0..runs {
-            let t = Instant::now();
-            f();
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    }
-
-    /// Minimum wall-clock microseconds of `runs` executions of `f` —
-    /// the statistic of choice for an A/B microbenchmark, since noise
-    /// from scheduling and caches is strictly additive.
-    pub fn min_us(runs: usize, mut f: impl FnMut()) -> f64 {
-        assert!(runs > 0);
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64() * 1e6);
-        }
-        best
-    }
-
-    /// Prints one `name/param: median µs` line in a stable format.
-    pub fn report(name: &str, param: impl std::fmt::Display, us: f64) {
-        println!("{name}/{param}: {us:.1} µs");
-    }
-}
 
 fn untyped_unit(
     imports: Vec<&str>,
@@ -275,49 +235,6 @@ pub fn deep_let_program(depth: usize, width: usize) -> Expr {
     body
 }
 
-/// The even/odd trampoline (Fig. 12) inside *wide* units: each unit
-/// additionally defines `extra` inert values, declared after the
-/// counting function — the shape of production units, which export many
-/// definitions. A slot-addressed read indexes past the pads.
-pub fn even_odd_wide_program(depth: i64, extra: usize) -> Expr {
-    let count = |this: &str, other: &str, base: bool| {
-        Expr::lambda(
-            vec![Param::untyped("n")],
-            Expr::if_(
-                Expr::prim2(PrimOp::NumEq, Expr::var("n"), Expr::int(0)),
-                Expr::bool(base),
-                Expr::app(
-                    Expr::var(other),
-                    vec![Expr::prim2(PrimOp::Sub, Expr::var("n"), Expr::int(1))],
-                ),
-            ),
-        )
-        .pipe(|body| (this.to_string(), body))
-    };
-    let pad = |tag: &str, extra: usize| {
-        (0..extra).map(move |k| (format!("{tag}_pad{k}"), Expr::int(k as i64))).collect::<Vec<_>>()
-    };
-    let mut even_vals = vec![count("even", "odd", true)];
-    even_vals.extend(pad("e", extra));
-    let mut odd_vals = vec![count("odd", "even", false)];
-    odd_vals.extend(pad("o", extra));
-    let even = untyped_unit(vec!["odd"], vec!["even"], even_vals, Expr::void());
-    let odd = untyped_unit(
-        vec!["even"],
-        vec!["odd"],
-        odd_vals,
-        Expr::app(Expr::var("odd"), vec![Expr::int(depth)]),
-    );
-    Expr::invoke_program(Expr::compound(CompoundExpr::new(
-        Ports::new(),
-        Ports::new(),
-        vec![
-            clause(even, vec!["odd".to_string()], vec!["even".to_string()]),
-            clause(odd, vec!["even".to_string()], vec!["odd".to_string()]),
-        ],
-    )))
-}
-
 /// Tiny pipe helper so the workload builders read top-down.
 trait Pipe: Sized {
     fn pipe<R>(self, f: impl FnOnce(Self) -> R) -> R {
@@ -441,7 +358,7 @@ pub fn one_unit() -> Expr {
     )
 }
 
-/// A loader-plugin source for the dynamic-linking bench.
+/// A loader-plugin source for the dynamic-linking series.
 pub fn plugin_source(i: usize) -> String {
     format!(
         "(unit (import (log (-> str void))) (export)
