@@ -77,11 +77,6 @@ impl Env {
     pub fn equations(&self) -> &[(Symbol, Ty)] {
         &self.eqs
     }
-
-    /// Number of value bindings (used by tests and diagnostics).
-    pub fn val_depth(&self) -> usize {
-        self.vals.len()
-    }
 }
 
 #[cfg(test)]

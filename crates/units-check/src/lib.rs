@@ -42,7 +42,7 @@ pub use env::{Env, Mark};
 pub use expand::{expand_sig, expand_ty, reachable_tys, Equations};
 pub use subtype::{subtype, ty_equal, SubtypeError};
 pub use typed::{type_of, type_of_in, Level};
-pub use unitd::{context_check, port_name_sets, Strictness};
+pub use unitd::{context_check, Strictness};
 pub use valuable::is_valuable;
 
 /// How a program should be checked.

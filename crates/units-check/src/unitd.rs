@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use units_kernel::{Expr, Ports, Symbol, TypeDefn};
+use units_kernel::{Expr, Symbol, TypeDefn};
 
 use crate::diag::CheckError;
 use crate::valuable::is_valuable;
@@ -367,12 +367,6 @@ impl Checker {
             self.expr(&link.expr, scope);
         }
     }
-}
-
-/// Convenience: returns the combined import/export names of a [`Ports`]
-/// pair as sets, used by several callers of the checker.
-pub fn port_name_sets(ports: &Ports) -> (BTreeSet<Symbol>, BTreeSet<Symbol>) {
-    (ports.ty_names(), ports.val_names())
 }
 
 #[cfg(test)]

@@ -5,20 +5,18 @@
 //! satisfies a particular signature. This type-checking must be performed
 //! in the correct context to ensure that dynamic linking is type-safe."
 //!
-//! [`Archive`] is that archive: a name → unit-source store (in memory, or
-//! loaded from a directory of `.unit` files — the medium is irrelevant to
-//! the semantics). [`Archive::load`] retrieves a unit, checks it *in the
-//! loading context* against the expected signature — avoiding the Java
-//! class-loader unsoundness the paper cites ("Java's dynamic class loading
-//! is broken because it checks types in a type environment that may differ
-//! from the environment where the class is used") — and hands back the
-//! checked unit expression, ready to `invoke` with imports from the host.
+//! [`Archive`] is that archive: an in-memory name → unit-source store
+//! (the medium is irrelevant to the semantics). [`Archive::load`]
+//! retrieves a unit, checks it *in the loading context* against the
+//! expected signature — avoiding the Java class-loader unsoundness the
+//! paper cites ("Java's dynamic class loading is broken because it checks
+//! types in a type environment that may differ from the environment where
+//! the class is used") — and hands back the checked unit expression, ready
+//! to `invoke` with imports from the host.
 
 use std::collections::HashMap;
 use std::fmt;
 
-#[allow(unused_imports)]
-use units_check::Level;
 use units_check::{check_program, subtype, CheckError, CheckOptions, Equations};
 use units_kernel::{Expr, Signature, Ty};
 use units_syntax::{parse_expr, ParseError};
@@ -130,7 +128,7 @@ impl Archive {
     /// context. On success, the returned expression is a checked unit
     /// value ready for `invoke` or `compound`.
     ///
-    /// At [`Level::Untyped`] the signature check degenerates to the
+    /// At [`units_check::Level::Untyped`] the signature check degenerates to the
     /// interface-name check the dynamic semantics needs: the unit must
     /// import no more names, and export no fewer, than `expected` says.
     ///
@@ -188,7 +186,7 @@ impl Archive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use units_check::Strictness;
+    use units_check::{Level, Strictness};
     use units_syntax::parse_signature;
 
     fn plugin_sig() -> Signature {

@@ -54,12 +54,6 @@ impl ChunkProfile {
     pub fn hottest(&self, n: usize) -> &[(&'static str, u64)] {
         &self.by_mnemonic[..n.min(self.by_mnemonic.len())]
     }
-
-    /// The execution count of instruction `i` (0 when out of range or
-    /// disabled).
-    pub fn count_at(&self, i: usize) -> u64 {
-        self.per_op.get(i).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

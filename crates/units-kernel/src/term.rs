@@ -501,11 +501,6 @@ impl LinkRenames {
     pub fn outer_export_ty<'a>(&'a self, inner: &'a Symbol) -> &'a Symbol {
         Self::outer(&self.export_tys, inner)
     }
-
-    /// The inner export value provided under the given outer name, if any.
-    pub fn inner_export_val<'a>(&'a self, outer: &'a Symbol) -> &'a Symbol {
-        self.export_vals.iter().find(|(_, o)| o == outer).map(|(i, _)| i).unwrap_or(outer)
-    }
 }
 
 /// One constituent of a `compound` expression: the unit expression plus its

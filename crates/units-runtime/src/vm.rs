@@ -321,11 +321,6 @@ impl OpProfile {
         }
     }
 
-    /// The execution count of op `i` (0 when disabled or out of range).
-    pub fn count_at(&self, i: usize) -> u64 {
-        self.counts.get(i).map(|c| c.load(Relaxed)).unwrap_or(0)
-    }
-
     /// All per-op counts, in instruction order (empty when disabled).
     pub fn counts(&self) -> Vec<u64> {
         self.counts.iter().map(|c| c.load(Relaxed)).collect()
