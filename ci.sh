@@ -24,6 +24,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # codec), so a change to one of their signatures must fail here.
 CARGO_TARGET_DIR=target/perfbench \
     cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+# Its own tests read `stats` fields and `unitsd --help` defaults, so a
+# change to either fails here too (this is `perfbench/run.py --self-test`
+# against the unitsd built above).
+UNITSD="$PWD/target/release/unitsd" CARGO_TARGET_DIR=target/perfbench \
+    cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # `cargo test` builds the examples but never runs them; run each one.
 for example in quickstart starter even_odd phonebook typed_phonebook \

@@ -26,8 +26,9 @@
 //! `trace` cargo feature; without it they are empty `#[inline]`
 //! functions with identical signatures, so instrumented call sites look
 //! the same in both builds and cost nothing in release binaries
-//! (verified by the `invoke_backends` bench). [`COMPILED`] tells a
-//! caller at runtime which build it got.
+//! (ci.sh's trace-overhead gate compares the `tables` binary's
+//! `invoke_bytecode` series across the two builds). [`COMPILED`] tells
+//! a caller at runtime which build it got.
 //!
 //! # Example
 //!
