@@ -72,6 +72,36 @@ fn reducer_backend_and_trace() {
     assert!(stdout.trim_end().ends_with('6'), "{stdout}");
 }
 
+/// A store entry holds only the resolved term, in which this compound of
+/// unit literals is flattened into one unit; a warm run must still
+/// diagram and step the program as written.
+#[test]
+fn a_warm_cache_shows_the_program_as_written() {
+    let program = "(invoke (compound (import) (export)
+        (link ((unit (import) (export double) (define double (lambda (n) (* 2 n))) (init void))
+               (with) (provides double))
+              ((unit (import double) (export) (init (double 21)))
+               (with double) (provides)))))";
+    for (tag, flags) in
+        [("diagram", &["--diagram"][..]), ("trace", &["-b", "reducer", "--trace", "3"])]
+    {
+        let dir = std::env::temp_dir().join(format!("units-repl-cli-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut args = vec!["--cache-dir", dir.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let cold = run_expr(&args, program);
+        assert!(cold.2, "{}", cold.1);
+        assert!(cold.0.trim_end().ends_with("42"), "{}", cold.0);
+        let entries = std::fs::read_dir(&dir).unwrap().flatten();
+        assert_eq!(
+            entries.filter(|e| e.path().extension().is_some_and(|x| x == "unit")).count(),
+            1
+        );
+        assert_eq!(run_expr(&args, program), cold, "{tag}: the warm run printed otherwise");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn fuel_limit_is_enforced() {
     let (_, stderr, ok) = run_expr(

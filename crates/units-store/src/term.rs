@@ -5,9 +5,10 @@
 //! written as their interned *strings*, not their `u32` handles — handle
 //! numbering depends on interning order inside one process, so an
 //! on-disk entry must carry names and re-intern on decode. `PrimOp` is
-//! written as its index into [`ALL_PRIMS`], which is append-only (a
-//! reordering would be caught by the crate-version stamp in the entry
-//! header before any codec runs).
+//! written as its index into [`ALL_PRIMS`], which is append-only: a
+//! reorder changes what old images decode to, so the crate's
+//! golden-image test pins a hash of its names and asks for a
+//! `FORMAT_VERSION` bump when it moves.
 //!
 //! Decoders mirror encoders exactly and reject unknown tags with
 //! [`DecodeError::Malformed`]; nothing here panics on garbage input.
@@ -25,20 +26,20 @@ use crate::wire::{DecodeError, Reader, Writer};
 
 // ---------------------------------------------------------------- leaves
 
-pub fn write_symbol(w: &mut Writer, sym: &Symbol) {
+fn write_symbol(w: &mut Writer, sym: &Symbol) {
     w.str(sym.as_str());
 }
 
-pub fn read_symbol(r: &mut Reader) -> Result<Symbol, DecodeError> {
+fn read_symbol(r: &mut Reader) -> Result<Symbol, DecodeError> {
     Ok(Symbol::new(r.str()?))
 }
 
-pub fn write_prim(w: &mut Writer, op: PrimOp) {
+fn write_prim(w: &mut Writer, op: PrimOp) {
     let index = ALL_PRIMS.iter().position(|&p| p == op).expect("PrimOp missing from ALL_PRIMS");
     w.u8(u8::try_from(index).expect("ALL_PRIMS outgrew u8"));
 }
 
-pub fn read_prim(r: &mut Reader) -> Result<PrimOp, DecodeError> {
+fn read_prim(r: &mut Reader) -> Result<PrimOp, DecodeError> {
     let index = usize::from(r.u8()?);
     ALL_PRIMS.get(index).copied().ok_or(DecodeError::Malformed("bad prim index"))
 }
@@ -96,7 +97,7 @@ fn read_pairs(r: &mut Reader) -> Result<Vec<(Symbol, Symbol)>, DecodeError> {
 
 // ----------------------------------------------------------------- kinds
 
-pub fn write_kind(w: &mut Writer, kind: &Kind) {
+fn write_kind(w: &mut Writer, kind: &Kind) {
     match kind {
         Kind::Star => w.u8(0),
         Kind::Arrow(from, to) => {
@@ -107,7 +108,7 @@ pub fn write_kind(w: &mut Writer, kind: &Kind) {
     }
 }
 
-pub fn read_kind(r: &mut Reader) -> Result<Kind, DecodeError> {
+fn read_kind(r: &mut Reader) -> Result<Kind, DecodeError> {
     match r.u8()? {
         0 => Ok(Kind::Star),
         1 => Ok(Kind::Arrow(Box::new(read_kind(r)?), Box::new(read_kind(r)?))),
@@ -199,7 +200,7 @@ fn read_ports(r: &mut Reader) -> Result<Ports, DecodeError> {
     Ok(Ports { types: read_seq(r, read_ty_port)?, vals: read_seq(r, read_val_port)? })
 }
 
-pub fn write_signature(w: &mut Writer, sig: &Signature) {
+fn write_signature(w: &mut Writer, sig: &Signature) {
     write_ports(w, &sig.imports);
     write_ports(w, &sig.exports);
     write_seq(w, &sig.depends, |w, d: &Depend| {
@@ -214,7 +215,7 @@ pub fn write_signature(w: &mut Writer, sig: &Signature) {
     write_ty(w, &sig.init_ty);
 }
 
-pub fn read_signature(r: &mut Reader) -> Result<Signature, DecodeError> {
+fn read_signature(r: &mut Reader) -> Result<Signature, DecodeError> {
     Ok(Signature {
         imports: read_ports(r)?,
         exports: read_ports(r)?,
@@ -290,7 +291,7 @@ fn read_val_defn(r: &mut Reader) -> Result<ValDefn, DecodeError> {
     Ok(ValDefn { name: read_symbol(r)?, ty: read_opt_ty(r)?, body: read_expr(r)? })
 }
 
-pub fn write_unit(w: &mut Writer, unit: &UnitExpr) {
+fn write_unit(w: &mut Writer, unit: &UnitExpr) {
     write_ports(w, &unit.imports);
     write_ports(w, &unit.exports);
     write_seq(w, &unit.types, write_type_defn);
@@ -298,7 +299,7 @@ pub fn write_unit(w: &mut Writer, unit: &UnitExpr) {
     write_expr(w, &unit.init);
 }
 
-pub fn read_unit(r: &mut Reader) -> Result<UnitExpr, DecodeError> {
+fn read_unit(r: &mut Reader) -> Result<UnitExpr, DecodeError> {
     Ok(UnitExpr {
         imports: read_ports(r)?,
         exports: read_ports(r)?,
@@ -308,13 +309,13 @@ pub fn read_unit(r: &mut Reader) -> Result<UnitExpr, DecodeError> {
     })
 }
 
-pub fn write_letrec(w: &mut Writer, letrec: &LetrecExpr) {
+fn write_letrec(w: &mut Writer, letrec: &LetrecExpr) {
     write_seq(w, &letrec.types, write_type_defn);
     write_seq(w, &letrec.vals, write_val_defn);
     write_expr(w, &letrec.body);
 }
 
-pub fn read_letrec(r: &mut Reader) -> Result<LetrecExpr, DecodeError> {
+fn read_letrec(r: &mut Reader) -> Result<LetrecExpr, DecodeError> {
     Ok(LetrecExpr {
         types: read_seq(r, read_type_defn)?,
         vals: read_seq(r, read_val_defn)?,
@@ -322,7 +323,7 @@ pub fn read_letrec(r: &mut Reader) -> Result<LetrecExpr, DecodeError> {
     })
 }
 
-pub fn write_compound(w: &mut Writer, compound: &CompoundExpr) {
+fn write_compound(w: &mut Writer, compound: &CompoundExpr) {
     write_ports(w, &compound.imports);
     write_ports(w, &compound.exports);
     write_seq(w, &compound.links, |w, link: &LinkClause| {
@@ -336,7 +337,7 @@ pub fn write_compound(w: &mut Writer, compound: &CompoundExpr) {
     });
 }
 
-pub fn read_compound(r: &mut Reader) -> Result<CompoundExpr, DecodeError> {
+fn read_compound(r: &mut Reader) -> Result<CompoundExpr, DecodeError> {
     let imports = read_ports(r)?;
     let exports = read_ports(r)?;
     let links = read_seq(r, |r| {
@@ -355,7 +356,7 @@ pub fn read_compound(r: &mut Reader) -> Result<CompoundExpr, DecodeError> {
     Ok(CompoundExpr::new(imports, exports, links))
 }
 
-pub fn write_invoke(w: &mut Writer, invoke: &InvokeExpr) {
+fn write_invoke(w: &mut Writer, invoke: &InvokeExpr) {
     write_expr(w, &invoke.target);
     write_seq(w, &invoke.ty_links, |w, (name, ty)| {
         write_symbol(w, name);
@@ -367,7 +368,7 @@ pub fn write_invoke(w: &mut Writer, invoke: &InvokeExpr) {
     });
 }
 
-pub fn read_invoke(r: &mut Reader) -> Result<InvokeExpr, DecodeError> {
+fn read_invoke(r: &mut Reader) -> Result<InvokeExpr, DecodeError> {
     Ok(InvokeExpr {
         target: read_expr(r)?,
         ty_links: read_seq(r, |r| Ok((read_symbol(r)?, read_ty(r)?)))?,
@@ -375,13 +376,13 @@ pub fn read_invoke(r: &mut Reader) -> Result<InvokeExpr, DecodeError> {
     })
 }
 
-pub fn write_lambda(w: &mut Writer, lambda: &units_kernel::Lambda) {
+fn write_lambda(w: &mut Writer, lambda: &units_kernel::Lambda) {
     write_seq(w, &lambda.params, write_param);
     write_opt_ty(w, &lambda.ret_ty);
     write_expr(w, &lambda.body);
 }
 
-pub fn read_lambda(r: &mut Reader) -> Result<units_kernel::Lambda, DecodeError> {
+fn read_lambda(r: &mut Reader) -> Result<units_kernel::Lambda, DecodeError> {
     Ok(units_kernel::Lambda {
         params: read_seq(r, read_param)?,
         ret_ty: read_opt_ty(r)?,

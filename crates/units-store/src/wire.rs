@@ -1,5 +1,6 @@
 //! Byte-level wire primitives: a growable [`Writer`], a bounds-checked
-//! [`Reader`], and the FNV-1a content checksum.
+//! [`Reader`], the word-at-a-time content [`checksum`] and the FNV-1a
+//! source hash.
 //!
 //! Everything is little-endian and length-prefixed. The reader is the
 //! robustness boundary of the whole crate: every access is
@@ -63,8 +64,8 @@ impl DecodeError {
     }
 }
 
-/// 64-bit FNV-1a over `bytes` — the trailing content checksum and the
-/// header's independent raw-source hash.
+/// 64-bit FNV-1a over `bytes`: the header's independent hash of the raw
+/// source text.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -72,6 +73,46 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The odd multiplier of [`checksum`]'s rounds: 2⁶⁴ over the golden
+/// ratio, rounded to odd.
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The trailing content checksum of an entry image, eight bytes per
+/// round.
+///
+/// The state starts from the length, then absorbs the input one
+/// little-endian word at a time (the last word zero-padded), and ends
+/// in a final mix. For a fixed word every round is a bijection of the
+/// state, and so is the final mix, so two inputs of one length that
+/// differ only within one aligned 8-byte word never share a sum: every
+/// single-byte and single-bit change is caught.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    // The offset keeps the empty input's sum off zero.
+    let mut state = (bytes.len() as u64).wrapping_mul(MIX) ^ 0x5155_4e49_5453_5455;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        state = round(state ^ u64::from_le_bytes(word.try_into().expect("8-byte word")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        state = round(state ^ u64::from_le_bytes(last));
+    }
+    // Multiplying by an odd constant and xor-ing in a right shift are
+    // both invertible, so the final mix is a bijection too.
+    state ^= state >> 31;
+    state = state.wrapping_mul(0xd6e8_feb8_6659_fd93);
+    round(state)
+}
+
+/// One round of [`checksum`]: an odd multiply, then the high half folded
+/// into the low half. Both steps are invertible.
+fn round(state: u64) -> u64 {
+    let state = state.wrapping_mul(MIX);
+    state ^ (state >> 32)
 }
 
 /// An append-only encode buffer.
@@ -118,11 +159,6 @@ impl Writer {
 
     /// A little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// A little-endian `i32`.
-    pub fn i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -201,11 +237,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("take(8)")))
     }
 
-    /// A little-endian `i32`.
-    pub fn i32(&mut self) -> Result<i32, DecodeError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("take(4)")))
-    }
-
     /// A little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("take(8)")))
@@ -264,7 +295,6 @@ mod tests {
         w.u8(7);
         w.u32(123_456_789);
         w.u64(u64::MAX);
-        w.i32(-42);
         w.i64(i64::MIN);
         w.bool(true);
         w.str("héllo");
@@ -273,7 +303,6 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 123_456_789);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.i32().unwrap(), -42);
         assert_eq!(r.i64().unwrap(), i64::MIN);
         assert!(r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
@@ -322,6 +351,29 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn checksum_is_pinned_on_fixed_inputs() {
+        // A change here changes every stored image: bump FORMAT_VERSION.
+        assert_eq!(checksum(b""), 0x1c09_b837_1499_329e);
+        assert_eq!(checksum(b"a"), 0x4f76_22de_4c89_d34b);
+        assert_eq!(checksum(b"UNITCACH units-store checksum"), 0x2735_12b1_50fa_c438);
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let zeros = [0u8; 64];
+        let ones = [0xffu8; 64];
+        let ramp: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for buf in [&zeros[..], &ones[..], &ramp[..]] {
+            let sum = checksum(buf);
+            for bit in 0..buf.len() * 8 {
+                let mut flipped = buf.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), sum, "flipping bit {bit} of {buf:?} kept the sum");
+            }
+        }
     }
 
     #[test]

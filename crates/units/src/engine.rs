@@ -107,8 +107,8 @@ pub const PIPELINE_STACK_SIZE: usize = 8 << 20;
 /// same source text.
 #[derive(Debug)]
 struct Artifact {
-    /// The parsed kernel term, as written.
-    expr: Expr,
+    /// The kernel term as written, which the reducer runs.
+    as_written: AsWritten,
     /// The program's type at typed levels.
     ty: Option<Ty>,
     /// The lexical-address-resolved form both compiled backends run.
@@ -119,7 +119,34 @@ struct Artifact {
     chunk: OnceLock<Arc<Chunk>>,
 }
 
+/// An artifact's term as written. A store entry holds only the resolved
+/// form, so a store hit keeps its source and parses it when something
+/// asks for the program as written: the reducer, [`Loaded::expr`].
+#[derive(Debug)]
+enum AsWritten {
+    /// A fresh compile's term, filled at once.
+    Term(Expr),
+    /// A store hit's source, whose FNV-1a matched the entry's header, and
+    /// the slot its first parse fills.
+    Source(Arc<str>, OnceLock<Expr>),
+}
+
 impl Artifact {
+    /// The term as written, parsing a store hit's source on first use. A
+    /// failed parse fills nothing, so the next call tries again.
+    fn expr(&self) -> Result<&Expr, Error> {
+        match &self.as_written {
+            AsWritten::Term(expr) => Ok(expr),
+            AsWritten::Source(source, slot) => {
+                if let Some(expr) = slot.get() {
+                    return Ok(expr);
+                }
+                let expr = parse_file(source)?;
+                Ok(slot.get_or_init(|| expr))
+            }
+        }
+    }
+
     /// The bytecode chunk, lowering (and caching) it on first use.
     /// `OnceLock` makes concurrent first uses race benignly: one lowering
     /// wins, every thread shares the winner.
@@ -510,7 +537,7 @@ impl EngineInner {
     fn compile(&self, expr: Expr) -> Result<Artifact, Error> {
         let ty = check_program(&expr, self.opts)?;
         let resolved = resolve_program(&expr);
-        Ok(Artifact { expr, ty, resolved, chunk: OnceLock::new() })
+        Ok(Artifact { as_written: AsWritten::Term(expr), ty, resolved, chunk: OnceLock::new() })
     }
 
     /// Caches `artifact` under `skey`. `compiled_from` is the source a
@@ -540,28 +567,29 @@ impl EngineInner {
     }
 
     /// Probes the persistent store for `source`, rebuilding the artifact
-    /// of a verified entry. `None` on any miss — including corruption,
-    /// which is quarantined and counted but never an error.
+    /// of a verified entry from its one term: the resolved form, with
+    /// `source` kept to parse the as-written term on first use. `None` on
+    /// any miss — including corruption, which is quarantined and counted
+    /// but never an error. The chunk slot starts empty: the first bytecode
+    /// run lowers the resolved form.
     fn store_probe(&self, skey: u64, source: &str) -> Option<Artifact> {
         let store = self.store.as_ref()?;
         match store.read(skey, source) {
             Lookup::Hit(entry) => {
                 bump(&self.metrics.store_hits);
-                let entry = *entry;
-                let chunk = OnceLock::new();
-                // An entry written without its resolved form is resolved
-                // here; its chunk, if any, was not lowered from that form,
-                // so it is lowered again on first use.
-                let resolved = match entry.resolved {
+                let units_store::Entry { expr, ty, resolved, .. } = *entry;
+                // An entry written without its resolved form holds the
+                // checked term, which is resolved here.
+                let (as_written, resolved) = match resolved {
                     Some(resolved) => {
-                        if let Some(lowered) = entry.chunk {
-                            let _ = chunk.set(Arc::new(lowered));
-                        }
-                        resolved
+                        (AsWritten::Source(Arc::from(source), OnceLock::new()), resolved)
                     }
-                    None => resolve_program(&entry.expr),
+                    None => {
+                        let resolved = resolve_program(&expr);
+                        (AsWritten::Term(expr), resolved)
+                    }
                 };
-                Some(Artifact { expr: entry.expr, ty: entry.ty, resolved, chunk })
+                Some(Artifact { as_written, ty, resolved, chunk: OnceLock::new() })
             }
             Lookup::Miss => {
                 bump(&self.metrics.store_misses);
@@ -578,21 +606,21 @@ impl EngineInner {
     }
 
     /// Writes a freshly admitted artifact through to the persistent
-    /// store, best-effort. On the bytecode backend the chunk is lowered
-    /// first so a warm-started process gets run-ready artifacts.
+    /// store, best-effort. The entry stores the type and the resolved
+    /// form; no chunk, whatever the backend.
     fn store_write(&self, skey: u64, source: &str, artifact: &Arc<Artifact>) {
         let Some(store) = self.store.as_ref() else { return };
         if !store.writable() {
             return;
         }
-        if self.backend == Backend::Bytecode {
-            let _ = artifact.chunk();
-        }
+        // A fresh compile holds its term as written; the store ignores
+        // it next to the resolved form.
+        let AsWritten::Term(expr) = &artifact.as_written else { return };
         let entry = units_store::Entry {
-            expr: artifact.expr.clone(),
+            expr: expr.clone(),
             ty: artifact.ty.clone(),
             resolved: Some(artifact.resolved.clone()),
-            chunk: artifact.chunk.get().map(|c| (**c).clone()),
+            chunk: None,
         };
         if store.write(skey, source, &entry) {
             bump(&self.metrics.store_writes);
@@ -608,8 +636,7 @@ impl EngineInner {
             return Ok(artifact);
         }
         // The persistent store sits between the in-memory probe and the
-        // parser: a verified disk entry skips parse, check, resolve, and
-        // (when the writer lowered) the bytecode lowering too.
+        // parser: a verified disk entry skips parse, check and resolve.
         if let Some(artifact) = self.store_probe(skey, source) {
             return Ok(self.admit(skey, artifact, None));
         }
@@ -688,12 +715,12 @@ impl EngineInner {
                 self.observed(value, machine)
             }
             Backend::Reducer => {
+                // The as-written term, never the resolved or flattened one.
+                let expr = artifact.expr()?;
                 let mut reducer = Reducer::with_limits(limits);
                 let value = match arg {
-                    Some(n) => {
-                        reducer.reduce_owned(Expr::app(artifact.expr.clone(), vec![Expr::int(n)]))
-                    }
-                    None => reducer.reduce_to_value(&artifact.expr),
+                    Some(n) => reducer.reduce_owned(Expr::app(expr.clone(), vec![Expr::int(n)])),
+                    None => reducer.reduce_to_value(expr),
                 };
                 self.note_machine(&reducer.machine);
                 let value = value?;
@@ -756,9 +783,15 @@ impl Loaded {
         self.artifact.ty.as_ref()
     }
 
-    /// The parsed kernel term.
+    /// The kernel term as written, which the reducer backend runs. A
+    /// store hit holds only the resolved form, so it parses the source it
+    /// was loaded from on first use, here or in a reducer run; that parse
+    /// is not on the load path, and the engine's `parses` does not count
+    /// it. Only an injected fault can fail it, since the same text parsed
+    /// before; the resolved form then stands in, and the next call parses
+    /// again.
     pub fn expr(&self) -> &Expr {
-        &self.artifact.expr
+        guard("load", || self.artifact.expr()).unwrap_or(&self.artifact.resolved)
     }
 
     /// The term the compiled backend runs and the bytecode chunk is

@@ -153,9 +153,11 @@ pub struct CacheMetrics {
     pub misses: u64,
     /// Artifacts evicted after a panic poisoned them.
     pub evictions: u64,
-    /// Source texts the engine actually parsed. Cache hits skip parsing,
-    /// so this stays flat on warm loads — the "winners are shared, not
-    /// re-parsed" invariant, measured.
+    /// Source texts the load path parsed. Cache and store hits skip
+    /// parsing, so this stays flat on warm loads — the "winners are
+    /// shared, not re-parsed" invariant, measured. A store hit's term as
+    /// written, parsed on first use by the reducer or `Loaded::expr`, is
+    /// not counted.
     pub parses: u64,
     /// Artifacts currently cached.
     pub entries: usize,

@@ -10,8 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use units::{Backend, Engine, Observation, Strictness};
-use units_store::fnv1a_64;
+use units::{Backend, Engine, Level, Observation, Strictness};
 
 const PROGRAM: &str = "\
 (define main (unit (import) (export)
@@ -20,6 +19,19 @@ const PROGRAM: &str = "\
 (invoke main)";
 
 const OTHER: &str = "(invoke (unit (import) (export) (init (* 6 7))))";
+
+/// A compound of two unit literals, which resolution flattens into one
+/// unit; its annotations check at every level.
+const FLATTENED: &str = "\
+(invoke
+  (compound (import) (export)
+    (link ((unit (import) (export (double (-> int int)))
+             (define double (-> int int) (lambda ((n int)) (* 2 n)))
+             (init void))
+           (with) (provides (double (-> int int))))
+          ((unit (import (double (-> int int))) (export)
+             (init (double 21)))
+           (with (double (-> int int))) (provides)))))";
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("units-store-test-{}-{tag}", std::process::id()));
@@ -75,6 +87,8 @@ fn warm_start_skips_parsing_entirely() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A bytecode warm start: the entry holds no chunk, so the VM lowers the
+/// decoded resolved form on its first run, and nothing is parsed.
 #[test]
 fn warm_start_carries_lowered_bytecode() {
     let dir = temp_dir("warm-vm");
@@ -180,7 +194,7 @@ fn version_skew_quarantines_and_recompiles() {
     let version = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
     image[at..at + 4].copy_from_slice(&(version + 1).to_le_bytes());
     let body = image.len() - 8;
-    let sum = fnv1a_64(&image[..body]);
+    let sum = units_store::checksum(&image[..body]);
     image[body..].copy_from_slice(&sum.to_le_bytes());
     fs::write(&path, &image).unwrap();
 
@@ -252,7 +266,8 @@ fn an_entry_without_its_resolved_form_is_resolved_at_load() {
     warm_engine(&dir, Backend::Bytecode).invoke(PROGRAM).unwrap();
     // Rewrite the engine's entry as a writer that did not resolve would:
     // no resolved form, and a chunk lowered from the checked term, whose
-    // free-variable ops fail if run.
+    // free-variable ops would fail if run. The image stores no chunk, so
+    // only the checked term lands.
     let path = entry_file(&dir);
     let key = u64::from_str_radix(path.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
     let image = fs::read(&path).unwrap();
@@ -271,6 +286,44 @@ fn an_entry_without_its_resolved_form_is_resolved_at_load() {
     let snap = warm.metrics_snapshot();
     assert_eq!((snap.store.hits, snap.cache.parses), (1, 0));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store entry holds only the resolved term, in which the compound is
+/// flattened. On a warm engine the program as written is still what
+/// `Loaded::expr` returns and the reducer runs: the kept source is
+/// parsed once, on first use, off the load path.
+#[test]
+fn a_warm_start_keeps_the_program_as_written() {
+    let as_written = units::parse_file(FLATTENED).unwrap();
+    for level in [Level::Untyped, Level::Constructed] {
+        for backend in [Backend::Compiled, Backend::Bytecode, Backend::Reducer] {
+            let dir = temp_dir(&format!("as-written-{level:?}-{backend:?}"));
+            let build = |cache: bool| {
+                let builder = Engine::builder().level(level).backend(backend);
+                if cache { builder.cache_dir(&dir) } else { builder }.build()
+            };
+            let cold_engine = build(false);
+            let cold = cold_engine.load(FLATTENED).unwrap();
+            let answer = cold.run().unwrap();
+            assert_eq!(answer.value, Observation::Int(42));
+            assert!(
+                !units::pretty_expr(cold.resolved()).contains("(compound"),
+                "resolution did not flatten the compound"
+            );
+            build(true).load(FLATTENED).unwrap();
+
+            let warm = build(true);
+            let loaded = warm.load(FLATTENED).unwrap();
+            let snap = warm.metrics_snapshot();
+            assert_eq!((snap.store.hits, snap.cache.parses), (1, 0), "{level:?}/{backend:?}");
+            assert_eq!(loaded.resolved(), cold.resolved(), "{level:?}/{backend:?}");
+            assert_eq!(loaded.run().unwrap(), answer, "{level:?}/{backend:?}");
+            assert_eq!(loaded.expr(), &as_written, "{level:?}/{backend:?}");
+            assert!(std::ptr::eq(loaded.expr(), loaded.expr()), "parsed once, on first use");
+            assert_eq!(warm.metrics_snapshot().cache.parses, 0, "{level:?}/{backend:?}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 #[cfg(feature = "faults")]
