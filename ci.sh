@@ -146,10 +146,14 @@ rm -f CHROME_trace.json
 # The metrics plane is always on: a default-features build must carry
 # the same engine_metrics document (p50/p99 included) — and the trace
 # build's hooks must not leak into the default build's dispatch loop.
-# The overhead gate compares the bytecode backend's per-point timings:
-# the default build must not be slower than a generous multiple of the
-# trace build (catches accidentally always-live instrumentation without
-# flaking on scheduler noise).
+# The overhead gate compares the bytecode backend's invoke_bytecode
+# timings. Per point, the default build must not be slower than a
+# generous multiple of the trace build, which only a gross slowdown
+# fails. Accidentally always-live instrumentation would make the
+# default build run like the trace build, which that multiple cannot
+# catch, so the sum of the default build's points must also stay under
+# a fraction of the trace build's (the fraction and the runs behind it
+# are in the gate).
 cargo run --release -p bench --bin tables -- --quick --json --chrome-trace >/dev/null
 test -s BENCH_trace.json
 grep -q '"engine_metrics"' BENCH_trace.json
@@ -175,7 +179,15 @@ for key in tp:
     assert dp[key] <= 3.0 * tp[key] + 50.0, (
         f"{key}: default build {dp[key]:.1f}us vs trace build {tp[key]:.1f}us -- "
         "did the default dispatch loop grow live instrumentation?")
-print(f"trace-overhead gate: {len(tp)} vm points within tolerance")
+# Ten runs of each build on the 2-core reference host read sum ratios
+# of 0.26-0.58 (0.34-0.42 in the first three): 0.9 is 1.55x the worst,
+# and a default build that ran like the trace build would read about 1.
+ratio = sum(dp.values()) / sum(tp.values())
+assert ratio <= 0.9, (
+    f"default build's vm points sum to {ratio:.2f}x the trace build's -- "
+    "did the default dispatch loop grow live instrumentation?")
+print(f"trace-overhead gate: {len(tp)} vm points within tolerance, "
+      f"default/trace {ratio:.2f}")
 
 # B.9 concurrent-invoke gate: one shared engine invoked from 1, 2, 4
 # and 8 threads. Speedup depends on the host's cores, so the gate
