@@ -140,20 +140,26 @@ if command -v python3 >/dev/null 2>&1; then
     python3 -c "import json; json.load(open('BENCH_trace.json'))"
     python3 -c "import json; json.load(open('CHROME_trace.json'))"
 fi
-mv BENCH_trace.json .ci-bench-trace.tmp
+mv BENCH_trace.json .ci-bench-trace-1.tmp
 rm -f CHROME_trace.json
+# Four more runs for the trace-overhead gate below, which takes each
+# point's minimum over five runs of each build.
+for run in 2 3 4 5; do
+    cargo run -q --release -p bench --bin tables --features trace -- --quick --json >/dev/null
+    mv BENCH_trace.json ".ci-bench-trace-$run.tmp"
+done
 
 # The metrics plane is always on: a default-features build must carry
 # the same engine_metrics document (p50/p99 included) — and the trace
 # build's hooks must not leak into the default build's dispatch loop.
 # The overhead gate compares the bytecode backend's invoke_bytecode
-# timings. Per point, the default build must not be slower than a
-# generous multiple of the trace build, which only a gross slowdown
-# fails. Accidentally always-live instrumentation would make the
-# default build run like the trace build, which that multiple cannot
-# catch, so the sum of the default build's points must also stay under
-# a fraction of the trace build's (the fraction and the runs behind it
-# are in the gate).
+# timings, each point the minimum over five runs of each build. Per
+# point, the default build must not be slower than a generous multiple
+# of the trace build, which only a gross slowdown fails. Accidentally
+# always-live instrumentation would make the default build run like the
+# trace build, which that multiple cannot catch, so the sum of the
+# default build's points must also stay under a fraction of the trace
+# build's (the fraction and the runs behind it are in the gate).
 cargo run --release -p bench --bin tables -- --quick --json --chrome-trace >/dev/null
 test -s BENCH_trace.json
 grep -q '"engine_metrics"' BENCH_trace.json
@@ -161,29 +167,41 @@ grep -q '"p50_ns"' BENCH_trace.json
 grep -q '"p99_ns"' BENCH_trace.json
 test -s CHROME_trace.json
 grep -q '"traceEvents"' CHROME_trace.json
+mv BENCH_trace.json .ci-bench-default-1.tmp
+for run in 2 3 4 5; do
+    cargo run -q --release -p bench --bin tables -- --quick --json >/dev/null
+    mv BENCH_trace.json ".ci-bench-default-$run.tmp"
+done
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'GATE'
 import json
-trace = json.load(open('.ci-bench-trace.tmp'))
-default = json.load(open('BENCH_trace.json'))
-assert trace['trace_compiled'] is True and default['trace_compiled'] is False
-def vm_points(doc):
-    return {
-        (r['series'], r['size']): r['bytecode_us']
-        for r in doc['records']
-        if r['series'].startswith('invoke_bytecode/')
-    }
-tp, dp = vm_points(trace), vm_points(default)
+traces, defaults = (
+    [json.load(open(f'.ci-bench-{build}-{run}.tmp')) for run in range(1, 6)]
+    for build in ('trace', 'default')
+)
+assert all(d['trace_compiled'] is True for d in traces)
+assert all(d['trace_compiled'] is False for d in defaults)
+default = defaults[0]
+def vm_points(docs):
+    points = {}
+    for doc in docs:
+        for r in doc['records']:
+            if r['series'].startswith('invoke_bytecode/'):
+                key = (r['series'], r['size'])
+                points[key] = min(points.get(key, r['bytecode_us']), r['bytecode_us'])
+    return points
+tp, dp = vm_points(traces), vm_points(defaults)
 assert tp.keys() == dp.keys() and tp, (sorted(tp), sorted(dp))
 for key in tp:
     assert dp[key] <= 3.0 * tp[key] + 50.0, (
         f"{key}: default build {dp[key]:.1f}us vs trace build {tp[key]:.1f}us -- "
         "did the default dispatch loop grow live instrumentation?")
-# Ten runs of each build on the 2-core reference host read sum ratios
-# of 0.26-0.58 (0.34-0.42 in the first three): 0.9 is 1.55x the worst,
-# and a default build that ran like the trace build would read about 1.
+# On the 2-core reference host, 36 evaluations of this gate read sum
+# ratios of 0.26-0.54, where 24 single runs of each build had read
+# 0.24-0.59: 0.82 is 1.52x the worst, and a default build that ran like
+# the trace build would read about 1.
 ratio = sum(dp.values()) / sum(tp.values())
-assert ratio <= 0.9, (
+assert ratio <= 0.82, (
     f"default build's vm points sum to {ratio:.2f}x the trace build's -- "
     "did the default dispatch loop grow live instrumentation?")
 print(f"trace-overhead gate: {len(tp)} vm points within tolerance, "
@@ -225,7 +243,7 @@ print(f"B.10 service gate: {b10['1']['req_per_s']:.0f} req/s at 1 tenant, "
       f"{collapse:.2f}x relative at 4 tenants, p99 {b10['4']['p99_us']:.0f}us")
 GATE
 fi
-rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace.tmp
+rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace-?.tmp .ci-bench-default-?.tmp
 
 # Three-backend agreement: the differential suite runs 1,000 random
 # two-unit link topologies and 600 compounds of 3–5 clauses (rename

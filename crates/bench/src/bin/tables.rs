@@ -550,8 +550,8 @@ fn main() {
 
     header("unit_service (B.10): in-process Service requests/sec");
     // The service path adds tenancy bookkeeping, admission control, and
-    // the call artifact's application to the argument on top of a bare
-    // `run_on`; this series prices that stack and how it holds up under
+    // the application of the plug-in's init to the argument on top of a
+    // bare `run_on`; this series prices that stack and how it holds up under
     // tenant concurrency. In-process on purpose: the socket would only add
     // constant framing cost, and B.10 tracks the service core.
     println!("{:>12} {:>8} {:>12} {:>10} {:>10}", "series", "tenants", "req/s", "p50 µs", "p99 µs");
@@ -565,7 +565,7 @@ fn main() {
         for t in 0..tenants {
             let tenant = service.tenant(&format!("tenant-{t}"));
             tenant.load_plugin("f", square, None).unwrap();
-            tenant.invoke("f", Some(1)).unwrap(); // build the call artifact
+            tenant.invoke("f", Some(1)).unwrap(); // warm up
         }
         let per_tenant = request_total / tenants;
         let start = Instant::now();

@@ -1,47 +1,72 @@
-//! Dynamic linking (paper §3.4 and Fig. 7).
+//! Linking checked units: §2's separate compilation and §3.4's dynamic
+//! linking, which make one judgment.
 //!
-//! "The core language must provide a syntactic form that retrieves a unit
-//! value from an archive, such as the Internet, and checks that the unit
-//! satisfies a particular signature. This type-checking must be performed
-//! in the correct context to ensure that dynamic linking is type-safe."
+//! Under separate compilation the integrator re-verifies a provider
+//! against the interface it published; under dynamic linking a retrieved
+//! unit is checked against "a particular signature … in the correct
+//! context". Both ask the same two questions, and one function here
+//! answers each:
 //!
-//! [`Archive`] is that archive: an in-memory name → unit-source store
-//! (the medium is irrelevant to the semantics). [`Archive::load`]
-//! retrieves a unit, checks it *in the loading context* against the
-//! expected signature — avoiding the Java class-loader unsoundness the
-//! paper cites ("Java's dynamic class loading is broken because it checks
-//! types in a type environment that may differ from the environment where
-//! the class is used") — and hands back the checked unit expression, ready
-//! to `invoke` with imports from the host.
+//! * [`check_unit`]: is this source a unit, and what is its signature?
+//!   At the typed levels the source is a unit when its type is a
+//!   signature; at UNITd, when it is a `unit` literal, whose signature
+//!   then records port names only.
+//! * [`satisfies`]: does that signature satisfy an expected one? At the
+//!   typed levels this is Fig. 14/17 subtyping; at UNITd the unit must
+//!   import no name the signature lacks and export every name it lists.
+//!
+//! Every caller checks *in the loading context*, which avoids the Java
+//! class-loader unsoundness the paper cites ("Java's dynamic class
+//! loading is broken because it checks types in a type environment that
+//! may differ from the environment where the class is used"):
+//!
+//! * [`publish_unit`] checks a unit source and writes it (`NAME.unit`)
+//!   beside its derived interface (`NAME.usig`, a pretty-printed
+//!   signature), the way `.o` and header files serve C, but checked;
+//!   [`load_interface`] reads the `.usig` alone, which is all a client
+//!   needs to be checked; [`load_unit`] re-verifies the `.unit` against
+//!   its `.usig` at link time, since the provider may have been replaced.
+//!   Interfaces round-trip through the surface syntax, so they are
+//!   diffable and human-auditable.
+//! * [`Archive`] is the paper's plug-in archive: an in-memory name →
+//!   source store (the medium is irrelevant to the semantics) whose
+//!   [`Archive::load`] hands back a checked unit ready to `invoke` with
+//!   imports from the host.
+//! * `unitsd` calls the two functions directly when a tenant publishes.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
-use units_check::{check_program, subtype, CheckError, CheckOptions, Equations};
+use units_check::{check_program, subtype, CheckError, CheckOptions, Equations, Level};
 use units_kernel::{Expr, Signature, Ty};
-use units_syntax::{parse_expr, ParseError};
+use units_syntax::{parse_expr, parse_signature, pretty_signature, ParseError};
+use units_trace::faults::Injected;
 
-/// Why a dynamic load was refused.
-#[derive(Debug, Clone, PartialEq)]
+/// Why a unit was refused as a separate-compilation artifact or a
+/// dynamically linked unit.
+#[derive(Debug)]
 pub enum DynlinkError {
-    /// No unit with that name is published.
+    /// Reading or writing an artifact file failed.
+    Io(std::io::Error),
+    /// No unit with that name is in the archive.
     NotFound {
         /// The requested name.
         name: String,
     },
-    /// The retrieved source does not parse.
+    /// A source or interface does not parse.
     Parse(ParseError),
-    /// The retrieved unit fails context or type checking.
+    /// The source fails context or type checking.
     Check(Vec<CheckError>),
-    /// The retrieved expression is not a unit.
+    /// The source is not a unit.
     NotAUnit,
     /// The unit's signature does not satisfy the expected one.
     Signature {
-        /// The subtype checker's explanation.
+        /// The subtype checker's explanation, or the port at fault.
         reason: String,
     },
     /// A fault deliberately fired by an armed
-    /// `units_trace::faults::FaultPlane` schedule during the load.
+    /// `units_trace::faults::FaultPlane` schedule during the operation.
     Injected {
         /// The injection point that fired.
         site: &'static str,
@@ -53,10 +78,11 @@ pub enum DynlinkError {
 impl fmt::Display for DynlinkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            DynlinkError::Io(e) => write!(f, "artifact I/O failed: {e}"),
             DynlinkError::NotFound { name } => write!(f, "no unit named `{name}` in archive"),
-            DynlinkError::Parse(e) => write!(f, "retrieved unit does not parse: {e}"),
+            DynlinkError::Parse(e) => write!(f, "source does not parse: {e}"),
             DynlinkError::Check(errs) => {
-                write!(f, "retrieved unit fails checking: ")?;
+                f.write_str("source fails checking: ")?;
                 for (i, e) in errs.iter().enumerate() {
                     if i > 0 {
                         f.write_str("; ")?;
@@ -65,9 +91,9 @@ impl fmt::Display for DynlinkError {
                 }
                 Ok(())
             }
-            DynlinkError::NotAUnit => f.write_str("retrieved expression is not a unit"),
+            DynlinkError::NotAUnit => f.write_str("source is not a unit"),
             DynlinkError::Signature { reason } => {
-                write!(f, "retrieved unit does not satisfy the expected signature: {reason}")
+                write!(f, "unit does not satisfy the expected signature: {reason}")
             }
             DynlinkError::Injected { site, hit } => {
                 write!(f, "injected fault at {site} (hit {hit})")
@@ -79,10 +105,152 @@ impl fmt::Display for DynlinkError {
 impl std::error::Error for DynlinkError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            DynlinkError::Io(e) => Some(e),
             DynlinkError::Parse(e) => Some(e),
             _ => None,
         }
     }
+}
+
+impl From<std::io::Error> for DynlinkError {
+    fn from(e: std::io::Error) -> Self {
+        DynlinkError::Io(e)
+    }
+}
+
+impl From<ParseError> for DynlinkError {
+    fn from(e: ParseError) -> Self {
+        DynlinkError::Parse(e)
+    }
+}
+
+impl From<Injected> for DynlinkError {
+    fn from(f: Injected) -> Self {
+        DynlinkError::Injected { site: f.site, hit: f.hit }
+    }
+}
+
+/// Parses and checks `source` and, when it is a unit, returns it with its
+/// signature: its type at the typed levels, its port names at UNITd.
+///
+/// # Errors
+///
+/// [`DynlinkError::Parse`], [`DynlinkError::Check`], or
+/// [`DynlinkError::NotAUnit`].
+pub fn check_unit(source: &str, opts: CheckOptions) -> Result<(Expr, Signature), DynlinkError> {
+    let expr = parse_expr(source)?;
+    let sig = match (check_program(&expr, opts).map_err(DynlinkError::Check)?, &expr) {
+        (Some(Ty::Sig(sig)), _) => *sig,
+        (None, Expr::Unit(u)) => Signature::new(u.imports.clone(), u.exports.clone(), Ty::Void),
+        _ => return Err(DynlinkError::NotAUnit),
+    };
+    Ok((expr, sig))
+}
+
+/// Whether a unit of signature `actual` may stand where `expected` is
+/// required: `actual ≤ expected` at the typed levels; at UNITd, `actual`
+/// imports no name `expected` lacks and exports every name it lists.
+///
+/// # Errors
+///
+/// [`DynlinkError::Signature`], naming the first mismatch.
+pub fn satisfies(
+    actual: &Signature,
+    expected: &Signature,
+    level: Level,
+) -> Result<(), DynlinkError> {
+    let reason = if level == Level::Untyped {
+        let extra =
+            actual.imports.vals.iter().find(|p| expected.imports.val_port(&p.name).is_none());
+        let missing =
+            expected.exports.vals.iter().find(|p| actual.exports.val_port(&p.name).is_none());
+        match (extra, missing) {
+            (Some(port), _) => format!("unit imports `{}`, signature does not", port.name),
+            (None, Some(port)) => format!("signature exports `{}`, unit does not", port.name),
+            (None, None) => return Ok(()),
+        }
+    } else {
+        let sig = |s: &Signature| Ty::Sig(Box::new(s.clone()));
+        match subtype(&Equations::new(), &sig(actual), &sig(expected)) {
+            Ok(()) => return Ok(()),
+            Err(e) => e.to_string(),
+        }
+    };
+    Err(DynlinkError::Signature { reason })
+}
+
+/// Paths of a published artifact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Published {
+    /// The unit source file (`NAME.unit`).
+    pub unit_path: PathBuf,
+    /// The interface file (`NAME.usig`).
+    pub interface_path: PathBuf,
+}
+
+/// Checks `source` at the given level and writes `NAME.unit` plus
+/// `NAME.usig` into `dir`.
+///
+/// # Errors
+///
+/// Fails if the source does not parse, does not check, is not a unit, or
+/// the files cannot be written.
+///
+/// # Examples
+///
+/// ```
+/// use units_compile::{publish_unit, load_interface};
+/// use units_check::{CheckOptions, Level};
+/// let dir = std::env::temp_dir().join(format!("units-doc-{}", std::process::id()));
+/// std::fs::create_dir_all(&dir).unwrap();
+/// let published = publish_unit(
+///     &dir, "adder",
+///     "(unit (import) (export (add (-> int int int)))
+///        (define add (-> int int int) (lambda ((a int) (b int)) (+ a b))))",
+///     CheckOptions::typed(Level::Constructed),
+/// ).unwrap();
+/// let interface = load_interface(&published.interface_path).unwrap();
+/// assert!(interface.exports.val_port(&"add".into()).is_some());
+/// # std::fs::remove_dir_all(&dir).unwrap();
+/// ```
+pub fn publish_unit(
+    dir: &Path,
+    name: &str,
+    source: &str,
+    opts: CheckOptions,
+) -> Result<Published, DynlinkError> {
+    units_trace::faults::trip("compile/artifact")?;
+    let (_, sig) = check_unit(source, opts)?;
+    let unit_path = dir.join(format!("{name}.unit"));
+    let interface_path = dir.join(format!("{name}.usig"));
+    std::fs::write(&unit_path, source)?;
+    std::fs::write(&interface_path, pretty_signature(&sig))?;
+    Ok(Published { unit_path, interface_path })
+}
+
+/// Reads a published interface — all a client needs for its own checking.
+///
+/// # Errors
+///
+/// Fails on I/O or parse errors.
+pub fn load_interface(path: &Path) -> Result<Signature, DynlinkError> {
+    Ok(parse_signature(&std::fs::read_to_string(path)?)?)
+}
+
+/// Reads a `.unit` file, re-checks it, and verifies it (still) satisfies
+/// the published interface next to it. Returns the checked unit
+/// expression, ready to link.
+///
+/// # Errors
+///
+/// Fails if either file is unreadable or unparsable, if the unit no
+/// longer checks, or if it no longer [`satisfies`] the published
+/// interface.
+pub fn load_unit(published: &Published, opts: CheckOptions) -> Result<Expr, DynlinkError> {
+    units_trace::faults::trip("compile/artifact")?;
+    let (unit, actual) = check_unit(&std::fs::read_to_string(&published.unit_path)?, opts)?;
+    satisfies(&actual, &load_interface(&published.interface_path)?, opts.level)?;
+    Ok(unit)
 }
 
 /// A store of named unit sources — the paper's plug-in archive.
@@ -124,13 +292,9 @@ impl Archive {
         names
     }
 
-    /// Retrieves a unit and checks it against `expected` in the *current*
-    /// context. On success, the returned expression is a checked unit
-    /// value ready for `invoke` or `compound`.
-    ///
-    /// At [`units_check::Level::Untyped`] the signature check degenerates to the
-    /// interface-name check the dynamic semantics needs: the unit must
-    /// import no more names, and export no fewer, than `expected` says.
+    /// Retrieves a unit and checks that it [`satisfies`] `expected` in
+    /// the *current* context. On success, the returned expression is a
+    /// checked unit ready for `invoke` or `compound`.
     ///
     /// # Errors
     ///
@@ -141,53 +305,126 @@ impl Archive {
         expected: &Signature,
         opts: CheckOptions,
     ) -> Result<Expr, DynlinkError> {
-        units_trace::faults::trip("compile/dynlink")
-            .map_err(|f| DynlinkError::Injected { site: f.site, hit: f.hit })?;
+        units_trace::faults::trip("compile/dynlink")?;
         let source = self
             .entries
             .get(name)
             .ok_or_else(|| DynlinkError::NotFound { name: name.to_string() })?;
-        let expr = parse_expr(source).map_err(DynlinkError::Parse)?;
-        let ty = check_program(&expr, opts).map_err(DynlinkError::Check)?;
-        match ty {
-            Some(actual) => {
-                let expected_ty = Ty::Sig(Box::new(expected.clone()));
-                if actual.as_sig().is_none() {
-                    return Err(DynlinkError::NotAUnit);
-                }
-                subtype(&Equations::new(), &actual, &expected_ty)
-                    .map_err(|e| DynlinkError::Signature { reason: e.to_string() })?;
-            }
-            None => {
-                // Untyped: name-level interface check.
-                let Expr::Unit(u) = &expr else {
-                    return Err(DynlinkError::NotAUnit);
-                };
-                for port in &u.imports.vals {
-                    if expected.imports.val_port(&port.name).is_none() {
-                        return Err(DynlinkError::Signature {
-                            reason: format!("unit imports `{}`, signature does not", port.name),
-                        });
-                    }
-                }
-                for port in &expected.exports.vals {
-                    if u.exports.val_port(&port.name).is_none() {
-                        return Err(DynlinkError::Signature {
-                            reason: format!("signature exports `{}`, unit does not", port.name),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(expr)
+        let (unit, actual) = check_unit(source, opts)?;
+        satisfies(&actual, expected, opts.level)?;
+        Ok(unit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use units_check::{Level, Strictness};
-    use units_syntax::parse_signature;
+    use units_check::Strictness;
+
+    fn tmp(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("units-artifact-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    const PROVIDER: &str = "(unit (import) (export (add (-> int int int)))
+        (define add (-> int int int) (lambda ((a int) (b int)) (+ a b))))";
+
+    #[test]
+    fn publish_then_load_round_trips() {
+        let dir = tmp("round");
+        let published =
+            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed)).unwrap();
+        let interface = load_interface(&published.interface_path).unwrap();
+        assert_eq!(
+            interface.exports.val_port(&"add".into()).unwrap().ty,
+            Some(Ty::arrow(vec![Ty::Int, Ty::Int], Ty::Int))
+        );
+        let unit = load_unit(&published, CheckOptions::typed(Level::Constructed)).unwrap();
+        assert!(matches!(unit, Expr::Unit(_)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn clients_check_against_the_interface_alone() {
+        let dir = tmp("client");
+        let published =
+            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed)).unwrap();
+        // Delete the provider source: the interface survives.
+        std::fs::remove_file(&published.unit_path).unwrap();
+        let interface = load_interface(&published.interface_path).unwrap();
+        let add_ty = interface.exports.val_port(&"add".into()).unwrap().ty.clone().unwrap();
+        // The client is a unit importing `add` at the published type.
+        let client = format!(
+            "(unit (import (add {ty})) (export (double (-> int int)))
+               (define double (-> int int) (lambda ((n int)) (add n n))))",
+            ty = units_syntax::pretty_ty(&add_ty)
+        );
+        check_program(&parse_expr(&client).unwrap(), CheckOptions::typed(Level::Constructed))
+            .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn swapped_providers_are_reverified_at_link_time() {
+        let dir = tmp("swap");
+        let published =
+            publish_unit(&dir, "adder", PROVIDER, CheckOptions::typed(Level::Constructed)).unwrap();
+        // A compatible replacement (exports more): accepted.
+        std::fs::write(
+            &published.unit_path,
+            "(unit (import) (export (add (-> int int int)) (zero int))
+               (define add (-> int int int) (lambda ((a int) (b int)) (+ a b)))
+               (define zero int 0))",
+        )
+        .unwrap();
+        load_unit(&published, CheckOptions::typed(Level::Constructed)).unwrap();
+        // An incompatible replacement (wrong type): refused.
+        std::fs::write(
+            &published.unit_path,
+            "(unit (import) (export (add (-> int int)))
+               (define add (-> int int) (lambda ((a int)) a)))",
+        )
+        .unwrap();
+        let err = load_unit(&published, CheckOptions::typed(Level::Constructed)).unwrap_err();
+        assert!(matches!(err, DynlinkError::Signature { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn untyped_artifacts_record_port_names() {
+        let dir = tmp("untyped");
+        let published = publish_unit(
+            &dir,
+            "counter",
+            "(unit (import seed) (export get)
+               (define get (lambda () seed)))",
+            CheckOptions::untyped(),
+        )
+        .unwrap();
+        let interface = load_interface(&published.interface_path).unwrap();
+        assert!(interface.imports.val_port(&"seed".into()).is_some());
+        assert!(interface.exports.val_port(&"get".into()).is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn broken_sources_are_refused_at_publish_time() {
+        let dir = tmp("broken");
+        assert!(matches!(
+            publish_unit(&dir, "x", "(unit (import", CheckOptions::untyped()),
+            Err(DynlinkError::Parse(_))
+        ));
+        assert!(matches!(
+            publish_unit(&dir, "x", "(unit (import) (export ghost))", CheckOptions::untyped()),
+            Err(DynlinkError::Check(_))
+        ));
+        assert!(matches!(
+            publish_unit(&dir, "x", "42", CheckOptions::typed(Level::Constructed)),
+            Err(DynlinkError::NotAUnit)
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn plugin_sig() -> Signature {
         parse_signature("(sig (import (log (-> str void))) (export) (init (-> int int)))").unwrap()

@@ -1,5 +1,6 @@
 //! The production backend for program units: the cells-based evaluator of
-//! §4.1.6 and the dynamic-linking archive of §3.4.
+//! §4.1.6, and the one link check that §2's separate-compilation artifacts
+//! and §3.4's dynamic-linking archive share.
 //!
 //! Units evaluate to values carrying *shared, unevaluated* code;
 //! `compound` records wiring after checking the Fig. 11 side conditions;
@@ -25,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod artifact;
 mod dynlink;
 mod eval;
 mod instantiate;
@@ -33,8 +33,10 @@ mod lower;
 mod profile;
 mod resolve;
 
-pub use artifact::{load_interface, load_unit, publish_unit, ArtifactError, Published};
-pub use dynlink::{Archive, DynlinkError};
+pub use dynlink::{
+    check_unit, load_interface, load_unit, publish_unit, satisfies, Archive, DynlinkError,
+    Published,
+};
 pub use eval::{apply, eval, evaluate_program};
 pub use instantiate::invoke_unit;
 pub use lower::lower_program;

@@ -13,22 +13,19 @@
 //! * always-on request counters.
 //!
 //! Plug-ins follow the paper's §3.4 dynamic-linking story: a publish
-//! with a signature goes through [`Archive::load`], so the unit is
-//! parsed, checked, and signature-matched exactly as a dynamically
-//! linked unit would be; a publish without one still requires a
-//! closed, checkable unit. [`Tenant::swap_plugin`] replaces the
-//! current version atomically behind an `Arc` — in-flight requests
-//! holding a [`PluginVersion`] finish on the artifacts they started
-//! with, and the swapped-out version is freed when the last of them
-//! ends.
+//! is checked with [`check_unit`], and a publish with a signature must
+//! also [`satisfies`] it, the same link check `Archive::load` and the
+//! §2 artifacts make. [`Tenant::swap_plugin`] compiles the replacement
+//! first and then replaces the current version atomically behind an
+//! `Arc` — in-flight requests holding a [`PluginVersion`] finish on the
+//! artifact they started with, and the swapped-out version is freed
+//! when the last of them ends.
 //!
-//! Each version owns at most two engine artifacts, built with
-//! [`Engine::load_expr`] and so never in the engine's cache:
-//! `(invoke unit)`, built at publish and run by argument-less invokes,
-//! and the *call artifact* `(lambda (arg) ((invoke unit) arg))`, built
-//! on the first invoke that carries an argument and then applied to
-//! every later argument with [`Loaded::call_with`]. A warm invoke
-//! therefore builds, hashes, and looks up no term, whatever its
+//! Each version owns one engine artifact, `(invoke unit)`, built with
+//! [`Engine::load_expr`] at publish and so never in the engine's cache.
+//! An argument-less invoke runs it; an invoke with an argument runs it
+//! and applies its value to the argument with [`Loaded::call_with`]. An
+//! invoke therefore builds, hashes, and looks up no term, whatever its
 //! argument.
 //!
 //! The socket server in [`crate::server`] is a thin wire adapter over
@@ -37,12 +34,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use units::{
-    parse_expr, parse_signature, Archive, Backend, CheckOptions, DynlinkError, Engine, Expr, Level,
-    Limits, Loaded, Outcome, Param, Resource, Strictness, Ty,
+    check_unit, parse_signature, satisfies, Backend, CheckError, CheckOptions, DynlinkError,
+    Engine, Expr, Level, Limits, Loaded, Outcome, Param, Resource, Strictness,
 };
 
 /// Why the service refused or failed a request.
@@ -233,21 +230,21 @@ struct PluginSlot {
     current: Mutex<Arc<PluginVersion>>,
 }
 
-/// One published version of a plug-in. Its code never changes; its call
-/// artifact is built on the first invoke with an argument.
+/// One published version of a plug-in. Its code never changes.
 ///
 /// An invoke snapshots the slot's `Arc<PluginVersion>` and runs on it;
 /// a concurrent [`Tenant::swap_plugin`] replaces the slot but cannot
 /// touch versions already snapshotted, so in-flight requests complete
-/// on the artifacts they started with. The version owns its artifacts,
-/// so they are freed with the last snapshot.
+/// on the artifact they started with. The version owns its artifact,
+/// so it is freed with the last snapshot.
 #[derive(Debug)]
 pub struct PluginVersion {
     name: String,
     version: u64,
     loaded: Loaded,
-    /// The call artifact, built on the first invoke with an argument.
-    call: OnceLock<Loaded>,
+    /// At the typed levels, why the init's value cannot be applied to an
+    /// `int`: what an invoke with an argument answers instead of running.
+    call_error: Option<CheckError>,
 }
 
 impl PluginVersion {
@@ -261,29 +258,20 @@ impl PluginVersion {
         self.version
     }
 
-    /// The owned engine handle behind this version — the artifact an
-    /// argument-less invoke runs. It stays runnable after a swap, for as
-    /// long as anything holds it.
+    /// The owned engine handle behind this version — `(invoke unit)`,
+    /// the artifact every invoke runs. It stays runnable after a swap,
+    /// for as long as anything holds it.
     pub fn loaded(&self) -> &Loaded {
         &self.loaded
     }
 
-    /// The call artifact `(lambda (arg) ((invoke unit) arg))`, with
-    /// `arg` typed `int` at the typed levels. It is loaded through
-    /// [`Engine::load_expr`] — so checked and resolved — on the first
-    /// invoke that carries an argument, and every later one reuses it.
-    fn call(&self, engine: &Engine) -> Result<&Loaded, units::Error> {
-        if let Some(call) = self.call.get() {
-            return Ok(call);
+    /// The artifact an invoke with an argument applies, or the check
+    /// error that application gets at the typed levels.
+    fn callable(&self) -> Result<&Loaded, units::Error> {
+        match &self.call_error {
+            Some(e) => Err(units::Error::Check(vec![e.clone()])),
+            None => Ok(&self.loaded),
         }
-        let arg = match engine.level() {
-            Level::Untyped => Param::untyped("arg"),
-            _ => Param::typed("arg", Ty::Int),
-        };
-        let body = Expr::app(self.loaded.expr().clone(), vec![Expr::var("arg")]);
-        let loaded = engine.load_expr(Expr::lambda(vec![arg], body))?;
-        // Racing first invokes may each build one; the first stored wins.
-        Ok(self.call.get_or_init(|| loaded))
     }
 }
 
@@ -405,11 +393,11 @@ impl Tenant {
 
     /// Publishes a new plug-in under `name`.
     ///
-    /// With a signature, the publish is a §3.4 dynamic link: the
-    /// source goes through [`Archive::load`] against the parsed
-    /// signature. Without one, the source must still parse and check
-    /// as a closed unit. Either way the unit is compiled up front, so
-    /// a bad plug-in is refused at publish time, not at first invoke.
+    /// The source must be a unit ([`check_unit`]); with a signature,
+    /// the publish is a §3.4 dynamic link and the unit must also
+    /// [`satisfies`] the parsed signature. Either way the unit is
+    /// compiled up front, so a bad plug-in is refused at publish time,
+    /// not at first invoke.
     ///
     /// # Errors
     ///
@@ -428,7 +416,7 @@ impl Tenant {
                 return Err(ServeError::PluginExists { name: name.to_string() });
             }
         }
-        let version = self.publish(name, source, signature, 1)?;
+        let version = Arc::new(self.publish(name, source, signature)?);
         let mut plugins = self.state.plugins.lock().expect("plug-in table poisoned");
         if plugins.contains_key(name) {
             return Err(ServeError::PluginExists { name: name.to_string() });
@@ -440,11 +428,11 @@ impl Tenant {
     /// Hot-swaps the plug-in `name` to a new version.
     ///
     /// The new source is checked and compiled *before* the slot is
-    /// touched; a rejected swap leaves the old version serving. The
+    /// touched, and without its lock, so invokes keep being answered by
+    /// the old version meanwhile; a rejected swap leaves it serving. The
     /// replacement itself is one `Arc` store: requests that already
     /// snapshotted the old version finish on it, requests arriving
-    /// after the swap see the new one. The old version — with a call
-    /// artifact its in-flight requests build later — is freed when the
+    /// after the swap see the new one. The old version is freed when the
     /// last of them ends.
     ///
     /// # Errors
@@ -458,12 +446,15 @@ impl Tenant {
         signature: Option<&str>,
     ) -> Result<PublishInfo, ServeError> {
         let slot = self.slot(name)?;
-        // Serialize concurrent swaps of one slot: hold the slot lock
-        // across the version read *and* the store.
+        let mut next = self.publish(name, source, signature)?;
+        // Every invoke of this plug-in takes the slot lock, so it guards
+        // only the version read and the store; concurrent swaps still
+        // number their versions in the order they store them.
         let mut current = slot.current.lock().expect("plug-in slot poisoned");
-        let next_version = current.version + 1;
-        *current = self.publish(name, source, signature, next_version)?;
-        Ok(PublishInfo { name: name.to_string(), version: next_version })
+        next.version = current.version + 1;
+        let version = next.version;
+        *current = Arc::new(next);
+        Ok(PublishInfo { name: name.to_string(), version })
     }
 
     /// The currently served version of plug-in `name` — the same
@@ -479,8 +470,7 @@ impl Tenant {
     }
 
     /// Invokes plug-in `name`: snapshots the current version and runs
-    /// it, applying the invoke result to `arg` when one is given (through
-    /// the version's call artifact).
+    /// it, applying the invoke result to `arg` when one is given.
     ///
     /// # Errors
     ///
@@ -521,7 +511,7 @@ impl Tenant {
             let engine = &tenant.service.engine;
             let outcome = match arg {
                 None => version.loaded.run_with(engine.backend(), limits),
-                Some(n) => version.call(engine)?.call_with(engine.backend(), limits, n),
+                Some(n) => version.callable()?.call_with(engine.backend(), limits, n),
             };
             outcome.map_err(ServeError::from)
         })
@@ -552,10 +542,10 @@ impl Tenant {
             self.count_request(RequestOutcome::Failed);
             ServeError::PluginMissing { name: name.to_string() }
         })?;
-        self.admitted(Limits::none(), |tenant, _limits| {
+        self.admitted(Limits::none(), |_tenant, _limits| {
             let outcome = match arg {
                 None => version.loaded.run_differential(),
-                Some(n) => version.call(&tenant.service.engine)?.call_differential(n),
+                Some(n) => version.callable()?.call_differential(n),
             };
             outcome.map_err(ServeError::from)
         })
@@ -631,56 +621,50 @@ impl Tenant {
         bucket.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Parses, checks, and compiles a publish into a [`PluginVersion`].
+    /// Checks a publish with the shared link check and compiles it into
+    /// a [`PluginVersion`] numbered 1; a swap renumbers it.
     fn publish(
         &self,
         name: &str,
         source: &str,
         signature: Option<&str>,
-        version: u64,
-    ) -> Result<Arc<PluginVersion>, ServeError> {
+    ) -> Result<PluginVersion, ServeError> {
         let rejected = |reason: String| ServeError::Rejected { name: name.to_string(), reason };
-        let opts =
-            CheckOptions { level: self.service.engine.level(), strictness: Strictness::Paper };
-        let unit = match signature {
-            Some(sig_src) => {
-                // §3.4: publishing under a signature is a dynamic link.
-                let sig = parse_signature(sig_src)
-                    .map_err(|e| rejected(format!("bad signature: {e}")))?;
-                let mut archive = Archive::new();
-                archive.publish(name, source);
-                archive.load(name, &sig, opts).map_err(|e| match e {
-                    DynlinkError::NotAUnit
-                    | DynlinkError::Signature { .. }
-                    | DynlinkError::Parse(_)
-                    | DynlinkError::Check(_) => rejected(e.to_string()),
-                    other => ServeError::Engine(units::Error::Dynlink(other)),
-                })?
+        let engine = &self.service.engine;
+        let opts = CheckOptions { level: engine.level(), strictness: Strictness::Paper };
+        let expected = signature
+            .map(parse_signature)
+            .transpose()
+            .map_err(|e| rejected(format!("bad signature: {e}")))?;
+        let link = || {
+            // §3.4: publishing under a signature is a dynamic link.
+            if expected.is_some() {
+                units::trace::faults::trip("compile/dynlink")?;
             }
-            None => {
-                let expr = parse_expr(source).map_err(|e| rejected(format!("{e}")))?;
-                if !matches!(expr, Expr::Unit(_)) {
-                    return Err(rejected("published expression is not a unit".to_string()));
-                }
-                units::check_program(&expr, opts).map_err(|errs| {
-                    let reasons: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-                    rejected(reasons.join("; "))
-                })?;
-                expr
+            let (unit, actual) = check_unit(source, opts)?;
+            match &expected {
+                Some(expected) => satisfies(&actual, expected, opts.level).map(|()| unit),
+                None => Ok(unit),
             }
         };
-        // Compile the no-argument invocation now: a plug-in that cannot
-        // even link is refused at publish, and argument-less invokes
-        // run a prebuilt artifact. The call artifact waits for the
-        // first invoke with an argument, so a plug-in whose init is not
-        // a function still publishes.
-        let loaded = self
-            .service
-            .engine
+        let unit = link().map_err(|e| match e {
+            DynlinkError::Injected { .. } => ServeError::Engine(e.into()),
+            e => rejected(e.to_string()),
+        })?;
+        // Compile the invocation now: a plug-in that cannot even link is
+        // refused at publish, and invokes run a prebuilt artifact.
+        let loaded = engine
             .load_expr(Expr::invoke_program(unit))
             .map_err(|e| rejected(format!("unit does not link: {e}")))?;
-        let call = OnceLock::new();
-        Ok(Arc::new(PluginVersion { name: name.to_string(), version, loaded, call }))
+        // An invoke with an argument applies the init's value to an `int`.
+        // A plug-in whose init cannot take one still publishes; ask the
+        // checker once what such an invoke answers.
+        let call_error = loaded.ty().and_then(|ty| {
+            let probe = Expr::app(Expr::var("f"), vec![Expr::int(0)]);
+            let probe = Expr::lambda(vec![Param::typed("f", ty.clone())], probe);
+            units::type_of(&probe, opts.level).err()
+        });
+        Ok(PluginVersion { name: name.to_string(), version: 1, loaded, call_error })
     }
 
     fn slot(&self, name: &str) -> Result<Arc<PluginSlot>, ServeError> {

@@ -162,19 +162,19 @@ fn cases() -> Vec<Case> {
     vec![
         // Flattened at resolution: one frame per invoke, and a cell per
         // definition and import.
-        case("chain", chain(32, 6, false), 5, "98", [(225, 458), (225, 653)]),
-        case("even_odd", even_odd(false), 64, "false", [(3, 728), (3, 475)]),
+        case("chain", chain(32, 6, false), 5, "98", [(225, 455), (225, 650)]),
+        case("even_odd", even_odd(false), 64, "false", [(3, 725), (3, 472)]),
         // The same compounds over `let`-bound constituents wire from link
         // plans, which also give each provided but hidden name a cell.
-        case("chain_let", chain(32, 6, true), 5, "98", [(449, 524), (449, 754)]),
-        case("even_odd_let", even_odd(true), 64, "false", [(5, 732), (5, 483)]),
-        case("book", phone_book(128), 17, "5550119", [(4, 1327), (4, 1456)]),
+        case("chain_let", chain(32, 6, true), 5, "98", [(449, 521), (449, 751)]),
+        case("even_odd_let", even_odd(true), 64, "false", [(5, 729), (5, 480)]),
+        case("book", phone_book(128), 17, "5550119", [(4, 1324), (4, 1453)]),
         case(
             "linked",
             format!("(unit (import) (export) (init (lambda (n) {})))", linked("n")),
             6,
             "136",
-            [(8, 35), (8, 48)],
+            [(8, 32), (8, 45)],
         ),
     ]
 }

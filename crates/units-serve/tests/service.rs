@@ -3,8 +3,9 @@
 //! relies on, exercised without any socket.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use units::{Level, Limits, Observation, Resource};
+use units::{Expr, Level, Limits, Observation, Resource};
 use units_serve::{ServeError, Service};
 
 const SQUARE: &str = "(unit (import) (export) (init (lambda (n) (* n n))))";
@@ -92,9 +93,8 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
     let old = tenant.plugin("f").unwrap();
     assert_eq!(engine.metrics_snapshot().cache.entries, 0, "publish caches nothing");
 
-    // Artifacts are per version, not per argument: the first invoke
-    // with an argument builds the call artifact, later arguments build
-    // nothing, and none of it is cached.
+    // Artifacts are per version, not per argument: invokes with any
+    // argument build nothing, and nothing is cached.
     assert_eq!(tenant.invoke("f", Some(1)).unwrap().value, Observation::Int(1));
     let misses = engine.metrics_snapshot().cache.misses;
     for arg in 2..=5 {
@@ -109,7 +109,7 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
     assert_eq!(engine.metrics_snapshot().cache.entries, 0);
 
     // The pinned version still runs, and nothing but it holds the old
-    // version, so dropping it frees both old artifacts.
+    // version, so dropping it frees the old artifact.
     assert_eq!(
         tenant.invoke_version(&old, Some(5), Limits::none()).unwrap().value,
         Observation::Int(25)
@@ -122,13 +122,13 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
 }
 
 #[test]
-fn a_call_artifact_built_after_its_swap_leaves_the_cache() {
+fn a_version_first_called_after_its_swap_leaves_the_cache() {
     let service = untyped();
     let engine = service.engine();
     let tenant = service.tenant("a");
     tenant.load_plugin("f", SQUARE, None).unwrap();
     // Pinned before any invoke with an argument, so the old version has
-    // no call artifact yet when the swap lands.
+    // been called with none when the swap lands.
     let inflight = tenant.plugin("f").unwrap();
     for _ in 0..5 {
         let outcome = tenant.invoke("f", None).unwrap();
@@ -137,8 +137,8 @@ fn a_call_artifact_built_after_its_swap_leaves_the_cache() {
     tenant.swap_plugin("f", CUBE, None).unwrap();
     assert_eq!(engine.metrics_snapshot().cache.entries, 0);
 
-    // The in-flight request builds the old call artifact after the
-    // swap; it serves the request and stays out of the cache.
+    // The in-flight request calls the old version after the swap; its
+    // artifact serves the request and stays out of the cache.
     for arg in [3, 4] {
         let outcome = tenant.invoke_version(&inflight, Some(arg), Limits::none()).unwrap();
         assert_eq!(outcome.value, Observation::Int(arg * arg));
@@ -147,7 +147,7 @@ fn a_call_artifact_built_after_its_swap_leaves_the_cache() {
     assert_eq!(tenant.invoke("f", Some(2)).unwrap().value, Observation::Int(8));
     assert_eq!(engine.metrics_snapshot().cache.entries, 0);
 
-    // The version holds that artifact, so it leaves with the request.
+    // The version holds its artifact, so it leaves with the request.
     let old = Arc::downgrade(&inflight);
     assert!(old.upgrade().is_some());
     drop(inflight);
@@ -159,7 +159,7 @@ fn warm_invokes_never_probe_the_engine_cache() {
     let service = untyped();
     let tenant = service.tenant("a");
     tenant.load_plugin("f", SQUARE, None).unwrap();
-    // The first invoke with an argument loads the call artifact …
+    // One invoke with an argument first …
     assert_eq!(tenant.invoke("f", Some(0)).unwrap().value, Observation::Int(0));
 
     // … and no later one asks the engine's cache for anything, whatever
@@ -173,6 +173,92 @@ fn warm_invokes_never_probe_the_engine_cache() {
         |s: &units::MetricsSnapshot| (s.cache.source_hits, s.cache.misses, s.cache.entries);
     assert_eq!(probes(&after), probes(&before), "a warm invoke probed the cache");
     assert_eq!(after.runs.total, before.runs.total + 64, "every invoke still ran");
+}
+
+/// An invoke with an argument applies the version's own `(invoke U)`
+/// artifact, so not even the first one loads anything.
+#[test]
+fn the_first_invoke_with_an_argument_loads_nothing() {
+    let service = untyped();
+    let tenant = service.tenant("a");
+    tenant.load_plugin("f", SQUARE, None).unwrap();
+    let before = service.engine().metrics_snapshot().cache;
+    assert_eq!(tenant.invoke("f", Some(4)).unwrap().value, Observation::Int(16));
+    let after = service.engine().metrics_snapshot().cache;
+    assert_eq!((after.misses, after.entries), (before.misses, 0));
+}
+
+/// At UNITc a plug-in whose init cannot take an `int` still publishes
+/// and answers argument-less invokes; an invoke with an argument fails
+/// with the check error of the application `((invoke U) n)`.
+#[test]
+fn typed_inits_that_take_no_int_refuse_arguments_as_the_checker_would() {
+    let service = Service::new(); // typed: Level::Constructed
+    let tenant = service.tenant("a");
+    let inits = [
+        ("five", "5"),
+        ("string", "(lambda ((s str)) s)"),
+        ("pair", "(lambda ((a int) (b int)) a)"),
+    ];
+    for (name, init) in inits {
+        let source = format!("(unit (import) (export) (init {init}))");
+        tenant.load_plugin(name, &source, None).unwrap();
+        let answered = match tenant.invoke(name, None).unwrap().value {
+            Observation::Int(5) => name == "five",
+            Observation::Opaque { shape: "procedure", .. } => name != "five",
+            _ => false,
+        };
+        assert!(answered, "{name}");
+        let err = tenant.invoke(name, Some(3)).unwrap_err();
+        let ServeError::Engine(units::Error::Check(_)) = &err else {
+            panic!("{name}: expected a check error, got {err:?}");
+        };
+        let unit = units::parse_expr(&source).unwrap();
+        let applied = Expr::app(Expr::invoke_program(unit), vec![Expr::int(3)]);
+        let checker = service.engine().load_expr(applied).unwrap_err();
+        assert_eq!(err.to_string(), checker.to_string(), "{name}");
+    }
+    let source = "(unit (import) (export) (init (lambda ((a int)) a)))";
+    tenant.load_plugin("identity", source, None).unwrap();
+    assert_eq!(tenant.invoke("identity", Some(3)).unwrap().value, Observation::Int(3));
+}
+
+/// A swap compiles its replacement outside the slot's lock, so invokes
+/// of the plug-in keep being answered, by the old version or the new
+/// one, while the replacement is checked.
+#[test]
+fn invokes_keep_being_answered_while_a_swap_compiles() {
+    let service = untyped();
+    let tenant = service.tenant("a");
+    tenant.load_plugin("f", SQUARE, None).unwrap();
+    // UNITd's context check is quadratic in a unit's definitions: a
+    // debug build takes about half a second over these.
+    let defs: String = (0..1_500).map(|i| format!(" (define d{i} {i})")).collect();
+    let replacement = format!("(unit (import) (export){defs} (init (lambda (n) (* n (* n n)))))");
+
+    let swapper = tenant.clone();
+    let swap = std::thread::spawn(move || {
+        let start = Instant::now();
+        let info = swapper.swap_plugin("f", &replacement, None).unwrap();
+        (start, Instant::now(), info.version)
+    });
+    let mut answers = Vec::new();
+    while !swap.is_finished() {
+        let value = tenant.invoke("f", Some(3)).unwrap().value;
+        answers.push((Instant::now(), value));
+    }
+    let (start, end, version) = swap.join().unwrap();
+    assert_eq!(version, 2);
+
+    // The old version answers until the new one does, and never after.
+    let old = answers.iter().take_while(|(_, v)| *v == Observation::Int(9)).count();
+    assert!(answers[old..].iter().all(|(_, v)| *v == Observation::Int(27)), "{answers:?}");
+    // Holding the slot's lock across the compile would stall every
+    // invoke from just after `start` until just before `end`.
+    let quarter = (end - start) / 4;
+    let inside = answers.iter().filter(|(at, _)| *at > start + quarter && *at < end - quarter);
+    assert!(inside.count() > 0, "no invoke was answered in the middle of a {:?} swap", end - start);
+    assert_eq!(tenant.invoke("f", Some(3)).unwrap().value, Observation::Int(27));
 }
 
 #[test]

@@ -26,8 +26,8 @@
 //! | `runtime/prim`        | prim application (compiled backend)         |
 //! | `compile/eval`        | §4.1.6 `evaluate_program` entry             |
 //! | `compile/instantiate` | §4.1.6 `invoke_unit`                        |
-//! | `compile/dynlink`     | §3.4 `Archive::load`                        |
-//! | `compile/artifact`    | §2 artifact publish/load                    |
+//! | `compile/dynlink`     | §3.4 `Archive::load`; signed publish, swap  |
+//! | `compile/artifact`    | §2 `publish_unit` and `load_unit`           |
 //! | `vm/dispatch`         | bytecode VM chunk entry / unit invocation   |
 //! | `store/read`          | persistent-store entry read (transient I/O) |
 //! | `store/write`         | between temp-file write and atomic rename   |

@@ -35,8 +35,8 @@
 //! session budgets for one run — per-request admission control for a
 //! multi-tenant caller — and [`Loaded::call_with`] does the same for a
 //! program that evaluates to a procedure, applying it to an argument,
-//! so a server loads a plug-in's call artifact once and calls it per
-//! request.
+//! so a server loads a plug-in's `(invoke U)` once and calls its value
+//! per request.
 //!
 //! # The fault plane
 //!

@@ -1,17 +1,17 @@
 //! The unified error type of the facade.
 //!
 //! Every failure between source text and a value — parsing, the static
-//! checks of Figs. 10/14/15/19, separate-compilation artifacts (§2),
-//! dynamic linking (§3.4), evaluation, and resource budgets — surfaces
-//! as one [`Error`]. The [`Display`](fmt::Display) form of a check
-//! failure names the figure whose rule fired, and
-//! [`source`](std::error::Error::source) chains reach the underlying
-//! error for callers that walk causes.
+//! checks of Figs. 10/14/15/19, the link check that separate-compilation
+//! artifacts (§2) and dynamic linking (§3.4) share, evaluation, and
+//! resource budgets — surfaces as one [`Error`]. The
+//! [`Display`](fmt::Display) form of a check failure names the figure
+//! whose rule fired, and [`source`](std::error::Error::source) chains
+//! reach the underlying error for callers that walk causes.
 
 use std::fmt;
 
 use units_check::CheckError;
-use units_compile::{ArtifactError, DynlinkError};
+use units_compile::DynlinkError;
 use units_runtime::{Resource, RuntimeError};
 use units_syntax::ParseError;
 
@@ -29,9 +29,8 @@ pub enum Error {
     Check(Vec<CheckError>),
     /// The program signalled a run-time error.
     Runtime(RuntimeError),
-    /// Publishing or loading a separate-compilation artifact failed.
-    Artifact(ArtifactError),
-    /// A dynamic load from an [`Archive`](crate::Archive) was refused.
+    /// A separate-compilation artifact or a dynamic load from an
+    /// [`Archive`](crate::Archive) was refused.
     Dynlink(DynlinkError),
     /// Evaluation exceeded a configured [`Limits`](crate::Limits) budget.
     ResourceExhausted {
@@ -67,8 +66,7 @@ impl fmt::Display for Error {
                 Ok(())
             }
             Error::Runtime(e) => write!(f, "runtime error: {e}"),
-            Error::Artifact(e) => write!(f, "artifact error: {e}"),
-            Error::Dynlink(e) => write!(f, "dynamic-link error: {e}"),
+            Error::Dynlink(e) => write!(f, "link error: {e}"),
             Error::ResourceExhausted { resource, limit } => {
                 write!(f, "evaluation exceeded its {resource} budget of {limit}")
             }
@@ -88,7 +86,6 @@ impl std::error::Error for Error {
             Error::Parse(e) => Some(e),
             Error::Check(errs) => errs.first().map(|e| e as _),
             Error::Runtime(e) => Some(e),
-            Error::Artifact(e) => Some(e),
             Error::Dynlink(e) => Some(e),
             Error::ResourceExhausted { .. } | Error::SessionClosed | Error::Internal { .. } => None,
         }
@@ -121,12 +118,6 @@ impl From<RuntimeError> for Error {
             }
             other => Error::Runtime(other),
         }
-    }
-}
-
-impl From<ArtifactError> for Error {
-    fn from(e: ArtifactError) -> Self {
-        Error::Artifact(e)
     }
 }
 
@@ -176,7 +167,6 @@ impl Error {
     pub fn is_injected(&self) -> bool {
         match self {
             Error::Runtime(RuntimeError::Injected { .. }) => true,
-            Error::Artifact(ArtifactError::Injected { .. }) => true,
             Error::Dynlink(DynlinkError::Injected { .. }) => true,
             Error::Check(errs) => errs.iter().any(|e| matches!(e, CheckError::Injected { .. })),
             Error::Parse(e) => e.to_string().contains("injected fault at "),

@@ -14,7 +14,7 @@
 //! | [`units_kernel`] | terms, types, signatures, binding operations |
 //! | [`units_check`] | Fig. 10 context checks; Fig. 14/17 subtyping; Fig. 15/19 typing; Fig. 18 expansion |
 //! | [`units_reduce`] | the Fig. 11 rewriting semantics (reference) |
-//! | [`units_compile`] | the §4.1.6 cells backend (production) + §3.4 dynamic linking |
+//! | [`units_compile`] | the §4.1.6 cells backend (production) + the §2/§3.4 link check |
 //! | this crate | the pipeline, the paper's running examples, differential testing |
 //!
 //! ## Engine quick start
@@ -79,8 +79,8 @@ pub use units_check::{
     CheckOptions, Equations, Level, Strictness,
 };
 pub use units_compile::{
-    evaluate_program, invoke_unit, load_interface, load_unit, publish_unit, resolve_program,
-    Archive, ArtifactError, ChunkProfile, DynlinkError, Published,
+    check_unit, evaluate_program, invoke_unit, load_interface, load_unit, publish_unit,
+    resolve_program, satisfies, Archive, ChunkProfile, DynlinkError, Published,
 };
 pub use units_kernel::{
     alpha_eq, free_val_vars, merge_compound, CompoundExpr, Depend, Expr, InvokeExpr, Kind,
