@@ -196,12 +196,12 @@ for key in tp:
     assert dp[key] <= 3.0 * tp[key] + 50.0, (
         f"{key}: default build {dp[key]:.1f}us vs trace build {tp[key]:.1f}us -- "
         "did the default dispatch loop grow live instrumentation?")
-# On the 2-core reference host, 36 evaluations of this gate read sum
-# ratios of 0.26-0.54, where 24 single runs of each build had read
-# 0.24-0.59: 0.82 is 1.52x the worst, and a default build that ran like
-# the trace build would read about 1.
+# On the 2-core reference host, 45 evaluations of this gate read sum
+# ratios of 0.26-0.55 (0.55 in a full ci.sh run), where 24 single runs
+# of each build had read 0.24-0.59: 0.85 is 1.55x the worst, and a
+# default build that ran like the trace build would read about 1.
 ratio = sum(dp.values()) / sum(tp.values())
-assert ratio <= 0.82, (
+assert ratio <= 0.85, (
     f"default build's vm points sum to {ratio:.2f}x the trace build's -- "
     "did the default dispatch loop grow live instrumentation?")
 print(f"trace-overhead gate: {len(tp)} vm points within tolerance, "

@@ -341,8 +341,8 @@ fn cache_hits_never_reparse() {
 
 const BACKENDS: [Backend; 3] = [Backend::Compiled, Backend::Bytecode, Backend::Reducer];
 
-/// A plug-in's call artifact, `(lambda (arg) ((invoke unit) arg))` with
-/// `arg` typed `int` at typed levels, as a plug-in server builds it.
+/// A call artifact, `(lambda (arg) ((invoke unit) arg))` with `arg`
+/// typed `int` at typed levels: a program whose value is a procedure.
 fn call_artifact(engine: &Engine, unit: &str) -> Result<Loaded, Error> {
     let arg = match engine.level() {
         Level::Untyped => Param::untyped("arg"),
