@@ -9,13 +9,13 @@
 //! * [`Service`] — the in-process core. One shared [`units::Engine`]
 //!   session, any number of named [`Tenant`]s, each with a private
 //!   plug-in namespace, a resource cap enforced as admission control,
-//!   and always-on request counters. A publish makes the link check of
-//!   [`units::Archive::load`] and [`units::load_unit`]
-//!   ([`units::check_unit`], then [`units::satisfies`] under a
-//!   signature), and each version owns one artifact, `(invoke unit)`,
-//!   which every invoke runs. Hot swap compiles the replacement, then
-//!   is an `Arc` replace: in-flight requests finish on the version
-//!   they started with. Tests and benches call this directly.
+//!   and always-on request counters. A publish makes §3.4's link check,
+//!   the one §2's [`units::load_unit`] makes: [`units::check_unit`],
+//!   then [`units::satisfies`] under a signature. Each version owns one
+//!   artifact, `(invoke unit)`, which every invoke runs. Hot swap
+//!   compiles the replacement, then is an `Arc` replace: in-flight
+//!   requests finish on the version they started with. Tests and
+//!   benches call this directly.
 //! * [`Server`] / [`Client`] and the `unitsd` binary — a socket front
 //!   end speaking 4-byte-length-prefixed JSON frames over a
 //!   Unix-domain socket, one thread per connection ([`proto`] has the

@@ -14,8 +14,8 @@
 //!
 //! Plug-ins follow the paper's §3.4 dynamic-linking story: a publish
 //! is checked with [`check_unit`], and a publish with a signature must
-//! also [`satisfies`] it, the same link check `Archive::load` and the
-//! §2 artifacts make. [`Tenant::swap_plugin`] compiles the replacement
+//! also [`satisfies`] it, the same link check that retrieving a unit
+//! from an archive and loading a §2 artifact make. [`Tenant::swap_plugin`] compiles the replacement
 //! first and then replaces the current version atomically behind an
 //! `Arc` — in-flight requests holding a [`PluginVersion`] finish on the
 //! artifact they started with, and the swapped-out version is freed
