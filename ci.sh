@@ -16,7 +16,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Layout is pinned by rustfmt.toml; run `cargo fmt --all` to fix.
 cargo fmt --all --check
 # Only rustdoc reports a doc link to a deleted or private item, so the
-# docs build with warnings denied (again below with every feature on).
+# docs build with warnings denied (again below with tracing on).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The benchmark is a workspace of its own that calls the pipeline's
@@ -259,22 +259,15 @@ cargo test -q --test differential
 cargo test -q --features trace --test differential
 
 # Fault plane: the fixed-seed chaos harness (tests/faults.rs sweeps 360
-# seeded schedules, including the bytecode VM's vm/dispatch site) must
-# pass with injection compiled in, both with and without the tracing
-# layer, and stay clippy-clean and rustdoc-clean. The service
-# chaos pass (one tenant under an armed plane, bystanders unaffected)
-# rides in the same sweep; name it as its own gate.
-cargo test -q --features faults
-cargo test -q --features "trace faults"
-cargo test -q -p units-serve --features faults --test chaos
-cargo clippy --workspace --all-targets --features faults -- -D warnings
-cargo clippy --workspace --all-targets --features "trace faults" -- -D warnings
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --features "trace faults"
+# seeded schedules, including the bytecode VM's vm/dispatch site) is
+# compiled into every build and runs in both `cargo test` sweeps above.
+# The service chaos pass (one tenant under an armed plane, bystanders
+# unaffected) rides in the same sweeps; name it as its own gate.
+cargo test -q -p units-serve --test chaos
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --features trace
 
-# Faults-off byte-identity: the default build's trip() sites are
-# inline no-ops, so a fixed REPL session must be reproducible
-# byte-for-byte — and a faults build with no plane armed must produce
-# exactly the same bytes as the default build.
+# Reproducibility: with no plane armed every trip() site returns at
+# once, so a fixed REPL session must be reproducible byte-for-byte.
 cat > .ci-faults-session.tmp <<'SESSION'
 (invoke (unit (import) (export) (init (+ (* 6 6) (* 50 2)))))
 (define u (unit (import) (export) (init (* 7 3))))
@@ -292,7 +285,4 @@ cargo build --release -p units-repl
 ./target/release/units-repl -i < .ci-faults-session.tmp > .ci-faults-off-a.tmp 2>&1
 ./target/release/units-repl -i < .ci-faults-session.tmp > .ci-faults-off-b.tmp 2>&1
 cmp .ci-faults-off-a.tmp .ci-faults-off-b.tmp
-cargo build --release -p units-repl --features faults
-./target/release/units-repl -i < .ci-faults-session.tmp > .ci-faults-on.tmp 2>&1
-cmp .ci-faults-off-a.tmp .ci-faults-on.tmp
-rm -f .ci-faults-session.tmp .ci-faults-off-a.tmp .ci-faults-off-b.tmp .ci-faults-on.tmp
+rm -f .ci-faults-session.tmp .ci-faults-off-a.tmp .ci-faults-off-b.tmp

@@ -170,8 +170,7 @@ pub enum CheckError {
     },
     /// A fault deliberately fired by an armed
     /// `units_trace::faults::FaultPlane` schedule while the checker
-    /// ran. Never occurs in production builds (the `faults` feature
-    /// compiles the plane out).
+    /// ran. Never occurs where nothing arms a plane, as in `unitsd`.
     Injected {
         /// The injection point that fired (e.g. `"check/program"`).
         site: &'static str,

@@ -78,7 +78,9 @@ pub fn type_of_in(expr: &Expr, level: Level, env: &mut Env) -> Result<Ty, CheckE
 struct Typer {
     level: Level,
     /// Names of definitions currently being processed whose types are not
-    /// yet known (unannotated `letrec`/unit definitions).
+    /// yet known (unannotated `letrec`/unit definitions). Each block
+    /// pushes its names last-first, so the next one to infer is on top.
+    /// Only a failed lookup searches it.
     pending: Vec<Symbol>,
 }
 
@@ -455,13 +457,13 @@ impl Typer {
             }
         }
         let pending_base = self.pending.len();
-        self.pending.extend(vals.iter().filter(|d| d.ty.is_none()).map(|d| d.name.clone()));
+        self.pending.extend(vals.iter().rev().filter(|d| d.ty.is_none()).map(|d| d.name.clone()));
         let result = (|| {
             for d in vals {
                 if d.ty.is_none() {
                     let inferred = self.infer(env, &d.body)?;
                     env.bind_val(d.name.clone(), inferred);
-                    self.pending.retain(|p| p != &d.name);
+                    self.pending.pop();
                 }
             }
             for d in vals {
@@ -1435,8 +1437,16 @@ mod tests {
 
     #[test]
     fn recursive_unannotated_definitions_need_annotations() {
-        let err = infer_c("(letrec ((define f (lambda ((n int)) (f n)))) (f 1))").unwrap_err();
-        assert!(matches!(err, CheckError::MissingAnnotation { .. }));
+        for src in [
+            "(letrec ((define f (lambda ((n int)) (f n)))) (f 1))",
+            "(letrec ((define a 1) (define f (lambda ((n int)) (f n)))) (f a))",
+            // An inner block that binds an outer pending name leaves the
+            // outer one pending.
+            "(letrec ((define b (lambda () (begin (letrec ((define a 1)) a) a))) (define a 2)) a)",
+        ] {
+            let err = infer_c(src).unwrap_err();
+            assert!(matches!(err, CheckError::MissingAnnotation { .. }), "{src}: {err:?}");
+        }
         // With an annotation the recursion checks.
         infer_c("(letrec ((define f (-> int int) (lambda ((n int)) (f n)))) (f 1))").unwrap();
     }

@@ -13,9 +13,9 @@
 //! * `set!` targets a definition-bound (mutable) variable;
 //! * under [`Strictness::Paper`], every definition body is *valuable*.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use units_kernel::{Expr, Symbol, TypeDefn};
+use units_kernel::{Expr, Symbol, SymbolHash, TypeDefn, ValDefn};
 
 use crate::diag::CheckError;
 use crate::valuable::is_valuable;
@@ -54,15 +54,15 @@ pub fn context_check(expr: &Expr, strictness: Strictness) -> Result<(), Vec<Chec
 
 #[derive(Default)]
 struct Scope {
-    /// Every bound value variable, innermost last.
-    bound: Vec<Symbol>,
+    /// Every bound value variable, with how many binders bind it.
+    bound: HashMap<Symbol, usize, SymbolHash>,
     /// The subset of `bound` that is assignable (`letrec`/unit definitions).
     mutable: BTreeSet<Symbol>,
 }
 
 impl Scope {
     fn contains(&self, name: &Symbol) -> bool {
-        self.bound.iter().any(|b| b == name)
+        self.bound.contains_key(name)
     }
 
     fn with<R>(
@@ -71,12 +71,19 @@ impl Scope {
         mutable: &[Symbol],
         f: impl FnOnce(&mut Scope) -> R,
     ) -> R {
-        let depth = self.bound.len();
-        self.bound.extend_from_slice(names);
+        for name in names {
+            *self.bound.entry(name.clone()).or_default() += 1;
+        }
         let newly_mutable: Vec<Symbol> =
             mutable.iter().filter(|m| self.mutable.insert((*m).clone())).cloned().collect();
         let r = f(self);
-        self.bound.truncate(depth);
+        for name in names {
+            let count = self.bound.get_mut(name).expect("bound on entry");
+            *count -= 1;
+            if *count == 0 {
+                self.bound.remove(name);
+            }
+        }
         for m in newly_mutable {
             self.mutable.remove(&m);
         }
@@ -155,18 +162,8 @@ impl Checker {
                 self.duplicate_check(all_names.iter(), "letrec definitions");
                 self.duplicate_check(lr.types.iter().map(|t| t.name()), "letrec type definitions");
                 scope.with(&all_names, &val_names, |scope| {
-                    for (i, d) in lr.vals.iter().enumerate() {
-                        // Undetermined at this point: this definition and
-                        // every later one. (Datatype operations and
-                        // earlier definitions are already determined.)
-                        let forbidden: BTreeSet<Symbol> =
-                            lr.vals[i..].iter().map(|d| d.name.clone()).collect();
-                        if self.strictness == Strictness::Paper && !is_valuable(&d.body, &forbidden)
-                        {
-                            self.errors.push(CheckError::NotValuable { name: d.name.clone() });
-                        }
-                        self.expr(&d.body, scope);
-                    }
+                    // Datatype operations are determined from the start.
+                    self.definitions(&lr.vals, &[], scope);
                     self.expr(&lr.body, scope);
                 });
             }
@@ -239,23 +236,34 @@ impl Checker {
         names.extend(defined_vals.iter().cloned());
         let val_defn_names: Vec<Symbol> = u.vals.iter().map(|d| d.name.clone()).collect();
         scope.with(&names, &val_defn_names, |scope| {
-            for (i, d) in u.vals.iter().enumerate() {
-                // Imports are always undetermined for valuability: a
-                // linked import may be a sibling constituent's definition
-                // that runs later in the merged order. Definitions at or
-                // after this one are undetermined too.
-                let forbidden: BTreeSet<Symbol> = import_vals
-                    .iter()
-                    .cloned()
-                    .chain(u.vals[i..].iter().map(|d| d.name.clone()))
-                    .collect();
-                if self.strictness == Strictness::Paper && !is_valuable(&d.body, &forbidden) {
-                    self.errors.push(CheckError::NotValuable { name: d.name.clone() });
-                }
-                self.expr(&d.body, scope);
-            }
+            // Imports are always undetermined for valuability: a linked
+            // import may be a sibling constituent's definition that runs
+            // later in the merged order.
+            self.definitions(&u.vals, &import_vals, scope);
             self.expr(&u.init, scope);
         });
+    }
+
+    /// Checks a recursive block's definitions in order. While a
+    /// definition is checked, the names still undetermined are the
+    /// block's `imports` and every definition at or after it: a name
+    /// leaves the set once its last definition has been checked.
+    fn definitions(&mut self, vals: &[ValDefn], imports: &[Symbol], scope: &mut Scope) {
+        let mut undetermined: BTreeSet<Symbol> = imports.iter().cloned().collect();
+        // Inserted back to front, a name is new at its last definition
+        // unless it is an import.
+        let mut last: Vec<bool> =
+            vals.iter().rev().map(|d| undetermined.insert(d.name.clone())).collect();
+        last.reverse();
+        for (d, last) in vals.iter().zip(last) {
+            if self.strictness == Strictness::Paper && !is_valuable(&d.body, &undetermined) {
+                self.errors.push(CheckError::NotValuable { name: d.name.clone() });
+            }
+            if last {
+                undetermined.remove(&d.name);
+            }
+            self.expr(&d.body, scope);
+        }
     }
 
     fn compound(&mut self, c: &units_kernel::CompoundExpr, scope: &mut Scope) {
@@ -468,6 +476,38 @@ mod tests {
     fn rejects_forward_reference_in_definition_position() {
         let errs = check("(unit (import) (export) (define x y) (define y 1))").unwrap_err();
         assert!(matches!(&errs[0], CheckError::NotValuable { name } if name.as_str() == "x"));
+        // A name stays undetermined until its last definition, and an
+        // import for the whole unit.
+        for src in [
+            "(unit (import) (export) (define y 1) (define x y) (define y 2))",
+            "(unit (import y) (export) (define x y))",
+        ] {
+            let errs = check(src).unwrap_err();
+            assert!(
+                errs.iter()
+                    .any(|e| matches!(e, CheckError::NotValuable { name } if name.as_str() == "x")),
+                "{src}: {errs:?}"
+            );
+        }
+    }
+
+    /// Checking grows with a unit's definitions in n log n: each block
+    /// builds its undetermined set once, and scope lookups are hashed.
+    /// Rebuilding the set per definition took about 4 s on this unit in
+    /// a release build, at UNITd and UNITc alike; a debug build now
+    /// takes about 0.15 s.
+    #[test]
+    fn a_unit_of_sixteen_thousand_definitions_checks_in_bounded_time() {
+        use crate::{check_program, CheckOptions, Level};
+
+        let defs: String = (0..16_000).map(|i| format!(" (define d{i} {i})")).collect();
+        let unit = parse_expr(&format!("(unit (import) (export){defs} (init 0))")).unwrap();
+        for opts in [CheckOptions::untyped(), CheckOptions::typed(Level::Constructed)] {
+            let start = std::time::Instant::now();
+            check_program(&unit, opts).unwrap();
+            let took = start.elapsed();
+            assert!(took.as_secs() < 2, "{:?} took {took:?}", opts.level);
+        }
     }
 
     #[test]

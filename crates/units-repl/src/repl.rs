@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use units::trace::{Event, Metrics, TraceSink};
+use units::trace::{Event, JsonLinesSink, Metrics, TraceSink};
 use units::{Backend, Engine, Loaded};
 
 use crate::Options;
@@ -36,15 +36,6 @@ struct PrintSink;
 impl TraceSink for PrintSink {
     fn event(&mut self, event: &Event) {
         println!(";; trace: {event}");
-    }
-}
-
-/// Prints events as JSON lines.
-struct JsonSink;
-
-impl TraceSink for JsonSink {
-    fn event(&mut self, event: &Event) {
-        println!("{}", event.to_json());
     }
 }
 
@@ -404,10 +395,6 @@ impl Repl {
     /// boundary turns those into typed internal errors).
     fn faults(&self, args: &[&str]) {
         use units::trace::faults;
-        if !faults::COMPILED {
-            println!(";; fault injection not compiled in; rebuild with --features faults");
-            return;
-        }
         match args {
             [] => {
                 if faults::active() {
@@ -458,7 +445,7 @@ impl Repl {
         let sink: Rc<RefCell<dyn TraceSink>> = match self.mode {
             TraceMode::Off => Rc::new(RefCell::new(units::trace::NullSink)),
             TraceMode::On => Rc::new(RefCell::new(PrintSink)),
-            TraceMode::Json => Rc::new(RefCell::new(JsonSink)),
+            TraceMode::Json => Rc::new(RefCell::new(JsonLinesSink::new(std::io::stdout()))),
         };
         units::trace::install(sink, Arc::clone(&self.metrics));
     }

@@ -148,7 +148,6 @@ fn run_session(script: &str) -> (String, String) {
     )
 }
 
-#[cfg(feature = "faults")]
 #[test]
 fn repl_survives_injected_faults_and_panics() {
     // An error-kind fault fires on the first evaluation (rate 1000‰),
@@ -177,13 +176,6 @@ fn repl_survives_injected_faults_and_panics() {
     assert!(stderr.contains("internal error in"), "{stderr}");
     assert!(stderr.contains("injected panic at"), "{stderr}");
     assert!(stdout.contains("42"), "{stdout}");
-}
-
-#[cfg(not(feature = "faults"))]
-#[test]
-fn faults_command_explains_the_missing_feature() {
-    let (stdout, _) = run_session(":faults 1\n:quit\n");
-    assert!(stdout.contains("fault injection not compiled in"), "{stdout}");
 }
 
 #[test]
@@ -291,7 +283,7 @@ fn flight_command_reports_absence() {
     assert!(stdout.contains("flight recorder needs a build with --features trace"), "{stdout}");
 }
 
-#[cfg(all(feature = "trace", feature = "faults"))]
+#[cfg(feature = "trace")]
 #[test]
 fn injected_fault_surfaces_a_flight_dump() {
     let (stdout, stderr) = run_session(

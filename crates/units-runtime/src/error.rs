@@ -155,8 +155,8 @@ pub enum RuntimeError {
         found: String,
     },
     /// A fault deliberately fired by an armed
-    /// [`units_trace::faults::FaultPlane`] schedule. Never occurs in
-    /// production builds (the `faults` feature compiles the plane out).
+    /// [`units_trace::faults::FaultPlane`] schedule. Never occurs where
+    /// nothing arms a plane, as in `unitsd`.
     Injected {
         /// The injection point that fired (e.g. `"reduce/prim"`).
         site: &'static str,

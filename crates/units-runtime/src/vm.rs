@@ -278,7 +278,7 @@ pub struct Chunk {
 /// A default-constructed profile is *disabled* (no counter storage);
 /// counting only happens when the lowerer allocated counters, which it
 /// does exactly when `units_trace::COMPILED` — so default builds pay
-/// nothing, matching the trace/faults gating story.
+/// nothing.
 #[derive(Debug, Default)]
 pub struct OpProfile {
     counts: Vec<AtomicU64>,
@@ -426,28 +426,34 @@ impl Display {
     }
 }
 
-/// Applies a hot binary integer primitive inline, in builds where both
-/// tracing and fault injection are compiled out — `apply_prim` is
-/// observably identical on these operands but pays the (dead) event and
-/// fault-site plumbing. Traced and chaos builds always take the shared
-/// path, so their `prim` event streams and `runtime/prim` fault site
-/// stay aligned with the tree-walker's. Returns `None` for any operand
-/// or operator outside the fast set; the caller falls through.
+/// Applies a hot binary integer primitive inline, unless tracing is
+/// compiled in or a fault plane is armed — `apply_prim` is observably
+/// identical on these operands but pays the event and fault-site
+/// plumbing. Traced builds and armed runs always take the shared path,
+/// so their `prim` event streams and `runtime/prim` fault site stay
+/// aligned with the tree-walker's. Returns `None` for any operator
+/// outside the fast set; the caller falls through.
 #[inline(always)]
-fn fast_prim(op: PrimOp, args: &[Value]) -> Option<Value> {
-    if units_trace::COMPILED || units_trace::faults::COMPILED {
+fn fast_int(op: PrimOp, a: i64, b: i64) -> Option<Value> {
+    if units_trace::COMPILED || units_trace::faults::armed() {
         return None;
     }
+    Some(match op {
+        PrimOp::Add => Value::Int(a.wrapping_add(b)),
+        PrimOp::Sub => Value::Int(a.wrapping_sub(b)),
+        PrimOp::Mul => Value::Int(a.wrapping_mul(b)),
+        PrimOp::Lt => Value::Bool(a < b),
+        PrimOp::Le => Value::Bool(a <= b),
+        PrimOp::NumEq => Value::Bool(a == b),
+        _ => return None,
+    })
+}
+
+/// [`fast_int`] on an argument slice: `None` unless it holds two integers.
+#[inline(always)]
+fn fast_prim(op: PrimOp, args: &[Value]) -> Option<Value> {
     match args {
-        [Value::Int(a), Value::Int(b)] => Some(match op {
-            PrimOp::Add => Value::Int(a.wrapping_add(*b)),
-            PrimOp::Sub => Value::Int(a.wrapping_sub(*b)),
-            PrimOp::Mul => Value::Int(a.wrapping_mul(*b)),
-            PrimOp::Lt => Value::Bool(a < b),
-            PrimOp::Le => Value::Bool(a <= b),
-            PrimOp::NumEq => Value::Bool(a == b),
-            _ => return None,
-        }),
+        [Value::Int(a), Value::Int(b)] => fast_int(op, *a, *b),
         _ => None,
     }
 }
@@ -713,27 +719,10 @@ fn dispatch(
             }
             Op::CallPrimImm { op: p, imm, rev } => {
                 let (p, imm, rev) = (*p, i64::from(*imm), *rev);
-                let fast = if units_trace::COMPILED || units_trace::faults::COMPILED {
-                    // Traced and chaos builds take the shared prim path
-                    // below, keeping their event streams and fault sites
-                    // aligned with the unfused form.
-                    None
-                } else {
-                    match stack.last() {
-                        Some(Value::Int(a)) => {
-                            let (a, b) = if rev { (imm, *a) } else { (*a, imm) };
-                            match p {
-                                PrimOp::Add => Some(Value::Int(a.wrapping_add(b))),
-                                PrimOp::Sub => Some(Value::Int(a.wrapping_sub(b))),
-                                PrimOp::Mul => Some(Value::Int(a.wrapping_mul(b))),
-                                PrimOp::Lt => Some(Value::Bool(a < b)),
-                                PrimOp::Le => Some(Value::Bool(a <= b)),
-                                PrimOp::NumEq => Some(Value::Bool(a == b)),
-                                _ => None,
-                            }
-                        }
-                        _ => None,
-                    }
+                let fast = match stack.last() {
+                    Some(Value::Int(a)) if rev => fast_int(p, imm, *a),
+                    Some(Value::Int(a)) => fast_int(p, *a, imm),
+                    _ => None,
                 };
                 match fast {
                     Some(v) => {

@@ -4,7 +4,8 @@
 //! faulted tenant alone, and the other tenants (and the engine
 //! session) keep serving correct answers afterwards.
 //!
-//! Build-gated behind `--features faults` via `required-features`.
+//! The plane compiles into every build, so plain `cargo test` runs this
+//! file.
 
 use units::trace::faults::{self, FaultKind, FaultPlane};
 use units::{Level, Observation};

@@ -32,13 +32,15 @@
 //! | `store/read`          | persistent-store entry read (transient I/O) |
 //! | `store/write`         | between temp-file write and atomic rename   |
 //!
-//! # Feature gating
+//! # Cost when nothing is armed
 //!
-//! Exactly like the trace hooks in the crate root: the types here
-//! always compile, but [`trip`] and the arm/disarm dispatch are live
-//! only with the `faults` cargo feature. Without it, [`trip`] is an
-//! `#[inline(always)]` `Ok(())` and the whole plane costs nothing —
-//! [`COMPILED`] tells a caller which build it got.
+//! The dispatch compiles into every build. [`arm`] and [`disarm`] keep a
+//! process-wide count of the threads that have a plane armed, and
+//! [`trip`] returns `Ok(())` at once while that count is zero: one
+//! relaxed load per site. Nothing in `unitsd` arms a plane, so a shipped
+//! daemon pays that load and never fires. [`armed`] reads the count for a
+//! hot path that would skip a site altogether, as the bytecode VM's
+//! integer fast paths skip `runtime/prim`.
 //!
 //! # Example
 //!
@@ -46,23 +48,15 @@
 //! use units_trace::faults::{self, FaultPlane};
 //!
 //! faults::arm(FaultPlane::seeded(7).trigger("demo/site", 2));
-//! let first = faults::trip("demo/site");
-//! let second = faults::trip("demo/site");
-//! if units_trace::faults::COMPILED {
-//!     assert!(first.is_ok());
-//!     assert_eq!(second.unwrap_err().hit, 2);
-//! } else {
-//!     assert!(first.is_ok() && second.is_ok());
-//! }
+//! assert!(faults::trip("demo/site").is_ok());
+//! assert_eq!(faults::trip("demo/site").unwrap_err().hit, 2);
 //! faults::disarm();
 //! ```
 
+use std::cell::RefCell;
 use std::fmt;
-
-/// `true` when this build carries a live fault plane (the `faults`
-/// cargo feature). When `false`, [`trip`] never fires regardless of
-/// [`arm`] calls.
-pub const COMPILED: bool = cfg!(feature = "faults");
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// What an armed [`FaultPlane`] does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,7 +115,6 @@ pub struct FaultPlane {
     rate_per_mille: u32,
     kind: FaultKind,
     budget: u64,
-    site_filter: Option<String>,
     explicit: Option<(String, u64)>,
     state: u64,
     site_hits: Vec<(&'static str, u64)>,
@@ -136,7 +129,6 @@ impl FaultPlane {
             rate_per_mille: 20,
             kind: FaultKind::Error,
             budget: 1,
-            site_filter: None,
             explicit: None,
             state: seed,
             site_hits: Vec::new(),
@@ -160,13 +152,6 @@ impl FaultPlane {
     /// Sets the maximum number of faults this plane may fire.
     pub fn budget(mut self, budget: u64) -> FaultPlane {
         self.budget = budget;
-        self
-    }
-
-    /// Restricts firing to sites whose name starts with `prefix`
-    /// (e.g. `"reduce/"` for the Fig. 11 reducer only).
-    pub fn at_site(mut self, prefix: impl Into<String>) -> FaultPlane {
-        self.site_filter = Some(prefix.into());
         self
     }
 
@@ -199,8 +184,7 @@ impl FaultPlane {
     }
 
     /// Records one [`trip`] at `site` and decides whether it fires.
-    /// Exposed so a harness can drive a plane without arming it.
-    pub fn roll(&mut self, site: &'static str) -> Option<Fired> {
+    fn roll(&mut self, site: &'static str) -> Option<Fired> {
         let hit = match self.site_hits.iter_mut().find(|(s, _)| *s == site) {
             Some((_, n)) => {
                 *n += 1;
@@ -213,11 +197,6 @@ impl FaultPlane {
         };
         if self.fired.len() as u64 >= self.budget {
             return None;
-        }
-        if let Some(prefix) = &self.site_filter {
-            if !site.starts_with(prefix.as_str()) {
-                return None;
-            }
         }
         let fires = match &self.explicit {
             Some((target, nth)) => site == target && hit == *nth,
@@ -234,117 +213,99 @@ impl FaultPlane {
     }
 }
 
-#[cfg(feature = "faults")]
-mod dispatch {
-    use std::cell::RefCell;
+/// How many threads have a plane armed, process-wide. It publishes no
+/// data (each plane is thread-local), so relaxed operations suffice: a
+/// thread always reads its own [`arm`] and [`disarm`].
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-    use super::{FaultKind, FaultPlane, Injected};
+thread_local! {
+    static PLANE: RefCell<Option<FaultPlane>> = const { RefCell::new(None) };
+}
 
-    thread_local! {
-        static PLANE: RefCell<Option<FaultPlane>> = const { RefCell::new(None) };
-    }
-
-    /// Arms `plane` on the current thread; subsequent [`trip`] calls on
-    /// this thread consult it until [`disarm`].
-    pub fn arm(plane: FaultPlane) {
-        PLANE.with(|p| *p.borrow_mut() = Some(plane));
-    }
-
-    /// Disarms the current thread's plane, returning it (with its fired
-    /// log and hit counters) for inspection.
-    pub fn disarm() -> Option<FaultPlane> {
-        PLANE.with(|p| p.borrow_mut().take())
-    }
-
-    /// Whether a plane is armed on this thread.
-    pub fn active() -> bool {
-        PLANE.with(|p| p.borrow().is_some())
-    }
-
-    /// One named injection point. Returns `Err` when an armed
-    /// [`FaultKind::Error`] schedule fires here, panics when a
-    /// [`FaultKind::Panic`] schedule fires, and is `Ok(())` otherwise.
-    pub fn trip(site: &'static str) -> Result<(), Injected> {
-        let fired = PLANE.with(|p| p.borrow_mut().as_mut().and_then(|plane| plane.roll(site)));
-        match fired {
-            None => Ok(()),
-            Some(f) => {
-                // In trace builds, leave the trip site in the flight
-                // recorder so a post-mortem dump names it even after
-                // the error has been wrapped by the layers above.
-                #[cfg(feature = "trace")]
-                crate::recorder::record(&crate::Event {
-                    phase: crate::Phase::Engine,
-                    kind: "fault/fired",
-                    span: None,
-                    payload: format!("{} (hit {})", f.site, f.hit),
-                    counters: Vec::new(),
-                });
-                match f.kind {
-                    FaultKind::Error => Err(Injected { site: f.site, hit: f.hit }),
-                    FaultKind::Panic => {
-                        panic!("injected panic at {} (hit {})", f.site, f.hit)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Installs (once, process-wide) a panic hook that suppresses the
-    /// default "thread panicked" report whenever a fault plane is armed
-    /// on the panicking thread — injected panics are expected there,
-    /// and a chaos sweep would otherwise spray hundreds of backtraces.
-    /// Panics on threads with no plane armed keep the previous hook's
-    /// behavior.
-    pub fn install_quiet_hook() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if !active() {
-                    previous(info);
-                }
-            }));
-        });
+/// Arms `plane` on the current thread, replacing any plane armed there;
+/// subsequent [`trip`] calls on this thread consult it until [`disarm`].
+/// A thread that ends armed keeps [`armed`] true for the process.
+pub fn arm(plane: FaultPlane) {
+    if PLANE.with(|p| p.borrow_mut().replace(plane)).is_none() {
+        ARMED.fetch_add(1, Relaxed);
     }
 }
 
-#[cfg(not(feature = "faults"))]
-mod dispatch {
-    //! No-op hooks: the shapes of the live API with empty bodies.
-
-    use super::{FaultPlane, Injected};
-
-    /// No-op without the `faults` feature.
-    #[inline(always)]
-    pub fn arm(_plane: FaultPlane) {}
-
-    /// Always `None` without the `faults` feature.
-    #[inline(always)]
-    pub fn disarm() -> Option<FaultPlane> {
-        None
+/// Disarms the current thread's plane, returning it (with its fired
+/// log and hit counters) for inspection.
+pub fn disarm() -> Option<FaultPlane> {
+    let plane = PLANE.with(|p| p.borrow_mut().take());
+    if plane.is_some() {
+        ARMED.fetch_sub(1, Relaxed);
     }
+    plane
+}
 
-    /// Always `false` without the `faults` feature.
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
+/// Whether a plane is armed on this thread.
+pub fn active() -> bool {
+    PLANE.with(|p| p.borrow().is_some())
+}
 
-    /// Always `Ok(())` without the `faults` feature.
-    #[inline(always)]
-    pub fn trip(_site: &'static str) -> Result<(), Injected> {
+/// Whether a plane is armed on any thread. While it is `false`, no
+/// [`trip`] fires anywhere.
+#[inline]
+pub fn armed() -> bool {
+    ARMED.load(Relaxed) != 0
+}
+
+/// One named injection point. Returns `Err` when an armed
+/// [`FaultKind::Error`] schedule fires here, panics when a
+/// [`FaultKind::Panic`] schedule fires, and is `Ok(())` otherwise.
+#[inline]
+pub fn trip(site: &'static str) -> Result<(), Injected> {
+    if armed() {
+        trip_armed(site)
+    } else {
         Ok(())
     }
-
-    /// No-op without the `faults` feature.
-    #[inline(always)]
-    pub fn install_quiet_hook() {}
 }
 
-pub use dispatch::{active, arm, disarm, install_quiet_hook, trip};
+#[cold]
+#[inline(never)]
+fn trip_armed(site: &'static str) -> Result<(), Injected> {
+    let Some(f) = PLANE.with(|p| p.borrow_mut().as_mut().and_then(|plane| plane.roll(site))) else {
+        return Ok(());
+    };
+    // Leave the trip site in the flight recorder (trace builds keep
+    // one), so a post-mortem dump names it even after the error has
+    // been wrapped by the layers above.
+    crate::recorder::record(&crate::Event {
+        phase: crate::Phase::Engine,
+        kind: "fault/fired",
+        span: None,
+        payload: format!("{} (hit {})", f.site, f.hit),
+        counters: Vec::new(),
+    });
+    match f.kind {
+        FaultKind::Error => Err(Injected { site: f.site, hit: f.hit }),
+        FaultKind::Panic => panic!("injected panic at {} (hit {})", f.site, f.hit),
+    }
+}
 
-#[cfg(all(test, feature = "faults"))]
+/// Installs (once, process-wide) a panic hook that suppresses the
+/// default "thread panicked" report whenever a fault plane is armed
+/// on the panicking thread — injected panics are expected there,
+/// and a chaos sweep would otherwise spray hundreds of backtraces.
+/// Panics on threads with no plane armed keep the previous hook's
+/// behavior.
+pub fn install_quiet_hook() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !active() {
+                previous(info);
+            }
+        }));
+    });
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -378,10 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn site_filter_and_budget_bound_the_blast_radius() {
-        arm(FaultPlane::seeded(9).rate_per_mille(1000).budget(2).at_site("reduce/"));
-        assert!(trip("parse/read").is_ok(), "filtered site never fires");
-        assert!(trip("reduce/step").is_err());
+    fn the_budget_bounds_the_faults_fired() {
+        arm(FaultPlane::seeded(9).rate_per_mille(1000).budget(2));
+        assert!(trip("parse/read").is_err());
         assert!(trip("reduce/prim").is_err());
         assert!(trip("reduce/step").is_ok(), "budget exhausted");
         let plane = disarm().unwrap();

@@ -40,7 +40,7 @@ pub struct FlightDump {
 }
 
 /// The ring buffer itself. Usually managed through the thread-local
-/// helpers ([`enable`]/[`record`]/[`dump`]), but constructible directly
+/// helpers ([`ensure`]/[`record`]/[`dump`]), but constructible directly
 /// for tests and custom tooling.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -135,12 +135,6 @@ mod dispatch {
         static RECORDER: RefCell<Option<FlightRecorder>> = const { RefCell::new(None) };
     }
 
-    /// Starts (or restarts) recording on this thread with the given
-    /// ring capacity, discarding any previous recorder.
-    pub fn enable(capacity: usize) {
-        RECORDER.with(|r| *r.borrow_mut() = Some(FlightRecorder::new(capacity)));
-    }
-
     /// Starts recording with `capacity` only if no recorder is active —
     /// the engine calls this on its run paths so trace builds always
     /// have a post-mortem ring without clobbering a caller's setup.
@@ -195,10 +189,6 @@ mod dispatch {
 
     /// No-op without the `trace` feature.
     #[inline(always)]
-    pub fn enable(_capacity: usize) {}
-
-    /// No-op without the `trace` feature.
-    #[inline(always)]
     pub fn ensure(_capacity: usize) {}
 
     /// Always `None` without the `trace` feature.
@@ -228,7 +218,7 @@ mod dispatch {
     }
 }
 
-pub use dispatch::{clear, disable, dump, enable, ensure, is_recording, record};
+pub use dispatch::{clear, disable, dump, ensure, is_recording, record};
 
 #[cfg(test)]
 mod tests {

@@ -1068,7 +1068,6 @@ mod tests {
         assert_eq!(loaded.run_differential().unwrap().value, Observation::Int(144));
     }
 
-    #[cfg(feature = "faults")]
     mod faulted {
         use super::*;
         use units_trace::faults::{self, FaultKind};

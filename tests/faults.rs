@@ -8,9 +8,9 @@
 //! pure function of its seed, so any failing combination reported by
 //! this file is a reproducible test case.
 //!
-//! Build-gated: `cargo test --features faults` (registered with
-//! `required-features`, so plain `cargo test` skips it and pays
-//! nothing).
+//! The plane compiles into every build, so plain `cargo test` runs this
+//! file; planes armed here make other tests in this binary take the
+//! VM's shared prim path, which is observably identical.
 
 use units::trace::faults::{self, FaultKind, FaultPlane};
 use units::{Backend, Engine, Level, Limits, Observation};
@@ -132,6 +132,22 @@ fn injected_backend_faults_surface_typed_and_the_next_run_is_correct() {
             "{backend:?}: the artifact stays cached"
         );
         assert_eq!(loaded.run_on(backend).unwrap().value, expected, "{backend:?}");
+    }
+}
+
+/// The VM's integer fast paths yield while a plane is armed, so
+/// `runtime/prim` fires on a bytecode run whose only primitive is an
+/// integer `+`, in the two-operand and in the immediate form.
+#[test]
+fn an_armed_plane_reaches_the_vms_integer_fast_paths() {
+    for init in ["(+ a a)", "(+ a 21)"] {
+        let source = format!("(invoke (unit (import) (export) (define a 21) (init {init})))");
+        let engine = Engine::new();
+        let loaded = engine.load(&source).unwrap();
+        faults::arm(FaultPlane::seeded(3).trigger("runtime/prim", 1));
+        let err = loaded.run_on(Backend::Bytecode).expect_err(init);
+        faults::disarm();
+        assert_eq!(err.to_string(), "runtime error: injected fault at runtime/prim (hit 1)");
     }
 }
 

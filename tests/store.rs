@@ -326,7 +326,6 @@ fn a_warm_start_keeps_the_program_as_written() {
     }
 }
 
-#[cfg(feature = "faults")]
 mod faults {
     use super::*;
     use units::trace::faults::{arm, disarm, FaultPlane};
