@@ -44,12 +44,13 @@ done
 # sealed constituent, a rename pair and hidden cells), a run nested past
 # the reader's cap, hot swap, per-version artifacts, per-request budgets,
 # admission denial, mistyped and out-of-range fields, stats, shutdown.
-# The smoke runs once per compiled backend — the default tree-walker,
-# then `--backend bytecode` — since each wires linked plug-ins from the
-# same link plans. The richer concurrency/chaos coverage lives in
-# crates/units-serve/tests and runs in the cargo test sweeps.
+# The smoke runs once per backend — the default tree-walker, then
+# `--backend bytecode`, which wire linked plug-ins from the same link
+# plans, then `--backend reducer`, the Fig. 11 oracle, which answers the
+# same requests by substitution. The richer concurrency/chaos coverage
+# lives in crates/units-serve/tests and runs in the cargo test sweeps.
 if command -v python3 >/dev/null 2>&1; then
-    for backend in compiled bytecode; do
+    for backend in compiled bytecode reducer; do
         ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --fuel 1000000 \
             --backend "$backend" &
         UNITSD_PID=$!

@@ -6,7 +6,9 @@
 //! Fig. 18/19). Scoping uses save/restore marks: entering a binder pushes
 //! entries, leaving truncates back.
 
-use units_kernel::{Kind, Symbol, Ty};
+use std::collections::HashMap;
+
+use units_kernel::{Kind, Symbol, SymbolHash, Ty};
 
 /// A scoping mark returned by [`Env::mark`]; pass to [`Env::restore`].
 #[derive(Debug, Clone, Copy)]
@@ -68,6 +70,13 @@ impl Env {
         self.vals.iter().rev().find(|(n, _)| n == name).map(|(_, t)| t)
     }
 
+    /// The value variables bound since `mark`, hashed by name, each with
+    /// its innermost type there: what [`Env::val_ty`] finds for a name the
+    /// scope since `mark` binds, for one pass over that scope.
+    pub(crate) fn val_tys_since(&self, mark: Mark) -> HashMap<&Symbol, &Ty, SymbolHash> {
+        self.vals[mark.vals..].iter().map(|(name, ty)| (name, ty)).collect()
+    }
+
     /// The equation body for `t`, if `t` is an abbreviation in scope.
     pub fn equation(&self, name: &Symbol) -> Option<&Ty> {
         self.eqs.iter().rev().find(|(n, _)| n == name).map(|(_, t)| t)
@@ -108,6 +117,23 @@ mod tests {
         assert!(env.ty_kind(&"t".into()).is_none());
         assert!(env.equation(&"e".into()).is_none());
         assert!(env.val_ty(&"x".into()).is_none());
+    }
+
+    #[test]
+    fn the_hashed_scope_since_a_mark_agrees_with_val_ty() {
+        let mut env = Env::new();
+        env.bind_val("outer".into(), Ty::Int);
+        env.bind_val("x".into(), Ty::Int);
+        let m = env.mark();
+        env.bind_val("x".into(), Ty::Bool);
+        env.bind_val("y".into(), Ty::Str);
+        env.bind_val("y".into(), Ty::Void);
+        let own = env.val_tys_since(m);
+        assert_eq!(own.len(), 2);
+        for name in ["x", "y"].map(Symbol::from) {
+            assert_eq!(own.get(&name).copied(), env.val_ty(&name), "{name}");
+        }
+        assert!(!own.contains_key(&Symbol::from("outer")));
     }
 
     #[test]

@@ -521,11 +521,16 @@ impl Typer {
             // interface; only non-exported abbreviations are expanded away.
             let eqs_visible = eqs.without(&exported_ty_names);
 
+            // The unit's own bindings are hashed once, not scanned with
+            // the whole environment per export.
+            let own: Vec<Option<Ty>> = {
+                let hashed = env.val_tys_since(mark);
+                u.exports.vals.iter().map(|p| hashed.get(&p.name).map(|&ty| ty.clone())).collect()
+            };
             let mut export_vals = Vec::with_capacity(u.exports.vals.len());
-            for port in &u.exports.vals {
-                let defined_ty = env
-                    .val_ty(&port.name)
-                    .cloned()
+            for (port, own) in u.exports.vals.iter().zip(own) {
+                let defined_ty = own
+                    .or_else(|| env.val_ty(&port.name).cloned())
                     .ok_or_else(|| CheckError::Unbound { name: port.name.clone() })?;
                 let ty = match &port.ty {
                     Some(declared) => {

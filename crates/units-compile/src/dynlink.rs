@@ -39,7 +39,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use units_check::{check_program, subtype, CheckError, CheckOptions, Equations, Level};
-use units_kernel::{Expr, Signature, Ty};
+use units_kernel::{check_ports, Expr, Signature, Ty};
 use units_syntax::{parse_expr, parse_signature, pretty_signature, ParseError};
 use units_trace::faults::Injected;
 
@@ -148,8 +148,9 @@ pub fn check_unit(source: &str, opts: CheckOptions) -> Result<(Expr, Signature),
 }
 
 /// Whether a unit of signature `actual` may stand where `expected` is
-/// required: `actual ≤ expected` at the typed levels; at UNITd, `actual`
-/// imports no name `expected` lacks and exports every name it lists.
+/// required: `actual ≤ expected` at the typed levels; at UNITd, the
+/// run-time port rule ([`check_ports`]): `actual` imports no value
+/// `expected` lacks and exports every value it lists.
 ///
 /// # Errors
 ///
@@ -160,14 +161,9 @@ pub fn satisfies(
     level: Level,
 ) -> Result<(), DynlinkError> {
     let reason = if level == Level::Untyped {
-        let extra =
-            actual.imports.vals.iter().find(|p| expected.imports.val_port(&p.name).is_none());
-        let missing =
-            expected.exports.vals.iter().find(|p| actual.exports.val_port(&p.name).is_none());
-        match (extra, missing) {
-            (Some(port), _) => format!("unit imports `{}`, signature does not", port.name),
-            (None, Some(port)) => format!("signature exports `{}`, unit does not", port.name),
-            (None, None) => return Ok(()),
+        match check_ports(&actual.imports, &actual.exports, &expected.imports, &expected.exports) {
+            Ok(()) => return Ok(()),
+            Err(mismatch) => mismatch.to_string(),
         }
     } else {
         let sig = |s: &Signature| Ty::Sig(Box::new(s.clone()));

@@ -14,7 +14,9 @@
 //! * [`free_val_vars`], [`subst_vals`], [`subst_ty`], [`alpha_eq`] — the
 //!   binding-aware operations the semantics is built from;
 //! * [`merge_compound`] — Fig. 11's `compound` rule, which the reducer
-//!   fires at run time and the compiler once per artifact.
+//!   fires at run time and the compiler once per artifact;
+//! * [`check_ports`] — the run-time port rule over value ports: Fig. 11's
+//!   side conditions, §5.2's `seal` and §3.4's untyped link check.
 //!
 //! # Example
 //!
@@ -69,7 +71,7 @@ pub use hash::alpha_hash;
 pub use kind::Kind;
 pub use merge::{merge_compound, MergeError};
 pub use plan::{ClausePlan, LinkPlan};
-pub use sig::{Depend, Ports, SigEquation, Signature, TyPort, ValPort};
+pub use sig::{check_ports, Depend, PortMismatch, Ports, SigEquation, Signature, TyPort, ValPort};
 pub use subst::{subst_ty, subst_ty_in_sig, subst_vals, CaptureError, ValSubst};
 pub use symbol::{NameGen, Symbol, SymbolHash, SymbolHasher};
 pub use term::{

@@ -23,6 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
+use crate::sig::{check_ports, PortMismatch};
 use crate::subst::ValSubst;
 use crate::symbol::{NameGen, Symbol, SymbolHash};
 use crate::term::{CompoundExpr, DataDefn, DataVariant, Expr, TypeDefn, UnitExpr, ValDefn};
@@ -30,14 +31,15 @@ use crate::term::{CompoundExpr, DataDefn, DataVariant, Expr, TypeDefn, UnitExpr,
 /// Why [`merge_compound`] left a compound alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
-    /// A constituent imports a name its clause's `with` does not grant
+    /// A constituent imports a value its clause's `with` does not grant
     /// (a Fig. 11 side condition).
     ExcessImport {
         /// The undeclared import.
         name: Symbol,
     },
-    /// A constituent does not export a name its clause's `provides`
-    /// promises (a Fig. 11 side condition).
+    /// A constituent does not export a value its clause's `provides`
+    /// promises (a Fig. 11 side condition; types are erased at run time,
+    /// so a provided type port is not compared).
     MissingProvide {
         /// The promised name.
         name: Symbol,
@@ -72,6 +74,17 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// A clause's `with` grants and its `provides` requires, so a port
+/// mismatch is one of the two side conditions.
+impl From<PortMismatch> for MergeError {
+    fn from(mismatch: PortMismatch) -> MergeError {
+        match mismatch {
+            PortMismatch::Import(name) => MergeError::ExcessImport { name },
+            PortMismatch::Export(name) => MergeError::MissingProvide { name },
+        }
+    }
+}
+
 /// Merges a compound's constituents into one atomic unit.
 ///
 /// `units[i]` is the unit value of `compound.links[i]`. The result
@@ -99,21 +112,7 @@ pub fn merge_compound(
     debug_assert_eq!(units.len(), compound.links.len());
     // Side conditions first (Fig. 11's ⊆ requirements).
     for (link, unit) in compound.links.iter().zip(units) {
-        for port in &unit.imports.vals {
-            if link.with.val_port(&port.name).is_none() {
-                return Err(MergeError::ExcessImport { name: port.name.clone() });
-            }
-        }
-        for port in &link.provides.vals {
-            if unit.exports.val_port(&port.name).is_none() {
-                return Err(MergeError::MissingProvide { name: port.name.clone() });
-            }
-        }
-        for port in &link.provides.types {
-            if unit.exports.ty_port(&port.name).is_none() {
-                return Err(MergeError::MissingProvide { name: port.name.clone() });
-            }
-        }
+        check_ports(&unit.imports, &unit.exports, &link.with, &link.provides)?;
     }
 
     // Every name the merged unit binds so far, to freshen against: the

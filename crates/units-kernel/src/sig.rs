@@ -126,6 +126,53 @@ impl Ports {
     }
 }
 
+/// The first value port that breaks [`check_ports`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PortMismatch {
+    /// The unit imports a name the context does not grant.
+    Import(Symbol),
+    /// The context requires an export the unit does not have.
+    Export(Symbol),
+}
+
+/// In the words of a signature check (§5.2 `seal`, §3.4 dynamic linking).
+impl fmt::Display for PortMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PortMismatch::Import(name) => write!(f, "unit imports `{name}`, signature does not"),
+            PortMismatch::Export(name) => write!(f, "signature exports `{name}`, unit does not"),
+        }
+    }
+}
+
+/// The run-time port rule: a unit with `imports` and `exports` may stand
+/// where a context grants `granted` and requires `required` when its
+/// imports are among the granted ones and the required exports among its
+/// own. Fig. 11's `compound` side conditions (`with` grants, `provides`
+/// requires), §5.2's `seal` and §3.4's untyped link check (a signature
+/// grants and requires) all make this judgment.
+///
+/// Evaluation erases types, so only value ports are compared; the typed
+/// levels check type ports statically (Figs. 14, 17 and 21).
+///
+/// # Errors
+///
+/// The first mismatch, imports checked first.
+pub fn check_ports(
+    imports: &Ports,
+    exports: &Ports,
+    granted: &Ports,
+    required: &Ports,
+) -> Result<(), PortMismatch> {
+    if let Some(port) = imports.vals.iter().find(|p| granted.val_port(&p.name).is_none()) {
+        return Err(PortMismatch::Import(port.name.clone()));
+    }
+    match required.vals.iter().find(|p| exports.val_port(&p.name).is_none()) {
+        Some(port) => Err(PortMismatch::Export(port.name.clone())),
+        None => Ok(()),
+    }
+}
+
 /// A UNITe dependency declaration `t_e ↝ t_i`: the exported type `export`
 /// depends on the imported type `import` (paper §4.3).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -359,6 +406,53 @@ mod tests {
         assert!(sig.exports.val_port(&"delete".into()).is_none());
         assert_eq!(sig.exports.len(), 3);
         assert!(!sig.exports.is_empty());
+    }
+
+    #[test]
+    fn the_port_rule_checks_value_imports_then_value_exports() {
+        let none: [&str; 0] = [];
+        let unit_imports = Ports::untyped(none, ["a", "b"]);
+        let unit_exports = Ports::untyped(["t"], ["x"]);
+        let ok = check_ports(
+            &unit_imports,
+            &unit_exports,
+            &Ports::untyped(none, ["b", "a", "spare"]),
+            &Ports::untyped(none, ["x"]),
+        );
+        assert_eq!(ok, Ok(()));
+        // Both halves fail: the import is reported.
+        let both = check_ports(
+            &unit_imports,
+            &unit_exports,
+            &Ports::untyped(none, ["a"]),
+            &Ports::untyped(none, ["y"]),
+        );
+        assert_eq!(both, Err(PortMismatch::Import("b".into())));
+        let export = check_ports(
+            &unit_imports,
+            &unit_exports,
+            &unit_imports,
+            &Ports::untyped(none, ["x", "y"]),
+        );
+        assert_eq!(export, Err(PortMismatch::Export("y".into())));
+        assert_eq!(
+            [both.unwrap_err().to_string(), export.unwrap_err().to_string()],
+            ["unit imports `b`, signature does not", "signature exports `y`, unit does not"]
+        );
+    }
+
+    #[test]
+    fn the_port_rule_ignores_type_ports() {
+        let none: [&str; 0] = [];
+        // A type the unit imports but the context does not grant, and a
+        // type the context requires but the unit does not export.
+        let ok = check_ports(
+            &Ports::untyped(["u"], ["a"]),
+            &Ports::untyped(none, ["x"]),
+            &Ports::untyped(none, ["a"]),
+            &Ports::untyped(["t"], ["x"]),
+        );
+        assert_eq!(ok, Ok(()));
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use units_kernel::{
-    merge_compound, subst_vals, DataOp, DataRole, Expr, Lit, NameGen, PrimOp, Symbol, TypeDefn,
-    VariantVal,
+    check_ports, merge_compound, subst_vals, DataOp, DataRole, Expr, Lit, NameGen, PrimOp, Symbol,
+    TypeDefn, VariantVal,
 };
 use units_runtime::{Limits, Machine, RuntimeError};
 
@@ -291,16 +291,9 @@ impl Reducer {
                 self.last_redex = "step/seal";
                 match *e {
                     Expr::Unit(ref u) => {
-                        for port in &sig.exports.vals {
-                            if u.exports.val_port(&port.name).is_none() {
-                                return Err(RuntimeError::SealFailure {
-                                    reason: format!(
-                                        "signature exports `{}`, unit does not",
-                                        port.name
-                                    ),
-                                });
-                            }
-                        }
+                        check_ports(&u.imports, &u.exports, &sig.imports, &sig.exports).map_err(
+                            |mismatch| RuntimeError::SealFailure { reason: mismatch.to_string() },
+                        )?;
                         let mut narrowed = (**u).clone();
                         narrowed.exports = sig.exports.clone();
                         Ok(Expr::Unit(Arc::new(narrowed)))

@@ -13,8 +13,9 @@
 //!   freshly instantiated datatype operations, then one cell per value
 //!   definition (the slot order the resolver mirrors);
 //! * [`apply_data`] — first-class datatype operations (§5.3);
-//! * [`check_link`] / [`seal_unit`] — the Fig. 11 side conditions and the
-//!   §5.2 signature-ascription checks, with their exact error strings;
+//! * [`check_link`] / [`seal_unit`] — the Fig. 11 side conditions and
+//!   §5.2 signature ascription, each the kernel's one port rule
+//!   ([`units_kernel::check_ports`], value ports only) with its own error;
 //! * [`wire`] — wiring from link plans: a compound fills one slot vector
 //!   laid out by its cached [`LinkPlan`](units_kernel::LinkPlan) and
 //!   hands each constituent the slots its clause names; an atomic
@@ -26,7 +27,10 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use units_kernel::{DataRole, Ports, Signature, Symbol, TypeDefn, UnitExpr, ValDefn, ValPort};
+use units_kernel::{
+    check_ports, DataRole, MergeError, Ports, Signature, Symbol, TypeDefn, UnitExpr, ValDefn,
+    ValPort,
+};
 
 use crate::env::{Binding, Env};
 use crate::error::RuntimeError;
@@ -152,48 +156,28 @@ pub fn as_unit(v: Value, rule: &'static str) -> Result<Rc<UnitValue>, RuntimeErr
 
 /// The Fig. 11 side conditions for one `compound` link clause: the
 /// constituent needs no more than the `with` clause grants, and provides
-/// at least what the clause promises.
+/// at least what the clause promises ([`check_ports`]).
 ///
 /// # Errors
 ///
 /// [`RuntimeError::ExcessImport`] / [`RuntimeError::MissingProvide`],
 /// imports checked first — the order both backends must agree on.
 pub fn check_link(unit: &UnitValue, with: &Ports, provides: &Ports) -> Result<(), RuntimeError> {
-    for name in unit.imports().vals.iter().map(|p| &p.name) {
-        if with.val_port(name).is_none() {
-            return Err(RuntimeError::ExcessImport { name: name.clone() });
-        }
-    }
-    for name in provides.vals.iter().map(|p| &p.name) {
-        if unit.exports().val_port(name).is_none() {
-            return Err(RuntimeError::MissingProvide { name: name.clone() });
-        }
-    }
-    Ok(())
+    check_ports(unit.imports(), unit.exports(), with, provides)
+        .map_err(|mismatch| MergeError::from(mismatch).into())
 }
 
 /// The run-time effect of §5.2 signature ascription: imports may only be
-/// narrowed, exports only restricted. Returns the sealed view.
+/// narrowed, exports only restricted ([`check_ports`]). Returns the
+/// sealed view.
 ///
 /// # Errors
 ///
 /// [`RuntimeError::SealFailure`] naming the offending port, imports
 /// checked first.
 pub fn seal_unit(unit: Rc<UnitValue>, sig: &Signature) -> Result<UnitValue, RuntimeError> {
-    for port in &unit.imports().vals {
-        if sig.imports.val_port(&port.name).is_none() {
-            return Err(RuntimeError::SealFailure {
-                reason: format!("unit imports `{}`, signature does not", port.name),
-            });
-        }
-    }
-    for port in &sig.exports.vals {
-        if unit.exports().val_port(&port.name).is_none() {
-            return Err(RuntimeError::SealFailure {
-                reason: format!("signature exports `{}`, unit does not", port.name),
-            });
-        }
-    }
+    check_ports(unit.imports(), unit.exports(), &sig.imports, &sig.exports)
+        .map_err(|mismatch| RuntimeError::SealFailure { reason: mismatch.to_string() })?;
     Ok(UnitValue::Restricted { inner: unit, exports: sig.exports.clone() })
 }
 

@@ -203,7 +203,9 @@ struct ServiceInner {
 struct TenantState {
     name: String,
     caps: Limits,
-    plugins: Mutex<BTreeMap<String, Arc<PluginSlot>>>,
+    /// Each plug-in name's current version. Every invoke and swap takes
+    /// this lock, so it is the only one a plug-in needs.
+    plugins: Mutex<BTreeMap<String, Arc<PluginVersion>>>,
     stats: TenantCounters,
 }
 
@@ -224,17 +226,11 @@ struct TenantCounters {
     total_micros: AtomicU64,
 }
 
-/// One plug-in name: the slot the current version sits in.
-#[derive(Debug)]
-struct PluginSlot {
-    current: Mutex<Arc<PluginVersion>>,
-}
-
 /// One published version of a plug-in. Its code never changes.
 ///
-/// An invoke snapshots the slot's `Arc<PluginVersion>` and runs on it;
-/// a concurrent [`Tenant::swap_plugin`] replaces the slot but cannot
-/// touch versions already snapshotted, so in-flight requests complete
+/// An invoke snapshots the tenant's `Arc<PluginVersion>` and runs on it;
+/// a concurrent [`Tenant::swap_plugin`] replaces the table entry but
+/// cannot touch versions already snapshotted, so in-flight requests complete
 /// on the artifact they started with. The version owns its artifact,
 /// so it is freed with the last snapshot.
 #[derive(Debug)]
@@ -421,16 +417,16 @@ impl Tenant {
         if plugins.contains_key(name) {
             return Err(ServeError::PluginExists { name: name.to_string() });
         }
-        plugins.insert(name.to_string(), Arc::new(PluginSlot { current: Mutex::new(version) }));
+        plugins.insert(name.to_string(), version);
         Ok(PublishInfo { name: name.to_string(), version: 1 })
     }
 
     /// Hot-swaps the plug-in `name` to a new version.
     ///
-    /// The new source is checked and compiled *before* the slot is
-    /// touched, and without its lock, so invokes keep being answered by
-    /// the old version meanwhile; a rejected swap leaves it serving. The
-    /// replacement itself is one `Arc` store: requests that already
+    /// The new source is checked and compiled *before* the plug-in table
+    /// is touched, and without its lock, so invokes keep being answered
+    /// by the old version meanwhile; a rejected swap leaves it serving.
+    /// The replacement itself is one `Arc` store: requests that already
     /// snapshotted the old version finish on it, requests arriving
     /// after the swap see the new one. The old version is freed when the
     /// last of them ends.
@@ -445,12 +441,14 @@ impl Tenant {
         source: &str,
         signature: Option<&str>,
     ) -> Result<PublishInfo, ServeError> {
-        let slot = self.slot(name)?;
+        let missing = || ServeError::PluginMissing { name: name.to_string() };
+        self.plugin(name).ok_or_else(missing)?;
         let mut next = self.publish(name, source, signature)?;
-        // Every invoke of this plug-in takes the slot lock, so it guards
-        // only the version read and the store; concurrent swaps still
-        // number their versions in the order they store them.
-        let mut current = slot.current.lock().expect("plug-in slot poisoned");
+        // The table lock guards only the version read and the store, so
+        // concurrent swaps number their versions in the order they store
+        // them.
+        let mut plugins = self.state.plugins.lock().expect("plug-in table poisoned");
+        let current = plugins.get_mut(name).ok_or_else(missing)?;
         next.version = current.version + 1;
         let version = next.version;
         *current = Arc::new(next);
@@ -461,12 +459,16 @@ impl Tenant {
     /// snapshot an in-flight invoke holds. Use it to pin a version
     /// across a swap.
     pub fn plugin(&self, name: &str) -> Option<Arc<PluginVersion>> {
-        let slot = {
-            let plugins = self.state.plugins.lock().expect("plug-in table poisoned");
-            plugins.get(name)?.clone()
-        };
-        let version = slot.current.lock().expect("plug-in slot poisoned").clone();
-        Some(version)
+        self.state.plugins.lock().expect("plug-in table poisoned").get(name).cloned()
+    }
+
+    /// The current version of plug-in `name` for an invoke; a missing
+    /// plug-in counts as a failed request.
+    fn current(&self, name: &str) -> Result<Arc<PluginVersion>, ServeError> {
+        self.plugin(name).ok_or_else(|| {
+            self.count_request(RequestOutcome::Failed);
+            ServeError::PluginMissing { name: name.to_string() }
+        })
     }
 
     /// Invokes plug-in `name`: snapshots the current version and runs
@@ -490,10 +492,7 @@ impl Tenant {
         arg: Option<i64>,
         requested: Limits,
     ) -> Result<Outcome, ServeError> {
-        let version = self.plugin(name).ok_or_else(|| {
-            self.count_request(RequestOutcome::Failed);
-            ServeError::PluginMissing { name: name.to_string() }
-        })?;
+        let version = self.current(name)?;
         self.invoke_version(&version, arg, requested)
     }
 
@@ -538,10 +537,7 @@ impl Tenant {
     ///
     /// Same as [`Tenant::invoke_with`].
     pub fn invoke_differential(&self, name: &str, arg: Option<i64>) -> Result<Outcome, ServeError> {
-        let version = self.plugin(name).ok_or_else(|| {
-            self.count_request(RequestOutcome::Failed);
-            ServeError::PluginMissing { name: name.to_string() }
-        })?;
+        let version = self.current(name)?;
         self.admitted(Limits::none(), |_tenant, _limits| {
             let outcome = match arg {
                 None => version.loaded.run_differential(),
@@ -665,14 +661,6 @@ impl Tenant {
             units::type_of(&probe, opts.level).err()
         });
         Ok(PluginVersion { name: name.to_string(), version: 1, loaded, call_error })
-    }
-
-    fn slot(&self, name: &str) -> Result<Arc<PluginSlot>, ServeError> {
-        let plugins = self.state.plugins.lock().expect("plug-in table poisoned");
-        plugins
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServeError::PluginMissing { name: name.to_string() })
     }
 }
 

@@ -75,11 +75,6 @@ impl FlightRecorder {
         self.buf.is_empty()
     }
 
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events ever recorded, including overwritten ones.
     pub fn recorded(&self) -> u64 {
         self.recorded
@@ -93,11 +88,6 @@ impl FlightRecorder {
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.buf.iter()
-    }
-
-    /// Clears the ring (capacity and totals survive for diagnostics).
-    pub fn clear(&mut self) {
-        self.buf.clear();
     }
 
     /// Snapshots the ring as a [`FlightDump`]. The buffer is left
@@ -147,11 +137,6 @@ mod dispatch {
         });
     }
 
-    /// Stops recording and returns the final ring, if any.
-    pub fn disable() -> Option<FlightRecorder> {
-        RECORDER.with(|r| r.borrow_mut().take())
-    }
-
     /// Whether a recorder is active on this thread.
     pub fn is_recording() -> bool {
         RECORDER.with(|r| r.borrow().is_some())
@@ -166,15 +151,6 @@ mod dispatch {
         });
     }
 
-    /// Empties the active ring without disabling it.
-    pub fn clear() {
-        RECORDER.with(|r| {
-            if let Some(rec) = r.borrow_mut().as_mut() {
-                rec.clear();
-            }
-        });
-    }
-
     /// Snapshots the active ring as a post-mortem, or `None` when no
     /// recorder is active. The ring keeps its events.
     pub fn dump(reason: &str) -> Option<FlightDump> {
@@ -184,18 +160,12 @@ mod dispatch {
 
 #[cfg(not(feature = "trace"))]
 mod dispatch {
-    use super::{FlightDump, FlightRecorder};
+    use super::FlightDump;
     use crate::event::Event;
 
     /// No-op without the `trace` feature.
     #[inline(always)]
     pub fn ensure(_capacity: usize) {}
-
-    /// Always `None` without the `trace` feature.
-    #[inline(always)]
-    pub fn disable() -> Option<FlightRecorder> {
-        None
-    }
 
     /// Always `false` without the `trace` feature.
     #[inline(always)]
@@ -207,10 +177,6 @@ mod dispatch {
     #[inline(always)]
     pub fn record(_event: &Event) {}
 
-    /// No-op without the `trace` feature.
-    #[inline(always)]
-    pub fn clear() {}
-
     /// Always `None` without the `trace` feature.
     #[inline(always)]
     pub fn dump(_reason: &str) -> Option<FlightDump> {
@@ -218,7 +184,7 @@ mod dispatch {
     }
 }
 
-pub use dispatch::{clear, disable, dump, ensure, is_recording, record};
+pub use dispatch::{dump, ensure, is_recording, record};
 
 #[cfg(test)]
 mod tests {
@@ -281,10 +247,10 @@ mod tests {
         record(&event("b", ""));
         let d = dump("post-mortem").expect("recorder active");
         assert_eq!(d.events, 2);
-        clear();
-        assert_eq!(dump("empty").expect("still active").events, 0);
-        let rec = disable().expect("recorder returned");
-        assert_eq!(rec.capacity(), 4, "ensure() kept the original capacity");
-        assert!(!is_recording());
+        for payload in ["c", "d", "e"] {
+            record(&event("tick", payload));
+        }
+        let d = dump("past capacity").expect("still active");
+        assert_eq!((d.events, d.dropped), (4, 1), "ensure() kept the original capacity");
     }
 }

@@ -19,18 +19,22 @@ use bench::rng::SplitMix64;
 use units::{Backend, Engine, Error, Limits, Outcome, Strictness};
 use units_kernel::{
     Binding, CompoundExpr, Expr, InvokeExpr, LinkClause, LinkRenames, Param, Ports, PrimOp,
-    Signature, Symbol, UnitExpr, ValDefn,
+    Signature, Symbol, TyPort, UnitExpr, ValDefn,
 };
 
 /// A generator of closed, well-scoped programs.
 struct Gen {
     rng: SplitMix64,
     fresh: u32,
+    /// Seals whose signature drops one of the unit's imports.
+    seal_drops: u32,
+    /// Link clauses that provide a type port their constituent lacks.
+    type_provides: u32,
 }
 
 impl Gen {
     fn new(seed: u64) -> Gen {
-        Gen { rng: SplitMix64::seed_from_u64(seed), fresh: 0 }
+        Gen { rng: SplitMix64::seed_from_u64(seed), fresh: 0, seal_drops: 0, type_provides: 0 }
     }
 
     fn name(&mut self, prefix: &str) -> String {
@@ -258,7 +262,10 @@ impl Gen {
     /// across each other (cycles included) or to compound imports, often
     /// through rename pairs; they list their `with` and `provides` ports
     /// in a shuffled order; and the compound exports some of what it
-    /// provides.
+    /// provides. Now and then a seal's signature drops one of the unit's
+    /// imports, which every backend must refuse, and a clause provides a
+    /// type port its constituent lacks, which no backend may refuse:
+    /// evaluation erases types.
     fn linked(&mut self, depth: u32, vars: &[String]) -> Expr {
         self.linked_from(depth, vars, false)
     }
@@ -303,6 +310,11 @@ impl Gen {
                     let mut sig = Signature::empty();
                     sig.imports = u.imports.clone();
                     sig.exports = ports(&visible);
+                    if !sig.imports.vals.is_empty() && self.rng.gen_bool(0.3) {
+                        let dropped = self.rng.gen_range(0, sig.imports.vals.len());
+                        sig.imports.vals.remove(dropped);
+                        self.seal_drops += 1;
+                    }
                     (Expr::seal(e, sig), names(&u.imports), visible)
                 }
                 2 => {
@@ -372,10 +384,15 @@ impl Gen {
             let inner = |pairs: &[(String, String)]| -> Vec<String> {
                 pairs.iter().map(|(inner, _)| inner.clone()).collect()
             };
+            let mut provides_ports = ports(&inner(&provides));
+            if self.rng.gen_bool(0.1) {
+                provides_ports.types.push(TyPort::star(self.name("ty").as_str()));
+                self.type_provides += 1;
+            }
             links.push(LinkClause {
                 expr,
                 with: ports(&inner(&with)),
-                provides: ports(&inner(&provides)),
+                provides: provides_ports,
                 renames: LinkRenames {
                     import_vals: renamed(&with),
                     export_vals: renamed(&provides),
@@ -617,6 +634,23 @@ fn rename_pairs_into_nested_binders_link_or_refuse() {
     );
 }
 
+/// A clause that provides a type port its constituent does not export.
+const TYPE_PROVIDE: &str = "(invoke (compound (import) (export)
+  (link ((unit (import) (export x) (define x 1) (init 7)) (with) (provides x (type t))))))";
+
+#[test]
+fn a_provided_type_port_is_erased_at_run_time() {
+    // Evaluation erases types, so the run-time side conditions compare
+    // value ports only: every backend links the compound, and resolution
+    // merges it into one unit.
+    let engine = Engine::builder().strictness(Strictness::MzScheme).build();
+    let loaded = engine.load(TYPE_PROVIDE).unwrap();
+    assert!(!has_compound(loaded.resolved()), "the compound is flattened");
+    for backend in [Backend::Compiled, Backend::Reducer, Backend::Bytecode] {
+        assert_eq!(loaded.run_on(backend).unwrap().value.to_string(), "7", "{backend:?}");
+    }
+}
+
 #[test]
 fn backends_agree_on_random_core_programs() {
     let mut failures = Vec::new();
@@ -652,20 +686,28 @@ fn backends_agree_on_random_unit_programs() {
 fn backends_agree_on_random_link_topologies() {
     // Compounds of 3–5 clauses: rename pairs, shuffled ports, nested,
     // sealed and first-class constituents — the link plan's slow paths.
+    // Each run is (the seed reported, the generator's seed).
+    let runs = (0..400).map(|seed| (seed, 0x5107 ^ seed));
+    let runs = runs.chain((0..200).map(|seed| (0x7091 ^ seed, 0x7091 ^ seed)));
     let mut failures = Vec::new();
-    for seed in 0..400 {
-        let mut gen = Gen::new(0x5107 ^ seed);
-        if let Err(msg) = check_three_way(seed, gen.linked(2, &[])) {
+    let (mut programs, mut seal_drops, mut type_provides) = (0, 0, 0);
+    for (label, seed) in runs {
+        let mut gen = Gen::new(seed);
+        let program = gen.linked(2, &[]);
+        programs += 1;
+        seal_drops += u32::from(gen.seal_drops > 0);
+        type_provides += u32::from(gen.type_provides > 0);
+        if let Err(msg) = check_three_way(label, program) {
             failures.push(msg);
         }
     }
-    for seed in 0..200 {
-        let mut gen = Gen::new(0x7091 ^ seed);
-        if let Err(msg) = check_three_way(0x7091 ^ seed, gen.linked(2, &[])) {
-            failures.push(msg);
-        }
-    }
+    println!(
+        "{programs} link topologies: {seal_drops} seal a unit over fewer imports, \
+         {type_provides} provide a type port a constituent lacks"
+    );
     assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
+    assert!(seal_drops * 10 >= programs, "only {seal_drops} of {programs} drop a sealed import");
+    assert!(type_provides * 10 >= programs, "only {type_provides} of {programs} provide a type");
 }
 
 #[test]
@@ -683,6 +725,13 @@ fn backends_agree_on_error_classes_for_key_failures() {
             "(compound (import) (export)
                (link ((unit (import g) (export) (init void)) (with) (provides))))",
             "ExcessImport",
+        ),
+        // §5.2: a sealed unit's imports must be among the signature's.
+        (
+            "(define u (seal (unit (import a) (export x) (define x 1) (init a))
+                             (sig (import) (export x))))
+             (invoke u (val a 3))",
+            "SealFailure { reason: \"unit imports `a`, signature does not\" }",
         ),
     ];
     let engine = Engine::builder().strictness(Strictness::MzScheme).build();
