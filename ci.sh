@@ -2,9 +2,13 @@
 # Tier-1 verification, fully offline: the workspace has no registry
 # dependencies, so everything below must succeed with no network access.
 #
-# Every gate runs twice — with default features (all tracing hooks are
-# no-ops) and with `--features trace` (the live observability layer) —
-# so neither configuration can rot.
+# The build, the test suite, clippy, rustdoc, the bench tables and the
+# differential suite run twice — with default features (all tracing
+# hooks are no-ops) and with `--features trace` (the live observability
+# layer) — so neither configuration can rot. The other gates (rustfmt,
+# the benchmark workspace, the examples, the `unitsd` smoke, reclaim and
+# store gates, the service chaos pass and the REPL reproducibility
+# check) run once, on the default build.
 set -eux
 
 cd "$(dirname "$0")"

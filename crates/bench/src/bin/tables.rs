@@ -42,6 +42,19 @@ fn time_us(runs: u32, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Median wall time of `check_program` on a fresh `make()` per run, in
+/// microseconds: a checked compound keeps its linking namespace, and a
+/// load checks each program once.
+fn check_us(runs: u32, make: impl Fn() -> units::Expr, opts: CheckOptions) -> f64 {
+    let mut programs: Vec<units::Expr> = (0..runs).map(|_| make()).collect();
+    let mut checked = Vec::with_capacity(programs.len());
+    time_us(runs, || {
+        let program = programs.pop().expect("one program per run");
+        check_program(&program, opts).unwrap();
+        checked.push(program);
+    })
+}
+
 /// Minimum wall time of `runs` executions, in microseconds — the
 /// statistic for an A/B point, since noise from scheduling and caches
 /// is strictly additive.
@@ -383,15 +396,9 @@ fn main() {
         println!("{:>14} {width:>8} {t:>12.1}", "unit_width");
         rec.push("typecheck", "unit_width", width, vec![("us", t)]);
     }
-    for n in if quick { &[4usize, 16][..] } else { &[4usize, 16, 64][..] } {
-        let program = chain_program(*n);
-        let t = time_us(runs, || {
-            check_program(
-                &program,
-                CheckOptions { level: Level::Untyped, strictness: Strictness::MzScheme },
-            )
-            .unwrap();
-        });
+    for n in if quick { &[4usize, 16][..] } else { &[4usize, 16, 64, 1024, 4096][..] } {
+        let opts = CheckOptions { level: Level::Untyped, strictness: Strictness::MzScheme };
+        let t = check_us(runs, || chain_program(*n), opts);
         println!("{:>14} {n:>8} {t:>12.1}", "context_chain");
         rec.push("typecheck", "context_chain", n, vec![("us", t)]);
     }
@@ -399,14 +406,11 @@ fn main() {
     header("ablation: valuability analysis / merge α-renaming");
     println!("{:>22} {:>8} {:>12}", "series", "size", "µs");
     for n in if quick { &[16usize][..] } else { &[16usize, 64][..] } {
-        let program = chain_program(*n);
         for (label, strictness) in
             [("paper", Strictness::Paper), ("mzscheme", Strictness::MzScheme)]
         {
-            let t = time_us(runs, || {
-                check_program(&program, CheckOptions { level: Level::Untyped, strictness })
-                    .unwrap();
-            });
+            let opts = CheckOptions { level: Level::Untyped, strictness };
+            let t = check_us(runs, || chain_program(*n), opts);
             println!("{:>22} {n:>8} {t:>12.1}", format!("valuability/{label}"));
             rec.push("ablation", format!("valuability/{label}"), n, vec![("us", t)]);
         }

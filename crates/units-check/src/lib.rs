@@ -3,7 +3,8 @@
 //!
 //! * [`context_check`] — the context-sensitive conditions of Fig. 10,
 //!   applied at every level (distinctness, exports-defined, link coverage,
-//!   valuability under [`Strictness::Paper`]);
+//!   valuability under [`Strictness::Paper`]); [`compound_link_errors`]
+//!   applies its linking conditions to one `compound`;
 //! * [`type_of`] — the typing rules of Fig. 15 (UNITc) and Fig. 19
 //!   (UNITe), selected by [`Level`];
 //! * [`subtype`] — signature subtyping (Figs. 14/17) with the §5.2
@@ -42,7 +43,7 @@ pub use env::{Env, Mark};
 pub use expand::{expand_sig, expand_ty, reachable_tys, Equations};
 pub use subtype::{subtype, ty_equal, SubtypeError};
 pub use typed::{type_of, type_of_in, Level};
-pub use unitd::{context_check, Strictness};
+pub use unitd::{compound_link_errors, context_check, Strictness};
 pub use valuable::is_valuable;
 
 /// How a program should be checked.

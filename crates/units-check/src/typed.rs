@@ -22,7 +22,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use units_kernel::{
-    Depend, Expr, Kind, Ports, Signature, Symbol, Ty, TyPort, TypeDefn, UnitExpr, ValPort,
+    Binder, Depend, Expr, Kind, Ports, Signature, Symbol, Ty, TyPort, TypeDefn, UnitExpr, ValPort,
 };
 
 use crate::diag::CheckError;
@@ -660,29 +660,19 @@ impl Typer {
             // `provides`, resolved through the clauses' rename pairs — at
             // a compatible type (the ⊆ conditions of the compound rule,
             // Fig. 15).
+            let plan = c.plan();
             for (i, link) in c.links.iter().enumerate() {
+                let unsatisfied =
+                    |outer: &Symbol| CheckError::UnsatisfiedLink { name: outer.clone(), clause: i };
                 for tp in &link.with.types {
                     let outer = link.renames.outer_import_ty(&tp.name);
-                    let source_kind = c
-                        .imports
-                        .ty_port(outer)
-                        .map(|p| &p.kind)
-                        .or_else(|| {
-                            c.links.iter().enumerate().find_map(|(j, other)| {
-                                (j != i)
-                                    .then(|| {
-                                        other.provides.types.iter().find(|p| {
-                                            other.renames.outer_export_ty(&p.name) == outer
-                                        })
-                                    })
-                                    .flatten()
-                                    .map(|p| &p.kind)
-                            })
-                        })
-                        .ok_or_else(|| CheckError::UnsatisfiedLink {
-                            name: outer.clone(),
-                            clause: i,
-                        })?;
+                    let source_kind = match plan.tys.supplier(outer, i) {
+                        Some(Binder::Import(k)) => &c.imports.types[k].kind,
+                        Some(Binder::Provide(clause, port)) => {
+                            &c.links[clause].provides.types[port].kind
+                        }
+                        None => return Err(unsatisfied(outer)),
+                    };
                     if *source_kind != tp.kind {
                         return Err(CheckError::KindMismatch {
                             name: tp.name.clone(),
@@ -693,39 +683,20 @@ impl Typer {
                 }
                 for vp in &link.with.vals {
                     let outer = link.renames.outer_import_val(&vp.name);
-                    let source_ty = c
-                        .imports
-                        .val_port(outer)
-                        .map(|p| p.ty.clone())
-                        .or_else(|| {
-                            c.links.iter().enumerate().find_map(|(j, other)| {
-                                (j != i)
-                                    .then(|| {
-                                        other.provides.vals.iter().find(|p| {
-                                            other.renames.outer_export_val(&p.name) == outer
-                                        })
-                                    })
-                                    .flatten()
-                                    .map(|p| p.ty.clone())
-                            })
-                        })
-                        .ok_or_else(|| CheckError::UnsatisfiedLink {
-                            name: outer.clone(),
-                            clause: i,
-                        })?;
-                    if let (Some(source), Some(wanted)) = (source_ty, &vp.ty) {
-                        // Find which clause supplied the source so its
-                        // annotation can be translated to outer names.
-                        let source = match c.links.iter().enumerate().find(|(j, other)| {
-                            *j != i
-                                && other
-                                    .provides
-                                    .vals
-                                    .iter()
-                                    .any(|p| other.renames.outer_export_val(&p.name) == outer)
-                        }) {
-                            Some((_, provider)) => self.to_outer_ty(provider, &source)?,
-                            None => source, // a compound import: already outer
+                    // A provider's annotation is translated to outer
+                    // names; a compound import's is outer already.
+                    let (source, provider) = match plan.vals.supplier(outer, i) {
+                        Some(Binder::Import(k)) => (&c.imports.vals[k], None),
+                        Some(Binder::Provide(clause, port)) => {
+                            let provider = &c.links[clause];
+                            (&provider.provides.vals[port], Some(provider))
+                        }
+                        None => return Err(unsatisfied(outer)),
+                    };
+                    if let (Some(source), Some(wanted)) = (&source.ty, &vp.ty) {
+                        let source = match provider {
+                            Some(provider) => self.to_outer_ty(provider, source)?,
+                            None => source.clone(),
                         };
                         let wanted = self.to_outer_ty(link, wanted)?;
                         self.check_sub(env, &source, &wanted, || {
@@ -741,22 +712,17 @@ impl Typer {
             // Exports: each must be provided; derive or check its type.
             let mut export_vals = Vec::with_capacity(c.exports.vals.len());
             for port in &c.exports.vals {
-                let (provider, provided) = c
-                    .links
-                    .iter()
-                    .find_map(|l| {
-                        l.provides
-                            .vals
-                            .iter()
-                            .find(|p| l.renames.outer_export_val(&p.name) == &port.name)
-                            .map(|p| (l, p))
-                    })
+                let (clause, at) = plan
+                    .vals
+                    .provider(&port.name)
                     .ok_or_else(|| CheckError::ExportNotProvided { name: port.name.clone() })?;
-                let provided_ty =
-                    provided.ty.clone().ok_or_else(|| CheckError::MissingAnnotation {
+                let provider = &c.links[clause];
+                let provided_ty = provider.provides.vals[at].ty.clone().ok_or_else(|| {
+                    CheckError::MissingAnnotation {
                         what: "link clause `provides` port".into(),
                         name: port.name.clone(),
-                    })?;
+                    }
+                })?;
                 let provided_ty = self.to_outer_ty(provider, &provided_ty)?;
                 let ty = match &port.ty {
                     Some(declared) => {

@@ -12,10 +12,17 @@
 //!   provided;
 //! * `set!` targets a definition-bound (mutable) variable;
 //! * under [`Strictness::Paper`], every definition body is *valuable*.
+//!
+//! A compound's link conditions read its linking namespace
+//! ([`units_kernel::LinkPlan`], built once per node and cached on it),
+//! which lists every binder of each outer name, so checking a compound
+//! looks each port up once instead of searching every clause for it.
+//! [`compound_link_errors`] applies the same conditions to one node:
+//! compile-time flattening merges only a compound that passes them.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use units_kernel::{Expr, Symbol, SymbolHash, TypeDefn, ValDefn};
+use units_kernel::{CompoundExpr, Expr, Symbol, SymbolHash, TypeDefn, ValDefn};
 
 use crate::diag::CheckError;
 use crate::valuable::is_valuable;
@@ -188,7 +195,12 @@ impl Checker {
             }
             Expr::Proj(_, e) => self.expr(e, scope),
             Expr::Unit(u) => self.unit(u, scope),
-            Expr::Compound(c) => self.compound(c, scope),
+            Expr::Compound(c) => {
+                self.compound(c);
+                for link in &c.links {
+                    self.expr(&link.expr, scope);
+                }
+            }
             Expr::Invoke(inv) => {
                 self.expr(&inv.target, scope);
                 self.duplicate_check(inv.ty_links.iter().map(|(n, _)| n), "invoke type links");
@@ -268,69 +280,32 @@ impl Checker {
         }
     }
 
-    fn compound(&mut self, c: &units_kernel::CompoundExpr, scope: &mut Scope) {
-        // Linking happens in the compound's *outer* namespace: a provide
-        // named `x` inside a constituent occupies the outer name chosen by
-        // its clause's rename pairs (or `x` itself). Imports and every
-        // provides set must be pairwise distinct there, per namespace.
-        let val_space: Vec<Symbol> = c
-            .imports
-            .vals
-            .iter()
-            .map(|p| p.name.clone())
-            .chain(c.links.iter().flat_map(|l| {
-                l.provides.vals.iter().map(|p| l.renames.outer_export_val(&p.name).clone())
-            }))
-            .collect();
-        self.duplicate_check(val_space.iter(), "compound imports and provided values");
-        let ty_space: Vec<Symbol> = c
-            .imports
-            .types
-            .iter()
-            .map(|p| p.name.clone())
-            .chain(c.links.iter().flat_map(|l| {
-                l.provides.types.iter().map(|p| l.renames.outer_export_ty(&p.name).clone())
-            }))
-            .collect();
-        self.duplicate_check(ty_space.iter(), "compound imports and provided types");
+    /// Fig. 10's conditions on a compound's own linking, not on its
+    /// constituents. Linking happens in the compound's *outer* namespace,
+    /// which its plan resolves: a provide named `x` inside a constituent
+    /// occupies the outer name chosen by its clause's rename pairs (or `x`
+    /// itself).
+    fn compound(&mut self, c: &CompoundExpr) {
+        let plan = c.plan();
+        // Imports and every provides set must be pairwise distinct there,
+        // per namespace.
+        for (names, kind) in [(&plan.vals, "values"), (&plan.tys, "types")] {
+            for name in names.twice() {
+                let context = format!("compound imports and provided {kind}");
+                self.errors.push(CheckError::Duplicate { name: name.clone(), context });
+            }
+        }
         self.duplicate_check(c.exports.names(), "compound exports");
 
         // Each constituent's `with` must be satisfied — through its
         // rename pairs — by the compound's imports or by another
         // constituent's provides.
         for (i, link) in c.links.iter().enumerate() {
-            let satisfiable_val = |outer: &Symbol| {
-                c.imports.val_port(outer).is_some()
-                    || c.links.iter().enumerate().any(|(j, other)| {
-                        j != i
-                            && other
-                                .provides
-                                .vals
-                                .iter()
-                                .any(|p| other.renames.outer_export_val(&p.name) == outer)
-                    })
-            };
-            let satisfiable_ty = |outer: &Symbol| {
-                c.imports.ty_port(outer).is_some()
-                    || c.links.iter().enumerate().any(|(j, other)| {
-                        j != i
-                            && other
-                                .provides
-                                .types
-                                .iter()
-                                .any(|p| other.renames.outer_export_ty(&p.name) == outer)
-                    })
-            };
-            for port in &link.with.vals {
-                let outer = link.renames.outer_import_val(&port.name);
-                if !satisfiable_val(outer) {
-                    self.errors
-                        .push(CheckError::UnsatisfiedLink { name: outer.clone(), clause: i });
-                }
-            }
-            for port in &link.with.types {
-                let outer = link.renames.outer_import_ty(&port.name);
-                if !satisfiable_ty(outer) {
+            let r = &link.renames;
+            let vals = link.with.vals.iter().map(|p| (&plan.vals, r.outer_import_val(&p.name)));
+            let tys = link.with.types.iter().map(|p| (&plan.tys, r.outer_import_ty(&p.name)));
+            for (names, outer) in vals.chain(tys) {
+                if names.supplier(outer, i).is_none() {
                     self.errors
                         .push(CheckError::UnsatisfiedLink { name: outer.clone(), clause: i });
                 }
@@ -340,43 +315,23 @@ impl Checker {
         }
 
         // Exports must be provided (under outer names).
-        let provided_vals: BTreeSet<Symbol> = c
-            .links
-            .iter()
-            .flat_map(|l| {
-                l.provides
-                    .vals
-                    .iter()
-                    .map(|p| l.renames.outer_export_val(&p.name).clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let provided_tys: BTreeSet<Symbol> = c
-            .links
-            .iter()
-            .flat_map(|l| {
-                l.provides
-                    .types
-                    .iter()
-                    .map(|p| l.renames.outer_export_ty(&p.name).clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for port in &c.exports.vals {
-            if !provided_vals.contains(&port.name) {
-                self.errors.push(CheckError::ExportNotProvided { name: port.name.clone() });
+        let vals = c.exports.vals.iter().map(|p| (&plan.vals, &p.name));
+        let tys = c.exports.types.iter().map(|p| (&plan.tys, &p.name));
+        for (names, name) in vals.chain(tys) {
+            if names.provider(name).is_none() {
+                self.errors.push(CheckError::ExportNotProvided { name: name.clone() });
             }
-        }
-        for port in &c.exports.types {
-            if !provided_tys.contains(&port.name) {
-                self.errors.push(CheckError::ExportNotProvided { name: port.name.clone() });
-            }
-        }
-
-        for link in &c.links {
-            self.expr(&link.expr, scope);
         }
     }
+}
+
+/// Fig. 10's conditions on one `compound`'s linking, not on its
+/// constituents: the errors [`context_check`] reports for the node, in
+/// its order. Compile-time flattening merges only a compound with none.
+pub fn compound_link_errors(c: &CompoundExpr) -> Vec<CheckError> {
+    let mut ck = Checker { strictness: Strictness::Paper, errors: Vec::new() };
+    ck.compound(c);
+    ck.errors
 }
 
 #[cfg(test)]
@@ -452,6 +407,41 @@ mod tests {
         );
     }
 
+    /// One compound breaks every linking condition of Fig. 10 once, with
+    /// rename pairs on both sides; the whole error list is pinned, in
+    /// order: names bound twice (values, then types), each clause's
+    /// unsatisfied `with` ports (values, then types), then unprovided
+    /// exports (values, then types). A clause's own provide does not
+    /// satisfy its `with`.
+    #[test]
+    fn a_compound_reports_its_linking_errors_in_order() {
+        let errs = check(
+            "(compound (import) (export v (type t) ghost (type gt))
+               (link ((unit (import) (export v) (define v 1))
+                      (with) (provides v (type t)))
+                     ((unit (import) (export v2) (define v2 2))
+                      (with) (provides (as v2 v) (as-type t2 t)))
+                     ((unit (import w) (export x) (define x (lambda () w)))
+                      (with (as w own) (type u)) (provides (as x own)))))",
+        )
+        .unwrap_err();
+        let dup = |name: &str, context: &str| CheckError::Duplicate {
+            name: name.into(),
+            context: context.into(),
+        };
+        assert_eq!(
+            errs,
+            vec![
+                dup("v", "compound imports and provided values"),
+                dup("t", "compound imports and provided types"),
+                CheckError::UnsatisfiedLink { name: "own".into(), clause: 2 },
+                CheckError::UnsatisfiedLink { name: "u".into(), clause: 2 },
+                CheckError::ExportNotProvided { name: "ghost".into() },
+                CheckError::ExportNotProvided { name: "gt".into() },
+            ]
+        );
+    }
+
     #[test]
     fn accepts_cyclic_linking() {
         // Links may flow in both directions (paper §3.2: "Linking can
@@ -493,29 +483,71 @@ mod tests {
         }
     }
 
-    /// Checking grows with a unit's definitions in n log n, whether it
-    /// exports none or all of them: each block builds its undetermined
-    /// set once, scope lookups are hashed, and exports are looked up in
-    /// the unit's hashed definitions. Rebuilding the set per definition
-    /// took about 4 s on the unexported unit in a release build, at UNITd
-    /// and UNITc alike, and scanning per export took 85 ms (UNITd) and
-    /// 213 ms (UNITc) on the exported one there.
+    /// Checking grows in n log n with a unit's definitions, whether it
+    /// exports none or all of them, and with a compound's clauses: each
+    /// block builds its undetermined set once, scope lookups are hashed,
+    /// exports are looked up in the unit's hashed definitions, and a
+    /// compound's linking namespace is resolved once. Rebuilding the set
+    /// per definition took about 4 s on the unexported unit in a release
+    /// build, at UNITd and UNITc alike, and scanning per export took
+    /// 85 ms (UNITd) and 213 ms (UNITc) on the exported one there.
+    /// Searching every clause for every `with` port and export took
+    /// 1.2-1.4 s (UNITd) and 3.9-4.3 s (UNITc) on the chains.
     #[test]
-    fn a_unit_of_sixteen_thousand_definitions_checks_in_bounded_time() {
+    fn sixteen_thousand_definitions_or_clauses_check_in_bounded_time() {
         use crate::{check_program, CheckOptions, Level};
 
-        let defs: String = (0..16_000).map(|i| format!(" (define d{i} {i})")).collect();
-        let names: String = (0..16_000).map(|i| format!(" d{i}")).collect();
-        for exports in ["", names.as_str()] {
-            let unit = parse_expr(&format!("(unit (import) (export{exports}){defs} (init 0))"));
-            let unit = unit.unwrap();
-            for opts in [CheckOptions::untyped(), CheckOptions::typed(Level::Constructed)] {
-                let start = std::time::Instant::now();
-                check_program(&unit, opts).unwrap();
-                let took = start.elapsed();
-                let exported = !exports.is_empty();
-                assert!(took.as_secs() < 2, "{:?}, exported {exported}: {took:?}", opts.level);
+        const N: usize = 16_000;
+        let defs: String = (0..N).map(|i| format!(" (define d{i} {i})")).collect();
+        let names: String = (0..N).map(|i| format!(" d{i}")).collect();
+        let units = ["", names.as_str()]
+            .map(|exports| format!("(unit (import) (export{exports}){defs} (init 0))"));
+        // A chain: clause i imports f(i-1) and provides fi, plain and
+        // with every provided name exported; the typed variant
+        // annotates every port.
+        let chain = |typed: bool, exporting: bool| {
+            let (ty, param) = if typed { (" (-> int int)", "(x int)") } else { ("", "x") };
+            let port = |i: usize| match typed {
+                true => format!("(f{i}{ty})"),
+                false => format!("f{i}"),
+            };
+            let mut links = String::new();
+            for i in 0..N {
+                let (with, body) = match i {
+                    0 => (String::new(), "x".to_string()),
+                    _ => (port(i - 1), format!("(f{} x)", i - 1)),
+                };
+                links.push_str(&format!(
+                    " ((unit (import {with}) (export {p}) (define f{i}{ty} (lambda ({param}) {body}))) \
+                     (with {with}) (provides {p}))",
+                    p = port(i),
+                ));
             }
+            let exports: String = match exporting {
+                true => (0..N).map(|i| format!(" {}", port(i))).collect(),
+                false => String::new(),
+            };
+            format!("(compound (import) (export{exports}) (link{links}))")
+        };
+        let untyped = CheckOptions::untyped();
+        let typed = CheckOptions::typed(Level::Constructed);
+        let mut inputs = Vec::new();
+        for (exporting, unit) in [false, true].into_iter().zip(&units) {
+            inputs.push((format!("unit, exporting {exporting}"), unit.clone(), untyped));
+            inputs.push((format!("unit, exporting {exporting}"), unit.clone(), typed));
+            inputs.push((
+                format!("chain, exporting {exporting}"),
+                chain(false, exporting),
+                untyped,
+            ));
+            inputs.push((format!("chain, exporting {exporting}"), chain(true, exporting), typed));
+        }
+        for (what, src, opts) in inputs {
+            let program = parse_expr(&src).unwrap();
+            let start = std::time::Instant::now();
+            check_program(&program, opts).unwrap();
+            let took = start.elapsed();
+            assert!(took.as_secs() < 2, "{:?}, {what}: {took:?}", opts.level);
         }
     }
 

@@ -52,12 +52,12 @@
 //! condition, a rename pair that would be captured — stays as written and
 //! wires from its link plan, with its run-time errors unchanged.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+use units_check::compound_link_errors;
 use units_kernel::{
     is_closed, merge_compound, Binding, CompoundExpr, Expr, InvokeExpr, Lambda, LetrecExpr,
-    LexAddr, LinkClause, NameGen, Symbol, SymbolHash, TypeDefn, UnitExpr, ValDefn,
+    LexAddr, LinkClause, NameGen, Symbol, TypeDefn, UnitExpr, ValDefn,
 };
 
 /// The version of the resolved form: the frame layout its addresses
@@ -242,10 +242,11 @@ fn resolve_compound(c: &CompoundExpr, scope: &mut Scope) -> Expr {
 
 /// Fig. 11's `compound` rule at compile time. Nested compounds first: one
 /// that merges counts as a literal. Then the compound merges when every
-/// constituent is a closed unit literal, its link graph is one the
-/// checkers accept (the merge assumes one, and `resolve_program` also
-/// meets unchecked terms) and [`merge_compound`] does not refuse.
-/// Otherwise it is kept, with its nested compounds flattened.
+/// constituent is a closed unit literal, its linking passes the checkers'
+/// own conditions ([`compound_link_errors`]: the merge assumes they hold,
+/// and `resolve_program` also meets unchecked terms) and
+/// [`merge_compound`] does not refuse. Otherwise it is kept, with its
+/// nested compounds flattened.
 fn flatten(c: &Arc<CompoundExpr>, gen: &mut NameGen) -> Result<UnitExpr, Arc<CompoundExpr>> {
     let mut links: Option<Vec<LinkClause>> = None;
     for (i, link) in c.links.iter().enumerate() {
@@ -273,34 +274,10 @@ fn flatten(c: &Arc<CompoundExpr>, gen: &mut NameGen) -> Result<UnitExpr, Arc<Com
     let Some(units) = units else { return Err(flat) };
     // A merged nested compound is closed: its constituents were.
     let closed = c.links.iter().all(|l| matches!(l.expr, Expr::Compound(_)) || is_closed(&l.expr));
-    if !closed || !well_linked(&flat) {
+    if !closed || !compound_link_errors(&flat).is_empty() {
         return Err(flat);
     }
     merge_compound(&flat, &units, gen).map_err(|_| flat)
-}
-
-/// Whether `c`'s link graph is one the checkers accept: the compound's
-/// imports and provided outer names distinct, every `with` port supplied
-/// by one of them, and every export provided.
-fn well_linked(c: &CompoundExpr) -> bool {
-    let mut names: HashSet<&Symbol, SymbolHash> = HashSet::default();
-    let provided = c
-        .links
-        .iter()
-        .flat_map(|l| l.provides.vals.iter().map(|p| l.renames.outer_export_val(&p.name)));
-    if !c.imports.vals.iter().map(|p| &p.name).chain(provided).all(|name| names.insert(name)) {
-        return false;
-    }
-    let supplied = c
-        .links
-        .iter()
-        .all(|l| l.with.vals.iter().all(|p| names.contains(l.renames.outer_import_val(&p.name))));
-    supplied
-        && c.exports.vals.iter().enumerate().all(|(i, p)| {
-            names.contains(&p.name)
-                && c.imports.val_port(&p.name).is_none()
-                && c.exports.vals[..i].iter().all(|q| q.name != p.name)
-        })
 }
 
 /// Resolves definition bodies in the scope already pushed by the caller.

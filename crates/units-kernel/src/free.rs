@@ -1,4 +1,4 @@
-//! Free-variable computation for value variables and type variables.
+//! Free-variable computation for value variables.
 //!
 //! The binding structure follows the paper's grammars:
 //!
@@ -6,19 +6,16 @@
 //! * `let x = e in b` binds `x…` in `b` only;
 //! * `letrec` binds every defined value name (including datatype
 //!   constructors/deconstructors/predicates) in every definition body and
-//!   the block body, and every defined type name in every type expression;
+//!   the block body;
 //! * a `unit` binds its imported value names and defined value names in its
-//!   definitions and initialization expression, and its imported/defined
-//!   type names in its embedded type expressions;
+//!   definitions and initialization expression;
 //! * `compound`/`invoke` `with`/`provides` name lists are port labels, not
-//!   variable occurrences;
-//! * a signature binds its own imported/exported type variables.
+//!   variable occurrences.
 
 use std::collections::BTreeSet;
 
 use crate::symbol::Symbol;
 use crate::term::{Expr, TypeDefn, UnitExpr, ValDefn};
-use crate::ty::Ty;
 
 /// Returns the free *value* variables of an expression.
 ///
@@ -207,160 +204,12 @@ fn push_defined(bound: &mut Vec<Symbol>, types: &[TypeDefn], vals: &[ValDefn]) {
     bound.extend(vals.iter().map(|d| d.name.clone()));
 }
 
-/// Returns the free *type* variables of an expression: type variables
-/// occurring in embedded type annotations, signatures, primitive
-/// instantiations, and invoke type links that are not bound by an enclosing
-/// `letrec`/`unit` type definition or unit type import.
-pub fn free_ty_vars_expr(expr: &Expr) -> BTreeSet<Symbol> {
-    let mut out = BTreeSet::new();
-    collect_ty(expr, &mut BTreeSet::new(), &mut out);
-    out
-}
-
-fn add_ty(ty: &Ty, bound: &BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
-    let mut occurring = BTreeSet::new();
-    ty.free_ty_vars(&mut occurring);
-    out.extend(occurring.into_iter().filter(|t| !bound.contains(t)));
-}
-
-fn add_opt_ty(ty: &Option<Ty>, bound: &BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
-    if let Some(ty) = ty {
-        add_ty(ty, bound, out);
-    }
-}
-
-fn collect_ty(expr: &Expr, bound: &mut BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
-    match expr {
-        Expr::Var(_)
-        | Expr::VarAt(..)
-        | Expr::Lit(_)
-        | Expr::Loc(_)
-        | Expr::CellRef(_)
-        | Expr::Data(_) => {}
-        Expr::Prim(_, tys) => {
-            for t in tys {
-                add_ty(t, bound, out);
-            }
-        }
-        Expr::Lambda(lam) => {
-            for p in &lam.params {
-                add_opt_ty(&p.ty, bound, out);
-            }
-            add_opt_ty(&lam.ret_ty, bound, out);
-            collect_ty(&lam.body, bound, out);
-        }
-        Expr::App(func, args) => {
-            collect_ty(func, bound, out);
-            for a in args {
-                collect_ty(a, bound, out);
-            }
-        }
-        Expr::If(c, t, e) => {
-            collect_ty(c, bound, out);
-            collect_ty(t, bound, out);
-            collect_ty(e, bound, out);
-        }
-        Expr::Seq(es) | Expr::Tuple(es) => {
-            for e in es {
-                collect_ty(e, bound, out);
-            }
-        }
-        Expr::Let(bindings, body) => {
-            for b in bindings {
-                collect_ty(&b.expr, bound, out);
-            }
-            collect_ty(body, bound, out);
-        }
-        Expr::Letrec(lr) => {
-            let names: Vec<Symbol> = lr.types.iter().map(|t| t.name().clone()).collect();
-            with_bound(bound, names, |bound| {
-                for td in &lr.types {
-                    collect_typedefn(td, bound, out);
-                }
-                for d in &lr.vals {
-                    add_opt_ty(&d.ty, bound, out);
-                    collect_ty(&d.body, bound, out);
-                }
-                collect_ty(&lr.body, bound, out);
-            });
-        }
-        Expr::Set(target, value) => {
-            collect_ty(target, bound, out);
-            collect_ty(value, bound, out);
-        }
-        Expr::Proj(_, e) => collect_ty(e, bound, out),
-        Expr::Unit(u) => {
-            let mut names: Vec<Symbol> = u.imports.types.iter().map(|p| p.name.clone()).collect();
-            names.extend(u.defined_ty_names());
-            with_bound(bound, names, |bound| {
-                for p in u.imports.vals.iter().chain(u.exports.vals.iter()) {
-                    add_opt_ty(&p.ty, bound, out);
-                }
-                for td in &u.types {
-                    collect_typedefn(td, bound, out);
-                }
-                for d in &u.vals {
-                    add_opt_ty(&d.ty, bound, out);
-                    collect_ty(&d.body, bound, out);
-                }
-                collect_ty(&u.init, bound, out);
-            });
-        }
-        Expr::Compound(c) => {
-            let names: Vec<Symbol> = c
-                .imports
-                .types
-                .iter()
-                .chain(c.links.iter().flat_map(|l| l.provides.types.iter()))
-                .map(|p| p.name.clone())
-                .collect();
-            with_bound(bound, names, |bound| {
-                for p in c.imports.vals.iter().chain(c.exports.vals.iter()) {
-                    add_opt_ty(&p.ty, bound, out);
-                }
-                for link in &c.links {
-                    collect_ty(&link.expr, bound, out);
-                    for p in link.with.vals.iter().chain(link.provides.vals.iter()) {
-                        add_opt_ty(&p.ty, bound, out);
-                    }
-                }
-            });
-        }
-        Expr::Invoke(inv) => {
-            collect_ty(&inv.target, bound, out);
-            for (_, t) in &inv.ty_links {
-                add_ty(t, bound, out);
-            }
-            for (_, e) in &inv.val_links {
-                collect_ty(e, bound, out);
-            }
-        }
-        Expr::Seal(e, sig) => {
-            collect_ty(e, bound, out);
-            let mut sig_free = BTreeSet::new();
-            sig.free_ty_vars_unbound(&mut sig_free);
-            out.extend(sig_free.into_iter().filter(|t| !bound.contains(t)));
-        }
-        Expr::Variant(v) => collect_ty(&v.payload, bound, out),
-    }
-}
-
-fn collect_typedefn(td: &TypeDefn, bound: &BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
-    match td {
-        TypeDefn::Data(d) => {
-            for v in &d.variants {
-                add_ty(&v.payload, bound, out);
-            }
-        }
-        TypeDefn::Alias(a) => add_ty(&a.body, bound, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sig::Ports;
     use crate::term::{Binding, DataDefn, DataVariant, LetrecExpr, Param, ValDefn};
+    use crate::ty::Ty;
 
     fn names(set: &BTreeSet<Symbol>) -> Vec<&str> {
         set.iter().map(|s| s.as_str()).collect()
@@ -442,27 +291,5 @@ mod tests {
             val_links: vec![("error".into(), Expr::var("handler"))],
         });
         assert_eq!(names(&free_val_vars(&e)), vec!["handler", "u"]);
-    }
-
-    #[test]
-    fn free_ty_vars_respect_unit_binders() {
-        let u = Expr::unit(crate::term::UnitExpr {
-            imports: Ports { types: vec![crate::sig::TyPort::star("info")], vals: vec![] },
-            exports: Ports::new(),
-            types: vec![],
-            vals: vec![ValDefn {
-                name: "x".into(),
-                ty: Some(Ty::arrow(vec![Ty::var("info")], Ty::var("leaky"))),
-                body: Expr::void(),
-            }],
-            init: Expr::void(),
-        });
-        assert_eq!(names(&free_ty_vars_expr(&u)), vec!["leaky"]);
-    }
-
-    #[test]
-    fn prim_instantiations_contribute_ty_vars() {
-        let e = Expr::Prim(crate::term::PrimOp::HashNew, vec![Ty::var("info")]);
-        assert_eq!(names(&free_ty_vars_expr(&e)), vec!["info"]);
     }
 }

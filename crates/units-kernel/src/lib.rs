@@ -13,6 +13,8 @@
 //!   reducer;
 //! * [`free_val_vars`], [`subst_vals`], [`subst_ty`], [`alpha_eq`] — the
 //!   binding-aware operations the semantics is built from;
+//! * [`LinkPlan`] — a `compound`'s linking namespace, resolved once per
+//!   node: the checkers, flattening, the merge and wiring read it;
 //! * [`merge_compound`] — Fig. 11's `compound` rule, which the reducer
 //!   fires at run time and the compiler once per artifact;
 //! * [`check_ports`] — the run-time port rule over value ports: Fig. 11's
@@ -65,12 +67,12 @@ mod symbol;
 mod term;
 mod ty;
 
-pub use alpha::{alpha_eq, alpha_eq_ty};
-pub use free::{free_ty_vars_expr, free_val_vars, is_closed};
+pub use alpha::alpha_eq;
+pub use free::{free_val_vars, is_closed};
 pub use hash::alpha_hash;
 pub use kind::Kind;
 pub use merge::{merge_compound, MergeError};
-pub use plan::{ClausePlan, LinkPlan};
+pub use plan::{Binder, ClausePlan, LinkNames, LinkPlan, SlotLayout};
 pub use sig::{check_ports, Depend, PortMismatch, Ports, SigEquation, Signature, TyPort, ValPort};
 pub use subst::{subst_ty, subst_ty_in_sig, subst_vals, CaptureError, ValSubst};
 pub use symbol::{NameGen, Symbol, SymbolHash, SymbolHasher};

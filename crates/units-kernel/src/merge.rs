@@ -92,11 +92,13 @@ impl From<PortMismatch> for MergeError {
 /// constituents' in link order, and its initialization expression runs
 /// theirs in link order.
 ///
-/// The compound's link graph must be one the checkers accept: every
-/// `with` port supplied by a compound import or a provide, names
-/// distinct, exports provided. Given one they reject the merge still
-/// returns, but the merged unit may not mean what the linked compound
-/// means.
+/// The compound's linking must pass the checkers' conditions (Fig. 10):
+/// every `with` port supplied by a compound import or another clause's
+/// provide, names distinct, exports provided. Given a compound that
+/// fails them the merge still returns, but the merged unit may not mean
+/// what the linked compound means. The linked names it keeps are read
+/// from the compound's linking namespace ([`CompoundExpr::plan`]), which
+/// the merge builds if no reader has yet.
 ///
 /// # Errors
 ///
@@ -115,15 +117,12 @@ pub fn merge_compound(
         check_ports(&unit.imports, &unit.exports, &link.with, &link.provides)?;
     }
 
-    // Every name the merged unit binds so far, to freshen against: the
-    // compound's imports, then every provided outer name.
-    let mut used: HashSet<Symbol, SymbolHash> =
-        compound.imports.vals.iter().map(|p| p.name.clone()).collect();
-    for link in &compound.links {
-        used.extend(
-            link.provides.vals.iter().map(|p| link.renames.outer_export_val(&p.name).clone()),
-        );
-    }
+    // Every name the merged unit binds, to freshen against: the value
+    // half of the compound's linking namespace (its imports and every
+    // provided outer name), then each name the merge keeps below.
+    let linked = &compound.plan().vals;
+    let mut used: HashSet<Symbol, SymbolHash> = HashSet::default();
+    let mut claim = |name: &Symbol| !linked.is_bound(name) && used.insert(name.clone());
     // A provided outer name the compound hides gets a fresh name when a
     // rename pair targets it.
     let mut hidden: HashMap<Symbol, Symbol, SymbolHash> = HashMap::default();
@@ -131,7 +130,7 @@ pub fn merge_compound(
         for (_, outer) in link.renames.import_vals.iter().chain(&link.renames.export_vals) {
             let interface = compound.imports.val_port(outer).is_some()
                 || compound.exports.val_port(outer).is_some();
-            if !interface && used.contains(outer) && !hidden.contains_key(outer) {
+            if !interface && linked.is_bound(outer) && !hidden.contains_key(outer) {
                 hidden.insert(outer.clone(), gen.fresh(outer));
             }
         }
@@ -148,10 +147,10 @@ pub fn merge_compound(
         let mut bind = |name: &Symbol, renames: &mut HashMap<Symbol, Symbol, SymbolHash>| {
             let new = match link.provides.val_port(name) {
                 Some(_) => link_name(link.renames.outer_export_val(name)),
-                None if used.insert(name.clone()) => return,
+                None if claim(name) => return,
                 None => loop {
                     let fresh = gen.fresh(name);
-                    if used.insert(fresh.clone()) {
+                    if claim(&fresh) {
                         break fresh;
                     }
                 },

@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::kind::Kind;
-use crate::plan::LinkPlan;
+use crate::plan::{LinkPlan, SlotLayout};
 use crate::sig::{Ports, Signature};
 use crate::symbol::Symbol;
 use crate::ty::Ty;
@@ -536,10 +536,10 @@ impl LinkClause {
 /// constituents and tested in that form, with n-ary linking exercised
 /// separately.
 ///
-/// The node caches its [`LinkPlan`], built from the ports and rename
-/// pairs on first use, so those must not change once the node has been
-/// wired; constituent expressions may. Equality and `Debug` ignore the
-/// plan.
+/// The node caches its [`LinkPlan`], its linking namespace, built from
+/// the ports and rename pairs by the first reader (a checker, flattening
+/// or wiring), so those must not change once the node has been read;
+/// constituent expressions may. Equality and `Debug` ignore the plan.
 #[derive(Clone)]
 pub struct CompoundExpr {
     /// The compound unit's imports.
@@ -564,9 +564,15 @@ impl CompoundExpr {
         self.plan.get_or_init(|| Arc::new(LinkPlan::build(self)))
     }
 
-    /// The link plan if some wiring has built it already.
+    /// The link plan if some reader has built it already.
     pub fn plan_if_built(&self) -> Option<&Arc<LinkPlan>> {
         self.plan.get()
+    }
+
+    /// Where each value port lives at run time, laid out from the link
+    /// plan by the first call (wiring's) and shared by every later one.
+    pub fn layout(&self) -> &SlotLayout {
+        self.plan().layout(self)
     }
 }
 

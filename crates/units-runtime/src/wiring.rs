@@ -17,7 +17,7 @@
 //!   §5.2 signature ascription, each the kernel's one port rule
 //!   ([`units_kernel::check_ports`], value ports only) with its own error;
 //! * [`wire`] — wiring from link plans: a compound fills one slot vector
-//!   laid out by its cached [`LinkPlan`](units_kernel::LinkPlan) and
+//!   laid out by its cached [`SlotLayout`](units_kernel::SlotLayout) and
 //!   hands each constituent the slots its clause names; an atomic
 //!   constituent gets one frame of import cells, datatype operations and
 //!   definition cells. The result is one [`WiredUnit`] per atomic
@@ -364,7 +364,7 @@ fn wire_atomic(
     Ok(())
 }
 
-/// A compound fills its linking namespace as its plan lays it out — the
+/// A compound fills its linking namespace as its layout numbers it — the
 /// imports, then per provided name the caller's cell for a wanted export
 /// or a fresh cell the compound hides — and wires each constituent with
 /// the slots its clause names.
@@ -377,19 +377,19 @@ fn wire_linked(
 ) -> Result<(), RuntimeError> {
     let compound = &linked.compound;
     unsatisfied(&compound.imports, imports)?;
-    let plan = compound.plan();
-    let mut slots: Vec<Option<CellRef>> = Vec::with_capacity(plan.slots());
-    slots.extend(imports.iter().take(plan.imports()).cloned().map(Some));
-    slots.resize(plan.slots(), None);
+    let layout = compound.layout();
+    let mut slots: Vec<Option<CellRef>> = Vec::with_capacity(layout.slots());
+    slots.extend(imports.iter().take(layout.imports()).cloned().map(Some));
+    slots.resize(layout.slots(), None);
     let mut unprovided = None;
-    for ((port, slot), cell) in compound.exports.vals.iter().zip(plan.exports()).zip(exports) {
+    for ((port, slot), cell) in compound.exports.vals.iter().zip(layout.exports()).zip(exports) {
         match (slot, cell) {
             (Some(slot), Some(cell)) => slots[*slot] = Some(cell.clone()),
             (None, Some(_)) => unprovided = unprovided.or(Some(port)),
             (_, None) => {}
         }
     }
-    for slot in &mut slots[plan.imports()..] {
+    for slot in &mut slots[layout.imports()..] {
         if slot.is_none() {
             machine.alloc_cells(1)?;
             *slot = Some(machine.cell(None));
@@ -400,7 +400,7 @@ fn wire_linked(
     }
     let cell = |slot: usize| slots[slot].clone().expect("every slot is filled above");
     for ((clause, clause_plan), unit) in
-        compound.links.iter().zip(plan.clauses()).zip(&linked.units)
+        compound.links.iter().zip(layout.clauses()).zip(&linked.units)
     {
         if let Some(name) = clause_plan.unsatisfied() {
             return Err(RuntimeError::UnsatisfiedImport { name: name.clone() });

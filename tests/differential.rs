@@ -30,11 +30,30 @@ struct Gen {
     seal_drops: u32,
     /// Link clauses that provide a type port their constituent lacks.
     type_provides: u32,
+    /// The type links of [`Gen::link_types`] draw from a stream and name
+    /// counter of their own, so adding them leaves every value topology
+    /// as `rng` alone generates it.
+    types: SplitMix64,
+    fresh_types: u32,
+    /// Link clauses whose `with` grants a type port another clause
+    /// provides.
+    type_links: u32,
+    /// Compounds that export a provided type.
+    type_exports: u32,
 }
 
 impl Gen {
     fn new(seed: u64) -> Gen {
-        Gen { rng: SplitMix64::seed_from_u64(seed), fresh: 0, seal_drops: 0, type_provides: 0 }
+        Gen {
+            rng: SplitMix64::seed_from_u64(seed),
+            fresh: 0,
+            seal_drops: 0,
+            type_provides: 0,
+            types: SplitMix64::seed_from_u64(!seed),
+            fresh_types: 0,
+            type_links: 0,
+            type_exports: 0,
+        }
     }
 
     fn name(&mut self, prefix: &str) -> String {
@@ -265,7 +284,8 @@ impl Gen {
     /// provides. Now and then a seal's signature drops one of the unit's
     /// imports, which every backend must refuse, and a clause provides a
     /// type port its constituent lacks, which no backend may refuse:
-    /// evaluation erases types.
+    /// evaluation erases types. So it erases the type links of
+    /// [`Gen::link_types`] between clauses and out of the compound.
     fn linked(&mut self, depth: u32, vars: &[String]) -> Expr {
         self.linked_from(depth, vars, false)
     }
@@ -403,13 +423,70 @@ impl Gen {
         let mut exports: Vec<String> =
             provided.iter().flatten().map(|(_, outer)| outer.clone()).collect();
         exports.retain(|_| self.rng.gen_bool(0.3));
+        let mut exports = ports(&exports);
+        exports.types = self.link_types(&mut links);
         let compound = Expr::Compound(std::sync::Arc::new(CompoundExpr::new(
             ports(&compound_imports),
-            ports(&exports),
+            exports,
             links,
         )));
         let target = if bound.is_empty() { compound } else { Expr::Let(bound, Box::new(compound)) };
         self.supply(target, &compound_imports, vars)
+    }
+
+    /// Links types between `links`, which evaluation erases: now and then
+    /// a clause provides a fresh type, sometimes through an `as-type`
+    /// pair; a clause's `with` grants a type port another clause
+    /// provides, sometimes through an `as-type` pair; and the compound
+    /// exports a provided type. Returns the compound's type exports.
+    fn link_types(&mut self, links: &mut [LinkClause]) -> Vec<TyPort> {
+        let mut fresh = |prefix: &str| {
+            self.fresh_types += 1;
+            Symbol::new(format!("{prefix}{}", self.fresh_types))
+        };
+        for link in links.iter_mut() {
+            if self.types.gen_bool(0.3) {
+                let outer = fresh("tp");
+                let inner = if self.types.gen_bool(0.5) { fresh("tq") } else { outer.clone() };
+                if inner != outer {
+                    link.renames.export_tys.push((inner.clone(), outer));
+                }
+                link.provides.types.push(TyPort::star(inner));
+            }
+        }
+        // Every provided type: its clause and outer name.
+        let provided: Vec<(usize, Symbol)> = links
+            .iter()
+            .enumerate()
+            .flat_map(|(i, link)| {
+                link.provides
+                    .types
+                    .iter()
+                    .map(move |p| (i, link.renames.outer_export_ty(&p.name).clone()))
+            })
+            .collect();
+        let mut granted = false;
+        for (i, link) in links.iter_mut().enumerate() {
+            let elsewhere: Vec<&Symbol> =
+                provided.iter().filter(|(j, _)| *j != i).map(|(_, outer)| outer).collect();
+            if elsewhere.is_empty() || !self.types.gen_bool(0.4) {
+                continue;
+            }
+            let outer = elsewhere[self.types.gen_range(0, elsewhere.len())].clone();
+            let inner = if self.types.gen_bool(0.5) { fresh("tw") } else { outer.clone() };
+            if inner != outer {
+                link.renames.import_tys.push((inner.clone(), outer));
+            }
+            link.with.types.push(TyPort::star(inner));
+            granted = true;
+        }
+        self.type_links += u32::from(granted);
+        if provided.is_empty() || !self.types.gen_bool(0.3) {
+            return Vec::new();
+        }
+        self.type_exports += 1;
+        let (_, outer) = &provided[self.types.gen_range(0, provided.len())];
+        vec![TyPort::star(outer.clone())]
     }
 
     /// A uniform random permutation (Fisher–Yates).
@@ -691,23 +768,29 @@ fn backends_agree_on_random_link_topologies() {
     let runs = runs.chain((0..200).map(|seed| (0x7091 ^ seed, 0x7091 ^ seed)));
     let mut failures = Vec::new();
     let (mut programs, mut seal_drops, mut type_provides) = (0, 0, 0);
+    let (mut type_links, mut type_exports) = (0, 0);
     for (label, seed) in runs {
         let mut gen = Gen::new(seed);
         let program = gen.linked(2, &[]);
         programs += 1;
         seal_drops += u32::from(gen.seal_drops > 0);
         type_provides += u32::from(gen.type_provides > 0);
+        type_links += u32::from(gen.type_links > 0);
+        type_exports += u32::from(gen.type_exports > 0);
         if let Err(msg) = check_three_way(label, program) {
             failures.push(msg);
         }
     }
     println!(
         "{programs} link topologies: {seal_drops} seal a unit over fewer imports, \
-         {type_provides} provide a type port a constituent lacks"
+         {type_provides} provide a type port a constituent lacks, {type_links} grant a \
+         type port another clause provides, {type_exports} export a provided type"
     );
     assert!(failures.is_empty(), "{} disagreements:\n{}", failures.len(), failures.join("\n\n"));
     assert!(seal_drops * 10 >= programs, "only {seal_drops} of {programs} drop a sealed import");
     assert!(type_provides * 10 >= programs, "only {type_provides} of {programs} provide a type");
+    assert!(type_links * 10 >= programs, "only {type_links} of {programs} link a type");
+    assert!(type_exports * 10 >= programs, "only {type_exports} of {programs} export a type");
 }
 
 #[test]
